@@ -24,14 +24,12 @@ from .gaussian import (
     CovarianceMatrix,
     SqueezedThermalParamsSingle,
     SqueezedThermalParamsTwo,
-    SymplecticDecomposition,
     make_single_mode_st,
     make_two_mode_st,
     mean_photons,
     overlap,
     symplectic_eigenvalues,
     symplectic_invariants,
-    williamson,
 )
 from .probes import (
     ProbeSpec,
@@ -60,7 +58,6 @@ __all__ = [
     "ProbeSpec",
     "SqueezedThermalParamsSingle",
     "SqueezedThermalParamsTwo",
-    "SymplecticDecomposition",
     "binary_entropy_h",
     "correlation_report",
     "critical_transmissivity",
@@ -94,5 +91,4 @@ __all__ = [
     "symplectic_invariants",
     "threshold_energy",
     "threshold_fit_near_critical",
-    "williamson",
 ]

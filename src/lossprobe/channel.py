@@ -4,7 +4,8 @@ The channel damps a mode toward the vacuum: sigma -> eta sigma + (1 - eta)/2 I
 with transmissivity eta = exp(-gamma).  For a two-mode probe only the first
 mode is sent through the channel; the second is kept as an ideal reference.
 A squeezed thermal input stays squeezed thermal, so the output can be handed
-back as parameters of the same family.
+back as parameters of the same family; the two-mode output is computed from
+the block entries in closed form, without building the input or evolved CM.
 """
 
 from __future__ import annotations
@@ -19,14 +20,9 @@ from .gaussian import (
     CovarianceMatrix,
     SqueezedThermalParamsSingle,
     SqueezedThermalParamsTwo,
-    det2,
     make_two_mode_st,
+    two_mode_blocks,
 )
-
-# Evolved squeezed thermal states are squeezed thermal again; the recovered
-# parameters are those of the same dataclasses.
-OutputParamsSingle = SqueezedThermalParamsSingle
-OutputParamsTwo = SqueezedThermalParamsTwo
 
 _CLAMP = 1e-12
 
@@ -98,9 +94,21 @@ def _clamped(x: float, what: str) -> float:
     return max(x, 0.0)
 
 
+def evolved_blocks(p: SqueezedThermalParamsTwo, ch: LossChannel) -> tuple[float, float, float]:
+    """Block entries (A', B', C') of the evolved two-mode state.
+
+    evolve_two in closed form on the entries of two_mode_blocks:
+    A' = eta A + (1 - eta), B' = B, C' = sqrt(eta) C.  The operations are
+    those of evolve_two on make_two_mode_st(p) up to exact factors of 2, so
+    the entries agree bit for bit.
+    """
+    a, b, c = two_mode_blocks(p)
+    return ch.eta * a + (1.0 - ch.eta), b, math.sqrt(ch.eta) * c
+
+
 def output_params_single(
     p: SqueezedThermalParamsSingle, ch: LossChannel
-) -> OutputParamsSingle:
+) -> SqueezedThermalParamsSingle:
     """Squeezed thermal parameters of the evolved single-mode state.
 
     The output thermal occupation is sqrt(det sigma') - 1/2 and the output
@@ -111,25 +119,24 @@ def output_params_single(
     b = ch.eta * nu * math.exp(-2 * p.r) + (1.0 - ch.eta) * VACUUM_NOISE
     n_out = _clamped(math.sqrt(a * b) - VACUUM_NOISE, "output thermal occupation")
     r_out = _clamped(0.25 * math.log(a / b), "output squeezing")
-    return OutputParamsSingle(r=r_out, n_t=n_out)
+    return SqueezedThermalParamsSingle(r=r_out, n_t=n_out)
 
 
-def output_params_two(p: SqueezedThermalParamsTwo, ch: LossChannel) -> OutputParamsTwo:
+def output_params_two(
+    p: SqueezedThermalParamsTwo, ch: LossChannel
+) -> SqueezedThermalParamsTwo:
     """Squeezed thermal parameters of the evolved two-mode state.
 
-    Inverts the block normal form: with A' = 2 sigma'_qq(1), B' = 2
-    sigma'_qq(2), C' = 2 sigma'_q1q2, the thermal occupations solve
+    Inverts the block normal form: with (A', B', C') from evolved_blocks,
+    the thermal occupations solve
 
         1 + n1 + n2 = sqrt((A' + B')^2 / 4 - C'^2),   n1 - n2 = (A' - B') / 2
 
     and the squeezing is r' = (1/2) asinh(C' / (1 + n1 + n2)).  The result is
-    rebuilt and compared against the evolved CM; a residual above 1e-9 raises
-    ParameterRecoveryError.
+    rebuilt with make_two_mode_st and compared against the evolved entries;
+    a residual above 1e-9 in any CM entry raises ParameterRecoveryError.
     """
-    evolved = evolve_two(make_two_mode_st(p), ch)
-    a = 2.0 * evolved.mat[0, 0]
-    b = 2.0 * evolved.mat[2, 2]
-    c = 2.0 * evolved.mat[0, 2]
+    a, b, c = evolved_blocks(p, ch)
     u_sq = 0.25 * (a + b) ** 2 - c * c
     if u_sq < 1.0 - _CLAMP:
         raise ParameterRecoveryError(f"(1 + n1 + n2)^2 came out as {u_sq:.6e} < 1")
@@ -138,8 +145,11 @@ def output_params_two(p: SqueezedThermalParamsTwo, ch: LossChannel) -> OutputPar
     n1 = _clamped((u - 1.0) / 2.0 + half_diff, "output occupation n1")
     n2 = _clamped((u - 1.0) / 2.0 - half_diff, "output occupation n2")
     r_out = _clamped(0.5 * math.asinh(c / u), "output squeezing")
-    out = OutputParamsTwo(r=r_out, n_t1=n1, n_t2=n2)
-    residual = float(np.max(np.abs(make_two_mode_st(out).mat - evolved.mat)))
+    out = SqueezedThermalParamsTwo(r=r_out, n_t1=n1, n_t2=n2)
+    # largest entry gap between the rebuilt CM and the evolved one, whose
+    # entries are half the block entries
+    m = make_two_mode_st(out).mat
+    residual = max(abs(m[0, 0] - 0.5 * a), abs(m[2, 2] - 0.5 * b), abs(m[0, 2] - 0.5 * c))
     if residual > 1e-9:
         raise ParameterRecoveryError(
             f"round-trip residual {residual:.3e} exceeds 1e-9 for {p} through {ch}"

@@ -208,17 +208,18 @@ def qcb(
 
     if isinstance(pa, SqueezedThermalParamsSingle):
         pure_a, pure_b = _is_pure_single(pa), _is_pure_single(pb)
-        cm_a, cm_b = make_single_mode_st(pa), make_single_mode_st(pb)
+        make = make_single_mode_st
         curve = lambda s: q_s_single(pa, pb, s)  # noqa: E731
     elif isinstance(pa, SqueezedThermalParamsTwo):
         pure_a, pure_b = _is_pure_two(pa), _is_pure_two(pb)
-        cm_a, cm_b = make_two_mode_st(pa), make_two_mode_st(pb)
+        make = make_two_mode_st
         curve = lambda s: q_s_two(pa, pb, s)  # noqa: E731
     else:
         raise TypeError(f"unsupported parameter type {type(pa).__name__}")
 
     if pure_a or pure_b:
-        q = overlap(cm_a, cm_b)
+        # the only branch that needs the CMs; the mixed one works on parameters
+        q = overlap(make(pa), make(pb))
         s_star = 0.0 if pure_a else 1.0
         pe_lower, pe_upper, pe_fid = error_bounds(q, q, copies)
         return DiscriminationReport(

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .channel import LossChannel
-from .correlations import correlation_report, discord, log_negativity, mutual_information
+from .correlations import correlation_report, discord, log_negativity
 from .gaussian import make_two_mode_st
 from .probes import (
     ProbeSpec,
@@ -45,6 +46,7 @@ from .probes import (
     params_from_spec,
     q1,
     q2,
+    random_probes,
     random_sweep,
     threshold_energy,
     threshold_fit_near_critical,
@@ -220,17 +222,11 @@ def cmd_correlations(args: argparse.Namespace) -> int:
     if not 0.0 <= args.gamma <= 1.0:
         raise UsageError(f"--gamma must be in [0, 1], got {args.gamma}")
     spec = ProbeSpec(modes=2, n=args.n, beta=args.beta, gamma=args.gamma)
-    cm = make_two_mode_st(params_from_spec(spec))
+    payload = asdict(correlation_report(make_two_mode_st(params_from_spec(spec))))
     if args.bits:
-        payload = {
-            "log_negativity": log_negativity(cm, bits=True),
-            "discord": discord(cm, bits=True),
-            "mutual_information": mutual_information(cm, bits=True),
-            "units": "bits",
-        }
-    else:
-        payload = asdict(correlation_report(cm))
-        payload["units"] = "nats"
+        quantities = ("log_negativity", "discord", "mutual_information")
+        payload = {k: payload[k] / math.log(2.0) for k in quantities}
+    payload["units"] = "bits" if args.bits else "nats"
     _report_out(args, payload)
     return 0
 
@@ -354,10 +350,8 @@ def _figure_6(args: argparse.Namespace, outdir: str) -> list[str]:
         _write_csv(path, ["N", "beta", "D", "E", "deltaQ"], rows, meta)
         written.append(path)
     rows = []
-    for k in range(args.samples):
-        rng = np.random.Generator(np.random.Philox(key=args.seed, counter=[0, 1, 0, k]))
-        u = rng.uniform(size=3)
-        n, b, g = 5.0 * (1.0 - u[0]), float(u[1]), 2.0 * (1.0 - u[2])
+    # stream 1 keeps the scatter independent of a sweep with the same seed
+    for n, b, g in random_probes(args.samples, args.seed, stream=1):
         ch = LossChannel.from_gamma(g)
         spec = ProbeSpec(modes=2, n=n, beta=b, gamma=GAMMA_BAR)
         cm = make_two_mode_st(params_from_spec(spec))

@@ -26,7 +26,6 @@ from .gaussian import (
     symplectic_invariants,
 )
 
-_LN2 = math.log(2.0)
 _FORM_TOL = 1e-9
 
 
@@ -51,11 +50,10 @@ def pt_symplectic_eigenvalues(cm: CovarianceMatrix) -> tuple[float, float]:
     return d_plus, d_minus
 
 
-def log_negativity(cm: CovarianceMatrix, bits: bool = False) -> float:
+def log_negativity(cm: CovarianceMatrix) -> float:
     """E = max(0, -ln 2 d-) with d- the smaller partial-transpose eigenvalue."""
     _, d_minus = pt_symplectic_eigenvalues(cm)
-    e = max(0.0, -math.log(2.0 * d_minus))
-    return e / _LN2 if bits else e
+    return max(0.0, -math.log(2.0 * d_minus))
 
 
 def binary_entropy_h(x: float) -> float:
@@ -94,7 +92,7 @@ def _require_normal_form(cm: CovarianceMatrix) -> tuple[float, float, float]:
     return a, b, c
 
 
-def discord(cm: CovarianceMatrix, bits: bool = False) -> float:
+def discord(cm: CovarianceMatrix) -> float:
     """Gaussian quantum discord of a two-mode state in block normal form.
 
     D = h(sqrt(I2)) - h(d-) - h(d+) + h(w) with
@@ -114,13 +112,10 @@ def discord(cm: CovarianceMatrix, bits: bool = False) -> float:
     )
     if d < -1e-10:
         raise ArithmeticError(f"discord came out negative beyond roundoff: {d:.3e}")
-    d = max(d, 0.0)
-    return d / _LN2 if bits else d
+    return max(d, 0.0)
 
 
-def mutual_information(
-    cm: CovarianceMatrix, bits: bool = False, half_convention: bool = True
-) -> float:
+def mutual_information(cm: CovarianceMatrix, half_convention: bool = True) -> float:
     """I = (1/2) [h(sqrt(I1)) + h(sqrt(I2)) - h(d+) - h(d-)].
 
     half_convention=False drops the leading 1/2.
@@ -135,8 +130,7 @@ def mutual_information(
     )
     if half_convention:
         i *= 0.5
-    i = max(i, 0.0)
-    return i / _LN2 if bits else i
+    return max(i, 0.0)
 
 
 @dataclass(frozen=True)

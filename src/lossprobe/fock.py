@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
@@ -238,29 +237,25 @@ def _clamped_spectrum(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(vals, 0.0), vecs
 
 
-def s_overlap_curve(
+def _spectral_overlap(
     rho_a: FockDensityMatrix, rho_b: FockDensityMatrix
-) -> Callable[[float], float]:
-    """Reusable s -> Tr[rho_a^s rho_b^(1-s)] from one spectral factorization.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, table, mu): both spectra and the overlap table |<v_i|w_j>|^2.
 
-    Tr[rho_a^s rho_b^(1-s)] = sum_ij lam_i^s mu_j^(1-s) |<v_i|w_j>|^2; the
-    overlap table is computed once so each s evaluation is O(dim^2).
+    Tr[rho_a^s rho_b^(1-s)] = lam^s @ table @ mu^(1-s), so after this one
+    factorization each s evaluation is O(dim^2).
     """
     la, va = _clamped_spectrum(rho_a)
     lb, vb = _clamped_spectrum(rho_b)
-    table = (va.T @ vb) ** 2
-
-    def f(s: float) -> float:
-        if not 0.0 < s < 1.0:
-            raise ValueError(f"exponent must be in (0, 1), got {s}")
-        return float(la**s @ table @ lb ** (1.0 - s))
-
-    return f
+    return la, (va.T @ vb) ** 2, lb
 
 
 def s_overlap_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix, s: float) -> float:
     """Tr[rho_a^s rho_b^(1-s)] by explicit fractional powers."""
-    return s_overlap_curve(rho_a, rho_b)(s)
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"exponent must be in (0, 1), got {s}")
+    la, table, lb = _spectral_overlap(rho_a, rho_b)
+    return float(la**s @ table @ lb ** (1.0 - s))
 
 
 def qcb_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[float, float]:
@@ -270,9 +265,7 @@ def qcb_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[float,
     image, with P the support projector (eigenvalues above a relative rank
     floor); they win exactly when a state is pure.
     """
-    la, va = _clamped_spectrum(rho_a)
-    lb, vb = _clamped_spectrum(rho_b)
-    table = (va.T @ vb) ** 2
+    la, table, lb = _spectral_overlap(rho_a, rho_b)
 
     def f(s: float) -> float:
         return float(la**s @ table @ lb ** (1.0 - s))

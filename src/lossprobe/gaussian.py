@@ -1,12 +1,17 @@
 """Gaussian states of one and two bosonic modes.
 
-Everything in this package works at the level of covariance matrices (CMs)
-with the vacuum normalized to 1/2, i.e. sigma_vac = I/2, hbar = 1, and
-quadratures ordered (q1, p1, q2, p2, ...).  The states of interest are
-squeezed thermal states: a thermal state squeezed along the q axis, so the
-q variance is the large one (a >= b).
+The states of interest are squeezed thermal states: a thermal state squeezed
+along the q axis, so the q variance is the large one (a >= b).  They are
+carried as their parameters (squeezing r, thermal occupations n_t), which is
+all the loss channel and the Chernoff bound need.  Covariance matrices (CMs)
+are built from the parameters only where the matrix itself is needed: the
+overlap of a pure pair, the symplectic spectra and correlation quantifiers,
+and the round-trip check of the channel's parameter recovery.  A CM is
+validated once, when it is built.
 
-All entropic quantities elsewhere in the package use natural logarithms.
+CMs use the vacuum normalized to 1/2, i.e. sigma_vac = I/2, hbar = 1, and
+quadratures ordered (q1, p1, q2, p2, ...).  All entropic quantities
+elsewhere in the package use natural logarithms.
 """
 
 from __future__ import annotations
@@ -41,21 +46,6 @@ def symplectic_form(n: int) -> np.ndarray:
 
 def det2(m: np.ndarray) -> float:
     return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
-
-def det4(m: np.ndarray) -> float:
-    """Determinant of a 4x4 matrix by cofactor expansion along the first row."""
-    out = 0.0
-    rows = (1, 2, 3)
-    for j in range(4):
-        cols = tuple(c for c in range(4) if c != j)
-        minor = np.array([[m[r, c] for c in cols] for r in rows])
-        out += (-1.0) ** j * m[0, j] * (
-            minor[0, 0] * (minor[1, 1] * minor[2, 2] - minor[1, 2] * minor[2, 1])
-            - minor[0, 1] * (minor[1, 0] * minor[2, 2] - minor[1, 2] * minor[2, 0])
-            + minor[0, 2] * (minor[1, 0] * minor[2, 1] - minor[1, 1] * minor[2, 0])
-        )
-    return float(out)
 
 
 @dataclass(frozen=True)
@@ -102,7 +92,7 @@ class SqueezedThermalParamsSingle:
         if not (self.r >= 0.0 and math.isfinite(self.r)):
             raise ValueError(f"squeezing must be a finite float >= 0, got {self.r}")
         if not (self.n_t >= 0.0 and math.isfinite(self.n_t)):
-            raise ValueError(f"thermal occupation must be >= 0, got {self.n_t}")
+            raise ValueError(f"thermal occupation must be a finite float >= 0, got {self.n_t}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +100,7 @@ class SqueezedThermalParamsTwo:
     """Two-mode squeezed thermal state.
 
     A two-mode squeezer with parameter r >= 0 acting on a product of thermal
-    states with occupations n_t1, n_t2 >= 0.
+    states with finite occupations n_t1, n_t2 >= 0.
     """
 
     r: float
@@ -120,52 +110,10 @@ class SqueezedThermalParamsTwo:
     def __post_init__(self) -> None:
         if not (self.r >= 0.0 and math.isfinite(self.r)):
             raise ValueError(f"squeezing must be a finite float >= 0, got {self.r}")
-        if not (self.n_t1 >= 0.0 and self.n_t2 >= 0.0):
+        if not all(x >= 0.0 and math.isfinite(x) for x in (self.n_t1, self.n_t2)):
             raise ValueError(
-                f"thermal occupations must be >= 0, got ({self.n_t1}, {self.n_t2})"
+                f"thermal occupations must be finite floats >= 0, got ({self.n_t1}, {self.n_t2})"
             )
-
-
-@dataclass(frozen=True)
-class SymplecticDecomposition:
-    """Result of a Williamson decomposition: sigma = S W S^T with W = diag(d) x I2."""
-
-    s: np.ndarray
-    d: tuple[float, ...]
-
-
-def squeeze_symplectic(r: float) -> np.ndarray:
-    """Single-mode squeezer diag(e^r, e^-r): amplifies q, damps p."""
-    return np.diag([math.exp(r), math.exp(-r)])
-
-
-def two_mode_squeeze_symplectic(r: float) -> np.ndarray:
-    """Two-mode squeezer in (q1,p1,q2,p2) ordering.
-
-    Correlates q1 with q2 and anticorrelates p1 with p2, so the off-diagonal
-    block of the output CM is proportional to diag(1, -1).
-    """
-    c, s = math.cosh(r), math.sinh(r)
-    z = np.diag([1.0, -1.0])
-    out = np.zeros((4, 4))
-    out[:2, :2] = c * np.eye(2)
-    out[2:, 2:] = c * np.eye(2)
-    out[:2, 2:] = s * z
-    out[2:, :2] = s * z
-    return out
-
-
-def single_mode_cm_general(r: float, n_t: float, phi: float) -> CovarianceMatrix:
-    """Squeezed thermal CM with an arbitrary squeezing axis.
-
-    phi is the phase of the squeezing parameter; phi = pi recovers the
-    q-antisqueezed form used throughout the package.
-    """
-    nu = n_t + VACUUM_NOISE
-    a = nu * (math.cosh(2 * r) - math.sinh(2 * r) * math.cos(phi))
-    b = nu * (math.cosh(2 * r) + math.sinh(2 * r) * math.cos(phi))
-    c = nu * math.sinh(2 * r) * math.sin(phi)
-    return CovarianceMatrix(np.array([[a, c], [c, b]]))
 
 
 def make_single_mode_st(p: SqueezedThermalParamsSingle) -> CovarianceMatrix:
@@ -177,10 +125,10 @@ def make_single_mode_st(p: SqueezedThermalParamsSingle) -> CovarianceMatrix:
     return CovarianceMatrix(np.diag([nu * math.exp(2 * p.r), nu * math.exp(-2 * p.r)]))
 
 
-def make_two_mode_st(p: SqueezedThermalParamsTwo) -> CovarianceMatrix:
-    """CM of a two-mode squeezed thermal state.
+def two_mode_blocks(p: SqueezedThermalParamsTwo) -> tuple[float, float, float]:
+    """Block entries (A, B, C) of a two-mode squeezed thermal state.
 
-    Block form (1/2) [[A I2, C Z], [C Z, B I2]] with Z = diag(1, -1) and
+    Its CM is (1/2) [[A I2, C Z], [C Z, B I2]] with Z = diag(1, -1) and
 
         A = cosh 2r + 2 n_t1 cosh^2 r + 2 n_t2 sinh^2 r
         B = cosh 2r + 2 n_t1 sinh^2 r + 2 n_t2 cosh^2 r
@@ -191,6 +139,12 @@ def make_two_mode_st(p: SqueezedThermalParamsTwo) -> CovarianceMatrix:
     a = ch2 + 2 * p.n_t1 * c2 + 2 * p.n_t2 * s2
     b = ch2 + 2 * p.n_t1 * s2 + 2 * p.n_t2 * c2
     c = (1 + p.n_t1 + p.n_t2) * sh2
+    return a, b, c
+
+
+def make_two_mode_st(p: SqueezedThermalParamsTwo) -> CovarianceMatrix:
+    """CM of a two-mode squeezed thermal state, assembled from two_mode_blocks."""
+    a, b, c = two_mode_blocks(p)
     m = np.zeros((4, 4))
     m[:2, :2] = 0.5 * a * np.eye(2)
     m[2:, 2:] = 0.5 * b * np.eye(2)
@@ -224,8 +178,9 @@ def symplectic_eigenvalues(cm: CovarianceMatrix) -> tuple[float, ...]:
     One mode: sqrt(det sigma).  More modes: eigenvalues of the Hermitian
     matrix sqrt(sigma) (i Omega) sqrt(sigma), which is similar to i Omega
     sigma but lets eigvalsh deliver them with absolute error ~eps*||sigma||.
-    The d_pm closed form (symplectic_eigenvalues_from_invariants) loses half
-    the digits near pure states, where Delta^2 - 4 I4 cancels to ~sqrt(eps).
+    The d_pm closed form on the invariants, kept in the tests as a reference
+    route, loses half the digits near pure states, where Delta^2 - 4 I4
+    cancels to ~sqrt(eps).
     """
     if cm.n == 1:
         return (math.sqrt(det2(cm.mat)),)
@@ -237,117 +192,14 @@ def symplectic_eigenvalues(cm: CovarianceMatrix) -> tuple[float, ...]:
     return tuple(float(x) for x in w[: cm.n])
 
 
-def symplectic_eigenvalues_from_invariants(cm: CovarianceMatrix) -> tuple[float, float]:
-    """Two-mode (d+, d-) from the closed form on the symplectic invariants.
-
-    d_pm = sqrt((Delta pm sqrt(Delta^2 - 4 I4)) / 2), with d- recovered as
-    sqrt(I4)/d+ to dodge the cancellation in Delta - sqrt(...).  Kept as an
-    independent route for cross-checks; accurate to ~1e-10 away from the
-    pure-state corner, where the discriminant itself cancels.
-    """
-    i4, delta = symplectic_invariants(cm)[3:5]
-    disc = delta * delta - 4.0 * i4
-    if disc < -PHYSICALITY_TOL:
-        raise ArithmeticError(f"invariant discriminant is negative: {disc:.3e}")
-    d_plus = math.sqrt((delta + math.sqrt(max(disc, 0.0))) / 2.0)
-    d_minus = math.sqrt(max(i4, 0.0)) / d_plus
-    return (d_plus, d_minus)
-
-
-def symplectic_spectrum_numeric(cm: CovarianceMatrix) -> tuple[float, ...]:
-    """Symplectic eigenvalues from eig(i Omega sigma), any mode count."""
-    w = np.linalg.eigvals(1j * symplectic_form(cm.n) @ cm.mat)
-    mods = np.sort(np.abs(w))[::-1]
-    # eigenvalues come in +/- pairs; keep one representative per pair
-    return tuple(float(x) for x in mods[::2])
-
-
-def williamson(cm: CovarianceMatrix) -> SymplecticDecomposition:
-    """Williamson normal form sigma = S W S^T, W = direct sum of d_k I2.
-
-    Works through the eigenvectors of i Omega sigma, normalized in the
-    symplectic inner product u -> u^dag (i Omega) u.  The gauge (rotation
-    within each mode, pairing within a degenerate cluster) is fixed by
-    maximal overlap with the canonical mode basis; only the reconstruction
-    sigma = S W S^T and S Omega S^T = Omega are contractual.
-
-    Raises on CMs whose symplectic spectrum dips below the vacuum floor.
-    """
-    n = cm.n
-    omega = symplectic_form(n)
-    d = symplectic_eigenvalues(cm)
-    if min(d) < VACUUM_NOISE - PHYSICALITY_TOL:
-        raise UnphysicalStateError(f"symplectic eigenvalue below vacuum: {min(d)}")
-
-    # eigenvectors of i Omega sigma, computed through the similar Hermitian
-    # matrix sqrt(sigma) (i Omega) sqrt(sigma) so the eigenbasis is accurate
-    # even for strongly squeezed inputs
-    evals, evecs = np.linalg.eigh(cm.mat)
-    if evals.min() <= 0:
-        raise UnphysicalStateError("covariance matrix is not positive definite")
-    root = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
-    inv_root = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
-    w, u = np.linalg.eigh(root @ (1j * omega) @ root)
-    pos = [k for k in range(2 * n) if w[k] > 0]
-    if len(pos) != n:
-        raise ArithmeticError("could not split the symplectic spectrum into +/- pairs")
-    vals = np.array([w[k].real for k in pos])
-    vecs = [inv_root @ u[:, k] for k in pos]
-
-    # symplectic Gram-Schmidt within numerically degenerate clusters
-    order = np.argsort(-vals)
-    vals = vals[order]
-    vecs = [vecs[k] for k in order]
-    iomega = 1j * omega
-    for k in range(n):
-        u = vecs[k]
-        for j in range(k):
-            if abs(vals[j] - vals[k]) < 1e-8 * max(1.0, vals[k]):
-                u = u - (vecs[j].conj() @ iomega @ u) * vecs[j]
-        g = (u.conj() @ iomega @ u).real
-        if g <= 0:
-            raise ArithmeticError("eigenvector has non-positive symplectic norm")
-        vecs[k] = u / math.sqrt(g)
-
-    # assign each vector to the mode where it carries the most weight, then
-    # rotate its phase so the p component of that mode is real and positive
-    assigned: list[int] = [-1] * n
-    taken = [False] * n
-    for k in range(n):
-        weights = [abs(vecs[k][2 * m]) ** 2 + abs(vecs[k][2 * m + 1]) ** 2 for m in range(n)]
-        for m in np.argsort(weights)[::-1]:
-            if not taken[m]:
-                assigned[k] = int(m)
-                taken[m] = True
-                break
-
-    t = np.zeros((2 * n, 2 * n))
-    d_out = [0.0] * n
-    for k in range(n):
-        m = assigned[k]
-        u = vecs[k]
-        ph = u[2 * m + 1]
-        if abs(ph) > 1e-12:
-            u = u * (abs(ph) / ph)
-        t[:, 2 * m] = math.sqrt(2.0) * u.imag
-        t[:, 2 * m + 1] = math.sqrt(2.0) * u.real
-        d_out[m] = float(vals[k])
-
-    s = np.linalg.inv(t).T
-    return SymplecticDecomposition(s=s, d=tuple(d_out))
-
-
 def overlap(cm_a: CovarianceMatrix, cm_b: CovarianceMatrix) -> float:
     """Tr[rho_a rho_b] for zero-mean Gaussian states: 1 / sqrt(det(sigma_a + sigma_b))."""
     if cm_a.n != cm_b.n:
         raise ValueError(f"mode mismatch: {cm_a.n} vs {cm_b.n}")
     total = cm_a.mat + cm_b.mat
-    if cm_a.n == 1:
-        d = det2(total)
-    elif cm_a.n == 2:
-        d = det4(total)
-    else:
-        d = float(np.linalg.det(total))
+    # LU for two modes and up, as in symplectic_invariants: cofactor
+    # expansion cancels from terms far larger than the determinant
+    d = det2(total) if cm_a.n == 1 else float(np.linalg.det(total))
     return 1.0 / math.sqrt(d)
 
 

@@ -257,6 +257,26 @@ class SweepRanges:
             raise ValueError("sweep ranges must be positive")
 
 
+def random_probes(
+    count: int,
+    seed: int,
+    stream: int = 0,
+    ranges: SweepRanges = SweepRanges(),
+) -> list[tuple[float, float, float]]:
+    """(N, beta, Gamma) draws, uniform on (0, n_max] x [0, 1) x (0, gamma_ch_max].
+
+    Draw k comes from its own counter-based generator, Philox keyed by seed
+    at counter (0, stream, 0, k), so it is the same bit for bit however many
+    draws are taken; distinct streams give independent draws for one seed.
+    """
+    out = []
+    for k in range(count):
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, stream, 0, k]))
+        u0, u1, u2 = rng.uniform(size=3).tolist()
+        out.append((ranges.n_max * (1.0 - u0), u1, ranges.gamma_ch_max * (1.0 - u2)))
+    return out
+
+
 @dataclass(frozen=True)
 class SweepRecord:
     n: float
@@ -274,30 +294,20 @@ def random_sweep(
 ) -> list[SweepRecord]:
     """Sampled Q1 - Q2 gaps at a fixed thermal split gamma.
 
-    Draws (N, beta, Gamma) uniformly from (0, n_max] x [0, 1] x
-    (0, gamma_ch_max].  Each point gets its own counter-based generator
-    keyed by (seed, index), so the records are reproducible bit for bit and
-    independent of evaluation order.
+    The points are random_probes(sample_count, seed, ranges=ranges), so the
+    records are reproducible bit for bit and independent of evaluation order.
     """
     if sample_count < 1:
         raise ValueError(f"sample count must be >= 1, got {sample_count}")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"thermal split must be in [0, 1], got {gamma}")
-    out = []
-    for k in range(sample_count):
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, k]))
-        u = rng.uniform(size=3)
-        n = ranges.n_max * (1.0 - u[0])  # (0, n_max]
-        beta = u[1]
-        g_ch = ranges.gamma_ch_max * (1.0 - u[2])
-        ch = LossChannel.from_gamma(g_ch)
-        out.append(
-            SweepRecord(
-                n=n,
-                beta=beta,
-                gamma_ch=g_ch,
-                gamma=gamma,
-                delta_q=delta_q_gamma(n, beta, gamma, ch),
-            )
+    return [
+        SweepRecord(
+            n=n,
+            beta=beta,
+            gamma_ch=g_ch,
+            gamma=gamma,
+            delta_q=delta_q_gamma(n, beta, gamma, LossChannel.from_gamma(g_ch)),
         )
-    return out
+        for n, beta, g_ch in random_probes(sample_count, seed, ranges=ranges)
+    ]

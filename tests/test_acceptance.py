@@ -43,6 +43,7 @@ from lossprobe.probes import (
     q1_analytic,
     q2,
     q2_analytic,
+    random_probes,
     random_sweep,
     threshold_energy,
     threshold_fit_near_critical,
@@ -95,14 +96,6 @@ def _ranks_alike(values, reference) -> bool:
     """Every pair that reference orders strictly, values orders the same way."""
     pairs = itertools.combinations(zip(values, reference), 2)
     return all((v1 - v0) * (r1 - r0) > 0 for (v0, r0), (v1, r1) in pairs if r1 != r0)
-
-
-def _probe_points(count: int, seed: int):
-    """Deterministic (n, beta, gamma_ch) triples with n in (0, 5], gamma in (0, 2]."""
-    for k in range(count):
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, k]))
-        u = rng.uniform(size=3)
-        yield 5.0 * (1.0 - u[0]), float(u[1]), 2.0 * (1.0 - u[2])
 
 
 # Grids shared by criteria 3 and 7.
@@ -158,7 +151,7 @@ def test_criterion_05_two_mode_advantage():
     # pure-probe threshold behavior.  The frozen seed's 1000 draws sit far
     # from it; beta within 1e-3 of 1 is where the exceptions live.
     gamma_grid = np.linspace(0.0, 1.0, 11)
-    for n, beta, gamma_ch in _probe_points(1000, seed=20240519):
+    for n, beta, gamma_ch in random_probes(1000, seed=20240519):
         ch = LossChannel.from_gamma(gamma_ch)
         v1 = q1(n, beta, ch)
         v2 = q2(n, beta, 1.0, ch)
@@ -233,7 +226,7 @@ def test_criterion_08_correlations_track_gain():
     # thermal pool carries mutual information with little entanglement
     # (Spearman(E, I) is 0.932 over beta in [0, 0.2), 0.999 over [0.8, 1)).
     # The paper claims no such agreement, so that figure is only printed.
-    draws = list(_probe_points(10_000, seed=20240520))
+    draws = random_probes(10_000, seed=20240520)
     e_vals, d_vals, i_vals = [], [], []
     for n, beta, _ in draws:
         report = correlation_report(cm(n, beta))

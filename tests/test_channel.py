@@ -11,6 +11,7 @@ from lossprobe.channel import (
     LossChannel,
     evolve_single,
     evolve_two,
+    evolved_blocks,
     output_params_single,
     output_params_two,
 )
@@ -174,6 +175,17 @@ def test_output_params_thermal_product(n1, n2, g):
     assert abs(out.r) < 1e-12
     assert abs(out.n_t1 - ch.eta * n1) < 1e-10 * max(1.0, n1)
     assert abs(out.n_t2 - n2) < 1e-10 * max(1.0, n2)
+
+
+@given(p=two_params, g=gammas)
+@settings(max_examples=300)
+def test_evolved_blocks_equal_evolve_two_exactly(p, g):
+    # output_params_two reads the evolved state from these entries instead of
+    # building and evolving a CM; the two routes must agree to the last bit
+    ch = LossChannel.from_gamma(g)
+    a, b, c = evolved_blocks(p, ch)
+    block_form = 0.5 * np.array([[a, 0, c, 0], [0, a, 0, -c], [c, 0, b, 0], [0, -c, 0, b]])
+    assert np.array_equal(evolve_two(make_two_mode_st(p), ch).mat, block_form)
 
 
 def test_output_params_two_round_trip_example():

@@ -6,6 +6,7 @@ and the bundled report, on closed-form states (vacuum, TMSV, thermal
 products) and on seeded random squeezed thermal families.
 """
 
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lossprobe.cli import main
 from lossprobe.correlations import (
     CorrelationReport,
     binary_entropy_h,
@@ -29,7 +31,7 @@ from lossprobe.gaussian import (
     symplectic_eigenvalues,
     symplectic_invariants,
 )
-from lossprobe.probes import ProbeSpec, params_from_spec
+from lossprobe.probes import ProbeSpec, params_from_spec, random_probes
 
 LN2 = math.log(2.0)
 
@@ -49,6 +51,19 @@ def thermal_product(n1: float, n2: float) -> CovarianceMatrix:
 def probe_cm(n: float, beta: float, gamma: float) -> CovarianceMatrix:
     p = params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=gamma))
     return make_two_mode_st(p)
+
+
+def bits_and_nats(capsys, n: float, beta: float) -> tuple[dict, dict]:
+    """JSON payloads of `correlations` with and without --bits.
+
+    The quantifiers report nats; bits are a unit of the command line only.
+    """
+    out = []
+    for extra in (["--bits"], []):
+        argv = ["correlations", "--n", str(n), "--beta", str(beta), "--format", "json"]
+        assert main(argv + extra) == 0
+        out.append(json.loads(capsys.readouterr().out))
+    return out[0], out[1]
 
 
 def seeded_states(count: int, seed: int = 20240518) -> list[CovarianceMatrix]:
@@ -112,10 +127,11 @@ def test_log_negativity_tmsv(r):
     assert math.isclose(log_negativity(tmsv(r)), 2 * r, rel_tol=1e-10)
 
 
-def test_log_negativity_bits_rescales():
-    e_nats = log_negativity(tmsv(1.0))
-    e_bits = log_negativity(tmsv(1.0), bits=True)
-    assert math.isclose(e_bits, e_nats / LN2, rel_tol=1e-12)
+def test_log_negativity_bits_rescales(capsys):
+    bits, nats = bits_and_nats(capsys, n=2.0, beta=1.0)
+    assert bits["units"] == "bits" and nats["units"] == "nats"
+    assert math.isclose(nats["log_negativity"], log_negativity(tmsv(math.asinh(1.0))), rel_tol=1e-12)
+    assert math.isclose(bits["log_negativity"], nats["log_negativity"] / LN2, rel_tol=1e-12)
 
 
 def test_entanglement_dies_as_thermal_noise_grows():
@@ -193,10 +209,11 @@ def test_discord_tmsv_equals_entanglement_entropy(r):
     assert math.isclose(discord(tmsv(r)), expected, rel_tol=1e-10)
 
 
-def test_discord_bits_rescales():
-    d_nats = discord(tmsv(0.8))
-    d_bits = discord(tmsv(0.8), bits=True)
-    assert math.isclose(d_bits, d_nats / LN2, rel_tol=1e-12)
+def test_discord_bits_rescales(capsys):
+    bits, nats = bits_and_nats(capsys, n=1.5, beta=0.6)
+    assert math.isclose(bits["discord"], nats["discord"] / LN2, rel_tol=1e-12)
+    # d_tilde_minus is a symplectic eigenvalue, not an information quantity
+    assert "d_tilde_minus" in nats and "d_tilde_minus" not in bits
 
 
 def test_discord_rejects_rotated_state():
@@ -236,12 +253,10 @@ def test_mutual_information_unhalved_doubles():
     assert math.isclose(i_std, 2.0 * i_half, rel_tol=1e-12)
 
 
-def test_mutual_information_bits_rescales():
-    cm = tmsv(0.9)
+def test_mutual_information_bits_rescales(capsys):
+    bits, nats = bits_and_nats(capsys, n=0.7, beta=0.3)
     assert math.isclose(
-        mutual_information(cm, bits=True),
-        mutual_information(cm) / LN2,
-        rel_tol=1e-12,
+        bits["mutual_information"], nats["mutual_information"] / LN2, rel_tol=1e-12
     )
 
 
@@ -413,10 +428,7 @@ def test_report_matches_independent_route_on_probe_family():
     # where entropy arguments approach the vacuum and (x - 1) ln(x - 1)
     # amplifies roundoff.
     low_beta = 0
-    for k in range(1000):
-        rng = np.random.Generator(np.random.Philox(key=20240520, counter=[0, 0, 0, k]))
-        u = rng.uniform(size=2)
-        n, beta = 5.0 * (1.0 - u[0]), float(u[1])
+    for n, beta, _ in random_probes(1000, seed=20240520):
         low_beta += beta < 0.2
         p = params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=0.999))
         rep = correlation_report(make_two_mode_st(p))

@@ -113,6 +113,18 @@ def test_pipeline_matches_closed_forms(n, gamma_ch):
     assert abs(q2(n, 1.0, 1.0, ch) - q2_analytic(n, ch.eta)) < 1e-9
 
 
+def test_pipeline_matches_closed_forms_on_figure_3_grid():
+    # The rows of figure 3 (beta = 1, so qcb takes the pure-overlap branch).
+    # The overlap determinant by LU keeps q2 within about 6e-14 of the closed
+    # form; a cofactor expansion lost up to 8e-13 on this grid.
+    for gamma_ch in (0.1, 0.3, 1.0):
+        ch = LossChannel.from_gamma(gamma_ch)
+        for n in np.linspace(0.0, 10.0, 501):
+            n = float(n)
+            assert math.isclose(q1(n, 1.0, ch), q1_analytic(n, ch.eta), rel_tol=2e-13), n
+            assert math.isclose(q2(n, 1.0, 1.0, ch), q2_analytic(n, ch.eta), rel_tol=2e-13), n
+
+
 @given(gamma=st.floats(0.0, 1.0))
 @settings(max_examples=50, deadline=None)
 def test_q2_beta_one_ignores_gamma(gamma):
