@@ -100,10 +100,12 @@ def evolved_blocks(p: SqueezedThermalParamsTwo, ch: LossChannel) -> tuple[float,
     evolve_two in closed form on the entries of two_mode_blocks:
     A' = eta A + (1 - eta), B' = B, C' = sqrt(eta) C.  The operations are
     those of evolve_two on make_two_mode_st(p) up to exact factors of 2, so
-    the entries agree bit for bit.
+    the entries agree bit for bit.  C' is formed from C / 2, as evolve_two
+    forms it: halving a subnormal C rounds, so sqrt(eta) C / 2 would differ
+    in the last bit (r = 1.1e-308).
     """
     a, b, c = two_mode_blocks(p)
-    return ch.eta * a + (1.0 - ch.eta), b, math.sqrt(ch.eta) * c
+    return ch.eta * a + (1.0 - ch.eta), b, 2.0 * (0.5 * c * math.sqrt(ch.eta))
 
 
 def output_params_single(

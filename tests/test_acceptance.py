@@ -160,7 +160,7 @@ def test_criterion_05_two_mode_advantage():
             assert v2 <= q2(n, beta, float(g), ch) + 1e-12, (n, beta, gamma_ch, g)
 
 
-@criterion(6, "truncated-basis oracle agrees with the Gaussian pipeline", time_limit=120.0)
+@criterion(6, "truncated-basis oracle agrees with the Gaussian pipeline", time_limit=15.0)
 def test_criterion_06_oracle_equivalence():
     results = run_all()
     assert len({r.case for r in results}) >= 12

@@ -9,9 +9,13 @@ meta lines, header row, 12-significant-digit floats), and byte determinism.
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lossprobe
 from lossprobe import __version__
 from lossprobe.cli import main
 
@@ -404,3 +408,16 @@ def test_unknown_command_is_usage_error(capsys):
 
 def test_missing_command_is_usage_error(capsys):
     assert run([], capsys)[0] == 2
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it would also add about
+    # 0.4 s to every command's start-up.
+    src = os.path.dirname(os.path.dirname(lossprobe.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import lossprobe.cli, sys; print(lossprobe.__file__); print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    path, loaded = result.stdout.splitlines()
+    assert path == lossprobe.__file__
+    assert loaded == "[]"

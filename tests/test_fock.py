@@ -4,16 +4,25 @@ Builds squeezed thermal density matrices in the number basis, pushes them
 through the Kraus form of the loss channel, and checks moments, overlaps,
 Chernoff quantities, Helstrom error, and fidelity against the Gaussian
 machinery and against closed forms.
+
+The package builds and analyses states sector by sector.  The dense route
+below (scipy `expm` of the full generator, Kraus matmuls, complex quadrature
+matrices, one `eigh` of the whole matrix) is the reference it must match at
+small cutoffs.
 """
 
+import itertools
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.special import gammaln
 
-from lossprobe import verification
+from lossprobe import fock, verification
 from lossprobe.channel import LossChannel, evolve_single, evolve_two, output_params_single
-from lossprobe.chernoff import q_s_single, qcb
+from lossprobe.chernoff import S_EPS, S_TOL, minimize_scalar_golden, q_s_single, qcb
 from lossprobe.fock import (
     FockDensityMatrix,
     HelstromCapError,
@@ -36,10 +45,126 @@ from lossprobe.gaussian import (
     make_single_mode_st,
     make_two_mode_st,
 )
+from lossprobe.probes import ProbeSpec, params_from_spec
 
 S1 = SqueezedThermalParamsSingle
 T2 = SqueezedThermalParamsTwo
 CHAIN_SLACK = 1e-9
+DENSE_TOL = 1e-13
+
+
+# ---------------------------------------------------------------------------
+# dense reference route
+# ---------------------------------------------------------------------------
+
+
+def annihilation(dim: int) -> np.ndarray:
+    return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+
+
+def squeeze_unitary(r: float, dim: int) -> np.ndarray:
+    """exp((r/2)(a^dag^2 - a^2)): antisqueezes q, matching the CM convention."""
+    a = annihilation(dim)
+    return expm(0.5 * r * (a.T @ a.T - a @ a))
+
+
+def two_mode_squeeze_unitary(r: float, dim: int) -> np.ndarray:
+    """exp(r (a^dag b^dag - a b)) on the dim^2 product space."""
+    a = annihilation(dim)
+    return expm(r * (np.kron(a.T, a.T) - np.kron(a, a)))
+
+
+def _loss_kraus(eta: float, dim: int) -> list[np.ndarray]:
+    """Kraus operators of the loss channel, entry (j - m, j) of K_m is
+    sqrt(binom(j, m) (1 - eta)^m eta^(j - m))."""
+    ops = []
+    for m in range(dim):
+        j = np.arange(m, dim)
+        log_binom = gammaln(j + 1) - gammaln(m + 1) - gammaln(j - m + 1)
+        vals = np.exp(0.5 * (log_binom + m * math.log(1.0 - eta) + (j - m) * math.log(eta)))
+        ops.append(np.diag(vals, m))
+    return ops
+
+
+def quadrature_operators(dims: tuple[int, ...]) -> list[np.ndarray]:
+    """[q1, p1, (q2, p2)] as dense complex matrices on the product space."""
+    out = []
+    eyes = [np.eye(d) for d in dims]
+    for mode, d in enumerate(dims):
+        a = annihilation(d)
+        q = (a + a.T) / math.sqrt(2.0)
+        p = (a - a.T) / (1j * math.sqrt(2.0))
+        for op in (q, p):
+            out.append(reduce(np.kron, [eyes[m] if m != mode else op for m in range(len(dims))]))
+    return out
+
+
+def dense_state(params, dim: int) -> np.ndarray:
+    if isinstance(params, S1):
+        u = squeeze_unitary(params.r, dim)
+        return u @ np.diag(thermal_diagonal(params.n_t, dim)) @ u.T
+    u = two_mode_squeeze_unitary(params.r, dim)
+    diag = np.kron(thermal_diagonal(params.n_t1, dim), thermal_diagonal(params.n_t2, dim))
+    return u @ np.diag(diag) @ u.T
+
+
+def dense_loss(rho: np.ndarray, dims: tuple[int, ...], eta: float) -> np.ndarray:
+    """sum_m (K_m x I) rho (K_m x I)^T."""
+    rest = np.eye(rho.shape[0] // dims[0])
+    out = np.zeros_like(rho)
+    for k in _loss_kraus(eta, dims[0]):
+        full = np.kron(k, rest)
+        out += full @ rho @ full.T
+    return out
+
+
+def dense_moments(rho: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    ops = quadrature_operators(dims)
+    first = np.array([float(np.trace(rho @ op).real) for op in ops])
+    cm = np.array([[float(np.trace(rho @ (x @ y + y @ x)).real) / 2.0 for y in ops] for x in ops])
+    return first, cm - np.outer(first, first)
+
+
+def dense_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    vals, vecs = np.linalg.eigh(rho)
+    if vals.min() < -1e-10:
+        raise ArithmeticError(f"density matrix eigenvalue {vals.min():.3e} below -1e-10")
+    return np.maximum(vals, 0.0), vecs
+
+
+def dense_s_overlap(rho_a: np.ndarray, rho_b: np.ndarray, s: float) -> float:
+    la, va = dense_spectrum(rho_a)
+    lb, vb = dense_spectrum(rho_b)
+    return float(la**s @ (va.T @ vb) ** 2 @ lb ** (1.0 - s))
+
+
+def dense_qcb(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
+    la, va = dense_spectrum(rho_a)
+    lb, vb = dense_spectrum(rho_b)
+    table = (va.T @ vb) ** 2
+    _, q = minimize_scalar_golden(lambda s: float(la**s @ table @ lb ** (1.0 - s)), S_EPS, 1.0 - S_EPS, S_TOL)
+    at_zero = float((la > la.max() * 1e-12) @ table @ lb)
+    at_one = float(la @ table @ (lb > lb.max() * 1e-12))
+    return min(q, at_zero, at_one)
+
+
+def dense_trace_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(rho_a - rho_b)).sum())
+
+
+def dense_helstrom(rho_a: np.ndarray, rho_b: np.ndarray, copies: int) -> float:
+    ma = reduce(np.kron, [rho_a] * copies)
+    mb = reduce(np.kron, [rho_b] * copies)
+    return 0.5 * (1.0 - dense_trace_distance(ma, mb))
+
+
+def dense_fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
+    la, va = dense_spectrum(rho_a)
+    la = np.where(la < la.max() * 1e-13, 0.0, la)
+    root = (va * np.sqrt(la)) @ va.T
+    inner = root @ rho_b @ root
+    vals = np.linalg.eigvalsh((inner + inner.T) / 2.0)
+    return float(np.sqrt(np.maximum(vals, 0.0)).sum()) ** 2
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +254,10 @@ def test_density_matrix_validation():
         FockDensityMatrix(dims=(4,), mat=2.0 * np.eye(4))
     with pytest.raises(ValueError, match="shape"):
         FockDensityMatrix(dims=(3,), mat=np.eye(4) / 4.0)
+    with pytest.raises(ValueError, match="modes"):
+        FockDensityMatrix(dims=(2, 2, 2), mat=np.eye(8) / 8.0)
+    with pytest.raises(ValueError, match="dims differ"):
+        qcb_fock(FockDensityMatrix(dims=(4,), mat=np.eye(4) / 4.0), FockDensityMatrix(dims=(2, 2), mat=np.eye(4) / 4.0))
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +443,10 @@ def test_helstrom_cap_and_copy_validation():
     rho = fock_squeezed_thermal(S1(0.0, 0.3), cfg)
     with pytest.raises(HelstromCapError):
         helstrom_pe_fock(rho, rho, copies=4)
+    with pytest.raises(HelstromCapError):
+        helstrom_pe_fock(rho, rho, copies=2, cap=255)
+    # a single copy is never capped: it materializes nothing new
+    assert helstrom_pe_fock(rho, rho, copies=1, cap=15) == 0.5
     with pytest.raises(ValueError):
         helstrom_pe_fock(rho, rho, copies=0)
 
@@ -366,3 +499,133 @@ def test_verification_flags_undersized_cutoff():
 
 def test_verification_case_set_is_large_enough():
     assert len(verification.standard_cases()) >= 12
+
+
+def test_verification_covers_the_sampled_domain():
+    # The sweeps draw N up to 5 and Gamma up to 2; the standard bank stops
+    # at parameters <= 1.  Cutoffs are the smallest that keep every moment
+    # residual under its 1e-8 tolerance.
+    wide = [
+        ("single-pure-N5-Gamma2", ProbeSpec(1, 5.0, 1.0), 300, 2.0),
+        ("single-mixed-N5-Gamma1", ProbeSpec(1, 5.0, 0.5), 300, 1.0),
+        ("single-thermal-N5-Gamma0.5", ProbeSpec(1, 5.0, 0.0), 160, 0.5),
+        ("two-mode-N4-Gamma2", ProbeSpec(2, 4.0, 0.8, 1.0), 60, 2.0),
+    ]
+    for name, spec, dim, gamma_ch in wide:
+        case = verification.OracleCase(name, params_from_spec(spec), dim=dim, eta=math.exp(-gamma_ch))
+        results = verification.run_case(case)
+        assert len(results) == 8, name
+        assert all(r.passed for r in results), [(r.case, r.check, r.value) for r in results if not r.passed]
+
+
+# ---------------------------------------------------------------------------
+# sector route against the dense reference
+# ---------------------------------------------------------------------------
+
+# Squeezing strong enough that the cutoff visibly shapes every state, so the
+# comparison also covers the truncated-operator semantics (a a^dag has 0 as
+# its top diagonal entry).  The states are hot, so every eigenvalue stays far
+# above roundoff: fractional powers and square roots of eigenvalues near
+# 1e-17 (cold states) amplify roundoff past 1e-13 on either route.
+DENSE_CASES = [(S1(1.0, 3.0), 30, 0.6), (T2(0.7, 1.5, 1.2), 12, 0.5)]
+DENSE_TRUNCATION = 0.9
+
+
+@pytest.fixture(scope="module", params=DENSE_CASES, ids=["single", "two-mode"])
+def dense_pair(request):
+    """(state, lossy image) by the sector route and by the dense route."""
+    params, dim, eta = request.param
+    rho = fock_squeezed_thermal(params, TruncationConfig(dim=dim, tail_tol=DENSE_TRUNCATION))
+    ref = dense_state(params, dim)
+    return rho, apply_loss_kraus(rho, eta), ref, dense_loss(ref, rho.dims, eta)
+
+
+def test_sector_states_and_loss_match_dense(dense_pair):
+    rho, out, ref, ref_out = dense_pair
+    assert np.max(np.abs(rho.mat - ref)) < DENSE_TOL
+    assert np.max(np.abs(out.mat - ref_out)) < DENSE_TOL
+
+
+def test_sector_moments_match_dense(dense_pair):
+    rho, out, ref, ref_out = dense_pair
+    for state, dense in ((rho, ref), (out, ref_out)):
+        first, cm = moments_from_fock(state)
+        ref_first, ref_cm = dense_moments(dense, state.dims)
+        assert np.max(np.abs(first - ref_first)) < DENSE_TOL
+        assert np.max(np.abs(cm - ref_cm)) < DENSE_TOL
+
+
+def test_sector_spectral_functions_match_dense(dense_pair):
+    rho, out, ref, ref_out = dense_pair
+    assert abs(qcb_fock(rho, out)[0] - dense_qcb(ref, ref_out)) < DENSE_TOL
+    for s in (0.1, 0.5, 0.9):
+        assert abs(s_overlap_fock(rho, out, s) - dense_s_overlap(ref, ref_out, s)) < DENSE_TOL
+    assert abs(fidelity_fock(rho, out) - dense_fidelity(ref, ref_out)) < DENSE_TOL
+    assert abs(trace_distance_fock(rho, out) - dense_trace_distance(ref, ref_out)) < DENSE_TOL
+    assert abs(helstrom_pe_fock(rho, out) - dense_helstrom(ref, ref_out, 1)) < DENSE_TOL
+
+
+@pytest.mark.parametrize("params,dim,eta", [(S1(1.0, 3.0), 30, 0.6), (T2(0.7, 1.5, 1.2), 6, 0.5)])
+def test_sector_two_copy_helstrom_matches_dense(params, dim, eta):
+    rho = fock_squeezed_thermal(params, TruncationConfig(dim=dim, tail_tol=DENSE_TRUNCATION))
+    ref = dense_state(params, dim)
+    pe = helstrom_pe_fock(rho, apply_loss_kraus(rho, eta), copies=2)
+    assert abs(pe - dense_helstrom(ref, dense_loss(ref, rho.dims, eta), 2)) < DENSE_TOL
+
+
+def test_sectors_follow_the_conserved_charge(single_st, two_mode_st):
+    # parity for single-mode squeezing, n1 - n2 for two-mode squeezing, each
+    # level alone for a diagonal state; loss on mode 1 keeps them all
+    assert single_st.modulus == 2
+    assert apply_loss_kraus(single_st, 0.6).modulus == 2
+    assert two_mode_st.modulus == 32 * 32
+    assert apply_loss_kraus(two_mode_st, 0.6).modulus == 32 * 32
+    thermal = fock_squeezed_thermal(S1(0.0, 0.5), TruncationConfig(dim=20))
+    assert thermal.modulus == 20
+    assert apply_loss_kraus(thermal, 0.6).modulus == 20
+
+
+def test_symmetry_breaking_state_matches_dense():
+    # Mixing in (|0> + |1>)(<0| + <1|)/2 breaks parity: one sector, the whole
+    # space, through the same code.
+    dim = 8
+    plus = np.zeros(dim)
+    plus[:2] = 1.0 / math.sqrt(2.0)
+    mat = 0.5 * np.diag(thermal_diagonal(0.5, dim)) + 0.5 * np.outer(plus, plus)
+    rho = FockDensityMatrix(dims=(dim,), mat=mat)
+    assert rho.modulus == 1
+    (vals, _), = fock._clamped_spectrum(fock._common_blocks(rho, rho)[0])
+    assert np.max(np.abs(vals - dense_spectrum(mat)[0])) < DENSE_TOL
+    squeezed = fock_squeezed_thermal(S1(0.6, 0.2), TruncationConfig(dim=dim, tail_tol=0.5))
+    ref = dense_state(S1(0.6, 0.2), dim)
+    assert abs(fidelity_fock(rho, squeezed) - dense_fidelity(mat, ref)) < DENSE_TOL
+    assert abs(qcb_fock(rho, squeezed)[0] - dense_qcb(mat, ref)) < DENSE_TOL
+    out = apply_loss_kraus(rho, 0.6)
+    assert np.max(np.abs(out.mat - dense_loss(mat, (dim,), 0.6))) < DENSE_TOL
+    first, cm = moments_from_fock(out)
+    ref_first, ref_cm = dense_moments(out.mat, (dim,))
+    assert abs(first[0]) > 0.1
+    assert np.max(np.abs(first - ref_first)) < DENSE_TOL
+    assert np.max(np.abs(cm - ref_cm)) < DENSE_TOL
+
+
+def test_floors_are_relative_to_the_largest_eigenvalue_overall():
+    # The 1e-14 weight sits alone in its sector.  Against a floor relative to
+    # its own sector it would count as support (Q = 0.645 instead of 0.6) and
+    # its square root would add 1e-7 to the fidelity.
+    a = np.diag([1.0 - 1e-14, 1e-14])
+    b = np.diag([0.6, 0.4])
+    rho_a, rho_b = FockDensityMatrix(dims=(2,), mat=a), FockDensityMatrix(dims=(2,), mat=b)
+    assert rho_a.modulus == 2
+    q, s_star = qcb_fock(rho_a, rho_b)
+    assert s_star == 0.0
+    assert abs(q - dense_qcb(a, b)) < DENSE_TOL
+    assert abs(fidelity_fock(rho_a, rho_b) - dense_fidelity(a, b)) < DENSE_TOL
+
+
+def test_negative_eigenvalue_in_any_sector_raises():
+    bad = FockDensityMatrix(dims=(3,), mat=np.diag([0.5, 0.5 + 1e-9, -1e-9]))
+    good = FockDensityMatrix(dims=(3,), mat=np.diag([0.5, 0.3, 0.2]))
+    for fn in (qcb_fock, fidelity_fock):
+        with pytest.raises(ArithmeticError, match="below -1e-10"):
+            fn(bad, good)
