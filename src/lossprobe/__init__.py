@@ -10,7 +10,7 @@ covariance-matrix fast paths.
 """
 
 from .channel import LossChannel, evolve_single, evolve_two, output_params_single, output_params_two
-from .chernoff import DiscriminationReport, error_bounds, q_s_single, q_s_two, qcb
+from .chernoff import DiscriminationReport, error_bounds, q_s_single, q_s_two, qcb, qcb_batch
 from .correlations import (
     CorrelationReport,
     binary_entropy_h,
@@ -86,6 +86,7 @@ __all__ = [
     "q_s_single",
     "q_s_two",
     "qcb",
+    "qcb_batch",
     "random_sweep",
     "symplectic_eigenvalues",
     "symplectic_invariants",

@@ -130,22 +130,41 @@ def output_params_two(
     """Squeezed thermal parameters of the evolved two-mode state.
 
     Inverts the block normal form: with (A', B', C') from evolved_blocks,
-    the thermal occupations solve
+    u = 1 + n1 + n2 and the output occupations solve
 
-        1 + n1 + n2 = sqrt((A' + B')^2 / 4 - C'^2),   n1 - n2 = (A' - B') / 2
+        u^2 = (A' + B')^2 / 4 - C'^2,   n1 - n2 = (A' - B') / 2,
 
-    and the squeezing is r' = (1/2) asinh(C' / (1 + n1 + n2)).  The result is
-    rebuilt with make_two_mode_st and compared against the evolved entries;
-    a residual above 1e-9 in any CM entry raises ParameterRecoveryError.
+    and the squeezing is r' = (1/2) asinh(C' / u).  Where C'^2 exceeds u^2
+    the difference cancels (a strongly squeezed probe at large N), so there
+    u - 1 = (u^2 - 1) / (u + 1) comes from a sum of non-negative terms,
+    using A B - C^2 = (1 + 2 n_t1)(1 + 2 n_t2) of the input:
+
+        u^2 - 1 = ((A' - B') / 2)^2 + eta (2 n_t1 + 2 n_t2 + 4 n_t1 n_t2)
+                  + (1 - eta)(B - 1),
+        B - 1 = 2 sinh^2 r (1 + n_t1) + 2 n_t2 cosh^2 r.
+
+    Elsewhere the difference loses at most one bit and is kept.  The result
+    is rebuilt with make_two_mode_st and compared against the evolved
+    entries; a residual above 1e-9 in any CM entry raises
+    ParameterRecoveryError.
     """
     a, b, c = evolved_blocks(p, ch)
-    u_sq = 0.25 * (a + b) ** 2 - c * c
-    if u_sq < 1.0 - _CLAMP:
-        raise ParameterRecoveryError(f"(1 + n1 + n2)^2 came out as {u_sq:.6e} < 1")
-    u = math.sqrt(max(u_sq, 1.0))
     half_diff = 0.25 * (a - b)
-    n1 = _clamped((u - 1.0) / 2.0 + half_diff, "output occupation n1")
-    n2 = _clamped((u - 1.0) / 2.0 - half_diff, "output occupation n2")
+    u_sq = 0.25 * (a + b) ** 2 - c * c
+    if c * c <= u_sq:
+        u = math.sqrt(max(u_sq, 1.0))
+        u_minus_one = u - 1.0
+    else:
+        b_minus_one = 2.0 * math.sinh(p.r) ** 2 * (1.0 + p.n_t1) + 2.0 * p.n_t2 * math.cosh(p.r) ** 2
+        u_sq_minus_one = (
+            (2.0 * half_diff) ** 2
+            + ch.eta * (2.0 * p.n_t1 + 2.0 * p.n_t2 + 4.0 * p.n_t1 * p.n_t2)
+            + (1.0 - ch.eta) * b_minus_one
+        )
+        u = math.sqrt(1.0 + u_sq_minus_one)
+        u_minus_one = u_sq_minus_one / (u + 1.0)
+    n1 = _clamped(u_minus_one / 2.0 + half_diff, "output occupation n1")
+    n2 = _clamped(u_minus_one / 2.0 - half_diff, "output occupation n2")
     r_out = _clamped(0.5 * math.asinh(c / u), "output squeezing")
     out = SqueezedThermalParamsTwo(r=r_out, n_t1=n1, n_t2=n2)
     # largest entry gap between the rebuilt CM and the evolved one, whose

@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .channel import LossChannel
 from .correlations import correlation_report, discord, log_negativity
-from .gaussian import make_two_mode_st
+from .gaussian import CovarianceMatrix, make_two_mode_st
 from .probes import (
     ProbeSpec,
     SweepRanges,
@@ -248,15 +248,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _figure_2(args: argparse.Namespace, outdir: str) -> list[str]:
-    ns = np.linspace(0.0, 10.0, args.points)
+    n_col = np.tile(np.linspace(0.0, 10.0, args.points), 3)
+    b_col = np.repeat([0.1, 0.5, 1.0], args.points)
     written = []
     for eta in (0.1, 0.5, 0.9):
         ch = LossChannel.from_eta(eta)
-        rows = [
-            [float(n), beta, q1(float(n), beta, ch)]
-            for beta in (0.1, 0.5, 1.0)
-            for n in ns
-        ]
+        rows = list(zip(n_col.tolist(), b_col.tolist(), q1(n_col, b_col, ch).tolist()))
         path = os.path.join(outdir, f"figure2_eta{eta:g}.csv")
         meta = _meta_lines("figure 2", {"eta": eta, "points": args.points})
         _write_csv(path, ["N", "beta", "Q1"], rows, meta)
@@ -265,28 +262,30 @@ def _figure_2(args: argparse.Namespace, outdir: str) -> list[str]:
 
 
 def _figure_3(args: argparse.Namespace, outdir: str) -> list[str]:
-    ns = np.linspace(0.0, 10.0, args.points)
-    rows = []
-    for g in (0.1, 0.3, 1.0):
-        ch = LossChannel.from_gamma(g)
-        for n in ns:
-            rows.append([float(n), g, q1(float(n), 1.0, ch), q2(float(n), 1.0, 1.0, ch)])
+    gammas = (0.1, 0.3, 1.0)
+    n_col = np.tile(np.linspace(0.0, 10.0, args.points), len(gammas))
+    g_col = [g for g in gammas for _ in range(args.points)]
+    chs = [LossChannel.from_gamma(g) for g in g_col]
+    rows = list(zip(n_col.tolist(), g_col, q1(n_col, 1.0, chs).tolist(), q2(n_col, 1.0, 1.0, chs).tolist()))
     path = os.path.join(outdir, "figure3.csv")
     _write_csv(path, ["N", "Gamma", "Q1", "Q2"], rows, _meta_lines("figure 3", {"points": args.points}))
     return [path]
 
 
-def _figure_4(args: argparse.Namespace, outdir: str) -> list[str]:
+def _grid(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]:
+    """Every (N, beta) of the figure 4 and figure 6 density grids, N outermost."""
     ns = np.linspace(5.0 / args.points, 5.0, args.points)
     betas = np.linspace(0.0, 1.0, args.points)
+    return np.repeat(ns, len(betas)), np.tile(betas, len(ns))
+
+
+def _figure_4(args: argparse.Namespace, outdir: str) -> list[str]:
+    n_col, b_col = _grid(args)
     written = []
     for g in (0.1, 0.9):
         ch = LossChannel.from_gamma(g)
-        rows = [
-            [float(n), float(b), q1(float(n), float(b), ch) - q2(float(n), float(b), 1.0, ch)]
-            for n in ns
-            for b in betas
-        ]
+        gap = q1(n_col, b_col, ch) - q2(n_col, b_col, 1.0, ch)
+        rows = list(zip(n_col.tolist(), b_col.tolist(), gap.tolist()))
         path = os.path.join(outdir, f"figure4_Gamma{g:g}.csv")
         _write_csv(path, ["N", "beta", "deltaQ"], rows, _meta_lines("figure 4", {"Gamma": g, "points": args.points}))
         written.append(path)
@@ -306,67 +305,48 @@ def _figure_5(args: argparse.Namespace, outdir: str) -> list[str]:
     return written
 
 
+def _input_cm(n: float, beta: float) -> CovarianceMatrix:
+    return make_two_mode_st(params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=GAMMA_BAR)))
+
+
 def _figure_6(args: argparse.Namespace, outdir: str) -> list[str]:
     written = []
     betas = [args.beta] if args.beta is not None else [0.1, 0.9]
     ns = np.linspace(5.0 / args.points, 5.0, args.points)
     for beta in betas:
+        reps = [correlation_report(_input_cm(n, beta)) for n in ns.tolist()]
         for g in (0.9, 0.5, 0.1):
-            ch = LossChannel.from_gamma(g)
-            rows = []
-            for n in ns:
-                spec = ProbeSpec(modes=2, n=float(n), beta=beta, gamma=GAMMA_BAR)
-                cm = make_two_mode_st(params_from_spec(spec))
-                rep = correlation_report(cm)
-                gap = delta_q_gamma(float(n), beta, GAMMA_BAR, ch)
-                rows.append(
-                    [float(n), rep.log_negativity, rep.discord, rep.mutual_information, gap]
-                )
+            gaps = delta_q_gamma(ns, beta, GAMMA_BAR, LossChannel.from_gamma(g))
+            rows = [
+                [n, rep.log_negativity, rep.discord, rep.mutual_information, gap]
+                for n, rep, gap in zip(ns.tolist(), reps, gaps.tolist())
+            ]
             path = os.path.join(outdir, f"figure6_curves_beta{beta:g}_Gamma{g:g}.csv")
             meta = _meta_lines(
                 "figure 6", {"beta": beta, "Gamma": g, "gamma-bar": GAMMA_BAR, "points": args.points}
             )
             _write_csv(path, ["N", "E", "D", "I", "deltaQ"], rows, meta)
             written.append(path)
-    betas_grid = np.linspace(0.0, 1.0, args.points)
+    n_col, b_col = _grid(args)
+    cms = [_input_cm(n, b) for n, b in zip(n_col.tolist(), b_col.tolist())]
     for g in (0.2, 0.8):
-        ch = LossChannel.from_gamma(g)
-        rows = []
-        for n in ns:
-            for b in betas_grid:
-                spec = ProbeSpec(modes=2, n=float(n), beta=float(b), gamma=GAMMA_BAR)
-                cm = make_two_mode_st(params_from_spec(spec))
-                rows.append(
-                    [
-                        float(n),
-                        float(b),
-                        discord(cm),
-                        log_negativity(cm),
-                        delta_q_gamma(float(n), float(b), GAMMA_BAR, ch),
-                    ]
-                )
+        gaps = delta_q_gamma(n_col, b_col, GAMMA_BAR, LossChannel.from_gamma(g))
+        rows = [
+            [n, b, discord(cm), log_negativity(cm), gap]
+            for n, b, cm, gap in zip(n_col.tolist(), b_col.tolist(), cms, gaps.tolist())
+        ]
         path = os.path.join(outdir, f"figure6_density_Gamma{g:g}.csv")
         meta = _meta_lines("figure 6", {"Gamma": g, "gamma-bar": GAMMA_BAR, "points": args.points})
         _write_csv(path, ["N", "beta", "D", "E", "deltaQ"], rows, meta)
         written.append(path)
-    rows = []
     # stream 1 keeps the scatter independent of a sweep with the same seed
-    for n, b, g in random_probes(args.samples, args.seed, stream=1):
-        ch = LossChannel.from_gamma(g)
-        spec = ProbeSpec(modes=2, n=n, beta=b, gamma=GAMMA_BAR)
-        cm = make_two_mode_st(params_from_spec(spec))
-        rep = correlation_report(cm)
-        rows.append(
-            [
-                n,
-                b,
-                g,
-                rep.log_negativity,
-                rep.discord,
-                rep.mutual_information,
-                delta_q_gamma(n, b, GAMMA_BAR, ch),
-            ]
-        )
+    draws = random_probes(args.samples, args.seed, stream=1)
+    n_col, b_col, g_col = (np.array(col) for col in zip(*draws))
+    gaps = delta_q_gamma(n_col, b_col, GAMMA_BAR, [LossChannel.from_gamma(g) for g in g_col.tolist()])
+    rows = []
+    for (n, b, g), gap in zip(draws, gaps.tolist()):
+        rep = correlation_report(_input_cm(n, b))
+        rows.append([n, b, g, rep.log_negativity, rep.discord, rep.mutual_information, gap])
     path = os.path.join(outdir, "figure6_scatter.csv")
     meta = _meta_lines("figure 6", {"samples": args.samples, "seed": args.seed, "gamma-bar": GAMMA_BAR})
     _write_csv(path, ["N", "beta", "Gamma", "E", "D", "I", "deltaQ"], rows, meta)

@@ -346,15 +346,25 @@ def _spectral_overlap(
     return lam, table, mu
 
 
-def _s_curve(lam: np.ndarray, table: np.ndarray, mu: np.ndarray, s: float) -> float:
-    return float(np.einsum("ki,kij,kj->", lam**s, table, mu ** (1.0 - s)))
+def _s_curve(lam: np.ndarray, table: np.ndarray, mu: np.ndarray, s) -> np.ndarray:
+    """The s-overlap at every entry of s: one batched (1 x w) @ (w x w) product per row and s."""
+    s = np.asarray(s, dtype=float)
+    e = s.reshape(-1, 1, 1)
+    rows = np.matmul((lam**e)[:, :, None, :], table)[:, :, 0, :]
+    return (rows * mu ** (1.0 - e)).sum(axis=(1, 2)).reshape(s.shape)[()]
 
 
 def s_overlap_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix, s: float) -> float:
-    """Tr[rho_a^s rho_b^(1-s)] by explicit fractional powers."""
+    """Tr[rho_a^s rho_b^(1-s)] by explicit fractional powers.
+
+    Near s = 0 (and 1) this is only as good as the smallest eigenvalues: on
+    a numerically rank-deficient spectrum, clamped roundoff eigenvalues of
+    about 1e-17 raised to s = 1e-6 count as about 1 instead of 0.  qcb_fock
+    is protected by its rank-floored boundary candidates; this curve is not.
+    """
     if not 0.0 < s < 1.0:
         raise ValueError(f"exponent must be in (0, 1), got {s}")
-    return _s_curve(*_spectral_overlap(rho_a, rho_b), s)
+    return float(_s_curve(*_spectral_overlap(rho_a, rho_b), s))
 
 
 def qcb_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[float, float]:

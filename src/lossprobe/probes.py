@@ -18,17 +18,27 @@ strategy the comparison flips below a critical transmissivity eta_c = x^2,
 x the real root of x^3 + x^2 + x - 1: for eta > eta_c the single-mode probe
 holds an advantage up to a threshold energy N_th(eta) that vanishes at eta_c
 and grows roughly like 4 (eta - eta_c) just above it.
+
+Array semantics.  q1, q2, delta_q and delta_q_gamma are elementwise over N
+and beta, which broadcast; the channel is one LossChannel for every row or
+a sequence with one per row.  Each row still builds and validates its own
+ProbeSpec, parameters and recovered output, and then all rows go to one
+`qcb_batch` call, whose mixed rows share one lane-wise golden section over
+s.  Scalar rows give a float, and a row gives the same bits alone and in
+any batch.  random_sweep and optimize_beta's 101-point grid are one batch
+each.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .channel import LossChannel, output_params_single, output_params_two
-from .chernoff import DiscriminationReport, minimize_scalar_golden, qcb
+from .chernoff import DiscriminationReport, minimize_scalar_golden, qcb, qcb_batch
 from .gaussian import SqueezedThermalParamsSingle, SqueezedThermalParamsTwo
 
 N_MAX_THRESHOLD = 1.0e3
@@ -95,24 +105,48 @@ def params_from_spec(
     )
 
 
-def discriminate(spec: ProbeSpec, ch: LossChannel, copies: int = 1) -> DiscriminationReport:
-    """Chernoff report for a probe against its lossy image."""
+def _pair(spec: ProbeSpec, ch: LossChannel) -> tuple:
+    """(input, output) parameters of a probe sent through the channel."""
     p_in = params_from_spec(spec)
     if spec.modes == 1:
-        p_out = output_params_single(p_in, ch)
-    else:
-        p_out = output_params_two(p_in, ch)
-    return qcb(p_in, p_out, copies=copies)
+        return p_in, output_params_single(p_in, ch)
+    return p_in, output_params_two(p_in, ch)
 
 
-def q1(n: float, beta: float, ch: LossChannel) -> float:
-    """Q for the single-mode probe (N, beta) against the channel."""
-    return discriminate(ProbeSpec(modes=1, n=n, beta=beta), ch).q
+def discriminate(spec: ProbeSpec, ch: LossChannel, copies: int = 1) -> DiscriminationReport:
+    """Chernoff report for a probe against its lossy image."""
+    return qcb(*_pair(spec, ch), copies=copies)
 
 
-def q2(n: float, beta: float, gamma: float, ch: LossChannel) -> float:
-    """Q for the two-mode probe (N, beta, gamma) against the channel."""
-    return discriminate(ProbeSpec(modes=2, n=n, beta=beta, gamma=gamma), ch).q
+def _q_rows(modes: int, n, beta, gamma: float | None, ch: LossChannel | Sequence[LossChannel]):
+    """Q of every row of (N, beta) against its channel, from one qcb_batch call.
+
+    n and beta broadcast; ch is one channel for every row or a sequence with
+    one channel per row.  Each row builds, validates and recovers its own
+    ProbeSpec and parameters.  Scalar rows give a float.
+    """
+    chs = [ch] if isinstance(ch, LossChannel) else list(ch)
+    n, beta, which = np.broadcast_arrays(
+        np.asarray(n, dtype=float),
+        np.asarray(beta, dtype=float),
+        0 if isinstance(ch, LossChannel) else np.arange(len(chs)),
+    )
+    pairs = [
+        _pair(ProbeSpec(modes=modes, n=float(x), beta=float(b), gamma=gamma), chs[k])
+        for x, b, k in zip(n.flat, beta.flat, which.flat)
+    ]
+    q = np.array([r.q for r in qcb_batch(pairs)]).reshape(n.shape)
+    return float(q) if q.ndim == 0 else q
+
+
+def q1(n, beta, ch):
+    """Q for single-mode probes (N, beta) against the channel, elementwise."""
+    return _q_rows(1, n, beta, None, ch)
+
+
+def q2(n, beta, gamma: float, ch):
+    """Q for two-mode probes (N, beta, gamma) against the channel, elementwise."""
+    return _q_rows(2, n, beta, gamma, ch)
 
 
 def q1_analytic(n: float, eta: float) -> float:
@@ -133,13 +167,13 @@ def q2_analytic(n: float, eta: float) -> float:
     return 4.0 / (2.0 + n * (1.0 - math.sqrt(eta))) ** 2
 
 
-def delta_q(n: float, beta: float, ch: LossChannel) -> float:
-    """Q1(N, beta) - Q2(N, beta, 1): positive where the two-mode probe wins."""
+def delta_q(n, beta, ch):
+    """Q1(N, beta) - Q2(N, beta, 1), elementwise: positive where the two-mode probe wins."""
     return q1(n, beta, ch) - q2(n, beta, 1.0, ch)
 
 
-def delta_q_gamma(n: float, beta: float, gamma: float, ch: LossChannel) -> float:
-    """Q1(N, beta) - Q2(N, beta, gamma) for an arbitrary thermal split."""
+def delta_q_gamma(n, beta, gamma: float, ch):
+    """Q1(N, beta) - Q2(N, beta, gamma) for an arbitrary thermal split, elementwise."""
     return q1(n, beta, ch) - q2(n, beta, gamma, ch)
 
 
@@ -151,8 +185,8 @@ def optimize_beta(
 ) -> tuple[float, float]:
     """Best squeezing fraction for a fixed energy budget.
 
-    Grid search over 101 values of beta refined by golden section to 1e-6.
-    For two-mode probes gamma defaults to the optimal split 1; passing an
+    Grid search over 101 values of beta, evaluated as one batch, refined by
+    golden section to 1e-6.  For two-mode probes gamma defaults to the optimal split 1; passing an
     explicit gamma optimizes beta at that split.  Returns (beta_star, q_star).
     """
     if modes == 1:
@@ -301,13 +335,10 @@ def random_sweep(
         raise ValueError(f"sample count must be >= 1, got {sample_count}")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"thermal split must be in [0, 1], got {gamma}")
+    draws = random_probes(sample_count, seed, ranges=ranges)
+    n, beta, g_ch = (np.array(col) for col in zip(*draws))
+    gaps = delta_q_gamma(n, beta, gamma, [LossChannel.from_gamma(g) for g in g_ch.tolist()])
     return [
-        SweepRecord(
-            n=n,
-            beta=beta,
-            gamma_ch=g_ch,
-            gamma=gamma,
-            delta_q=delta_q_gamma(n, beta, gamma, LossChannel.from_gamma(g_ch)),
-        )
-        for n, beta, g_ch in random_probes(sample_count, seed, ranges=ranges)
+        SweepRecord(n=n, beta=beta, gamma_ch=g_ch, gamma=gamma, delta_q=gap)
+        for (n, beta, g_ch), gap in zip(draws, gaps.tolist())
     ]

@@ -1,6 +1,8 @@
 """Loss-channel action on covariance matrices and parameter recovery."""
 
+import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -205,3 +207,38 @@ def test_output_params_two_round_trip(p, g):
     rebuilt = make_two_mode_st(out).mat
     evolved = evolve_two(make_two_mode_st(p), ch).mat
     assert np.max(np.abs(rebuilt - evolved)) < 1e-9 * max(1.0, np.max(np.abs(evolved)))
+
+
+def _recovery_reference(p: SqueezedThermalParamsTwo, eta: float) -> tuple[float, float, float]:
+    """(r', n1', n2') of the evolved state in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        r, n1, n2, e = (Decimal(x) for x in (p.r, p.n_t1, p.n_t2, eta))
+        ex = r.exp()
+        c, s = (ex + 1 / ex) / 2, (ex - 1 / ex) / 2
+        a = e * (c * c + s * s + 2 * n1 * c * c + 2 * n2 * s * s) + 1 - e
+        b = c * c + s * s + 2 * n1 * s * s + 2 * n2 * c * c
+        cc = e.sqrt() * (1 + n1 + n2) * 2 * s * c
+        u = ((a + b) ** 2 / 4 - cc * cc).sqrt()
+        x = cc / u
+        return (
+            float((x + (x * x + 1).sqrt()).ln() / 2),
+            float((u - 1) / 2 + (a - b) / 4),
+            float((u - 1) / 2 - (a - b) / 4),
+        )
+
+
+@pytest.mark.parametrize("n", [0.1, 1.0, 10.0, 100.0, 1000.0])
+def test_two_mode_recovery_on_the_probe_grid(n):
+    # (A' + B')^2 / 4 - C'^2 cancels for strongly squeezed probes; the
+    # difference form failed 2 of these 105 points at N = 100 and 14 at 1e3
+    from lossprobe.probes import ProbeSpec, params_from_spec
+
+    grid = itertools.product((0.0, 0.1, 0.5, 0.999, 1.0), (0.0, 0.5, 1.0), (1e-3, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0))
+    for beta, gamma, eta in grid:
+        p = params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=gamma))
+        out = output_params_two(p, LossChannel.from_eta(eta))
+        r_ref, n1_ref, n2_ref = _recovery_reference(p, eta)
+        assert abs(out.r - r_ref) <= 1e-14 * r_ref, (beta, gamma, eta)
+        assert abs(out.n_t1 - n1_ref) <= 1e-15 * (1.0 + n), (beta, gamma, eta)
+        assert abs(out.n_t2 - n2_ref) <= 1e-15 * (1.0 + n), (beta, gamma, eta)

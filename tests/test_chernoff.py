@@ -1,4 +1,8 @@
-"""Chernoff quantity Q_s, its minimization, and the error-probability bounds."""
+"""Chernoff quantity Q_s, its minimization, and the error-probability bounds.
+
+The scalar golden section and the math-based Q_s below are the package's
+former per-point route, kept as the reference for the batched core.
+"""
 
 import math
 
@@ -9,6 +13,8 @@ from hypothesis import strategies as st
 
 from lossprobe.channel import LossChannel, output_params_single, output_params_two
 from lossprobe.chernoff import (
+    S_EPS,
+    S_TOL,
     DiscriminationReport,
     error_bounds,
     g_s,
@@ -17,6 +23,8 @@ from lossprobe.chernoff import (
     q_s_single,
     q_s_two,
     qcb,
+    qcb_batch,
+    stack_states,
 )
 from lossprobe.gaussian import (
     SqueezedThermalParamsSingle,
@@ -25,6 +33,80 @@ from lossprobe.gaussian import (
     make_two_mode_st,
     overlap,
 )
+from lossprobe.probes import ProbeSpec, params_from_spec, random_probes
+
+# ---------------------------------------------------------------------------
+# reference route: one s at a time, Python floats and math
+# ---------------------------------------------------------------------------
+
+
+def ref_g_s(x, s):
+    return 1.0 / ((x + 1.0) ** s - x**s)
+
+
+def ref_lambda_s(x, s):
+    return 0.0 if x == 0.0 else x**s * ref_g_s(x, s)
+
+
+def ref_q_s_single(pa, pb, s):
+    ga, gb = ref_g_s(pa.n_t, s), ref_g_s(pb.n_t, 1.0 - s)
+    wa, wb = ref_lambda_s(pa.n_t, s) + 0.5, ref_lambda_s(pb.n_t, 1.0 - s) + 0.5
+    e2a, e2b = math.exp(2.0 * pa.r), math.exp(2.0 * pb.r)
+    return ga * gb / math.sqrt((wa * e2a + wb * e2b) * (wa / e2a + wb / e2b))
+
+
+def ref_q_s_two(pa, pb, s):
+    pi_s = ref_g_s(pa.n_t1, s) * ref_g_s(pa.n_t2, s) * ref_g_s(pb.n_t1, 1.0 - s) * ref_g_s(pb.n_t2, 1.0 - s)
+
+    def blocks(p, w1, w2):
+        c2, s2 = math.cosh(p.r) ** 2, math.sinh(p.r) ** 2
+        cs = math.cosh(p.r) * math.sinh(p.r)
+        return w1 * c2 + w2 * s2, w1 * s2 + w2 * c2, (w1 + w2) * cs
+
+    xa, ya, za = blocks(pa, ref_lambda_s(pa.n_t1, s) + 0.5, ref_lambda_s(pa.n_t2, s) + 0.5)
+    xb, yb, zb = blocks(pb, ref_lambda_s(pb.n_t1, 1.0 - s) + 0.5, ref_lambda_s(pb.n_t2, 1.0 - s) + 0.5)
+    x, y, z = xa + xb, ya + yb, za + zb
+    return pi_s / (x * y - z * z)
+
+
+def ref_golden(f, lo, hi, tol, grid_points=21):
+    xs = [lo + (hi - lo) * k / (grid_points - 1) for k in range(grid_points)]
+    fs = [f(x) for x in xs]
+    k = min(range(grid_points), key=fs.__getitem__)
+    a, b = xs[max(k - 1, 0)], xs[min(k + 1, grid_points - 1)]
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = b - g * (b - a), a + g * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > tol:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - g * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + g * (b - a)
+            f2 = f(x2)
+    candidates = [((a + b) / 2.0, f((a + b) / 2.0)), (lo, fs[0]), (hi, fs[-1])]
+    return min(candidates, key=lambda t: t[1])
+
+
+def ref_qcb_mixed(pa, pb):
+    """(s*, q) of a mixed pair by the reference route."""
+    q_s = ref_q_s_single if isinstance(pa, SqueezedThermalParamsSingle) else ref_q_s_two
+    s_star, q = ref_golden(lambda s: q_s(pa, pb, s), S_EPS, 1.0 - S_EPS, S_TOL)
+    return s_star, min(q, 1.0)
+
+
+def probe_pairs(count, seed):
+    """(input, output) pairs of single- and two-mode (gamma-bar 0.999) probes."""
+    pairs = []
+    for n, beta, gamma_ch in random_probes(count, seed):
+        ch = LossChannel.from_gamma(gamma_ch)
+        p1 = params_from_spec(ProbeSpec(modes=1, n=n, beta=beta))
+        p2 = params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=0.999))
+        pairs += [(p1, output_params_single(p1, ch)), (p2, output_params_two(p2, ch))]
+    return pairs
+
 
 VACUUM = SqueezedThermalParamsSingle(r=0.0, n_t=0.0)
 THERMAL1 = SqueezedThermalParamsSingle(r=0.0, n_t=1.0)
@@ -215,3 +297,118 @@ def test_golden_section_quadratic():
 def test_golden_section_boundary_minimum():
     argmin, val = minimize_scalar_golden(lambda s: s, 0.0, 1.0, 1e-9)
     assert argmin == 0.0 and val == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the batched core against the reference route
+# ---------------------------------------------------------------------------
+
+
+def test_batched_qcb_matches_scalar_reference():
+    # numpy's pow and Python's ** differ in the last bit for a few percent of
+    # arguments, which flips golden-section comparisons where Q_s is flat, so
+    # s* itself may move (up to 2.6e-5 on these draws); what must hold is
+    # that it is as good a minimizer of the reference curve.
+    pairs = probe_pairs(1000, seed=20261018)
+    reports = qcb_batch(pairs)
+    assert len(reports) == 2000
+    for (pa, pb), rep in zip(pairs, reports):
+        s_star, q = ref_qcb_mixed(pa, pb)
+        q_s = ref_q_s_single if isinstance(pa, SqueezedThermalParamsSingle) else ref_q_s_two
+        assert rep.fidelity is None
+        assert math.isclose(rep.q, q, rel_tol=1e-13), (pa, pb, rep.q, q)
+        assert q_s(pa, pb, rep.s_star) <= q * (1.0 + 1e-13), (pa, pb, rep.s_star, s_star)
+
+
+def test_lane_is_bitwise_the_same_alone_and_in_a_batch():
+    pairs = probe_pairs(500, seed=7)
+    batch = qcb_batch(pairs)
+    for (pa, pb), rep in zip(pairs, batch):
+        alone = qcb(pa, pb)
+        assert (alone.q, alone.s_star) == (rep.q, rep.s_star), (pa, pb)
+        assert qcb_batch([(pa, pb)]) == [alone]
+
+
+def test_batch_keeps_pair_order_and_mixes_branches():
+    pure = (SqueezedThermalParamsSingle(r=math.asinh(1.0), n_t=0.0), VACUUM)
+    single = (THERMAL1, SqueezedThermalParamsSingle(r=0.2, n_t=0.4))
+    two = (SqueezedThermalParamsTwo(0.4, 0.3, 0.1), SqueezedThermalParamsTwo(0.2, 0.5, 0.1))
+    reports = qcb_batch([two, pure, single, two], copies=3)
+    assert reports == [qcb(*two, copies=3), qcb(*pure, copies=3), qcb(*single, copies=3), qcb(*two, copies=3)]
+    assert reports[1].fidelity is not None and reports[0].fidelity is None
+    assert qcb_batch([]) == []
+    with pytest.raises(TypeError):
+        qcb_batch([single, (THERMAL1, two[1])])
+
+
+def test_minimizer_lanes_take_the_scalar_steps():
+    # one lane per minimum, three of them past an edge of the interval
+    centres = np.array([-0.2, 0.0, 1e-7, 0.123456, 0.5, 0.77, 0.999999, 1.0, 1.3])
+    lo, hi = np.zeros_like(centres), 1.0
+
+    def f(x):
+        return (x - centres) * (x - centres)
+
+    x, fx = minimize_scalar_golden(f, lo, hi, 1e-10)
+    for c, x_k, f_k in zip(centres.tolist(), x.tolist(), fx.tolist()):
+        assert (x_k, f_k) == ref_golden(lambda s: (s - c) * (s - c), 0.0, 1.0, 1e-10), c
+
+
+def test_minimizer_scalar_interval_returns_floats():
+    x, fx = minimize_scalar_golden(lambda s: (s - 0.3) * (s - 0.3), 0.0, 1.0, 1e-9)
+    assert type(x) is float and type(fx) is float
+    assert (x, fx) == ref_golden(lambda s: (s - 0.3) * (s - 0.3), 0.0, 1.0, 1e-9)
+
+
+@given(pa=single_params, pb=single_params, s=st.floats(0.05, 0.95))
+@settings(max_examples=100)
+def test_q_s_single_matches_reference(pa, pb, s):
+    assert math.isclose(q_s_single(pa, pb, s), ref_q_s_single(pa, pb, s), rel_tol=1e-13)
+
+
+@given(pa=two_params, pb=two_params, s=st.floats(0.05, 0.95))
+@settings(max_examples=100)
+def test_q_s_two_matches_reference(pa, pb, s):
+    assert math.isclose(q_s_two(pa, pb, s), ref_q_s_two(pa, pb, s), rel_tol=1e-13)
+
+
+def test_q_s_broadcasts_over_lanes_and_s():
+    pas = [SqueezedThermalParamsTwo(0.4, 0.3, 0.1), SqueezedThermalParamsTwo(0.9, 0.0, 1.2)]
+    pbs = [SqueezedThermalParamsTwo(0.2, 0.5, 0.1), SqueezedThermalParamsTwo(0.7, 0.6, 1.2)]
+    s = np.array([[0.2, 0.7], [0.5, 0.5], [0.9, 0.1]])
+    grid = q_s_two(stack_states(pas), stack_states(pbs), s)
+    assert grid.shape == (3, 2)
+    for i, j in np.ndindex(3, 2):
+        assert grid[i, j] == q_s_two(pas[j], pbs[j], s[i, j])
+    value = q_s_single(THERMAL1, VACUUM, 0.5)
+    assert type(value) is float
+    assert q_s_single(THERMAL1, VACUUM, np.array([0.5]))[0] == value
+    with pytest.raises(ValueError):
+        q_s_single(THERMAL1, VACUUM, np.array([0.5, 1.0]))
+    with pytest.raises(ValueError):
+        q_s_two(pas[0], pbs[0], 0.0)
+
+
+def test_g_lambda_elementwise():
+    x = np.array([0.0, 0.5, 1.0, 3.0])
+    s = np.array([[0.1], [0.5], [0.9]])
+    g, lam = g_s(x, s), lambda_s(x, s)
+    assert g.shape == lam.shape == (3, 4)
+    for i, j in np.ndindex(3, 4):
+        assert math.isclose(g[i, j], ref_g_s(x[j], s[i, 0]), rel_tol=1e-14)
+        assert math.isclose(lam[i, j], ref_lambda_s(x[j], s[i, 0]), rel_tol=1e-14, abs_tol=0.0)
+    assert type(g_s(1.0, 0.5)) is float
+    with pytest.raises(ValueError):
+        g_s(np.array([1.0, -0.1]), 0.5)
+    with pytest.raises(ValueError):
+        lambda_s(1.0, 1.0)
+
+
+def test_pure_switch_is_exact_zero():
+    # a tiny but nonzero occupation is a mixed state and is minimized over s
+    near = qcb(SqueezedThermalParamsSingle(0.5, 1e-12), SqueezedThermalParamsSingle(0.3, 0.2))
+    assert near.fidelity is None and 0.0 < near.s_star < 1.0
+    exact = qcb(SqueezedThermalParamsSingle(0.5, 0.0), SqueezedThermalParamsSingle(0.3, 0.2))
+    assert exact.fidelity is not None and exact.s_star == 0.0
+    two = qcb(SqueezedThermalParamsTwo(0.5, 0.0, 1e-300), SqueezedThermalParamsTwo(0.3, 0.2, 0.1))
+    assert two.fidelity is None and math.isfinite(two.q)

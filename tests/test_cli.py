@@ -106,6 +106,16 @@ def test_qcb_copy_scaling(capsys):
     assert math.isclose(payload["pe_upper"], payload["q"] ** 50 / 2.0, rel_tol=1e-8)
 
 
+def test_qcb_two_mode_recovers_at_large_energy(capsys):
+    # (A' + B')^2 / 4 - C'^2 cancelled here and n1 came out at -3.9e-11
+    code, out, err = run(
+        ["qcb", "--modes", "2", "--n", "1000", "--beta", "1", "--eta", "0.999"], capsys
+    )
+    assert code == 0, err
+    q = float(parse_report(out)["q"])
+    assert math.isclose(q, 4.0 / (2.0 + 1000.0 * (1.0 - math.sqrt(0.999))) ** 2, rel_tol=1e-9)
+
+
 def test_qcb_rejects_zero_transmissivity(capsys):
     code, _, err = run(
         ["qcb", "--modes", "1", "--n", "1", "--beta", "1", "--eta", "0"], capsys
@@ -421,3 +431,20 @@ def test_cli_import_loads_no_scipy():
     path, loaded = result.stdout.splitlines()
     assert path == lossprobe.__file__
     assert loaded == "[]"
+
+
+def test_figure4_minimizes_once_per_batch(tmp_path, monkeypatch, capsys):
+    # each file makes one batched Q1 and one batched Q2 call, so the Q_s
+    # evaluations are a few per golden-section step, not 68 per grid point
+    calls = []
+    for name in ("q_s_single", "q_s_two"):
+        original = getattr(lossprobe.chernoff, name)
+
+        def counted(*args, _original=original):
+            calls.append(1)
+            return _original(*args)
+
+        monkeypatch.setattr(lossprobe.chernoff, name, counted)
+    code, _, _ = run(["figure", "4", "--points", "20", "--outdir", str(tmp_path)], capsys)
+    assert code == 0
+    assert 0 < len(calls) <= 300, len(calls)

@@ -142,7 +142,11 @@ def dense_qcb(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     la, va = dense_spectrum(rho_a)
     lb, vb = dense_spectrum(rho_b)
     table = (va.T @ vb) ** 2
-    _, q = minimize_scalar_golden(lambda s: float(la**s @ table @ lb ** (1.0 - s)), S_EPS, 1.0 - S_EPS, S_TOL)
+
+    def curve(s):
+        return np.array([la**x @ table @ lb ** (1.0 - x) for x in np.ravel(s)]).reshape(np.shape(s))
+
+    _, q = minimize_scalar_golden(curve, S_EPS, 1.0 - S_EPS, S_TOL)
     at_zero = float((la > la.max() * 1e-12) @ table @ lb)
     at_one = float(la @ table @ (lb > lb.max() * 1e-12))
     return min(q, at_zero, at_one)
@@ -629,3 +633,17 @@ def test_negative_eigenvalue_in_any_sector_raises():
     for fn in (qcb_fock, fidelity_fock):
         with pytest.raises(ArithmeticError, match="below -1e-10"):
             fn(bad, good)
+
+
+@pytest.mark.parametrize("n_t", [1e-3, 1e-6, 1e-9, 5e-10])
+def test_pipeline_is_continuous_toward_pure_states(n_t):
+    # qcb switches to the pure overlap only at n_t == 0: Q approaches the pure
+    # value like 1 / |ln n_t|, and the old n_t <= 1e-9 switch jumped from
+    # 0.9239 to the overlap 0.9115 here.  Below about 1e-6 the oracle is
+    # limited by its own roundoff eigenvalues (about 1e-17, raised to
+    # s* = 0.15): across cutoffs 26 to 120 it moves by up to 6e-5.
+    pa = S1(0.5, n_t)
+    q = qcb(pa, output_params_single(pa, LossChannel.from_eta(0.5))).q
+    rho = fock_squeezed_thermal(pa, TruncationConfig(dim=40))
+    q_fock, _ = qcb_fock(rho, apply_loss_kraus(rho, 0.5))
+    assert abs(q - q_fock) < (1e-5 if n_t >= 1e-6 else 1e-4), (q, q_fock)

@@ -270,3 +270,33 @@ def test_discriminate_report_fields():
     assert rep.copies == 1
     assert math.isclose(rep.q, q2_analytic(1.0, 0.5), rel_tol=1e-9)
     assert rep.fidelity is not None  # beta=1 probes are pure
+
+
+def test_q_functions_are_elementwise_over_rows():
+    ns = np.array([0.0, 0.4, 2.0, 5.0])
+    betas = np.array([[0.0], [0.3], [1.0]])
+    ch = LossChannel.from_gamma(0.7)
+    grid1, grid2 = q1(ns, betas, ch), q2(ns, betas, 0.6, ch)
+    gaps = delta_q_gamma(ns, betas, 0.6, ch)
+    assert grid1.shape == grid2.shape == gaps.shape == (3, 4)
+    for i, j in np.ndindex(3, 4):
+        n, beta = float(ns[j]), float(betas[i, 0])
+        assert grid1[i, j] == q1(n, beta, ch)
+        assert grid2[i, j] == q2(n, beta, 0.6, ch)
+        assert gaps[i, j] == delta_q_gamma(n, beta, 0.6, ch)
+    assert type(q1(1.0, 0.5, ch)) is float
+    assert np.array_equal(delta_q(ns, 0.5, ch), delta_q_gamma(ns, 0.5, 1.0, ch))
+
+
+def test_q_rows_take_one_channel_each():
+    chs = [LossChannel.from_gamma(g) for g in (0.1, 0.9, 2.0)]
+    ns, betas = np.array([1.0, 2.0, 3.0]), np.array([0.2, 0.5, 0.9])
+    gaps = delta_q_gamma(ns, betas, 0.999, chs)
+    for k, ch in enumerate(chs):
+        assert gaps[k] == delta_q_gamma(float(ns[k]), float(betas[k]), 0.999, ch)
+    assert np.array_equal(q2(1.5, 0.5, 1.0, chs), [q2(1.5, 0.5, 1.0, ch) for ch in chs])
+
+
+def test_sweep_records_equal_per_point_gaps():
+    for rec in random_sweep(40, 0.8, seed=5):
+        assert rec.delta_q == delta_q_gamma(rec.n, rec.beta, 0.8, LossChannel.from_gamma(rec.gamma_ch))
