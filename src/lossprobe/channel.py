@@ -6,12 +6,18 @@ mode is sent through the channel; the second is kept as an ideal reference.
 A squeezed thermal input stays squeezed thermal, so the output can be handed
 back as parameters of the same family; the two-mode output is computed from
 the block entries in closed form, without building the input or evolved CM.
+
+The recovery works elementwise on a stack of parameters (see `gaussian`),
+with one channel for all rows or a sequence of one per row; a row gets the
+same bits alone and in a stack.  Its checks run once per stack, and an
+error names the first failing row's parameters and channel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +26,11 @@ from .gaussian import (
     CovarianceMatrix,
     SqueezedThermalParamsSingle,
     SqueezedThermalParamsTwo,
+    any_of,
+    at_least_zero,
+    libm,
     make_two_mode_st,
+    select,
     two_mode_blocks,
 )
 
@@ -64,15 +74,18 @@ class LossChannel:
         return cls(gamma=-math.log(eta), eta=eta)
 
 
+Channels = LossChannel | Sequence[LossChannel]
+
+
 def evolve_single(cm: CovarianceMatrix, ch: LossChannel) -> CovarianceMatrix:
-    """sigma -> eta sigma + (1 - eta) sigma_vac for a one-mode CM."""
+    """sigma -> eta sigma + (1 - eta) sigma_vac for a one-mode CM (or stack)."""
     if cm.n != 1:
         raise ValueError(f"expected a one-mode CM, got {cm.n} modes")
     return CovarianceMatrix(ch.eta * cm.mat + (1.0 - ch.eta) * VACUUM_NOISE * np.eye(2))
 
 
 def evolve_two(cm: CovarianceMatrix, ch: LossChannel) -> CovarianceMatrix:
-    """Send mode 1 of a two-mode CM through the channel, keep mode 2 intact.
+    """Send mode 1 of a two-mode CM (or stack) through the channel, keep mode 2 intact.
 
     X sigma X^T + (1 - eta) sigma_vac on mode 1, with X = diag(sqrt(eta),
     sqrt(eta), 1, 1): the mode-1 block is damped, the cross block picks up
@@ -82,20 +95,34 @@ def evolve_two(cm: CovarianceMatrix, ch: LossChannel) -> CovarianceMatrix:
         raise ValueError(f"expected a two-mode CM, got {cm.n} modes")
     root = math.sqrt(ch.eta)
     m = cm.mat.copy()
-    m[:2, :2] = ch.eta * m[:2, :2] + (1.0 - ch.eta) * VACUUM_NOISE * np.eye(2)
-    m[:2, 2:] *= root
-    m[2:, :2] *= root
+    m[..., :2, :2] = ch.eta * m[..., :2, :2] + (1.0 - ch.eta) * VACUUM_NOISE * np.eye(2)
+    m[..., :2, 2:] *= root
+    m[..., 2:, :2] *= root
     return CovarianceMatrix(m)
 
 
-def _clamped(x: float, what: str) -> float:
-    if x < -_CLAMP:
-        raise ArithmeticError(f"{what} came out negative: {x:.3e}")
-    return max(x, 0.0)
+def _eta(p, ch: Channels):
+    # a float for one channel, else an array of p's shape
+    return ch.eta if isinstance(ch, LossChannel) else np.array([c.eta for c in ch]).reshape(p.shape)
 
 
-def evolved_blocks(p: SqueezedThermalParamsTwo, ch: LossChannel) -> tuple[float, float, float]:
-    """Block entries (A', B', C') of the evolved two-mode state.
+def _row(p, ch: Channels, k: int) -> str:
+    chk = ch if isinstance(ch, LossChannel) else ch[k]
+    return f" for {p.row(k)} through {chk}" + (f" (row {k})" if p.shape else "")
+
+
+def _clamped(x, what: str, p, ch: Channels):
+    """max(x, 0) elementwise, after checking x >= -1e-12."""
+    low = x < -_CLAMP
+    if any_of(low):
+        k = int(np.argmax(np.ravel(low)))
+        where = _row(p, ch, k) if p.shape else ""
+        raise ArithmeticError(f"{what} came out negative: {np.ravel(x)[k]:.3e}{where}")
+    return at_least_zero(x)
+
+
+def evolved_blocks(p: SqueezedThermalParamsTwo, ch: Channels):
+    """Block entries (A', B', C') of the evolved two-mode state, per row.
 
     evolve_two in closed form on the entries of two_mode_blocks:
     A' = eta A + (1 - eta), B' = B, C' = sqrt(eta) C.  The operations are
@@ -104,30 +131,28 @@ def evolved_blocks(p: SqueezedThermalParamsTwo, ch: LossChannel) -> tuple[float,
     forms it: halving a subnormal C rounds, so sqrt(eta) C / 2 would differ
     in the last bit (r = 1.1e-308).
     """
+    eta = _eta(p, ch)
     a, b, c = two_mode_blocks(p)
-    return ch.eta * a + (1.0 - ch.eta), b, 2.0 * (0.5 * c * math.sqrt(ch.eta))
+    return eta * a + (1.0 - eta), b, 2.0 * (0.5 * c * np.sqrt(eta))
 
 
-def output_params_single(
-    p: SqueezedThermalParamsSingle, ch: LossChannel
-) -> SqueezedThermalParamsSingle:
-    """Squeezed thermal parameters of the evolved single-mode state.
+def output_params_single(p: SqueezedThermalParamsSingle, ch: Channels) -> SqueezedThermalParamsSingle:
+    """Squeezed thermal parameters of the evolved single-mode state(s).
 
     The output thermal occupation is sqrt(det sigma') - 1/2 and the output
     squeezing follows from the variance ratio, r' = (1/4) log(a'/b').
     """
+    eta = _eta(p, ch)
     nu = p.n_t + VACUUM_NOISE
-    a = ch.eta * nu * math.exp(2 * p.r) + (1.0 - ch.eta) * VACUUM_NOISE
-    b = ch.eta * nu * math.exp(-2 * p.r) + (1.0 - ch.eta) * VACUUM_NOISE
-    n_out = _clamped(math.sqrt(a * b) - VACUUM_NOISE, "output thermal occupation")
-    r_out = _clamped(0.25 * math.log(a / b), "output squeezing")
+    a = eta * nu * libm(math.exp, 2 * p.r) + (1.0 - eta) * VACUUM_NOISE
+    b = eta * nu * libm(math.exp, -2 * p.r) + (1.0 - eta) * VACUUM_NOISE
+    n_out = _clamped(np.sqrt(a * b) - VACUUM_NOISE, "output thermal occupation", p, ch)
+    r_out = _clamped(0.25 * libm(math.log, a / b), "output squeezing", p, ch)
     return SqueezedThermalParamsSingle(r=r_out, n_t=n_out)
 
 
-def output_params_two(
-    p: SqueezedThermalParamsTwo, ch: LossChannel
-) -> SqueezedThermalParamsTwo:
-    """Squeezed thermal parameters of the evolved two-mode state.
+def output_params_two(p: SqueezedThermalParamsTwo, ch: Channels) -> SqueezedThermalParamsTwo:
+    """Squeezed thermal parameters of the evolved two-mode state(s).
 
     Inverts the block normal form: with (A', B', C') from evolved_blocks,
     u = 1 + n1 + n2 and the output occupations solve
@@ -143,36 +168,33 @@ def output_params_two(
                   + (1 - eta)(B - 1),
         B - 1 = 2 sinh^2 r (1 + n_t1) + 2 n_t2 cosh^2 r.
 
-    Elsewhere the difference loses at most one bit and is kept.  The result
-    is rebuilt with make_two_mode_st and compared against the evolved
-    entries; a residual above 1e-9 in any CM entry raises
-    ParameterRecoveryError.
+    Elsewhere the difference loses at most one bit and is kept.  The stack
+    is rebuilt with one make_two_mode_st call; a residual above 1e-9 in any
+    CM entry raises ParameterRecoveryError for the first such row.
     """
+    eta = _eta(p, ch)
     a, b, c = evolved_blocks(p, ch)
+    square = lambda v: v**2  # noqa: E731  (Python's pow, as the per-row code took it)
     half_diff = 0.25 * (a - b)
-    u_sq = 0.25 * (a + b) ** 2 - c * c
-    if c * c <= u_sq:
-        u = math.sqrt(max(u_sq, 1.0))
-        u_minus_one = u - 1.0
-    else:
-        b_minus_one = 2.0 * math.sinh(p.r) ** 2 * (1.0 + p.n_t1) + 2.0 * p.n_t2 * math.cosh(p.r) ** 2
-        u_sq_minus_one = (
-            (2.0 * half_diff) ** 2
-            + ch.eta * (2.0 * p.n_t1 + 2.0 * p.n_t2 + 4.0 * p.n_t1 * p.n_t2)
-            + (1.0 - ch.eta) * b_minus_one
-        )
-        u = math.sqrt(1.0 + u_sq_minus_one)
-        u_minus_one = u_sq_minus_one / (u + 1.0)
-    n1 = _clamped(u_minus_one / 2.0 + half_diff, "output occupation n1")
-    n2 = _clamped(u_minus_one / 2.0 - half_diff, "output occupation n2")
-    r_out = _clamped(0.5 * math.asinh(c / u), "output squeezing")
+    u_sq = 0.25 * libm(square, a + b) - c * c
+    s2, c2 = (libm(lambda r, f=f: f(r) ** 2, p.r) for f in (math.sinh, math.cosh))
+    u_sq_minus_one = (
+        libm(square, 2.0 * half_diff)
+        + eta * (2.0 * p.n_t1 + 2.0 * p.n_t2 + 4.0 * p.n_t1 * p.n_t2)
+        + (1.0 - eta) * (2.0 * s2 * (1.0 + p.n_t1) + 2.0 * p.n_t2 * c2)
+    )
+    direct = c * c <= u_sq
+    u = select(direct, np.sqrt(select(1.0 > u_sq, 1.0, u_sq)), np.sqrt(1.0 + u_sq_minus_one))
+    u_minus_one = select(direct, u - 1.0, u_sq_minus_one / (u + 1.0))
+    n1 = _clamped(u_minus_one / 2.0 + half_diff, "output occupation n1", p, ch)
+    n2 = _clamped(u_minus_one / 2.0 - half_diff, "output occupation n2", p, ch)
+    r_out = _clamped(0.5 * libm(math.asinh, c / u), "output squeezing", p, ch)
     out = SqueezedThermalParamsTwo(r=r_out, n_t1=n1, n_t2=n2)
-    # largest entry gap between the rebuilt CM and the evolved one, whose
-    # entries are half the block entries
+    # largest entry gap between the rebuilt CMs and the evolved ones (half the block entries)
     m = make_two_mode_st(out).mat
-    residual = max(abs(m[0, 0] - 0.5 * a), abs(m[2, 2] - 0.5 * b), abs(m[0, 2] - 0.5 * c))
-    if residual > 1e-9:
-        raise ParameterRecoveryError(
-            f"round-trip residual {residual:.3e} exceeds 1e-9 for {p} through {ch}"
-        )
+    gaps = [abs(m[..., 0, 0] - 0.5 * a), abs(m[..., 2, 2] - 0.5 * b), abs(m[..., 0, 2] - 0.5 * c)]
+    residual = np.ravel(np.max(gaps, axis=0))
+    if (residual > 1e-9).any():
+        k = int(np.argmax(residual > 1e-9))
+        raise ParameterRecoveryError(f"round-trip residual {residual[k]:.3e} exceeds 1e-9" + _row(p, ch, k))
     return out

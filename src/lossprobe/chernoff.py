@@ -17,18 +17,17 @@ throughout.  The identity Lambda_s(t) + Lambda_(1-s)(t) + 1 =
 G_s(t) G_(1-s)(t) makes Q_s = 1 for identical states.
 
 Array semantics.  g_s, lambda_s, q_s_single and q_s_two are elementwise and
-broadcast: occupations and s may be numpy arrays, and a scalar input gives
-a float.  States enter Q_s as their parameters or stacked one per lane by
-`stack_states`.  `qcb_batch` takes many (input, output) pairs, of any mix
-of channels and mode counts, and minimizes every mixed pair in one
-lane-wise golden section (`minimize_scalar_golden`): one call of Q_s per
-step covers all lanes, and each lane freezes once its own bracket is at
-most S_TOL, so it takes exactly the steps it would take alone.  `qcb` is
-the batch at length 1.  A lone lane runs on 0-d lanes: its bookkeeping and
-arithmetic stay on Python floats, which costs a fraction of the same work
-on 0-d arrays, while its powers still come from numpy's array loop.  So a
-lane's q and s* are the same bit for bit alone and in a batch (numpy's pow
-and Python's ** differ in the last bit for a few percent of arguments).
+broadcast, and a scalar input gives a float.  States enter as parameters
+(one state or a stack, see `gaussian`) or as lanes from `stack_states`.
+`qcb_batch` takes (input, output) pairs of states or stacks, of any mix of
+channels and mode counts: the pure lanes of a mode count share one stacked
+`overlap`, and all mixed lanes share one lane-wise golden section
+(`minimize_scalar_golden`), one call of Q_s per step, each lane freezing
+once its own bracket is at most S_TOL.  `qcb` is the batch of one.  A lone
+lane keeps its arithmetic on Python floats (far cheaper than 0-d arrays)
+while its powers still come from numpy's array loop, so a lane's q and s*
+are the same bit for bit alone and in a batch (numpy's pow and Python's **
+differ in the last bit for a few percent of arguments).
 
 Q_s is convex in s (Audenaert et al., PRL 98, 160501, 2007), so the grid
 seeded golden section finds its infimum.  When one of the states is pure
@@ -50,9 +49,14 @@ import numpy as np
 from .gaussian import (
     SqueezedThermalParamsSingle,
     SqueezedThermalParamsTwo,
+    any_of,
+    float_or_array,
+    libm,
     make_single_mode_st,
     make_two_mode_st,
     overlap,
+    require,
+    select,
 )
 
 S_EPS = 1e-6
@@ -63,20 +67,12 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 Params = SqueezedThermalParamsSingle | SqueezedThermalParamsTwo
 
 
-def _float_or_array(x):
-    return x if isinstance(x, np.ndarray) else float(x)
-
-
 def _exponent(s) -> float | np.ndarray:
     # a float stays a float: the arithmetic of one lane is far cheaper on
     # Python floats than on 0-d arrays, and bit for bit the same
-    if isinstance(s, float):
-        if not 0.0 < s < 1.0:
-            raise ValueError(f"exponent must be in (0, 1), got {s}")
-        return s
-    s = np.asarray(s, dtype=float)
-    if not ((s > 0.0) & (s < 1.0)).all():
-        raise ValueError(f"exponent must be in (0, 1), got {s}")
+    s = s if isinstance(s, float) else np.asarray(s, dtype=float)
+    ok = 0.0 < s < 1.0 if isinstance(s, float) else (0.0 < s) & (s < 1.0)
+    require(ok, "exponent must be in (0, 1), got {}", s)
     return s
 
 
@@ -88,9 +84,8 @@ def _g_lambda(xs, us):
 
 def _checked_g_lambda(x, s):
     x, s = np.asarray(x, dtype=float), _exponent(s)
-    if (x < 0.0).any():
-        raise ValueError(f"occupation must be >= 0, got {x}")
-    return [_float_or_array(v) for v in _g_lambda(x**s, (x + 1.0) ** s)]
+    require(x >= 0.0, "occupation must be >= 0, got {}", x)
+    return [float_or_array(v) for v in _g_lambda(x**s, (x + 1.0) ** s)]
 
 
 def g_s(x, s):
@@ -119,27 +114,23 @@ class StateLanes(NamedTuple):
 
 
 def stack_states(states: Params | Sequence[Params] | StateLanes) -> StateLanes:
-    """Lanes of a sequence of states of one mode count; one state gives 0-d lanes."""
+    """Lanes of one state (0-d lanes, plain float factors), a stack, or a sequence of states."""
     if isinstance(states, StateLanes):
         return states
-    one = isinstance(states, (SqueezedThermalParamsSingle, SqueezedThermalParamsTwo))
-    rows = [states] if one else list(states)
-    if all(isinstance(p, SqueezedThermalParamsSingle) for p in rows):
-        cols = [(p.n_t, p.n_t + 1.0, math.exp(2.0 * p.r)) for p in rows]
-    elif all(isinstance(p, SqueezedThermalParamsTwo) for p in rows):
-        cols = [
-            (p.n_t1, p.n_t2, p.n_t1 + 1.0, p.n_t2 + 1.0,
-             math.cosh(p.r) ** 2, math.sinh(p.r) ** 2, math.cosh(p.r) * math.sinh(p.r))
-            for p in rows
-        ]
+    p = states
+    if not isinstance(p, (SqueezedThermalParamsSingle, SqueezedThermalParamsTwo)):
+        kinds = {type(q) for q in states}
+        if len(kinds) != 1 or not kinds <= {SqueezedThermalParamsSingle, SqueezedThermalParamsTwo}:
+            raise TypeError("states must be squeezed thermal parameters of one mode count")
+        p = kinds.pop()(*(np.array(col, dtype=float) for col in zip(*(q.fields() for q in states))))
+    if isinstance(p, SqueezedThermalParamsSingle):
+        bases, squeeze = [p.n_t, p.n_t + 1.0], [libm(lambda r: math.exp(2.0 * r), p.r)]
     else:
-        raise TypeError("states must be squeezed thermal parameters of one mode count")
-    table = np.array(cols, dtype=float).reshape(len(rows), -1).T
-    split = 2 if len(table) == 3 else 4
-    if one:
-        # plain floats: they only ever meet the arithmetic of one lane
-        return StateLanes(table[:split, 0], table[split:, 0].tolist())
-    return StateLanes(table[:split], table[split:])
+        bases = [p.n_t1, p.n_t2, p.n_t1 + 1.0, p.n_t2 + 1.0]
+        squeeze = [libm(f, p.r) for f in (lambda r: math.cosh(r) ** 2, lambda r: math.sinh(r) ** 2,
+                                          lambda r: math.cosh(r) * math.sinh(r))]
+    # one state keeps plain floats: they only ever meet the arithmetic of one lane
+    return StateLanes(np.array(bases, dtype=float), squeeze if not p.shape else np.array(squeeze))
 
 
 def _powers(bases: np.ndarray, s) -> np.ndarray | list[float]:
@@ -153,17 +144,6 @@ def _powers(bases: np.ndarray, s) -> np.ndarray | list[float]:
         bases = bases.reshape(bases.shape[:1] + (1,) * extra + bases.shape[1:])
     out = bases**s
     return out.tolist() if out.ndim == 1 else out
-
-
-def _select(c, p, q):
-    # lane-wise choice; a lone lane carries plain scalars and a plain branch
-    if isinstance(c, np.ndarray):
-        return np.where(c, p, q)
-    return p if c else q
-
-
-def _any(c) -> bool:
-    return bool(c.any() if isinstance(c, np.ndarray) else c)
 
 
 def minimize_scalar_golden(f, lo, hi, tol: float, grid_points: int = _GRID_POINTS):
@@ -184,30 +164,30 @@ def minimize_scalar_golden(f, lo, hi, tol: float, grid_points: int = _GRID_POINT
     xs = lo + (hi - lo) * k / (grid_points - 1)
     fs = f(xs)
     best = np.argmin(fs, axis=0)[None]
-    # a lone lane steps on plain floats
-    a = _float_or_array(np.take_along_axis(xs, np.maximum(best - 1, 0), 0)[0])
-    b = _float_or_array(np.take_along_axis(xs, np.minimum(best + 1, grid_points - 1), 0)[0])
+    # a lone lane steps on plain floats, with plain branches in select
+    a = float_or_array(np.take_along_axis(xs, np.maximum(best - 1, 0), 0)[0])
+    b = float_or_array(np.take_along_axis(xs, np.minimum(best + 1, grid_points - 1), 0)[0])
 
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
     active = b - a > tol
-    while _any(active):
+    while any_of(active):
         left = f1 <= f2
         # only the bracket of a frozen lane must stay; its points no longer count
         go_left = active & left
-        b = _select(go_left, x2, b)
-        a = _select(active ^ go_left, x1, a)
-        x = _select(left, b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a))
+        b = select(go_left, x2, b)
+        a = select(active ^ go_left, x1, a)
+        x = select(left, b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a))
         fx = f(x)
-        x1, x2, f1, f2 = _select(left, (x, x1, fx, f1), (x2, x, f2, fx))
+        x1, x2, f1, f2 = select(left, (x, x1, fx, f1), (x2, x, f2, fx))
         active = b - a > tol
 
     x = (a + b) / 2.0
     fx = f(x)
     for edge, f_edge in ((lo, fs[0]), (hi, fs[-1])):
         lower = f_edge < fx
-        x, fx = _select(lower, edge, x), _select(lower, f_edge, fx)
+        x, fx = select(lower, edge, x), select(lower, f_edge, fx)
     return (float(x), float(fx)) if lo.ndim == 0 else (x, fx)
 
 
@@ -226,7 +206,7 @@ def q_s_single(pa, pb, s):
     wb = lb + 0.5
     (e2a,), (e2b,) = a.squeeze, b.squeeze
     det = (wa * e2a + wb * e2b) * (wa / e2a + wb / e2b)
-    return _float_or_array(ga * gb / np.sqrt(det))
+    return float_or_array(ga * gb / np.sqrt(det))
 
 
 def q_s_two(pa, pb, s):
@@ -252,7 +232,7 @@ def q_s_two(pa, pb, s):
     xa, ya, za = blocks(a, la1 + 0.5, la2 + 0.5)
     xb, yb, zb = blocks(b, lb1 + 0.5, lb2 + 0.5)
     x, y, z = xa + xb, ya + yb, za + zb
-    return _float_or_array(pi_s / (x * y - z * z))
+    return float_or_array(pi_s / (x * y - z * z))
 
 
 @dataclass(frozen=True)
@@ -260,7 +240,9 @@ class DiscriminationReport:
     """Chernoff-bound summary for discriminating two states with M copies.
 
     fidelity is only available on the pure-state path (where it coincides
-    with the overlap); the fidelity-based bounds are None without it.
+    with the overlap); the fidelity-based bounds are None without it.  The
+    report of a stack of pairs holds arrays of the stack shape, NaN where a
+    lane has no fidelity.
     """
 
     q: float
@@ -272,105 +254,109 @@ class DiscriminationReport:
     pe_fidelity_upper: float | None = None
 
 
-def error_bounds(
-    q: float, f: float | None, m: int
-) -> tuple[float | None, float, float | None]:
-    """(lower, Chernoff upper, fidelity upper) bounds on the M-copy error.
+def error_bounds(q, f, m: int):
+    """(lower, Chernoff upper, fidelity upper) bounds on the M-copy error, elementwise.
 
     P_e >= (1 - sqrt(1 - F^M)) / 2 and P_e <= F^(M/2) / 2 need the fidelity;
-    they are None when f is None.  P_e <= Q^M / 2 always.
+    they are None when f is None (NaN where an array f is NaN).  P_e <= Q^M / 2
+    always.  The powers come from Python's, one element at a time.
     """
-    if not (0.0 <= q <= 1.0 + 1e-12):
-        raise ValueError(f"Chernoff quantity must be in [0, 1], got {q}")
+    require((0.0 <= q) & (q <= 1.0 + 1e-12), "Chernoff quantity must be in [0, 1], got {}", q)
     if m < 1 or m != int(m):
         raise ValueError(f"copy count must be a positive integer, got {m}")
-    pe_upper = 0.5 * q**m
+    pe_upper = 0.5 * libm(lambda v: v**m, q)
     if f is None:
         return None, pe_upper, None
-    if not (0.0 <= f <= 1.0 + 1e-12):
-        raise ValueError(f"fidelity must be in [0, 1], got {f}")
-    pe_lower = 0.5 * (1.0 - math.sqrt(max(1.0 - f**m, 0.0)))
-    pe_fid_upper = 0.5 * f ** (m / 2.0)
+    ok = (0.0 <= f) & (f <= 1.0 + 1e-12)
+    require(ok | np.isnan(f) if np.ndim(f) else ok, "fidelity must be in [0, 1], got {}", f)
+    pe_lower = libm(lambda v: 0.5 * (1.0 - math.sqrt(max(1.0 - v**m, 0.0))), f)
+    pe_fid_upper = libm(lambda v: 0.5 * v ** (m / 2.0), f)
     return pe_lower, pe_upper, pe_fid_upper
 
 
-def _is_pure_single(p: SqueezedThermalParamsSingle) -> bool:
-    return p.n_t == 0.0
-
-
-def _is_pure_two(p: SqueezedThermalParamsTwo) -> bool:
+def _is_pure(p: Params) -> np.ndarray:
     # pure iff every symplectic eigenvalue n_t + 1/2 sits at the vacuum floor
-    return max(p.n_t1, p.n_t2) == 0.0
+    return np.all([n == 0.0 for n in p.fields()[1:]], axis=0)
 
 
-def _pure_report(pa: Params, pb: Params, pure_a: bool, copies: int) -> DiscriminationReport:
-    # the only branch that needs the CMs; the mixed one works on parameters
-    make = make_single_mode_st if isinstance(pa, SqueezedThermalParamsSingle) else make_two_mode_st
-    q = overlap(make(pa), make(pb))
-    pe_lower, pe_upper, pe_fid = error_bounds(q, q, copies)
-    return DiscriminationReport(
-        q=q,
-        s_star=0.0 if pure_a else 1.0,
-        copies=copies,
-        pe_upper=pe_upper,
-        fidelity=q,
-        pe_lower=pe_lower,
-        pe_fidelity_upper=pe_fid,
-    )
+def _minimize_mixed(parts: list, q: np.ndarray, s_star: np.ndarray) -> None:
+    """One golden section over the mixed lanes of parts, (q_s, pa, pb, positions) per mode count."""
+    lanes = sum(len(pos) for *_, pos in parts)
+    lone = lanes == 1
+    curves, start = [], 0
+    for q_s, pa, pb, pos in parts:
+        a, b = (stack_states(p.row(0) if lone else p) for p in (pa, pb))
+        curves.append((q_s, a, b, slice(start, start + len(pos))))
+        start += len(pos)
+
+    def curve(s):
+        if len(curves) == 1:
+            q_s, a, b, _ = curves[0]
+            return q_s(a, b, s)
+        return np.concatenate([q_s(a, b, s[..., sl]) for q_s, a, b, sl in curves], axis=-1)
+
+    lo = S_EPS if lone else np.full(lanes, S_EPS)
+    s_m, q_m = minimize_scalar_golden(curve, lo, 1.0 - S_EPS, S_TOL)
+    order = np.concatenate([pos for *_, pos in parts])
+    # min(q, 1.0) as Python takes it
+    q[order] = np.where(1.0 < q_m, 1.0, q_m)
+    s_star[order] = s_m
 
 
 def qcb_batch(pairs: Sequence[tuple[Params, Params]], copies: int = 1) -> list[DiscriminationReport]:
     """Quantum Chernoff bound of every (pa, pb) pair, in one minimization.
 
-    A pair with a pure state takes the overlap: rho^s is then constant in s
-    and the infimum sits at the boundary, where Q equals Tr[rho_a rho_b];
-    that path also reports the fidelity (equal to the overlap since at least
-    one state is pure) and the fidelity-based error bounds.  All other pairs,
-    single- and two-mode alike, are lanes of one golden section over s in
-    [1e-6, 1 - 1e-6] to 1e-10.  Reports come back in the order of the pairs.
+    A pair is two states or two stacks of one mode count (shapes broadcast);
+    its report holds floats, or arrays of the stack shape.  A lane with a
+    pure state takes the overlap: rho^s is constant in s, so the infimum
+    sits at the boundary, where Q equals Tr[rho_a rho_b], which is also the
+    fidelity (one state is pure) and gives the fidelity bounds.  The pure
+    lanes of a mode count share one stacked overlap; all other lanes share
+    one golden section over s in [1e-6, 1 - 1e-6] to 1e-10.
     """
     if copies < 1:
         raise ValueError(f"copy count must be >= 1, got {copies}")
-    reports: list[DiscriminationReport | None] = [None] * len(pairs)
-    mixed: dict[type, list[int]] = {SqueezedThermalParamsSingle: [], SqueezedThermalParamsTwo: []}
-    for k, (pa, pb) in enumerate(pairs):
+    kinds: dict[type, list] = {SqueezedThermalParamsSingle: [], SqueezedThermalParamsTwo: []}
+    slots, total = [], 0  # (shape, first lane) of every pair
+    for pa, pb in pairs:
         if type(pa) is not type(pb):
             raise TypeError(f"mode mismatch: {type(pa).__name__} vs {type(pb).__name__}")
-        if isinstance(pa, SqueezedThermalParamsSingle):
-            pure_a, pure_b = _is_pure_single(pa), _is_pure_single(pb)
-        elif isinstance(pa, SqueezedThermalParamsTwo):
-            pure_a, pure_b = _is_pure_two(pa), _is_pure_two(pb)
-        else:
+        if type(pa) not in kinds:
             raise TypeError(f"unsupported parameter type {type(pa).__name__}")
-        if pure_a or pure_b:
-            reports[k] = _pure_report(pa, pb, pure_a, copies)
-        else:
-            mixed[type(pa)].append(k)
+        shape = np.broadcast_shapes(pa.shape, pb.shape)
+        size = math.prod(shape)
+        flat = [[np.ravel(v) if p.shape == shape else np.broadcast_to(v, shape).ravel() for v in p.fields()]
+                for p in (pa, pb)]
+        kinds[type(pa)].append((*flat, np.arange(total, total + size)))
+        slots.append((shape, total))
+        total += size
 
-    order = mixed[SqueezedThermalParamsSingle] + mixed[SqueezedThermalParamsTwo]
-    if not order:
-        return reports
-    # a lone pair runs on 0-d lanes, so its arithmetic stays on plain floats
-    lone = len(order) == 1
-    parts, start = [], 0
-    for q_s, ks in ((q_s_single, mixed[SqueezedThermalParamsSingle]), (q_s_two, mixed[SqueezedThermalParamsTwo])):
-        if ks:
-            a, b = (stack_states(pairs[ks[0]][i] if lone else [pairs[k][i] for k in ks]) for i in (0, 1))
-            parts.append((q_s, a, b, slice(start, start + len(ks))))
-            start += len(ks)
+    q, s_star, fid = np.empty(total), np.empty(total), np.full(total, np.nan)
+    parts = []
+    for kind, entries in kinds.items():
+        if not entries:
+            continue
+        pa, pb = (kind._of([np.concatenate(col) for col in zip(*(e[i] for e in entries))]) for i in (0, 1))
+        pos = np.concatenate([e[2] for e in entries])
+        pure_a = _is_pure(pa)
+        pure = pure_a | _is_pure(pb)
+        if pure.any():
+            make = make_single_mode_st if kind is SqueezedThermalParamsSingle else make_two_mode_st
+            q[pos[pure]] = fid[pos[pure]] = overlap(make(pa.take(pure)), make(pb.take(pure)))
+            s_star[pos[pure]] = np.where(pure_a[pure], 0.0, 1.0)
+        if not pure.all():
+            q_s = q_s_single if kind is SqueezedThermalParamsSingle else q_s_two
+            parts.append((q_s, pa.take(~pure), pb.take(~pure), pos[~pure]))
+    if parts:
+        _minimize_mixed(parts, q, s_star)
 
-    def curve(s):
-        if len(parts) == 1:
-            q_s, a, b, _ = parts[0]
-            return q_s(a, b, s)
-        return np.concatenate([q_s(a, b, s[..., lanes]) for q_s, a, b, lanes in parts], axis=-1)
-
-    lo = S_EPS if lone else np.full(len(order), S_EPS)
-    s_star, q = minimize_scalar_golden(curve, lo, 1.0 - S_EPS, S_TOL)
-    for k, s_k, q_k in zip(order, np.atleast_1d(s_star).tolist(), np.atleast_1d(q).tolist()):
-        q_k = min(q_k, 1.0)
-        _, pe_upper, _ = error_bounds(q_k, None, copies)
-        reports[k] = DiscriminationReport(q=q_k, s_star=s_k, copies=copies, pe_upper=pe_upper)
+    reports = []
+    for shape, start in slots:
+        q_k, s_k, f_k = (x[start : start + math.prod(shape)].reshape(shape) for x in (q, s_star, fid))
+        if not shape:
+            q_k, s_k, f_k = float(q_k), float(s_k), None if np.isnan(f_k) else float(f_k)
+        pe_lower, pe_upper, pe_fid = error_bounds(q_k, f_k, copies)
+        reports.append(DiscriminationReport(q_k, s_k, copies, pe_upper, f_k, pe_lower, pe_fid))
     return reports
 
 

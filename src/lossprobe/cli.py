@@ -65,16 +65,25 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+# flag domains: a test and its wording; NaN fails every test
+_UNIT = (lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
+_FINITE_NONNEGATIVE = (lambda x: 0.0 <= x < math.inf, "a finite number >= 0")
+_FINITE_POSITIVE = (lambda x: 0.0 < x < math.inf, "a finite number > 0")
+
+
+def _require(args: argparse.Namespace, flag: str, ok, domain: str) -> None:
+    """UsageError unless the flag is unset or its value passes ok."""
+    value = getattr(args, flag[2:].replace("-", "_"))
+    if value is not None and not ok(value):
+        raise UsageError(f"{flag} must be {domain}, got {value}")
+
+
 def _channel_from_args(args: argparse.Namespace) -> LossChannel:
     if (args.eta is None) == (args.damping is None):
         raise UsageError("exactly one of --eta or --damping is required")
-    if args.eta is not None:
-        if not 0.0 < args.eta <= 1.0:
-            raise UsageError(f"--eta must be in (0, 1], got {args.eta}")
-        return LossChannel.from_eta(args.eta)
-    if args.damping < 0:
-        raise UsageError(f"--damping must be >= 0, got {args.damping}")
-    return LossChannel.from_gamma(args.damping)
+    _require(args, "--eta", lambda x: 0.0 < x <= 1.0, "in (0, 1]")
+    _require(args, "--damping", *_FINITE_NONNEGATIVE)
+    return LossChannel.from_eta(args.eta) if args.eta is not None else LossChannel.from_gamma(args.damping)
 
 
 def _meta_lines(command: str, params: dict) -> list[str]:
@@ -128,15 +137,12 @@ def _outdir(args: argparse.Namespace) -> str:
 
 def cmd_qcb(args: argparse.Namespace) -> int:
     ch = _channel_from_args(args)
-    if args.n < 0:
-        raise UsageError(f"--n must be >= 0, got {args.n}")
-    if not 0.0 <= args.beta <= 1.0:
-        raise UsageError(f"--beta must be in [0, 1], got {args.beta}")
-    if args.copies < 1:
-        raise UsageError(f"--copies must be >= 1, got {args.copies}")
+    _require(args, "--n", *_FINITE_NONNEGATIVE)
+    _require(args, "--beta", *_UNIT)
+    _require(args, "--copies", lambda c: c >= 1, ">= 1")
     gamma = args.gamma if args.modes == 2 else None
-    if gamma is not None and not 0.0 <= gamma <= 1.0:
-        raise UsageError(f"--gamma must be in [0, 1], got {gamma}")
+    if args.modes == 2:
+        _require(args, "--gamma", *_UNIT)
     spec = ProbeSpec(modes=args.modes, n=args.n, beta=args.beta, gamma=gamma)
     report = discriminate(spec, ch, copies=args.copies)
     payload = {k: v for k, v in asdict(report).items() if v is not None}
@@ -145,12 +151,10 @@ def cmd_qcb(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.samples < 1:
-        raise UsageError(f"--samples must be >= 1, got {args.samples}")
-    if not 0.0 <= args.gamma <= 1.0:
-        raise UsageError(f"--gamma must be in [0, 1], got {args.gamma}")
-    if args.n_max <= 0 or args.damping_max <= 0:
-        raise UsageError("--n-max and --damping-max must be positive")
+    _require(args, "--samples", lambda k: k >= 1, ">= 1")
+    _require(args, "--gamma", *_UNIT)
+    _require(args, "--n-max", *_FINITE_POSITIVE)
+    _require(args, "--damping-max", *_FINITE_POSITIVE)
     ranges = SweepRanges(n_max=args.n_max, gamma_ch_max=args.damping_max)
     records = random_sweep(args.samples, args.gamma, args.seed, ranges)
     positive = sum(1 for r in records if r.delta_q > 0) / len(records)
@@ -177,8 +181,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     if (args.eta is None) == (args.eta_grid is None):
         raise UsageError("exactly one of --eta or --eta-grid is required")
     if args.eta is not None:
-        if not 0.0 < args.eta < 1.0:
-            raise UsageError(f"--eta must be in (0, 1), got {args.eta}")
+        _require(args, "--eta", lambda x: 0.0 < x < 1.0, "in (0, 1)")
         _report_out(args, {"eta": args.eta, "n_threshold": threshold_energy(args.eta)})
         return 0
     try:
@@ -215,12 +218,9 @@ def cmd_critical(args: argparse.Namespace) -> int:
 
 
 def cmd_correlations(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        raise UsageError(f"--n must be >= 0, got {args.n}")
-    if not 0.0 <= args.beta <= 1.0:
-        raise UsageError(f"--beta must be in [0, 1], got {args.beta}")
-    if not 0.0 <= args.gamma <= 1.0:
-        raise UsageError(f"--gamma must be in [0, 1], got {args.gamma}")
+    _require(args, "--n", *_FINITE_NONNEGATIVE)
+    _require(args, "--beta", *_UNIT)
+    _require(args, "--gamma", *_UNIT)
     spec = ProbeSpec(modes=2, n=args.n, beta=args.beta, gamma=args.gamma)
     payload = asdict(correlation_report(make_two_mode_st(params_from_spec(spec))))
     if args.bits:
@@ -232,10 +232,8 @@ def cmd_correlations(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.dim is not None and args.dim < 2:
-        raise UsageError(f"--dim must be >= 2, got {args.dim}")
-    if args.tail_tol is not None and not 0.0 < args.tail_tol < 1.0:
-        raise UsageError(f"--tail-tol must be in (0, 1), got {args.tail_tol}")
+    _require(args, "--dim", lambda d: d >= 2, ">= 2")
+    _require(args, "--tail-tol", lambda x: 0.0 < x < 1.0, "in (0, 1)")
     results = run_all(dim=args.dim, tail_tol=args.tail_tol)
     width = max(len(f"{r.case}: {r.check}") for r in results)
     failures = 0
@@ -265,7 +263,7 @@ def _figure_3(args: argparse.Namespace, outdir: str) -> list[str]:
     gammas = (0.1, 0.3, 1.0)
     n_col = np.tile(np.linspace(0.0, 10.0, args.points), len(gammas))
     g_col = [g for g in gammas for _ in range(args.points)]
-    chs = [LossChannel.from_gamma(g) for g in g_col]
+    chs = [ch for ch in map(LossChannel.from_gamma, gammas) for _ in range(args.points)]
     rows = list(zip(n_col.tolist(), g_col, q1(n_col, 1.0, chs).tolist(), q2(n_col, 1.0, 1.0, chs).tolist()))
     path = os.path.join(outdir, "figure3.csv")
     _write_csv(path, ["N", "Gamma", "Q1", "Q2"], rows, _meta_lines("figure 3", {"points": args.points}))
@@ -305,7 +303,8 @@ def _figure_5(args: argparse.Namespace, outdir: str) -> list[str]:
     return written
 
 
-def _input_cm(n: float, beta: float) -> CovarianceMatrix:
+def _input_cms(n, beta) -> CovarianceMatrix:
+    """One CM stack of the gamma-bar two-mode probes at every (N, beta)."""
     return make_two_mode_st(params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=GAMMA_BAR)))
 
 
@@ -314,13 +313,11 @@ def _figure_6(args: argparse.Namespace, outdir: str) -> list[str]:
     betas = [args.beta] if args.beta is not None else [0.1, 0.9]
     ns = np.linspace(5.0 / args.points, 5.0, args.points)
     for beta in betas:
-        reps = [correlation_report(_input_cm(n, beta)) for n in ns.tolist()]
+        rep = correlation_report(_input_cms(ns, beta))
+        quantities = [rep.log_negativity.tolist(), rep.discord.tolist(), rep.mutual_information.tolist()]
         for g in (0.9, 0.5, 0.1):
             gaps = delta_q_gamma(ns, beta, GAMMA_BAR, LossChannel.from_gamma(g))
-            rows = [
-                [n, rep.log_negativity, rep.discord, rep.mutual_information, gap]
-                for n, rep, gap in zip(ns.tolist(), reps, gaps.tolist())
-            ]
+            rows = [list(row) for row in zip(ns.tolist(), *quantities, gaps.tolist())]
             path = os.path.join(outdir, f"figure6_curves_beta{beta:g}_Gamma{g:g}.csv")
             meta = _meta_lines(
                 "figure 6", {"beta": beta, "Gamma": g, "gamma-bar": GAMMA_BAR, "points": args.points}
@@ -328,13 +325,11 @@ def _figure_6(args: argparse.Namespace, outdir: str) -> list[str]:
             _write_csv(path, ["N", "E", "D", "I", "deltaQ"], rows, meta)
             written.append(path)
     n_col, b_col = _grid(args)
-    cms = [_input_cm(n, b) for n, b in zip(n_col.tolist(), b_col.tolist())]
+    cms = _input_cms(n_col, b_col)
+    quantities = [discord(cms).tolist(), log_negativity(cms).tolist()]
     for g in (0.2, 0.8):
         gaps = delta_q_gamma(n_col, b_col, GAMMA_BAR, LossChannel.from_gamma(g))
-        rows = [
-            [n, b, discord(cm), log_negativity(cm), gap]
-            for n, b, cm, gap in zip(n_col.tolist(), b_col.tolist(), cms, gaps.tolist())
-        ]
+        rows = [list(row) for row in zip(n_col.tolist(), b_col.tolist(), *quantities, gaps.tolist())]
         path = os.path.join(outdir, f"figure6_density_Gamma{g:g}.csv")
         meta = _meta_lines("figure 6", {"Gamma": g, "gamma-bar": GAMMA_BAR, "points": args.points})
         _write_csv(path, ["N", "beta", "D", "E", "deltaQ"], rows, meta)
@@ -343,10 +338,9 @@ def _figure_6(args: argparse.Namespace, outdir: str) -> list[str]:
     draws = random_probes(args.samples, args.seed, stream=1)
     n_col, b_col, g_col = (np.array(col) for col in zip(*draws))
     gaps = delta_q_gamma(n_col, b_col, GAMMA_BAR, [LossChannel.from_gamma(g) for g in g_col.tolist()])
-    rows = []
-    for (n, b, g), gap in zip(draws, gaps.tolist()):
-        rep = correlation_report(_input_cm(n, b))
-        rows.append([n, b, g, rep.log_negativity, rep.discord, rep.mutual_information, gap])
+    rep = correlation_report(_input_cms(n_col, b_col))
+    quantities = [rep.log_negativity.tolist(), rep.discord.tolist(), rep.mutual_information.tolist()]
+    rows = [[*draw, *values] for draw, *values in zip(draws, *quantities, gaps.tolist())]
     path = os.path.join(outdir, "figure6_scatter.csv")
     meta = _meta_lines("figure 6", {"samples": args.samples, "seed": args.seed, "gamma-bar": GAMMA_BAR})
     _write_csv(path, ["N", "beta", "Gamma", "E", "D", "I", "deltaQ"], rows, meta)
@@ -381,14 +375,10 @@ def _write_gnuplot(figure: int, outdir: str, files: list[str]) -> str:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    if args.points < 2:
-        raise UsageError(f"--points must be >= 2, got {args.points}")
-    if args.samples < 1:
-        raise UsageError(f"--samples must be >= 1, got {args.samples}")
-    if args.gamma is not None and not 0.0 <= args.gamma <= 1.0:
-        raise UsageError(f"--gamma must be in [0, 1], got {args.gamma}")
-    if args.beta is not None and not 0.0 <= args.beta <= 1.0:
-        raise UsageError(f"--beta must be in [0, 1], got {args.beta}")
+    _require(args, "--points", lambda k: k >= 2, ">= 2")
+    _require(args, "--samples", lambda k: k >= 1, ">= 1")
+    _require(args, "--gamma", *_UNIT)
+    _require(args, "--beta", *_UNIT)
     outdir = _outdir(args)
     builders = {2: _figure_2, 3: _figure_3, 4: _figure_4, 5: _figure_5, 6: _figure_6}
     files = builders[args.id](args, outdir)

@@ -7,6 +7,11 @@ form (diagonal local blocks proportional to I2, correlation block
 proportional to diag(1, -1)), which is the form every state in this package
 lives in.
 
+Every quantifier takes one CM or a stack (see `gaussian`), a state getting
+the same bits alone and in any stack.  They stay on the CM spectra rather
+than closed forms in the parameters: figure 6 keeps those routes' roundoff
+in D near zero.
+
 The mutual information here carries a global factor 1/2 relative to the
 usual S(A) + S(B) - S(AB); with it, a pure two-mode state has I equal to its
 entanglement entropy instead of twice it.  Pass half_convention=False for
@@ -18,10 +23,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gaussian import (
     PHYSICALITY_TOL,
     VACUUM_NOISE,
     CovarianceMatrix,
+    any_of,
+    at_least_zero,
+    float_or_array,
+    libm,
+    require,
+    select,
     symplectic_eigenvalues,
     symplectic_invariants,
 )
@@ -29,13 +42,13 @@ from .gaussian import (
 _FORM_TOL = 1e-9
 
 
-def _vacuum_floor(x: float) -> float:
+def _vacuum_floor(x):
     # Entropy arguments of a validated state sit at or above 1/2; roundoff
     # (notably in the conditional eigenvalue w) can undershoot the floor.
-    return max(x, VACUUM_NOISE)
+    return select(VACUUM_NOISE > x, VACUUM_NOISE, x)
 
 
-def pt_symplectic_eigenvalues(cm: CovarianceMatrix) -> tuple[float, float]:
+def pt_symplectic_eigenvalues(cm: CovarianceMatrix):
     """Symplectic eigenvalues (d+, d-) of the partial transpose.
 
     Same closed form as the ordinary spectrum with Delta replaced by
@@ -43,26 +56,21 @@ def pt_symplectic_eigenvalues(cm: CovarianceMatrix) -> tuple[float, float]:
     """
     i1, i2, i3, i4, _, delta_t = symplectic_invariants(cm)
     disc = delta_t * delta_t - 4.0 * i4
-    if disc < -PHYSICALITY_TOL:
-        raise ArithmeticError(f"partial-transpose discriminant is negative: {disc:.3e}")
-    d_plus = math.sqrt((delta_t + math.sqrt(max(disc, 0.0))) / 2.0)
-    d_minus = math.sqrt(max(i4, 0.0)) / d_plus
-    return d_plus, d_minus
+    if any_of(disc < -PHYSICALITY_TOL):
+        raise ArithmeticError(f"partial-transpose discriminant is negative: {np.min(disc):.3e}")
+    d_plus = np.sqrt((delta_t + np.sqrt(select(0.0 > disc, 0.0, disc))) / 2.0)
+    d_minus = np.sqrt(select(0.0 > i4, 0.0, i4)) / d_plus
+    return float_or_array(d_plus), float_or_array(d_minus)
 
 
-def log_negativity(cm: CovarianceMatrix) -> float:
+def log_negativity(cm: CovarianceMatrix):
     """E = max(0, -ln 2 d-) with d- the smaller partial-transpose eigenvalue."""
     _, d_minus = pt_symplectic_eigenvalues(cm)
-    return max(0.0, -math.log(2.0 * d_minus))
+    e = -libm(math.log, 2.0 * d_minus)
+    return float_or_array(select(e > 0.0, e, 0.0))
 
 
-def binary_entropy_h(x: float) -> float:
-    """h(x) = (x + 1/2) ln(x + 1/2) - (x - 1/2) ln(x - 1/2) for x >= 1/2.
-
-    The entropy of a thermal mode with symplectic eigenvalue x; h(1/2) = 0.
-    """
-    if x < VACUUM_NOISE - 1e-9:
-        raise ValueError(f"entropy argument must be >= 1/2, got {x}")
+def _entropy(x: float) -> float:
     lo = max(x - VACUUM_NOISE, 0.0)
     out = (x + VACUUM_NOISE) * math.log(x + VACUUM_NOISE)
     if lo > 0.0:
@@ -70,29 +78,27 @@ def binary_entropy_h(x: float) -> float:
     return out
 
 
-def _require_normal_form(cm: CovarianceMatrix) -> tuple[float, float, float]:
+def binary_entropy_h(x):
+    """h(x) = (x + 1/2) ln(x + 1/2) - (x - 1/2) ln(x - 1/2) for x >= 1/2, elementwise.
+
+    The entropy of a thermal mode with symplectic eigenvalue x; h(1/2) = 0.
+    """
+    require(np.greater_equal(x, VACUUM_NOISE - 1e-9), "entropy argument must be >= 1/2, got {}", x)
+    return libm(_entropy, x)
+
+
+def _require_normal_form(cm: CovarianceMatrix) -> None:
     m = cm.mat
-    a = m[0, 0]
-    b = m[2, 2]
-    c = m[0, 2]
-    ref = abs(a) + abs(b) + abs(c)
-    dev = max(
-        abs(m[1, 1] - a),
-        abs(m[3, 3] - b),
-        abs(m[1, 3] + c),
-        abs(m[0, 1]),
-        abs(m[2, 3]),
-        abs(m[0, 3]),
-        abs(m[1, 2]),
-    )
-    if dev > _FORM_TOL * max(ref, 1.0):
+    a, b, c = m[..., 0, 0], m[..., 2, 2], m[..., 0, 2]
+    off = [m[..., 1, 1] - a, m[..., 3, 3] - b, m[..., 1, 3] + c]
+    off += [m[..., i, j] for i, j in ((0, 1), (2, 3), (0, 3), (1, 2))]
+    if np.any(np.max(np.abs(off), axis=0) > _FORM_TOL * np.maximum(abs(a) + abs(b) + abs(c), 1.0)):
         raise ValueError(
             "state is not in block normal form (local blocks x I2, correlations x diag(1,-1))"
         )
-    return a, b, c
 
 
-def discord(cm: CovarianceMatrix) -> float:
+def discord(cm: CovarianceMatrix):
     """Gaussian quantum discord of a two-mode state in block normal form.
 
     D = h(sqrt(I2)) - h(d-) - h(d+) + h(w) with
@@ -103,19 +109,19 @@ def discord(cm: CovarianceMatrix) -> float:
     _require_normal_form(cm)
     i1, i2, i3, _, _, _ = symplectic_invariants(cm)
     d_plus, d_minus = symplectic_eigenvalues(cm)
-    w = (math.sqrt(i1) + 2.0 * math.sqrt(i1 * i2) + 2.0 * i3) / (1.0 + 2.0 * math.sqrt(i2))
+    w = (np.sqrt(i1) + 2.0 * np.sqrt(i1 * i2) + 2.0 * i3) / (1.0 + 2.0 * np.sqrt(i2))
     d = (
-        binary_entropy_h(math.sqrt(i2))
+        binary_entropy_h(np.sqrt(i2))
         - binary_entropy_h(_vacuum_floor(d_minus))
         - binary_entropy_h(_vacuum_floor(d_plus))
         + binary_entropy_h(_vacuum_floor(w))
     )
-    if d < -1e-10:
-        raise ArithmeticError(f"discord came out negative beyond roundoff: {d:.3e}")
-    return max(d, 0.0)
+    if any_of(d < -1e-10):
+        raise ArithmeticError(f"discord came out negative beyond roundoff: {np.min(d):.3e}")
+    return at_least_zero(d)
 
 
-def mutual_information(cm: CovarianceMatrix, half_convention: bool = True) -> float:
+def mutual_information(cm: CovarianceMatrix, half_convention: bool = True):
     """I = (1/2) [h(sqrt(I1)) + h(sqrt(I2)) - h(d+) - h(d-)].
 
     half_convention=False drops the leading 1/2.
@@ -123,19 +129,19 @@ def mutual_information(cm: CovarianceMatrix, half_convention: bool = True) -> fl
     i1, i2, _, _, _, _ = symplectic_invariants(cm)
     d_plus, d_minus = symplectic_eigenvalues(cm)
     i = (
-        binary_entropy_h(math.sqrt(i1))
-        + binary_entropy_h(math.sqrt(i2))
+        binary_entropy_h(np.sqrt(i1))
+        + binary_entropy_h(np.sqrt(i2))
         - binary_entropy_h(_vacuum_floor(d_plus))
         - binary_entropy_h(_vacuum_floor(d_minus))
     )
     if half_convention:
         i *= 0.5
-    return max(i, 0.0)
+    return at_least_zero(i)
 
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """E, D, I (nats) and the smaller partial-transpose eigenvalue."""
+    """E, D, I (nats) and the smaller partial-transpose eigenvalue; arrays for a stack."""
 
     log_negativity: float
     discord: float
@@ -144,7 +150,7 @@ class CorrelationReport:
 
 
 def correlation_report(cm: CovarianceMatrix) -> CorrelationReport:
-    """All three quantifiers of a two-mode state in one pass."""
+    """All three quantifiers of a two-mode state (or stack) in one pass."""
     _, d_minus = pt_symplectic_eigenvalues(cm)
     return CorrelationReport(
         log_negativity=log_negativity(cm),

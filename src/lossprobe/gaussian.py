@@ -1,13 +1,19 @@
-"""Gaussian states of one and two bosonic modes.
+"""Gaussian states of one and two bosonic modes, one state or a stack.
 
 The states of interest are squeezed thermal states: a thermal state squeezed
 along the q axis, so the q variance is the large one (a >= b).  They are
 carried as their parameters (squeezing r, thermal occupations n_t), which is
 all the loss channel and the Chernoff bound need.  Covariance matrices (CMs)
-are built from the parameters only where the matrix itself is needed: the
-overlap of a pure pair, the symplectic spectra and correlation quantifiers,
-and the round-trip check of the channel's parameter recovery.  A CM is
-validated once, when it is built.
+are built only where the matrix itself is needed: the overlap of a pure
+pair, the spectra and correlation quantifiers, and the round-trip check of
+the channel's recovery.
+
+Everything here takes one state or a stack: parameter fields are floats or
+arrays of one shape, a `CovarianceMatrix` holds (..., 2n, 2n) and is
+validated once, a whole stack in one call, and the spectra and the overlap
+give one value per state (floats for one state).  A state gets the same
+bits alone as in any stack: arithmetic, sqrt and the batched LAPACK calls
+act per matrix, and every transcendental comes from `math` (`libm`).
 
 CMs use the vacuum normalized to 1/2, i.e. sigma_vac = I/2, hbar = 1, and
 quadratures ordered (q1, p1, q2, p2, ...).  All entropic quantities
@@ -25,13 +31,67 @@ VACUUM_NOISE = 0.5
 
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-10
-PURITY_TOL = 1e-9
 
 _OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 class UnphysicalStateError(ValueError):
     """Raised when a matrix fails the uncertainty-principle test."""
+
+
+def libm(f, x):
+    """f, a scalar function of `math` calls, at every element of x (a float for a scalar).
+
+    numpy's exp, cosh, sinh, arcsinh and power differ from libm in the last
+    bit for up to a quarter of arguments (Python's x ** 2 from x * x for a
+    few in 10^4), and the outputs keep libm's bits.
+    """
+    if isinstance(x, float) or np.ndim(x) == 0:
+        return f(float(x))
+    x = np.asarray(x, dtype=float)
+    return np.array([f(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+
+
+def float_or_array(x):
+    """A 0-d result as a Python float, any other as the array."""
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
+
+
+def select(c, p, q):
+    """np.where(c, p, q) elementwise; a scalar c takes the plain branch, so floats stay floats."""
+    return np.where(c, p, q) if isinstance(c, np.ndarray) else (p if c else q)
+
+
+def at_least_zero(x):
+    """Python's max(x, 0.0) elementwise: -0.0 and NaN stay as they are."""
+    return float_or_array(select(0.0 > x, 0.0, x))
+
+
+def any_of(c) -> bool:
+    return bool(c.any() if isinstance(c, np.ndarray) else c)
+
+
+def require(ok, message: str, *values) -> None:
+    """ValueError(message) filled with each of values at the first element where ok fails."""
+    if not isinstance(ok, np.ndarray) or not ok.ndim:
+        if not ok:
+            raise ValueError(message.format(*values))
+    elif not ok.all():
+        k = np.argmin(ok.ravel())
+        raise ValueError(message.format(*(np.ravel(np.broadcast_to(v, ok.shape))[k].item() for v in values)))
+
+
+def nonnegative_finite(x):
+    if isinstance(x, float):
+        return x >= 0.0 and math.isfinite(x)
+    return (np.asarray(x) >= 0.0) & np.isfinite(x)
+
+
+def _worst(badness) -> str:
+    # the flat index of the worst matrix of a stack, NaN counting as worst
+    if not np.ndim(badness):
+        return ""
+    return f" (matrix {int(np.argmax(np.nan_to_num(badness, nan=np.inf)))} of the stack)"
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -44,59 +104,101 @@ def symplectic_form(n: int) -> np.ndarray:
     return out
 
 
-def det2(m: np.ndarray) -> float:
-    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+def det2(m: np.ndarray):
+    """Determinant of the 2 x 2 matrix on the last two axes, per matrix."""
+    return float_or_array(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
 
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """A physical covariance matrix.
+    """A physical covariance matrix, or a stack of them on the leading axes.
 
     Construction validates symmetry (to 1e-12) and the uncertainty relation
-    sigma + i Omega / 2 >= 0 (eigenvalues above -1e-10); the stored array is
-    made read-only.
+    sigma + i Omega / 2 >= 0 (eigenvalues above -1e-10) of every matrix in
+    one call; an error names the worst matrix of a stack.  The stored array
+    is made read-only.
     """
 
     mat: np.ndarray
 
     def __post_init__(self) -> None:
         m = np.array(self.mat, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 or m.shape[0] < 2:
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] % 2 or m.shape[-1] < 2:
             raise ValueError(f"covariance matrix must be 2n x 2n, got shape {m.shape}")
-        if not np.allclose(m, m.T, rtol=0.0, atol=SYMMETRY_TOL):
-            raise ValueError("covariance matrix is not symmetric")
-        m = (m + m.T) / 2.0
-        omega = symplectic_form(m.shape[0] // 2)
-        w = np.linalg.eigvalsh(m + 0.5j * omega)
-        if w.min() < -PHYSICALITY_TOL:
-            raise UnphysicalStateError(
-                f"uncertainty relation violated: min eig(sigma + i Omega/2) = {w.min():.3e}"
-            )
+        mt = m.swapaxes(-1, -2)
+        asym = np.abs(m - mt).max(axis=(-2, -1))
+        if not (asym <= SYMMETRY_TOL).all():
+            raise ValueError("covariance matrix is not symmetric" + _worst(asym))
+        m = (m + mt) / 2.0
+        w = np.linalg.eigvalsh(m + 0.5j * symplectic_form(m.shape[-1] // 2)).min(axis=-1)
+        if not (w >= -PHYSICALITY_TOL).all():
+            message = f"uncertainty relation violated: min eig(sigma + i Omega/2) = {w.min():.3e}"
+            raise UnphysicalStateError(message + _worst(-w))
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 
     @property
     def n(self) -> int:
         """Number of modes."""
-        return self.mat.shape[0] // 2
+        return self.mat.shape[-1] // 2
+
+
+class _ParameterStack:
+    """Fields that are all floats (one state) or arrays of one shape (a stack), each finite and >= 0."""
+
+    def __post_init__(self) -> None:
+        values = self.fields()
+        if any(type(v) is not float for v in values):
+            if any(np.ndim(v) for v in values):
+                values = [np.array(v, dtype=float) for v in np.broadcast_arrays(*values)]
+                for v in values:
+                    v.setflags(write=False)
+            else:
+                values = [float(v) if isinstance(v, (np.ndarray, np.generic)) else v for v in values]
+            for name, v in zip(self.__dataclass_fields__, values):
+                object.__setattr__(self, name, v)
+        for name, v in zip(self.__dataclass_fields__, values):
+            require(nonnegative_finite(v), f"{_FIELD_NAMES[name]} must be a finite float >= 0, got {{}}", v)
+
+    def fields(self) -> tuple:
+        # the instance dict holds exactly the dataclass fields, in order
+        return tuple(self.__dict__.values())
+
+    @property
+    def shape(self) -> tuple:
+        return getattr(self.r, "shape", ())
+
+    @classmethod
+    def _of(cls, values):
+        # fields taken from validated states: no second validation
+        out = object.__new__(cls)
+        for name, v in zip(cls.__dataclass_fields__, values):
+            object.__setattr__(out, name, v)
+        return out
+
+    def row(self, k: int):
+        """The state at flat index k, with float fields."""
+        return self._of([np.ravel(v)[k].item() for v in self.fields()])
+
+    def take(self, index):
+        """The flat sub-stack at `index` (a mask or indices into the flattened stack)."""
+        return self._of([np.ravel(v)[index] for v in self.fields()])
+
+
+_FIELD_NAMES = {"r": "squeezing", "n_t": "thermal occupation", "n_t1": "thermal occupation n_t1",
+                "n_t2": "thermal occupation n_t2"}
 
 
 @dataclass(frozen=True)
-class SqueezedThermalParamsSingle:
+class SqueezedThermalParamsSingle(_ParameterStack):
     """Single-mode squeezed thermal state: squeezing r >= 0, thermal photons n_t >= 0."""
 
     r: float
     n_t: float
 
-    def __post_init__(self) -> None:
-        if not (self.r >= 0.0 and math.isfinite(self.r)):
-            raise ValueError(f"squeezing must be a finite float >= 0, got {self.r}")
-        if not (self.n_t >= 0.0 and math.isfinite(self.n_t)):
-            raise ValueError(f"thermal occupation must be a finite float >= 0, got {self.n_t}")
-
 
 @dataclass(frozen=True)
-class SqueezedThermalParamsTwo:
+class SqueezedThermalParamsTwo(_ParameterStack):
     """Two-mode squeezed thermal state.
 
     A two-mode squeezer with parameter r >= 0 acting on a product of thermal
@@ -107,14 +209,6 @@ class SqueezedThermalParamsTwo:
     n_t1: float
     n_t2: float
 
-    def __post_init__(self) -> None:
-        if not (self.r >= 0.0 and math.isfinite(self.r)):
-            raise ValueError(f"squeezing must be a finite float >= 0, got {self.r}")
-        if not all(x >= 0.0 and math.isfinite(x) for x in (self.n_t1, self.n_t2)):
-            raise ValueError(
-                f"thermal occupations must be finite floats >= 0, got ({self.n_t1}, {self.n_t2})"
-            )
-
 
 def make_single_mode_st(p: SqueezedThermalParamsSingle) -> CovarianceMatrix:
     """CM of a single-mode squeezed thermal state, diag(a, b) with a >= b.
@@ -122,11 +216,14 @@ def make_single_mode_st(p: SqueezedThermalParamsSingle) -> CovarianceMatrix:
     a = (n_t + 1/2) e^{2r}, b = (n_t + 1/2) e^{-2r}.
     """
     nu = p.n_t + VACUUM_NOISE
-    return CovarianceMatrix(np.diag([nu * math.exp(2 * p.r), nu * math.exp(-2 * p.r)]))
+    m = np.zeros(p.shape + (2, 2))
+    m[..., 0, 0] = nu * libm(math.exp, 2 * p.r)
+    m[..., 1, 1] = nu * libm(math.exp, -2 * p.r)
+    return CovarianceMatrix(m)
 
 
-def two_mode_blocks(p: SqueezedThermalParamsTwo) -> tuple[float, float, float]:
-    """Block entries (A, B, C) of a two-mode squeezed thermal state.
+def two_mode_blocks(p: SqueezedThermalParamsTwo):
+    """Block entries (A, B, C) of a two-mode squeezed thermal state (or stack).
 
     Its CM is (1/2) [[A I2, C Z], [C Z, B I2]] with Z = diag(1, -1) and
 
@@ -134,8 +231,8 @@ def two_mode_blocks(p: SqueezedThermalParamsTwo) -> tuple[float, float, float]:
         B = cosh 2r + 2 n_t1 sinh^2 r + 2 n_t2 cosh^2 r
         C = (1 + n_t1 + n_t2) sinh 2r
     """
-    ch2, sh2 = math.cosh(2 * p.r), math.sinh(2 * p.r)
-    c2, s2 = math.cosh(p.r) ** 2, math.sinh(p.r) ** 2
+    ch2, sh2 = libm(math.cosh, 2 * p.r), libm(math.sinh, 2 * p.r)
+    c2, s2 = libm(lambda r: math.cosh(r) ** 2, p.r), libm(lambda r: math.sinh(r) ** 2, p.r)
     a = ch2 + 2 * p.n_t1 * c2 + 2 * p.n_t2 * s2
     b = ch2 + 2 * p.n_t1 * s2 + 2 * p.n_t2 * c2
     c = (1 + p.n_t1 + p.n_t2) * sh2
@@ -145,35 +242,36 @@ def two_mode_blocks(p: SqueezedThermalParamsTwo) -> tuple[float, float, float]:
 def make_two_mode_st(p: SqueezedThermalParamsTwo) -> CovarianceMatrix:
     """CM of a two-mode squeezed thermal state, assembled from two_mode_blocks."""
     a, b, c = two_mode_blocks(p)
-    m = np.zeros((4, 4))
-    m[:2, :2] = 0.5 * a * np.eye(2)
-    m[2:, 2:] = 0.5 * b * np.eye(2)
-    m[:2, 2:] = 0.5 * c * np.diag([1.0, -1.0])
-    m[2:, :2] = m[:2, 2:]
+    m = np.zeros(p.shape + (4, 4))
+    m[..., 0, 0] = m[..., 1, 1] = 0.5 * a
+    m[..., 2, 2] = m[..., 3, 3] = 0.5 * b
+    m[..., 0, 2] = m[..., 2, 0] = 0.5 * c
+    m[..., 1, 3] = m[..., 3, 1] = -0.5 * c
     return CovarianceMatrix(m)
 
 
-def symplectic_invariants(cm: CovarianceMatrix) -> tuple[float, float, float, float, float, float]:
+def symplectic_invariants(cm: CovarianceMatrix) -> tuple:
     """Local symplectic invariants (I1, I2, I3, I4, Delta, Delta_tilde) of a two-mode CM.
 
     I1, I2 are the determinants of the single-mode blocks, I3 of the
     correlation block, I4 = det sigma.  Delta = I1 + I2 + 2 I3 and
-    Delta_tilde = I1 + I2 - 2 I3 (the partial-transpose variant).
+    Delta_tilde = I1 + I2 - 2 I3 (the partial-transpose variant).  Floats
+    for one matrix, arrays over the stack otherwise.
     """
     if cm.n != 2:
         raise ValueError(f"symplectic invariants need a two-mode CM, got {cm.n} modes")
     m = cm.mat
-    i1 = det2(m[:2, :2])
-    i2 = det2(m[2:, 2:])
-    i3 = det2(m[:2, 2:])
+    i1 = det2(m[..., :2, :2])
+    i2 = det2(m[..., 2:, 2:])
+    i3 = det2(m[..., :2, 2:])
     # LU keeps det sigma accurate relative to its (small) value; the cofactor
     # expansion cancels from terms of order ||sigma||^4 and ruins d_pm
-    i4 = float(np.linalg.det(m))
+    i4 = float_or_array(np.linalg.det(m))
     return i1, i2, i3, i4, i1 + i2 + 2 * i3, i1 + i2 - 2 * i3
 
 
-def symplectic_eigenvalues(cm: CovarianceMatrix) -> tuple[float, ...]:
-    """Symplectic eigenvalues, sorted descending.
+def symplectic_eigenvalues(cm: CovarianceMatrix) -> tuple:
+    """Symplectic eigenvalues, sorted descending: one float (or array over the stack) per mode.
 
     One mode: sqrt(det sigma).  More modes: eigenvalues of the Hermitian
     matrix sqrt(sigma) (i Omega) sqrt(sigma), which is similar to i Omega
@@ -183,39 +281,26 @@ def symplectic_eigenvalues(cm: CovarianceMatrix) -> tuple[float, ...]:
     cancels to ~sqrt(eps).
     """
     if cm.n == 1:
-        return (math.sqrt(det2(cm.mat)),)
+        return (float_or_array(np.sqrt(det2(cm.mat))),)
     evals, evecs = np.linalg.eigh(cm.mat)
-    root = (evecs * np.sqrt(evals)) @ evecs.T
+    root = (evecs * np.sqrt(evals)[..., None, :]) @ evecs.swapaxes(-1, -2)
     herm = root @ (1j * symplectic_form(cm.n)) @ root
-    w = np.sort(np.linalg.eigvalsh(herm))[::-1]
+    w = np.sort(np.linalg.eigvalsh(herm), axis=-1)
     # spectrum is +/- d_k; the top half are the d_k themselves
-    return tuple(float(x) for x in w[: cm.n])
+    return tuple(float_or_array(w[..., -1 - k]) for k in range(cm.n))
 
 
-def overlap(cm_a: CovarianceMatrix, cm_b: CovarianceMatrix) -> float:
-    """Tr[rho_a rho_b] for zero-mean Gaussian states: 1 / sqrt(det(sigma_a + sigma_b))."""
+def overlap(cm_a: CovarianceMatrix, cm_b: CovarianceMatrix):
+    """Tr[rho_a rho_b] for zero-mean Gaussian states: 1 / sqrt(det(sigma_a + sigma_b)), per pair."""
     if cm_a.n != cm_b.n:
         raise ValueError(f"mode mismatch: {cm_a.n} vs {cm_b.n}")
     total = cm_a.mat + cm_b.mat
     # LU for two modes and up, as in symplectic_invariants: cofactor
     # expansion cancels from terms far larger than the determinant
-    d = det2(total) if cm_a.n == 1 else float(np.linalg.det(total))
-    return 1.0 / math.sqrt(d)
+    d = det2(total) if cm_a.n == 1 else np.linalg.det(total)
+    return float_or_array(1.0 / np.sqrt(d))
 
 
-def mean_photons(cm: CovarianceMatrix) -> float:
-    """Total mean photon number (Tr sigma - n) / 2 of a zero-mean state."""
-    return float((np.trace(cm.mat) - cm.n) / 2.0)
-
-
-def purity(cm: CovarianceMatrix) -> float:
-    """Tr rho^2 = prod_k 1 / (2 d_k)."""
-    out = 1.0
-    for d in symplectic_eigenvalues(cm):
-        out /= 2.0 * d
-    return out
-
-
-def is_pure(cm: CovarianceMatrix, tol: float = PURITY_TOL) -> bool:
-    """True when every symplectic eigenvalue sits at the vacuum floor."""
-    return max(symplectic_eigenvalues(cm)) <= VACUUM_NOISE + tol
+def mean_photons(cm: CovarianceMatrix):
+    """Total mean photon number (Tr sigma - n) / 2 of a zero-mean state, per matrix."""
+    return float_or_array((np.trace(cm.mat, axis1=-2, axis2=-1) - cm.n) / 2.0)

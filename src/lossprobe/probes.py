@@ -21,12 +21,12 @@ and grows roughly like 4 (eta - eta_c) just above it.
 
 Array semantics.  q1, q2, delta_q and delta_q_gamma are elementwise over N
 and beta, which broadcast; the channel is one LossChannel for every row or
-a sequence with one per row.  Each row still builds and validates its own
-ProbeSpec, parameters and recovered output, and then all rows go to one
-`qcb_batch` call, whose mixed rows share one lane-wise golden section over
-s.  Scalar rows give a float, and a row gives the same bits alone and in
-any batch.  random_sweep and optimize_beta's 101-point grid are one batch
-each.
+a sequence with one per row.  All rows form one stack: one ProbeSpec
+validates them, `params_from_spec` and the channel's recovery run on
+arrays, and one `qcb_batch` call serves them, whose mixed rows share one
+lane-wise golden section over s.  Scalar rows give a float, and a row
+gives the same bits alone and in any batch.  random_sweep and
+optimize_beta's 101-point grid are one batch each.
 """
 
 from __future__ import annotations
@@ -39,7 +39,14 @@ import numpy as np
 
 from .channel import LossChannel, output_params_single, output_params_two
 from .chernoff import DiscriminationReport, minimize_scalar_golden, qcb, qcb_batch
-from .gaussian import SqueezedThermalParamsSingle, SqueezedThermalParamsTwo
+from .gaussian import (
+    SqueezedThermalParamsSingle,
+    SqueezedThermalParamsTwo,
+    float_or_array,
+    libm,
+    nonnegative_finite,
+    require,
+)
 
 N_MAX_THRESHOLD = 1.0e3
 BETA_TOL = 1e-6
@@ -55,7 +62,9 @@ class ProbeSpec:
     """Probe family selector: mode count, energy N, squeezing fraction beta.
 
     gamma (two-mode only) is the share of thermal photons placed in the lossy
-    mode; it defaults to 1, which is the optimal split.
+    mode; it defaults to 1, which is the optimal split.  n, beta and gamma
+    may be arrays (one probe per element, broadcast); validation names the
+    first offending value.
     """
 
     modes: int
@@ -66,24 +75,23 @@ class ProbeSpec:
     def __post_init__(self) -> None:
         if self.modes not in (1, 2):
             raise ValueError(f"modes must be 1 or 2, got {self.modes}")
-        if not (self.n >= 0.0 and math.isfinite(self.n)):
-            raise ValueError(f"mean photon number must be >= 0, got {self.n}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"squeezing fraction must be in [0, 1], got {self.beta}")
+        require(nonnegative_finite(self.n), "mean photon number must be a finite float >= 0, got {}", self.n)
+        require(_unit(self.beta), "squeezing fraction must be in [0, 1], got {}", self.beta)
         if self.modes == 1:
             if self.gamma is not None:
                 raise ValueError("gamma only applies to two-mode probes")
+        elif self.gamma is None:
+            object.__setattr__(self, "gamma", 1.0)
         else:
-            if self.gamma is None:
-                object.__setattr__(self, "gamma", 1.0)
-            elif not 0.0 <= self.gamma <= 1.0:
-                raise ValueError(f"thermal split must be in [0, 1], got {self.gamma}")
+            require(_unit(self.gamma), "thermal split must be in [0, 1], got {}", self.gamma)
 
 
-def params_from_spec(
-    spec: ProbeSpec,
-) -> SqueezedThermalParamsSingle | SqueezedThermalParamsTwo:
-    """State parameters meeting a ProbeSpec's energy budget exactly.
+def _unit(x):
+    return 0.0 <= x <= 1.0 if isinstance(x, float) else (0.0 <= np.asarray(x)) & (np.asarray(x) <= 1.0)
+
+
+def params_from_spec(spec: ProbeSpec) -> SqueezedThermalParamsSingle | SqueezedThermalParamsTwo:
+    """State parameters meeting a ProbeSpec's energy budget exactly, per probe.
 
     Single mode: n_s = beta N squeezing photons, with the thermal occupation
     chosen so the total mean photon number n_s + n_t (1 + 2 n_s) equals N.
@@ -91,26 +99,22 @@ def params_from_spec(
     (1 - beta) N / (1 + beta N) split by gamma.
     """
     n, beta = spec.n, spec.beta
+    squeezing = lambda n_s: math.asinh(math.sqrt(n_s))  # noqa: E731
     if spec.modes == 1:
         n_s = beta * n
         n_t = (1.0 - beta) * n / (1.0 + 2.0 * beta * n)
-        return SqueezedThermalParamsSingle(r=math.asinh(math.sqrt(n_s)), n_t=n_t)
+        return SqueezedThermalParamsSingle(r=libm(squeezing, n_s), n_t=n_t)
     n_s = 0.5 * beta * n
     pool = (1.0 - beta) * n / (1.0 + beta * n)
     gamma = spec.gamma if spec.gamma is not None else 1.0
-    return SqueezedThermalParamsTwo(
-        r=math.asinh(math.sqrt(n_s)),
-        n_t1=gamma * pool,
-        n_t2=(1.0 - gamma) * pool,
-    )
+    return SqueezedThermalParamsTwo(r=libm(squeezing, n_s), n_t1=gamma * pool, n_t2=(1.0 - gamma) * pool)
 
 
-def _pair(spec: ProbeSpec, ch: LossChannel) -> tuple:
-    """(input, output) parameters of a probe sent through the channel."""
+def _pair(spec: ProbeSpec, ch: LossChannel | Sequence[LossChannel]) -> tuple:
+    """(input, output) parameters of probes sent through the channel(s)."""
     p_in = params_from_spec(spec)
-    if spec.modes == 1:
-        return p_in, output_params_single(p_in, ch)
-    return p_in, output_params_two(p_in, ch)
+    recover = output_params_single if spec.modes == 1 else output_params_two
+    return p_in, recover(p_in, ch)
 
 
 def discriminate(spec: ProbeSpec, ch: LossChannel, copies: int = 1) -> DiscriminationReport:
@@ -121,22 +125,16 @@ def discriminate(spec: ProbeSpec, ch: LossChannel, copies: int = 1) -> Discrimin
 def _q_rows(modes: int, n, beta, gamma: float | None, ch: LossChannel | Sequence[LossChannel]):
     """Q of every row of (N, beta) against its channel, from one qcb_batch call.
 
-    n and beta broadcast; ch is one channel for every row or a sequence with
-    one channel per row.  Each row builds, validates and recovers its own
-    ProbeSpec and parameters.  Scalar rows give a float.
+    n and beta broadcast; ch is one channel for every row or a sequence of
+    one per row.  The rows are one stack: one ProbeSpec validates them all.
+    Scalar rows give a float.
     """
-    chs = [ch] if isinstance(ch, LossChannel) else list(ch)
-    n, beta, which = np.broadcast_arrays(
-        np.asarray(n, dtype=float),
-        np.asarray(beta, dtype=float),
-        0 if isinstance(ch, LossChannel) else np.arange(len(chs)),
-    )
-    pairs = [
-        _pair(ProbeSpec(modes=modes, n=float(x), beta=float(b), gamma=gamma), chs[k])
-        for x, b, k in zip(n.flat, beta.flat, which.flat)
-    ]
-    q = np.array([r.q for r in qcb_batch(pairs)]).reshape(n.shape)
-    return float(q) if q.ndim == 0 else q
+    one = isinstance(ch, LossChannel)
+    chs = [ch] if one else list(ch)
+    n, beta, which = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(beta, dtype=float),
+                                         0 if one else np.arange(len(chs)))
+    spec = ProbeSpec(modes=modes, n=float_or_array(n), beta=float_or_array(beta), gamma=gamma)
+    return qcb_batch([_pair(spec, ch if one else [chs[k] for k in which.ravel().tolist()])])[0].q
 
 
 def q1(n, beta, ch):
@@ -287,8 +285,8 @@ class SweepRanges:
     gamma_ch_max: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.n_max <= 0 or self.gamma_ch_max <= 0:
-            raise ValueError("sweep ranges must be positive")
+        if not (0.0 < self.n_max < math.inf and 0.0 < self.gamma_ch_max < math.inf):
+            raise ValueError("sweep ranges must be finite and positive")
 
 
 def random_probes(

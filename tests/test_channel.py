@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from lossprobe.channel import (
     LossChannel,
+    ParameterRecoveryError,
     evolve_single,
     evolve_two,
     evolved_blocks,
@@ -242,3 +243,50 @@ def test_two_mode_recovery_on_the_probe_grid(n):
         assert abs(out.r - r_ref) <= 1e-14 * r_ref, (beta, gamma, eta)
         assert abs(out.n_t1 - n1_ref) <= 1e-15 * (1.0 + n), (beta, gamma, eta)
         assert abs(out.n_t2 - n2_ref) <= 1e-15 * (1.0 + n), (beta, gamma, eta)
+
+
+def _probe_batch(count: int):
+    """Stacked (N, beta) and per-row channels of random_probes draws."""
+    from lossprobe.probes import random_probes
+
+    n, beta, gamma_ch = (np.array(col) for col in zip(*random_probes(count, seed=20261019)))
+    return n, beta, [LossChannel.from_gamma(g) for g in gamma_ch.tolist()]
+
+
+def test_recovery_on_a_stack_is_the_same_bits_as_row_by_row():
+    from lossprobe.probes import ProbeSpec, params_from_spec
+
+    n, beta, chs = _probe_batch(1000)
+    for modes, recover in ((1, output_params_single), (2, output_params_two)):
+        p = params_from_spec(ProbeSpec(modes=modes, n=n, beta=beta, gamma=0.999 if modes == 2 else None))
+        out = recover(p, chs)
+        for k in range(1000):
+            assert recover(p.row(k), chs[k]) == out.row(k), (modes, k)
+
+
+@pytest.mark.parametrize(
+    "n, beta, eta, error",
+    [
+        # round-trip residual 1.364e-09: the smaller occupation of a
+        # strongly squeezed probe is a difference of numbers of size N
+        (3e4, 0.5, 1.0, ParameterRecoveryError),
+        # n1 = -1.819e-12, below the -1e-12 clamp
+        (1e5, 1.0, 0.5, ArithmeticError),
+    ],
+)
+def test_failing_row_inside_a_batch_is_named(n, beta, eta, error):
+    from lossprobe.probes import ProbeSpec, params_from_spec
+
+    bad = params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=1.0))
+    with pytest.raises(error) as alone:
+        output_params_two(bad, LossChannel.from_eta(eta))
+    ns, betas, chs = _probe_batch(1000)
+    k = 637
+    ns[k], betas[k], chs[k] = n, beta, LossChannel.from_eta(eta)
+    with pytest.raises(error) as batch:
+        output_params_two(params_from_spec(ProbeSpec(modes=2, n=ns, beta=betas, gamma=1.0)), chs)
+    assert type(batch.value) is type(alone.value)
+    if error is ParameterRecoveryError:
+        assert str(batch.value) == f"{alone.value} (row {k})"
+    else:
+        assert str(batch.value) == f"{alone.value} for {bad} through {chs[k]} (row {k})"

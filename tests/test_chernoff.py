@@ -412,3 +412,24 @@ def test_pure_switch_is_exact_zero():
     assert exact.fidelity is not None and exact.s_star == 0.0
     two = qcb(SqueezedThermalParamsTwo(0.5, 0.0, 1e-300), SqueezedThermalParamsTwo(0.3, 0.2, 0.1))
     assert two.fidelity is None and math.isfinite(two.q)
+
+
+def test_stacked_pair_is_the_same_bits_as_its_rows():
+    # one (input, output) pair of stacks, pure and mixed rows together, and
+    # the same rows one qcb call at a time
+    n, beta, gamma_ch = (np.array(col) for col in zip(*random_probes(300, seed=11)))
+    beta[::7] = 1.0
+    chs = [LossChannel.from_gamma(g) for g in gamma_ch.tolist()]
+    for modes, recover in ((1, output_params_single), (2, output_params_two)):
+        p_in = params_from_spec(ProbeSpec(modes=modes, n=n, beta=beta, gamma=0.999 if modes == 2 else None))
+        p_out = recover(p_in, chs)
+        report = qcb_batch([(p_in, p_out)], copies=3)[0]
+        assert report.q.shape == (300,) and np.isnan(report.fidelity).sum() == 300 - 43
+        for k in range(300):
+            alone = qcb(p_in.row(k), p_out.row(k), copies=3)
+            assert (alone.q, alone.s_star, alone.pe_upper) == (report.q[k], report.s_star[k], report.pe_upper[k])
+            if alone.fidelity is None:
+                assert np.isnan(report.fidelity[k]) and np.isnan(report.pe_lower[k])
+            else:
+                assert (alone.fidelity, alone.pe_lower, alone.pe_fidelity_upper) == (
+                    report.fidelity[k], report.pe_lower[k], report.pe_fidelity_upper[k])

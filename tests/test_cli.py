@@ -448,3 +448,48 @@ def test_figure4_minimizes_once_per_batch(tmp_path, monkeypatch, capsys):
     code, _, _ = run(["figure", "4", "--points", "20", "--outdir", str(tmp_path)], capsys)
     assert code == 0
     assert 0 < len(calls) <= 300, len(calls)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qcb", "--modes", "1", "--n", "inf", "--beta", "0.5", "--eta", "0.5"],
+        ["qcb", "--modes", "2", "--n", "nan", "--beta", "0.5", "--eta", "0.5"],
+        ["qcb", "--modes", "1", "--n", "1", "--beta", "0.5", "--damping", "inf"],
+        ["qcb", "--modes", "1", "--n", "1", "--beta", "0.5", "--damping", "nan"],
+        ["sweep", "--samples", "5", "--n-max", "nan"],
+        ["sweep", "--samples", "5", "--n-max", "inf"],
+        ["sweep", "--samples", "5", "--damping-max", "inf"],
+        ["sweep", "--samples", "5", "--damping-max", "nan"],
+        ["correlations", "--n", "inf", "--beta", "0.5"],
+        ["correlations", "--n", "nan", "--beta", "0.5"],
+    ],
+)
+def test_non_finite_flags_are_usage_errors(argv, capsys):
+    # before, these reached ProbeSpec or LossChannel and exited 1 with
+    # "mean photon number must be >= 0, got inf" or "damping must be a
+    # finite float"
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert "must be a finite number" in err
+
+
+def test_figure3_validates_one_cm_stack_per_batch(tmp_path, monkeypatch, capsys):
+    # every CM of a figure file is built in a few stacks, so the number of
+    # validations does not grow with the points: a fall-back to one CM per
+    # row would make 5 per row
+    from lossprobe.gaussian import CovarianceMatrix
+
+    counts = []
+    original = CovarianceMatrix.__post_init__
+
+    def counted(self):
+        counts[-1] += 1
+        original(self)
+
+    monkeypatch.setattr(CovarianceMatrix, "__post_init__", counted)
+    for points in (20, 200):
+        counts.append(0)
+        code, _, _ = run(["figure", "3", "--points", str(points), "--outdir", str(tmp_path)], capsys)
+        assert code == 0
+    assert counts[0] == counts[1] <= 10, counts

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lossprobe.channel import LossChannel, output_params_two
 from lossprobe.cli import main
 from lossprobe.correlations import (
     CorrelationReport,
@@ -457,3 +458,20 @@ def test_quantifiers_finite_and_nonnegative(r, n1, n2):
         assert math.isfinite(value)
         assert value >= 0.0
     assert rep.d_tilde_minus > 0.0
+
+
+def test_quantifiers_are_the_same_bits_on_a_stack():
+    # 1,000 random_probes inputs and their lossy outputs, each as one stack
+    n, beta, gamma_ch = (np.array(col) for col in zip(*random_probes(1000, seed=20261018)))
+    p_in = params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=0.999))
+    p_out = output_params_two(p_in, [LossChannel.from_gamma(g) for g in gamma_ch.tolist()])
+    functions = (pt_symplectic_eigenvalues, log_negativity, discord, mutual_information)
+    for p in (p_in, p_out):
+        stacked = [f(make_two_mode_st(p)) for f in functions]
+        report = correlation_report(make_two_mode_st(p))
+        assert np.array_equal(report.discord, stacked[2])
+        for k in range(1000):
+            cm = make_two_mode_st(p.row(k))
+            assert pt_symplectic_eigenvalues(cm) == (stacked[0][0][k], stacked[0][1][k]), k
+            for f, values in zip(functions[1:], stacked[1:]):
+                assert f(cm) == values[k], (f.__name__, k)

@@ -12,21 +12,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lossprobe.channel import LossChannel, output_params_single, output_params_two
 from lossprobe.gaussian import (
     CovarianceMatrix,
     SqueezedThermalParamsSingle,
     SqueezedThermalParamsTwo,
     UnphysicalStateError,
-    is_pure,
     make_single_mode_st,
     make_two_mode_st,
     mean_photons,
     overlap,
-    purity,
     symplectic_eigenvalues,
     symplectic_form,
     symplectic_invariants,
 )
+from lossprobe.probes import ProbeSpec, params_from_spec, random_probes
 
 single_params = st.builds(
     SqueezedThermalParamsSingle,
@@ -39,6 +39,22 @@ two_params = st.builds(
     n_t1=st.floats(0.0, 5.0),
     n_t2=st.floats(0.0, 5.0),
 )
+
+
+PURITY_TOL = 1e-9
+
+
+def purity(cm: CovarianceMatrix) -> float:
+    """Tr rho^2 = prod_k 1 / (2 d_k)."""
+    out = 1.0
+    for d in symplectic_eigenvalues(cm):
+        out /= 2.0 * d
+    return out
+
+
+def is_pure(cm: CovarianceMatrix, tol: float = PURITY_TOL) -> bool:
+    """True when every symplectic eigenvalue sits at the vacuum floor."""
+    return max(symplectic_eigenvalues(cm)) <= 0.5 + tol
 
 
 def symplectic_eigenvalues_from_invariants(cm: CovarianceMatrix) -> tuple[float, float]:
@@ -266,3 +282,49 @@ def test_cm_is_read_only():
     cm = make_single_mode_st(SqueezedThermalParamsSingle(r=0.0, n_t=0.0))
     with pytest.raises(ValueError):
         cm.mat[0, 0] = 2.0
+
+
+# ---------------------------------------------------------------------------
+# stacks: one state gets the same bits alone as inside a stack
+# ---------------------------------------------------------------------------
+
+
+def probe_stacks(modes: int):
+    """(inputs, lossy outputs) of 1,000 random_probes draws, each a stack of 1,000."""
+    n, beta, gamma_ch = (np.array(col) for col in zip(*random_probes(1000, seed=20261018)))
+    p = params_from_spec(ProbeSpec(modes=modes, n=n, beta=beta, gamma=0.999 if modes == 2 else None))
+    recover = output_params_two if modes == 2 else output_params_single
+    return p, recover(p, [LossChannel.from_gamma(g) for g in gamma_ch.tolist()])
+
+
+@pytest.mark.parametrize("modes", [1, 2])
+def test_spectra_and_overlap_are_the_same_bits_on_a_stack(modes):
+    make = make_two_mode_st if modes == 2 else make_single_mode_st
+    p_in, p_out = probe_stacks(modes)
+    cm_in, cm_out = make(p_in), make(p_out)
+    assert cm_in.mat.shape == (1000, 2 * modes, 2 * modes)
+    spectra = [symplectic_eigenvalues(cm) for cm in (cm_in, cm_out)]
+    invariants = [symplectic_invariants(cm) for cm in (cm_in, cm_out)] if modes == 2 else []
+    overlaps = overlap(cm_in, cm_out)
+    for k in range(1000):
+        rows = make(p_in.row(k)), make(p_out.row(k))
+        for row, stack in zip(rows, (cm_in, cm_out)):
+            assert np.array_equal(row.mat, stack.mat[k])
+        for row, stacked in zip(rows, spectra):
+            assert symplectic_eigenvalues(row) == tuple(d[k] for d in stacked), k
+        for row, stacked in zip(rows, invariants):
+            assert symplectic_invariants(row) == tuple(i[k] for i in stacked), k
+        assert overlap(*rows) == overlaps[k], k
+
+
+def test_stack_validation_names_the_worst_matrix():
+    stack = np.broadcast_to(0.5 * np.eye(2), (5, 2, 2)).copy()
+    stack[3] = np.diag([0.3, 0.3])
+    stack[1] = np.diag([0.45, 0.5])
+    with pytest.raises(UnphysicalStateError, match=r"= -2\.000e-01 \(matrix 3 of the stack\)"):
+        CovarianceMatrix(stack)
+    stack[3, 0, 1] = 0.2
+    with pytest.raises(ValueError, match=r"not symmetric \(matrix 3 of the stack\)"):
+        CovarianceMatrix(stack)
+    with pytest.raises(UnphysicalStateError, match=r"= -2\.000e-01$"):
+        CovarianceMatrix(np.diag([0.3, 0.3]))

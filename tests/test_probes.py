@@ -300,3 +300,20 @@ def test_q_rows_take_one_channel_each():
 def test_sweep_records_equal_per_point_gaps():
     for rec in random_sweep(40, 0.8, seed=5):
         assert rec.delta_q == delta_q_gamma(rec.n, rec.beta, 0.8, LossChannel.from_gamma(rec.gamma_ch))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+def test_spec_energy_message_says_finite(bad):
+    with pytest.raises(ValueError, match="finite float >= 0"):
+        ProbeSpec(modes=2, n=bad, beta=0.5)
+
+
+def test_spec_of_arrays_names_the_first_bad_row():
+    spec = ProbeSpec(modes=2, n=np.array([1.0, 2.0]), beta=np.array([0.5, 0.25]), gamma=0.5)
+    p = params_from_spec(spec)
+    for k, (n, beta) in enumerate([(1.0, 0.5), (2.0, 0.25)]):
+        assert p.row(k) == params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=0.5))
+    with pytest.raises(ValueError, match=r"got 1\.5"):
+        ProbeSpec(modes=1, n=np.ones(3), beta=np.array([0.5, 1.5, 2.0]))
+    with pytest.raises(ValueError, match="got inf"):
+        q1(np.array([1.0, math.inf, -1.0]), 0.5, LossChannel.from_eta(0.5))
