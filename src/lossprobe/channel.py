@@ -71,7 +71,7 @@ class LossChannel:
     def from_eta(cls, eta: float) -> "LossChannel":
         if not (0.0 < eta <= 1.0):
             raise ValueError(f"transmissivity must be in (0, 1], got {eta}")
-        return cls(gamma=-math.log(eta), eta=eta)
+        return cls(gamma=-math.log(eta) + 0.0, eta=eta)  # + 0.0: eta = 1 gives +0.0, not -0.0
 
 
 Channels = LossChannel | Sequence[LossChannel]

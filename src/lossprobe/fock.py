@@ -1,26 +1,24 @@
 """Truncated Fock-space brute force for validating the Gaussian machinery.
 
-States are explicit density matrices in the number basis.  Everything stays
-real float64 (the squeezing generators are real antisymmetric, so the
-unitaries are real orthogonal), and nothing is renormalized: the truncation
-tail is measured, capped by `tail_tol`, and otherwise left in the numbers so
-the comparisons stay honest.
+States are density matrices in the number basis.  Everything stays real
+float64 (the squeezing generators are real antisymmetric, so the unitaries
+are real orthogonal), and nothing is renormalized: the truncation tail is
+measured, capped by `tail_tol`, and otherwise left in the numbers so the
+comparisons stay honest.
 
 Charge sectors.  Single-mode squeezing conserves photon-number parity,
 two-mode squeezing conserves the charge n1 - n2, and loss on the first mode
 preserves the charge difference between row and column.  So every oracle
-state is block diagonal, with blocks of size at most `dim`.  Each
-`FockDensityMatrix` finds its own sectors: the finest charge partition of
-its `dims` whose off-sector entries are exactly zero (a hand-built matrix
-that breaks the symmetry gets one sector, the whole space).  States are
-built per sector (the tridiagonal generator of each block exponentiated by
-`eigh`), loss is a sum of diagonal shifts of the (d1, d2, d1, d2) tensor,
-moments come from banded ladder expectations, and every spectral function
-loops over the sectors shared by its two states.  The dense matrix stays
-the carrier.  The rank and fidelity floors stay relative to the largest
-eigenvalue over all sectors, and an eigenvalue below -1e-10 in any sector
-raises.  The dense route (`expm`, Kraus matmuls, complex quadratures, one
-full `eigh`) is the reference in the tests.  This module imports only numpy.
+state is block diagonal, with blocks of size at most `dim`, and a
+`FockDensityMatrix` stores only those blocks, never a dense matrix.  States
+are built per sector (the tridiagonal generator of each block exponentiated
+by `eigh`), loss is one diagonal-shift kernel on the mode-1 levels, moments
+come from banded ladder expectations read off the blocks, and each state
+diagonalises its blocks once for every spectral function.  The rank and
+fidelity floors stay relative to the largest eigenvalue over all sectors,
+and an eigenvalue below -1e-10 in any sector raises.  The dense route
+(`expm`, Kraus matmuls, complex quadratures, one full `eigh`) is the
+reference in the tests.  This module imports only numpy.
 
 Quadratures follow the package convention q = (a + a^dag)/sqrt(2),
 p = (a - a^dag)/(i sqrt(2)), vacuum variance 1/2.
@@ -31,7 +29,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,74 +70,118 @@ def _charge(dims: tuple[int, ...]) -> np.ndarray:
     return n[0] if len(dims) == 1 else n[0] - n[1]
 
 
-def _sectors(dims: tuple[int, ...], modulus: int) -> list[np.ndarray]:
-    """Flat basis indices of each class of charge mod `modulus`, ascending."""
-    labels = _charge(dims) % modulus
-    return [np.flatnonzero(labels == c) for c in np.unique(labels)]
+class _Layout(NamedTuple):
+    sectors: list[np.ndarray]  # flat basis indices of each class, ascending
+    sector_of: np.ndarray  # per basis index: its sector
+    position: np.ndarray  # per basis index: its place in its sector
+    size: np.ndarray  # per sector: its length
+    start: np.ndarray  # per sector, and one past the end: where its block starts in `data`
+    rows: np.ndarray  # per entry of `data`: the basis indices of its row
+    cols: np.ndarray  # and of its column
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=32)
+def _sector_layout(dims: tuple[int, ...], modulus: int) -> _Layout:
+    """The classes of charge mod `modulus`, ascending, each block raveled after the last."""
+    _, sector_of, size = np.unique(_charge(dims) % modulus, return_inverse=True, return_counts=True)
+    sectors = [np.flatnonzero(sector_of == k) for k in range(sector_of.max() + 1)]
+    position = np.empty_like(sector_of)
+    position[np.concatenate(sectors)] = np.concatenate([np.arange(len(idx)) for idx in sectors])
+    rows = np.concatenate([np.repeat(idx, len(idx)) for idx in sectors])
+    cols = np.concatenate([np.tile(idx, len(idx)) for idx in sectors])
+    return _Layout(sectors, sector_of, position, size, np.concatenate(([0], np.cumsum(size**2))), rows, cols)
+
+
+def _entries(lay: _Layout, data: np.ndarray, rows, cols) -> np.ndarray:
+    """Dense-matrix entries (rows, cols), broadcast, read from `data`: zero between sectors."""
+    s = lay.sector_of[rows]
+    at = lay.start[s] + lay.position[rows] * lay.size[s] + lay.position[cols]
+    return np.where(s == lay.sector_of[cols], data.take(at, mode="clip"), 0.0)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class FockDensityMatrix:
-    """Density matrix on a truncated Fock space of one or two modes.
+    """Density matrix on a truncated Fock space of one or two modes, kept as sector blocks.
 
-    Hermiticity is validated at construction; positivity is enforced at each
-    spectral use (eigenvalues below -1e-10 raise, small negatives clamp).
-    `modulus` labels the sectors: the basis splits by charge mod `modulus`,
+    The basis splits into the classes of charge mod `modulus`, and `data`
+    holds their blocks, raveled one after another.  State preparation and
+    loss pass both; `FockDensityMatrix(dims, mat)` takes a dense matrix and
+    keeps the finest partition whose off-sector entries are exactly zero,
     tried finest first (the exact charge, then parity, then 1, the whole
-    space), and the first partition with exactly zero off-sector entries wins.
+    space).  Hermiticity is validated at construction; positivity at the
+    first spectral use (eigenvalues below -1e-10 raise, small negatives
+    clamp).  `mat` is a dense copy, built on demand.
     """
 
     dims: tuple[int, ...]
-    mat: np.ndarray
-    modulus: int = field(init=False, repr=False, compare=False)
+    modulus: int
+    data: np.ndarray = field(repr=False)
+    layout: _Layout = field(repr=False)
 
-    def __post_init__(self) -> None:
-        if len(self.dims) not in (1, 2):
-            raise ValueError(f"one or two modes supported, got dims {self.dims}")
-        d = int(np.prod(self.dims))
-        m = np.asarray(self.mat, dtype=float)
-        if m.shape != (d, d):
-            raise ValueError(f"matrix shape {m.shape} does not match dims {self.dims}")
-        dims = tuple(int(x) for x in self.dims)
-        # The off-sector entries are all zero exactly when the blocks hold
-        # every nonzero entry; modulus 1 is one block and always qualifies.
-        # Hermiticity is then checked, and enforced, block by block.
-        nonzero = np.count_nonzero(m)
-        for modulus in (d, 2, 1):
-            sectors = _sectors(dims, modulus)
-            blocks = [m[np.ix_(i, i)] for i in sectors]
-            if sum(np.count_nonzero(b) for b in blocks) == nonzero:
-                break
-        sym = np.zeros(m.shape)
-        for idx, b in zip(sectors, blocks):
-            if np.max(np.abs(b - b.T)) > _HERMITICITY_TOL:
-                raise ValueError("density matrix is not Hermitian")
-            sym[np.ix_(idx, idx)] = (b + b.T) / 2.0
-        if m.trace() > 1.0 + 1e-12:
-            raise ValueError(f"trace {m.trace()} exceeds 1")
-        m = sym
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "modulus", modulus)
+    def __init__(self, dims, mat=None, *, modulus: int = 1, data=None) -> None:
+        dims = tuple(int(x) for x in dims)
+        if len(dims) not in (1, 2):
+            raise ValueError(f"one or two modes supported, got dims {dims}")
+        d = math.prod(dims)
+        if mat is not None:
+            m = np.asarray(mat, dtype=float)
+            if m.shape != (d, d):
+                raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
+            gap = _charge(dims)[:, None] - _charge(dims)
+            modulus = next(k for k in (d, 2, 1) if not m[gap % k != 0].any())
+        lay = _sector_layout(dims, modulus)
+        data = np.asarray(data if mat is None else m[lay.rows, lay.cols], dtype=float)
+        mirror = _entries(lay, data, lay.cols, lay.rows)
+        if np.max(np.abs(data - mirror)) > _HERMITICITY_TOL:
+            raise ValueError("density matrix is not Hermitian")
+        data = (data + mirror) / 2.0
+        data.setflags(write=False)
+        self.__dict__.update(dims=dims, modulus=modulus, data=data, layout=lay)
+        if self.diagonal.sum() > 1.0 + 1e-12:
+            raise ValueError(f"trace {self.diagonal.sum()} exceeds 1")
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """One square block per sector, each a view into `data`."""
+        return tuple(self.data[a : a + n * n].reshape(n, n) for a, n in zip(self.layout.start, self.layout.size))
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        """The populations, in flat basis order."""
+        n = np.arange(math.prod(self.dims))
+        return _entries(self.layout, self.data, n, n)
+
+    @property
+    def mat(self) -> np.ndarray:
+        m = np.zeros((math.prod(self.dims),) * 2)
+        m[self.layout.rows, self.layout.cols] = self.data
+        return m
 
     @property
     def trace_deficit(self) -> float:
-        return 1.0 - float(self.mat.trace())
+        return 1.0 - float(self.diagonal.sum())
+
+    @cached_property
+    def spectrum(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(eigenvalues, eigenvectors) per block, negatives clamped to 0."""
+        spectra = [np.linalg.eigh(block) for block in self.blocks]
+        if (low := min(vals.min() for vals, _ in spectra)) < -EIG_CLAMP:
+            raise ArithmeticError(f"density matrix eigenvalue {low:.3e} below -1e-10")
+        return [(np.maximum(vals, 0.0), vecs) for vals, vecs in spectra]
 
 
-def _blocks(rho: FockDensityMatrix, sectors: list[np.ndarray]) -> list[np.ndarray]:
-    return [rho.mat[np.ix_(idx, idx)] for idx in sectors]
-
-
-def _common_blocks(
-    rho_a: FockDensityMatrix, rho_b: FockDensityMatrix
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Both states' blocks on the coarser of their partitions, which both respect."""
+def _common(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[FockDensityMatrix, FockDensityMatrix]:
+    """Both states on the coarser of their partitions, which both respect: blocks merged, not rebuilt."""
     if rho_a.dims != rho_b.dims:
         raise ValueError(f"dims differ: {rho_a.dims} vs {rho_b.dims}")
-    sectors = _sectors(rho_a.dims, min(rho_a.modulus, rho_b.modulus))
-    return _blocks(rho_a, sectors), _blocks(rho_b, sectors)
+    modulus = min(rho_a.modulus, rho_b.modulus)
+    rows, cols = _sector_layout(rho_a.dims, modulus)[-2:]
+    a, b = (
+        rho if rho.modulus == modulus else
+        FockDensityMatrix(rho.dims, modulus=modulus, data=_entries(rho.layout, rho.data, rows, cols))
+        for rho in (rho_a, rho_b)
+    )
+    return a, b
 
 
 def _trace_norm(x: np.ndarray) -> float:
@@ -172,15 +215,12 @@ def truncation_deficit(rho: FockDensityMatrix) -> float:
     of the highest retained levels is the sentinel for that spillover.  Two
     levels, because squeezed vacuum populates only every other one.
     """
-    deficit = 1.0 - float(rho.mat.trace())
-    diag = np.diag(rho.mat)
+    diag = rho.diagonal
+    deficit = 1.0 - float(diag.sum())
     if len(rho.dims) == 1:
         return deficit + float(diag[-2:].sum())
-    d1, d2 = rho.dims
-    grid = diag.reshape(d1, d2)
-    return deficit + float(
-        grid[-2:, :].sum() + grid[:, -2:].sum() - grid[-2:, -2:].sum()
-    )
+    grid = diag.reshape(rho.dims)
+    return deficit + float(grid[-2:, :].sum() + grid[:, -2:].sum() - grid[-2:, -2:].sum())
 
 
 def fock_squeezed_thermal(
@@ -202,7 +242,7 @@ def fock_squeezed_thermal(
     if isinstance(params, SqueezedThermalParamsSingle):
         dims: tuple[int, ...] = (dim,)
         weights = thermal_diagonal(params.n_t, dim)
-        sectors = _sectors(dims, 2)
+        modulus = 2 if params.r else dim  # parity, or each level alone
 
         def coupling(n: np.ndarray) -> np.ndarray:
             return 0.5 * params.r * np.sqrt((n + 1.0) * (n + 2.0))
@@ -210,7 +250,7 @@ def fock_squeezed_thermal(
     elif isinstance(params, SqueezedThermalParamsTwo):
         dims = (dim, dim)
         weights = np.outer(thermal_diagonal(params.n_t1, dim), thermal_diagonal(params.n_t2, dim)).ravel()
-        sectors = _sectors(dims, dim * dim)
+        modulus = dim * dim
 
         def coupling(flat: np.ndarray) -> np.ndarray:
             n1, n2 = np.divmod(flat, dim)
@@ -218,17 +258,14 @@ def fock_squeezed_thermal(
 
     else:
         raise TypeError(f"unsupported parameter type {type(params).__name__}")
-    rho = np.zeros((weights.size, weights.size))
-    for idx in sectors:
+    blocks = []
+    for idx in _sector_layout(dims, modulus).sectors:
         u = _expm_tridiagonal(coupling(idx[:-1]))
-        rho[np.ix_(idx, idx)] = (u * weights[idx]) @ u.T
-    out = FockDensityMatrix(dims=dims, mat=rho)
+        blocks.append(((u * weights[idx]) @ u.T).ravel())
+    out = FockDensityMatrix(dims, modulus=modulus, data=np.concatenate(blocks))
     deficit = truncation_deficit(out)
     if deficit > cfg.tail_tol:
-        raise TruncationError(
-            f"truncation deficit {deficit:.3e} exceeds {cfg.tail_tol:g} at dim {cfg.dim}; "
-            "raise the cutoff"
-        )
+        raise TruncationError(f"truncation deficit {deficit:.3e} exceeds {cfg.tail_tol:g} at dim {cfg.dim}; raise the cutoff")
     return out
 
 
@@ -238,41 +275,33 @@ def apply_loss_kraus(rho: FockDensityMatrix, eta: float) -> FockDensityMatrix:
     K_m = sum_j sqrt(binom(j + m, m) (1 - eta)^m eta^j) |j><j + m| removes m
     photons, so on the (d1, d2, d1, d2) tensor it is the diagonal shift
     rho[j + m, :, k + m, :] -> out[j, :, k, :] weighted by K_m[j] K_m[k].
-    K_m maps each charge sector into one sector, so the output keeps the
-    input's sectors and only their entries are shifted: in an output block
-    the entries whose mode-1 levels stay below d1 - m form a leading square,
-    and their sources a contiguous square of one input block.  The binomials
-    come from cumulative log-factorials.  On the truncated space the set is
-    exactly trace preserving: the binomial sum over m <= j is complete for
-    every j < dim.
+    The blocks are gathered into a (d1, d1, X) array over the mode-1 row and
+    column levels: X = 1 for one mode, X = d2 (the mode-2 row level; the
+    column level follows) for an exact two-mode charge, else X = d2^2.  Each
+    m is one slice product, and the output keeps the input's sectors.  The
+    binomials come from cumulative log-factorials.  On the truncated space
+    the set is exactly trace preserving: the binomial sum over m <= j is
+    complete for every j < dim.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"transmissivity must be in (0, 1], got {eta}")
     if eta == 1.0:
         return rho
-    d1 = rho.dims[0]
-    shift = rho.mat.shape[0] // d1  # flat-index step of one photon in mode 1
+    d1, d2 = rho.dims[0], math.prod(rho.dims[1:])
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, 2 * d1 - 1)))))
     m, j = np.arange(d1)[:, None], np.arange(d1)[None, :]
     # amp[m, j] = K_m[j]; only entries with j + m < d1 are read
     amp = np.exp(0.5 * (log_fact[j + m] - log_fact[m] - log_fact[j] + m * math.log(1.0 - eta) + j * math.log(eta)))
-    sectors = _sectors(rho.dims, rho.modulus)
-    blocks = _blocks(rho, sectors)
-    sector_of, position = np.empty((2, rho.mat.shape[0]), dtype=int)
-    for k, idx in enumerate(sectors):
-        sector_of[idx], position[idx] = k, np.arange(len(idx))
-    out = np.zeros(rho.mat.shape)
-    for idx in sectors:
-        level = idx // shift  # nondecreasing along the sector
-        acc = np.zeros((len(idx), len(idx)))
-        for lost in range(d1 - level[0]):
-            n = np.searchsorted(level, d1 - lost)
-            src = idx[0] + lost * shift  # first of the sources idx[:n] + lost * shift
-            p = position[src]
-            w = amp[lost, level[:n]]
-            acc[:n, :n] += np.outer(w, w) * blocks[sector_of[src]][p : p + n, p : p + n]
-        out[np.ix_(idx, idx)] = acc
-    return FockDensityMatrix(dims=rho.dims, mat=out)
+    (n1, n2), (k1, k2) = np.divmod(rho.layout.rows, d2), np.divmod(rho.layout.cols, d2)
+    exact = rho.modulus == d1 * d2
+    width = d2 if exact else d2 * d2
+    at = (n1 * d1 + k1) * width + (n2 if exact else n2 * d2 + k2)
+    src, out = np.zeros((2, d1, d1, width))
+    src.flat[at] = rho.data
+    for lost in range(d1):
+        w = amp[lost, : d1 - lost]
+        out[: d1 - lost, : d1 - lost] += np.outer(w, w)[:, :, None] * src[lost:, lost:]
+    return FockDensityMatrix(rho.dims, modulus=rho.modulus, data=out.ravel()[at])
 
 
 def _ladder(rho1: np.ndarray) -> tuple[float, float, float]:
@@ -294,36 +323,31 @@ def moments_from_fock(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     The state is real symmetric, so <X^T> = <X> for every real ladder
     monomial X: every <p> and every q-p covariance vanishes, and the rest
     follows from <a>, <a^2>, <a a^dag + a^dag a> per mode and, for two
-    modes, <a b> and <a b^dag>, each read off one diagonal band.
+    modes, <a b> and <a b^dag>, each read off one diagonal band.  The
+    entries t[n1, n2, k1, k2] of the (d1, d2, d1, d2) tensor come from the
+    blocks (d2 = 1 for one mode).
     """
-    if len(rho.dims) == 1:
-        modes = [_ladder(rho.mat)]
-    else:
-        d1, d2 = rho.dims
-        t = rho.mat.reshape(d1, d2, d1, d2)
-        modes = [_ladder(np.einsum("ijkj->ik", t)), _ladder(np.einsum("ijil->jl", t))]
+    d1, d2 = rho.dims[0], math.prod(rho.dims[1:])
+
+    def t(n1, n2, k1, k2) -> np.ndarray:
+        return _entries(rho.layout, rho.data, n1 * d2 + n2, k1 * d2 + k2)
+
+    i, j = np.arange(d1)[:, None, None], np.arange(d2)[:, None]
+    modes = [_ladder(t(i, j, np.arange(d1), j).sum(axis=1))]
+    if len(rho.dims) == 2:
+        modes.append(_ladder(t(i, j, i, np.arange(d2)).sum(axis=0)))
     first, second = np.zeros(2 * len(modes)), np.zeros((2 * len(modes), 2 * len(modes)))
     for k, (a1, a2, sym) in enumerate(modes):
         first[2 * k] = math.sqrt(2.0) * a1
         second[2 * k, 2 * k], second[2 * k + 1, 2 * k + 1] = sym + a2, sym - a2
     if len(modes) == 2:
         root = np.outer(np.sqrt(np.arange(1.0, d1)), np.sqrt(np.arange(1.0, d2)))
-        ab = float(np.sum(np.einsum("ijij->ij", t[1:, 1:, :-1, :-1]) * root))
-        ab_dag = float(np.sum(np.einsum("ijij->ij", t[1:, :-1, :-1, 1:]) * root))
+        i, j = np.arange(d1 - 1)[:, None], np.arange(d2 - 1)
+        ab = float(np.sum(t(i + 1, j + 1, i, j) * root))
+        ab_dag = float(np.sum(t(i + 1, j, i, j + 1) * root))
         second[0, 2] = second[2, 0] = ab + ab_dag
         second[1, 3] = second[3, 1] = ab_dag - ab
     return first, second - np.outer(first, first)
-
-
-def _clamped_spectrum(blocks: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(eigenvalues, eigenvectors) per block, negatives clamped to 0."""
-    out = []
-    for block in blocks:
-        vals, vecs = np.linalg.eigh(block)
-        if vals.min() < -EIG_CLAMP:
-            raise ArithmeticError(f"density matrix eigenvalue {vals.min():.3e} below -1e-10")
-        out.append((np.maximum(vals, 0.0), vecs))
-    return out
 
 
 def _spectral_overlap(
@@ -336,11 +360,10 @@ def _spectral_overlap(
     Tr[rho_a^s rho_b^(1-s)] = sum over rows of lam^s @ table @ mu^(1-s), so
     after this one factorization each s evaluation is one batched product.
     """
-    blocks_a, blocks_b = _common_blocks(rho_a, rho_b)
-    count, width = len(blocks_a), max(len(b) for b in blocks_a)
+    rho_a, rho_b = _common(rho_a, rho_b)
+    count, width = len(rho_a.blocks), int(rho_a.layout.size.max())
     lam, mu, table = np.zeros((count, width)), np.zeros((count, width)), np.zeros((count, width, width))
-    pairs = zip(_clamped_spectrum(blocks_a), _clamped_spectrum(blocks_b))
-    for k, ((la, va), (lb, vb)) in enumerate(pairs):
+    for k, ((la, va), (lb, vb)) in enumerate(zip(rho_a.spectrum, rho_b.spectrum)):
         n = len(la)
         lam[k, :n], mu[k, :n], table[k, :n, :n] = la, lb, (va.T @ vb) ** 2
     return lam, table, mu
@@ -389,7 +412,8 @@ def qcb_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[float,
 
 def trace_distance_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> float:
     """(1/2) ||rho_a - rho_b||_1."""
-    return 0.5 * sum(_trace_norm(a - b) for a, b in zip(*_common_blocks(rho_a, rho_b)))
+    rho_a, rho_b = _common(rho_a, rho_b)
+    return 0.5 * sum(_trace_norm(a - b) for a, b in zip(rho_a.blocks, rho_b.blocks))
 
 
 def helstrom_pe_fock(
@@ -407,29 +431,27 @@ def helstrom_pe_fock(
     """
     if copies < 1:
         raise ValueError(f"copy count must be >= 1, got {copies}")
-    d = rho_a.mat.shape[0]
+    d = math.prod(rho_a.dims)
     if copies > 1 and d**copies > cap:
-        raise HelstromCapError(
-            f"dimension {d}^{copies} exceeds the Helstrom cap {cap}"
-        )
-    blocks_a, blocks_b = _common_blocks(rho_a, rho_b)
+        raise HelstromCapError(f"dimension {d}^{copies} exceeds the Helstrom cap {cap}")
+    rho_a, rho_b = _common(rho_a, rho_b)
     norm = sum(
-        _trace_norm(reduce(np.kron, [blocks_a[k] for k in ks]) - reduce(np.kron, [blocks_b[k] for k in ks]))
-        for ks in itertools.product(range(len(blocks_a)), repeat=copies)
+        _trace_norm(reduce(np.kron, [rho_a.blocks[k] for k in ks]) - reduce(np.kron, [rho_b.blocks[k] for k in ks]))
+        for ks in itertools.product(range(len(rho_a.blocks)), repeat=copies)
     )
     return 0.5 * (1.0 - 0.5 * norm)
 
 
 def fidelity_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho_a) rho_b sqrt(rho_a)))^2."""
-    blocks_a, blocks_b = _common_blocks(rho_a, rho_b)
-    spectra = _clamped_spectrum(blocks_a)
+    rho_a, rho_b = _common(rho_a, rho_b)
+    spectra = rho_a.spectrum
     # Relative floor before the root: the square root turns clamped roundoff
     # eigenvalues (~1e-17) into ~1e-8 directions that survive into the final
     # trace; weight this far below the top of a trace-1 spectrum is noise.
     floor = 1e-13 * max(la.max() for la, _ in spectra)
     total = 0.0
-    for (la, va), block_b in zip(spectra, blocks_b):
+    for (la, va), block_b in zip(spectra, rho_b.blocks):
         root = (va * np.sqrt(np.where(la < floor, 0.0, la))) @ va.T
         inner = root @ block_b @ root
         vals = np.linalg.eigvalsh((inner + inner.T) / 2.0)

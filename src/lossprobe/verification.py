@@ -16,9 +16,7 @@ independent end to end.
 
 The oracle works sector by sector (parity for one mode, n1 - n2 for two;
 see `fock`), with its rank and fidelity floors relative to the largest
-eigenvalue over all sectors, and needs only numpy.  Memory, not time,
-bounds the cutoff: each two-mode state still carries a dense dim^2 x dim^2
-matrix.
+eigenvalue over all sectors, and needs only numpy.
 """
 
 from __future__ import annotations

@@ -290,3 +290,16 @@ def test_failing_row_inside_a_batch_is_named(n, beta, eta, error):
         assert str(batch.value) == f"{alone.value} (row {k})"
     else:
         assert str(batch.value) == f"{alone.value} for {bad} through {chs[k]} (row {k})"
+
+
+def test_lossless_channel_stores_positive_zero_damping():
+    # -log(1.0) is -0.0, which used to show up in every recovery error
+    ch = LossChannel.from_eta(1.0)
+    assert math.copysign(1.0, ch.gamma) == 1.0
+    assert repr(ch) == "LossChannel(gamma=0.0, eta=1.0)"
+    assert LossChannel.from_eta(0.5).gamma == -math.log(0.5)
+    from lossprobe.probes import ProbeSpec, params_from_spec
+
+    bad = params_from_spec(ProbeSpec(modes=2, n=3e4, beta=0.5, gamma=1.0))
+    with pytest.raises(ParameterRecoveryError, match=r"through LossChannel\(gamma=0\.0, eta=1\.0\)$"):
+        output_params_two(bad, ch)

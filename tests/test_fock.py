@@ -13,6 +13,7 @@ small cutoffs.
 
 import itertools
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -20,8 +21,8 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import gammaln
 
-from lossprobe import fock, verification
-from lossprobe.channel import LossChannel, evolve_single, evolve_two, output_params_single
+from lossprobe import verification
+from lossprobe.channel import LossChannel, evolve_single, evolve_two, output_params_single, output_params_two
 from lossprobe.chernoff import S_EPS, S_TOL, minimize_scalar_golden, q_s_single, qcb
 from lossprobe.fock import (
     FockDensityMatrix,
@@ -378,8 +379,6 @@ def test_qcb_fock_matches_gaussian_single(params, eta, dim):
 def test_qcb_fock_matches_gaussian_two_mode(two_mode_st):
     out = apply_loss_kraus(two_mode_st, 0.6)
     q_fock, _ = qcb_fock(two_mode_st, out)
-    from lossprobe.channel import output_params_two
-
     params_b = output_params_two(T2(0.5, 0.2, 0.1), LossChannel.from_eta(0.6))
     report = qcb(T2(0.5, 0.2, 0.1), params_b)
     assert abs(q_fock - report.q) < 1e-6
@@ -598,7 +597,7 @@ def test_symmetry_breaking_state_matches_dense():
     mat = 0.5 * np.diag(thermal_diagonal(0.5, dim)) + 0.5 * np.outer(plus, plus)
     rho = FockDensityMatrix(dims=(dim,), mat=mat)
     assert rho.modulus == 1
-    (vals, _), = fock._clamped_spectrum(fock._common_blocks(rho, rho)[0])
+    (vals, _), = rho.spectrum
     assert np.max(np.abs(vals - dense_spectrum(mat)[0])) < DENSE_TOL
     squeezed = fock_squeezed_thermal(S1(0.6, 0.2), TruncationConfig(dim=dim, tail_tol=0.5))
     ref = dense_state(S1(0.6, 0.2), dim)
@@ -647,3 +646,73 @@ def test_pipeline_is_continuous_toward_pure_states(n_t):
     rho = fock_squeezed_thermal(pa, TruncationConfig(dim=40))
     q_fock, _ = qcb_fock(rho, apply_loss_kraus(rho, 0.5))
     assert abs(q - q_fock) < (1e-5 if n_t >= 1e-6 else 1e-4), (q, q_fock)
+
+
+def test_rebuilt_from_the_dense_view_is_the_same_state(single_st, two_mode_st):
+    thermal = fock_squeezed_thermal(S1(0.0, 0.5), TruncationConfig(dim=20))
+    for rho in (single_st, two_mode_st, thermal, apply_loss_kraus(two_mode_st, 0.6)):
+        again = FockDensityMatrix(dims=rho.dims, mat=rho.mat)
+        assert again.modulus == rho.modulus
+        assert len(again.blocks) == len(rho.blocks)
+        assert all(np.array_equal(a, b) for a, b in zip(again.blocks, rho.blocks))
+        lossy = apply_loss_kraus(rho, 0.7)
+        assert qcb_fock(again, lossy) == qcb_fock(rho, lossy)
+
+
+def _charge_breaking(dim: int, keep_parity: bool) -> np.ndarray:
+    """Half a hot two-mode squeezed thermal state, half a product state that
+    breaks its charge n1 - n2: single-mode squeezing on both modes keeps the
+    parity, a superposition of 0 and 1 photons on mode 1 breaks it too."""
+    if keep_parity:
+        other = np.kron(dense_state(S1(0.6, 1.0), dim), dense_state(S1(0.4, 0.8), dim))
+    else:
+        plus = np.zeros(dim)
+        plus[:2] = 1.0 / math.sqrt(2.0)
+        mode1 = 0.5 * np.outer(plus, plus) + 0.5 * np.diag(thermal_diagonal(1.0, dim))
+        other = np.kron(mode1, np.diag(thermal_diagonal(0.8, dim)))
+    return 0.5 * dense_state(T2(0.7, 1.5, 1.2), dim) + 0.5 * other
+
+
+@pytest.mark.parametrize("keep_parity,modulus", [(True, 2), (False, 1)], ids=["parity", "whole-space"])
+def test_charge_breaking_two_mode_states_match_dense(keep_parity, modulus):
+    # verify builds two-mode states on the exact charge only; these take the
+    # coarser partitions through the same code
+    dim = 6
+    mat = _charge_breaking(dim, keep_parity)
+    rho = FockDensityMatrix(dims=(dim, dim), mat=mat)
+    out, ref_out = apply_loss_kraus(rho, 0.6), dense_loss(mat, (dim, dim), 0.6)
+    assert rho.modulus == out.modulus == modulus
+    assert np.max(np.abs(out.mat - ref_out)) < DENSE_TOL
+    for state, dense in ((rho, mat), (out, ref_out)):
+        first, cm = moments_from_fock(state)
+        ref_first, ref_cm = dense_moments(dense, state.dims)
+        assert np.max(np.abs(first - ref_first)) < DENSE_TOL
+        assert np.max(np.abs(cm - ref_cm)) < DENSE_TOL
+    assert (abs(moments_from_fock(rho)[0][0]) > 0.1) == (not keep_parity)
+    # a prepared exact-charge state is coarsened to the mixture's partition
+    tmst = fock_squeezed_thermal(T2(0.7, 1.5, 1.2), TruncationConfig(dim=dim, tail_tol=DENSE_TRUNCATION))
+    for (a, b), (ref_a, ref_b) in (((rho, out), (mat, ref_out)), ((tmst, rho), (tmst.mat, mat))):
+        assert abs(qcb_fock(a, b)[0] - dense_qcb(ref_a, ref_b)) < DENSE_TOL
+        assert abs(s_overlap_fock(a, b, 0.3) - dense_s_overlap(ref_a, ref_b, 0.3)) < DENSE_TOL
+        assert abs(fidelity_fock(a, b) - dense_fidelity(ref_a, ref_b)) < DENSE_TOL
+        assert abs(trace_distance_fock(a, b) - dense_trace_distance(ref_a, ref_b)) < DENSE_TOL
+        assert abs(helstrom_pe_fock(a, b) - dense_helstrom(ref_a, ref_b, 1)) < DENSE_TOL
+
+
+def test_two_mode_oracle_memory_at_dim_80():
+    # One dense 6400 x 6400 matrix is 328 MB; the blocks of a two-mode state
+    # at dim 80 take 2.7 MB.
+    params = T2(0.5, 0.2, 0.1)
+    tracemalloc.start()
+    try:
+        rho = fock_squeezed_thermal(params, TruncationConfig(dim=80))
+        out = apply_loss_kraus(rho, 0.6)
+        moments_from_fock(rho), moments_from_fock(out)
+        q, _ = qcb_fock(rho, out)
+        fidelity_fock(rho, out), helstrom_pe_fock(rho, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6, f"peak {peak / 1e6:.1f} MB"
+    report = qcb(params, output_params_two(params, LossChannel.from_eta(0.6)))
+    assert abs(q - report.q) < 1e-6
