@@ -26,6 +26,7 @@ from .gaussian import (
     CovarianceMatrix,
     SqueezedThermalParamsSingle,
     SqueezedThermalParamsTwo,
+    UnphysicalStateError,
     any_of,
     at_least_zero,
     libm,
@@ -169,8 +170,9 @@ def output_params_two(p: SqueezedThermalParamsTwo, ch: Channels) -> SqueezedTher
         B - 1 = 2 sinh^2 r (1 + n_t1) + 2 n_t2 cosh^2 r.
 
     Elsewhere the difference loses at most one bit and is kept.  The stack
-    is rebuilt with one make_two_mode_st call; a residual above 1e-9 in any
-    CM entry raises ParameterRecoveryError for the first such row.
+    is rebuilt with one make_two_mode_st call; a rebuilt CM that fails the
+    uncertainty relation, or a residual above 1e-9 in any CM entry, raises
+    ParameterRecoveryError for the first such row.
     """
     eta = _eta(p, ch)
     a, b, c = evolved_blocks(p, ch)
@@ -191,7 +193,16 @@ def output_params_two(p: SqueezedThermalParamsTwo, ch: Channels) -> SqueezedTher
     r_out = _clamped(0.5 * libm(math.asinh, c / u), "output squeezing", p, ch)
     out = SqueezedThermalParamsTwo(r=r_out, n_t1=n1, n_t2=n2)
     # largest entry gap between the rebuilt CMs and the evolved ones (half the block entries)
-    m = make_two_mode_st(out).mat
+    try:
+        m = make_two_mode_st(out).mat
+    except UnphysicalStateError:
+        # the stack's message names its worst matrix: name the first failing row instead
+        for k in range(math.prod(p.shape)):
+            try:
+                make_two_mode_st(out.row(k))
+            except UnphysicalStateError as err:
+                raise ParameterRecoveryError(f"rebuilt state is unphysical, {err}" + _row(p, ch, k)) from None
+        raise
     gaps = [abs(m[..., 0, 0] - 0.5 * a), abs(m[..., 2, 2] - 0.5 * b), abs(m[..., 0, 2] - 0.5 * c)]
     residual = np.ravel(np.max(gaps, axis=0))
     if (residual > 1e-9).any():

@@ -19,15 +19,14 @@ G_s(t) G_(1-s)(t) makes Q_s = 1 for identical states.
 Array semantics.  g_s, lambda_s, q_s_single and q_s_two are elementwise and
 broadcast, and a scalar input gives a float.  States enter as parameters
 (one state or a stack, see `gaussian`) or as lanes from `stack_states`.
-`qcb_batch` takes (input, output) pairs of states or stacks, of any mix of
-channels and mode counts: the pure lanes of a mode count share one stacked
-`overlap`, and all mixed lanes share one lane-wise golden section
-(`minimize_scalar_golden`), one call of Q_s per step, each lane freezing
-once its own bracket is at most S_TOL.  `qcb` is the batch of one.  A lone
-lane keeps its arithmetic on Python floats (far cheaper than 0-d arrays)
-while its powers still come from numpy's array loop, so a lane's q and s*
-are the same bit for bit alone and in a batch (numpy's pow and Python's **
-differ in the last bit for a few percent of arguments).
+`qcb` takes two states or two stacks of one mode count whose shapes
+broadcast: its pure lanes share one stacked `overlap`, and its mixed lanes
+share one lane-wise golden section (`minimize_scalar_golden`), one call of
+Q_s per step, each lane freezing once its own bracket is at most S_TOL.  A
+lone mixed lane keeps its arithmetic on Python floats (far cheaper than 0-d
+arrays) while its powers still come from numpy's array loop, so a lane's q
+and s* are the same bit for bit alone and in a stack (numpy's pow and
+Python's ** differ in the last bit for a few percent of arguments).
 
 Q_s is convex in s (Audenaert et al., PRL 98, 160501, 2007), so the grid
 seeded golden section finds its infimum.  When one of the states is pure
@@ -42,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,16 +112,10 @@ class StateLanes(NamedTuple):
     squeeze: np.ndarray
 
 
-def stack_states(states: Params | Sequence[Params] | StateLanes) -> StateLanes:
-    """Lanes of one state (0-d lanes, plain float factors), a stack, or a sequence of states."""
-    if isinstance(states, StateLanes):
-        return states
-    p = states
-    if not isinstance(p, (SqueezedThermalParamsSingle, SqueezedThermalParamsTwo)):
-        kinds = {type(q) for q in states}
-        if len(kinds) != 1 or not kinds <= {SqueezedThermalParamsSingle, SqueezedThermalParamsTwo}:
-            raise TypeError("states must be squeezed thermal parameters of one mode count")
-        p = kinds.pop()(*(np.array(col, dtype=float) for col in zip(*(q.fields() for q in states))))
+def stack_states(p: Params | StateLanes) -> StateLanes:
+    """Lanes of one state (0-d lanes, plain float factors) or of a stack."""
+    if isinstance(p, StateLanes):
+        return p
     if isinstance(p, SqueezedThermalParamsSingle):
         bases, squeeze = [p.n_t, p.n_t + 1.0], [libm(lambda r: math.exp(2.0 * r), p.r)]
     else:
@@ -279,87 +272,50 @@ def _is_pure(p: Params) -> np.ndarray:
     return np.all([n == 0.0 for n in p.fields()[1:]], axis=0)
 
 
-def _minimize_mixed(parts: list, q: np.ndarray, s_star: np.ndarray) -> None:
-    """One golden section over the mixed lanes of parts, (q_s, pa, pb, positions) per mode count."""
-    lanes = sum(len(pos) for *_, pos in parts)
-    lone = lanes == 1
-    curves, start = [], 0
-    for q_s, pa, pb, pos in parts:
-        a, b = (stack_states(p.row(0) if lone else p) for p in (pa, pb))
-        curves.append((q_s, a, b, slice(start, start + len(pos))))
-        start += len(pos)
-
-    def curve(s):
-        if len(curves) == 1:
-            q_s, a, b, _ = curves[0]
-            return q_s(a, b, s)
-        return np.concatenate([q_s(a, b, s[..., sl]) for q_s, a, b, sl in curves], axis=-1)
-
-    lo = S_EPS if lone else np.full(lanes, S_EPS)
-    s_m, q_m = minimize_scalar_golden(curve, lo, 1.0 - S_EPS, S_TOL)
-    order = np.concatenate([pos for *_, pos in parts])
+def _minimize_mixed(q_s, pa: Params, pb: Params) -> tuple:
+    """(q, s*) of every lane of two flat stacks of mixed states, from one golden section."""
+    lone = pa.shape == (1,)
+    a, b = (stack_states(p.row(0) if lone else p) for p in (pa, pb))
+    lo = S_EPS if lone else np.full(pa.shape, S_EPS)
+    s_m, q_m = minimize_scalar_golden(lambda s: q_s(a, b, s), lo, 1.0 - S_EPS, S_TOL)
     # min(q, 1.0) as Python takes it
-    q[order] = np.where(1.0 < q_m, 1.0, q_m)
-    s_star[order] = s_m
-
-
-def qcb_batch(pairs: Sequence[tuple[Params, Params]], copies: int = 1) -> list[DiscriminationReport]:
-    """Quantum Chernoff bound of every (pa, pb) pair, in one minimization.
-
-    A pair is two states or two stacks of one mode count (shapes broadcast);
-    its report holds floats, or arrays of the stack shape.  A lane with a
-    pure state takes the overlap: rho^s is constant in s, so the infimum
-    sits at the boundary, where Q equals Tr[rho_a rho_b], which is also the
-    fidelity (one state is pure) and gives the fidelity bounds.  The pure
-    lanes of a mode count share one stacked overlap; all other lanes share
-    one golden section over s in [1e-6, 1 - 1e-6] to 1e-10.
-    """
-    if copies < 1:
-        raise ValueError(f"copy count must be >= 1, got {copies}")
-    kinds: dict[type, list] = {SqueezedThermalParamsSingle: [], SqueezedThermalParamsTwo: []}
-    slots, total = [], 0  # (shape, first lane) of every pair
-    for pa, pb in pairs:
-        if type(pa) is not type(pb):
-            raise TypeError(f"mode mismatch: {type(pa).__name__} vs {type(pb).__name__}")
-        if type(pa) not in kinds:
-            raise TypeError(f"unsupported parameter type {type(pa).__name__}")
-        shape = np.broadcast_shapes(pa.shape, pb.shape)
-        size = math.prod(shape)
-        flat = [[np.ravel(v) if p.shape == shape else np.broadcast_to(v, shape).ravel() for v in p.fields()]
-                for p in (pa, pb)]
-        kinds[type(pa)].append((*flat, np.arange(total, total + size)))
-        slots.append((shape, total))
-        total += size
-
-    q, s_star, fid = np.empty(total), np.empty(total), np.full(total, np.nan)
-    parts = []
-    for kind, entries in kinds.items():
-        if not entries:
-            continue
-        pa, pb = (kind._of([np.concatenate(col) for col in zip(*(e[i] for e in entries))]) for i in (0, 1))
-        pos = np.concatenate([e[2] for e in entries])
-        pure_a = _is_pure(pa)
-        pure = pure_a | _is_pure(pb)
-        if pure.any():
-            make = make_single_mode_st if kind is SqueezedThermalParamsSingle else make_two_mode_st
-            q[pos[pure]] = fid[pos[pure]] = overlap(make(pa.take(pure)), make(pb.take(pure)))
-            s_star[pos[pure]] = np.where(pure_a[pure], 0.0, 1.0)
-        if not pure.all():
-            q_s = q_s_single if kind is SqueezedThermalParamsSingle else q_s_two
-            parts.append((q_s, pa.take(~pure), pb.take(~pure), pos[~pure]))
-    if parts:
-        _minimize_mixed(parts, q, s_star)
-
-    reports = []
-    for shape, start in slots:
-        q_k, s_k, f_k = (x[start : start + math.prod(shape)].reshape(shape) for x in (q, s_star, fid))
-        if not shape:
-            q_k, s_k, f_k = float(q_k), float(s_k), None if np.isnan(f_k) else float(f_k)
-        pe_lower, pe_upper, pe_fid = error_bounds(q_k, f_k, copies)
-        reports.append(DiscriminationReport(q_k, s_k, copies, pe_upper, f_k, pe_lower, pe_fid))
-    return reports
+    return np.where(1.0 < q_m, 1.0, q_m), s_m
 
 
 def qcb(pa: Params, pb: Params, copies: int = 1) -> DiscriminationReport:
-    """Quantum Chernoff bound between two squeezed thermal states: `qcb_batch` of one pair."""
-    return qcb_batch([(pa, pb)], copies)[0]
+    """Quantum Chernoff bound between two squeezed thermal states, or two stacks.
+
+    pa and pb are states or stacks of one mode count whose shapes broadcast;
+    the report holds floats for one state, else arrays of the stack shape.
+    A lane with a pure state takes the overlap: rho^s is constant in s, so
+    the infimum sits at the boundary, where Q equals Tr[rho_a rho_b], which
+    is also the fidelity (one state is pure) and gives the fidelity bounds.
+    The pure lanes share one stacked overlap; all other lanes share one
+    golden section over s in [1e-6, 1 - 1e-6] to 1e-10.
+    """
+    if copies < 1:
+        raise ValueError(f"copy count must be >= 1, got {copies}")
+    if type(pa) is not type(pb):
+        raise TypeError(f"mode mismatch: {type(pa).__name__} vs {type(pb).__name__}")
+    if type(pa) not in (SqueezedThermalParamsSingle, SqueezedThermalParamsTwo):
+        raise TypeError(f"unsupported parameter type {type(pa).__name__}")
+    single = type(pa) is SqueezedThermalParamsSingle
+    shape = np.broadcast_shapes(pa.shape, pb.shape)
+    pa, pb = (p._of([np.broadcast_to(v, shape).ravel() for v in p.fields()]) for p in (pa, pb))
+    size = math.prod(shape)
+    q, s_star, fid = np.empty(size), np.empty(size), np.full(size, np.nan)
+    pure_a = _is_pure(pa)
+    pure = pure_a | _is_pure(pb)
+    if pure.any():
+        make = make_single_mode_st if single else make_two_mode_st
+        q[pure] = fid[pure] = overlap(make(pa.take(pure)), make(pb.take(pure)))
+        s_star[pure] = np.where(pure_a[pure], 0.0, 1.0)
+    if not pure.all():
+        q_s = q_s_single if single else q_s_two
+        q[~pure], s_star[~pure] = _minimize_mixed(q_s, pa.take(~pure), pb.take(~pure))
+
+    q, s_star, fid = (x.reshape(shape) for x in (q, s_star, fid))
+    if not shape:
+        q, s_star, fid = float(q), float(s_star), None if np.isnan(fid) else float(fid)
+    pe_lower, pe_upper, pe_fid = error_bounds(q, fid, copies)
+    return DiscriminationReport(q, s_star, copies, pe_upper, fid, pe_lower, pe_fid)

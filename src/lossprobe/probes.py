@@ -23,7 +23,7 @@ Array semantics.  q1, q2, delta_q and delta_q_gamma are elementwise over N
 and beta, which broadcast; the channel is one LossChannel for every row or
 a sequence with one per row.  All rows form one stack: one ProbeSpec
 validates them, `params_from_spec` and the channel's recovery run on
-arrays, and one `qcb_batch` call serves them, whose mixed rows share one
+arrays, and one `qcb` call serves them, whose mixed rows share one
 lane-wise golden section over s.  Scalar rows give a float, and a row
 gives the same bits alone and in any batch.  random_sweep and
 optimize_beta's 101-point grid are one batch each.
@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import LossChannel, output_params_single, output_params_two
-from .chernoff import DiscriminationReport, minimize_scalar_golden, qcb, qcb_batch
+from .chernoff import DiscriminationReport, minimize_scalar_golden, qcb
 from .gaussian import (
     SqueezedThermalParamsSingle,
     SqueezedThermalParamsTwo,
@@ -106,8 +106,7 @@ def params_from_spec(spec: ProbeSpec) -> SqueezedThermalParamsSingle | SqueezedT
         return SqueezedThermalParamsSingle(r=libm(squeezing, n_s), n_t=n_t)
     n_s = 0.5 * beta * n
     pool = (1.0 - beta) * n / (1.0 + beta * n)
-    gamma = spec.gamma if spec.gamma is not None else 1.0
-    return SqueezedThermalParamsTwo(r=libm(squeezing, n_s), n_t1=gamma * pool, n_t2=(1.0 - gamma) * pool)
+    return SqueezedThermalParamsTwo(r=libm(squeezing, n_s), n_t1=spec.gamma * pool, n_t2=(1.0 - spec.gamma) * pool)
 
 
 def _pair(spec: ProbeSpec, ch: LossChannel | Sequence[LossChannel]) -> tuple:
@@ -123,7 +122,7 @@ def discriminate(spec: ProbeSpec, ch: LossChannel, copies: int = 1) -> Discrimin
 
 
 def _q_rows(modes: int, n, beta, gamma: float | None, ch: LossChannel | Sequence[LossChannel]):
-    """Q of every row of (N, beta) against its channel, from one qcb_batch call.
+    """Q of every row of (N, beta) against its channel, from one qcb call.
 
     n and beta broadcast; ch is one channel for every row or a sequence of
     one per row.  The rows are one stack: one ProbeSpec validates them all.
@@ -134,7 +133,7 @@ def _q_rows(modes: int, n, beta, gamma: float | None, ch: LossChannel | Sequence
     n, beta, which = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(beta, dtype=float),
                                          0 if one else np.arange(len(chs)))
     spec = ProbeSpec(modes=modes, n=float_or_array(n), beta=float_or_array(beta), gamma=gamma)
-    return qcb_batch([_pair(spec, ch if one else [chs[k] for k in which.ravel().tolist()])])[0].q
+    return qcb(*_pair(spec, ch if one else [chs[k] for k in which.ravel().tolist()])).q
 
 
 def q1(n, beta, ch):

@@ -292,6 +292,23 @@ def test_failing_row_inside_a_batch_is_named(n, beta, eta, error):
         assert str(batch.value) == f"{alone.value} for {bad} through {chs[k]} (row {k})"
 
 
+def test_unphysical_rebuild_is_a_recovery_error_naming_its_row():
+    # the recovered parameters are valid, but the rebuilt CM misses the
+    # uncertainty relation by -4.961e-09 (entries of size N)
+    from lossprobe.probes import ProbeSpec, params_from_spec
+
+    bad = params_from_spec(ProbeSpec(modes=2, n=1e8, beta=0.1, gamma=0.0))
+    ch = LossChannel.from_eta(0.1)
+    with pytest.raises(ParameterRecoveryError, match=r"uncertainty relation violated") as alone:
+        output_params_two(bad, ch)
+    assert str(alone.value).endswith(f" for {bad} through {ch}")
+    chs = [LossChannel.from_eta(0.5), ch, LossChannel.from_eta(0.9)]
+    stack = params_from_spec(ProbeSpec(modes=2, n=np.array([1.0, 1e8, 2.0]), beta=0.1, gamma=0.0))
+    with pytest.raises(ParameterRecoveryError) as batch:
+        output_params_two(stack, chs)
+    assert str(batch.value) == f"{alone.value} (row 1)"
+
+
 def test_lossless_channel_stores_positive_zero_damping():
     # -log(1.0) is -0.0, which used to show up in every recovery error
     ch = LossChannel.from_eta(1.0)

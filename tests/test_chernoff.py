@@ -23,8 +23,6 @@ from lossprobe.chernoff import (
     q_s_single,
     q_s_two,
     qcb,
-    qcb_batch,
-    stack_states,
 )
 from lossprobe.gaussian import (
     SqueezedThermalParamsSingle,
@@ -106,6 +104,21 @@ def probe_pairs(count, seed):
         p2 = params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=0.999))
         pairs += [(p1, output_params_single(p1, ch)), (p2, output_params_two(p2, ch))]
     return pairs
+
+
+def stack(states):
+    """One stack of states of one mode count, a lane per state."""
+    return type(states[0])(*(np.array(col) for col in zip(*(p.fields() for p in states))))
+
+
+def stacked_reports(pairs):
+    """Each pair's lane of one qcb call per mode count, in pair order."""
+    out = {}
+    for kind in (SqueezedThermalParamsSingle, SqueezedThermalParamsTwo):
+        ks = [k for k, (pa, _) in enumerate(pairs) if type(pa) is kind]
+        rep = qcb(stack([pairs[k][0] for k in ks]), stack([pairs[k][1] for k in ks]))
+        out.update((k, (rep.q[j], rep.s_star[j], rep.fidelity[j])) for j, k in enumerate(ks))
+    return [out[k] for k in range(len(pairs))]
 
 
 VACUUM = SqueezedThermalParamsSingle(r=0.0, n_t=0.0)
@@ -310,35 +323,21 @@ def test_batched_qcb_matches_scalar_reference():
     # s* itself may move (up to 2.6e-5 on these draws); what must hold is
     # that it is as good a minimizer of the reference curve.
     pairs = probe_pairs(1000, seed=20261018)
-    reports = qcb_batch(pairs)
+    reports = stacked_reports(pairs)
     assert len(reports) == 2000
-    for (pa, pb), rep in zip(pairs, reports):
+    for (pa, pb), (q_k, s_k, f_k) in zip(pairs, reports):
         s_star, q = ref_qcb_mixed(pa, pb)
         q_s = ref_q_s_single if isinstance(pa, SqueezedThermalParamsSingle) else ref_q_s_two
-        assert rep.fidelity is None
-        assert math.isclose(rep.q, q, rel_tol=1e-13), (pa, pb, rep.q, q)
-        assert q_s(pa, pb, rep.s_star) <= q * (1.0 + 1e-13), (pa, pb, rep.s_star, s_star)
+        assert np.isnan(f_k)
+        assert math.isclose(q_k, q, rel_tol=1e-13), (pa, pb, q_k, q)
+        assert q_s(pa, pb, s_k) <= q * (1.0 + 1e-13), (pa, pb, s_k, s_star)
 
 
 def test_lane_is_bitwise_the_same_alone_and_in_a_batch():
     pairs = probe_pairs(500, seed=7)
-    batch = qcb_batch(pairs)
-    for (pa, pb), rep in zip(pairs, batch):
+    for (pa, pb), (q_k, s_k, _) in zip(pairs, stacked_reports(pairs)):
         alone = qcb(pa, pb)
-        assert (alone.q, alone.s_star) == (rep.q, rep.s_star), (pa, pb)
-        assert qcb_batch([(pa, pb)]) == [alone]
-
-
-def test_batch_keeps_pair_order_and_mixes_branches():
-    pure = (SqueezedThermalParamsSingle(r=math.asinh(1.0), n_t=0.0), VACUUM)
-    single = (THERMAL1, SqueezedThermalParamsSingle(r=0.2, n_t=0.4))
-    two = (SqueezedThermalParamsTwo(0.4, 0.3, 0.1), SqueezedThermalParamsTwo(0.2, 0.5, 0.1))
-    reports = qcb_batch([two, pure, single, two], copies=3)
-    assert reports == [qcb(*two, copies=3), qcb(*pure, copies=3), qcb(*single, copies=3), qcb(*two, copies=3)]
-    assert reports[1].fidelity is not None and reports[0].fidelity is None
-    assert qcb_batch([]) == []
-    with pytest.raises(TypeError):
-        qcb_batch([single, (THERMAL1, two[1])])
+        assert (alone.q, alone.s_star) == (q_k, s_k), (pa, pb)
 
 
 def test_minimizer_lanes_take_the_scalar_steps():
@@ -373,20 +372,20 @@ def test_q_s_two_matches_reference(pa, pb, s):
 
 
 def test_q_s_broadcasts_over_lanes_and_s():
-    pas = [SqueezedThermalParamsTwo(0.4, 0.3, 0.1), SqueezedThermalParamsTwo(0.9, 0.0, 1.2)]
-    pbs = [SqueezedThermalParamsTwo(0.2, 0.5, 0.1), SqueezedThermalParamsTwo(0.7, 0.6, 1.2)]
+    pas = SqueezedThermalParamsTwo(np.array([0.4, 0.9]), np.array([0.3, 0.0]), np.array([0.1, 1.2]))
+    pbs = SqueezedThermalParamsTwo(np.array([0.2, 0.7]), np.array([0.5, 0.6]), np.array([0.1, 1.2]))
     s = np.array([[0.2, 0.7], [0.5, 0.5], [0.9, 0.1]])
-    grid = q_s_two(stack_states(pas), stack_states(pbs), s)
+    grid = q_s_two(pas, pbs, s)
     assert grid.shape == (3, 2)
     for i, j in np.ndindex(3, 2):
-        assert grid[i, j] == q_s_two(pas[j], pbs[j], s[i, j])
+        assert grid[i, j] == q_s_two(pas.row(j), pbs.row(j), s[i, j])
     value = q_s_single(THERMAL1, VACUUM, 0.5)
     assert type(value) is float
     assert q_s_single(THERMAL1, VACUUM, np.array([0.5]))[0] == value
     with pytest.raises(ValueError):
         q_s_single(THERMAL1, VACUUM, np.array([0.5, 1.0]))
     with pytest.raises(ValueError):
-        q_s_two(pas[0], pbs[0], 0.0)
+        q_s_two(pas.row(0), pbs.row(0), 0.0)
 
 
 def test_g_lambda_elementwise():
@@ -414,6 +413,19 @@ def test_pure_switch_is_exact_zero():
     assert two.fidelity is None and math.isfinite(two.q)
 
 
+def assert_lanes_are_their_rows(report, rows):
+    """Every lane of a stacked report has the bits of its row's own qcb report."""
+    assert report.q.shape == report.s_star.shape == report.fidelity.shape
+    for k, alone in enumerate(rows):
+        lane = [np.ravel(v)[k] for v in (report.q, report.s_star, report.pe_upper, report.fidelity,
+                                          report.pe_lower, report.pe_fidelity_upper)]
+        assert [alone.q, alone.s_star, alone.pe_upper] == lane[:3], k
+        if alone.fidelity is None:
+            assert all(np.isnan(v) for v in lane[3:]), k
+        else:
+            assert [alone.fidelity, alone.pe_lower, alone.pe_fidelity_upper] == lane[3:], k
+
+
 def test_stacked_pair_is_the_same_bits_as_its_rows():
     # one (input, output) pair of stacks, pure and mixed rows together, and
     # the same rows one qcb call at a time
@@ -423,13 +435,37 @@ def test_stacked_pair_is_the_same_bits_as_its_rows():
     for modes, recover in ((1, output_params_single), (2, output_params_two)):
         p_in = params_from_spec(ProbeSpec(modes=modes, n=n, beta=beta, gamma=0.999 if modes == 2 else None))
         p_out = recover(p_in, chs)
-        report = qcb_batch([(p_in, p_out)], copies=3)[0]
+        report = qcb(p_in, p_out, copies=3)
         assert report.q.shape == (300,) and np.isnan(report.fidelity).sum() == 300 - 43
-        for k in range(300):
-            alone = qcb(p_in.row(k), p_out.row(k), copies=3)
-            assert (alone.q, alone.s_star, alone.pe_upper) == (report.q[k], report.s_star[k], report.pe_upper[k])
-            if alone.fidelity is None:
-                assert np.isnan(report.fidelity[k]) and np.isnan(report.pe_lower[k])
-            else:
-                assert (alone.fidelity, alone.pe_lower, alone.pe_fidelity_upper) == (
-                    report.fidelity[k], report.pe_lower[k], report.pe_fidelity_upper[k])
+        assert_lanes_are_their_rows(report, [qcb(p_in.row(k), p_out.row(k), copies=3) for k in range(300)])
+
+
+def test_one_state_broadcasts_against_a_stack():
+    one = SqueezedThermalParamsSingle(r=0.3, n_t=0.2)
+    # lanes 0 and 2 are pure, lane 4 is mixed by a hair
+    many = SqueezedThermalParamsSingle(r=np.array([0.0, 0.3, 0.5, 1.1, 0.2]),
+                                       n_t=np.array([0.0, 0.2, 0.0, 0.7, 1e-12]))
+    for pa, pb, rows in ((one, many, [(one, many.row(k)) for k in range(5)]),
+                         (many, one, [(many.row(k), one) for k in range(5)])):
+        report = qcb(pa, pb, copies=2)
+        assert report.q.shape == (5,) and np.isnan(report.fidelity).tolist() == [False, True, False, True, True]
+        assert_lanes_are_their_rows(report, [qcb(a, b, copies=2) for a, b in rows])
+
+
+def test_two_axis_stack_keeps_its_shape():
+    n = np.linspace(0.2, 3.0, 12).reshape(3, 4)
+    beta = np.tile([0.0, 0.4, 0.9, 1.0], (3, 1))
+    p_in = params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=0.999))
+    p_out = output_params_two(p_in, LossChannel.from_gamma(0.7))
+    report = qcb(p_in, p_out)
+    # beta = 1 (the last column) gives pure probes
+    assert report.q.shape == (3, 4)
+    assert np.isnan(report.fidelity[:, :3]).all() and not np.isnan(report.fidelity[:, 3]).any()
+    assert_lanes_are_their_rows(report, [qcb(p_in.row(k), p_out.row(k)) for k in range(12)])
+
+
+def test_qcb_rejects_a_mode_mismatch():
+    with pytest.raises(TypeError, match="mode mismatch"):
+        qcb(THERMAL1, SqueezedThermalParamsTwo(0.2, 0.5, 0.1))
+    with pytest.raises(TypeError, match="unsupported parameter type"):
+        qcb(make_single_mode_st(THERMAL1), make_single_mode_st(VACUUM))
