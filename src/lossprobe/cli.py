@@ -18,6 +18,12 @@ the exact parameter set, so identical invocations produce identical bytes.
 Files land in --outdir when a command writes more than one; the default
 directory comes from the LOSSPROBE_OUTDIR environment variable, falling
 back to the working directory.
+
+A figure command stacks the rows of all its files, with one channel (and,
+for figure 5, one thermal split) per row, and makes one Q1 and one Q2 call
+for the whole stack, then splits the results back into its files (`_stack`
+and np.split).  A row gets the same bits alone and in any stack, so each
+file is byte-identical to computing it on its own.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .channel import LossChannel
-from .correlations import correlation_report, discord, log_negativity
+from .correlations import correlation_report
 from .gaussian import CovarianceMatrix, make_two_mode_st
 from .probes import (
     ProbeSpec,
@@ -245,29 +251,47 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+def _figure_csv(args: argparse.Namespace, outdir: str, name: str, params: dict, columns: list[str], *data) -> str:
+    """Write one file of the figure from its data columns; returns its path."""
+    path = os.path.join(outdir, name)
+    rows = zip(*(np.asarray(c).tolist() for c in data))
+    _write_csv(path, columns, rows, _meta_lines(f"figure {args.id}", params))
+    return path
+
+
+def _stack(*blocks) -> tuple:
+    """Blocks of rows as one stack: each column concatenated, then the cuts.
+
+    A block is a tuple of columns, the first an array with one entry per
+    row, any other such an array (or list) or one value for every row of the
+    block, a LossChannel included.  np.split(result, cuts) undoes the
+    stacking: one array per block.
+    """
+    sizes = [len(block[0]) for block in blocks]
+    columns = [
+        np.concatenate([np.asarray(c) if np.ndim(c) else np.full(k, c) for c, k in zip(cs, sizes)])
+        for cs in zip(*blocks)
+    ]
+    return (*columns, np.cumsum(sizes)[:-1])
+
+
 def _figure_2(args: argparse.Namespace, outdir: str) -> list[str]:
     n_col = np.tile(np.linspace(0.0, 10.0, args.points), 3)
     b_col = np.repeat([0.1, 0.5, 1.0], args.points)
-    written = []
-    for eta in (0.1, 0.5, 0.9):
-        ch = LossChannel.from_eta(eta)
-        rows = list(zip(n_col.tolist(), b_col.tolist(), q1(n_col, b_col, ch).tolist()))
-        path = os.path.join(outdir, f"figure2_eta{eta:g}.csv")
-        meta = _meta_lines("figure 2", {"eta": eta, "points": args.points})
-        _write_csv(path, ["N", "beta", "Q1"], rows, meta)
-        written.append(path)
-    return written
+    return [
+        _figure_csv(args, outdir, f"figure2_eta{eta:g}.csv", {"eta": eta, "points": args.points},
+                    ["N", "beta", "Q1"], n_col, b_col, q1(n_col, b_col, LossChannel.from_eta(eta)))
+        for eta in (0.1, 0.5, 0.9)
+    ]
 
 
 def _figure_3(args: argparse.Namespace, outdir: str) -> list[str]:
     gammas = (0.1, 0.3, 1.0)
     n_col = np.tile(np.linspace(0.0, 10.0, args.points), len(gammas))
-    g_col = [g for g in gammas for _ in range(args.points)]
+    g_col = np.repeat(gammas, args.points)
     chs = [ch for ch in map(LossChannel.from_gamma, gammas) for _ in range(args.points)]
-    rows = list(zip(n_col.tolist(), g_col, q1(n_col, 1.0, chs).tolist(), q2(n_col, 1.0, 1.0, chs).tolist()))
-    path = os.path.join(outdir, "figure3.csv")
-    _write_csv(path, ["N", "Gamma", "Q1", "Q2"], rows, _meta_lines("figure 3", {"points": args.points}))
-    return [path]
+    return [_figure_csv(args, outdir, "figure3.csv", {"points": args.points}, ["N", "Gamma", "Q1", "Q2"],
+                        n_col, g_col, q1(n_col, 1.0, chs), q2(n_col, 1.0, 1.0, chs))]
 
 
 def _grid(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]:
@@ -278,29 +302,31 @@ def _grid(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _figure_4(args: argparse.Namespace, outdir: str) -> list[str]:
+    gammas = (0.1, 0.9)
     n_col, b_col = _grid(args)
-    written = []
-    for g in (0.1, 0.9):
-        ch = LossChannel.from_gamma(g)
-        gap = q1(n_col, b_col, ch) - q2(n_col, b_col, 1.0, ch)
-        rows = list(zip(n_col.tolist(), b_col.tolist(), gap.tolist()))
-        path = os.path.join(outdir, f"figure4_Gamma{g:g}.csv")
-        _write_csv(path, ["N", "beta", "deltaQ"], rows, _meta_lines("figure 4", {"Gamma": g, "points": args.points}))
-        written.append(path)
-    return written
+    n, beta, chs, cuts = _stack(*[(n_col, b_col, LossChannel.from_gamma(g)) for g in gammas])
+    gaps = np.split(q1(n, beta, chs) - q2(n, beta, 1.0, chs), cuts)
+    return [
+        _figure_csv(args, outdir, f"figure4_Gamma{g:g}.csv", {"Gamma": g, "points": args.points},
+                    ["N", "beta", "deltaQ"], n_col, b_col, gap)
+        for g, gap in zip(gammas, gaps)
+    ]
 
 
 def _figure_5(args: argparse.Namespace, outdir: str) -> list[str]:
     gammas = [args.gamma] if args.gamma is not None else [0.99, 0.9, 0.8, 0.7]
-    written = []
-    for g in gammas:
-        records = random_sweep(args.samples, g, args.seed)
-        rows = [[r.n, r.beta, r.gamma_ch, r.gamma, r.delta_q] for r in records]
-        path = os.path.join(outdir, f"figure5_gamma{g:g}.csv")
-        meta = _meta_lines("figure 5", {"gamma": g, "samples": args.samples, "seed": args.seed})
-        _write_csv(path, ["N", "beta", "Gamma", "gamma", "deltaQ_gamma"], rows, meta)
-        written.append(path)
-    return written
+    # every split reads the same draws: one Q1 call, and one Q2 call for all splits
+    n_col, b_col, d_col = (np.array(col) for col in zip(*random_probes(args.samples, args.seed)))
+    chs = [LossChannel.from_gamma(g) for g in d_col.tolist()]
+    q_one = q1(n_col, b_col, chs)
+    *q2_cols, cuts = _stack(*[(n_col, b_col, g, chs) for g in gammas])
+    return [
+        _figure_csv(args, outdir, f"figure5_gamma{g:g}.csv",
+                    {"gamma": g, "samples": args.samples, "seed": args.seed},
+                    ["N", "beta", "Gamma", "gamma", "deltaQ_gamma"],
+                    n_col, b_col, d_col, np.full(len(n_col), g), q_one - q_two)
+        for g, q_two in zip(gammas, np.split(q2(*q2_cols), cuts))
+    ]
 
 
 def _input_cms(n, beta) -> CovarianceMatrix:
@@ -309,42 +335,39 @@ def _input_cms(n, beta) -> CovarianceMatrix:
 
 
 def _figure_6(args: argparse.Namespace, outdir: str) -> list[str]:
-    written = []
     betas = [args.beta] if args.beta is not None else [0.1, 0.9]
+    curve_gammas, density_gammas = (0.9, 0.5, 0.1), (0.2, 0.8)
     ns = np.linspace(5.0 / args.points, 5.0, args.points)
-    for beta in betas:
-        rep = correlation_report(_input_cms(ns, beta))
-        quantities = [rep.log_negativity.tolist(), rep.discord.tolist(), rep.mutual_information.tolist()]
-        for g in (0.9, 0.5, 0.1):
-            gaps = delta_q_gamma(ns, beta, GAMMA_BAR, LossChannel.from_gamma(g))
-            rows = [list(row) for row in zip(ns.tolist(), *quantities, gaps.tolist())]
-            path = os.path.join(outdir, f"figure6_curves_beta{beta:g}_Gamma{g:g}.csv")
-            meta = _meta_lines(
-                "figure 6", {"beta": beta, "Gamma": g, "gamma-bar": GAMMA_BAR, "points": args.points}
-            )
-            _write_csv(path, ["N", "E", "D", "I", "deltaQ"], rows, meta)
-            written.append(path)
-    n_col, b_col = _grid(args)
-    cms = _input_cms(n_col, b_col)
-    quantities = [discord(cms).tolist(), log_negativity(cms).tolist()]
-    for g in (0.2, 0.8):
-        gaps = delta_q_gamma(n_col, b_col, GAMMA_BAR, LossChannel.from_gamma(g))
-        rows = [list(row) for row in zip(n_col.tolist(), b_col.tolist(), *quantities, gaps.tolist())]
-        path = os.path.join(outdir, f"figure6_density_Gamma{g:g}.csv")
-        meta = _meta_lines("figure 6", {"Gamma": g, "gamma-bar": GAMMA_BAR, "points": args.points})
-        _write_csv(path, ["N", "beta", "D", "E", "deltaQ"], rows, meta)
-        written.append(path)
+    grid_n, grid_b = _grid(args)
     # stream 1 keeps the scatter independent of a sweep with the same seed
-    draws = random_probes(args.samples, args.seed, stream=1)
-    n_col, b_col, g_col = (np.array(col) for col in zip(*draws))
-    gaps = delta_q_gamma(n_col, b_col, GAMMA_BAR, [LossChannel.from_gamma(g) for g in g_col.tolist()])
-    rep = correlation_report(_input_cms(n_col, b_col))
-    quantities = [rep.log_negativity.tolist(), rep.discord.tolist(), rep.mutual_information.tolist()]
-    rows = [[*draw, *values] for draw, *values in zip(draws, *quantities, gaps.tolist())]
-    path = os.path.join(outdir, "figure6_scatter.csv")
-    meta = _meta_lines("figure 6", {"samples": args.samples, "seed": args.seed, "gamma-bar": GAMMA_BAR})
-    _write_csv(path, ["N", "beta", "Gamma", "E", "D", "I", "deltaQ"], rows, meta)
-    written.append(path)
+    sc_n, sc_b, sc_g = (np.array(col) for col in zip(*random_probes(args.samples, args.seed, stream=1)))
+    # every file's rows in one stack, in file order; E, D and I once per input block
+    n, beta, chs, cuts = _stack(
+        *[(ns, b, LossChannel.from_gamma(g)) for b in betas for g in curve_gammas],
+        *[(grid_n, grid_b, LossChannel.from_gamma(g)) for g in density_gammas],
+        (sc_n, sc_b, [LossChannel.from_gamma(g) for g in sc_g.tolist()]),
+    )
+    gaps = iter(np.split(delta_q_gamma(n, beta, GAMMA_BAR, chs), cuts))
+    n, beta, cuts = _stack(*[(ns, b) for b in betas], (grid_n, grid_b), (sc_n, sc_b))
+    rep = correlation_report(_input_cms(n, beta))
+    e, d, i = (np.split(x, cuts) for x in (rep.log_negativity, rep.discord, rep.mutual_information))
+    common = {"gamma-bar": GAMMA_BAR, "points": args.points}
+    written = [
+        _figure_csv(args, outdir, f"figure6_curves_beta{b:g}_Gamma{g:g}.csv",
+                    {"beta": b, "Gamma": g, **common}, ["N", "E", "D", "I", "deltaQ"],
+                    ns, e[k], d[k], i[k], next(gaps))
+        for k, b in enumerate(betas)
+        for g in curve_gammas
+    ]
+    written += [
+        _figure_csv(args, outdir, f"figure6_density_Gamma{g:g}.csv", {"Gamma": g, **common},
+                    ["N", "beta", "D", "E", "deltaQ"], grid_n, grid_b, d[-2], e[-2], next(gaps))
+        for g in density_gammas
+    ]
+    params = {"samples": args.samples, "seed": args.seed, "gamma-bar": GAMMA_BAR}
+    columns = ["N", "beta", "Gamma", "E", "D", "I", "deltaQ"]
+    written.append(_figure_csv(args, outdir, "figure6_scatter.csv", params, columns,
+                               sc_n, sc_b, sc_g, e[-1], d[-1], i[-1], next(gaps)))
     return written
 
 

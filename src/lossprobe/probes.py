@@ -19,13 +19,15 @@ x the real root of x^3 + x^2 + x - 1: for eta > eta_c the single-mode probe
 holds an advantage up to a threshold energy N_th(eta) that vanishes at eta_c
 and grows roughly like 4 (eta - eta_c) just above it.
 
-Array semantics.  q1, q2, delta_q and delta_q_gamma are elementwise over N
-and beta, which broadcast; the channel is one LossChannel for every row or
-a sequence with one per row.  All rows form one stack: one ProbeSpec
-validates them, `params_from_spec` and the channel's recovery run on
-arrays, and one `qcb` call serves them, whose mixed rows share one
-lane-wise golden section over s.  Scalar rows give a float, and a row
-gives the same bits alone and in any batch.  random_sweep and
+Array semantics.  q1, q2, delta_q and delta_q_gamma are elementwise over N,
+beta and the two-mode split gamma, which broadcast; the channel is one
+LossChannel for every row or a sequence with one per row.  All rows form
+one stack: one ProbeSpec validates them, `params_from_spec` and the
+channel's recovery run on arrays, and one `qcb` call serves them, whose
+mixed rows share one lane-wise golden section over s.  Scalar rows give a
+float, and a row gives the same bits alone and in any batch, so a caller
+may stack rows of unrelated channels and splits into one call (the CLI
+makes one call per mode count per figure command).  random_sweep and
 optimize_beta's 101-point grid are one batch each.
 """
 
@@ -121,18 +123,20 @@ def discriminate(spec: ProbeSpec, ch: LossChannel, copies: int = 1) -> Discrimin
     return qcb(*_pair(spec, ch), copies=copies)
 
 
-def _q_rows(modes: int, n, beta, gamma: float | None, ch: LossChannel | Sequence[LossChannel]):
-    """Q of every row of (N, beta) against its channel, from one qcb call.
+def _q_rows(modes: int, n, beta, gamma, ch: LossChannel | Sequence[LossChannel]):
+    """Q of every row of (N, beta, gamma) against its channel, from one qcb call.
 
-    n and beta broadcast; ch is one channel for every row or a sequence of
-    one per row.  The rows are one stack: one ProbeSpec validates them all.
-    Scalar rows give a float.
+    n, beta and gamma (None for one mode) broadcast; ch is one channel for
+    every row or a sequence of one per row.  The rows are one stack: one
+    ProbeSpec validates them all.  Scalar rows give a float.
     """
     one = isinstance(ch, LossChannel)
     chs = [ch] if one else list(ch)
-    n, beta, which = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(beta, dtype=float),
-                                         0 if one else np.arange(len(chs)))
-    spec = ProbeSpec(modes=modes, n=float_or_array(n), beta=float_or_array(beta), gamma=gamma)
+    n, beta, gamma_rows, which = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (n, beta, 1.0 if gamma is None else gamma)),
+        0 if one else np.arange(len(chs)))
+    spec = ProbeSpec(modes=modes, n=float_or_array(n), beta=float_or_array(beta),
+                     gamma=None if gamma is None else float_or_array(gamma_rows))
     return qcb(*_pair(spec, ch if one else [chs[k] for k in which.ravel().tolist()])).q
 
 
@@ -141,7 +145,7 @@ def q1(n, beta, ch):
     return _q_rows(1, n, beta, None, ch)
 
 
-def q2(n, beta, gamma: float, ch):
+def q2(n, beta, gamma, ch):
     """Q for two-mode probes (N, beta, gamma) against the channel, elementwise."""
     return _q_rows(2, n, beta, gamma, ch)
 
@@ -169,7 +173,7 @@ def delta_q(n, beta, ch):
     return q1(n, beta, ch) - q2(n, beta, 1.0, ch)
 
 
-def delta_q_gamma(n, beta, gamma: float, ch):
+def delta_q_gamma(n, beta, gamma, ch):
     """Q1(N, beta) - Q2(N, beta, gamma) for an arbitrary thermal split, elementwise."""
     return q1(n, beta, ch) - q2(n, beta, gamma, ch)
 

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import lossprobe
@@ -434,7 +435,7 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_figure4_minimizes_once_per_batch(tmp_path, monkeypatch, capsys):
-    # each file makes one batched Q1 and one batched Q2 call, so the Q_s
+    # the command makes one batched Q1 and one batched Q2 call, so the Q_s
     # evaluations are a few per golden-section step, not 68 per grid point
     calls = []
     for name in ("q_s_single", "q_s_two"):
@@ -493,3 +494,72 @@ def test_figure3_validates_one_cm_stack_per_batch(tmp_path, monkeypatch, capsys)
         code, _, _ = run(["figure", "3", "--points", str(points), "--outdir", str(tmp_path)], capsys)
         assert code == 0
     assert counts[0] == counts[1] <= 10, counts
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure", "4", "--points", "5"],
+        ["figure", "5", "--samples", "5"],
+        ["figure", "6", "--points", "4", "--samples", "3"],
+    ],
+)
+def test_figure_makes_one_chernoff_call_per_mode_count(argv, tmp_path, monkeypatch, capsys):
+    # every file of the command is one stack: one qcb for Q1 and one for Q2,
+    # not two per file (figure 6 made 18)
+    calls = []
+    original = lossprobe.probes.qcb
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lossprobe.probes, "qcb", counted)
+    code, _, _ = run([*argv, "--outdir", str(tmp_path)], capsys)
+    assert code == 0
+    assert len(calls) == 2
+
+
+def test_figure6_stack_equals_one_call_per_file(tmp_path, capsys):
+    # the files rebuilt with one Chernoff and one correlation call per file
+    from lossprobe import cli
+    from lossprobe.channel import LossChannel
+    from lossprobe.correlations import correlation_report, discord, log_negativity
+    from lossprobe.probes import delta_q_gamma, random_probes
+
+    points, samples, seed, bar = 5, 7, 3, cli.GAMMA_BAR
+    code, _, _ = run(["figure", "6", "--points", str(points), "--samples", str(samples),
+                      "--seed", str(seed), "--outdir", str(tmp_path / "cli")], capsys)
+    assert code == 0
+    ref = tmp_path / "ref"
+    ref.mkdir()
+
+    def write(name, params, columns, *data):
+        rows = list(zip(*(np.asarray(c).tolist() for c in data)))
+        cli._write_csv(str(ref / name), columns, rows, cli._meta_lines("figure 6", params))
+
+    ns = np.linspace(5.0 / points, 5.0, points)
+    for beta in (0.1, 0.9):
+        rep = correlation_report(cli._input_cms(ns, beta))
+        for g in (0.9, 0.5, 0.1):
+            write(f"figure6_curves_beta{beta:g}_Gamma{g:g}.csv",
+                  {"beta": beta, "Gamma": g, "gamma-bar": bar, "points": points}, ["N", "E", "D", "I", "deltaQ"],
+                  ns, rep.log_negativity, rep.discord, rep.mutual_information,
+                  delta_q_gamma(ns, beta, bar, LossChannel.from_gamma(g)))
+    n_col = np.repeat(ns, points)
+    b_col = np.tile(np.linspace(0.0, 1.0, points), points)
+    for g in (0.2, 0.8):
+        cms = cli._input_cms(n_col, b_col)
+        write(f"figure6_density_Gamma{g:g}.csv", {"Gamma": g, "gamma-bar": bar, "points": points},
+              ["N", "beta", "D", "E", "deltaQ"], n_col, b_col, discord(cms), log_negativity(cms),
+              delta_q_gamma(n_col, b_col, bar, LossChannel.from_gamma(g)))
+    n_col, b_col, g_col = (np.array(col) for col in zip(*random_probes(samples, seed, stream=1)))
+    rep = correlation_report(cli._input_cms(n_col, b_col))
+    write("figure6_scatter.csv", {"samples": samples, "seed": seed, "gamma-bar": bar},
+          ["N", "beta", "Gamma", "E", "D", "I", "deltaQ"], n_col, b_col, g_col,
+          rep.log_negativity, rep.discord, rep.mutual_information,
+          delta_q_gamma(n_col, b_col, bar, [LossChannel.from_gamma(g) for g in g_col.tolist()]))
+    names = sorted(p.name for p in ref.iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "cli").iterdir()) and len(names) == 9
+    for name in names:
+        assert (tmp_path / "cli" / name).read_text() == (ref / name).read_text(), name

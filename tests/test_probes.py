@@ -317,3 +317,23 @@ def test_spec_of_arrays_names_the_first_bad_row():
         ProbeSpec(modes=1, n=np.ones(3), beta=np.array([0.5, 1.5, 2.0]))
     with pytest.raises(ValueError, match="got inf"):
         q1(np.array([1.0, math.inf, -1.0]), 0.5, LossChannel.from_eta(0.5))
+
+
+def test_q2_takes_one_split_per_row():
+    # splits stacked as rows give the bits of one scalar-split call per split
+    draws = [(0.3, 0.0, 0.2), (1.7, 0.4, 1.1), (4.9, 0.95, 0.05), (2.5, 1.0, 1.9)]
+    n, beta, damping = (np.array(col) for col in zip(*draws))
+    chs = [LossChannel.from_gamma(g) for g in damping.tolist()]
+    splits = (0.99, 0.5, 0.0)
+    k = len(splits)
+    stacked = q2(np.tile(n, k), np.tile(beta, k), np.repeat(splits, len(n)), chs * k)
+    for g, rows in zip(splits, np.split(stacked, k)):
+        assert np.array_equal(rows, q2(n, beta, g, chs))
+    assert np.array_equal(q2(1.5, 0.5, np.array(splits), chs[0]), [q2(1.5, 0.5, g, chs[0]) for g in splits])
+
+
+def test_spec_names_the_bad_split_of_an_array():
+    with pytest.raises(ValueError, match=r"thermal split must be in \[0, 1\], got 1\.25"):
+        ProbeSpec(modes=2, n=np.ones(3), beta=0.5, gamma=np.array([0.5, 1.25, -1.0]))
+    with pytest.raises(ValueError, match="got nan"):
+        q2(1.0, 0.5, np.array([0.2, math.nan]), LossChannel.from_eta(0.5))
