@@ -3,10 +3,11 @@
 The states of interest are squeezed thermal states: a thermal state squeezed
 along the q axis, so the q variance is the large one (a >= b).  They are
 carried as their parameters (squeezing r, thermal occupations n_t), which is
-all the loss channel and the Chernoff bound need.  Covariance matrices (CMs)
-are built only where the matrix itself is needed: the overlap of a pure
-pair, the spectra and correlation quantifiers, and the round-trip check of
-the channel's recovery.
+all the loss channel and the Chernoff bound need (`chernoff` takes even
+the overlap of a pure pair from them).  Covariance matrices (CMs) are built
+only where the matrix itself is needed: the spectra and correlation
+quantifiers, and the round-trip check of the channel's recovery; `overlap`
+is the CM route to Tr[rho_a rho_b], kept as the cross-check.
 
 Everything here takes one state or a stack: parameter fields are floats or
 arrays of one shape, a `CovarianceMatrix` holds (..., 2n, 2n) and is

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LossChannel, evolve_single, evolve_two, output_params_single, output_params_two
-from .chernoff import qcb
+from .chernoff import error_bounds, qcb
 from .fock import (
     TruncationConfig,
     TruncationError,
@@ -149,7 +149,7 @@ def run_case(
 
     pe = helstrom_pe_fock(rho_a, rho_b, copies=1)
     fid = fidelity_fock(rho_a, rho_b)
-    lower = 0.5 * (1.0 - math.sqrt(max(1.0 - fid, 0.0)))
+    lower, _, _ = error_bounds(report.q, fid, 1)
     record("chain: pe above lower", pe - lower, CHAIN_SLACK_TOL, keep_sign=True)
     record("chain: chernoff above pe", report.q / 2.0 - pe, CHAIN_SLACK_TOL, keep_sign=True)
     record(

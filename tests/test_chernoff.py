@@ -4,7 +4,9 @@ The scalar golden section and the math-based Q_s below are the package's
 former per-point route, kept as the reference for the batched core.
 """
 
+import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from lossprobe.gaussian import (
     overlap,
 )
 from lossprobe.probes import ProbeSpec, params_from_spec, random_probes
+from test_channel import _recovery_reference
 
 # ---------------------------------------------------------------------------
 # reference route: one s at a time, Python floats and math
@@ -469,3 +472,118 @@ def test_qcb_rejects_a_mode_mismatch():
         qcb(THERMAL1, SqueezedThermalParamsTwo(0.2, 0.5, 0.1))
     with pytest.raises(TypeError, match="unsupported parameter type"):
         qcb(make_single_mode_st(THERMAL1), make_single_mode_st(VACUUM))
+
+
+# ---------------------------------------------------------------------------
+# pure lanes: the overlap from the parameters
+# ---------------------------------------------------------------------------
+
+
+def decimal_overlap_two(pa, pb):
+    """Tr[rho_a rho_b] of two two-mode states, 1 / |x y - z^2| of the summed blocks, in 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+
+        def blocks(p):
+            r, n1, n2 = (Decimal(v) for v in (p.r, p.n_t1, p.n_t2))
+            ex = r.exp()
+            c, s = (ex + 1 / ex) / 2, (ex - 1 / ex) / 2
+            nu1, nu2 = n1 + Decimal("0.5"), n2 + Decimal("0.5")
+            return nu1 * c * c + nu2 * s * s, nu1 * s * s + nu2 * c * c, (nu1 + nu2) * c * s
+
+        (xa, ya, za), (xb, yb, zb) = blocks(pa), blocks(pb)
+        x, y, z = xa + xb, ya + yb, za + zb
+        return float(1 / (x * y - z * z))
+
+
+def pure_two_mode_grid():
+    """(input, output) stacks of pure two-mode probes over N 1e-2 to 1e6 and eta 1e-3 to 0.999.
+
+    The outputs come from a decimal recovery: `output_params_two` fails on
+    part of this range (its cancellation is a separate, open defect).
+    """
+    ns = [10.0 ** (k / 2) for k in range(-4, 13)]
+    etas = [1e-3, 0.1, 0.5, 0.9, 0.99, 0.999]
+    n, eta, gamma = (np.array(col) for col in zip(*itertools.product(ns, etas, (0.0, 0.5, 1.0))))
+    p_in = params_from_spec(ProbeSpec(modes=2, n=n, beta=np.ones_like(n), gamma=gamma))
+    # the decimal n2' of a pure input is 0 up to the last of its 60 digits
+    out = [[max(v, 0.0) for v in _recovery_reference(p_in.row(k), e)] for k, e in enumerate(eta.tolist())]
+    return p_in, SqueezedThermalParamsTwo(*(np.array(col) for col in zip(*out)))
+
+
+def random_pairs(rng, count, modes):
+    """(pure a, mixed b) stacks of random states, r_b > r_a in every two-mode lane."""
+    r_a = rng.uniform(0.0, 3.0, count)
+    r_b = rng.uniform(0.0, 3.0, count) if modes == 1 else r_a + rng.uniform(1e-3, 3.0, count)
+    if modes == 1:
+        return (SqueezedThermalParamsSingle(r_a, np.zeros(count)),
+                SqueezedThermalParamsSingle(r_b, rng.uniform(0.0, 5.0, count)))
+    return (SqueezedThermalParamsTwo(r_a, np.zeros(count), np.zeros(count)),
+            SqueezedThermalParamsTwo(r_b, rng.uniform(0.0, 5.0, count), rng.uniform(0.0, 5.0, count)))
+
+
+def assert_matches_decimal(report, pa, pb, rel):
+    assert not np.isnan(report.fidelity).any()
+    for k in range(report.q.size):
+        ref = decimal_overlap_two(pa.row(k), pb.row(k))
+        assert abs(report.q[k] - ref) <= rel * ref, (k, report.q[k], ref)
+
+
+def test_single_mode_pure_lanes_are_the_cm_overlap_bits():
+    rng = np.random.default_rng(20261018)
+    pa, pb = random_pairs(rng, 1000, modes=1)
+    for a, b in ((pa, pb), (pb, pa)):
+        report = qcb(a, b)
+        assert report.q.tolist() == report.fidelity.tolist()
+        assert report.q.tolist() == overlap(make_single_mode_st(a), make_single_mode_st(b)).tolist()
+    n, beta, _ = (np.array(col) for col in zip(*random_probes(1000, seed=5)))
+    p_in = params_from_spec(ProbeSpec(modes=1, n=n, beta=np.ones_like(n)))
+    p_out = output_params_single(p_in, LossChannel.from_eta(0.4))
+    assert qcb(p_in, p_out).q.tolist() == overlap(make_single_mode_st(p_in), make_single_mode_st(p_out)).tolist()
+
+
+def test_two_mode_pure_lanes_match_the_decimal_determinant():
+    # the LU determinant of the summed CMs misses this reference by up to 2e-9
+    p_in, p_out = pure_two_mode_grid()
+    assert_matches_decimal(qcb(p_in, p_out), p_in, p_out, 2e-15)
+    rng = np.random.default_rng(7)
+    pa, pb = random_pairs(rng, 200, modes=2)
+    assert_matches_decimal(qcb(pa, pb), pa, pb, 2e-15)
+    # only b pure: a mixed input against a squeezed vacuum
+    assert_matches_decimal(qcb(pb, pa), pb, pa, 2e-15)
+
+
+def test_pure_lanes_are_swap_symmetric_bit_for_bit():
+    rng = np.random.default_rng(3)
+    p_in, p_out = pure_two_mode_grid()
+    for pa, pb in ((p_in, p_out), random_pairs(rng, 200, modes=2), random_pairs(rng, 200, modes=1)):
+        forward, backward = qcb(pa, pb), qcb(pb, pa)
+        assert forward.q.tolist() == backward.q.tolist()
+        assert (forward.s_star + backward.s_star).tolist() == [1.0] * forward.q.size
+
+
+def test_two_mode_pure_lanes_agree_with_the_cm_route():
+    p_in, p_out = pure_two_mode_grid()
+    small = p_in.n_t1 + p_in.n_t2 + 2.0 * np.sinh(p_in.r) ** 2 <= 10.0
+    p_in, p_out = p_in.take(small), p_out.take(small)
+    via_cm = overlap(make_two_mode_st(p_in), make_two_mode_st(p_out))
+    assert p_in.shape[0] > 50
+    np.testing.assert_allclose(qcb(p_in, p_out).q, via_cm, rtol=1e-12, atol=0.0)
+
+
+def decimal_pe_lower(f, m):
+    """(1 - sqrt(1 - F^M)) / 2 in 200 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 200
+        return float((1 - (1 - Decimal(f) ** m).sqrt()) / 2)
+
+
+def test_pe_lower_does_not_cancel_at_small_fidelity():
+    # the direct form 1 - sqrt(1 - F^M) cancels to 0 below F^M ~ 1e-16
+    fs = np.concatenate([np.logspace(-30, 0, 301), [1.0 - 1e-12, 0.5]])
+    for m in (1, 3):
+        lower, _, _ = error_bounds(0.5, fs, m)
+        for f, got in zip(fs.tolist(), lower.tolist()):
+            ref = decimal_pe_lower(f, m)
+            assert abs(got - ref) <= 1e-15 * ref, (f, m, got, ref)
+    assert error_bounds(1.0, 1.0, 1)[0] == 0.5

@@ -497,6 +497,32 @@ def test_figure3_validates_one_cm_stack_per_batch(tmp_path, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize(
+    "argv, validations",
+    [
+        # the recovery's round-trip check
+        (["figure", "3", "--points", "20"], 1),
+        # the recovery's round-trip check and the correlations' input CMs
+        (["figure", "6", "--points", "4", "--samples", "3"], 2),
+    ],
+)
+def test_pure_lanes_build_no_covariance_matrix(argv, validations, tmp_path, monkeypatch, capsys):
+    # qcb takes its pure lanes from the parameters, so the only CMs are these
+    from lossprobe.gaussian import CovarianceMatrix
+
+    counts = []
+    original = CovarianceMatrix.__post_init__
+
+    def counted(self):
+        counts.append(1)
+        original(self)
+
+    monkeypatch.setattr(CovarianceMatrix, "__post_init__", counted)
+    code, _, _ = run([*argv, "--outdir", str(tmp_path)], capsys)
+    assert code == 0
+    assert len(counts) == validations
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["figure", "4", "--points", "5"],
