@@ -176,12 +176,11 @@ def output_params_two(p: SqueezedThermalParamsTwo, ch: Channels) -> SqueezedTher
     """
     eta = _eta(p, ch)
     a, b, c = evolved_blocks(p, ch)
-    square = lambda v: v**2  # noqa: E731  (Python's pow, as the per-row code took it)
     half_diff = 0.25 * (a - b)
-    u_sq = 0.25 * libm(square, a + b) - c * c
-    s2, c2 = (libm(lambda r, f=f: f(r) ** 2, p.r) for f in (math.sinh, math.cosh))
+    u_sq = 0.25 * libm(pow, a + b, 2) - c * c
+    s2, c2 = (libm(pow, libm(f, p.r), 2) for f in (math.sinh, math.cosh))
     u_sq_minus_one = (
-        libm(square, 2.0 * half_diff)
+        libm(pow, 2.0 * half_diff, 2)
         + eta * (2.0 * p.n_t1 + 2.0 * p.n_t2 + 4.0 * p.n_t1 * p.n_t2)
         + (1.0 - eta) * (2.0 * s2 * (1.0 + p.n_t1) + 2.0 * p.n_t2 * c2)
     )

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +52,7 @@ from .gaussian import (
     SqueezedThermalParamsTwo,
     VACUUM_NOISE,
     any_of,
+    at_least_zero,
     float_or_array,
     libm,
     make_two_mode_st,  # not called here: perfbench/test_harness.py pins this binding in every module
@@ -61,6 +63,7 @@ from .gaussian import (
 S_EPS = 1e-6
 S_TOL = 1e-10
 _GRID_POINTS = 21
+_GRID_CHUNK = 2**16  # lane-points per call of f on the seeding grid: bounds its temporaries
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 Params = SqueezedThermalParamsSingle | SqueezedThermalParamsTwo
@@ -117,11 +120,11 @@ def stack_states(p: Params | StateLanes) -> StateLanes:
     if isinstance(p, StateLanes):
         return p
     if isinstance(p, SqueezedThermalParamsSingle):
-        bases, squeeze = [p.n_t, p.n_t + 1.0], [libm(lambda r: math.exp(2.0 * r), p.r)]
+        bases, squeeze = [p.n_t, p.n_t + 1.0], [libm(math.exp, 2.0 * p.r)]
     else:
         bases = [p.n_t1, p.n_t2, p.n_t1 + 1.0, p.n_t2 + 1.0]
-        squeeze = [libm(f, p.r) for f in (lambda r: math.cosh(r) ** 2, lambda r: math.sinh(r) ** 2,
-                                          lambda r: math.cosh(r) * math.sinh(r))]
+        ch, sh = libm(math.cosh, p.r), libm(math.sinh, p.r)
+        squeeze = [libm(pow, ch, 2), libm(pow, sh, 2), ch * sh]
     # one state keeps plain floats: they only ever meet the arithmetic of one lane
     return StateLanes(np.array(bases, dtype=float), squeeze if not p.shape else np.array(squeeze))
 
@@ -144,18 +147,20 @@ def minimize_scalar_golden(f, lo, hi, tol: float, grid_points: int = _GRID_POINT
 
     lo and hi are floats or arrays, one entry per lane.  f maps an array of
     abscissae, the lanes on its last axes, to an array of values of the same
-    shape.  A grid of `grid_points`, evaluated in one call, locates the best
-    bracket; golden section tightens it to width tol with one call of f per
-    step for all lanes; the bracket midpoint is then compared with the two
-    endpoints explicitly, so a boundary minimum is never missed.  A lane
-    freezes once its bracket is at most tol, so each lane takes exactly the
-    steps it would take alone.  Returns (argmin, min): floats for scalar lo
-    and hi, else arrays.
+    shape.  A grid of `grid_points`, evaluated in groups of points with at
+    most 2^16 lane-points per call of f, locates the best bracket; golden
+    section tightens it to width tol with one call of f per step for all
+    lanes; the bracket midpoint is then compared with the two endpoints
+    explicitly, so a boundary minimum is never missed.  A lane freezes once
+    its bracket is at most tol, so each lane takes exactly the steps it would
+    take alone.  Returns (argmin, min): floats for scalar lo and hi, else
+    arrays.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     k = np.arange(grid_points).reshape((-1,) + (1,) * lo.ndim)
     xs = lo + (hi - lo) * k / (grid_points - 1)
-    fs = f(xs)
+    step = max(1, _GRID_CHUNK // max(lo.size, 1))
+    fs = np.concatenate([f(xs[i : i + step]) for i in range(0, grid_points, step)])
     best = np.argmin(fs, axis=0)[None]
     # a lone lane steps on plain floats, with plain branches in select
     a = float_or_array(np.take_along_axis(xs, np.maximum(best - 1, 0), 0)[0])
@@ -258,7 +263,7 @@ def _overlap(pa: Params, pb: Params) -> np.ndarray:
     a1, a2 = pa.n_t1 + VACUUM_NOISE, pa.n_t2 + VACUUM_NOISE
     b1, b2 = pb.n_t1 + VACUUM_NOISE, pb.n_t2 + VACUUM_NOISE
     d = pb.r - pa.r
-    c2, s2 = libm(lambda r: math.cosh(r) ** 2, d), libm(lambda r: math.sinh(r) ** 2, d)
+    c2, s2 = libm(pow, libm(math.cosh, d), 2), libm(pow, libm(math.sinh, d), 2)
     return 1.0 / (a1 * a2 + b1 * b2 + c2 * (a1 * b2 + a2 * b1) + s2 * (a1 * b1 + a2 * b2))
 
 
@@ -269,16 +274,32 @@ class DiscriminationReport:
     fidelity is only available on the pure-state path (where it coincides
     with the overlap); the fidelity-based bounds are None without it.  The
     report of a stack of pairs holds arrays of the stack shape, NaN where a
-    lane has no fidelity.
+    lane has no fidelity.  The error bounds are computed (`error_bounds`)
+    the first time one is read, as the figure commands read only q; `qcb`
+    has checked their inputs.
     """
 
     q: float
     s_star: float
     copies: int
-    pe_upper: float
     fidelity: float | None = None
-    pe_lower: float | None = None
-    pe_fidelity_upper: float | None = None
+
+    @cached_property
+    def _bounds(self) -> tuple:
+        return error_bounds(self.q, self.fidelity, self.copies)
+
+    pe_lower = property(lambda self: self._bounds[0], doc="Fidelity lower bound on P_e, or None.")
+    pe_upper = property(lambda self: self._bounds[1], doc="Chernoff upper bound Q^M / 2 on P_e.")
+    pe_fidelity_upper = property(lambda self: self._bounds[2], doc="Fidelity upper bound on P_e, or None.")
+
+
+def _require_bound_inputs(q, f, m) -> None:
+    require((0.0 <= q) & (q <= 1.0 + 1e-12), "Chernoff quantity must be in [0, 1], got {}", q)
+    if m < 1 or m != int(m):
+        raise ValueError(f"copy count must be a positive integer, got {m}")
+    if f is not None:
+        ok = (0.0 <= f) & (f <= 1.0 + 1e-12)
+        require(ok | np.isnan(f) if np.ndim(f) else ok, "fidelity must be in [0, 1], got {}", f)
 
 
 def error_bounds(q, f, m: int):
@@ -288,19 +309,16 @@ def error_bounds(q, f, m: int):
     they are None when f is None (NaN where an array f is NaN).  P_e <= Q^M / 2
     always.  The lower bound is taken as F^M / (2 (1 + sqrt(1 - F^M))), which
     is the same number without the cancellation of 1 - sqrt(1 - F^M) at small
-    F^M.  The powers come from Python's, one element at a time.
+    F^M.  The powers are Python's (`libm(pow, ...)`), the rest numpy
+    arithmetic, so a lane has the same bits alone and in a stack.
     """
-    require((0.0 <= q) & (q <= 1.0 + 1e-12), "Chernoff quantity must be in [0, 1], got {}", q)
-    if m < 1 or m != int(m):
-        raise ValueError(f"copy count must be a positive integer, got {m}")
-    pe_upper = 0.5 * libm(lambda v: v**m, q)
+    _require_bound_inputs(q, f, m)
+    pe_upper = 0.5 * libm(pow, q, m)
     if f is None:
         return None, pe_upper, None
-    ok = (0.0 <= f) & (f <= 1.0 + 1e-12)
-    require(ok | np.isnan(f) if np.ndim(f) else ok, "fidelity must be in [0, 1], got {}", f)
-    pe_lower = libm(lambda v: (w := v**m) / (2.0 * (1.0 + math.sqrt(max(1.0 - w, 0.0)))), f)
-    pe_fid_upper = libm(lambda v: 0.5 * v ** (m / 2.0), f)
-    return pe_lower, pe_upper, pe_fid_upper
+    w = libm(pow, f, m)
+    pe_lower = float_or_array(w / (2.0 * (1.0 + np.sqrt(at_least_zero(1.0 - w)))))
+    return pe_lower, pe_upper, 0.5 * libm(pow, f, m / 2.0)
 
 
 def _is_pure(p: Params) -> np.ndarray:
@@ -328,7 +346,9 @@ def qcb(pa: Params, pb: Params, copies: int = 1) -> DiscriminationReport:
     is also the fidelity (one state is pure) and gives the fidelity bounds.
     The pure lanes take the overlap from the parameters, with no covariance
     matrix (`_overlap`); all other lanes share one golden section over s in
-    [1e-6, 1 - 1e-6] to 1e-10.
+    [1e-6, 1 - 1e-6] to 1e-10.  A Q or fidelity outside [0, 1] (NaN
+    included) or a copy count that is not an integer raises here, though the
+    report computes its error bounds only when they are read.
     """
     if copies < 1:
         raise ValueError(f"copy count must be >= 1, got {copies}")
@@ -353,5 +373,5 @@ def qcb(pa: Params, pb: Params, copies: int = 1) -> DiscriminationReport:
     q, s_star, fid = (x.reshape(shape) for x in (q, s_star, fid))
     if not shape:
         q, s_star, fid = float(q), float(s_star), None if np.isnan(fid) else float(fid)
-    pe_lower, pe_upper, pe_fid = error_bounds(q, fid, copies)
-    return DiscriminationReport(q, s_star, copies, pe_upper, fid, pe_lower, pe_fid)
+    _require_bound_inputs(q, fid, copies)
+    return DiscriminationReport(q, s_star, copies, fid)

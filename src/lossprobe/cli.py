@@ -29,12 +29,12 @@ file is byte-identical to computing it on its own.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 from dataclasses import asdict
+from itertools import chain
 
 import numpy as np
 
@@ -75,6 +75,9 @@ def _fmt(x: float) -> str:
 _UNIT = (lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
 _FINITE_NONNEGATIVE = (lambda x: 0.0 <= x < math.inf, "a finite number >= 0")
 _FINITE_POSITIVE = (lambda x: 0.0 < x < math.inf, "a finite number > 0")
+# exp(-x) underflows to 0 above x = 745.13, and no channel has transmissivity 0
+_DAMPING = (lambda x: 0.0 <= x and math.exp(-x) > 0.0, "a finite number >= 0 with exp(-x) > 0 (at most 745.13)")
+_DAMPING_MAX = (lambda x: 0.0 < x and math.exp(-x) > 0.0, "a finite number > 0 with exp(-x) > 0 (at most 745.13)")
 
 
 def _require(args: argparse.Namespace, flag: str, ok, domain: str) -> None:
@@ -88,7 +91,7 @@ def _channel_from_args(args: argparse.Namespace) -> LossChannel:
     if (args.eta is None) == (args.damping is None):
         raise UsageError("exactly one of --eta or --damping is required")
     _require(args, "--eta", lambda x: 0.0 < x <= 1.0, "in (0, 1]")
-    _require(args, "--damping", *_FINITE_NONNEGATIVE)
+    _require(args, "--damping", *_DAMPING)
     return LossChannel.from_eta(args.eta) if args.eta is not None else LossChannel.from_gamma(args.damping)
 
 
@@ -97,22 +100,20 @@ def _meta_lines(command: str, params: dict) -> list[str]:
     return [f"lossprobe {__version__}", f"command: {command} {pairs}"]
 
 
-def _write_csv(path: str, columns: list[str], rows: list[list], meta: list[str]) -> None:
-    """CSV with # comment lines, a header row, and 12-significant-digit floats."""
+def _write_csv(path: str, columns: list[str], rows, meta: list[str]) -> None:
+    """CSV with # comment lines, a header row, and 12-significant-digit floats.
 
-    def emit(stream) -> None:
-        for line in meta:
-            stream.write(f"# {line}\n")
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else str(v) for v in row])
-
+    rows is an iterable of rows of floats.  One %-format call renders all of
+    them: "%.12g" % v prints what _fmt(v) does, nan, inf and -0 included.
+    """
+    values = tuple(chain.from_iterable(rows))
+    text = "".join(f"# {line}\n" for line in meta) + ",".join(columns) + "\n"
+    text += (",".join(["%.12g"] * len(columns)) + "\n") * (len(values) // len(columns)) % values
     if path == "-":
-        emit(sys.stdout)
+        sys.stdout.write(text)
     else:
         with open(path, "w", newline="") as f:
-            emit(f)
+            f.write(text)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -151,7 +152,8 @@ def cmd_qcb(args: argparse.Namespace) -> int:
         _require(args, "--gamma", *_UNIT)
     spec = ProbeSpec(modes=args.modes, n=args.n, beta=args.beta, gamma=gamma)
     report = discriminate(spec, ch, copies=args.copies)
-    payload = {k: v for k, v in asdict(report).items() if v is not None}
+    names = ("q", "s_star", "copies", "pe_upper", "fidelity", "pe_lower", "pe_fidelity_upper")
+    payload = {k: v for k in names if (v := getattr(report, k)) is not None}
     _report_out(args, payload)
     return 0
 
@@ -160,7 +162,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _require(args, "--samples", lambda k: k >= 1, ">= 1")
     _require(args, "--gamma", *_UNIT)
     _require(args, "--n-max", *_FINITE_POSITIVE)
-    _require(args, "--damping-max", *_FINITE_POSITIVE)
+    _require(args, "--damping-max", *_DAMPING_MAX)
     ranges = SweepRanges(n_max=args.n_max, gamma_ch_max=args.damping_max)
     records = random_sweep(args.samples, args.gamma, args.seed, ranges)
     positive = sum(1 for r in records if r.delta_q > 0) / len(records)

@@ -70,21 +70,18 @@ def log_negativity(cm: CovarianceMatrix):
     return float_or_array(select(e > 0.0, e, 0.0))
 
 
-def _entropy(x: float) -> float:
-    lo = max(x - VACUUM_NOISE, 0.0)
-    out = (x + VACUUM_NOISE) * math.log(x + VACUUM_NOISE)
-    if lo > 0.0:
-        out -= lo * math.log(lo)
-    return out
-
-
 def binary_entropy_h(x):
     """h(x) = (x + 1/2) ln(x + 1/2) - (x - 1/2) ln(x - 1/2) for x >= 1/2, elementwise.
 
     The entropy of a thermal mode with symplectic eigenvalue x; h(1/2) = 0.
+    The second term is subtracted only where x - 1/2 > 0.  Two mapped
+    math.log passes and numpy arithmetic, so an element has the same bits
+    alone (a float) and in an array.
     """
     require(np.greater_equal(x, VACUUM_NOISE - 1e-9), "entropy argument must be >= 1/2, got {}", x)
-    return libm(_entropy, x)
+    hi, lo = x + VACUUM_NOISE, x - VACUUM_NOISE
+    above = lo > 0.0
+    return float_or_array(hi * libm(math.log, hi) - select(above, lo * libm(math.log, select(above, lo, 1.0)), 0.0))
 
 
 def _require_normal_form(cm: CovarianceMatrix) -> None:

@@ -101,14 +101,14 @@ def params_from_spec(spec: ProbeSpec) -> SqueezedThermalParamsSingle | SqueezedT
     (1 - beta) N / (1 + beta N) split by gamma.
     """
     n, beta = spec.n, spec.beta
-    squeezing = lambda n_s: math.asinh(math.sqrt(n_s))  # noqa: E731
     if spec.modes == 1:
         n_s = beta * n
         n_t = (1.0 - beta) * n / (1.0 + 2.0 * beta * n)
-        return SqueezedThermalParamsSingle(r=libm(squeezing, n_s), n_t=n_t)
+        return SqueezedThermalParamsSingle(r=libm(math.asinh, np.sqrt(n_s)), n_t=n_t)
     n_s = 0.5 * beta * n
     pool = (1.0 - beta) * n / (1.0 + beta * n)
-    return SqueezedThermalParamsTwo(r=libm(squeezing, n_s), n_t1=spec.gamma * pool, n_t2=(1.0 - spec.gamma) * pool)
+    return SqueezedThermalParamsTwo(r=libm(math.asinh, np.sqrt(n_s)), n_t1=spec.gamma * pool,
+                                    n_t2=(1.0 - spec.gamma) * pool)
 
 
 def _pair(spec: ProbeSpec, ch: LossChannel | Sequence[LossChannel]) -> tuple:

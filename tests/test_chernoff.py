@@ -6,6 +6,7 @@ former per-point route, kept as the reference for the batched core.
 
 import itertools
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -33,7 +34,7 @@ from lossprobe.gaussian import (
     make_two_mode_st,
     overlap,
 )
-from lossprobe.probes import ProbeSpec, params_from_spec, random_probes
+from lossprobe.probes import ProbeSpec, params_from_spec, q1, q2, random_probes
 from test_channel import _recovery_reference
 
 # ---------------------------------------------------------------------------
@@ -302,6 +303,39 @@ def test_report_copies_scaling():
     assert isinstance(one, DiscriminationReport)
     assert fifty.copies == 50
     assert fifty.pe_upper == pytest.approx(one.q**50 / 2.0, rel=1e-12)
+
+
+def test_qcb_checks_bound_inputs_at_once_and_computes_bounds_on_read(monkeypatch):
+    from lossprobe import chernoff
+
+    calls = []
+    monkeypatch.setattr(chernoff, "error_bounds", lambda *args: calls.append(args) or (None, 0.25, None))
+    # a NaN lane and a fractional copy count raise inside qcb, no bound read
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match=r"Chernoff quantity must be in \[0, 1\], got nan"):
+            q1(np.array([1.0, 1e300]), 0.5, LossChannel.from_gamma(0.5))
+    pa, pb = SqueezedThermalParamsSingle(0.5, 0.2), SqueezedThermalParamsSingle(0.3, 0.1)
+    with pytest.raises(ValueError, match="copy count must be a positive integer, got 1.5"):
+        qcb(pa, pb, copies=1.5)
+    report = qcb(pa, pb, copies=3)
+    assert calls == []
+    assert report.pe_upper == 0.25 and report.pe_lower is None and report.pe_fidelity_upper is None
+    assert calls == [(report.q, None, 3)]
+
+
+def test_seeding_grid_memory_does_not_grow_with_the_lanes():
+    # figure 4's 20,402 rows in one q2 call: the 21-point grid over every
+    # mixed lane at once peaked near 99 MB traced, in groups near 24 MB
+    ns, betas = np.linspace(5.0 / 101, 5.0, 101), np.linspace(0.0, 1.0, 101)
+    n, beta = np.tile(np.repeat(ns, 101), 2), np.tile(betas, 202)
+    chs = [LossChannel.from_gamma(g) for g in (0.1, 0.9) for _ in range(101 * 101)]
+    tracemalloc.start()
+    try:
+        q2(n, beta, 1.0, chs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, peak
 
 
 def test_golden_section_quadratic():

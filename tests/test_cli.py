@@ -125,6 +125,28 @@ def test_qcb_rejects_zero_transmissivity(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["qcb", "--modes", "1", "--n", "1", "--beta", "0.5", "--damping", "746"], "--damping"),
+        (["sweep", "--samples", "50", "--damping-max", "800"], "--damping-max"),
+    ],
+)
+def test_damping_that_underflows_the_transmissivity_is_a_usage_error(argv, flag, capsys):
+    # exp(-746) underflows to 0; before, LossChannel raised "transmissivity
+    # must be in (0, 1], got 0.0" and the command exited 1
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} must be a finite number") and "exp(-x) > 0" in err
+
+
+def test_largest_representable_damping_still_runs(capsys):
+    code, out, err = run(["qcb", "--modes", "1", "--n", "1", "--beta", "0.5", "--damping", "745"], capsys)
+    assert code == 0, err
+    assert 0.0 < float(parse_report(out)["q"]) < 1.0
+    assert run(["sweep", "--samples", "20", "--damping-max", "745"], capsys)[0] == 0
+
+
 def test_qcb_requires_exactly_one_channel_flag(capsys):
     code, _, _ = run(["qcb", "--modes", "1", "--n", "1", "--beta", "1"], capsys)
     assert code == 2
@@ -248,6 +270,22 @@ def test_sweep_byte_determinism(tmp_path, capsys):
     assert run(["sweep", "--samples", "40", "--seed", "43", "-o", str(c)], capsys)[0] == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() != c.read_bytes()
+
+
+def test_csv_rows_print_as_format_12g_per_value(tmp_path, capsys):
+    # one %-format call renders every data row; each value reads as
+    # format(v, ".12g"), the per-value rendering it replaced
+    from lossprobe import cli
+
+    values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, 3.0, 1.0 / 3.0, -2.5e-300, 1e-5, 123456789012.5]
+    rows = [values[k : k + 3] for k in range(0, 12, 3)]
+    expected = "# lossprobe test\na,b,c\n" + "".join(",".join(format(v, ".12g") for v in row) + "\n" for row in rows)
+    cli._write_csv(str(tmp_path / "t.csv"), ["a", "b", "c"], rows, ["lossprobe test"])
+    assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+    cli._write_csv("-", ["a", "b", "c"], iter(map(tuple, rows)), ["lossprobe test"])
+    assert capsys.readouterr().out == expected
+    cli._write_csv(str(tmp_path / "empty.csv"), ["a"], [], [])
+    assert (tmp_path / "empty.csv").read_text() == "a\n"
 
 
 def test_sweep_validation(capsys):

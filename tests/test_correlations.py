@@ -187,6 +187,22 @@ def test_binary_entropy_domain_error():
         binary_entropy_h(0.4)
 
 
+def test_binary_entropy_array_is_its_scalar_calls_and_the_per_element_formula():
+    # one route for floats and arrays: mapped math.log passes and numpy
+    # algebra, the same bits as the per-element Python formula it replaced
+    def per_element(x):
+        lo = max(x - 0.5, 0.0)
+        out = (x + 0.5) * math.log(x + 0.5)
+        return out - lo * math.log(lo) if lo > 0.0 else out
+
+    special = [0.5, 0.5 - 5e-10, 0.5 + 1e-16, 0.5 + 1e-12, 0.75, 1.0, 1.5, 1e6, 1e300]
+    xs = np.concatenate([special, np.linspace(0.5, 50.0, 2001), 0.5 + np.geomspace(1e-15, 1e3, 500)])
+    h = binary_entropy_h(xs.reshape(5, -1))
+    assert h.shape == (5, 502)
+    assert h.ravel().tolist() == [binary_entropy_h(x) for x in xs.tolist()] == [per_element(x) for x in xs.tolist()]
+    assert binary_entropy_h(0.5) == 0.0 and type(binary_entropy_h(0.5)) is float
+
+
 def test_binary_entropy_strictly_increasing():
     xs = np.linspace(0.5, 6.0, 200)
     hs = [binary_entropy_h(float(x)) for x in xs]

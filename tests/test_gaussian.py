@@ -18,6 +18,7 @@ from lossprobe.gaussian import (
     SqueezedThermalParamsSingle,
     SqueezedThermalParamsTwo,
     UnphysicalStateError,
+    libm,
     make_single_mode_st,
     make_two_mode_st,
     mean_photons,
@@ -328,3 +329,16 @@ def test_stack_validation_names_the_worst_matrix():
         CovarianceMatrix(stack)
     with pytest.raises(UnphysicalStateError, match=r"= -2\.000e-01$"):
         CovarianceMatrix(np.diag([0.3, 0.3]))
+
+
+def test_libm_pow_is_pythons_square_where_x_times_x_is_not():
+    # Python's v ** 2 is C pow(v, 2.0), which misses v * v (and np.square) in
+    # the last bit on some cosh values; libm(pow, x, 2) keeps Python's bits
+    xs = libm(math.cosh, np.linspace(0.0, 3.0, 20001))
+    python = [v**2 for v in xs.tolist()]
+    differ = np.flatnonzero(xs * xs != python)
+    assert differ.size > 0
+    assert libm(pow, xs, 2).tolist() == python
+    assert libm(pow, xs[differ].reshape(-1, 1), 2).ravel().tolist() == [python[k] for k in differ]
+    one = libm(pow, float(xs[differ[0]]), 2)
+    assert type(one) is float and one == python[differ[0]]
