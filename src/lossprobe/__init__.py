@@ -26,7 +26,6 @@ from .gaussian import (
     SqueezedThermalParamsTwo,
     make_single_mode_st,
     make_two_mode_st,
-    mean_photons,
     overlap,
     symplectic_eigenvalues,
     symplectic_invariants,
@@ -71,7 +70,6 @@ __all__ = [
     "log_negativity",
     "make_single_mode_st",
     "make_two_mode_st",
-    "mean_photons",
     "mutual_information",
     "optimize_beta",
     "output_params_single",

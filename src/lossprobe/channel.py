@@ -5,7 +5,8 @@ with transmissivity eta = exp(-gamma).  For a two-mode probe only the first
 mode is sent through the channel; the second is kept as an ideal reference.
 A squeezed thermal input stays squeezed thermal, so the output can be handed
 back as parameters of the same family; the two-mode output is computed from
-the block entries in closed form, without building the input or evolved CM.
+the block entries in closed form, and its round trip is checked on those
+entries, so the recovery builds no CM.
 
 The recovery works elementwise on a stack of parameters (see `gaussian`),
 with one channel for all rows or a sequence of one per row; a row gets the
@@ -26,11 +27,10 @@ from .gaussian import (
     CovarianceMatrix,
     SqueezedThermalParamsSingle,
     SqueezedThermalParamsTwo,
-    UnphysicalStateError,
     any_of,
     at_least_zero,
     libm,
-    make_two_mode_st,
+    make_two_mode_st,  # not called here: perfbench/test_harness.py pins this binding in every module
     select,
     two_mode_blocks,
 )
@@ -39,7 +39,7 @@ _CLAMP = 1e-12
 
 
 class ParameterRecoveryError(ArithmeticError):
-    """Raised when recovered output parameters fail to rebuild the evolved CM."""
+    """Raised when the block entries of the recovered parameters miss the evolved ones."""
 
 
 @dataclass(frozen=True)
@@ -169,10 +169,11 @@ def output_params_two(p: SqueezedThermalParamsTwo, ch: Channels) -> SqueezedTher
                   + (1 - eta)(B - 1),
         B - 1 = 2 sinh^2 r (1 + n_t1) + 2 n_t2 cosh^2 r.
 
-    Elsewhere the difference loses at most one bit and is kept.  The stack
-    is rebuilt with one make_two_mode_st call; a rebuilt CM that fails the
-    uncertainty relation, or a residual above 1e-9 in any CM entry, raises
-    ParameterRecoveryError for the first such row.
+    Elsewhere the difference loses at most one bit and is kept.  The round
+    trip is checked on block entries: two_mode_blocks of the output against
+    (A', B', C'), halved to the CM scale.  A residual above 1e-9 raises
+    ParameterRecoveryError for the first such row.  Parameters with r, n_t1,
+    n_t2 >= 0 are a physical state by construction, so no CM is built.
     """
     eta = _eta(p, ch)
     a, b, c = evolved_blocks(p, ch)
@@ -191,19 +192,9 @@ def output_params_two(p: SqueezedThermalParamsTwo, ch: Channels) -> SqueezedTher
     n2 = _clamped(u_minus_one / 2.0 - half_diff, "output occupation n2", p, ch)
     r_out = _clamped(0.5 * libm(math.asinh, c / u), "output squeezing", p, ch)
     out = SqueezedThermalParamsTwo(r=r_out, n_t1=n1, n_t2=n2)
-    # largest entry gap between the rebuilt CMs and the evolved ones (half the block entries)
-    try:
-        m = make_two_mode_st(out).mat
-    except UnphysicalStateError:
-        # the stack's message names its worst matrix: name the first failing row instead
-        for k in range(math.prod(p.shape)):
-            try:
-                make_two_mode_st(out.row(k))
-            except UnphysicalStateError as err:
-                raise ParameterRecoveryError(f"rebuilt state is unphysical, {err}" + _row(p, ch, k)) from None
-        raise
-    gaps = [abs(m[..., 0, 0] - 0.5 * a), abs(m[..., 2, 2] - 0.5 * b), abs(m[..., 0, 2] - 0.5 * c)]
-    residual = np.ravel(np.max(gaps, axis=0))
+    # largest gap between the rebuilt CM entries and the evolved ones (half the block entries)
+    gaps = [abs(x - y) for x, y in zip(two_mode_blocks(out), (a, b, c))]
+    residual = np.ravel(0.5 * np.max(gaps, axis=0))
     if (residual > 1e-9).any():
         k = int(np.argmax(residual > 1e-9))
         raise ParameterRecoveryError(f"round-trip residual {residual[k]:.3e} exceeds 1e-9" + _row(p, ch, k))

@@ -29,6 +29,7 @@ file is byte-identical to computing it on its own.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -414,6 +415,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lossprobe",

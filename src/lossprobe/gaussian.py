@@ -6,8 +6,9 @@ carried as their parameters (squeezing r, thermal occupations n_t), which is
 all the loss channel and the Chernoff bound need (`chernoff` takes even
 the overlap of a pure pair from them).  Covariance matrices (CMs) are built
 only where the matrix itself is needed: the spectra and correlation
-quantifiers, and the round-trip check of the channel's recovery; `overlap`
-is the CM route to Tr[rho_a rho_b], kept as the cross-check.
+quantifiers; the channel's recovery checks its round trip on the block
+entries of `two_mode_blocks`.  `overlap` is the CM route to Tr[rho_a rho_b],
+kept as the cross-check.
 
 Everything here takes one state or a stack: parameter fields are floats or
 arrays of one shape, a `CovarianceMatrix` holds (..., 2n, 2n) and is
@@ -304,8 +305,3 @@ def overlap(cm_a: CovarianceMatrix, cm_b: CovarianceMatrix):
     # expansion cancels from terms far larger than the determinant
     d = det2(total) if cm_a.n == 1 else np.linalg.det(total)
     return float_or_array(1.0 / np.sqrt(d))
-
-
-def mean_photons(cm: CovarianceMatrix):
-    """Total mean photon number (Tr sigma - n) / 2 of a zero-mean state, per matrix."""
-    return float_or_array((np.trace(cm.mat, axis1=-2, axis2=-1) - cm.n) / 2.0)

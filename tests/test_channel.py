@@ -265,48 +265,44 @@ def test_recovery_on_a_stack_is_the_same_bits_as_row_by_row():
 
 
 @pytest.mark.parametrize(
-    "n, beta, eta, error",
+    "n, beta, gamma, eta, error",
     [
         # round-trip residual 1.364e-09: the smaller occupation of a
         # strongly squeezed probe is a difference of numbers of size N
-        (3e4, 0.5, 1.0, ParameterRecoveryError),
+        (3e4, 0.5, 1.0, 1.0, ParameterRecoveryError),
         # n1 = -1.819e-12, below the -1e-12 clamp
-        (1e5, 1.0, 0.5, ArithmeticError),
+        (1e5, 1.0, 1.0, 0.5, ArithmeticError),
+        # round-trip residual 7.451e-09 at block entries of size N
+        (1e8, 0.1, 0.0, 0.1, ParameterRecoveryError),
     ],
 )
-def test_failing_row_inside_a_batch_is_named(n, beta, eta, error):
+def test_failing_row_inside_a_batch_is_named(n, beta, gamma, eta, error):
     from lossprobe.probes import ProbeSpec, params_from_spec
 
-    bad = params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=1.0))
+    bad = params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=gamma))
     with pytest.raises(error) as alone:
         output_params_two(bad, LossChannel.from_eta(eta))
     ns, betas, chs = _probe_batch(1000)
+    gammas = np.ones(1000)
     k = 637
-    ns[k], betas[k], chs[k] = n, beta, LossChannel.from_eta(eta)
+    ns[k], betas[k], gammas[k], chs[k] = n, beta, gamma, LossChannel.from_eta(eta)
     with pytest.raises(error) as batch:
-        output_params_two(params_from_spec(ProbeSpec(modes=2, n=ns, beta=betas, gamma=1.0)), chs)
+        output_params_two(params_from_spec(ProbeSpec(modes=2, n=ns, beta=betas, gamma=gammas)), chs)
     assert type(batch.value) is type(alone.value)
     if error is ParameterRecoveryError:
+        assert str(alone.value).endswith(f" for {bad} through {chs[k]}")
         assert str(batch.value) == f"{alone.value} (row {k})"
     else:
         assert str(batch.value) == f"{alone.value} for {bad} through {chs[k]} (row {k})"
 
 
-def test_unphysical_rebuild_is_a_recovery_error_naming_its_row():
-    # the recovered parameters are valid, but the rebuilt CM misses the
-    # uncertainty relation by -4.961e-09 (entries of size N)
+def test_lossless_channel_returns_a_large_pure_probe_unchanged():
+    # its CM misses the uncertainty relation by -1.666e-10 at entries of
+    # size N, which a CM rebuild rejected; the block entries match exactly
     from lossprobe.probes import ProbeSpec, params_from_spec
 
-    bad = params_from_spec(ProbeSpec(modes=2, n=1e8, beta=0.1, gamma=0.0))
-    ch = LossChannel.from_eta(0.1)
-    with pytest.raises(ParameterRecoveryError, match=r"uncertainty relation violated") as alone:
-        output_params_two(bad, ch)
-    assert str(alone.value).endswith(f" for {bad} through {ch}")
-    chs = [LossChannel.from_eta(0.5), ch, LossChannel.from_eta(0.9)]
-    stack = params_from_spec(ProbeSpec(modes=2, n=np.array([1.0, 1e8, 2.0]), beta=0.1, gamma=0.0))
-    with pytest.raises(ParameterRecoveryError) as batch:
-        output_params_two(stack, chs)
-    assert str(batch.value) == f"{alone.value} (row 1)"
+    p = params_from_spec(ProbeSpec(modes=2, n=562341.3251903491, beta=1.0))
+    assert output_params_two(p, LossChannel.from_eta(1.0)) == p
 
 
 def test_lossless_channel_stores_positive_zero_damping():

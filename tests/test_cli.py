@@ -18,7 +18,7 @@ import pytest
 
 import lossprobe
 from lossprobe import __version__
-from lossprobe.cli import main
+from lossprobe.cli import build_parser, main
 
 LN2 = math.log(2.0)
 
@@ -115,6 +115,15 @@ def test_qcb_two_mode_recovers_at_large_energy(capsys):
     assert code == 0, err
     q = float(parse_report(out)["q"])
     assert math.isclose(q, 4.0 / (2.0 + 1000.0 * (1.0 - math.sqrt(0.999))) ** 2, rel_tol=1e-9)
+
+
+def test_qcb_pure_two_mode_probe_at_large_energy_through_no_loss(capsys):
+    # the recovered state is the input, but its CM misses the uncertainty
+    # relation by -1.666e-10 at entries of size N: the round trip on block
+    # entries accepts it
+    code, out, err = run(["qcb", "--modes", "2", "--n", "562341.3251903491", "--beta", "1", "--eta", "1"], capsys)
+    assert code == 0, err
+    assert parse_report(out)["q"] == "1"
 
 
 def test_qcb_rejects_zero_transmissivity(capsys):
@@ -451,6 +460,13 @@ def test_version_flag(capsys):
     assert f"lossprobe {__version__}" in out
 
 
+def test_parser_is_built_once_and_keeps_no_state_between_parses():
+    assert build_parser() is build_parser()
+    argv = ["qcb", "--modes", "1", "--n", "1", "--beta", "0.5", "--eta", "0.5"]
+    assert build_parser().parse_args([*argv, "--copies", "3"]).copies == 3
+    assert build_parser().parse_args(argv).copies == 1
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert run(["frobnicate"], capsys)[0] == 2
 
@@ -537,14 +553,14 @@ def test_figure3_validates_one_cm_stack_per_batch(tmp_path, monkeypatch, capsys)
 @pytest.mark.parametrize(
     "argv, validations",
     [
-        # the recovery's round-trip check
-        (["figure", "3", "--points", "20"], 1),
-        # the recovery's round-trip check and the correlations' input CMs
-        (["figure", "6", "--points", "4", "--samples", "3"], 2),
+        (["figure", "3", "--points", "20"], 0),
+        # the correlations' input CMs
+        (["figure", "6", "--points", "4", "--samples", "3"], 1),
     ],
 )
 def test_pure_lanes_build_no_covariance_matrix(argv, validations, tmp_path, monkeypatch, capsys):
-    # qcb takes its pure lanes from the parameters, so the only CMs are these
+    # qcb takes its pure lanes from the parameters and the recovery checks its
+    # round trip on block entries, so the only CMs are the correlations' inputs
     from lossprobe.gaussian import CovarianceMatrix
 
     counts = []

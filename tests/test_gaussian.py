@@ -21,13 +21,18 @@ from lossprobe.gaussian import (
     libm,
     make_single_mode_st,
     make_two_mode_st,
-    mean_photons,
     overlap,
     symplectic_eigenvalues,
     symplectic_form,
     symplectic_invariants,
 )
 from lossprobe.probes import ProbeSpec, params_from_spec, random_probes
+
+
+def mean_photons(cm: CovarianceMatrix):
+    """Total mean photon number (Tr sigma - n) / 2 of a zero-mean state, per matrix."""
+    return (np.trace(cm.mat, axis1=-2, axis2=-1) - cm.n) / 2.0
+
 
 single_params = st.builds(
     SqueezedThermalParamsSingle,

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lossprobe.channel import LossChannel
-from lossprobe.gaussian import make_single_mode_st, make_two_mode_st, mean_photons
+from lossprobe.gaussian import make_single_mode_st, make_two_mode_st
 from lossprobe.probes import (
     ProbeSpec,
     SweepRanges,
@@ -28,6 +28,7 @@ from lossprobe.probes import (
     threshold_energy,
     threshold_fit_near_critical,
 )
+from test_gaussian import mean_photons
 
 ETA_C = 0.29559774252208476  # eta_c = x^2, x the real root of x^3+x^2+x-1
 GAMMA_C = 1.2187557268720124  # -log(eta_c)
