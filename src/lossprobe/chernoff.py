@@ -16,14 +16,14 @@ with W(x) = (x + 1/2) I2 per mode in the vacuum = 1/2 normalization used
 throughout.  The identity Lambda_s(t) + Lambda_(1-s)(t) + 1 =
 G_s(t) G_(1-s)(t) makes Q_s = 1 for identical states.
 
-Array semantics.  g_s, lambda_s, q_s_single and q_s_two are elementwise and
-broadcast, and a scalar input gives a float.  States enter as parameters
-(one state or a stack, see `gaussian`) or as lanes from `stack_states`.
-`qcb` takes two states or two stacks of one mode count whose shapes
-broadcast: its pure lanes take the overlap straight from the parameters
-(`_overlap`, no covariance matrix), and its mixed lanes share one lane-wise
-golden section (`minimize_scalar_golden`), one call of Q_s per step, each
-lane freezing once its own bracket is at most S_TOL.  A lone mixed lane
+Array semantics.  q_s_single and q_s_two are elementwise and broadcast,
+and a scalar input gives a float.  States enter as parameters (one state
+or a stack, see `gaussian`) or as lanes from `stack_states`.  `qcb` takes
+two states or two stacks of one mode count whose shapes broadcast: its
+pure lanes take the overlap straight from the parameters (`_overlap`, no
+covariance matrix), and its mixed lanes share one lane-wise golden
+section (`minimize_scalar_golden`), one call of Q_s per step, each lane
+freezing once its own bracket is at most S_TOL.  A lone mixed lane
 keeps its arithmetic on Python floats (far cheaper than 0-d arrays) while
 its powers still come from numpy's array loop, so a lane's q and s* are the
 same bit for bit alone and in a stack (numpy's pow and Python's ** differ
@@ -82,22 +82,6 @@ def _g_lambda(xs, us):
     """(G_s(x), Lambda_s(x)) from the powers xs = x^s and us = (x + 1)^s."""
     g = 1.0 / (us - xs)
     return g, xs * g
-
-
-def _checked_g_lambda(x, s):
-    x, s = np.asarray(x, dtype=float), _exponent(s)
-    require(x >= 0.0, "occupation must be >= 0, got {}", x)
-    return [float_or_array(v) for v in _g_lambda(x**s, (x + 1.0) ** s)]
-
-
-def g_s(x, s):
-    """G_s(x) = 1 / ((x + 1)^s - x^s) for x >= 0, s in (0, 1), elementwise."""
-    return _checked_g_lambda(x, s)[0]
-
-
-def lambda_s(x, s):
-    """Lambda_s(x) = x^s G_s(x) for x >= 0, s in (0, 1), elementwise; 0 at x = 0."""
-    return _checked_g_lambda(x, s)[1]
 
 
 class StateLanes(NamedTuple):

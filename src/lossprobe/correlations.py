@@ -1,11 +1,13 @@
 """Correlation quantifiers for two-mode Gaussian states.
 
 Logarithmic negativity E, Gaussian quantum discord D, and mutual information
-I, all in nats (natural logarithms).  E and D are computed from the local
-symplectic invariants; D additionally requires the standard block normal
-form (diagonal local blocks proportional to I2, correlation block
-proportional to diag(1, -1)), which is the form every state in this package
-lives in.
+I, all in nats (natural logarithms).  `correlation_report` computes all three
+in one pass over a state in the standard block normal form (diagonal local
+blocks proportional to I2, correlation block proportional to diag(1, -1)),
+which is the form every state in this package lives in: one normal-form
+check, one ordinary and one partial-transpose spectrum, and one entropy per
+distinct argument.  `log_negativity`, `discord` and `mutual_information`
+read their field of that report.
 
 Every quantifier takes one CM or a stack (see `gaussian`), a state getting
 the same bits alone and in any stack.  They stay on the CM spectra rather
@@ -14,8 +16,8 @@ in D near zero.
 
 The mutual information here carries a global factor 1/2 relative to the
 usual S(A) + S(B) - S(AB); with it, a pure two-mode state has I equal to its
-entanglement entropy instead of twice it.  Pass half_convention=False for
-the unhalved variant.
+entanglement entropy instead of twice it.  The usual value is twice the
+reported one.
 """
 
 from __future__ import annotations
@@ -52,22 +54,17 @@ def pt_symplectic_eigenvalues(cm: CovarianceMatrix):
     """Symplectic eigenvalues (d+, d-) of the partial transpose.
 
     Same closed form as the ordinary spectrum with Delta replaced by
-    Delta_tilde = I1 + I2 - 2 I3; the state is entangled iff d- < 1/2.
+    Delta_tilde = I1 + I2 - 2 I3; the state is entangled iff d- < 1/2.  Both
+    terms of the discriminant Delta_tilde^2 - 4 I4 are of size Delta_tilde^2,
+    so its roundoff floor scales with that.
     """
     i1, i2, i3, i4, _, delta_t = symplectic_invariants(cm)
     disc = delta_t * delta_t - 4.0 * i4
-    if any_of(disc < -PHYSICALITY_TOL):
+    if any_of(disc < -PHYSICALITY_TOL * delta_t * delta_t):
         raise ArithmeticError(f"partial-transpose discriminant is negative: {np.min(disc):.3e}")
     d_plus = np.sqrt((delta_t + np.sqrt(select(0.0 > disc, 0.0, disc))) / 2.0)
     d_minus = np.sqrt(select(0.0 > i4, 0.0, i4)) / d_plus
     return float_or_array(d_plus), float_or_array(d_minus)
-
-
-def log_negativity(cm: CovarianceMatrix):
-    """E = max(0, -ln 2 d-) with d- the smaller partial-transpose eigenvalue."""
-    _, d_minus = pt_symplectic_eigenvalues(cm)
-    e = -libm(math.log, 2.0 * d_minus)
-    return float_or_array(select(e > 0.0, e, 0.0))
 
 
 def binary_entropy_h(x):
@@ -95,47 +92,6 @@ def _require_normal_form(cm: CovarianceMatrix) -> None:
         )
 
 
-def discord(cm: CovarianceMatrix):
-    """Gaussian quantum discord of a two-mode state in block normal form.
-
-    D = h(sqrt(I2)) - h(d-) - h(d+) + h(w) with
-    w = (sqrt(I1) + 2 sqrt(I1 I2) + 2 I3) / (1 + 2 sqrt(I2)), the conditional
-    eigenvalue after the optimal Gaussian measurement on the second mode.
-    Clamped to 0 from below (tiny negatives are roundoff).
-    """
-    _require_normal_form(cm)
-    i1, i2, i3, _, _, _ = symplectic_invariants(cm)
-    d_plus, d_minus = symplectic_eigenvalues(cm)
-    w = (np.sqrt(i1) + 2.0 * np.sqrt(i1 * i2) + 2.0 * i3) / (1.0 + 2.0 * np.sqrt(i2))
-    d = (
-        binary_entropy_h(np.sqrt(i2))
-        - binary_entropy_h(_vacuum_floor(d_minus))
-        - binary_entropy_h(_vacuum_floor(d_plus))
-        + binary_entropy_h(_vacuum_floor(w))
-    )
-    if any_of(d < -1e-10):
-        raise ArithmeticError(f"discord came out negative beyond roundoff: {np.min(d):.3e}")
-    return at_least_zero(d)
-
-
-def mutual_information(cm: CovarianceMatrix, half_convention: bool = True):
-    """I = (1/2) [h(sqrt(I1)) + h(sqrt(I2)) - h(d+) - h(d-)].
-
-    half_convention=False drops the leading 1/2.
-    """
-    i1, i2, _, _, _, _ = symplectic_invariants(cm)
-    d_plus, d_minus = symplectic_eigenvalues(cm)
-    i = (
-        binary_entropy_h(np.sqrt(i1))
-        + binary_entropy_h(np.sqrt(i2))
-        - binary_entropy_h(_vacuum_floor(d_plus))
-        - binary_entropy_h(_vacuum_floor(d_minus))
-    )
-    if half_convention:
-        i *= 0.5
-    return at_least_zero(i)
-
-
 @dataclass(frozen=True)
 class CorrelationReport:
     """E, D, I (nats) and the smaller partial-transpose eigenvalue; arrays for a stack."""
@@ -147,11 +103,51 @@ class CorrelationReport:
 
 
 def correlation_report(cm: CovarianceMatrix) -> CorrelationReport:
-    """All three quantifiers of a two-mode state (or stack) in one pass."""
-    _, d_minus = pt_symplectic_eigenvalues(cm)
+    """E, D and I of a two-mode state (or stack) in block normal form, in one pass.
+
+    With I1..I3 the local symplectic invariants, d+ >= d- the symplectic
+    eigenvalues, d~- the smaller one of the partial transpose and h =
+    binary_entropy_h (each entropy argument floored at 1/2 against roundoff):
+
+    - E = max(0, -ln 2 d~-).
+    - D = h(sqrt(I2)) - h(d-) - h(d+) + h(w), the Gaussian discord of Adesso
+      & Datta (PRL 105, 030501, 2010) with the measurement on the second
+      mode, where w = (sqrt(I1) + 2 sqrt(I1 I2) + 2 I3) / (1 + 2 sqrt(I2))
+      is the conditional eigenvalue after the optimal Gaussian measurement.
+      Clamped to 0 from below (tiny negatives are roundoff).
+    - I = (1/2) [h(sqrt(I1)) + h(sqrt(I2)) - h(d+) - h(d-)].
+
+    Each of the five entropies is computed once and shared by D and I.
+    """
+    _require_normal_form(cm)
+    _, d_tilde_minus = pt_symplectic_eigenvalues(cm)
+    i1, i2, i3, _, _, _ = symplectic_invariants(cm)
+    d_plus, d_minus = symplectic_eigenvalues(cm)
+    w = (np.sqrt(i1) + 2.0 * np.sqrt(i1 * i2) + 2.0 * i3) / (1.0 + 2.0 * np.sqrt(i2))
+    h1, h2 = binary_entropy_h(np.sqrt(i1)), binary_entropy_h(np.sqrt(i2))
+    h_plus, h_minus = binary_entropy_h(_vacuum_floor(d_plus)), binary_entropy_h(_vacuum_floor(d_minus))
+    e = -libm(math.log, 2.0 * d_tilde_minus)
+    d = h2 - h_minus - h_plus + binary_entropy_h(_vacuum_floor(w))
+    if any_of(d < -1e-10):
+        raise ArithmeticError(f"discord came out negative beyond roundoff: {np.min(d):.3e}")
     return CorrelationReport(
-        log_negativity=log_negativity(cm),
-        discord=discord(cm),
-        mutual_information=mutual_information(cm),
-        d_tilde_minus=d_minus,
+        log_negativity=float_or_array(select(e > 0.0, e, 0.0)),
+        discord=at_least_zero(d),
+        mutual_information=at_least_zero(0.5 * (h1 + h2 - h_plus - h_minus)),
+        d_tilde_minus=d_tilde_minus,
     )
+
+
+def log_negativity(cm: CovarianceMatrix):
+    """E of `correlation_report`."""
+    return correlation_report(cm).log_negativity
+
+
+def discord(cm: CovarianceMatrix):
+    """D of `correlation_report`."""
+    return correlation_report(cm).discord
+
+
+def mutual_information(cm: CovarianceMatrix):
+    """I of `correlation_report`."""
+    return correlation_report(cm).mutual_information

@@ -157,10 +157,6 @@ class FockDensityMatrix:
         m[self.layout.rows, self.layout.cols] = self.data
         return m
 
-    @property
-    def trace_deficit(self) -> float:
-        return 1.0 - float(self.diagonal.sum())
-
     @cached_property
     def spectrum(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(eigenvalues, eigenvectors) per block, negatives clamped to 0."""

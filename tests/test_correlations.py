@@ -1,9 +1,9 @@
 """Tests for the two-mode correlation quantifiers.
 
 Covers the partial-transpose spectrum, logarithmic negativity, binary
-entropy, Gaussian discord, mutual information (both prefactor conventions),
-and the bundled report, on closed-form states (vacuum, TMSV, thermal
-products) and on seeded random squeezed thermal families.
+entropy, Gaussian discord, mutual information (halved; the usual convention
+is twice it), and the one-pass report, on closed-form states (vacuum, TMSV,
+thermal products) and on seeded random squeezed thermal families.
 """
 
 import json
@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lossprobe import correlations
 from lossprobe.channel import LossChannel, output_params_two
 from lossprobe.cli import main
 from lossprobe.correlations import (
@@ -233,17 +234,26 @@ def test_discord_bits_rescales(capsys):
     assert "d_tilde_minus" in nats and "d_tilde_minus" not in bits
 
 
-def test_discord_rejects_rotated_state():
+def rotated_tmsv() -> CovarianceMatrix:
     # A local phase rotation keeps the state physical but tilts the
-    # correlation block off the diag(1, -1) axis the closed form assumes.
+    # correlation block off the diag(1, -1) axis the closed forms assume.
     theta = 0.4
     rot = np.array(
         [[math.cos(theta), math.sin(theta)], [-math.sin(theta), math.cos(theta)]]
     )
     s = np.block([[rot, np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]])
-    m = s @ tmsv(0.8).mat @ s.T
+    return CovarianceMatrix(s @ tmsv(0.8).mat @ s.T)
+
+
+def test_discord_rejects_rotated_state():
     with pytest.raises(ValueError, match="normal form"):
-        discord(CovarianceMatrix(m))
+        discord(rotated_tmsv())
+
+
+def test_log_negativity_rejects_rotated_state():
+    # E is read off the one-pass report, which needs the normal form too
+    with pytest.raises(ValueError, match="normal form"):
+        log_negativity(rotated_tmsv())
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +273,6 @@ def test_mutual_information_tmsv(r):
     assert math.isclose(mutual_information(tmsv(r)), expected, rel_tol=1e-10)
 
 
-def test_mutual_information_unhalved_doubles():
-    cm = make_two_mode_st(SqueezedThermalParamsTwo(r=0.7, n_t1=0.4, n_t2=0.1))
-    i_half = mutual_information(cm)
-    i_std = mutual_information(cm, half_convention=False)
-    assert math.isclose(i_std, 2.0 * i_half, rel_tol=1e-12)
-
-
 def test_mutual_information_bits_rescales(capsys):
     bits, nats = bits_and_nats(capsys, n=0.7, beta=0.3)
     assert math.isclose(
@@ -285,7 +288,7 @@ def test_discord_can_exceed_halved_mutual_information():
     cm = probe_cm(n=1.0, beta=0.5, gamma=1.0)
     d = discord(cm)
     i_half = mutual_information(cm)
-    i_std = mutual_information(cm, half_convention=False)
+    i_std = 2.0 * mutual_information(cm)
     assert math.isclose(d, 0.625503029423, rel_tol=1e-9)
     assert math.isclose(i_half, 0.560843055841, rel_tol=1e-9)
     assert d > i_half
@@ -294,7 +297,7 @@ def test_discord_can_exceed_halved_mutual_information():
 
 def test_unhalved_mutual_information_dominates_discord(sample_bank):
     for cm in sample_bank:
-        i_std = mutual_information(cm, half_convention=False)
+        i_std = 2.0 * mutual_information(cm)
         assert i_std + 1e-10 >= discord(cm)
 
 
@@ -366,6 +369,34 @@ def test_report_matches_standalone_functions(sample_bank):
         assert rep.mutual_information == mutual_information(cm)
         expected_e = max(0.0, -math.log(2.0 * rep.d_tilde_minus))
         assert math.isclose(rep.log_negativity, expected_e, abs_tol=1e-12)
+
+
+def test_report_computes_each_spectrum_and_entropy_once(monkeypatch):
+    # one pass: one ordinary and one partial-transpose spectrum, and one
+    # entropy per distinct argument h(sqrt I1), h(sqrt I2), h(d+), h(d-), h(w)
+    calls = {}
+    for name in ("symplectic_eigenvalues", "pt_symplectic_eigenvalues", "binary_entropy_h"):
+        def counted(*args, _f=getattr(correlations, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args)
+
+        monkeypatch.setattr(correlations, name, counted)
+    n, beta, _ = (np.array(col) for col in zip(*random_probes(50, seed=7)))
+    correlation_report(make_two_mode_st(params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=0.999))))
+    assert calls == {"symplectic_eigenvalues": 1, "pt_symplectic_eigenvalues": 1, "binary_entropy_h": 5}
+
+
+@pytest.mark.parametrize("n", ["68.12920690579611", "1e4"])
+def test_balanced_thermal_product_passes_the_discriminant_check(capsys, n):
+    # beta = 0, gamma = 0.5: equal thermal inputs, so Delta_tilde^2 - 4 I4
+    # is 0 up to roundoff of size Delta_tilde^2 ~ N^4, which an absolute
+    # floor rejected
+    argv = ["correlations", "--n", n, "--beta", "0", "--gamma", "0.5", "--format", "json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["log_negativity"] == 0.0
+    assert math.isclose(payload["d_tilde_minus"], 0.5 + float(n) / 2, rel_tol=1e-12)
+    assert 0.0 <= payload["discord"] < 1e-9 and 0.0 <= payload["mutual_information"] < 1e-9
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.9])

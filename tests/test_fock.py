@@ -204,7 +204,7 @@ def test_thermal_state_geometric_diagonal():
     assert np.max(np.abs(np.diag(rho.mat) - expected)) < 1e-15
     off = rho.mat - np.diag(np.diag(rho.mat))
     assert np.max(np.abs(off)) == 0.0
-    assert abs(rho.trace_deficit) < 1e-17
+    assert abs(1.0 - rho.diagonal.sum()) < 1e-17
 
 
 def test_thermal_diagonal_normalization():
@@ -237,7 +237,7 @@ def test_spillover_sentinel_sees_rotated_weight():
     # too-small cutoff loses no trace; the top-level occupation is what
     # betrays the spilled weight.
     rho = fock_squeezed_thermal(S1(1.0, 0.0), TruncationConfig(dim=12, tail_tol=0.5))
-    assert abs(rho.trace_deficit) < 1e-12
+    assert abs(1.0 - rho.diagonal.sum()) < 1e-12
     assert truncation_deficit(rho) > 1e-3
 
 
