@@ -110,6 +110,15 @@ def _write_csv(path: str, columns: list[str], rows, meta: list[str]) -> None:
     values = tuple(chain.from_iterable(rows))
     text = "".join(f"# {line}\n" for line in meta) + ",".join(columns) + "\n"
     text += (",".join(["%.12g"] * len(columns)) + "\n") * (len(values) // len(columns)) % values
+    _write_text(path, text)
+
+
+def _write_json(path: str, payload: dict) -> None:
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_text(path: str, text: str) -> None:
+    """text to standard output for path "-", else to the file at path with its line ends untranslated."""
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -117,13 +126,12 @@ def _write_csv(path: str, columns: list[str], rows, meta: list[str]) -> None:
             f.write(text)
 
 
-def _write_json(path: str, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if path == "-":
-        sys.stdout.write(text + "\n")
+def _write_table(args: argparse.Namespace, columns: list[str], rows: list, meta: list[str]) -> None:
+    """rows to --output as CSV, or for --format json as one {meta, columns, rows} object."""
+    if args.format == "json":
+        _write_json(args.output, {"meta": meta, "columns": columns, "rows": rows})
     else:
-        with open(path, "w") as f:
-            f.write(text + "\n")
+        _write_csv(args.output, columns, rows, meta)
 
 
 def _report_out(args: argparse.Namespace, payload: dict) -> None:
@@ -179,10 +187,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ) + [f"positive_fraction = {_fmt(positive)}"]
     columns = ["N", "beta", "Gamma", "gamma", "deltaQ_gamma"]
     rows = [[r.n, r.beta, r.gamma_ch, r.gamma, r.delta_q] for r in records]
-    if args.format == "json":
-        _write_json(args.output, {"meta": meta, "columns": columns, "rows": rows})
-    else:
-        _write_csv(args.output, columns, rows, meta)
+    _write_table(args, columns, rows, meta)
     return 0
 
 
@@ -210,10 +215,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         f"Gamma_c = {_fmt(gamma_c)}",
         f"fit: N_th ~ c1 (eta - eta_c) + c2 (eta - eta_c)^2, c1 = {_fmt(c1)}, c2 = {_fmt(c2)}",
     ]
-    if args.format == "json":
-        _write_json(args.output, {"meta": meta, "columns": ["eta", "N_th"], "rows": rows})
-    else:
-        _write_csv(args.output, ["eta", "N_th"], rows, meta)
+    _write_table(args, ["eta", "N_th"], rows, meta)
     return 0
 
 

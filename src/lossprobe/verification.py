@@ -109,6 +109,7 @@ def run_case(
     )
     two_mode = isinstance(case.params_a, SqueezedThermalParamsTwo)
     make = make_two_mode_st if two_mode else make_single_mode_st
+    cm_a = make(case.params_a)
 
     results: list[CheckResult] = []
 
@@ -126,7 +127,7 @@ def run_case(
                 if two_mode
                 else output_params_single(case.params_a, ch)
             )
-            cm_b = (evolve_two if two_mode else evolve_single)(make(case.params_a), ch)
+            cm_b = (evolve_two if two_mode else evolve_single)(cm_a, ch)
         else:
             params_b = case.params_b
             rho_b = fock_squeezed_thermal(params_b, cfg)
@@ -140,7 +141,7 @@ def run_case(
     first_a, cm_fock_a = moments_from_fock(rho_a)
     first_b, cm_fock_b = moments_from_fock(rho_b)
     record("first moments", max(np.abs(first_a).max(), np.abs(first_b).max()), FIRST_MOMENT_TOL)
-    record("input moments", float(np.max(np.abs(cm_fock_a - make(case.params_a).mat))), MOMENT_TOL)
+    record("input moments", float(np.max(np.abs(cm_fock_a - cm_a.mat))), MOMENT_TOL)
     record("output moments", float(np.max(np.abs(cm_fock_b - cm_b.mat))), MOMENT_TOL)
 
     report = qcb(case.params_a, params_b)

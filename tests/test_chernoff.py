@@ -7,7 +7,7 @@ former per-point route, kept as the reference for the batched core.
 import itertools
 import math
 import tracemalloc
-from decimal import Decimal, localcontext
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +34,8 @@ from lossprobe.gaussian import (
     overlap,
 )
 from lossprobe.probes import ProbeSpec, params_from_spec, q1, q2, random_probes
-from test_channel import _recovery_reference
+
+import reference
 
 # ---------------------------------------------------------------------------
 # reference route: one s at a time, Python floats and math
@@ -511,23 +512,6 @@ def test_qcb_rejects_a_mode_mismatch():
 # ---------------------------------------------------------------------------
 
 
-def decimal_overlap_two(pa, pb):
-    """Tr[rho_a rho_b] of two two-mode states, 1 / |x y - z^2| of the summed blocks, in 60 digits."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-
-        def blocks(p):
-            r, n1, n2 = (Decimal(v) for v in (p.r, p.n_t1, p.n_t2))
-            ex = r.exp()
-            c, s = (ex + 1 / ex) / 2, (ex - 1 / ex) / 2
-            nu1, nu2 = n1 + Decimal("0.5"), n2 + Decimal("0.5")
-            return nu1 * c * c + nu2 * s * s, nu1 * s * s + nu2 * c * c, (nu1 + nu2) * c * s
-
-        (xa, ya, za), (xb, yb, zb) = blocks(pa), blocks(pb)
-        x, y, z = xa + xb, ya + yb, za + zb
-        return float(1 / (x * y - z * z))
-
-
 def pure_two_mode_grid():
     """(input, output) stacks of pure two-mode probes over N 1e-2 to 1e6 and eta 1e-3 to 0.999.
 
@@ -539,7 +523,7 @@ def pure_two_mode_grid():
     n, eta, gamma = (np.array(col) for col in zip(*itertools.product(ns, etas, (0.0, 0.5, 1.0))))
     p_in = params_from_spec(ProbeSpec(modes=2, n=n, beta=np.ones_like(n), gamma=gamma))
     # the decimal n2' of a pure input is 0 up to the last of its 60 digits
-    out = [[max(v, 0.0) for v in _recovery_reference(p_in.row(k), e)] for k, e in enumerate(eta.tolist())]
+    out = [[max(v, 0.0) for v in reference.recovery_two(p_in.row(k), e)] for k, e in enumerate(eta.tolist())]
     return p_in, SqueezedThermalParamsTwo(*(np.array(col) for col in zip(*out)))
 
 
@@ -557,7 +541,7 @@ def random_pairs(rng, count, modes):
 def assert_matches_decimal(report, pa, pb, rel):
     assert not np.isnan(report.fidelity).any()
     for k in range(report.q.size):
-        ref = decimal_overlap_two(pa.row(k), pb.row(k))
+        ref = reference.overlap_two(pa.row(k), pb.row(k))
         assert abs(report.q[k] - ref) <= rel * ref, (k, report.q[k], ref)
 
 
@@ -603,11 +587,63 @@ def test_two_mode_pure_lanes_agree_with_the_cm_route():
     np.testing.assert_allclose(qcb(p_in, p_out).q, via_cm, rtol=1e-12, atol=0.0)
 
 
-def decimal_pe_lower(f, m):
-    """(1 - sqrt(1 - F^M)) / 2 in 200 digits."""
-    with localcontext() as ctx:
-        ctx.prec = 200
-        return float((1 - (1 - Decimal(f) ** m).sqrt()) / 2)
+# ---------------------------------------------------------------------------
+# Q_s against the decimal reference, and identical states at large N
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def g_s_allowance(pa, pb, s):
+    """Relative roundoff G_s itself carries: (x + 1)^s - x^s cancels by about x / s at large x.
+
+    This is a defect of G_s, open apart from the determinant; the bound on
+    Q_s allows for it on top of a few ulps.
+    """
+    return EPS * (sum(pa.fields()[1:]) / s + sum(pb.fields()[1:]) / (1.0 - s))
+
+
+def assert_q_s_matches_decimal(q_s, ref, pa, pb, s):
+    got = q_s(pa, pb, s)
+    s = np.broadcast_to(s, got.shape)
+    for k in range(got.size):
+        a, b, s_k = pa.row(k), pb.row(k), float(s[k])
+        want = ref(a, b, s_k)
+        assert abs(got[k] - want) <= (6.0 * EPS + g_s_allowance(a, b, s_k)) * want, (a, b, s_k, got[k], want)
+
+
+def test_q_s_matches_the_decimal_reference():
+    # x y - z^2 of the summed blocks missed these probe pairs by up to 5.8e-9
+    # and the near-identical pairs by up to 2.6e-4
+    n, beta, eta = (np.array(col) for col in zip(*itertools.product(
+        [10.0 ** (k / 2) for k in range(-4, 11)], (0.0, 0.05, 0.2, 0.4, 0.6, 0.8, 0.95, 0.999), (0.3, 0.9, 0.999))))
+    chs = [LossChannel.from_eta(e) for e in eta.tolist()]
+    p_in = params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=0.999))
+    assert_q_s_matches_decimal(q_s_two, reference.q_s_two, p_in, output_params_two(p_in, chs), 0.5)
+    p_in = params_from_spec(ProbeSpec(modes=1, n=n, beta=beta))
+    assert_q_s_matches_decimal(q_s_single, reference.q_s_single, p_in, output_params_single(p_in, chs), 0.5)
+
+    rng = np.random.default_rng(1)
+    count = 400
+    pa = params_from_spec(ProbeSpec(modes=2, n=10.0 ** rng.uniform(-3.0, 6.0, count), beta=rng.uniform(0.0, 1.0, count),
+                                    gamma=rng.choice([0.0, 0.5, 1.0], count)))
+    pb = SqueezedThermalParamsTwo(*(v * (1.0 + rng.uniform(0.0, 1e-6, count)) for v in pa.fields()))
+    assert_q_s_matches_decimal(q_s_two, reference.q_s_two, pa, pb, rng.uniform(0.05, 0.95, count))
+
+
+def test_identical_states_give_q_one_up_to_large_energy():
+    # x y - z^2 cancelled between terms of size N^2 when one mode is empty:
+    # q(p, p) was 0.688 at N = 3e5, with a divide-by-zero warning above
+    n, beta, gamma = (np.array(col) for col in zip(*itertools.product(
+        [10.0 ** (k / 4) for k in range(-12, 25)], (0.0, 0.1, 0.5, 0.999), (0.0, 0.5, 1.0))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for spec in (ProbeSpec(modes=2, n=n, beta=beta, gamma=gamma), ProbeSpec(modes=1, n=n, beta=beta)):
+            p = params_from_spec(spec)
+            q = qcb(p, p).q
+            assert np.abs(q - 1.0).max() <= 1e-9, (spec.modes, n[np.argmax(np.abs(q - 1.0))])
+        p = params_from_spec(ProbeSpec(modes=2, n=3e5, beta=0.5, gamma=0.0))
+        assert abs(qcb(p, p).q - 1.0) <= 1e-9
 
 
 def test_pe_lower_does_not_cancel_at_small_fidelity():
@@ -616,6 +652,6 @@ def test_pe_lower_does_not_cancel_at_small_fidelity():
     for m in (1, 3):
         lower, _, _ = error_bounds(0.5, fs, m)
         for f, got in zip(fs.tolist(), lower.tolist()):
-            ref = decimal_pe_lower(f, m)
+            ref = reference.pe_lower(f, m)
             assert abs(got - ref) <= 1e-15 * ref, (f, m, got, ref)
     assert error_bounds(1.0, 1.0, 1)[0] == 0.5

@@ -29,6 +29,12 @@ def run(argv, capsys):
     return code, out, err
 
 
+def _subprocess_env() -> dict:
+    """The environment with this checkout's lossprobe first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(lossprobe.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def parse_report(out: str) -> dict:
     """key = value lines into a dict of strings."""
     pairs = {}
@@ -124,6 +130,17 @@ def test_qcb_pure_two_mode_probe_at_large_energy_through_no_loss(capsys):
     code, out, err = run(["qcb", "--modes", "2", "--n", "562341.3251903491", "--beta", "1", "--eta", "1"], capsys)
     assert code == 0, err
     assert parse_report(out)["q"] == "1"
+
+
+def test_qcb_of_a_state_against_itself_at_large_energy():
+    # with eta = 1 the output is the input; x y - z^2 of the summed blocks
+    # cancelled here, printing q = 0.999597854565 and a divide-by-zero
+    # RuntimeWarning on stderr
+    argv = ["qcb", "--modes", "2", "--n", "1e6", "--beta", "0.5", "--gamma", "0", "--eta", "1"]
+    result = subprocess.run([sys.executable, "-m", "lossprobe.cli", *argv], env=_subprocess_env(),
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert math.isclose(float(parse_report(result.stdout)["q"]), 1.0, abs_tol=1e-9)
 
 
 def test_qcb_rejects_zero_transmissivity(capsys):
@@ -478,10 +495,9 @@ def test_missing_command_is_usage_error(capsys):
 def test_cli_import_loads_no_scipy():
     # scipy is a test-only dependency; importing it would also add about
     # 0.4 s to every command's start-up.
-    src = os.path.dirname(os.path.dirname(lossprobe.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = "import lossprobe.cli, sys; print(lossprobe.__file__); print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    result = subprocess.run([sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True,
+                            timeout=60)
     assert result.returncode == 0, result.stderr
     path, loaded = result.stdout.splitlines()
     assert path == lossprobe.__file__
