@@ -27,11 +27,9 @@ from .gaussian import (
     CovarianceMatrix,
     SqueezedThermalParamsSingle,
     SqueezedThermalParamsTwo,
-    any_of,
     at_least_zero,
     libm,
     make_two_mode_st,  # not called here: perfbench/test_harness.py pins this binding in every module
-    select,
     two_mode_blocks,
 )
 
@@ -115,7 +113,7 @@ def _row(p, ch: Channels, k: int) -> str:
 def _clamped(x, what: str, p, ch: Channels):
     """max(x, 0) elementwise, after checking x >= -1e-12."""
     low = x < -_CLAMP
-    if any_of(low):
+    if np.any(low):
         k = int(np.argmax(np.ravel(low)))
         where = _row(p, ch, k) if p.shape else ""
         raise ArithmeticError(f"{what} came out negative: {np.ravel(x)[k]:.3e}{where}")
@@ -186,8 +184,8 @@ def output_params_two(p: SqueezedThermalParamsTwo, ch: Channels) -> SqueezedTher
         + (1.0 - eta) * (2.0 * s2 * (1.0 + p.n_t1) + 2.0 * p.n_t2 * c2)
     )
     direct = c * c <= u_sq
-    u = select(direct, np.sqrt(select(1.0 > u_sq, 1.0, u_sq)), np.sqrt(1.0 + u_sq_minus_one))
-    u_minus_one = select(direct, u - 1.0, u_sq_minus_one / (u + 1.0))
+    u = np.where(direct, np.sqrt(np.where(1.0 > u_sq, 1.0, u_sq)), np.sqrt(1.0 + u_sq_minus_one))
+    u_minus_one = np.where(direct, u - 1.0, u_sq_minus_one / (u + 1.0))
     n1 = _clamped(u_minus_one / 2.0 + half_diff, "output occupation n1", p, ch)
     n2 = _clamped(u_minus_one / 2.0 - half_diff, "output occupation n2", p, ch)
     r_out = _clamped(0.5 * libm(math.asinh, c / u), "output squeezing", p, ch)

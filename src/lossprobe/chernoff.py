@@ -49,11 +49,11 @@ two states or two stacks of one mode count whose shapes broadcast: its
 pure lanes take the overlap straight from the parameters (`_overlap`, no
 covariance matrix), and its mixed lanes share one lane-wise golden
 section (`minimize_scalar_golden`), one call of Q_s per step, each lane
-freezing once its own bracket is at most S_TOL.  A lone mixed lane
-keeps its arithmetic on Python floats (far cheaper than 0-d arrays) while
-its powers still come from numpy's array loop, so a lane's q and s* are the
-same bit for bit alone and in a stack (numpy's pow and Python's ** differ
-in the last bit for a few percent of arguments).
+freezing once its own bracket is at most S_TOL.  A single probe is a
+one-lane stack, so a lane's q and s* are the same bits alone and in a
+stack, and a one-state call returns floats, converted at the return.  The
+powers come from numpy's array loop: numpy's pow and Python's ** differ in
+the last bit for a few percent of arguments.
 
 Q_s is convex in s (Audenaert et al., PRL 98, 160501, 2007), so the grid
 seeded golden section finds its infimum.  When one of the states is pure
@@ -77,13 +77,11 @@ from .gaussian import (
     SqueezedThermalParamsSingle,
     SqueezedThermalParamsTwo,
     VACUUM_NOISE,
-    any_of,
     at_least_zero,
     float_or_array,
     libm,
     make_two_mode_st,  # not called here: perfbench/test_harness.py pins this binding in every module
     require,
-    select,
 )
 
 S_EPS = 1e-6
@@ -95,12 +93,9 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 Params = SqueezedThermalParamsSingle | SqueezedThermalParamsTwo
 
 
-def _exponent(s) -> float | np.ndarray:
-    # a float stays a float: the arithmetic of one lane is far cheaper on
-    # Python floats than on 0-d arrays, and bit for bit the same
-    s = s if isinstance(s, float) else np.asarray(s, dtype=float)
-    ok = 0.0 < s < 1.0 if isinstance(s, float) else (0.0 < s) & (s < 1.0)
-    require(ok, "exponent must be in (0, 1), got {}", s)
+def _exponent(s) -> np.ndarray:
+    s = np.asarray(s, dtype=float)
+    require((0.0 < s) & (s < 1.0), "exponent must be in (0, 1), got {}", s)
     return s
 
 
@@ -150,17 +145,12 @@ def _q_two(g, wa1, wa2, wb1, wb2, factors):
     return g / (wa1 * wa2 + wb1 * wb2 + c2 * (wa1 * wb2 + wa2 * wb1) + s2 * (wa1 * wb1 + wa2 * wb2))
 
 
-def _powers(bases: np.ndarray, s) -> np.ndarray | list[float]:
-    """bases ** s, the base index first, the lanes broadcast against s.
-
-    The powers always come from numpy's array loop, so one lane gets the
-    same bits alone as in a batch; one lane at one s comes back as floats.
-    """
-    extra = (s.ndim if isinstance(s, np.ndarray) else 0) - (bases.ndim - 1)
+def _powers(bases: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """bases ** s from numpy's array loop, the base index first, the lanes broadcast against s."""
+    extra = s.ndim - (bases.ndim - 1)
     if extra > 0:
         bases = bases.reshape(bases.shape[:1] + (1,) * extra + bases.shape[1:])
-    out = bases**s
-    return out.tolist() if out.ndim == 1 else out
+    return bases**s
 
 
 def minimize_scalar_golden(f, lo, hi, tol: float, grid_points: int = _GRID_POINTS):
@@ -183,30 +173,29 @@ def minimize_scalar_golden(f, lo, hi, tol: float, grid_points: int = _GRID_POINT
     step = max(1, _GRID_CHUNK // max(lo.size, 1))
     fs = np.concatenate([f(xs[i : i + step]) for i in range(0, grid_points, step)])
     best = np.argmin(fs, axis=0)[None]
-    # a lone lane steps on plain floats, with plain branches in select
-    a = float_or_array(np.take_along_axis(xs, np.maximum(best - 1, 0), 0)[0])
-    b = float_or_array(np.take_along_axis(xs, np.minimum(best + 1, grid_points - 1), 0)[0])
+    a = np.take_along_axis(xs, np.maximum(best - 1, 0), 0)[0]
+    b = np.take_along_axis(xs, np.minimum(best + 1, grid_points - 1), 0)[0]
 
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
     active = b - a > tol
-    while any_of(active):
+    while active.any():
         left = f1 <= f2
         # only the bracket of a frozen lane must stay; its points no longer count
         go_left = active & left
-        b = select(go_left, x2, b)
-        a = select(active ^ go_left, x1, a)
-        x = select(left, b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a))
+        b = np.where(go_left, x2, b)
+        a = np.where(active ^ go_left, x1, a)
+        x = np.where(left, b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a))
         fx = f(x)
-        x1, x2, f1, f2 = select(left, (x, x1, fx, f1), (x2, x, f2, fx))
+        x1, x2, f1, f2 = np.where(left, (x, x1, fx, f1), (x2, x, f2, fx))
         active = b - a > tol
 
     x = (a + b) / 2.0
     fx = f(x)
     for edge, f_edge in ((lo, fs[0]), (hi, fs[-1])):
         lower = f_edge < fx
-        x, fx = select(lower, edge, x), select(lower, f_edge, fx)
+        x, fx = np.where(lower, edge, x), np.where(lower, f_edge, fx)
     return (float(x), float(fx)) if lo.ndim == 0 else (x, fx)
 
 
@@ -307,10 +296,8 @@ def _is_pure(p: Params) -> np.ndarray:
 
 def _minimize_mixed(q_s, pa: Params, pb: Params) -> tuple:
     """(q, s*) of every lane of two flat stacks of mixed states, from one golden section."""
-    lone = pa.shape == (1,)
-    lanes = stack_pair(pa.row(0), pb.row(0)) if lone else stack_pair(pa, pb)
-    lo = S_EPS if lone else np.full(pa.shape, S_EPS)
-    s_m, q_m = minimize_scalar_golden(lambda s: q_s(lanes, None, s), lo, 1.0 - S_EPS, S_TOL)
+    lanes = stack_pair(pa, pb)
+    s_m, q_m = minimize_scalar_golden(lambda s: q_s(lanes, None, s), np.full(pa.shape, S_EPS), 1.0 - S_EPS, S_TOL)
     # min(q, 1.0) as Python takes it
     return np.where(1.0 < q_m, 1.0, q_m), s_m
 

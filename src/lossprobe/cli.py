@@ -156,10 +156,10 @@ def cmd_qcb(args: argparse.Namespace) -> int:
     _require(args, "--n", *_FINITE_NONNEGATIVE)
     _require(args, "--beta", *_UNIT)
     _require(args, "--copies", lambda c: c >= 1, ">= 1")
-    gamma = args.gamma if args.modes == 2 else None
-    if args.modes == 2:
-        _require(args, "--gamma", *_UNIT)
-    spec = ProbeSpec(modes=args.modes, n=args.n, beta=args.beta, gamma=gamma)
+    if args.modes == 1 and args.gamma is not None:
+        raise UsageError("--gamma only applies to --modes 2")
+    _require(args, "--gamma", *_UNIT)
+    spec = ProbeSpec(modes=args.modes, n=args.n, beta=args.beta, gamma=args.gamma)
     report = discriminate(spec, ch, copies=args.copies)
     names = ("q", "s_star", "copies", "pe_upper", "fidelity", "pe_lower", "pe_fidelity_upper")
     payload = {k: v for k in names if (v := getattr(report, k)) is not None}
@@ -405,6 +405,9 @@ def _write_gnuplot(figure: int, outdir: str, files: list[str]) -> str:
 def cmd_figure(args: argparse.Namespace) -> int:
     _require(args, "--points", lambda k: k >= 2, ">= 2")
     _require(args, "--samples", lambda k: k >= 1, ">= 1")
+    for flag, figure in (("--gamma", 5), ("--beta", 6)):
+        if args.id != figure and getattr(args, flag[2:]) is not None:
+            raise UsageError(f"{flag} only applies to figure {figure}")
     _require(args, "--gamma", *_UNIT)
     _require(args, "--beta", *_UNIT)
     outdir = _outdir(args)

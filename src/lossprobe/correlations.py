@@ -31,12 +31,10 @@ from .gaussian import (
     PHYSICALITY_TOL,
     VACUUM_NOISE,
     CovarianceMatrix,
-    any_of,
     at_least_zero,
     float_or_array,
     libm,
     require,
-    select,
     symplectic_eigenvalues,
     symplectic_invariants,
 )
@@ -47,7 +45,7 @@ _FORM_TOL = 1e-9
 def _vacuum_floor(x):
     # Entropy arguments of a validated state sit at or above 1/2; roundoff
     # (notably in the conditional eigenvalue w) can undershoot the floor.
-    return select(VACUUM_NOISE > x, VACUUM_NOISE, x)
+    return np.where(VACUUM_NOISE > x, VACUUM_NOISE, x)
 
 
 def pt_symplectic_eigenvalues(cm: CovarianceMatrix):
@@ -60,10 +58,10 @@ def pt_symplectic_eigenvalues(cm: CovarianceMatrix):
     """
     i1, i2, i3, i4, _, delta_t = symplectic_invariants(cm)
     disc = delta_t * delta_t - 4.0 * i4
-    if any_of(disc < -PHYSICALITY_TOL * delta_t * delta_t):
+    if np.any(disc < -PHYSICALITY_TOL * delta_t * delta_t):
         raise ArithmeticError(f"partial-transpose discriminant is negative: {np.min(disc):.3e}")
-    d_plus = np.sqrt((delta_t + np.sqrt(select(0.0 > disc, 0.0, disc))) / 2.0)
-    d_minus = np.sqrt(select(0.0 > i4, 0.0, i4)) / d_plus
+    d_plus = np.sqrt((delta_t + np.sqrt(at_least_zero(disc))) / 2.0)
+    d_minus = np.sqrt(at_least_zero(i4)) / d_plus
     return float_or_array(d_plus), float_or_array(d_minus)
 
 
@@ -78,7 +76,7 @@ def binary_entropy_h(x):
     require(np.greater_equal(x, VACUUM_NOISE - 1e-9), "entropy argument must be >= 1/2, got {}", x)
     hi, lo = x + VACUUM_NOISE, x - VACUUM_NOISE
     above = lo > 0.0
-    return float_or_array(hi * libm(math.log, hi) - select(above, lo * libm(math.log, select(above, lo, 1.0)), 0.0))
+    return float_or_array(hi * libm(math.log, hi) - np.where(above, lo * libm(math.log, np.where(above, lo, 1.0)), 0.0))
 
 
 def _require_normal_form(cm: CovarianceMatrix) -> None:
@@ -114,7 +112,8 @@ def correlation_report(cm: CovarianceMatrix) -> CorrelationReport:
       & Datta (PRL 105, 030501, 2010) with the measurement on the second
       mode, where w = (sqrt(I1) + 2 sqrt(I1 I2) + 2 I3) / (1 + 2 sqrt(I2))
       is the conditional eigenvalue after the optimal Gaussian measurement.
-      Clamped to 0 from below (tiny negatives are roundoff).
+      Clamped to 0 from below: a negative D down to -1e-10 times the sum of
+      the four entropies' magnitudes (at least 1) is roundoff.
     - I = (1/2) [h(sqrt(I1)) + h(sqrt(I2)) - h(d+) - h(d-)].
 
     Each of the five entropies is computed once and shared by D and I.
@@ -127,13 +126,14 @@ def correlation_report(cm: CovarianceMatrix) -> CorrelationReport:
     h1, h2 = binary_entropy_h(np.sqrt(i1)), binary_entropy_h(np.sqrt(i2))
     h_plus, h_minus = binary_entropy_h(_vacuum_floor(d_plus)), binary_entropy_h(_vacuum_floor(d_minus))
     e = -libm(math.log, 2.0 * d_tilde_minus)
-    d = h2 - h_minus - h_plus + binary_entropy_h(_vacuum_floor(w))
-    if any_of(d < -1e-10):
+    h_w = binary_entropy_h(_vacuum_floor(w))
+    d = h2 - h_minus - h_plus + h_w
+    if np.any(d < -1e-10 * np.maximum(1.0, abs(h2) + abs(h_minus) + abs(h_plus) + abs(h_w))):
         raise ArithmeticError(f"discord came out negative beyond roundoff: {np.min(d):.3e}")
     return CorrelationReport(
-        log_negativity=float_or_array(select(e > 0.0, e, 0.0)),
-        discord=at_least_zero(d),
-        mutual_information=at_least_zero(0.5 * (h1 + h2 - h_plus - h_minus)),
+        log_negativity=float_or_array(np.where(e > 0.0, e, 0.0)),
+        discord=float_or_array(at_least_zero(d)),
+        mutual_information=float_or_array(at_least_zero(0.5 * (h1 + h2 - h_plus - h_minus))),
         d_tilde_minus=d_tilde_minus,
     )
 

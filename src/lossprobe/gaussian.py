@@ -13,9 +13,10 @@ kept as the cross-check.
 Everything here takes one state or a stack: parameter fields are floats or
 arrays of one shape, a `CovarianceMatrix` holds (..., 2n, 2n) and is
 validated once, a whole stack in one call, and the spectra and the overlap
-give one value per state (floats for one state).  A state gets the same
-bits alone as in any stack: arithmetic, sqrt and the batched LAPACK calls
-act per matrix, and every transcendental comes from `math` (`libm`).
+give one value per state, floats for one state (`float_or_array`, at the
+return; the code has no scalar branch).  A state gets the same bits alone
+as in any stack: arithmetic, sqrt and the batched LAPACK calls act per
+matrix, and every transcendental comes from `math` (`libm`).
 
 CMs use the vacuum normalized to 1/2, i.e. sigma_vac = I/2, hbar = 1, and
 quadratures ordered (q1, p1, q2, p2, ...).  All entropic quantities
@@ -63,18 +64,9 @@ def float_or_array(x):
     return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
-def select(c, p, q):
-    """np.where(c, p, q) elementwise; a scalar c takes the plain branch, so floats stay floats."""
-    return np.where(c, p, q) if isinstance(c, np.ndarray) else (p if c else q)
-
-
-def at_least_zero(x):
+def at_least_zero(x) -> np.ndarray:
     """Python's max(x, 0.0) elementwise: -0.0 and NaN stay as they are."""
-    return float_or_array(select(0.0 > x, 0.0, x))
-
-
-def any_of(c) -> bool:
-    return bool(c.any() if isinstance(c, np.ndarray) else c)
+    return np.where(0.0 > x, 0.0, x)
 
 
 def require(ok, message: str, *values) -> None:
@@ -88,8 +80,6 @@ def require(ok, message: str, *values) -> None:
 
 
 def nonnegative_finite(x):
-    if isinstance(x, float):
-        return x >= 0.0 and math.isfinite(x)
     return (np.asarray(x) >= 0.0) & np.isfinite(x)
 
 
@@ -120,9 +110,10 @@ class CovarianceMatrix:
     """A physical covariance matrix, or a stack of them on the leading axes.
 
     Construction validates symmetry (to 1e-12) and the uncertainty relation
-    sigma + i Omega / 2 >= 0 (eigenvalues above -1e-10) of every matrix in
-    one call; an error names the worst matrix of a stack.  The stored array
-    is made read-only.
+    sigma + i Omega / 2 >= 0 of every matrix in one call, its eigenvalues
+    above -1e-10 max(1, max |entry|): their roundoff grows with the entries.
+    An error names the worst matrix of a stack.  The stored array is made
+    read-only.
     """
 
     mat: np.ndarray
@@ -137,9 +128,10 @@ class CovarianceMatrix:
             raise ValueError("covariance matrix is not symmetric" + _worst(asym))
         m = (m + mt) / 2.0
         w = np.linalg.eigvalsh(m + 0.5j * symplectic_form(m.shape[-1] // 2)).min(axis=-1)
-        if not (w >= -PHYSICALITY_TOL).all():
+        scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+        if not (w >= -PHYSICALITY_TOL * scale).all():
             message = f"uncertainty relation violated: min eig(sigma + i Omega/2) = {w.min():.3e}"
-            raise UnphysicalStateError(message + _worst(-w))
+            raise UnphysicalStateError(message + _worst(-w / scale))
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 

@@ -24,11 +24,12 @@ beta and the two-mode split gamma, which broadcast; the channel is one
 LossChannel for every row or a sequence with one per row.  All rows form
 one stack: one ProbeSpec validates them, `params_from_spec` and the
 channel's recovery run on arrays, and one `qcb` call serves them, whose
-mixed rows share one lane-wise golden section over s.  Scalar rows give a
-float, and a row gives the same bits alone and in any batch, so a caller
-may stack rows of unrelated channels and splits into one call (the CLI
-makes one call per mode count per figure command).  random_sweep and
-optimize_beta's 101-point grid are one batch each.
+mixed rows share one lane-wise golden section over s.  A single row is a
+one-lane stack that gives a float, with the same bits as in any batch, so
+a caller may stack rows of unrelated channels and splits into one call
+(the CLI makes one call per mode count per figure command).  random_sweep
+and optimize_beta's 101-point grid are one batch each, and each golden
+step of optimize_beta is a one-lane stack.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def _q_rows(modes: int, n, beta, gamma, ch: LossChannel | Sequence[LossChannel])
 
     n, beta and gamma (None for one mode) broadcast; ch is one channel for
     every row or a sequence of one per row.  The rows are one stack: one
-    ProbeSpec validates them all.  Scalar rows give a float.
+    ProbeSpec validates them all.  Scalar rows give a float, converted at the return.
     """
     one = isinstance(ch, LossChannel)
     chs = [ch] if one else list(ch)

@@ -98,6 +98,17 @@ def _ranks_alike(values, reference) -> bool:
     return all((v1 - v0) * (r1 - r0) > 0 for (v0, r0), (v1, r1) in pairs if r1 != r0)
 
 
+def _stacked(fn, chs, which, *args):
+    """fn(*args, ch) with ch = chs[which], over the broadcast of which and args, as one call.
+
+    The result has the broadcast shape.  A row gets the same bits in a stack
+    as alone, so a check computed this way sees the values of one call per row.
+    """
+    which, *args = np.broadcast_arrays(which, *args)
+    rows = fn(*(a.ravel() for a in args), [chs[k] for k in which.ravel().tolist()])
+    return rows.reshape(which.shape)
+
+
 # Grids shared by criteria 3 and 7.
 N_GRID = np.linspace(0.4, 20.0, 50)
 ETA_GRID = np.linspace(0.05, 0.99, 20)
@@ -134,13 +145,16 @@ def test_criterion_03_closed_form_agreement():
 @criterion(4, "pure squeezing is the optimal budget split")
 def test_criterion_04_beta_optimum_at_one():
     betas = np.linspace(0.0, 1.0, 101)
-    for gamma_ch in (0.1, 0.69, 2.3):
-        ch = LossChannel.from_gamma(gamma_ch)
-        for n in (0.5, 1.0, 2.0, 5.0):
-            q1s = [q1(n, float(b), ch) for b in betas]
-            q2s = [q2(n, float(b), 1.0, ch) for b in betas]
-            assert int(np.argmin(q1s)) == len(betas) - 1, (gamma_ch, n)
-            assert int(np.argmin(q2s)) == len(betas) - 1, (gamma_ch, n)
+    gammas, ns = (0.1, 0.69, 2.3), (0.5, 1.0, 2.0, 5.0)
+    chs = [LossChannel.from_gamma(g) for g in gammas]
+    # one q1 and one q2 stack over every (channel, N, beta)
+    which, n_col = np.arange(len(gammas))[:, None, None], np.array(ns)[:, None]
+    q1s = _stacked(q1, chs, which, n_col, betas)
+    q2s = _stacked(q2, chs, which, n_col, betas, 1.0)
+    for i, gamma_ch in enumerate(gammas):
+        for j, n in enumerate(ns):
+            assert int(np.argmin(q1s[i, j])) == len(betas) - 1, (gamma_ch, n)
+            assert int(np.argmin(q2s[i, j])) == len(betas) - 1, (gamma_ch, n)
 
 
 @criterion(5, "two-mode advantage and optimal thermal split", time_limit=30.0)
@@ -151,13 +165,16 @@ def test_criterion_05_two_mode_advantage():
     # pure-probe threshold behavior.  The frozen seed's 1000 draws sit far
     # from it; beta within 1e-3 of 1 is where the exceptions live.
     gamma_grid = np.linspace(0.0, 1.0, 11)
-    for n, beta, gamma_ch in random_probes(1000, seed=20240519):
-        ch = LossChannel.from_gamma(gamma_ch)
-        v1 = q1(n, beta, ch)
-        v2 = q2(n, beta, 1.0, ch)
+    draws = random_probes(1000, seed=20240519)
+    n_col, b_col, g_col = (np.array(col) for col in zip(*draws))
+    chs = [LossChannel.from_gamma(g) for g in g_col.tolist()]
+    # one stack over the draws, and one over draws x splits
+    v1s, v2s = q1(n_col, b_col, chs).tolist(), q2(n_col, b_col, 1.0, chs).tolist()
+    by_split = _stacked(q2, chs, np.arange(len(chs))[:, None], n_col[:, None], b_col[:, None], gamma_grid)
+    for (n, beta, gamma_ch), v1, v2, q2s in zip(draws, v1s, v2s, by_split.tolist()):
         assert v2 < v1, (n, beta, gamma_ch)
-        for g in gamma_grid:
-            assert v2 <= q2(n, beta, float(g), ch) + 1e-12, (n, beta, gamma_ch, g)
+        for g, q in zip(gamma_grid, q2s):
+            assert v2 <= q + 1e-12, (n, beta, gamma_ch, g)
 
 
 @criterion(6, "truncated-basis oracle agrees with the Gaussian pipeline", time_limit=15.0)
@@ -171,14 +188,14 @@ def test_criterion_06_oracle_equivalence():
 @criterion(7, "monotonicity of the headline quantities")
 def test_criterion_07_monotonicity():
     # Q decreases strictly with energy at every loss level, and increases
-    # strictly with transmissivity at every energy.
-    for eta in ETA_GRID:
-        ch = LossChannel.from_eta(float(eta))
-        assert _strictly_decreasing([q1(float(n), 1.0, ch) for n in N_GRID]), eta
-        assert _strictly_decreasing([q2(float(n), 1.0, 1.0, ch) for n in N_GRID]), eta
-    for n in N_GRID:
-        by_eta_1 = [q1(float(n), 1.0, LossChannel.from_eta(float(e))) for e in ETA_GRID]
-        by_eta_2 = [q2(float(n), 1.0, 1.0, LossChannel.from_eta(float(e))) for e in ETA_GRID]
+    # strictly with transmissivity at every energy: one (eta, N) stack each.
+    chs = [LossChannel.from_eta(float(eta)) for eta in ETA_GRID]
+    which = np.arange(len(chs))[:, None]
+    q1s, q2s = _stacked(q1, chs, which, N_GRID, 1.0), _stacked(q2, chs, which, N_GRID, 1.0, 1.0)
+    for eta, by_n_1, by_n_2 in zip(ETA_GRID, q1s.tolist(), q2s.tolist()):
+        assert _strictly_decreasing(by_n_1), eta
+        assert _strictly_decreasing(by_n_2), eta
+    for n, by_eta_1, by_eta_2 in zip(N_GRID, q1s.T.tolist(), q2s.T.tolist()):
         assert _strictly_increasing(by_eta_1), n
         assert _strictly_increasing(by_eta_2), n
 
@@ -195,8 +212,10 @@ def test_criterion_07_monotonicity():
     # The window stops at Gamma = 1.5 because the gain peaks near Gamma ~ 2
     # and declines as both probes decohere toward the same thermal output.
     gamma_axis = np.linspace(0.05, 1.5, 30)
-    for n, beta in [(0.5, 0.2), (1.0, 0.5), (2.0, 0.8), (3.0, 0.5), (5.0, 0.3)]:
-        gains = [delta_q(n, beta, LossChannel.from_gamma(float(g))) for g in gamma_axis]
+    probes = [(0.5, 0.2), (1.0, 0.5), (2.0, 0.8), (3.0, 0.5), (5.0, 0.3)]
+    n_col, b_col = (np.array(col)[:, None] for col in zip(*probes))
+    chs = [LossChannel.from_gamma(float(g)) for g in gamma_axis]
+    for (n, beta), gains in zip(probes, _stacked(delta_q, chs, np.arange(len(chs)), n_col, b_col).tolist()):
         assert gains[0] > 0.0, (n, beta)
         assert _strictly_increasing(gains), (n, beta)
 
@@ -205,18 +224,20 @@ def test_criterion_07_monotonicity():
 def test_criterion_08_correlations_track_gain():
     n_axis = np.linspace(5.0 / 101, 5.0, 101)
 
-    def cm(n, beta):
-        p = params_from_spec(ProbeSpec(modes=2, n=float(n), beta=float(beta), gamma=GAMMA_BAR))
-        return make_two_mode_st(p)
+    def report(n, beta):
+        """E, D and I of the stack of probes at energies n and squeezing fraction(s) beta, as lists."""
+        cms = make_two_mode_st(params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=GAMMA_BAR)))
+        r = correlation_report(cms)
+        return r.log_negativity.tolist(), r.discord.tolist(), r.mutual_information.tolist()
 
     for beta in (0.1, 0.9):
-        reports = [correlation_report(cm(n, beta)) for n in n_axis]
-        assert _strictly_increasing([r.log_negativity for r in reports]), beta
-        assert _strictly_increasing([r.discord for r in reports]), beta
-        assert _strictly_increasing([r.mutual_information for r in reports]), beta
+        e_vals, d_vals, i_vals = report(n_axis, beta)
+        assert _strictly_increasing(e_vals), beta
+        assert _strictly_increasing(d_vals), beta
+        assert _strictly_increasing(i_vals), beta
         for gamma_ch in (0.1, 0.5, 0.9):
             ch = LossChannel.from_gamma(gamma_ch)
-            gains = [delta_q_gamma(float(n), beta, GAMMA_BAR, ch) for n in n_axis]
+            gains = delta_q_gamma(n_axis, beta, GAMMA_BAR, ch).tolist()
             assert _strictly_increasing(gains), (beta, gamma_ch)
 
     # Cross-family checks over a broad random family of probe states: strong
@@ -227,14 +248,11 @@ def test_criterion_08_correlations_track_gain():
     # (Spearman(E, I) is 0.932 over beta in [0, 0.2), 0.999 over [0.8, 1)).
     # The paper claims no such agreement, so that figure is only printed.
     draws = random_probes(10_000, seed=20240520)
-    e_vals, d_vals, i_vals = [], [], []
-    for n, beta, _ in draws:
-        report = correlation_report(cm(n, beta))
-        e_vals.append(report.log_negativity)
-        d_vals.append(report.discord)
-        i_vals.append(report.mutual_information)
-        if report.discord > 1.0:
-            assert report.log_negativity > 0.0, (n, beta)
+    n_col, b_col, _ = (np.array(col) for col in zip(*draws))
+    e_vals, d_vals, i_vals = report(n_col, b_col)
+    for (n, beta, _), e, d in zip(draws, e_vals, d_vals):
+        if d > 1.0:
+            assert e > 0.0, (n, beta)
     rho_ei = float(spearmanr(e_vals, i_vals).statistic)
     rho_di = float(spearmanr(d_vals, i_vals).statistic)
     print(f"      cross-beta Spearman: (E, I) = {rho_ei:.5f}, (D, I) = {rho_di:.5f}")
@@ -250,15 +268,14 @@ def test_criterion_08_correlations_track_gain():
     # sign at the threshold energy (see criterion 7).  The grid starts at
     # 0.05: at beta <= 0.0015 E rises and then falls back to zero as N grows.
     ch = LossChannel.from_gamma(0.5)
-    for j, beta in enumerate(np.linspace(0.05, 1.0, 20)):
-        ns = sorted(n for n, _, _ in draws[j:4000:20])
-        reports = [correlation_report(cm(n, beta)) for n in ns]
-        e_fixed = [r.log_negativity for r in reports]
+    for j, beta in enumerate(np.linspace(0.05, 1.0, 20).tolist()):
+        ns = np.array(sorted(n for n, _, _ in draws[j:4000:20]))
+        e_fixed, d_fixed, i_fixed = report(ns, beta)
         assert _rises_from_zero(e_fixed), beta
-        assert _strictly_increasing([r.discord for r in reports]), beta
-        assert _strictly_increasing([r.mutual_information for r in reports]), beta
+        assert _strictly_increasing(d_fixed), beta
+        assert _strictly_increasing(i_fixed), beta
         if beta < 1.0:
-            gains = [delta_q_gamma(n, float(beta), GAMMA_BAR, ch) for n in ns[::10]]
+            gains = delta_q_gamma(ns[::10], beta, GAMMA_BAR, ch).tolist()
             assert _ranks_alike(gains, e_fixed[::10]), beta
 
 

@@ -194,6 +194,25 @@ def test_qcb_rejects_bad_beta(capsys):
     assert "beta" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["qcb", "--modes", "1", "--n", "1", "--beta", "0.5", "--gamma", "0.5", "--eta", "0.5"],
+         "--gamma only applies to --modes 2"),
+        (["figure", "2", "--points", "3", "--gamma", "0.9"], "--gamma only applies to figure 5"),
+        (["figure", "6", "--points", "3", "--gamma", "0.9"], "--gamma only applies to figure 5"),
+        (["figure", "4", "--points", "3", "--beta", "0.1"], "--beta only applies to figure 6"),
+        (["figure", "5", "--samples", "3", "--beta", "0.1"], "--beta only applies to figure 6"),
+    ],
+)
+def test_a_flag_the_command_would_ignore_is_a_usage_error(argv, message, tmp_path, capsys):
+    # these flags were accepted and silently ignored
+    code, out, err = run([*argv, *(["--outdir", str(tmp_path)] if argv[0] == "figure" else [])], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # critical and threshold
 # ---------------------------------------------------------------------------
@@ -356,6 +375,24 @@ def test_correlations_validation(capsys):
     assert run(["correlations", "--n", "-1", "--beta", "0.5"], capsys)[0] == 2
     assert run(["correlations", "--n", "1", "--beta", "2"], capsys)[0] == 2
     assert run(["correlations", "--n", "1", "--beta", "0.5", "--gamma", "-0.1"], capsys)[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the CM misses the uncertainty relation by -1.67e-10, 5.9e-16 of its entries
+        ["correlations", "--n", "562341.3251903491", "--beta", "1"],
+        # D is exactly 0 (a product state), but came out as -2.3e-10 beside entropies near 13
+        ["correlations", "--n", "146779.92676220674", "--beta", "0", "--gamma", "0"],
+    ],
+)
+def test_correlations_at_large_energy_pass_the_scaled_roundoff_floors(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 0, err
+    report = parse_report(out)
+    assert all(float(report[k]) >= 0.0 for k in ("log_negativity", "discord", "mutual_information"))
+    if "--gamma" in argv:
+        assert float(report["log_negativity"]) == float(report["discord"]) == 0.0
 
 
 # ---------------------------------------------------------------------------

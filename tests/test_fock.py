@@ -492,6 +492,28 @@ def test_verification_case_passes():
     assert all(r.passed for r in results)
 
 
+def test_run_all_makes_one_qcb_stack_per_mode_count(monkeypatch):
+    counts = {"qcb": 0, "run_case": 0}
+
+    def counted(name):
+        fn = getattr(verification, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(verification, name, counted(name))
+    results = verification.run_all()
+    assert counts == {"qcb": 2, "run_case": 13}
+    # a case's rows are the same from the stack as from its own one-lane call
+    cases = verification.standard_cases()
+    for k in (0, 5, 9):
+        assert [r for r in results if r.case == cases[k].name] == verification.run_case(cases[k]), cases[k].name
+
+
 def test_verification_flags_undersized_cutoff():
     deep = next(c for c in verification.standard_cases() if c.params_a == S1(1.0, 0.0))
     results = verification.run_case(deep, dim=12)

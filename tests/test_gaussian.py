@@ -210,6 +210,15 @@ def test_unphysical_matrix_rejected():
         CovarianceMatrix(np.diag([0.3, 0.3]))
 
 
+def test_uncertainty_floor_scales_with_the_entries():
+    # the pure probe at N = 562341.33 misses the uncertainty relation by
+    # -1.67e-10, roundoff of entries near 2.8e5 (5.9e-16 of them), which the
+    # absolute floor of 1e-10 rejected; a small violation still raises
+    make_two_mode_st(params_from_spec(ProbeSpec(modes=2, n=562341.3251903491, beta=1.0)))
+    with pytest.raises(UnphysicalStateError, match=r"= -1\.000e-01$"):
+        CovarianceMatrix(np.diag([0.4, 0.4]))
+
+
 def test_asymmetric_matrix_rejected():
     m = np.array([[1.0, 0.1], [0.2, 1.0]])
     with pytest.raises(ValueError):
