@@ -8,17 +8,16 @@ back as parameters of the same family; the two-mode output is computed from
 the block entries in closed form, and its round trip is checked on those
 entries, so the recovery builds no CM.
 
-The recovery works elementwise on a stack of parameters (see `gaussian`),
-with one channel for all rows or a sequence of one per row; a row gets the
-same bits alone and in a stack.  Its checks run once per stack, and an
-error names the first failing row's parameters and channel.
+The recovery works elementwise on a stack of parameters and a channel or a
+channel stack (see `gaussian`), which broadcast; a row gets the same bits
+alone and in a stack.  Its checks run once per stack, and an error names the
+first failing row's parameters and channel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,9 +26,12 @@ from .gaussian import (
     CovarianceMatrix,
     SqueezedThermalParamsSingle,
     SqueezedThermalParamsTwo,
+    _ParameterStack,
     at_least_zero,
     libm,
     make_two_mode_st,  # not called here: perfbench/test_harness.py pins this binding in every module
+    nonnegative_finite,
+    require,
     two_mode_blocks,
 )
 
@@ -41,50 +43,45 @@ class ParameterRecoveryError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class LossChannel:
-    """Loss channel with damping gamma >= 0 and transmissivity eta = exp(-gamma).
+class LossChannel(_ParameterStack):
+    """Loss channel with damping gamma >= 0 and transmissivity eta = exp(-gamma), or a stack.
 
-    Both fields are stored; gamma is canonical and the pair is validated for
-    consistency at construction.  Build instances with `from_gamma` or
-    `from_eta`.
+    Both fields are stored, floats for one channel or arrays of one shape for
+    a stack; gamma is canonical and every pair is checked for consistency.
+    Build instances with `from_gamma` or `from_eta`, which take floats or
+    arrays and give each element the bits of math.exp and math.log.
     """
 
     gamma: float
     eta: float
 
-    def __post_init__(self) -> None:
-        if not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
-            raise ValueError(f"damping must be a finite float >= 0, got {self.gamma}")
-        if not (0.0 < self.eta <= 1.0):
-            raise ValueError(f"transmissivity must be in (0, 1], got {self.eta}")
-        if abs(self.eta - math.exp(-self.gamma)) > 1e-14:
-            raise ValueError(
-                f"inconsistent pair: eta={self.eta!r} but exp(-gamma)={math.exp(-self.gamma)!r}"
-            )
+    def _validate(self) -> None:
+        require(nonnegative_finite(self.gamma), "damping must be a finite float >= 0, got {}", self.gamma)
+        require((0.0 < self.eta) & (self.eta <= 1.0), "transmissivity must be in (0, 1], got {}", self.eta)
+        exp = libm(math.exp, -self.gamma)
+        require(abs(self.eta - exp) <= 1e-14, "inconsistent pair: eta={!r} but exp(-gamma)={!r}", self.eta, exp)
 
     @classmethod
-    def from_gamma(cls, gamma: float) -> "LossChannel":
-        return cls(gamma=gamma, eta=math.exp(-gamma))
+    def from_gamma(cls, gamma) -> "LossChannel":
+        gamma = np.asarray(gamma, dtype=float)
+        return cls(gamma=gamma, eta=libm(math.exp, -gamma))
 
     @classmethod
-    def from_eta(cls, eta: float) -> "LossChannel":
-        if not (0.0 < eta <= 1.0):
-            raise ValueError(f"transmissivity must be in (0, 1], got {eta}")
-        return cls(gamma=-math.log(eta) + 0.0, eta=eta)  # + 0.0: eta = 1 gives +0.0, not -0.0
-
-
-Channels = LossChannel | Sequence[LossChannel]
+    def from_eta(cls, eta) -> "LossChannel":
+        eta = np.asarray(eta, dtype=float)
+        require((0.0 < eta) & (eta <= 1.0), "transmissivity must be in (0, 1], got {}", eta)
+        return cls(gamma=-libm(math.log, eta) + 0.0, eta=eta)  # + 0.0: eta = 1 gives +0.0, not -0.0
 
 
 def evolve_single(cm: CovarianceMatrix, ch: LossChannel) -> CovarianceMatrix:
-    """sigma -> eta sigma + (1 - eta) sigma_vac for a one-mode CM (or stack)."""
+    """sigma -> eta sigma + (1 - eta) sigma_vac for a one-mode CM (or stack), through one channel."""
     if cm.n != 1:
         raise ValueError(f"expected a one-mode CM, got {cm.n} modes")
     return CovarianceMatrix(ch.eta * cm.mat + (1.0 - ch.eta) * VACUUM_NOISE * np.eye(2))
 
 
 def evolve_two(cm: CovarianceMatrix, ch: LossChannel) -> CovarianceMatrix:
-    """Send mode 1 of a two-mode CM (or stack) through the channel, keep mode 2 intact.
+    """Send mode 1 of a two-mode CM (or stack) through one channel, keep mode 2 intact.
 
     X sigma X^T + (1 - eta) sigma_vac on mode 1, with X = diag(sqrt(eta),
     sqrt(eta), 1, 1): the mode-1 block is damped, the cross block picks up
@@ -100,27 +97,24 @@ def evolve_two(cm: CovarianceMatrix, ch: LossChannel) -> CovarianceMatrix:
     return CovarianceMatrix(m)
 
 
-def _eta(p, ch: Channels):
-    # a float for one channel, else an array of p's shape
-    return ch.eta if isinstance(ch, LossChannel) else np.array([c.eta for c in ch]).reshape(p.shape)
+def _row(p, ch: LossChannel, k: int) -> str:
+    # row k of the broadcast of the states and the channels
+    shape = np.broadcast_shapes(p.shape, ch.shape)
+    p_k, ch_k = (x._of([np.broadcast_to(v, shape) for v in x.fields()]).row(k) for x in (p, ch))
+    return f" for {p_k} through {ch_k}" + (f" (row {k})" if shape else "")
 
 
-def _row(p, ch: Channels, k: int) -> str:
-    chk = ch if isinstance(ch, LossChannel) else ch[k]
-    return f" for {p.row(k)} through {chk}" + (f" (row {k})" if p.shape else "")
-
-
-def _clamped(x, what: str, p, ch: Channels):
+def _clamped(x, what: str, p, ch: LossChannel):
     """max(x, 0) elementwise, after checking x >= -1e-12."""
     low = x < -_CLAMP
     if np.any(low):
         k = int(np.argmax(np.ravel(low)))
-        where = _row(p, ch, k) if p.shape else ""
+        where = _row(p, ch, k) if np.ndim(x) else ""
         raise ArithmeticError(f"{what} came out negative: {np.ravel(x)[k]:.3e}{where}")
     return at_least_zero(x)
 
 
-def evolved_blocks(p: SqueezedThermalParamsTwo, ch: Channels):
+def evolved_blocks(p: SqueezedThermalParamsTwo, ch: LossChannel):
     """Block entries (A', B', C') of the evolved two-mode state, per row.
 
     evolve_two in closed form on the entries of two_mode_blocks:
@@ -130,18 +124,18 @@ def evolved_blocks(p: SqueezedThermalParamsTwo, ch: Channels):
     forms it: halving a subnormal C rounds, so sqrt(eta) C / 2 would differ
     in the last bit (r = 1.1e-308).
     """
-    eta = _eta(p, ch)
+    eta = ch.eta
     a, b, c = two_mode_blocks(p)
     return eta * a + (1.0 - eta), b, 2.0 * (0.5 * c * np.sqrt(eta))
 
 
-def output_params_single(p: SqueezedThermalParamsSingle, ch: Channels) -> SqueezedThermalParamsSingle:
+def output_params_single(p: SqueezedThermalParamsSingle, ch: LossChannel) -> SqueezedThermalParamsSingle:
     """Squeezed thermal parameters of the evolved single-mode state(s).
 
     The output thermal occupation is sqrt(det sigma') - 1/2 and the output
     squeezing follows from the variance ratio, r' = (1/4) log(a'/b').
     """
-    eta = _eta(p, ch)
+    eta = ch.eta
     nu = p.n_t + VACUUM_NOISE
     a = eta * nu * libm(math.exp, 2 * p.r) + (1.0 - eta) * VACUUM_NOISE
     b = eta * nu * libm(math.exp, -2 * p.r) + (1.0 - eta) * VACUUM_NOISE
@@ -150,7 +144,7 @@ def output_params_single(p: SqueezedThermalParamsSingle, ch: Channels) -> Squeez
     return SqueezedThermalParamsSingle(r=r_out, n_t=n_out)
 
 
-def output_params_two(p: SqueezedThermalParamsTwo, ch: Channels) -> SqueezedThermalParamsTwo:
+def output_params_two(p: SqueezedThermalParamsTwo, ch: LossChannel) -> SqueezedThermalParamsTwo:
     """Squeezed thermal parameters of the evolved two-mode state(s).
 
     Inverts the block normal form: with (A', B', C') from evolved_blocks,
@@ -173,7 +167,7 @@ def output_params_two(p: SqueezedThermalParamsTwo, ch: Channels) -> SqueezedTher
     ParameterRecoveryError for the first such row.  Parameters with r, n_t1,
     n_t2 >= 0 are a physical state by construction, so no CM is built.
     """
-    eta = _eta(p, ch)
+    eta = ch.eta
     a, b, c = evolved_blocks(p, ch)
     half_diff = 0.25 * (a - b)
     u_sq = 0.25 * libm(pow, a + b, 2) - c * c

@@ -19,10 +19,11 @@ Files land in --outdir when a command writes more than one; the default
 directory comes from the LOSSPROBE_OUTDIR environment variable, falling
 back to the working directory.
 
-A figure command stacks the rows of all its files, with one channel (and,
-for figure 5, one thermal split) per row, and makes one Q1 and one Q2 call
-for the whole stack, then splits the results back into its files (`_stack`
-and np.split).  A row gets the same bits alone and in any stack, so each
+A figure command stacks the rows of all its files, with Gamma (and, for
+figure 5, the thermal split) a float column like N and beta, and makes one
+Q1 and one Q2 call for the whole stack against one channel stack.  It takes
+the results apart into its files by the leading axis, or by `_stack`'s cuts
+and np.split.  A row gets the same bits alone and in any stack, so each
 file is byte-identical to computing it on its own.
 """
 
@@ -79,6 +80,7 @@ _FINITE_POSITIVE = (lambda x: 0.0 < x < math.inf, "a finite number > 0")
 # exp(-x) underflows to 0 above x = 745.13, and no channel has transmissivity 0
 _DAMPING = (lambda x: 0.0 <= x and math.exp(-x) > 0.0, "a finite number >= 0 with exp(-x) > 0 (at most 745.13)")
 _DAMPING_MAX = (lambda x: 0.0 < x and math.exp(-x) > 0.0, "a finite number > 0 with exp(-x) > 0 (at most 745.13)")
+_SEED = (lambda k: 0 <= k < 2**128, "an integer in [0, 2^128)")  # the key range of Philox, the draws' generator
 
 
 def _require(args: argparse.Namespace, flag: str, ok, domain: str) -> None:
@@ -169,6 +171,7 @@ def cmd_qcb(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     _require(args, "--samples", lambda k: k >= 1, ">= 1")
+    _require(args, "--seed", *_SEED)
     _require(args, "--gamma", *_UNIT)
     _require(args, "--n-max", *_FINITE_POSITIVE)
     _require(args, "--damping-max", *_DAMPING_MAX)
@@ -267,10 +270,9 @@ def _figure_csv(args: argparse.Namespace, outdir: str, name: str, params: dict, 
 def _stack(*blocks) -> tuple:
     """Blocks of rows as one stack: each column concatenated, then the cuts.
 
-    A block is a tuple of columns, the first an array with one entry per
-    row, any other such an array (or list) or one value for every row of the
-    block, a LossChannel included.  np.split(result, cuts) undoes the
-    stacking: one array per block.
+    A block is a tuple of float columns, the first an array with one entry
+    per row, any other such an array or one value for every row of the
+    block.  np.split(result, cuts) undoes the stacking: one array per block.
     """
     sizes = [len(block[0]) for block in blocks]
     columns = [
@@ -281,12 +283,14 @@ def _stack(*blocks) -> tuple:
 
 
 def _figure_2(args: argparse.Namespace, outdir: str) -> list[str]:
+    etas = (0.1, 0.5, 0.9)
     n_col = np.tile(np.linspace(0.0, 10.0, args.points), 3)
     b_col = np.repeat([0.1, 0.5, 1.0], args.points)
+    q_files = q1(n_col, b_col, LossChannel.from_eta(np.array(etas)[:, None]))  # one file per channel
     return [
         _figure_csv(args, outdir, f"figure2_eta{eta:g}.csv", {"eta": eta, "points": args.points},
-                    ["N", "beta", "Q1"], n_col, b_col, q1(n_col, b_col, LossChannel.from_eta(eta)))
-        for eta in (0.1, 0.5, 0.9)
+                    ["N", "beta", "Q1"], n_col, b_col, q_col)
+        for eta, q_col in zip(etas, q_files)
     ]
 
 
@@ -294,9 +298,9 @@ def _figure_3(args: argparse.Namespace, outdir: str) -> list[str]:
     gammas = (0.1, 0.3, 1.0)
     n_col = np.tile(np.linspace(0.0, 10.0, args.points), len(gammas))
     g_col = np.repeat(gammas, args.points)
-    chs = [ch for ch in map(LossChannel.from_gamma, gammas) for _ in range(args.points)]
+    ch = LossChannel.from_gamma(g_col)
     return [_figure_csv(args, outdir, "figure3.csv", {"points": args.points}, ["N", "Gamma", "Q1", "Q2"],
-                        n_col, g_col, q1(n_col, 1.0, chs), q2(n_col, 1.0, 1.0, chs))]
+                        n_col, g_col, q1(n_col, 1.0, ch), q2(n_col, 1.0, 1.0, ch))]
 
 
 def _grid(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]:
@@ -309,8 +313,8 @@ def _grid(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]:
 def _figure_4(args: argparse.Namespace, outdir: str) -> list[str]:
     gammas = (0.1, 0.9)
     n_col, b_col = _grid(args)
-    n, beta, chs, cuts = _stack(*[(n_col, b_col, LossChannel.from_gamma(g)) for g in gammas])
-    gaps = np.split(q1(n, beta, chs) - q2(n, beta, 1.0, chs), cuts)
+    ch = LossChannel.from_gamma(np.array(gammas)[:, None])
+    gaps = q1(n_col, b_col, ch) - q2(n_col, b_col, 1.0, ch)
     return [
         _figure_csv(args, outdir, f"figure4_Gamma{g:g}.csv", {"Gamma": g, "points": args.points},
                     ["N", "beta", "deltaQ"], n_col, b_col, gap)
@@ -322,15 +326,14 @@ def _figure_5(args: argparse.Namespace, outdir: str) -> list[str]:
     gammas = [args.gamma] if args.gamma is not None else [0.99, 0.9, 0.8, 0.7]
     # every split reads the same draws: one Q1 call, and one Q2 call for all splits
     n_col, b_col, d_col = (np.array(col) for col in zip(*random_probes(args.samples, args.seed)))
-    chs = [LossChannel.from_gamma(g) for g in d_col.tolist()]
-    q_one = q1(n_col, b_col, chs)
-    *q2_cols, cuts = _stack(*[(n_col, b_col, g, chs) for g in gammas])
+    ch = LossChannel.from_gamma(d_col)
+    q_one = q1(n_col, b_col, ch)
     return [
         _figure_csv(args, outdir, f"figure5_gamma{g:g}.csv",
                     {"gamma": g, "samples": args.samples, "seed": args.seed},
                     ["N", "beta", "Gamma", "gamma", "deltaQ_gamma"],
                     n_col, b_col, d_col, np.full(len(n_col), g), q_one - q_two)
-        for g, q_two in zip(gammas, np.split(q2(*q2_cols), cuts))
+        for g, q_two in zip(gammas, q2(n_col, b_col, np.array(gammas)[:, None], ch))
     ]
 
 
@@ -347,12 +350,12 @@ def _figure_6(args: argparse.Namespace, outdir: str) -> list[str]:
     # stream 1 keeps the scatter independent of a sweep with the same seed
     sc_n, sc_b, sc_g = (np.array(col) for col in zip(*random_probes(args.samples, args.seed, stream=1)))
     # every file's rows in one stack, in file order; E, D and I once per input block
-    n, beta, chs, cuts = _stack(
-        *[(ns, b, LossChannel.from_gamma(g)) for b in betas for g in curve_gammas],
-        *[(grid_n, grid_b, LossChannel.from_gamma(g)) for g in density_gammas],
-        (sc_n, sc_b, [LossChannel.from_gamma(g) for g in sc_g.tolist()]),
+    n, beta, g_col, cuts = _stack(
+        *[(ns, b, g) for b in betas for g in curve_gammas],
+        *[(grid_n, grid_b, g) for g in density_gammas],
+        (sc_n, sc_b, sc_g),
     )
-    gaps = iter(np.split(delta_q_gamma(n, beta, GAMMA_BAR, chs), cuts))
+    gaps = iter(np.split(delta_q_gamma(n, beta, GAMMA_BAR, LossChannel.from_gamma(g_col)), cuts))
     n, beta, cuts = _stack(*[(ns, b) for b in betas], (grid_n, grid_b), (sc_n, sc_b))
     rep = correlation_report(_input_cms(n, beta))
     e, d, i = (np.split(x, cuts) for x in (rep.log_negativity, rep.discord, rep.mutual_information))
@@ -405,6 +408,7 @@ def _write_gnuplot(figure: int, outdir: str, files: list[str]) -> str:
 def cmd_figure(args: argparse.Namespace) -> int:
     _require(args, "--points", lambda k: k >= 2, ">= 2")
     _require(args, "--samples", lambda k: k >= 1, ">= 1")
+    _require(args, "--seed", *_SEED)
     for flag, figure in (("--gamma", 5), ("--beta", 6)):
         if args.id != figure and getattr(args, flag[2:]) is not None:
             raise UsageError(f"{flag} only applies to figure {figure}")

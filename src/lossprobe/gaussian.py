@@ -142,7 +142,7 @@ class CovarianceMatrix:
 
 
 class _ParameterStack:
-    """Fields that are all floats (one state) or arrays of one shape (a stack), each finite and >= 0."""
+    """Fields that are all floats (one member) or read-only arrays of one shape (a stack)."""
 
     def __post_init__(self) -> None:
         values = self.fields()
@@ -155,7 +155,11 @@ class _ParameterStack:
                 values = [float(v) if isinstance(v, (np.ndarray, np.generic)) else v for v in values]
             for name, v in zip(self.__dataclass_fields__, values):
                 object.__setattr__(self, name, v)
-        for name, v in zip(self.__dataclass_fields__, values):
+        self._validate()
+
+    def _validate(self) -> None:
+        """Every field finite and >= 0; a stack with other domains overrides this."""
+        for name, v in zip(self.__dataclass_fields__, self.fields()):
             require(nonnegative_finite(v), f"{_FIELD_NAMES[name]} must be a finite float >= 0, got {{}}", v)
 
     def fields(self) -> tuple:
@@ -164,7 +168,7 @@ class _ParameterStack:
 
     @property
     def shape(self) -> tuple:
-        return getattr(self.r, "shape", ())
+        return getattr(self.fields()[0], "shape", ())
 
     @classmethod
     def _of(cls, values):
@@ -175,7 +179,7 @@ class _ParameterStack:
         return out
 
     def row(self, k: int):
-        """The state at flat index k, with float fields."""
+        """The member at flat index k, with float fields."""
         return self._of([np.ravel(v)[k].item() for v in self.fields()])
 
     def take(self, index):

@@ -20,23 +20,22 @@ holds an advantage up to a threshold energy N_th(eta) that vanishes at eta_c
 and grows roughly like 4 (eta - eta_c) just above it.
 
 Array semantics.  q1, q2, delta_q and delta_q_gamma are elementwise over N,
-beta and the two-mode split gamma, which broadcast; the channel is one
-LossChannel for every row or a sequence with one per row.  All rows form
-one stack: one ProbeSpec validates them, `params_from_spec` and the
-channel's recovery run on arrays, and one `qcb` call serves them, whose
-mixed rows share one lane-wise golden section over s.  A single row is a
-one-lane stack that gives a float, with the same bits as in any batch, so
-a caller may stack rows of unrelated channels and splits into one call
-(the CLI makes one call per mode count per figure command).  random_sweep
-and optimize_beta's 101-point grid are one batch each, and each golden
-step of optimize_beta is a one-lane stack.
+beta, the two-mode split gamma and the channel, a LossChannel or a stack of
+them, which all broadcast.  All rows form one stack: one ProbeSpec
+validates them, `params_from_spec` and the channel's recovery run on
+arrays, and one `qcb` call serves them, whose mixed rows share one
+lane-wise golden section over s.  A single row is a one-lane stack that
+gives a float, with the same bits as in any batch, so a caller may stack
+rows of unrelated channels and splits into one call (the CLI makes one
+call per mode count per figure command).  random_sweep is one batch, and
+optimize_beta runs one lane-wise golden section over beta for all its
+lanes, each step one batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -112,7 +111,7 @@ def params_from_spec(spec: ProbeSpec) -> SqueezedThermalParamsSingle | SqueezedT
                                     n_t2=(1.0 - spec.gamma) * pool)
 
 
-def _pair(spec: ProbeSpec, ch: LossChannel | Sequence[LossChannel]) -> tuple:
+def _pair(spec: ProbeSpec, ch: LossChannel) -> tuple:
     """(input, output) parameters of probes sent through the channel(s)."""
     p_in = params_from_spec(spec)
     recover = output_params_single if spec.modes == 1 else output_params_two
@@ -124,21 +123,18 @@ def discriminate(spec: ProbeSpec, ch: LossChannel, copies: int = 1) -> Discrimin
     return qcb(*_pair(spec, ch), copies=copies)
 
 
-def _q_rows(modes: int, n, beta, gamma, ch: LossChannel | Sequence[LossChannel]):
+def _q_rows(modes: int, n, beta, gamma, ch: LossChannel):
     """Q of every row of (N, beta, gamma) against its channel, from one qcb call.
 
-    n, beta and gamma (None for one mode) broadcast; ch is one channel for
-    every row or a sequence of one per row.  The rows are one stack: one
-    ProbeSpec validates them all.  Scalar rows give a float, converted at the return.
+    n, beta, gamma (None for one mode) and the channel's fields broadcast.
+    The rows are one stack: one ProbeSpec validates them all, and the
+    channel, validated when built, is broadcast without a second check.
+    Scalar rows give a float, converted at the return.
     """
-    one = isinstance(ch, LossChannel)
-    chs = [ch] if one else list(ch)
-    n, beta, gamma_rows, which = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (n, beta, 1.0 if gamma is None else gamma)),
-        0 if one else np.arange(len(chs)))
-    spec = ProbeSpec(modes=modes, n=float_or_array(n), beta=float_or_array(beta),
-                     gamma=None if gamma is None else float_or_array(gamma_rows))
-    return qcb(*_pair(spec, ch if one else [chs[k] for k in which.ravel().tolist()])).q
+    n, beta, gamma_rows, *ch_rows = (float_or_array(x) for x in np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (n, beta, 1.0 if gamma is None else gamma, *ch.fields()))))
+    spec = ProbeSpec(modes=modes, n=n, beta=beta, gamma=None if gamma is None else gamma_rows)
+    return qcb(*_pair(spec, LossChannel._of(ch_rows))).q
 
 
 def q1(n, beta, ch):
@@ -179,29 +175,23 @@ def delta_q_gamma(n, beta, gamma, ch):
     return q1(n, beta, ch) - q2(n, beta, gamma, ch)
 
 
-def optimize_beta(
-    n: float,
-    ch: LossChannel,
-    modes: int,
-    gamma: float | None = None,
-) -> tuple[float, float]:
-    """Best squeezing fraction for a fixed energy budget.
+def optimize_beta(n, ch: LossChannel, modes: int, gamma=None) -> tuple:
+    """Best squeezing fraction for a fixed energy budget, in every lane at once.
 
-    Grid search over 101 values of beta, evaluated as one batch, refined by
-    golden section to 1e-6.  For two-mode probes gamma defaults to the optimal split 1; passing an
-    explicit gamma optimizes beta at that split.  Returns (beta_star, q_star).
+    n, the channel's fields and (two modes) gamma broadcast to lanes.  Grid
+    search over 101 values of beta, refined by golden section to 1e-6, all
+    lanes in one `minimize_scalar_golden` call: each call of Q serves every
+    lane, and a lane takes the steps it would take alone.  For two-mode
+    probes gamma defaults to the optimal split 1; passing an explicit gamma
+    optimizes beta at that split.  Returns (beta_star, q_star): floats for
+    scalar inputs, else arrays of the lane shape.
     """
-    if modes == 1:
-        objective = lambda b: q1(n, b, ch)  # noqa: E731
-    elif modes == 2:
-        g = 1.0 if gamma is None else gamma
-        objective = lambda b: q2(n, b, g, ch)  # noqa: E731
-    else:
+    if modes not in (1, 2):
         raise ValueError(f"modes must be 1 or 2, got {modes}")
-    beta_star, q_star = minimize_scalar_golden(
-        objective, 0.0, 1.0, BETA_TOL, grid_points=101
-    )
-    return beta_star, q_star
+    split = None if modes == 1 else 1.0 if gamma is None else gamma
+    lanes = np.broadcast_shapes(np.shape(n), ch.shape, np.shape(split))
+    objective = lambda b: _q_rows(modes, n, b, split, ch)  # noqa: E731
+    return minimize_scalar_golden(objective, np.zeros(lanes), 1.0, BETA_TOL, grid_points=101)
 
 
 def critical_transmissivity() -> tuple[float, float]:
@@ -339,7 +329,7 @@ def random_sweep(
         raise ValueError(f"thermal split must be in [0, 1], got {gamma}")
     draws = random_probes(sample_count, seed, ranges=ranges)
     n, beta, g_ch = (np.array(col) for col in zip(*draws))
-    gaps = delta_q_gamma(n, beta, gamma, [LossChannel.from_gamma(g) for g in g_ch.tolist()])
+    gaps = delta_q_gamma(n, beta, gamma, LossChannel.from_gamma(g_ch))
     return [
         SweepRecord(n=n, beta=beta, gamma_ch=g_ch, gamma=gamma, delta_q=gap)
         for (n, beta, g_ch), gap in zip(draws, gaps.tolist())

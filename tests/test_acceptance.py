@@ -98,17 +98,6 @@ def _ranks_alike(values, reference) -> bool:
     return all((v1 - v0) * (r1 - r0) > 0 for (v0, r0), (v1, r1) in pairs if r1 != r0)
 
 
-def _stacked(fn, chs, which, *args):
-    """fn(*args, ch) with ch = chs[which], over the broadcast of which and args, as one call.
-
-    The result has the broadcast shape.  A row gets the same bits in a stack
-    as alone, so a check computed this way sees the values of one call per row.
-    """
-    which, *args = np.broadcast_arrays(which, *args)
-    rows = fn(*(a.ravel() for a in args), [chs[k] for k in which.ravel().tolist()])
-    return rows.reshape(which.shape)
-
-
 # Grids shared by criteria 3 and 7.
 N_GRID = np.linspace(0.4, 20.0, 50)
 ETA_GRID = np.linspace(0.05, 0.99, 20)
@@ -146,11 +135,10 @@ def test_criterion_03_closed_form_agreement():
 def test_criterion_04_beta_optimum_at_one():
     betas = np.linspace(0.0, 1.0, 101)
     gammas, ns = (0.1, 0.69, 2.3), (0.5, 1.0, 2.0, 5.0)
-    chs = [LossChannel.from_gamma(g) for g in gammas]
     # one q1 and one q2 stack over every (channel, N, beta)
-    which, n_col = np.arange(len(gammas))[:, None, None], np.array(ns)[:, None]
-    q1s = _stacked(q1, chs, which, n_col, betas)
-    q2s = _stacked(q2, chs, which, n_col, betas, 1.0)
+    ch, n_col = LossChannel.from_gamma(np.array(gammas)[:, None, None]), np.array(ns)[:, None]
+    q1s = q1(n_col, betas, ch)
+    q2s = q2(n_col, betas, 1.0, ch)
     for i, gamma_ch in enumerate(gammas):
         for j, n in enumerate(ns):
             assert int(np.argmin(q1s[i, j])) == len(betas) - 1, (gamma_ch, n)
@@ -167,10 +155,10 @@ def test_criterion_05_two_mode_advantage():
     gamma_grid = np.linspace(0.0, 1.0, 11)
     draws = random_probes(1000, seed=20240519)
     n_col, b_col, g_col = (np.array(col) for col in zip(*draws))
-    chs = [LossChannel.from_gamma(g) for g in g_col.tolist()]
+    ch = LossChannel.from_gamma(g_col)
     # one stack over the draws, and one over draws x splits
-    v1s, v2s = q1(n_col, b_col, chs).tolist(), q2(n_col, b_col, 1.0, chs).tolist()
-    by_split = _stacked(q2, chs, np.arange(len(chs))[:, None], n_col[:, None], b_col[:, None], gamma_grid)
+    v1s, v2s = q1(n_col, b_col, ch).tolist(), q2(n_col, b_col, 1.0, ch).tolist()
+    by_split = q2(n_col[:, None], b_col[:, None], gamma_grid, LossChannel.from_gamma(g_col[:, None]))
     for (n, beta, gamma_ch), v1, v2, q2s in zip(draws, v1s, v2s, by_split.tolist()):
         assert v2 < v1, (n, beta, gamma_ch)
         for g, q in zip(gamma_grid, q2s):
@@ -189,9 +177,8 @@ def test_criterion_06_oracle_equivalence():
 def test_criterion_07_monotonicity():
     # Q decreases strictly with energy at every loss level, and increases
     # strictly with transmissivity at every energy: one (eta, N) stack each.
-    chs = [LossChannel.from_eta(float(eta)) for eta in ETA_GRID]
-    which = np.arange(len(chs))[:, None]
-    q1s, q2s = _stacked(q1, chs, which, N_GRID, 1.0), _stacked(q2, chs, which, N_GRID, 1.0, 1.0)
+    ch = LossChannel.from_eta(ETA_GRID[:, None])
+    q1s, q2s = q1(N_GRID, 1.0, ch), q2(N_GRID, 1.0, 1.0, ch)
     for eta, by_n_1, by_n_2 in zip(ETA_GRID, q1s.tolist(), q2s.tolist()):
         assert _strictly_decreasing(by_n_1), eta
         assert _strictly_decreasing(by_n_2), eta
@@ -214,8 +201,7 @@ def test_criterion_07_monotonicity():
     gamma_axis = np.linspace(0.05, 1.5, 30)
     probes = [(0.5, 0.2), (1.0, 0.5), (2.0, 0.8), (3.0, 0.5), (5.0, 0.3)]
     n_col, b_col = (np.array(col)[:, None] for col in zip(*probes))
-    chs = [LossChannel.from_gamma(float(g)) for g in gamma_axis]
-    for (n, beta), gains in zip(probes, _stacked(delta_q, chs, np.arange(len(chs)), n_col, b_col).tolist()):
+    for (n, beta), gains in zip(probes, delta_q(n_col, b_col, LossChannel.from_gamma(gamma_axis)).tolist()):
         assert gains[0] > 0.0, (n, beta)
         assert _strictly_increasing(gains), (n, beta)
 

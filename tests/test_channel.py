@@ -60,6 +60,48 @@ def test_channel_validation():
         LossChannel(gamma=1.0, eta=0.9)  # inconsistent pair
 
 
+def test_channel_stacks_are_their_scalar_channels_bit_for_bit():
+    from lossprobe.probes import random_probes
+
+    damping = np.array([g for _, _, g in random_probes(200, seed=7)] + [0.0, 1e-300, 700.0])
+    etas = np.concatenate([np.exp(-damping[:200]), [1.0, 0.5, 1e-300]])
+    # the other field of each scalar channel has the bits of math's exp or log
+    for build, values, derived in ((LossChannel.from_gamma, damping, lambda ch, v: ch.eta == math.exp(-v)),
+                                   (LossChannel.from_eta, etas, lambda ch, v: ch.gamma == -math.log(v) + 0.0)):
+        stack = build(values)
+        assert stack.shape == values.shape and stack.gamma.dtype == stack.eta.dtype == float
+        for k, v in enumerate(values.tolist()):
+            one = build(v)
+            assert type(one.gamma) is type(one.eta) is float and derived(one, v), v
+            assert (one.gamma, one.eta) == (stack.gamma[k], stack.eta[k]), (build.__name__, v)
+            assert math.copysign(1.0, one.gamma) == math.copysign(1.0, stack.gamma[k])
+            assert repr(stack.row(k)) == repr(one), (build.__name__, v)
+    assert LossChannel.from_gamma(damping.reshape(7, -1)).shape == (7, 29)
+    with pytest.raises(ValueError):
+        stack.eta[0] = 0.5  # read-only, as the state stacks
+
+
+@pytest.mark.parametrize(
+    "build, values, message",
+    [
+        (LossChannel.from_eta, [0.5, 0.0], r"transmissivity must be in \(0, 1\], got 0\.0$"),
+        (LossChannel.from_eta, [0.5, 1.0, 1.5], r"transmissivity must be in \(0, 1\], got 1\.5$"),
+        (LossChannel.from_eta, [math.nan, 0.5], r"transmissivity must be in \(0, 1\], got nan$"),
+        (LossChannel.from_gamma, [0.1, -0.25], r"damping must be a finite float >= 0, got -0\.25$"),
+        (LossChannel.from_gamma, [0.1, math.inf], r"damping must be a finite float >= 0, got inf$"),
+        (LossChannel.from_gamma, [0.1, 800.0], r"transmissivity must be in \(0, 1\], got 0\.0$"),
+    ],
+)
+def test_channel_stack_names_the_invalid_element(build, values, message):
+    with pytest.raises(ValueError, match=message):
+        build(np.array(values))
+
+
+def test_inconsistent_pair_in_a_stack_is_named():
+    with pytest.raises(ValueError, match=r"inconsistent pair: eta=0\.9 but exp\(-gamma\)=0\.36787944117144233$"):
+        LossChannel(gamma=np.array([0.0, 1.0]), eta=np.array([1.0, 0.9]))
+
+
 def test_identity_channel():
     ch = LossChannel.from_eta(1.0)
     cm = make_single_mode_st(SqueezedThermalParamsSingle(r=0.7, n_t=0.4))
@@ -228,11 +270,11 @@ def test_two_mode_recovery_on_the_probe_grid(n):
 
 
 def _probe_batch(count: int):
-    """Stacked (N, beta) and per-row channels of random_probes draws."""
+    """Stacked (N, beta) and the channel stack of random_probes draws."""
     from lossprobe.probes import random_probes
 
     n, beta, gamma_ch = (np.array(col) for col in zip(*random_probes(count, seed=20261019)))
-    return n, beta, [LossChannel.from_gamma(g) for g in gamma_ch.tolist()]
+    return n, beta, LossChannel.from_gamma(gamma_ch)
 
 
 def test_recovery_on_a_stack_is_the_same_bits_as_row_by_row():
@@ -243,7 +285,7 @@ def test_recovery_on_a_stack_is_the_same_bits_as_row_by_row():
         p = params_from_spec(ProbeSpec(modes=modes, n=n, beta=beta, gamma=0.999 if modes == 2 else None))
         out = recover(p, chs)
         for k in range(1000):
-            assert recover(p.row(k), chs[k]) == out.row(k), (modes, k)
+            assert recover(p.row(k), chs.row(k)) == out.row(k), (modes, k)
 
 
 @pytest.mark.parametrize(
@@ -267,15 +309,36 @@ def test_failing_row_inside_a_batch_is_named(n, beta, gamma, eta, error):
     ns, betas, chs = _probe_batch(1000)
     gammas = np.ones(1000)
     k = 637
-    ns[k], betas[k], gammas[k], chs[k] = n, beta, gamma, LossChannel.from_eta(eta)
+    ns[k], betas[k], gammas[k] = n, beta, gamma
+    damping, etas = np.array(chs.gamma), np.array(chs.eta)
+    damping[k], etas[k] = LossChannel.from_eta(eta).fields()
+    chs = LossChannel(gamma=damping, eta=etas)
     with pytest.raises(error) as batch:
         output_params_two(params_from_spec(ProbeSpec(modes=2, n=ns, beta=betas, gamma=gammas)), chs)
     assert type(batch.value) is type(alone.value)
     if error is ParameterRecoveryError:
-        assert str(alone.value).endswith(f" for {bad} through {chs[k]}")
+        assert str(alone.value).endswith(f" for {bad} through {chs.row(k)}")
         assert str(batch.value) == f"{alone.value} (row {k})"
     else:
-        assert str(batch.value) == f"{alone.value} for {bad} through {chs[k]} (row {k})"
+        assert str(batch.value) == f"{alone.value} for {bad} through {chs.row(k)} (row {k})"
+
+
+def test_failing_row_against_a_broadcast_channel_stack_names_its_channel():
+    # a (3, 4) probe stack against a (4,) channel stack: row 6 is probe row 1
+    # through channel 2, and only that pair fails its round trip
+    from lossprobe.probes import ProbeSpec, params_from_spec
+
+    ns = np.array([[1.0] * 4, [2.0, 2.0, 3e4, 2.0], [3.0] * 4])
+    betas = np.array([0.5, 0.5, 0.5, 0.5])
+    chs = LossChannel.from_eta(np.array([0.3, 0.6, 1.0, 0.9]))
+    p = params_from_spec(ProbeSpec(modes=2, n=ns, beta=betas, gamma=1.0))
+    with pytest.raises(ParameterRecoveryError) as alone:
+        output_params_two(p.row(6), chs.row(2))
+    with pytest.raises(ParameterRecoveryError) as batch:
+        output_params_two(p, chs)
+    assert str(alone.value).endswith(f" for {p.row(6)} through {chs.row(2)}")
+    assert repr(chs.row(2)) == "LossChannel(gamma=0.0, eta=1.0)"
+    assert str(batch.value) == f"{alone.value} (row 6)"
 
 
 def test_lossless_channel_returns_a_large_pure_probe_unchanged():

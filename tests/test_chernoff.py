@@ -332,10 +332,10 @@ def test_seeding_grid_memory_does_not_grow_with_the_lanes():
     # mixed lane at once peaked near 99 MB traced, in groups near 24 MB
     ns, betas = np.linspace(5.0 / 101, 5.0, 101), np.linspace(0.0, 1.0, 101)
     n, beta = np.tile(np.repeat(ns, 101), 2), np.tile(betas, 202)
-    chs = [LossChannel.from_gamma(g) for g in (0.1, 0.9) for _ in range(101 * 101)]
+    ch = LossChannel.from_gamma(np.repeat([0.1, 0.9], 101 * 101))
     tracemalloc.start()
     try:
-        q2(n, beta, 1.0, chs)
+        q2(n, beta, 1.0, ch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -467,10 +467,10 @@ def test_stacked_pair_is_the_same_bits_as_its_rows():
     # the same rows one qcb call at a time
     n, beta, gamma_ch = (np.array(col) for col in zip(*random_probes(300, seed=11)))
     beta[::7] = 1.0
-    chs = [LossChannel.from_gamma(g) for g in gamma_ch.tolist()]
+    ch = LossChannel.from_gamma(gamma_ch)
     for modes, recover in ((1, output_params_single), (2, output_params_two)):
         p_in = params_from_spec(ProbeSpec(modes=modes, n=n, beta=beta, gamma=0.999 if modes == 2 else None))
-        p_out = recover(p_in, chs)
+        p_out = recover(p_in, ch)
         report = qcb(p_in, p_out, copies=3)
         assert report.q.shape == (300,) and np.isnan(report.fidelity).sum() == 300 - 43
         assert_lanes_are_their_rows(report, [qcb(p_in.row(k), p_out.row(k), copies=3) for k in range(300)])
@@ -617,11 +617,11 @@ def test_q_s_matches_the_decimal_reference():
     # and the near-identical pairs by up to 2.6e-4
     n, beta, eta = (np.array(col) for col in zip(*itertools.product(
         [10.0 ** (k / 2) for k in range(-4, 11)], (0.0, 0.05, 0.2, 0.4, 0.6, 0.8, 0.95, 0.999), (0.3, 0.9, 0.999))))
-    chs = [LossChannel.from_eta(e) for e in eta.tolist()]
+    ch = LossChannel.from_eta(eta)
     p_in = params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=0.999))
-    assert_q_s_matches_decimal(q_s_two, reference.q_s_two, p_in, output_params_two(p_in, chs), 0.5)
+    assert_q_s_matches_decimal(q_s_two, reference.q_s_two, p_in, output_params_two(p_in, ch), 0.5)
     p_in = params_from_spec(ProbeSpec(modes=1, n=n, beta=beta))
-    assert_q_s_matches_decimal(q_s_single, reference.q_s_single, p_in, output_params_single(p_in, chs), 0.5)
+    assert_q_s_matches_decimal(q_s_single, reference.q_s_single, p_in, output_params_single(p_in, ch), 0.5)
 
     rng = np.random.default_rng(1)
     count = 400

@@ -166,6 +166,27 @@ def test_damping_that_underflows_the_transmissivity_is_a_usage_error(argv, flag,
     assert err.startswith(f"error: {flag} must be a finite number") and "exp(-x) > 0" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--samples", "3", "--seed", "-1"],
+        ["sweep", "--samples", "3", "--seed", str(2**128)],
+        ["figure", "5", "--samples", "3", "--seed", "-1"],
+        ["figure", "6", "--points", "2", "--samples", "3", "--seed", "-5"],
+    ],
+)
+def test_seed_outside_the_philox_key_range_is_a_usage_error(argv, tmp_path, capsys):
+    # before, numpy's "key must be positive and less than 2**128" exited 1
+    code, out, err = run([*argv, *(["--outdir", str(tmp_path)] if argv[0] == "figure" else [])], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --seed must be an integer in [0, 2^128), got ")
+
+
+def test_largest_seed_still_runs(tmp_path, capsys):
+    assert run(["sweep", "--samples", "3", "--seed", str(2**128 - 1)], capsys)[0] == 0
+    assert run(["figure", "5", "--samples", "3", "--seed", "0", "--outdir", str(tmp_path)], capsys)[0] == 0
+
+
 def test_largest_representable_damping_still_runs(capsys):
     code, out, err = run(["qcb", "--modes", "1", "--n", "1", "--beta", "0.5", "--damping", "745"], capsys)
     assert code == 0, err
@@ -691,7 +712,7 @@ def test_figure6_stack_equals_one_call_per_file(tmp_path, capsys):
     write("figure6_scatter.csv", {"samples": samples, "seed": seed, "gamma-bar": bar},
           ["N", "beta", "Gamma", "E", "D", "I", "deltaQ"], n_col, b_col, g_col,
           rep.log_negativity, rep.discord, rep.mutual_information,
-          delta_q_gamma(n_col, b_col, bar, [LossChannel.from_gamma(g) for g in g_col.tolist()]))
+          delta_q_gamma(n_col, b_col, bar, LossChannel.from_gamma(g_col)))
     names = sorted(p.name for p in ref.iterdir())
     assert names == sorted(p.name for p in (tmp_path / "cli").iterdir()) and len(names) == 9
     for name in names:

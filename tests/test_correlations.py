@@ -511,7 +511,7 @@ def test_quantifiers_are_the_same_bits_on_a_stack():
     # 1,000 random_probes inputs and their lossy outputs, each as one stack
     n, beta, gamma_ch = (np.array(col) for col in zip(*random_probes(1000, seed=20261018)))
     p_in = params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=0.999))
-    p_out = output_params_two(p_in, [LossChannel.from_gamma(g) for g in gamma_ch.tolist()])
+    p_out = output_params_two(p_in, LossChannel.from_gamma(gamma_ch))
     functions = (pt_symplectic_eigenvalues, log_negativity, discord, mutual_information)
     for p in (p_in, p_out):
         stacked = [f(make_two_mode_st(p)) for f in functions]

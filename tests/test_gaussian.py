@@ -309,7 +309,7 @@ def probe_stacks(modes: int):
     n, beta, gamma_ch = (np.array(col) for col in zip(*random_probes(1000, seed=20261018)))
     p = params_from_spec(ProbeSpec(modes=modes, n=n, beta=beta, gamma=0.999 if modes == 2 else None))
     recover = output_params_two if modes == 2 else output_params_single
-    return p, recover(p, [LossChannel.from_gamma(g) for g in gamma_ch.tolist()])
+    return p, recover(p, LossChannel.from_gamma(gamma_ch))
 
 
 @pytest.mark.parametrize("modes", [1, 2])

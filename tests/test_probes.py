@@ -169,6 +169,44 @@ def test_optimize_beta_zero_energy():
     assert math.isclose(q_star, 1.0, abs_tol=1e-9)
 
 
+def test_optimize_beta_lanes_are_their_scalar_calls_bit_for_bit():
+    # a (3, 3) broadcast of channels (with a split each) and N; the optimum
+    # is the beta = 1 edge, except at N = 0, where Q = 1 at every beta and
+    # the golden section ends near beta = 0
+    ns, splits = np.array([0.0, 0.5, 3.0]), np.array([0.0, 0.5, 1.0])
+    ch = LossChannel.from_gamma(np.array([0.1, 0.9, 2.0])[:, None])
+    for modes, gamma in ((1, None), (2, splits[:, None])):
+        beta_star, q_star = optimize_beta(ns, ch, modes, gamma)
+        assert beta_star.shape == q_star.shape == (3, 3)
+        assert np.all(beta_star[:, 0] < 1e-6) and np.all(beta_star[:, 1:] > 1.0 - 1e-6)
+        for i, j in np.ndindex(3, 3):
+            alone = optimize_beta(float(ns[j]), ch.row(i), modes, None if gamma is None else float(splits[i]))
+            assert alone == (beta_star[i, j], q_star[i, j]), (modes, i, j)
+            assert all(type(v) is float for v in alone)
+
+
+def test_optimize_beta_makes_one_qcb_call_per_step_for_every_lane(monkeypatch):
+    import lossprobe.probes
+
+    calls = []
+    original = lossprobe.probes.qcb
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lossprobe.probes, "qcb", counted)
+    counts = []
+    for lanes in (1, 16):
+        calls.clear()
+        n = np.linspace(0.5, 5.0, lanes).reshape(4, -1) if lanes > 1 else 1.0
+        ch = LossChannel.from_gamma(np.linspace(0.1, 2.3, 4)[:, None] if lanes > 1 else 0.3)
+        beta_star, _ = optimize_beta(n, ch, modes=2)
+        assert np.all(beta_star > 1.0 - 1e-6)
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
+
+
 def test_critical_transmissivity_frozen():
     eta_c, gamma_c = critical_transmissivity()
     assert math.isclose(eta_c, ETA_C, rel_tol=1e-14)
@@ -290,12 +328,12 @@ def test_q_functions_are_elementwise_over_rows():
 
 
 def test_q_rows_take_one_channel_each():
-    chs = [LossChannel.from_gamma(g) for g in (0.1, 0.9, 2.0)]
+    chs = LossChannel.from_gamma(np.array([0.1, 0.9, 2.0]))
     ns, betas = np.array([1.0, 2.0, 3.0]), np.array([0.2, 0.5, 0.9])
     gaps = delta_q_gamma(ns, betas, 0.999, chs)
-    for k, ch in enumerate(chs):
-        assert gaps[k] == delta_q_gamma(float(ns[k]), float(betas[k]), 0.999, ch)
-    assert np.array_equal(q2(1.5, 0.5, 1.0, chs), [q2(1.5, 0.5, 1.0, ch) for ch in chs])
+    for k in range(3):
+        assert gaps[k] == delta_q_gamma(float(ns[k]), float(betas[k]), 0.999, chs.row(k))
+    assert np.array_equal(q2(1.5, 0.5, 1.0, chs), [q2(1.5, 0.5, 1.0, chs.row(k)) for k in range(3)])
 
 
 def test_sweep_records_equal_per_point_gaps():
@@ -324,13 +362,14 @@ def test_q2_takes_one_split_per_row():
     # splits stacked as rows give the bits of one scalar-split call per split
     draws = [(0.3, 0.0, 0.2), (1.7, 0.4, 1.1), (4.9, 0.95, 0.05), (2.5, 1.0, 1.9)]
     n, beta, damping = (np.array(col) for col in zip(*draws))
-    chs = [LossChannel.from_gamma(g) for g in damping.tolist()]
+    chs = LossChannel.from_gamma(damping)
     splits = (0.99, 0.5, 0.0)
     k = len(splits)
-    stacked = q2(np.tile(n, k), np.tile(beta, k), np.repeat(splits, len(n)), chs * k)
+    tiled = LossChannel.from_gamma(np.tile(damping, k))
+    stacked = q2(np.tile(n, k), np.tile(beta, k), np.repeat(splits, len(n)), tiled)
     for g, rows in zip(splits, np.split(stacked, k)):
         assert np.array_equal(rows, q2(n, beta, g, chs))
-    assert np.array_equal(q2(1.5, 0.5, np.array(splits), chs[0]), [q2(1.5, 0.5, g, chs[0]) for g in splits])
+    assert np.array_equal(q2(1.5, 0.5, np.array(splits), chs.row(0)), [q2(1.5, 0.5, g, chs.row(0)) for g in splits])
 
 
 def test_spec_names_the_bad_split_of_an_array():
