@@ -28,7 +28,7 @@ from .gaussian import (
     SqueezedThermalParamsTwo,
     _ParameterStack,
     at_least_zero,
-    libm,
+    elementwise,
     make_two_mode_st,  # not called here: perfbench/test_harness.py pins this binding in every module
     nonnegative_finite,
     require,
@@ -49,7 +49,8 @@ class LossChannel(_ParameterStack):
     Both fields are stored, floats for one channel or arrays of one shape for
     a stack; gamma is canonical and every pair is checked for consistency.
     Build instances with `from_gamma` or `from_eta`, which take floats or
-    arrays and give each element the bits of math.exp and math.log.
+    arrays and compute the other field with numpy's exp or log, so an
+    element has the same bits alone and in a stack.
     """
 
     gamma: float
@@ -58,19 +59,19 @@ class LossChannel(_ParameterStack):
     def _validate(self) -> None:
         require(nonnegative_finite(self.gamma), "damping must be a finite float >= 0, got {}", self.gamma)
         require((0.0 < self.eta) & (self.eta <= 1.0), "transmissivity must be in (0, 1], got {}", self.eta)
-        exp = libm(math.exp, -self.gamma)
+        exp = elementwise(np.exp, -self.gamma)
         require(abs(self.eta - exp) <= 1e-14, "inconsistent pair: eta={!r} but exp(-gamma)={!r}", self.eta, exp)
 
     @classmethod
     def from_gamma(cls, gamma) -> "LossChannel":
         gamma = np.asarray(gamma, dtype=float)
-        return cls(gamma=gamma, eta=libm(math.exp, -gamma))
+        return cls(gamma=gamma, eta=elementwise(np.exp, -gamma))
 
     @classmethod
     def from_eta(cls, eta) -> "LossChannel":
         eta = np.asarray(eta, dtype=float)
         require((0.0 < eta) & (eta <= 1.0), "transmissivity must be in (0, 1], got {}", eta)
-        return cls(gamma=-libm(math.log, eta) + 0.0, eta=eta)  # + 0.0: eta = 1 gives +0.0, not -0.0
+        return cls(gamma=-elementwise(np.log, eta) + 0.0, eta=eta)  # + 0.0: eta = 1 gives +0.0, not -0.0
 
 
 def evolve_single(cm: CovarianceMatrix, ch: LossChannel) -> CovarianceMatrix:
@@ -137,10 +138,10 @@ def output_params_single(p: SqueezedThermalParamsSingle, ch: LossChannel) -> Squ
     """
     eta = ch.eta
     nu = p.n_t + VACUUM_NOISE
-    a = eta * nu * libm(math.exp, 2 * p.r) + (1.0 - eta) * VACUUM_NOISE
-    b = eta * nu * libm(math.exp, -2 * p.r) + (1.0 - eta) * VACUUM_NOISE
+    a = eta * nu * elementwise(np.exp, 2 * p.r) + (1.0 - eta) * VACUUM_NOISE
+    b = eta * nu * elementwise(np.exp, -2 * p.r) + (1.0 - eta) * VACUUM_NOISE
     n_out = _clamped(np.sqrt(a * b) - VACUUM_NOISE, "output thermal occupation", p, ch)
-    r_out = _clamped(0.25 * libm(math.log, a / b), "output squeezing", p, ch)
+    r_out = _clamped(0.25 * elementwise(np.log, a / b), "output squeezing", p, ch)
     return SqueezedThermalParamsSingle(r=r_out, n_t=n_out)
 
 
@@ -170,10 +171,10 @@ def output_params_two(p: SqueezedThermalParamsTwo, ch: LossChannel) -> SqueezedT
     eta = ch.eta
     a, b, c = evolved_blocks(p, ch)
     half_diff = 0.25 * (a - b)
-    u_sq = 0.25 * libm(pow, a + b, 2) - c * c
-    s2, c2 = (libm(pow, libm(f, p.r), 2) for f in (math.sinh, math.cosh))
+    u_sq = 0.25 * (a + b) * (a + b) - c * c
+    s2, c2 = (x * x for x in (elementwise(np.sinh, p.r), elementwise(np.cosh, p.r)))
     u_sq_minus_one = (
-        libm(pow, 2.0 * half_diff, 2)
+        4.0 * half_diff * half_diff
         + eta * (2.0 * p.n_t1 + 2.0 * p.n_t2 + 4.0 * p.n_t1 * p.n_t2)
         + (1.0 - eta) * (2.0 * s2 * (1.0 + p.n_t1) + 2.0 * p.n_t2 * c2)
     )
@@ -182,7 +183,7 @@ def output_params_two(p: SqueezedThermalParamsTwo, ch: LossChannel) -> SqueezedT
     u_minus_one = np.where(direct, u - 1.0, u_sq_minus_one / (u + 1.0))
     n1 = _clamped(u_minus_one / 2.0 + half_diff, "output occupation n1", p, ch)
     n2 = _clamped(u_minus_one / 2.0 - half_diff, "output occupation n2", p, ch)
-    r_out = _clamped(0.5 * libm(math.asinh, c / u), "output squeezing", p, ch)
+    r_out = _clamped(0.5 * elementwise(np.arcsinh, c / u), "output squeezing", p, ch)
     out = SqueezedThermalParamsTwo(r=r_out, n_t1=n1, n_t2=n2)
     # largest gap between the rebuilt CM entries and the evolved ones (half the block entries)
     gaps = [abs(x - y) for x, y in zip(two_mode_blocks(out), (a, b, c))]

@@ -52,8 +52,8 @@ section (`minimize_scalar_golden`), one call of Q_s per step, each lane
 freezing once its own bracket is at most S_TOL.  A single probe is a
 one-lane stack, so a lane's q and s* are the same bits alone and in a
 stack, and a one-state call returns floats, converted at the return.  The
-powers come from numpy's array loop: numpy's pow and Python's ** differ in
-the last bit for a few percent of arguments.
+powers and the other transcendentals come from numpy's array loops, which
+give a lane the same bits alone and in a stack.
 
 Q_s is convex in s (Audenaert et al., PRL 98, 160501, 2007), so the grid
 seeded golden section finds its infimum.  When one of the states is pure
@@ -78,8 +78,8 @@ from .gaussian import (
     SqueezedThermalParamsTwo,
     VACUUM_NOISE,
     at_least_zero,
+    elementwise,
     float_or_array,
-    libm,
     make_two_mode_st,  # not called here: perfbench/test_harness.py pins this binding in every module
     require,
 )
@@ -112,7 +112,7 @@ class PairLanes(NamedTuple):
     occupations plus one, on the first axis (the lanes follow), so its powers
     come from one call.  `factors` are the pair's s-free factors of the
     determinant, (e^2r_a, e^-2r_a, e^2r_b, e^-2r_b) or (cosh^2 D, sinh^2 D),
-    D = r_b - r_a, from math (numpy's exp and cosh differ in the last bit).
+    D = r_b - r_a, from numpy's exp, cosh and sinh (`elementwise`).
     """
 
     bases_a: np.ndarray
@@ -122,9 +122,9 @@ class PairLanes(NamedTuple):
 
 def _factors(pa: Params, pb: Params) -> tuple:
     if isinstance(pa, SqueezedThermalParamsSingle):
-        return tuple(libm(math.exp, k * p.r) for p in (pa, pb) for k in (2.0, -2.0))
+        return tuple(elementwise(np.exp, k * p.r) for p in (pa, pb) for k in (2.0, -2.0))
     d = pb.r - pa.r
-    return libm(pow, libm(math.cosh, d), 2), libm(pow, libm(math.sinh, d), 2)
+    return tuple(x * x for x in (elementwise(np.cosh, d), elementwise(np.sinh, d)))
 
 
 def stack_pair(pa: Params, pb: Params) -> PairLanes:
@@ -277,16 +277,16 @@ def error_bounds(q, f, m: int):
     they are None when f is None (NaN where an array f is NaN).  P_e <= Q^M / 2
     always.  The lower bound is taken as F^M / (2 (1 + sqrt(1 - F^M))), which
     is the same number without the cancellation of 1 - sqrt(1 - F^M) at small
-    F^M.  The powers are Python's (`libm(pow, ...)`), the rest numpy
-    arithmetic, so a lane has the same bits alone and in a stack.
+    F^M.  The powers are numpy's (`elementwise(np.power, ...)`), so a lane
+    has the same bits alone and in a stack.
     """
     _require_bound_inputs(q, f, m)
-    pe_upper = 0.5 * libm(pow, q, m)
+    pe_upper = 0.5 * elementwise(np.power, q, m)
     if f is None:
         return None, pe_upper, None
-    w = libm(pow, f, m)
+    w = elementwise(np.power, f, m)
     pe_lower = float_or_array(w / (2.0 * (1.0 + np.sqrt(at_least_zero(1.0 - w)))))
-    return pe_lower, pe_upper, 0.5 * libm(pow, f, m / 2.0)
+    return pe_lower, pe_upper, 0.5 * elementwise(np.power, f, m / 2.0)
 
 
 def _is_pure(p: Params) -> np.ndarray:

@@ -22,7 +22,6 @@ reported one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +31,8 @@ from .gaussian import (
     VACUUM_NOISE,
     CovarianceMatrix,
     at_least_zero,
+    elementwise,
     float_or_array,
-    libm,
     require,
     symplectic_eigenvalues,
     symplectic_invariants,
@@ -69,14 +68,15 @@ def binary_entropy_h(x):
     """h(x) = (x + 1/2) ln(x + 1/2) - (x - 1/2) ln(x - 1/2) for x >= 1/2, elementwise.
 
     The entropy of a thermal mode with symplectic eigenvalue x; h(1/2) = 0.
-    The second term is subtracted only where x - 1/2 > 0.  Two mapped
-    math.log passes and numpy arithmetic, so an element has the same bits
-    alone (a float) and in an array.
+    The second term is subtracted only where x - 1/2 > 0.  The logarithms
+    are numpy's (`elementwise`), so an element has the same bits alone (a
+    float) and in an array.
     """
     require(np.greater_equal(x, VACUUM_NOISE - 1e-9), "entropy argument must be >= 1/2, got {}", x)
     hi, lo = x + VACUUM_NOISE, x - VACUUM_NOISE
     above = lo > 0.0
-    return float_or_array(hi * libm(math.log, hi) - np.where(above, lo * libm(math.log, np.where(above, lo, 1.0)), 0.0))
+    log_lo = elementwise(np.log, np.where(above, lo, 1.0))
+    return float_or_array(hi * elementwise(np.log, hi) - np.where(above, lo * log_lo, 0.0))
 
 
 def _require_normal_form(cm: CovarianceMatrix) -> None:
@@ -125,7 +125,7 @@ def correlation_report(cm: CovarianceMatrix) -> CorrelationReport:
     w = (np.sqrt(i1) + 2.0 * np.sqrt(i1 * i2) + 2.0 * i3) / (1.0 + 2.0 * np.sqrt(i2))
     h1, h2 = binary_entropy_h(np.sqrt(i1)), binary_entropy_h(np.sqrt(i2))
     h_plus, h_minus = binary_entropy_h(_vacuum_floor(d_plus)), binary_entropy_h(_vacuum_floor(d_minus))
-    e = -libm(math.log, 2.0 * d_tilde_minus)
+    e = -elementwise(np.log, 2.0 * d_tilde_minus)
     h_w = binary_entropy_h(_vacuum_floor(w))
     d = h2 - h_minus - h_plus + h_w
     if np.any(d < -1e-10 * np.maximum(1.0, abs(h2) + abs(h_minus) + abs(h_plus) + abs(h_w))):

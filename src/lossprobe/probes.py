@@ -44,8 +44,8 @@ from .chernoff import DiscriminationReport, minimize_scalar_golden, qcb
 from .gaussian import (
     SqueezedThermalParamsSingle,
     SqueezedThermalParamsTwo,
+    elementwise,
     float_or_array,
-    libm,
     nonnegative_finite,
     require,
 )
@@ -104,10 +104,10 @@ def params_from_spec(spec: ProbeSpec) -> SqueezedThermalParamsSingle | SqueezedT
     if spec.modes == 1:
         n_s = beta * n
         n_t = (1.0 - beta) * n / (1.0 + 2.0 * beta * n)
-        return SqueezedThermalParamsSingle(r=libm(math.asinh, np.sqrt(n_s)), n_t=n_t)
+        return SqueezedThermalParamsSingle(r=elementwise(np.arcsinh, np.sqrt(n_s)), n_t=n_t)
     n_s = 0.5 * beta * n
     pool = (1.0 - beta) * n / (1.0 + beta * n)
-    return SqueezedThermalParamsTwo(r=libm(math.asinh, np.sqrt(n_s)), n_t1=spec.gamma * pool,
+    return SqueezedThermalParamsTwo(r=elementwise(np.arcsinh, np.sqrt(n_s)), n_t1=spec.gamma * pool,
                                     n_t2=(1.0 - spec.gamma) * pool)
 
 
@@ -183,11 +183,12 @@ def optimize_beta(n, ch: LossChannel, modes: int, gamma=None) -> tuple:
     lanes in one `minimize_scalar_golden` call: each call of Q serves every
     lane, and a lane takes the steps it would take alone.  For two-mode
     probes gamma defaults to the optimal split 1; passing an explicit gamma
-    optimizes beta at that split.  Returns (beta_star, q_star): floats for
-    scalar inputs, else arrays of the lane shape.
+    optimizes beta at that split; one-mode probes take none.  Returns
+    (beta_star, q_star): floats for scalar inputs, else lane-shaped arrays.
     """
     if modes not in (1, 2):
         raise ValueError(f"modes must be 1 or 2, got {modes}")
+    require(modes == 2 or gamma is None, "gamma only applies to two-mode probes")
     split = None if modes == 1 else 1.0 if gamma is None else gamma
     lanes = np.broadcast_shapes(np.shape(n), ch.shape, np.shape(split))
     objective = lambda b: _q_rows(modes, n, b, split, ch)  # noqa: E731

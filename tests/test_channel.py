@@ -65,9 +65,9 @@ def test_channel_stacks_are_their_scalar_channels_bit_for_bit():
 
     damping = np.array([g for _, _, g in random_probes(200, seed=7)] + [0.0, 1e-300, 700.0])
     etas = np.concatenate([np.exp(-damping[:200]), [1.0, 0.5, 1e-300]])
-    # the other field of each scalar channel has the bits of math's exp or log
-    for build, values, derived in ((LossChannel.from_gamma, damping, lambda ch, v: ch.eta == math.exp(-v)),
-                                   (LossChannel.from_eta, etas, lambda ch, v: ch.gamma == -math.log(v) + 0.0)):
+    # the other field of each scalar channel has the bits of numpy's exp or log
+    for build, values, derived in ((LossChannel.from_gamma, damping, lambda ch, v: ch.eta == np.exp(-v)),
+                                   (LossChannel.from_eta, etas, lambda ch, v: ch.gamma == -np.log(v) + 0.0)):
         stack = build(values)
         assert stack.shape == values.shape and stack.gamma.dtype == stack.eta.dtype == float
         for k, v in enumerate(values.tolist()):

@@ -416,6 +416,25 @@ def test_correlations_at_large_energy_pass_the_scaled_roundoff_floors(argv, caps
         assert float(report["log_negativity"]) == float(report["discord"]) == 0.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the partial-transpose eigenvalue rounds to 0, so E = -ln 0; a bare
+        # numpy log printed log_negativity = inf with exit 0
+        ["correlations", "--n", "1e8", "--beta", "1", "--gamma", "1"],
+        # the recovered block entries overflow
+        ["qcb", "--modes", "2", "--n", "1e300", "--beta", "0.5", "--eta", "0.5"],
+        # G_s divides by (x + 1)^s - x^s = 0; this printed "got nan" after two RuntimeWarnings
+        ["qcb", "--modes", "1", "--n", "1e300", "--beta", "0.5", "--eta", "0.5"],
+    ],
+)
+def test_arithmetic_failures_exit_1_with_one_error_line_and_no_inf_or_nan(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not {"inf", "nan"} & set(err.lower().replace(",", " ").split()), err
+
+
 # ---------------------------------------------------------------------------
 # figure
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from lossprobe.gaussian import (
     SqueezedThermalParamsSingle,
     SqueezedThermalParamsTwo,
     UnphysicalStateError,
-    libm,
+    elementwise,
     make_single_mode_st,
     make_two_mode_st,
     overlap,
@@ -345,14 +345,46 @@ def test_stack_validation_names_the_worst_matrix():
         CovarianceMatrix(np.diag([0.3, 0.3]))
 
 
-def test_libm_pow_is_pythons_square_where_x_times_x_is_not():
-    # Python's v ** 2 is C pow(v, 2.0), which misses v * v (and np.square) in
-    # the last bit on some cosh values; libm(pow, x, 2) keeps Python's bits
-    xs = libm(math.cosh, np.linspace(0.0, 3.0, 20001))
-    python = [v**2 for v in xs.tolist()]
-    differ = np.flatnonzero(xs * xs != python)
-    assert differ.size > 0
-    assert libm(pow, xs, 2).tolist() == python
-    assert libm(pow, xs[differ].reshape(-1, 1), 2).ravel().tolist() == [python[k] for k in differ]
-    one = libm(pow, float(xs[differ[0]]), 2)
-    assert type(one) is float and one == python[differ[0]]
+_GRID = np.concatenate([np.linspace(-3.0, 3.0, 2001), [0.0, -0.0, 1e-300, 5e-324, 30.0, -700.0, 700.0]])
+_DOMAINS = [
+    pytest.param(np.exp, _GRID, (), id="exp"),
+    pytest.param(np.log, np.concatenate([np.geomspace(5e-324, 1e300, 1001), np.linspace(0.5, 50.0, 1001)]), (),
+                 id="log"),
+    pytest.param(np.cosh, _GRID, (), id="cosh"),
+    pytest.param(np.sinh, _GRID, (), id="sinh"),
+    pytest.param(np.arcsinh, np.concatenate([_GRID, np.sqrt(np.geomspace(1e-12, 1e300, 501))]), (), id="arcsinh"),
+    pytest.param(np.power, np.linspace(0.0, 1.0, 2001), (7,), id="power-7"),
+    pytest.param(np.power, np.geomspace(1e-30, 1.0, 2001), (3.5,), id="power-3.5"),
+]
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("f, xs, args", _DOMAINS)
+def test_elementwise_gives_the_same_bits_alone_and_in_any_stack(f, xs, args):
+    # a float, a 1-element array, a contiguous stack and a strided column
+    stack = elementwise(f, xs, *args)
+    alone = [elementwise(f, x, *args) for x in xs.tolist()]
+    assert all(type(v) is float for v in alone)
+    one = [elementwise(f, np.array([x]), *args)[0] for x in xs.tolist()]
+    column = elementwise(f, np.stack([xs[::-1], xs], axis=1)[:, 1], *args)
+    assert _bits(stack) == _bits(alone) == _bits(one) == _bits(column)
+    assert _bits(elementwise(f, xs.reshape(1, -1, 1), *args).ravel()) == _bits(stack)
+
+
+def test_squares_are_the_same_bits_alone_and_in_any_stack():
+    xs = elementwise(np.cosh, np.linspace(0.0, 3.0, 20001))
+    column = np.stack([xs[::-1], xs], axis=1)[:, 1]
+    one = [(np.array([x]) * np.array([x]))[0] for x in xs.tolist()]
+    assert _bits(xs * xs) == _bits([x * x for x in xs.tolist()]) == _bits(one) == _bits(column * column)
+
+
+@pytest.mark.parametrize("f, x", [(np.exp, 710.0), (np.log, 0.0), (np.log, -1.0), (np.cosh, 711.0),
+                                  (np.sinh, -711.0), (np.power, 1e300)])
+def test_elementwise_raises_where_the_ufunc_would_give_inf_or_nan(f, x):
+    args = (2,) if f is np.power else ()
+    for value in (x, np.array([1.0, x])):
+        with pytest.raises(FloatingPointError):
+            elementwise(f, value, *args)

@@ -163,6 +163,15 @@ def test_optimize_beta_two_mode():
     assert math.isclose(q_star, q2_analytic(1.0, ch.eta), rel_tol=1e-9)
 
 
+def test_optimize_beta_refuses_a_split_for_single_mode_probes():
+    # gamma was silently ignored: the call returned the one-mode optimum
+    ch = LossChannel.from_gamma(0.3)
+    with pytest.raises(ValueError, match="^gamma only applies to two-mode probes$"):
+        optimize_beta(1.0, ch, modes=1, gamma=0.5)
+    with pytest.raises(ValueError, match="^gamma only applies to two-mode probes$"):
+        optimize_beta(np.ones(3), ch, modes=1, gamma=np.ones(3))
+
+
 def test_optimize_beta_zero_energy():
     ch = LossChannel.from_gamma(1.0)
     _, q_star = optimize_beta(1e-12, ch, modes=1)
