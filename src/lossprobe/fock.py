@@ -10,15 +10,16 @@ Charge sectors.  Single-mode squeezing conserves photon-number parity,
 two-mode squeezing conserves the charge n1 - n2, and loss on the first mode
 preserves the charge difference between row and column.  So every oracle
 state is block diagonal, with blocks of size at most `dim`, and a
-`FockDensityMatrix` stores only those blocks, never a dense matrix.  States
-are built per sector (the tridiagonal generator of each block exponentiated
-by `eigh`), loss is one diagonal-shift kernel on the mode-1 levels, moments
-come from banded ladder expectations read off the blocks, and each state
-diagonalises its blocks once for every spectral function.  The rank and
-fidelity floors stay relative to the largest eigenvalue over all sectors,
-and an eigenvalue below -1e-10 in any sector raises.  The dense route
-(`expm`, Kraus matmuls, complex quadratures, one full `eigh`) is the
-reference in the tests.  This module imports only numpy.
+`FockDensityMatrix` stores only those blocks, never a dense matrix.  A
+prepared block U diag(w) U^T keeps (w, U) as its spectrum (U from the
+`eigh` of a real tridiagonal); loss is one diagonal-shift kernel on the
+mode-1 levels, and its output diagonalises its blocks once.  Equal-size
+blocks share one stacked LAPACK call.  Moments come from banded ladder
+expectations, the fidelity from singular values.  Rank and fidelity floors
+are relative to the largest eigenvalue over all sectors, and an eigenvalue
+below -1e-10 in any sector raises.  The dense route (`expm`, Kraus matmuls,
+complex quadratures, one full `eigh`) is the reference in the tests.  This
+module imports only numpy.
 
 Quadratures follow the package convention q = (a + a^dag)/sqrt(2),
 p = (a - a^dag)/(i sqrt(2)), vacuum variance 1/2.
@@ -92,6 +93,20 @@ def _sector_layout(dims: tuple[int, ...], modulus: int) -> _Layout:
     return _Layout(sectors, sector_of, position, size, np.concatenate(([0], np.cumsum(size**2))), rows, cols)
 
 
+def _stacked(fn, mats: list[np.ndarray]) -> list:
+    """fn of each square matrix, one stacked call per size: a linalg gufunc
+    factorises each matrix of a stack alone, so the bits are those of one call each."""
+    by_size: dict[int, list[int]] = {}
+    for k, m in enumerate(mats):
+        by_size.setdefault(len(m), []).append(k)
+    out: list = [None] * len(mats)
+    for ks in by_size.values():
+        res = fn(np.stack([mats[k] for k in ks]))
+        for k, r in zip(ks, zip(*res) if isinstance(res, tuple) else res):
+            out[k] = r
+    return out
+
+
 def _entries(lay: _Layout, data: np.ndarray, rows, cols) -> np.ndarray:
     """Dense-matrix entries (rows, cols), broadcast, read from `data`: zero between sectors."""
     s = lay.sector_of[rows]
@@ -110,7 +125,8 @@ class FockDensityMatrix:
     tried finest first (the exact charge, then parity, then 1, the whole
     space).  Hermiticity is validated at construction; positivity at the
     first spectral use (eigenvalues below -1e-10 raise, small negatives
-    clamp).  `mat` is a dense copy, built on demand.
+    clamp), unless the blocks come with their `spectrum`.  `mat` is a dense
+    copy, built on demand.
     """
 
     dims: tuple[int, ...]
@@ -118,7 +134,7 @@ class FockDensityMatrix:
     data: np.ndarray = field(repr=False)
     layout: _Layout = field(repr=False)
 
-    def __init__(self, dims, mat=None, *, modulus: int = 1, data=None) -> None:
+    def __init__(self, dims, mat=None, *, modulus: int = 1, data=None, spectrum=None) -> None:
         dims = tuple(int(x) for x in dims)
         if len(dims) not in (1, 2):
             raise ValueError(f"one or two modes supported, got dims {dims}")
@@ -137,6 +153,8 @@ class FockDensityMatrix:
         data = (data + mirror) / 2.0
         data.setflags(write=False)
         self.__dict__.update(dims=dims, modulus=modulus, data=data, layout=lay)
+        if spectrum is not None:
+            self.__dict__["spectrum"] = list(spectrum)
         if self.diagonal.sum() > 1.0 + 1e-12:
             raise ValueError(f"trace {self.diagonal.sum()} exceeds 1")
 
@@ -160,7 +178,7 @@ class FockDensityMatrix:
     @cached_property
     def spectrum(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(eigenvalues, eigenvectors) per block, negatives clamped to 0."""
-        spectra = [np.linalg.eigh(block) for block in self.blocks]
+        spectra = _stacked(np.linalg.eigh, self.blocks)
         if (low := min(vals.min() for vals, _ in spectra)) < -EIG_CLAMP:
             raise ArithmeticError(f"density matrix eigenvalue {low:.3e} below -1e-10")
         return [(np.maximum(vals, 0.0), vecs) for vals, vecs in spectra]
@@ -180,10 +198,6 @@ def _common(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[FockDen
     return a, b
 
 
-def _trace_norm(x: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh(x)).sum())
-
-
 def thermal_diagonal(n_t: float, dim: int) -> np.ndarray:
     """Thermal weights n_t^m / (n_t + 1)^(m + 1), m < dim."""
     if n_t == 0.0:
@@ -194,13 +208,20 @@ def thermal_diagonal(n_t: float, dim: int) -> np.ndarray:
     return np.exp(m * math.log(n_t) - (m + 1) * math.log(n_t + 1.0))
 
 
-def _expm_tridiagonal(sub: np.ndarray) -> np.ndarray:
-    """exp(G) for G real antisymmetric with subdiagonal `sub`, via eigh(i G)."""
-    if not sub.any():
-        return np.eye(len(sub) + 1)
-    gen = np.diag(sub, -1) - np.diag(sub, 1)
-    w, v = np.linalg.eigh(1j * gen)
-    return ((v * np.exp(-1j * w)) @ v.conj().T).real
+def _squeeze_unitaries(subs: list[np.ndarray]) -> list[np.ndarray]:
+    """exp(G) for each G = diag(sub, -1) - diag(sub, 1), each distinct nonzero one once.
+
+    G = -i D T D^* with D = diag(i^j) and T = diag(sub, -1) + diag(sub, 1), so
+    exp(G)[j, k] = i^(j - k) (cos T - i sin T)[j, k]: cos T, sin T, -cos T or
+    -sin T for (j - k) mod 4 = 0 to 3 (T is a path: cos T is even, sin T odd).
+    """
+    distinct = {sub.tobytes(): sub for sub in subs if sub.any()}
+    spectra = _stacked(np.linalg.eigh, [np.diag(sub, -1) + np.diag(sub, 1) for sub in distinct.values()])
+    exps = {}
+    for key, (w, v) in zip(distinct, spectra):
+        cos, sin = (v * np.cos(w)) @ v.T, (v * np.sin(w)) @ v.T
+        exps[key] = np.choose(np.subtract.outer(np.arange(len(w)), np.arange(len(w))) % 4, (cos, sin, -cos, -sin))
+    return [exps[sub.tobytes()] if sub.any() else np.eye(len(sub) + 1) for sub in subs]
 
 
 def truncation_deficit(rho: FockDensityMatrix) -> float:
@@ -229,7 +250,8 @@ def fock_squeezed_thermal(
     convention) couples n to n + 2 inside each parity sector.  Two modes:
     exp(r (a^dag b^dag - a b)) couples (n1, n2) to (n1 + 1, n2 + 1) inside
     each sector of fixed n1 - n2.  Each sector's generator is tridiagonal in
-    that chain.
+    that chain, and its block U diag(weights) U^T keeps (weights, U) as its
+    spectrum.
 
     Raises TruncationError if the truncation deficit (lost trace plus
     top-level spillover) exceeds cfg.tail_tol.
@@ -254,11 +276,10 @@ def fock_squeezed_thermal(
 
     else:
         raise TypeError(f"unsupported parameter type {type(params).__name__}")
-    blocks = []
-    for idx in _sector_layout(dims, modulus).sectors:
-        u = _expm_tridiagonal(coupling(idx[:-1]))
-        blocks.append(((u * weights[idx]) @ u.T).ravel())
-    out = FockDensityMatrix(dims, modulus=modulus, data=np.concatenate(blocks))
+    sectors = _sector_layout(dims, modulus).sectors
+    spectrum = [(weights[idx], u) for idx, u in zip(sectors, _squeeze_unitaries([coupling(idx[:-1]) for idx in sectors]))]
+    data = np.concatenate([((u * w) @ u.T).ravel() for w, u in spectrum])
+    out = FockDensityMatrix(dims, modulus=modulus, data=data, spectrum=spectrum)
     deficit = truncation_deficit(out)
     if deficit > cfg.tail_tol:
         raise TruncationError(f"truncation deficit {deficit:.3e} exceeds {cfg.tail_tol:g} at dim {cfg.dim}; raise the cutoff")
@@ -365,12 +386,18 @@ def _spectral_overlap(
     return lam, table, mu
 
 
-def _s_curve(lam: np.ndarray, table: np.ndarray, mu: np.ndarray, s) -> np.ndarray:
-    """The s-overlap at every entry of s: one batched (1 x w) @ (w x w) product per row and s."""
-    s = np.asarray(s, dtype=float)
-    e = s.reshape(-1, 1, 1)
-    rows = np.matmul((lam**e)[:, :, None, :], table)[:, :, 0, :]
-    return (rows * mu ** (1.0 - e)).sum(axis=(1, 2)).reshape(s.shape)[()]
+def _s_curve(lam: np.ndarray, table: np.ndarray, mu: np.ndarray):
+    """The s-overlap as a function of s, at every entry: one batched (1 x w) @ (w x w) product
+    per row and s.  The logs are taken once, and log 0 = -inf makes exp(s log 0) exactly 0."""
+    with np.errstate(divide="ignore"):
+        log_lam, log_mu = np.log(lam), np.log(mu)
+
+    def curve(s) -> np.ndarray:
+        e = np.asarray(s, dtype=float).reshape(-1, 1, 1)
+        rows = np.matmul(np.exp(e * log_lam)[:, :, None, :], table)[:, :, 0, :]
+        return (rows * np.exp((1.0 - e) * log_mu)).sum(axis=(1, 2)).reshape(np.shape(s))[()]
+
+    return curve
 
 
 def s_overlap_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix, s: float) -> float:
@@ -383,7 +410,7 @@ def s_overlap_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix, s: float)
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"exponent must be in (0, 1), got {s}")
-    return float(_s_curve(*_spectral_overlap(rho_a, rho_b), s))
+    return float(_s_curve(*_spectral_overlap(rho_a, rho_b))(s))
 
 
 def qcb_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[float, float]:
@@ -395,7 +422,7 @@ def qcb_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[float,
     when a state is pure.
     """
     la, table, lb = _spectral_overlap(rho_a, rho_b)
-    s_star, q = minimize_scalar_golden(lambda s: _s_curve(la, table, lb, s), S_EPS, 1.0 - S_EPS, S_TOL)
+    s_star, q = minimize_scalar_golden(_s_curve(la, table, lb), S_EPS, 1.0 - S_EPS, S_TOL)
     rank_a = (la > la.max() * 1e-12).astype(float)
     rank_b = (lb > lb.max() * 1e-12).astype(float)
     at_zero = float(np.einsum("ki,kij,kj->", rank_a, table, lb))
@@ -406,10 +433,19 @@ def qcb_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[float,
     return q, s_star
 
 
+def _trace_distance(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix, copies: int) -> float:
+    """(1/2) ||rho_a^xM - rho_b^xM||_1: one block per M-tuple of sectors, the Kronecker product of its blocks."""
+    rho_a, rho_b = _common(rho_a, rho_b)
+    diffs = [
+        reduce(np.kron, [rho_a.blocks[k] for k in ks]) - reduce(np.kron, [rho_b.blocks[k] for k in ks])
+        for ks in itertools.product(range(len(rho_a.blocks)), repeat=copies)
+    ]
+    return 0.5 * sum(float(np.abs(vals).sum()) for vals in _stacked(np.linalg.eigvalsh, diffs))
+
+
 def trace_distance_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> float:
     """(1/2) ||rho_a - rho_b||_1."""
-    rho_a, rho_b = _common(rho_a, rho_b)
-    return 0.5 * sum(_trace_norm(a - b) for a, b in zip(rho_a.blocks, rho_b.blocks))
+    return _trace_distance(rho_a, rho_b, 1)
 
 
 def helstrom_pe_fock(
@@ -420,38 +456,32 @@ def helstrom_pe_fock(
 ) -> float:
     """Exact M-copy Helstrom error (1 - T(rho_a^xM, rho_b^xM)) / 2.
 
-    The M-fold tensor powers are block diagonal over tuples of sectors; each
-    block is the Kronecker product of the single-copy blocks.  For M > 1 the
-    total dimension dim^M must stay at or below `cap`; one copy materializes
-    nothing beyond the states themselves.
+    The M-fold tensor powers are block diagonal over tuples of sectors
+    (`_trace_distance`).  For M > 1 the total dimension dim^M must stay at
+    or below `cap`; one copy materializes nothing beyond the states.
     """
     if copies < 1:
         raise ValueError(f"copy count must be >= 1, got {copies}")
     d = math.prod(rho_a.dims)
     if copies > 1 and d**copies > cap:
         raise HelstromCapError(f"dimension {d}^{copies} exceeds the Helstrom cap {cap}")
-    rho_a, rho_b = _common(rho_a, rho_b)
-    norm = sum(
-        _trace_norm(reduce(np.kron, [rho_a.blocks[k] for k in ks]) - reduce(np.kron, [rho_b.blocks[k] for k in ks]))
-        for ks in itertools.product(range(len(rho_a.blocks)), repeat=copies)
-    )
-    return 0.5 * (1.0 - 0.5 * norm)
+    return 0.5 * (1.0 - _trace_distance(rho_a, rho_b, copies))
 
 
 def fidelity_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho_a) rho_b sqrt(rho_a)))^2."""
+    """Uhlmann fidelity (Tr |sqrt(rho_a) sqrt(rho_b)|)^2 = (Tr sqrt(sqrt(rho_a) rho_b sqrt(rho_a)))^2.
+
+    Per block, the singular values of diag(sqrt(la)) Va^T Vb diag(sqrt(lb)),
+    from both spectra: no root is taken of a roundoff eigenvalue, whose
+    root (3e-9 for 1e-17) would survive into the trace.  So each state's
+    roots also have a floor relative to its largest eigenvalue: weight this
+    far below the top of a trace-1 spectrum is noise.
+    """
     rho_a, rho_b = _common(rho_a, rho_b)
-    spectra = rho_a.spectrum
-    # Relative floor before the root: the square root turns clamped roundoff
-    # eigenvalues (~1e-17) into ~1e-8 directions that survive into the final
-    # trace; weight this far below the top of a trace-1 spectrum is noise.
-    floor = 1e-13 * max(la.max() for la, _ in spectra)
-    total = 0.0
-    for (la, va), block_b in zip(spectra, rho_b.blocks):
-        root = (va * np.sqrt(np.where(la < floor, 0.0, la))) @ va.T
-        inner = root @ block_b @ root
-        vals = np.linalg.eigvalsh((inner + inner.T) / 2.0)
-        if vals.min() < -EIG_CLAMP:
-            raise ArithmeticError(f"fidelity kernel eigenvalue {vals.min():.3e} below -1e-10")
-        total += float(np.sqrt(np.maximum(vals, 0.0)).sum())
-    return total**2
+    roots = []
+    for rho in (rho_a, rho_b):
+        floor = 1e-13 * max(vals.max() for vals, _ in rho.spectrum)
+        roots.append([np.sqrt(np.where(vals < floor, 0.0, vals)) for vals, _ in rho.spectrum])
+    mats = [ra[:, None] * (va.T @ vb) * rb for ra, rb, (_, va), (_, vb) in zip(*roots, rho_a.spectrum, rho_b.spectrum)]
+    svals = _stacked(lambda x: np.linalg.svd(x, compute_uv=False), mats)
+    return sum(float(vals.sum()) for vals in svals) ** 2

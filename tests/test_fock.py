@@ -8,7 +8,8 @@ machinery and against closed forms.
 The package builds and analyses states sector by sector.  The dense route
 below (scipy `expm` of the full generator, Kraus matmuls, complex quadrature
 matrices, one `eigh` of the whole matrix) is the reference it must match at
-small cutoffs.
+small cutoffs.  The per-sector exponential is also checked against its
+complex route, `eigh(i G)`.
 """
 
 import itertools
@@ -29,6 +30,8 @@ from lossprobe.fock import (
     HelstromCapError,
     TruncationConfig,
     TruncationError,
+    _squeeze_unitaries,
+    _stacked,
     apply_loss_kraus,
     fidelity_fock,
     fock_squeezed_thermal,
@@ -677,8 +680,69 @@ def test_rebuilt_from_the_dense_view_is_the_same_state(single_st, two_mode_st):
         assert again.modulus == rho.modulus
         assert len(again.blocks) == len(rho.blocks)
         assert all(np.array_equal(a, b) for a, b in zip(again.blocks, rho.blocks))
+        # a prepared state carries its construction spectrum, so the round
+        # trip is compared with the same blocks passed without one
         lossy = apply_loss_kraus(rho, 0.7)
-        assert qcb_fock(again, lossy) == qcb_fock(rho, lossy)
+        from_blocks = FockDensityMatrix(rho.dims, modulus=rho.modulus, data=rho.data)
+        assert qcb_fock(again, lossy) == qcb_fock(from_blocks, lossy)
+
+
+def test_prepared_blocks_are_their_construction_spectrum(single_st, two_mode_st):
+    thermal = fock_squeezed_thermal(S1(0.0, 0.5), TruncationConfig(dim=20))
+    for rho in (single_st, two_mode_st, thermal):
+        assert len(rho.spectrum) == len(rho.blocks)
+        for (w, v), block in zip(rho.spectrum, rho.blocks):
+            assert np.max(np.abs((v * w) @ v.T - block)) < 1e-15
+            assert np.max(np.abs(np.sort(w) - np.linalg.eigvalsh(block))) < 1e-15
+
+
+def complex_squeeze_unitary(sub: np.ndarray) -> np.ndarray:
+    """exp(G) for G real antisymmetric with subdiagonal `sub`, via eigh(i G)."""
+    gen = np.diag(sub, -1) - np.diag(sub, 1)
+    w, v = np.linalg.eigh(1j * gen)
+    return ((v * np.exp(-1j * w)) @ v.conj().T).real
+
+
+def test_real_tridiagonal_exponential_matches_the_complex_route():
+    # the chains of both families (single-mode n -> n + 2, two-mode sector k
+    # = 3), at every size up to 55, and a zero generator
+    subs = [np.zeros(4)]
+    for n in range(1, 56):
+        m = np.arange(n - 1.0)
+        subs += [0.5 * 0.8 * np.sqrt((2 * m + 1) * (2 * m + 2)), 0.6 * np.sqrt((m + 1) * (m + 4))]
+    for sub, u in zip(subs, _squeeze_unitaries(subs)):
+        assert np.max(np.abs(u - complex_squeeze_unitary(sub))) < 1e-15, len(sub) + 1
+        assert np.max(np.abs(u @ u.T - np.eye(len(u)))) < 1e-13
+
+
+def test_stacked_factorizations_are_the_same_bits_as_per_block():
+    rng = np.random.default_rng(7)
+    mats = []
+    for n in (1, 2, 17, 55, 17, 2, 55, 1):
+        x = rng.standard_normal((n, n))
+        mats.append(x @ x.T / n)
+    for fn in (np.linalg.eigh, np.linalg.eigvalsh, lambda x: np.linalg.svd(x, compute_uv=False)):
+        for m, got in zip(mats, _stacked(fn, mats)):
+            alone = fn(m)
+            for a, b in zip(alone if isinstance(alone, tuple) else (alone,), got if isinstance(got, tuple) else (got,)):
+                assert np.array_equal(a, b), len(m)
+
+
+def test_verify_factorises_each_block_once(monkeypatch):
+    # about 700 LAPACK calls for the 13 cases: one stacked call per block
+    # size per factorisation (one call per block makes 2,392)
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    results = verification.run_all()
+    assert all(r.passed for r in results)
+    assert len(calls) <= 800, len(calls)
 
 
 def _charge_breaking(dim: int, keep_parity: bool) -> np.ndarray:
