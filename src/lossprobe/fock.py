@@ -15,7 +15,10 @@ prepared block U diag(w) U^T keeps (w, U) as its spectrum (U from the
 `eigh` of a real tridiagonal); loss is one diagonal-shift kernel on the
 mode-1 levels, and its output diagonalises its blocks once.  Equal-size
 blocks share one stacked LAPACK call.  Moments come from banded ladder
-expectations, the fidelity from singular values.  Rank and fidelity floors
+expectations, the fidelity from singular values.  The Chernoff s-curve, a
+sum of exponentials in s with non-negative weights, is log-convex: its
+minimum is an edge whose slope points outward, or Newton on the slope inside
+its sign bracket.  Rank and fidelity floors
 are relative to the largest eigenvalue over all sectors, and an eigenvalue
 below -1e-10 in any sector raises.  The dense route (`expm`, Kraus matmuls,
 complex quadratures, one full `eigh`) is the reference in the tests.  This
@@ -35,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chernoff import S_EPS, S_TOL, minimize_scalar_golden
+from .chernoff import S_EPS, S_TOL
 from .gaussian import SqueezedThermalParamsSingle, SqueezedThermalParamsTwo
 
 EIG_CLAMP = 1e-10
@@ -386,43 +389,80 @@ def _spectral_overlap(
     return lam, table, mu
 
 
-def _s_curve(lam: np.ndarray, table: np.ndarray, mu: np.ndarray):
-    """The s-overlap as a function of s, at every entry: one batched (1 x w) @ (w x w) product
-    per row and s.  The logs are taken once, and log 0 = -inf makes exp(s log 0) exactly 0."""
+def _s_step(s: float, lam: np.ndarray, table: np.ndarray, mu: np.ndarray) -> tuple[float, float, float]:
+    """(Q, Q', Q'') at s, for Q(s) = sum over rows of lam^s @ table @ mu^(1-s).
+
+    A term exp(s ln lam_i + (1 - s) ln mu_j) T_ij has derivatives weighted by
+    (ln lam_i - ln mu_j) and its square, so the rows lam^s (1, ln lam,
+    ln^2 lam) meet the table, then the columns mu^(1-s) (1, ln mu, ln^2 mu),
+    in one batched product.  ln 0 = -inf makes exp(s ln 0) exactly 0, and a
+    zero weight's log factor counts as 0.
+    """
     with np.errstate(divide="ignore"):
         log_lam, log_mu = np.log(lam), np.log(mu)
+    powers = []
+    for e, w, log in ((s, lam, log_lam), (1.0 - s, mu, log_mu)):
+        p, ln = np.exp(e * log), np.where(w > 0.0, log, 0.0)
+        powers.append(np.stack((p, p * ln, p * ln * ln), axis=-1))
+    m = (np.swapaxes(powers[0], 1, 2) @ table @ powers[1]).sum(axis=0)
+    return float(m[0, 0]), float(m[1, 0] - m[0, 1]), float(m[2, 0] - 2.0 * m[1, 1] + m[0, 2])
 
-    def curve(s) -> np.ndarray:
-        e = np.asarray(s, dtype=float).reshape(-1, 1, 1)
-        rows = np.matmul(np.exp(e * log_lam)[:, :, None, :], table)[:, :, 0, :]
-        return (rows * np.exp((1.0 - e) * log_mu)).sum(axis=(1, 2)).reshape(np.shape(s))[()]
 
-    return curve
+def _minimize_s(lam: np.ndarray, table: np.ndarray, mu: np.ndarray) -> tuple[float, float]:
+    """(s_star, Q): the minimum of the log-convex s-curve on [S_EPS, 1 - S_EPS].
+
+    Q' is increasing, so a non-negative slope at S_EPS (a non-positive one
+    at 1 - S_EPS) puts the minimum at that edge.  Otherwise Newton on Q'
+    from s = 0.5 stays inside the bracket of its sign change, bisecting
+    when a step would leave it, until the step is at most S_TOL.
+    """
+    lo, hi = S_EPS, 1.0 - S_EPS
+    q, slope, _ = _s_step(lo, lam, table, mu)
+    if slope >= 0.0:
+        return lo, q
+    q, slope, _ = _s_step(hi, lam, table, mu)
+    if slope <= 0.0:
+        return hi, q
+    s = 0.5
+    while True:
+        q, slope, curv = _s_step(s, lam, table, mu)
+        if slope == 0.0:
+            return s, q
+        lo, hi = (s, hi) if slope < 0.0 else (lo, s)
+        step = -slope / curv if curv > 0.0 else math.inf  # a roundoff curvature <= 0 bisects
+        nxt = s + step if lo < s + step < hi else 0.5 * (lo + hi)
+        if abs(nxt - s) <= S_TOL:
+            return s, q
+        s = nxt
 
 
 def s_overlap_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix, s: float) -> float:
     """Tr[rho_a^s rho_b^(1-s)] by explicit fractional powers.
 
-    Near s = 0 (and 1) this is only as good as the smallest eigenvalues: on
-    a numerically rank-deficient spectrum, clamped roundoff eigenvalues of
-    about 1e-17 raised to s = 1e-6 count as about 1 instead of 0.  qcb_fock
-    is protected by its rank-floored boundary candidates; this curve is not.
+    Near s = 0 (and 1) this is only as good as the smallest eigenvalues.  A
+    prepared state keeps its exact zero weights, but a state diagonalised
+    by `eigh` (a loss output, or one built from a dense matrix) keeps its
+    clamped roundoff eigenvalues: about 1e-17, raised to s = 1e-6, they
+    count as about 1 instead of 0.  qcb_fock is protected by its
+    rank-floored boundary candidates; this curve is not.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"exponent must be in (0, 1), got {s}")
-    return float(_s_curve(*_spectral_overlap(rho_a, rho_b))(s))
+    return _s_step(s, *_spectral_overlap(rho_a, rho_b))[0]
 
 
 def qcb_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[float, float]:
     """(Q, s_star): minimum of the s-overlap, boundaries included.
 
-    The boundary values are lim_(s -> 0) = Tr[P_a rho_b] and the mirror
-    image, with P the support projector (eigenvalues above a rank floor
-    relative to the largest eigenvalue over all sectors); they win exactly
-    when a state is pure.
+    On [S_EPS, 1 - S_EPS], `_minimize_s` stops at an edge whose slope
+    points outward, else runs Newton on Q' inside its sign bracket.  The
+    boundary values are lim_(s -> 0) = Tr[P_a rho_b] and the mirror image,
+    with P the support projector (eigenvalues above a rank floor relative
+    to the largest eigenvalue over all sectors); they win exactly when a
+    state is pure.
     """
     la, table, lb = _spectral_overlap(rho_a, rho_b)
-    s_star, q = minimize_scalar_golden(_s_curve(la, table, lb), S_EPS, 1.0 - S_EPS, S_TOL)
+    s_star, q = _minimize_s(la, table, lb)
     rank_a = (la > la.max() * 1e-12).astype(float)
     rank_b = (lb > lb.max() * 1e-12).astype(float)
     at_zero = float(np.einsum("ki,kij,kj->", rank_a, table, lb))

@@ -22,14 +22,15 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import gammaln
 
-from lossprobe import verification
+from lossprobe import fock, verification
 from lossprobe.channel import LossChannel, evolve_single, evolve_two, output_params_single, output_params_two
-from lossprobe.chernoff import S_EPS, S_TOL, minimize_scalar_golden, q_s_single, qcb
+from lossprobe.chernoff import S_EPS, S_TOL, minimize_scalar_golden, q_s_single, q_s_two, qcb
 from lossprobe.fock import (
     FockDensityMatrix,
     HelstromCapError,
     TruncationConfig,
     TruncationError,
+    _spectral_overlap,
     _squeeze_unitaries,
     _stacked,
     apply_loss_kraus,
@@ -142,18 +143,27 @@ def dense_s_overlap(rho_a: np.ndarray, rho_b: np.ndarray, s: float) -> float:
     return float(la**s @ (va.T @ vb) ** 2 @ lb ** (1.0 - s))
 
 
+def s_curve(lam: np.ndarray, table: np.ndarray, mu: np.ndarray):
+    """s -> sum over rows of lam^s @ table @ mu^(1-s), one s at a time, for (k, w) spectra and (k, w, w) tables."""
+
+    def curve(s):
+        return np.array([np.einsum("ki,kij,kj->", lam**x, table, mu ** (1.0 - x)) for x in np.ravel(s)]).reshape(np.shape(s))
+
+    return curve
+
+
+def golden_qcb(lam: np.ndarray, table: np.ndarray, mu: np.ndarray) -> float:
+    """The Chernoff minimum by golden section over the curve, and the rank-floored s = 0 and s = 1 values."""
+    _, q = minimize_scalar_golden(s_curve(lam, table, mu), S_EPS, 1.0 - S_EPS, S_TOL)
+    at_zero = float(np.einsum("ki,kij,kj->", lam > lam.max() * 1e-12, table, mu))
+    at_one = float(np.einsum("ki,kij,kj->", lam, table, mu > mu.max() * 1e-12))
+    return min(q, at_zero, at_one)
+
+
 def dense_qcb(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     la, va = dense_spectrum(rho_a)
     lb, vb = dense_spectrum(rho_b)
-    table = (va.T @ vb) ** 2
-
-    def curve(s):
-        return np.array([la**x @ table @ lb ** (1.0 - x) for x in np.ravel(s)]).reshape(np.shape(s))
-
-    _, q = minimize_scalar_golden(curve, S_EPS, 1.0 - S_EPS, S_TOL)
-    at_zero = float((la > la.max() * 1e-12) @ table @ lb)
-    at_one = float(la @ table @ (lb > lb.max() * 1e-12))
-    return min(q, at_zero, at_one)
+    return golden_qcb(la[None], ((va.T @ vb) ** 2)[None], lb[None])
 
 
 def dense_trace_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
@@ -394,6 +404,68 @@ def test_qcb_fock_converges_under_dim_doubling():
             rho = fock_squeezed_thermal(params, TruncationConfig(dim=d))
             values.append(qcb_fock(rho, apply_loss_kraus(rho, eta))[0])
         assert abs(values[1] - values[0]) < 1e-7
+
+
+def verification_pairs(dim: int | None):
+    """(case, rho_a, rho_b) for every standard case, at its own cutoff or at dim."""
+    for case in verification.standard_cases():
+        cfg = TruncationConfig(dim=dim or case.dim)
+        rho_a = fock_squeezed_thermal(case.params_a, cfg)
+        rho_b = apply_loss_kraus(rho_a, case.eta) if case.eta is not None else fock_squeezed_thermal(case.params_b, cfg)
+        yield case, rho_a, rho_b
+
+
+@pytest.mark.parametrize("dim", [None, 80])
+def test_newton_minimum_matches_golden_section(dim):
+    # the same spectra and table, minimised by golden section over the curve
+    # evaluated by plain powers; where Newton stops inside (0, 1), its point
+    # is no higher than the golden-section minimum
+    for case, rho_a, rho_b in verification_pairs(dim):
+        lam, table, mu = _spectral_overlap(rho_a, rho_b)
+        q_ref = golden_qcb(lam, table, mu)
+        q, s_star = qcb_fock(rho_a, rho_b)
+        assert abs(q - q_ref) <= 1e-14 * q_ref, (case.name, q, q_ref)
+        if 0.0 < s_star < 1.0:
+            assert s_curve(lam, table, mu)(s_star) <= q_ref * (1.0 + 1e-14), case.name
+
+
+def test_verify_takes_few_s_curve_steps(monkeypatch):
+    # a pure input stops at its S_EPS edge, whose slope is >= 0, after one
+    # step; a mixed case takes both edge slopes and a few Newton steps (the
+    # golden section took 616 evaluations per verify)
+    steps, per_case = [], []
+    step, minimum = fock._s_step, verification.qcb_fock
+
+    def counted_step(*args):
+        steps.append(1)
+        return step(*args)
+
+    def counted_minimum(rho_a, rho_b):
+        before = len(steps)
+        out = minimum(rho_a, rho_b)
+        per_case.append(len(steps) - before)
+        return out
+
+    monkeypatch.setattr(fock, "_s_step", counted_step)
+    monkeypatch.setattr(verification, "qcb_fock", counted_minimum)
+    assert all(r.passed for r in verification.run_all())
+    pure = [not any(c.params_a.fields()[1:]) for c in verification.standard_cases()]
+    assert len(per_case) == len(pure) == 13
+    assert [n for n, p in zip(per_case, pure) if p] == [1, 1, 1, 1], per_case
+    assert max(per_case) <= 8, per_case
+    assert sum(per_case) <= 100, per_case
+
+
+def test_s_overlap_near_zero_matches_gaussian_for_a_prepared_input():
+    # the prepared input keeps its exact zero weights, so at s = 1e-6 no
+    # roundoff eigenvalue of it is raised to a power near 1
+    pa = params_from_spec(ProbeSpec(2, 4.0, 0.8, gamma=1.0))
+    ch = LossChannel.from_gamma(2.0)
+    expected = q_s_two(pa, output_params_two(pa, ch), 1e-6)
+    for dim in (52, 64):
+        rho = fock_squeezed_thermal(pa, TruncationConfig(dim=dim))
+        value = s_overlap_fock(rho, apply_loss_kraus(rho, float(ch.eta)), 1e-6)
+        assert abs(value - expected) < 1e-12, (dim, value, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -663,14 +735,14 @@ def test_negative_eigenvalue_in_any_sector_raises():
 def test_pipeline_is_continuous_toward_pure_states(n_t):
     # qcb switches to the pure overlap only at n_t == 0: Q approaches the pure
     # value like 1 / |ln n_t|, and the old n_t <= 1e-9 switch jumped from
-    # 0.9239 to the overlap 0.9115 here.  Below about 1e-6 the oracle is
-    # limited by its own roundoff eigenvalues (about 1e-17, raised to
-    # s* = 0.15): across cutoffs 26 to 120 it moves by up to 6e-5.
+    # 0.9239 to the overlap 0.9115 here.  The prepared input keeps its exact
+    # thermal weights, so even at n_t = 5e-10 (s* = 0.15) the oracle's Q
+    # matches the Gaussian Q to roundoff (at most 2.4e-15 at dim 40).
     pa = S1(0.5, n_t)
     q = qcb(pa, output_params_single(pa, LossChannel.from_eta(0.5))).q
     rho = fock_squeezed_thermal(pa, TruncationConfig(dim=40))
     q_fock, _ = qcb_fock(rho, apply_loss_kraus(rho, 0.5))
-    assert abs(q - q_fock) < (1e-5 if n_t >= 1e-6 else 1e-4), (q, q_fock)
+    assert abs(q - q_fock) < 1e-12, (q, q_fock)
 
 
 def test_rebuilt_from_the_dense_view_is_the_same_state(single_st, two_mode_st):
