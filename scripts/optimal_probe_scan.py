@@ -51,9 +51,10 @@ def main() -> int:
     (beta1, q1_star), (beta2, q2_star) = (
         (x.tolist() for x in optimize_beta(np.array(args.n_values), ch, modes=m)) for m in (1, 2)
     )
+    etas = ch.eta[:, 0]
+    thresholds = np.where(etas > eta_c, threshold_energy(etas), np.inf).tolist()
     deviations = 0
-    for i, (gamma_ch, eta) in enumerate(zip(args.damping_values, ch.eta[:, 0].tolist())):
-        n_th = threshold_energy(eta) if eta > eta_c else float("inf")
+    for i, (gamma_ch, eta, n_th) in enumerate(zip(args.damping_values, etas.tolist(), thresholds)):
         for j, n in enumerate(args.n_values):
             print(
                 f"{n:5.2f} {gamma_ch:6.2f} {eta:7.4f} "

@@ -12,12 +12,12 @@ Subcommands:
   verify        cross-check the Gaussian pipeline against the Fock oracle
 
 Exit codes: 0 on success, 1 when a computation fails (threshold out of
-range, truncation overflow), 2 on bad flags.  All tabular output is CSV
-with a header row and `#` comment lines carrying the package version and
-the exact parameter set, so identical invocations produce identical bytes.
-Files land in --outdir when a command writes more than one; the default
-directory comes from the LOSSPROBE_OUTDIR environment variable, falling
-back to the working directory.
+range, truncation overflow, out of memory), 2 on bad flags.  All tabular
+output is CSV with a header row and `#` comment lines carrying the package
+version and the exact parameter set, so identical invocations produce
+identical bytes.  Files land in --outdir when a command writes more than
+one; the default directory comes from the LOSSPROBE_OUTDIR environment
+variable, falling back to the working directory.
 
 A figure command stacks the rows of all its files, with Gamma (and, for
 figure 5, the thermal split) a float column like N and beta, and makes one
@@ -198,6 +198,9 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     if (args.eta is None) == (args.eta_grid is None):
         raise UsageError("exactly one of --eta or --eta-grid is required")
     if args.eta is not None:
+        for flag, ignored in (("-o", args.output != "-"), ("--format csv", args.format == "csv")):
+            if ignored:
+                raise UsageError(f"{flag} only applies to --eta-grid")
         _require(args, "--eta", lambda x: 0.0 < x < 1.0, "in (0, 1)")
         _report_out(args, {"eta": args.eta, "n_threshold": threshold_energy(args.eta)})
         return 0
@@ -210,9 +213,8 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         raise UsageError("--eta-grid must satisfy 0 < lo < hi < 1, count >= 2")
     eta_c, gamma_c = critical_transmissivity()
     c1, c2, _ = threshold_fit_near_critical()
-    rows = []
-    for eta in np.linspace(lo, hi, count):
-        rows.append([float(eta), threshold_energy(float(eta))])
+    etas = np.linspace(lo, hi, count)
+    rows = np.column_stack([etas, threshold_energy(etas)]).tolist()
     meta = _meta_lines("threshold", {"eta-grid": args.eta_grid}) + [
         f"eta_c = {_fmt(eta_c)}",
         f"Gamma_c = {_fmt(gamma_c)}",
@@ -507,8 +509,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

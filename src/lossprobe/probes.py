@@ -17,7 +17,8 @@ and the two-mode probe wins at every N.  Against the best classical-noise
 strategy the comparison flips below a critical transmissivity eta_c = x^2,
 x the real root of x^3 + x^2 + x - 1: for eta > eta_c the single-mode probe
 holds an advantage up to a threshold energy N_th(eta) that vanishes at eta_c
-and grows roughly like 4 (eta - eta_c) just above it.
+and grows roughly like 4 (eta - eta_c) just above it.  One monotone Newton
+iteration on an increasing convex cubic gives eta_c, and N_th per eta.
 
 Array semantics.  q1, q2, delta_q and delta_q_gamma are elementwise over N,
 beta, the two-mode split gamma and the channel, a LossChannel or a stack of
@@ -52,11 +53,10 @@ from .gaussian import (
 
 N_MAX_THRESHOLD = 1.0e3
 BETA_TOL = 1e-6
-_THRESHOLD_TOL = 1e-8
 
 
 class ThresholdSearchError(ArithmeticError):
-    """Raised when the threshold energy exceeds the search ceiling."""
+    """Raised when a threshold energy exceeds N_MAX_THRESHOLD."""
 
 
 @dataclass(frozen=True)
@@ -195,16 +195,26 @@ def optimize_beta(n, ch: LossChannel, modes: int, gamma=None) -> tuple:
     return minimize_scalar_golden(objective, np.zeros(lanes), 1.0, BETA_TOL, grid_points=101)
 
 
+def _newton_down(c3, c2, c1, c0, x):
+    """Root below x of the cubic ((c3 x + c2) x + c1) x + c0, increasing and convex above it.
+
+    Newton lowers x onto the root with no safeguard.  A lane stops when a
+    step no longer lowers it, held there by np.where: it takes its own steps.
+    """
+    while True:
+        lower = x - (((c3 * x + c2) * x + c1) * x + c0) / ((3.0 * c3 * x + 2.0 * c2) * x + c1)
+        if not (down := lower < x).any():
+            return x
+        x = np.where(down, lower, x)
+
+
 def critical_transmissivity() -> tuple[float, float]:
     """(eta_c, Gamma_c): below eta_c the classical probe never wins.
 
-    eta_c = x^2 with x the real root of x^3 + x^2 + x - 1, polished by Newton
-    to machine precision, and Gamma_c = -log(eta_c).
+    eta_c = x^2 with x the real root of x^3 + x^2 + x - 1 (increasing and
+    convex on x >= 0), by Newton from x = 1, and Gamma_c = -log(eta_c).
     """
-    roots = np.roots([1.0, 1.0, 1.0, -1.0])
-    x = float(roots[np.isclose(roots.imag, 0.0)].real[0])
-    for _ in range(6):
-        x -= (x**3 + x**2 + x - 1.0) / (3.0 * x**2 + 2.0 * x + 1.0)
+    x = float(_newton_down(1.0, 1.0, 1.0, -1.0, np.asarray(1.0)))
     eta_c = x * x
     return eta_c, -math.log(eta_c)
 
@@ -215,44 +225,30 @@ def cubic_residual() -> float:
     return abs(x**3 + x**2 + x - 1.0)
 
 
-def threshold_energy(eta: float) -> float:
-    """Energy N_th below which the single-mode probe beats the two-mode one.
+def threshold_energy(eta):
+    """Energy N_th below which the single-mode probe beats the two-mode one, elementwise.
 
-    Solves Q1(N, eta) = Q2(N, eta) for the nontrivial root.  Clearing the
-    quartic of its trivial N = 0 root leaves
+    Q1(N, eta) = Q2(N, eta), cleared of its trivial root N = 0, reads in
+    u = (1 - x) N, with x = sqrt(eta),
 
-        psi(N) = b^4 N^3 + 8 b^3 N^2 + 24 b^2 N + 16 (2 b - a) = 0
+        u^3 + 8 u^2 + 24 u = 16 (x^3 + x^2 + x - 1).
 
-    with a = 1 - eta^2, b = 1 - sqrt(eta): monotone increasing in N, negative
-    at 0 exactly when eta > eta_c, so bisection is immune to the degeneracy
-    of the original equation at N = 0.  Returns 0 at or below eta_c; raises
-    ThresholdSearchError when the root exceeds 1e3 (it diverges as eta -> 1).
+    The left side is increasing and convex on u >= 0 and the right positive
+    exactly when eta > eta_c, so Newton from the least one-term upper bound
+    falls onto the root, one lane per eta, and N = u (1 + x) / (1 - eta).
+    Returns 0 at or below eta_c, a float for a float eta; raises
+    ThresholdSearchError, naming the first such eta, when a root exceeds
+    1e3 (it diverges as eta -> 1).
     """
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"transmissivity must be in (0, 1), got {eta}")
-    a = 1.0 - eta * eta
-    b = 1.0 - math.sqrt(eta)
-
-    def psi(n: float) -> float:
-        return b**4 * n**3 + 8.0 * b**3 * n**2 + 24.0 * b**2 * n + 16.0 * (2.0 * b - a)
-
-    if psi(0.0) >= 0.0:
-        return 0.0
-    hi = 1.0
-    while psi(hi) < 0.0:
-        hi *= 2.0
-        if hi > N_MAX_THRESHOLD:
-            raise ThresholdSearchError(
-                f"threshold energy exceeds {N_MAX_THRESHOLD:g} at eta = {eta}"
-            )
-    lo = hi / 2.0 if hi > 1.0 else 0.0
-    while hi - lo > _THRESHOLD_TOL:
-        mid = (lo + hi) / 2.0
-        if psi(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+    eta = np.asarray(eta, dtype=float)
+    require((0.0 < eta) & (eta < 1.0), "transmissivity must be in (0, 1), got {}", eta)
+    x = np.sqrt(eta)
+    c = 16.0 * np.maximum(((x + 1.0) * x + 1.0) * x - 1.0, 0.0)  # lanes at or below eta_c stay at u = 0
+    u = _newton_down(1.0, 8.0, 24.0, -c, np.minimum(np.minimum(c / 24.0, np.sqrt(c / 8.0)), np.cbrt(c)))
+    n = u * (1.0 + x) / (1.0 - eta)
+    if (over := n > N_MAX_THRESHOLD).any():
+        raise ThresholdSearchError(f"threshold energy exceeds {N_MAX_THRESHOLD:g} at eta = {eta.ravel()[over.argmax()]}")
+    return float_or_array(n)
 
 
 def threshold_fit_near_critical(
@@ -265,7 +261,7 @@ def threshold_fit_near_critical(
     """
     eta_c, _ = critical_transmissivity()
     xs = np.linspace(0.0, window, points)
-    ys = np.array([threshold_energy(eta_c + x) for x in xs])
+    ys = threshold_energy(eta_c + xs)
     design = np.column_stack([xs, xs * xs])
     coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
     rms = float(np.sqrt(np.mean((design @ coef - ys) ** 2)))

@@ -105,3 +105,23 @@ def pe_lower(f: float, m: int) -> float:
     with localcontext() as ctx:
         ctx.prec = 200
         return float((1 - (1 - Decimal(f) ** m).sqrt()) / 2)
+
+
+def threshold_root(eta: float) -> float:
+    """N_th: the root of psi(N) = b^4 N^3 + 8 b^3 N^2 + 24 b^2 N + 16 (2 b - a), or 0 where psi(0) >= 0.
+
+    a = 1 - eta^2 and b = 1 - sqrt(eta), as printed.  psi is increasing and
+    convex on N >= 0, so Newton from the upper bound -psi(0) / psi'(0)
+    lowers N onto the root; it stops when a step no longer lowers N.
+    """
+    with localcontext() as ctx:
+        ctx.prec = PREC
+        e = Decimal(eta)
+        b = 1 - e.sqrt()
+        c3, c2, c1, c0 = b**4, 8 * b**3, 24 * b * b, 16 * (2 * b - (1 - e * e))
+        if c0 >= 0:
+            return 0.0
+        n = -c0 / c1
+        while (lower := n - (((c3 * n + c2) * n + c1) * n + c0) / ((3 * c3 * n + 2 * c2) * n + c1)) < n:
+            n = lower
+        return float(n)

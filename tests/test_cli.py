@@ -224,10 +224,13 @@ def test_qcb_rejects_bad_beta(capsys):
         (["figure", "6", "--points", "3", "--gamma", "0.9"], "--gamma only applies to figure 5"),
         (["figure", "4", "--points", "3", "--beta", "0.1"], "--beta only applies to figure 6"),
         (["figure", "5", "--samples", "3", "--beta", "0.1"], "--beta only applies to figure 6"),
+        (["threshold", "--eta", "0.5", "-o", "{tmp}/out.csv"], "-o only applies to --eta-grid"),
+        (["threshold", "--eta", "0.5", "--format", "csv"], "--format csv only applies to --eta-grid"),
     ],
 )
 def test_a_flag_the_command_would_ignore_is_a_usage_error(argv, message, tmp_path, capsys):
     # these flags were accepted and silently ignored
+    argv = [a.format(tmp=tmp_path) for a in argv]
     code, out, err = run([*argv, *(["--outdir", str(tmp_path)] if argv[0] == "figure" else [])], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
@@ -264,13 +267,20 @@ def test_threshold_below_critical_is_zero(capsys):
 def test_threshold_above_critical(capsys):
     code, out, _ = run(["threshold", "--eta", "0.35"], capsys)
     assert code == 0
-    assert math.isclose(float(parse_report(out)["n_threshold"]), 0.23507970944, abs_tol=1e-6)
+    assert parse_report(out)["n_threshold"] == "0.235079710759"  # the decimal root to 12 digits
+
+
+def test_threshold_above_512(capsys):
+    # the root 648.32 is below the 1000 ceiling; a doubling bracket once failed here
+    code, out, _ = run(["threshold", "--eta", "0.997"], capsys)
+    assert code == 0
+    assert parse_report(out)["n_threshold"] == "648.321745612"
 
 
 def test_threshold_divergence_is_computation_error(capsys):
     code, _, err = run(["threshold", "--eta", "0.9999"], capsys)
     assert code == 1
-    assert "exceeds 1000" in err
+    assert err == "error: threshold energy exceeds 1000 at eta = 0.9999\n"
 
 
 def test_threshold_rejects_unit_transmissivity(capsys):
@@ -306,6 +316,19 @@ def test_threshold_grid_csv(tmp_path, capsys):
     assert values == sorted(values)  # threshold grows with transmissivity
     assert rows[0][0] == "0.3"
     assert all(len(cell) <= 17 for row in rows for cell in row)
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 14.9 GiB for an array"), "error: Unable to allocate 14.9 GiB for an array\n"),
+    (MemoryError(), "error: out of memory\n"),
+])
+def test_out_of_memory_is_computation_error(exc, line, tmp_path, monkeypatch, capsys):
+    def builder(args, outdir):
+        raise exc
+
+    monkeypatch.setattr(lossprobe.cli, "_figure_4", builder)
+    code, out, err = run(["figure", "4", "--outdir", str(tmp_path)], capsys)
+    assert (code, out, err) == (1, "", line)
 
 
 def test_threshold_grid_validation(capsys):

@@ -28,6 +28,7 @@ from lossprobe.probes import (
     threshold_energy,
     threshold_fit_near_critical,
 )
+import reference
 from test_gaussian import mean_photons
 
 ETA_C = 0.29559774252208476  # eta_c = x^2, x the real root of x^3+x^2+x-1
@@ -231,12 +232,24 @@ def test_threshold_below_critical_is_zero():
 
 
 def test_threshold_at_critical_is_zero():
-    assert threshold_energy(ETA_C) <= 1e-8
+    # the float ETA_C sits just below the true eta_c: psi(0) > 0 there
+    assert reference.threshold_root(ETA_C) == 0.0
+    assert threshold_energy(ETA_C) == 0.0
+
+
+def _threshold_rel_tol(eta):
+    """4 eps times the root's condition number, about eta / (eta - eta_c) near eta_c.
+
+    The rounding of sqrt(eta) alone moves the root by eps times that
+    condition number, whatever the form of psi; 4 leaves room for the rest.
+    """
+    return 4.0 * np.finfo(float).eps * np.maximum(1.0, eta / (eta - ETA_C))
 
 
 def test_threshold_at_035():
     n_th = threshold_energy(0.35)
-    assert math.isclose(n_th, 0.23507970944, abs_tol=1e-6)
+    assert math.isclose(n_th, reference.threshold_root(0.35), rel_tol=_threshold_rel_tol(0.35))
+    assert f"{n_th:.12g}" == "0.235079710759"
     # the crossing is genuine: Q1 < Q2 below it, Q1 > Q2 above it
     assert q1_analytic(n_th - 0.01, 0.35) < q2_analytic(n_th - 0.01, 0.35)
     assert q1_analytic(n_th + 0.01, 0.35) > q2_analytic(n_th + 0.01, 0.35)
@@ -246,20 +259,50 @@ def test_threshold_root_property():
     for eta in (0.32, 0.5, 0.75, 0.9):
         n_th = threshold_energy(eta)
         assert n_th > 0.0
-        assert abs(q1_analytic(n_th, eta) - q2_analytic(n_th, eta)) < 1e-6
+        assert math.isclose(n_th, reference.threshold_root(eta), rel_tol=_threshold_rel_tol(eta))
+        assert abs(q1_analytic(n_th, eta) - q2_analytic(n_th, eta)) < 1e-15
+
+
+def test_threshold_matches_decimal_root_to_12_digits():
+    # lanes from just above eta_c, where the root's condition number is large,
+    # up to 0.998 (root 974), and the rows of `threshold --eta-grid 0.3:0.9:7`
+    near = ETA_C + np.geomspace(1e-12, 1e-2, 40)
+    etas = np.concatenate([near, np.linspace(ETA_C + 1e-9, 0.998, 200)])
+    roots = np.array([reference.threshold_root(e) for e in etas.tolist()])
+    assert np.all(np.abs(threshold_energy(etas) - roots) <= _threshold_rel_tol(etas) * roots)
+    cli_rows = np.linspace(0.3, 0.9, 7)
+    printed = ["0.0176989503504", "0.487918070147", "1.14320591105", "2.12346730153",
+               "3.7544251662", "7.01278652511", "16.7816350436"]
+    assert [f"{v:.12g}" for v in threshold_energy(cli_rows).tolist()] == printed
+    assert [f"{reference.threshold_root(e):.12g}" for e in cli_rows.tolist()] == printed
+
+
+def test_threshold_energy_same_bits_alone_and_in_an_array():
+    etas = np.concatenate([np.linspace(0.05, 0.998, 97), ETA_C + np.geomspace(1e-15, 1e-3, 13)]).reshape(10, 11)
+    together = threshold_energy(etas)
+    assert together.shape == etas.shape
+    alone = [threshold_energy(e) for e in etas.ravel().tolist()]
+    assert all(type(v) is float for v in alone)
+    assert together.ravel().tolist() == alone
 
 
 def test_threshold_monotone_in_eta():
-    etas = np.linspace(ETA_C + 1e-4, 0.99, 40)
-    vals = [threshold_energy(eta) for eta in etas]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
+    vals = threshold_energy(np.linspace(ETA_C + 1e-4, 0.99, 40))
+    assert np.all(np.diff(vals) >= 0.0)
 
 
 def test_threshold_divergence_guard():
-    with pytest.raises(ThresholdSearchError):
-        threshold_energy(0.9999)
+    # the root 648.32 sits above 512, where a doubling bracket once stopped short
+    assert threshold_energy(0.997) == pytest.approx(reference.threshold_root(0.997), rel=1e-14)
+    assert f"{threshold_energy(0.997):.12g}" == "648.321745612"
+    with pytest.raises(ThresholdSearchError, match="exceeds 1000 at eta = 0.9999$"):
+        threshold_energy(0.9999)  # root 19529
+    with pytest.raises(ThresholdSearchError, match="at eta = 0.9995$"):
+        threshold_energy(np.array([0.5, 0.9995, 0.9999]))
     with pytest.raises(ValueError):
         threshold_energy(1.0)
+    with pytest.raises(ValueError, match="got 0.0"):
+        threshold_energy(np.array([0.5, 0.0]))
 
 
 def test_threshold_fit_coefficients():
