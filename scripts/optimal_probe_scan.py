@@ -19,6 +19,8 @@ import numpy as np
 
 from lossprobe.channel import LossChannel
 from lossprobe.probes import (
+    N_MAX_THRESHOLD,
+    ThresholdSearchError,
     critical_transmissivity,
     optimize_beta,
     q1_analytic,
@@ -51,14 +53,17 @@ def main() -> int:
     (beta1, q1_star), (beta2, q2_star) = (
         (x.tolist() for x in optimize_beta(np.array(args.n_values), ch, modes=m)) for m in (1, 2)
     )
-    etas = ch.eta[:, 0]
-    thresholds = np.where(etas > eta_c, threshold_energy(etas), np.inf).tolist()
     deviations = 0
-    for i, (gamma_ch, eta, n_th) in enumerate(zip(args.damping_values, etas.tolist(), thresholds)):
+    for i, (gamma_ch, eta) in enumerate(zip(args.damping_values, ch.eta[:, 0].tolist())):
+        # no threshold at or below eta_c; above the search ceiling, only its bound
+        try:
+            n_th = f"{threshold_energy(eta) if eta > eta_c else np.inf:8.4f}"
+        except ThresholdSearchError:
+            n_th = f">{N_MAX_THRESHOLD:g}".rjust(8)
         for j, n in enumerate(args.n_values):
             print(
                 f"{n:5.2f} {gamma_ch:6.2f} {eta:7.4f} "
-                f"{n_th:8.4f} {beta1[i][j]:8.4f} {q1_star[i][j]:10.6f} "
+                f"{n_th} {beta1[i][j]:8.4f} {q1_star[i][j]:10.6f} "
                 f"{beta2[i][j]:8.4f} {q2_star[i][j]:10.6f} {q1_star[i][j] - q2_star[i][j]:+10.6f}"
             )
             # Consistency: the optimum ought to sit at full squeezing, where

@@ -18,11 +18,16 @@ blocks share one stacked LAPACK call.  Moments come from banded ladder
 expectations, the fidelity from singular values.  The Chernoff s-curve, a
 sum of exponentials in s with non-negative weights, is log-convex: its
 minimum is an edge whose slope points outward, or Newton on the slope inside
-its sign bracket.  Rank and fidelity floors
-are relative to the largest eigenvalue over all sectors, and an eigenvalue
-below -1e-10 in any sector raises.  The dense route (`expm`, Kraus matmuls,
-complex quadratures, one full `eigh`) is the reference in the tests.  This
-module imports only numpy.
+its sign bracket, stopped by the tangents at the bracket ends.  Rank and
+fidelity floors are relative to the largest eigenvalue over all sectors, and
+an eigenvalue below -1e-10 in any sector raises.  A sector without weight
+(a pure input has weight in one) is an exactly zero block: it is built and
+factorised without LAPACK, adds exactly 0 to the s-curve and both end
+candidates, and leaves the other block's trace norm in the trace distance.
+The fidelity keeps only eigenvectors at or above its floor: a floored root
+zeroes a row, which adds no singular value.  The dense route (`expm`, Kraus
+matmuls, complex quadratures, one full `eigh`) is the reference in the
+tests.  This module imports only numpy.
 
 Quadratures follow the package convention q = (a + a^dag)/sqrt(2),
 p = (a - a^dag)/(i sqrt(2)), vacuum variance 1/2.
@@ -38,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chernoff import S_EPS, S_TOL
+from .chernoff import S_EPS
 from .gaussian import SqueezedThermalParamsSingle, SqueezedThermalParamsTwo
 
 EIG_CLAMP = 1e-10
@@ -82,6 +87,8 @@ class _Layout(NamedTuple):
     start: np.ndarray  # per sector, and one past the end: where its block starts in `data`
     rows: np.ndarray  # per entry of `data`: the basis indices of its row
     cols: np.ndarray  # and of its column
+    transpose: np.ndarray  # per entry of `data`: where its mirror entry sits (int32)
+    diag: np.ndarray  # per basis index: where its diagonal entry sits (int32)
 
 
 @lru_cache(maxsize=32)
@@ -93,17 +100,20 @@ def _sector_layout(dims: tuple[int, ...], modulus: int) -> _Layout:
     position[np.concatenate(sectors)] = np.concatenate([np.arange(len(idx)) for idx in sectors])
     rows = np.concatenate([np.repeat(idx, len(idx)) for idx in sectors])
     cols = np.concatenate([np.tile(idx, len(idx)) for idx in sectors])
-    return _Layout(sectors, sector_of, position, size, np.concatenate(([0], np.cumsum(size**2))), rows, cols)
+    start = np.concatenate(([0], np.cumsum(size**2)))
+    row_at = start[sector_of] + position * size[sector_of]  # per basis index: where its row starts in `data`
+    maps = (row_at[cols] + position[rows], row_at + position)
+    return _Layout(sectors, sector_of, position, size, start, rows, cols, *(m.astype(np.int32) for m in maps))
 
 
 def _stacked(fn, mats: list[np.ndarray]) -> list:
-    """fn of each square matrix, one stacked call per size: a linalg gufunc
+    """fn of each matrix, one stacked call per shape: a linalg gufunc
     factorises each matrix of a stack alone, so the bits are those of one call each."""
-    by_size: dict[int, list[int]] = {}
+    by_shape: dict[tuple[int, ...], list[int]] = {}
     for k, m in enumerate(mats):
-        by_size.setdefault(len(m), []).append(k)
+        by_shape.setdefault(m.shape, []).append(k)
     out: list = [None] * len(mats)
-    for ks in by_size.values():
+    for ks in by_shape.values():
         res = fn(np.stack([mats[k] for k in ks]))
         for k, r in zip(ks, zip(*res) if isinstance(res, tuple) else res):
             out[k] = r
@@ -150,7 +160,7 @@ class FockDensityMatrix:
             modulus = next(k for k in (d, 2, 1) if not m[gap % k != 0].any())
         lay = _sector_layout(dims, modulus)
         data = np.asarray(data if mat is None else m[lay.rows, lay.cols], dtype=float)
-        mirror = _entries(lay, data, lay.cols, lay.rows)
+        mirror = data.take(lay.transpose)
         if np.max(np.abs(data - mirror)) > _HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
         data = (data + mirror) / 2.0
@@ -166,11 +176,15 @@ class FockDensityMatrix:
         """One square block per sector, each a view into `data`."""
         return tuple(self.data[a : a + n * n].reshape(n, n) for a, n in zip(self.layout.start, self.layout.size))
 
+    @cached_property
+    def live(self) -> np.ndarray:
+        """Per sector: whether its block has any nonzero entry."""
+        return np.logical_or.reduceat(self.data != 0.0, self.layout.start[:-1])
+
     @property
     def diagonal(self) -> np.ndarray:
         """The populations, in flat basis order."""
-        n = np.arange(math.prod(self.dims))
-        return _entries(self.layout, self.data, n, n)
+        return self.data.take(self.layout.diag)
 
     @property
     def mat(self) -> np.ndarray:
@@ -180,8 +194,9 @@ class FockDensityMatrix:
 
     @cached_property
     def spectrum(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(eigenvalues, eigenvectors) per block, negatives clamped to 0."""
-        spectra = _stacked(np.linalg.eigh, self.blocks)
+        """(eigenvalues, eigenvectors) per block, negatives clamped to 0; a dead block is (zeros, identity)."""
+        found = iter(_stacked(np.linalg.eigh, [b for b, live in zip(self.blocks, self.live) if live]))
+        spectra = [next(found) if live else (np.zeros(len(b)), np.eye(len(b))) for b, live in zip(self.blocks, self.live)]
         if (low := min(vals.min() for vals, _ in spectra)) < -EIG_CLAMP:
             raise ArithmeticError(f"density matrix eigenvalue {low:.3e} below -1e-10")
         return [(np.maximum(vals, 0.0), vecs) for vals, vecs in spectra]
@@ -192,10 +207,10 @@ def _common(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[FockDen
     if rho_a.dims != rho_b.dims:
         raise ValueError(f"dims differ: {rho_a.dims} vs {rho_b.dims}")
     modulus = min(rho_a.modulus, rho_b.modulus)
-    rows, cols = _sector_layout(rho_a.dims, modulus)[-2:]
+    lay = _sector_layout(rho_a.dims, modulus)
     a, b = (
         rho if rho.modulus == modulus else
-        FockDensityMatrix(rho.dims, modulus=modulus, data=_entries(rho.layout, rho.data, rows, cols))
+        FockDensityMatrix(rho.dims, modulus=modulus, data=_entries(rho.layout, rho.data, lay.rows, lay.cols))
         for rho in (rho_a, rho_b)
     )
     return a, b
@@ -280,8 +295,10 @@ def fock_squeezed_thermal(
     else:
         raise TypeError(f"unsupported parameter type {type(params).__name__}")
     sectors = _sector_layout(dims, modulus).sectors
-    spectrum = [(weights[idx], u) for idx, u in zip(sectors, _squeeze_unitaries([coupling(idx[:-1]) for idx in sectors]))]
-    data = np.concatenate([((u * w) @ u.T).ravel() for w, u in spectrum])
+    live = [weights[idx].any() for idx in sectors]
+    found = iter(_squeeze_unitaries([coupling(idx[:-1]) for idx, k in zip(sectors, live) if k]))
+    spectrum = [(weights[idx], next(found) if k else np.eye(len(idx))) for idx, k in zip(sectors, live)]
+    data = np.concatenate([((u * w) @ u.T).ravel() if k else np.zeros(len(w) ** 2) for (w, u), k in zip(spectrum, live)])
     out = FockDensityMatrix(dims, modulus=modulus, data=data, spectrum=spectrum)
     deficit = truncation_deficit(out)
     if deficit > cfg.tail_tol:
@@ -373,19 +390,20 @@ def moments_from_fock(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
 def _spectral_overlap(
     rho_a: FockDensityMatrix, rho_b: FockDensityMatrix
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lam, table, mu): both spectra and |<v_i|w_j>|^2, one row per common sector.
+    """(lam, table, mu): both spectra and |<v_i|w_j>|^2, one row per sector live in both states.
 
-    Rows are zero-padded to the widest sector; a padded eigenvalue is an
-    exact 0 with a zero overlap row, so it adds nothing.
+    Rows are zero-padded to the widest; a padded eigenvalue is an exact 0
+    with a zero overlap row, and so is a sector dead in either state: both add nothing.
     Tr[rho_a^s rho_b^(1-s)] = sum over rows of lam^s @ table @ mu^(1-s), so
     after this one factorization each s evaluation is one batched product.
     """
     rho_a, rho_b = _common(rho_a, rho_b)
-    count, width = len(rho_a.blocks), int(rho_a.layout.size.max())
+    both = np.flatnonzero(rho_a.live & rho_b.live)
+    count, width = len(both), int(rho_a.layout.size[both].max(initial=0))
     lam, mu, table = np.zeros((count, width)), np.zeros((count, width)), np.zeros((count, width, width))
-    for k, ((la, va), (lb, vb)) in enumerate(zip(rho_a.spectrum, rho_b.spectrum)):
-        n = len(la)
-        lam[k, :n], mu[k, :n], table[k, :n, :n] = la, lb, (va.T @ vb) ** 2
+    for row, k in enumerate(both):
+        (la, va), (lb, vb), n = rho_a.spectrum[k], rho_b.spectrum[k], rho_a.layout.size[k]
+        lam[row, :n], mu[row, :n], table[row, :n, :n] = la, lb, (va.T @ vb) ** 2
     return lam, table, mu
 
 
@@ -414,26 +432,29 @@ def _minimize_s(lam: np.ndarray, table: np.ndarray, mu: np.ndarray) -> tuple[flo
     Q' is increasing, so a non-negative slope at S_EPS (a non-positive one
     at 1 - S_EPS) puts the minimum at that edge.  Otherwise Newton on Q'
     from s = 0.5 stays inside the bracket of its sign change, bisecting
-    when a step would leave it, until the step is at most S_TOL.
+    when a step would leave it, until the lower end is within 4 eps of where
+    the end tangents cross, below the minimum of the convex Q (a flat curve,
+    whose Q' is roundoff, never meets a stop on the step in s).
     """
-    lo, hi = S_EPS, 1.0 - S_EPS
-    q, slope, _ = _s_step(lo, lam, table, mu)
-    if slope >= 0.0:
-        return lo, q
-    q, slope, _ = _s_step(hi, lam, table, mu)
-    if slope <= 0.0:
-        return hi, q
+    ends = []
+    for edge in (S_EPS, 1.0 - S_EPS):
+        q, slope, _ = _s_step(edge, lam, table, mu)
+        if slope * (edge - 0.5) <= 0.0:  # the slope points out of [S_EPS, 1 - S_EPS]
+            return edge, q
+        ends.append((edge, q, slope))
     s = 0.5
     while True:
         q, slope, curv = _s_step(s, lam, table, mu)
         if slope == 0.0:
             return s, q
-        lo, hi = (s, hi) if slope < 0.0 else (lo, s)
+        ends[slope > 0.0] = (s, q, slope)  # s becomes the end whose slope has its sign
+        (lo, q_lo, d_lo), (hi, q_hi, d_hi) = ends
+        cross = (q_hi - q_lo + d_lo * lo - d_hi * hi) / (d_lo - d_hi)
+        best = (lo, q_lo) if q_lo <= q_hi else (hi, q_hi)
+        if best[1] - (q_lo + d_lo * (cross - lo)) <= 4.0 * np.finfo(float).eps * best[1]:
+            return best
         step = -slope / curv if curv > 0.0 else math.inf  # a roundoff curvature <= 0 bisects
-        nxt = s + step if lo < s + step < hi else 0.5 * (lo + hi)
-        if abs(nxt - s) <= S_TOL:
-            return s, q
-        s = nxt
+        s = s + step if lo < s + step < hi else 0.5 * (lo + hi)
 
 
 def s_overlap_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix, s: float) -> float:
@@ -461,10 +482,11 @@ def qcb_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[float,
     to the largest eigenvalue over all sectors); they win exactly when a
     state is pure.
     """
+    rho_a, rho_b = _common(rho_a, rho_b)
     la, table, lb = _spectral_overlap(rho_a, rho_b)
     s_star, q = _minimize_s(la, table, lb)
-    rank_a = (la > la.max() * 1e-12).astype(float)
-    rank_b = (lb > lb.max() * 1e-12).astype(float)
+    rank_a = (la > max(vals.max() for vals, _ in rho_a.spectrum) * 1e-12).astype(float)
+    rank_b = (lb > max(vals.max() for vals, _ in rho_b.spectrum) * 1e-12).astype(float)
     at_zero = float(np.einsum("ki,kij,kj->", rank_a, table, lb))
     at_one = float(np.einsum("ki,kij,kj->", la, table, rank_b))
     for cand_s, cand_q in ((0.0, at_zero), (1.0, at_one)):
@@ -474,13 +496,20 @@ def qcb_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[float,
 
 
 def _trace_distance(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix, copies: int) -> float:
-    """(1/2) ||rho_a^xM - rho_b^xM||_1: one block per M-tuple of sectors, the Kronecker product of its blocks."""
+    """(1/2) ||rho_a^xM - rho_b^xM||_1: one block per M-tuple of sectors, the Kronecker product of its blocks;
+    with one copy, a sector live in one state only adds that block's trace norm, read from its spectrum."""
     rho_a, rho_b = _common(rho_a, rho_b)
-    diffs = [
-        reduce(np.kron, [rho_a.blocks[k] for k in ks]) - reduce(np.kron, [rho_b.blocks[k] for k in ks])
-        for ks in itertools.product(range(len(rho_a.blocks)), repeat=copies)
-    ]
-    return 0.5 * sum(float(np.abs(vals).sum()) for vals in _stacked(np.linalg.eigvalsh, diffs))
+    if copies == 1:
+        live = list(zip(rho_a.live, rho_b.live))
+        diffs = [a - b for a, b, (in_a, in_b) in zip(rho_a.blocks, rho_b.blocks, live) if in_a and in_b]
+        one_sided = [(rho_a if in_a else rho_b).spectrum[k][0] for k, (in_a, in_b) in enumerate(live) if in_a != in_b]
+    else:
+        diffs = [
+            reduce(np.kron, [rho_a.blocks[k] for k in ks]) - reduce(np.kron, [rho_b.blocks[k] for k in ks])
+            for ks in itertools.product(range(len(rho_a.blocks)), repeat=copies)
+        ]
+        one_sided = []
+    return 0.5 * sum(float(np.abs(vals).sum()) for vals in _stacked(np.linalg.eigvalsh, diffs) + one_sided)
 
 
 def trace_distance_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> float:
@@ -515,13 +544,14 @@ def fidelity_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> float:
     from both spectra: no root is taken of a roundoff eigenvalue, whose
     root (3e-9 for 1e-17) would survive into the trace.  So each state's
     roots also have a floor relative to its largest eigenvalue: weight this
-    far below the top of a trace-1 spectrum is noise.
+    far below the top of a trace-1 spectrum is noise.  A floored root would
+    zero a row, which adds no singular value, so the blocks are rectangular.
     """
     rho_a, rho_b = _common(rho_a, rho_b)
-    roots = []
+    support = []
     for rho in (rho_a, rho_b):
         floor = 1e-13 * max(vals.max() for vals, _ in rho.spectrum)
-        roots.append([np.sqrt(np.where(vals < floor, 0.0, vals)) for vals, _ in rho.spectrum])
-    mats = [ra[:, None] * (va.T @ vb) * rb for ra, rb, (_, va), (_, vb) in zip(*roots, rho_a.spectrum, rho_b.spectrum)]
+        support.append([(np.sqrt(vals[vals >= floor]), vecs[:, vals >= floor]) for vals, vecs in rho.spectrum])
+    mats = [ra[:, None] * (va.T @ vb) * rb for (ra, va), (rb, vb) in zip(*support) if len(ra) and len(rb)]
     svals = _stacked(lambda x: np.linalg.svd(x, compute_uv=False), mats)
     return sum(float(vals.sum()) for vals in svals) ** 2

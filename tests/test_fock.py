@@ -456,6 +456,25 @@ def test_verify_takes_few_s_curve_steps(monkeypatch):
     assert sum(per_case) <= 100, per_case
 
 
+def test_flat_curve_stops_on_its_tangent_certificate(monkeypatch):
+    # eta = 0.9999 leaves Q within 2e-9 of 1 and Q' at roundoff (|Q'| <=
+    # 9e-16 against Q'' = 1.3e-8), so a stop on the step in s bisected 11 times
+    steps = []
+    step = fock._s_step
+
+    def counted_step(*args):
+        steps.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(fock, "_s_step", counted_step)
+    rho = fock_squeezed_thermal(T2(0.5, 0.2, 0.1), TruncationConfig(dim=32))
+    out = apply_loss_kraus(rho, 0.9999)
+    q, _ = qcb_fock(rho, out)
+    assert len(steps) <= 8, len(steps)
+    lam, table, mu = _spectral_overlap(rho, out)
+    assert abs(q - golden_qcb(lam, table, mu)) <= 1e-14 * q
+
+
 def test_s_overlap_near_zero_matches_gaussian_for_a_prepared_input():
     # the prepared input keeps its exact zero weights, so at s = 1e-6 no
     # roundoff eigenvalue of it is raised to a power near 1
@@ -723,6 +742,54 @@ def test_floors_are_relative_to_the_largest_eigenvalue_overall():
     assert abs(fidelity_fock(rho_a, rho_b) - dense_fidelity(a, b)) < DENSE_TOL
 
 
+def assert_q_pe_f_match(rho_a, rho_b, ref_a, ref_b, fid, tol=1e-14):
+    """q and P_e against the dense route, F against `fid`, in both orders."""
+    for a, b, ra, rb in ((rho_a, rho_b, ref_a, ref_b), (rho_b, rho_a, ref_b, ref_a)):
+        assert abs(qcb_fock(a, b)[0] - dense_qcb(ra, rb)) < tol
+        assert abs(helstrom_pe_fock(a, b) - dense_helstrom(ra, rb, 1)) < tol
+        assert abs(fidelity_fock(a, b) - fid) < tol
+
+
+@pytest.mark.parametrize("params,dim,eta", [(S1(0.8, 0.0), 40, 0.6), (T2(0.7, 0.0, 0.0), 14, 0.6)], ids=["single", "two-mode"])
+def test_pure_inputs_match_dense(params, dim, eta):
+    # a squeezed vacuum has weight in one of its sectors, its loss output in
+    # many; for a pure input the Uhlmann fidelity is <psi|rho_b|psi> (the
+    # dense roots-and-eigvalsh route carries the roots of its roundoff
+    # eigenvalues, about 1e-8 here)
+    rho = fock_squeezed_thermal(params, TruncationConfig(dim=dim, tail_tol=DENSE_TRUNCATION))
+    out = apply_loss_kraus(rho, eta)
+    assert rho.live.sum() == 1 and out.live.sum() == (2 if len(rho.dims) == 1 else dim)
+    ref = dense_state(params, dim)
+    ref_out = dense_loss(ref, rho.dims, eta)
+    psi = dense_spectrum(ref)[1][:, -1]
+    assert_q_pe_f_match(rho, out, ref, ref_out, float(psi @ ref_out @ psi))
+
+
+def test_one_sided_dead_sectors_match_dense():
+    # the vacuum is live in one of the `dim` sectors of its level modulus,
+    # the thermal state in all of them
+    cfg = TruncationConfig(dim=40, tail_tol=DENSE_TRUNCATION)
+    vac, thermal = fock_squeezed_thermal(S1(0.0, 0.0), cfg), fock_squeezed_thermal(S1(0.0, 1.0), cfg)
+    assert vac.modulus == thermal.modulus == 40
+    assert vac.live.sum() == 1 and thermal.live.all()
+    assert_q_pe_f_match(vac, thermal, vac.mat, thermal.mat, float(thermal.diagonal[0]))
+
+
+def test_rank_floor_counts_the_sectors_dead_in_the_other_state():
+    # rho_a's largest eigenvalue sits at level 0, where rho_b is dead, so the
+    # only sector live in both holds rho_a's 5e-13: below the floor relative
+    # to rho_a's top (1e-12), above one relative to its own sector's top.
+    # Its support is level 0 alone, so Tr[P_a rho_b] = 0 wins at s = 0 (and
+    # the mirror at s = 1); a sector-local floor would give 0.5.
+    a = np.diag([1.0 - 5e-13, 5e-13, 0.0])
+    b = np.diag([0.0, 0.5, 0.5])
+    rho_a, rho_b = FockDensityMatrix(dims=(3,), mat=a), FockDensityMatrix(dims=(3,), mat=b)
+    assert rho_a.modulus == 3 and list(rho_a.live & rho_b.live) == [False, True, False]
+    assert qcb_fock(rho_a, rho_b) == (dense_qcb(a, b), 0.0) == (0.0, 0.0)
+    assert qcb_fock(rho_b, rho_a) == (dense_qcb(b, a), 1.0) == (0.0, 1.0)
+    assert abs(fidelity_fock(rho_a, rho_b) - dense_fidelity(a, b)) < DENSE_TOL
+
+
 def test_negative_eigenvalue_in_any_sector_raises():
     bad = FockDensityMatrix(dims=(3,), mat=np.diag([0.5, 0.5 + 1e-9, -1e-9]))
     good = FockDensityMatrix(dims=(3,), mat=np.diag([0.5, 0.3, 0.2]))
@@ -801,8 +868,9 @@ def test_stacked_factorizations_are_the_same_bits_as_per_block():
 
 
 def test_verify_factorises_each_block_once(monkeypatch):
-    # about 700 LAPACK calls for the 13 cases: one stacked call per block
-    # size per factorisation (one call per block makes 2,392)
+    # 525 LAPACK calls for the 13 cases: one stacked call per block size
+    # per factorisation, and none for a block without weight (one call per
+    # block makes 2,392, one per block size with the empty ones 679)
     calls = []
     for name in ("eigh", "eigvalsh", "svd"):
         original = getattr(np.linalg, name)
@@ -814,7 +882,7 @@ def test_verify_factorises_each_block_once(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     results = verification.run_all()
     assert all(r.passed for r in results)
-    assert len(calls) <= 800, len(calls)
+    assert len(calls) <= 560, len(calls)
 
 
 def _charge_breaking(dim: int, keep_parity: bool) -> np.ndarray:

@@ -1,6 +1,9 @@
 """Probe parametrization, closed forms, threshold energy, random sweeps."""
 
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +306,16 @@ def test_threshold_divergence_guard():
         threshold_energy(1.0)
     with pytest.raises(ValueError, match="got 0.0"):
         threshold_energy(np.array([0.5, 0.0]))
+
+
+def test_scan_script_prints_a_threshold_over_the_ceiling_as_its_bound(monkeypatch, capsys):
+    # Gamma 0.001 puts eta above 0.998, where the root (about 2000) is over
+    # the 1000 ceiling; the other Gamma's row still prints its threshold
+    script = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "optimal_probe_scan.py"))
+    monkeypatch.setattr(sys, "argv", ["optimal_probe_scan.py", "--n-values", "1", "--damping-values", "0.001", "0.5"])
+    assert script["main"]() == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines() if line.startswith(" 1.00")]
+    assert [row[3] for row in rows] == [">1000", f"{threshold_energy(math.exp(-0.5)):.4f}"]
 
 
 def test_threshold_fit_coefficients():
