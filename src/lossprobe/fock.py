@@ -23,7 +23,7 @@ fidelity floors are relative to the largest eigenvalue over all sectors, and
 an eigenvalue below -1e-10 in any sector raises.  A sector without weight
 (a pure input has weight in one) is an exactly zero block: it is built and
 factorised without LAPACK, adds exactly 0 to the s-curve and both end
-candidates, and leaves the other block's trace norm in the trace distance.
+candidates, and leaves the live block's trace in the trace distance.
 The fidelity keeps only eigenvectors at or above its floor: a floored root
 zeroes a row, which adds no singular value.  The dense route (`expm`, Kraus
 matmuls, complex quadratures, one full `eigh`) is the reference in the
@@ -496,20 +496,20 @@ def qcb_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[float,
 
 
 def _trace_distance(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix, copies: int) -> float:
-    """(1/2) ||rho_a^xM - rho_b^xM||_1: one block per M-tuple of sectors, the Kronecker product of its blocks;
-    with one copy, a sector live in one state only adds that block's trace norm, read from its spectrum."""
+    """(1/2) ||rho_a^xM - rho_b^xM||_1: one block per M-tuple of sectors, the Kronecker product of its blocks.
+
+    Only a tuple live in both states (all its sectors live) calls `eigvalsh`.
+    One live in one state adds the product of its positive blocks' traces: its
+    trace norm, up to the roundoff eigenvalues the positivity check clamps."""
     rho_a, rho_b = _common(rho_a, rho_b)
-    if copies == 1:
-        live = list(zip(rho_a.live, rho_b.live))
-        diffs = [a - b for a, b, (in_a, in_b) in zip(rho_a.blocks, rho_b.blocks, live) if in_a and in_b]
-        one_sided = [(rho_a if in_a else rho_b).spectrum[k][0] for k, (in_a, in_b) in enumerate(live) if in_a != in_b]
-    else:
-        diffs = [
-            reduce(np.kron, [rho_a.blocks[k] for k in ks]) - reduce(np.kron, [rho_b.blocks[k] for k in ks])
-            for ks in itertools.product(range(len(rho_a.blocks)), repeat=copies)
-        ]
-        one_sided = []
-    return 0.5 * sum(float(np.abs(vals).sum()) for vals in _stacked(np.linalg.eigvalsh, diffs) + one_sided)
+    tuples = np.array(list(itertools.product(range(len(rho_a.blocks)), repeat=copies)))
+    diffs, one_sided = [], []
+    for ks, in_a, in_b in zip(tuples, rho_a.live[tuples].all(axis=1), rho_b.live[tuples].all(axis=1)):
+        if in_a and in_b:
+            diffs.append(reduce(np.kron, [rho_a.blocks[k] for k in ks]) - reduce(np.kron, [rho_b.blocks[k] for k in ks]))
+        elif in_a or in_b:
+            one_sided.append(math.prod(float(np.trace((rho_a if in_a else rho_b).blocks[k])) for k in ks))
+    return 0.5 * sum([float(np.abs(vals).sum()) for vals in _stacked(np.linalg.eigvalsh, diffs)] + one_sided)
 
 
 def trace_distance_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> float:

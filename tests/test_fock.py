@@ -775,6 +775,20 @@ def test_one_sided_dead_sectors_match_dense():
     assert_q_pe_f_match(vac, thermal, vac.mat, thermal.mat, float(thermal.diagonal[0]))
 
 
+@pytest.mark.parametrize("copies", [1, 2])
+def test_one_sided_tuples_take_their_trace(copies):
+    # the squeezed vacuum is live in the even sector only, the thermal state
+    # in both, so with two copies three of the four sector tuples are live in
+    # the thermal state alone: each adds the product of its blocks' traces,
+    # found without either state's spectrum
+    a = dense_state(S1(0.5, 0.0), 8)
+    b = np.diag(thermal_diagonal(0.2, 8))
+    rho_a, rho_b = FockDensityMatrix(dims=(8,), mat=a), FockDensityMatrix(dims=(8,), mat=b)
+    assert (rho_a.modulus, rho_b.modulus) == (2, 8)
+    assert abs(helstrom_pe_fock(rho_a, rho_b, copies=copies) - dense_helstrom(a, b, copies)) < 1e-14
+    assert "spectrum" not in rho_a.__dict__ and "spectrum" not in rho_b.__dict__
+
+
 def test_rank_floor_counts_the_sectors_dead_in_the_other_state():
     # rho_a's largest eigenvalue sits at level 0, where rho_b is dead, so the
     # only sector live in both holds rho_a's 5e-13: below the floor relative
