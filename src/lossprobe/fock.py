@@ -12,10 +12,10 @@ preserves the charge difference between row and column.  So every oracle
 state is block diagonal, with blocks of size at most `dim`, and a
 `FockDensityMatrix` stores only those blocks, never a dense matrix.  A
 prepared block U diag(w) U^T keeps (w, U) as its spectrum (U from the
-`eigh` of a real tridiagonal); loss is one diagonal-shift kernel on the
-mode-1 levels, and its output diagonalises its blocks once.  Equal-size
-blocks share one stacked LAPACK call.  Moments come from banded ladder
-expectations, the fidelity from singular values.  The Chernoff s-curve, a
+`eigh` of a real tridiagonal); loss is one Toeplitz product over the mode-1
+diagonals, and its output diagonalises its blocks once.  Equal-size blocks
+share one stacked LAPACK call.  Moments are sums over int32 band maps, the
+fidelity comes from singular values.  The Chernoff s-curve, a
 sum of exponentials in s with non-negative weights, is log-convex: its
 minimum is an edge whose slope points outward, or Newton on the slope inside
 its sign bracket, stopped by the tangents at the bracket ends.  Rank and
@@ -85,6 +85,7 @@ class _Layout(NamedTuple):
     position: np.ndarray  # per basis index: its place in its sector
     size: np.ndarray  # per sector: its length
     start: np.ndarray  # per sector, and one past the end: where its block starts in `data`
+    row_at: np.ndarray  # per basis index i: where its row starts in `data`, so (i, j) sits at row_at[i] + position[j]
     rows: np.ndarray  # per entry of `data`: the basis indices of its row
     cols: np.ndarray  # and of its column
     transpose: np.ndarray  # per entry of `data`: where its mirror entry sits (int32)
@@ -101,9 +102,9 @@ def _sector_layout(dims: tuple[int, ...], modulus: int) -> _Layout:
     rows = np.concatenate([np.repeat(idx, len(idx)) for idx in sectors])
     cols = np.concatenate([np.tile(idx, len(idx)) for idx in sectors])
     start = np.concatenate(([0], np.cumsum(size**2)))
-    row_at = start[sector_of] + position * size[sector_of]  # per basis index: where its row starts in `data`
+    row_at = start[sector_of] + position * size[sector_of]
     maps = (row_at[cols] + position[rows], row_at + position)
-    return _Layout(sectors, sector_of, position, size, start, rows, cols, *(m.astype(np.int32) for m in maps))
+    return _Layout(sectors, sector_of, position, size, start, row_at, rows, cols, *(m.astype(np.int32) for m in maps))
 
 
 def _stacked(fn, mats: list[np.ndarray]) -> list:
@@ -120,11 +121,43 @@ def _stacked(fn, mats: list[np.ndarray]) -> list:
     return out
 
 
-def _entries(lay: _Layout, data: np.ndarray, rows, cols) -> np.ndarray:
-    """Dense-matrix entries (rows, cols), broadcast, read from `data`: zero between sectors."""
-    s = lay.sector_of[rows]
-    at = lay.start[s] + lay.position[rows] * lay.size[s] + lay.position[cols]
-    return np.where(s == lay.sector_of[cols], data.take(at, mode="clip"), 0.0)
+@lru_cache(maxsize=32)
+def _diagonal_map(dims: tuple[int, ...], modulus: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(at, deltas, lanes): per entry of `data`, its place in a (d1, len(deltas), lanes) array of mode-1 diagonals.
+
+    Each entry takes its upper mirror's place: level n1 of mode-1 diagonal
+    k1 - n1 >= 0, in the lane of its mode-2 levels (the row's alone when
+    the exact charge fixes the column's); `deltas` lists the diagonals.
+    """
+    lay = _sector_layout(dims, modulus)
+    d1, d2 = dims[0], math.prod(dims[1:])
+    (n1, n2), (k1, k2) = np.divmod(np.minimum(lay.rows, lay.cols), d2), np.divmod(np.maximum(lay.rows, lay.cols), d2)
+    lanes, lane = (d2, n2) if modulus == math.prod(dims) else (d2 * d2, n2 * d2 + k2)
+    present = np.bincount(k1 - n1, minlength=d1) > 0
+    deltas = np.flatnonzero(present)
+    at = (n1 * len(deltas) + (np.cumsum(present) - 1)[k1 - n1]) * lanes + lane
+    return at.astype(np.int32), deltas, lanes
+
+
+@lru_cache(maxsize=32)
+def _moment_bands(dims: tuple[int, ...], modulus: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(positions in `data` (int32), weights) of the band entries inside a sector, per ladder moment:
+    <a>, <a^2> and the truncated <(a a^dag + a^dag a)/2> (top weight (dim - 1)/2) per mode, then <a b>, <a b^dag>."""
+    lay, grid = _sector_layout(dims, modulus), np.arange(math.prod(dims)).reshape(dims)
+
+    def band(rows, cols, w) -> tuple[np.ndarray, np.ndarray]:
+        inside = lay.sector_of[rows] == lay.sector_of[cols]
+        return (lay.row_at[rows] + lay.position[cols])[inside].astype(np.int32), np.broadcast_to(w, rows.shape)[inside]
+
+    bands = []
+    for mode, d in enumerate(dims):
+        flat, n = np.moveaxis(grid, mode, 0).reshape(d, -1), np.arange(d)[:, None]  # flat[n, other mode's level]
+        bands += [band(flat[1:], flat[:-1], np.sqrt(n[1:])), band(flat[2:], flat[:-2], np.sqrt(n[1:-1] * n[2:]))]
+        bands.append(band(flat, flat, np.where(n < d - 1, n + 0.5, 0.5 * (d - 1))))
+    if len(dims) == 2:
+        root = np.sqrt(np.outer(np.arange(1.0, dims[0]), np.arange(1.0, dims[1])))
+        bands += [band(grid[1:, 1:], grid[:-1, :-1], root), band(grid[1:, :-1], grid[:-1, 1:], root)]
+    return bands
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -208,12 +241,12 @@ def _common(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[FockDen
         raise ValueError(f"dims differ: {rho_a.dims} vs {rho_b.dims}")
     modulus = min(rho_a.modulus, rho_b.modulus)
     lay = _sector_layout(rho_a.dims, modulus)
-    a, b = (
-        rho if rho.modulus == modulus else
-        FockDensityMatrix(rho.dims, modulus=modulus, data=_entries(rho.layout, rho.data, lay.rows, lay.cols))
-        for rho in (rho_a, rho_b)
-    )
-    return a, b
+
+    def merged(rho: FockDensityMatrix) -> FockDensityMatrix:  # each entry moved to its place in the coarser blocks
+        at = lay.row_at[rho.layout.rows] + lay.position[rho.layout.cols]
+        return FockDensityMatrix(rho.dims, modulus=modulus, data=np.bincount(at, rho.data, lay.start[-1]))
+
+    return tuple(merged(rho) if rho.modulus > modulus else rho for rho in (rho_a, rho_b))
 
 
 def thermal_diagonal(n_t: float, dim: int) -> np.ndarray:
@@ -310,48 +343,33 @@ def apply_loss_kraus(rho: FockDensityMatrix, eta: float) -> FockDensityMatrix:
     """Loss on the first mode: rho -> sum_m (K_m x I) rho (K_m x I)^T.
 
     K_m = sum_j sqrt(binom(j + m, m) (1 - eta)^m eta^j) |j><j + m| removes m
-    photons, so on the (d1, d2, d1, d2) tensor it is the diagonal shift
-    rho[j + m, :, k + m, :] -> out[j, :, k, :] weighted by K_m[j] K_m[k].
-    The blocks are gathered into a (d1, d1, X) array over the mode-1 row and
-    column levels: X = 1 for one mode, X = d2 (the mode-2 row level; the
-    column level follows) for an exact two-mode charge, else X = d2^2.  Each
-    m is one slice product, and the output keeps the input's sectors.  The
-    binomials come from cumulative log-factorials.  On the truncated space
-    the set is exactly trace preserving: the binomial sum over m <= j is
-    complete for every j < dim.
+    photons, so on the mode-1 levels
+    out[j, k] = eta^((j + k)/2) / sqrt(j! k!) sum_m ((1 - eta)^m / m!) sqrt((j + m)! (k + m)!) rho[j + m, k + m].
+    Scaled by alpha_a = sqrt(a!) / G^a, every mode-1 diagonal k - j of every
+    mode-2 lane meets one Toeplitz kernel T[j, i >= j] = (G^2 (1 - eta))^(i - j)
+    / (i - j)!: one product over the gathered diagonals (`_diagonal_map`).
+    G^2 = dim/e keeps alpha within exp(+-dim/(2e)) and T below exp(dim/e),
+    finite up to a mode-1 cutoff of 1800.  Trace preserving to roundoff: the
+    binomial sum over m <= j is complete for every j < dim.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"transmissivity must be in (0, 1], got {eta}")
     if eta == 1.0:
         return rho
-    d1, d2 = rho.dims[0], math.prod(rho.dims[1:])
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, 2 * d1 - 1)))))
-    m, j = np.arange(d1)[:, None], np.arange(d1)[None, :]
-    # amp[m, j] = K_m[j]; only entries with j + m < d1 are read
-    amp = np.exp(0.5 * (log_fact[j + m] - log_fact[m] - log_fact[j] + m * math.log(1.0 - eta) + j * math.log(eta)))
-    (n1, n2), (k1, k2) = np.divmod(rho.layout.rows, d2), np.divmod(rho.layout.cols, d2)
-    exact = rho.modulus == d1 * d2
-    width = d2 if exact else d2 * d2
-    at = (n1 * d1 + k1) * width + (n2 if exact else n2 * d2 + k2)
-    src, out = np.zeros((2, d1, d1, width))
-    src.flat[at] = rho.data
-    for lost in range(d1):
-        w = amp[lost, : d1 - lost]
-        out[: d1 - lost, : d1 - lost] += np.outer(w, w)[:, :, None] * src[lost:, lost:]
-    return FockDensityMatrix(rho.dims, modulus=rho.modulus, data=out.ravel()[at])
-
-
-def _ladder(rho1: np.ndarray) -> tuple[float, float, float]:
-    """<a>, <a^2> and <(a a^dag + a^dag a)/2> of a one-mode matrix.
-
-    The operators are the truncated matrices, so a a^dag has 0, not dim,
-    as its top diagonal entry.
-    """
-    n = np.arange(1.0, rho1.shape[0])
-    a1 = float(np.diagonal(rho1, -1) @ np.sqrt(n))
-    a2 = float(np.diagonal(rho1, -2) @ np.sqrt(n[:-1] * n[1:]))
-    sym = float(np.diagonal(rho1)[:-1] @ (n - 0.5)) + 0.5 * (rho1.shape[0] - 1) * float(rho1[-1, -1])
-    return a1, a2, sym
+    if (d1 := rho.dims[0]) > 1800:
+        raise ValueError(f"the loss kernel's scales overflow past a mode-1 cutoff of 1800, got {d1}")
+    at, deltas, lanes = _diagonal_map(rho.dims, rho.modulus)
+    g2, n = d1 / math.e, np.arange(1.0, d1)
+    alpha = np.cumprod(np.concatenate(([1.0], np.sqrt(n / g2))))
+    decay = np.cumprod(np.concatenate(([1.0], g2 * (1.0 - eta) / n)))
+    gain = eta ** (0.5 * np.arange(d1)) / alpha
+    kernel = np.triu(decay[np.abs(np.subtract.outer(np.arange(d1), np.arange(d1)))])
+    pair = np.minimum(np.arange(d1)[:, None] + deltas, d1 - 1)  # the column level; slots past d1 hold zeros
+    grid = np.zeros((d1, len(deltas), lanes))
+    grid.reshape(-1)[at] = rho.data
+    grid *= (alpha[:, None] * alpha[pair])[:, :, None]
+    out = (kernel @ grid.reshape(d1, -1)).reshape(grid.shape) * (gain[:, None] * gain[pair])[:, :, None]
+    return FockDensityMatrix(rho.dims, modulus=rho.modulus, data=out.take(at))
 
 
 def moments_from_fock(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -359,29 +377,16 @@ def moments_from_fock(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
 
     The state is real symmetric, so <X^T> = <X> for every real ladder
     monomial X: every <p> and every q-p covariance vanishes, and the rest
-    follows from <a>, <a^2>, <a a^dag + a^dag a> per mode and, for two
-    modes, <a b> and <a b^dag>, each read off one diagonal band.  The
-    entries t[n1, n2, k1, k2] of the (d1, d2, d1, d2) tensor come from the
-    blocks (d2 = 1 for one mode).
+    follows from the ladder moments, each one weighted sum over its band of
+    `data` (`_moment_bands`).
     """
-    d1, d2 = rho.dims[0], math.prod(rho.dims[1:])
-
-    def t(n1, n2, k1, k2) -> np.ndarray:
-        return _entries(rho.layout, rho.data, n1 * d2 + n2, k1 * d2 + k2)
-
-    i, j = np.arange(d1)[:, None, None], np.arange(d2)[:, None]
-    modes = [_ladder(t(i, j, np.arange(d1), j).sum(axis=1))]
-    if len(rho.dims) == 2:
-        modes.append(_ladder(t(i, j, i, np.arange(d2)).sum(axis=0)))
-    first, second = np.zeros(2 * len(modes)), np.zeros((2 * len(modes), 2 * len(modes)))
-    for k, (a1, a2, sym) in enumerate(modes):
-        first[2 * k] = math.sqrt(2.0) * a1
-        second[2 * k, 2 * k], second[2 * k + 1, 2 * k + 1] = sym + a2, sym - a2
-    if len(modes) == 2:
-        root = np.outer(np.sqrt(np.arange(1.0, d1)), np.sqrt(np.arange(1.0, d2)))
-        i, j = np.arange(d1 - 1)[:, None], np.arange(d2 - 1)
-        ab = float(np.sum(t(i + 1, j + 1, i, j) * root))
-        ab_dag = float(np.sum(t(i + 1, j, i, j + 1) * root))
+    values = np.array([(rho.data.take(at) * w).sum() for at, w in _moment_bands(rho.dims, rho.modulus)])
+    modes = len(rho.dims)
+    a1, a2, sym = values[: 3 * modes].reshape(modes, 3).T
+    first, second = np.zeros(2 * modes), np.diag(np.column_stack((sym + a2, sym - a2)).ravel())
+    first[::2] = math.sqrt(2.0) * a1
+    if modes == 2:
+        ab, ab_dag = values[6:]
         second[0, 2] = second[2, 0] = ab + ab_dag
         second[1, 3] = second[3, 1] = ab_dag - ab
     return first, second - np.outer(first, first)

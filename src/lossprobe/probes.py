@@ -288,16 +288,21 @@ def random_probes(
 ) -> list[tuple[float, float, float]]:
     """(N, beta, Gamma) draws, uniform on (0, n_max] x [0, 1) x (0, gamma_ch_max].
 
-    Draw k comes from its own counter-based generator, Philox keyed by seed
-    at counter (0, stream, 0, k), so it is the same bit for bit however many
+    Draw k comes from its own counter-based stream, Philox keyed by seed at
+    counter (0, stream, 0, k), so it is the same bit for bit however many
     draws are taken; distinct streams give independent draws for one seed.
+    One bit generator moves to each counter; the top 53 bits of its first
+    three words, times 2^-53, are the doubles of `Generator.uniform`.
     """
-    out = []
+    bits = np.random.Philox(key=seed)
+    state, raw = bits.state, np.empty((count, 4), dtype=np.uint64)  # state's buffer_pos 4: the buffer is empty
+    state["state"]["counter"][1] = stream
     for k in range(count):
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, stream, 0, k]))
-        u0, u1, u2 = rng.uniform(size=3).tolist()
-        out.append((ranges.n_max * (1.0 - u0), u1, ranges.gamma_ch_max * (1.0 - u2)))
-    return out
+        state["state"]["counter"][3] = k
+        bits.state = state
+        raw[k] = bits.random_raw(4)
+    u = ((raw[:, :3] >> np.uint64(11)) * 2.0**-53).T
+    return list(zip((ranges.n_max * (1.0 - u[0])).tolist(), u[1].tolist(), (ranges.gamma_ch_max * (1.0 - u[2])).tolist()))
 
 
 @dataclass(frozen=True)

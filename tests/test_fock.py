@@ -328,6 +328,40 @@ def test_loss_rejects_bad_transmissivity(single_st):
         apply_loss_kraus(single_st, 1.2)
 
 
+@pytest.mark.parametrize("eta", [1e-3, 0.5, 1.0 - 1e-9])
+def test_loss_at_high_cutoff_matches_the_exact_binomials(eta):
+    # sqrt(250!) is far past the float range, so this guards the kernel's
+    # geometric scaling: |250><250| and the coherence between 250 and 248
+    # photons at dim 300, against K_m[j] = <j|K_m|j + m> from lgamma
+    dim = 300
+
+    def amp(j: int, m: int) -> float:
+        log_binom = math.lgamma(j + m + 1) - math.lgamma(m + 1) - math.lgamma(j + 1)
+        return math.exp(0.5 * (log_binom + m * math.log(1.0 - eta) + j * math.log(eta)))
+
+    for n, k, weight in ((250, 250, 1.0), (250, 248, 0.5)):
+        mat = np.zeros((dim, dim))
+        mat[n, k] = mat[k, n] = weight
+        out = apply_loss_kraus(FockDensityMatrix((dim,), mat), eta)
+        ref = np.zeros((dim, dim))
+        for m in range(k + 1):
+            ref[n - m, k - m] = ref[k - m, n - m] = weight * amp(n - m, m) * amp(k - m, m)
+        assert np.max(np.abs(out.mat - ref)) <= 1e-13, (n, k)
+
+
+def test_loss_kernel_stays_finite_up_to_its_cutoff_limit():
+    # the scales reach exp(dim/e): finite at a mode-1 cutoff of 1800, refused past it
+    for dim in (1800, 1801):
+        top = np.zeros(dim)
+        top[-1] = 1.0
+        rho = FockDensityMatrix((dim,), modulus=dim, data=top)
+        if dim == 1801:
+            with pytest.raises(ValueError, match="1800"):
+                apply_loss_kraus(rho, 1e-3)
+        else:
+            assert abs(float(apply_loss_kraus(rho, 1e-3).diagonal.sum()) - 1.0) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # s-overlap and Chernoff quantity
 # ---------------------------------------------------------------------------
@@ -635,6 +669,33 @@ def test_verification_covers_the_sampled_domain():
         results = verification.run_case(case)
         assert len(results) == 8, name
         assert all(r.passed for r in results), [(r.case, r.check, r.value) for r in results if not r.passed]
+
+
+# Rows of the figure grids at the paper's energies, each at a cutoff where
+# q_fock has converged: a cutoff 25% higher moves it by at most 1.4e-12, and
+# the truncation deficit alone is no guide (the first row's deficit is 5e-9
+# at dim 336, where q_fock is still 1.1e-6 low).  The last row is of the
+# two-mode, gamma = 1, mixed kind whose infimum is the s -> 0 limit: the
+# Gaussian qcb reports Q at s = S_EPS instead, 1.9e-7 too high.
+PAPER_ENERGY_ROWS = [
+    pytest.param(ProbeSpec(1, 10.0, 0.3), 1.0, 800, id="single-N10-beta0.3-Gamma1"),
+    pytest.param(ProbeSpec(1, 5.0, 0.5), 0.9, 450, id="single-N5-beta0.5-Gamma0.9"),
+    pytest.param(ProbeSpec(2, 5.0, 0.1, 0.999), 0.2, 140, id="two-mode-N5-beta0.1-gamma0.999-Gamma0.2"),
+    pytest.param(
+        ProbeSpec(2, 4.0, 0.8), 2.0, 80, id="two-mode-N4-beta0.8-Gamma2",
+        marks=pytest.mark.xfail(strict=True, reason="qcb stops at s = S_EPS short of the exact s -> 0 end (ROADMAP items 3b and 10)"),
+    ),
+]
+
+
+@pytest.mark.parametrize("spec,gamma_ch,dim", PAPER_ENERGY_ROWS)
+def test_oracle_matches_qcb_at_the_papers_energies(spec, gamma_ch, dim):
+    params, eta = params_from_spec(spec), math.exp(-gamma_ch)
+    recover = output_params_single if spec.modes == 1 else output_params_two
+    q = float(qcb(params, recover(params, LossChannel.from_eta(eta))).q)
+    rho = fock_squeezed_thermal(params, TruncationConfig(dim=dim))
+    q_fock, _ = qcb_fock(rho, apply_loss_kraus(rho, eta))
+    assert abs(q_fock - q) <= 1e-10, q_fock - q
 
 
 # ---------------------------------------------------------------------------

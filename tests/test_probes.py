@@ -27,6 +27,7 @@ from lossprobe.probes import (
     q1_analytic,
     q2,
     q2_analytic,
+    random_probes,
     random_sweep,
     threshold_energy,
     threshold_fit_near_critical,
@@ -344,6 +345,26 @@ def test_sweep_prefix_stability():
     long = random_sweep(30, 0.9, seed=7)
     short = random_sweep(10, 0.9, seed=7)
     assert long[:10] == short
+
+
+def generator_per_draw(count: int, seed: int, stream: int, ranges: SweepRanges) -> list[tuple[float, float, float]]:
+    """The reference draws: one Philox Generator per draw, at counter (0, stream, 0, k)."""
+    out = []
+    for k in range(count):
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, stream, 0, k]))
+        u0, u1, u2 = rng.uniform(size=3).tolist()
+        out.append((ranges.n_max * (1.0 - u0), u1, ranges.gamma_ch_max * (1.0 - u2)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 2**128 - 1])
+@pytest.mark.parametrize("stream", [0, 1])
+def test_random_probes_are_the_same_bits_as_a_generator_per_draw(seed, stream):
+    for count, ranges in ((500, SweepRanges()), (300, SweepRanges(n_max=3.0, gamma_ch_max=0.7))):
+        draws = random_probes(count, seed, stream=stream, ranges=ranges)
+        assert draws == generator_per_draw(count, seed, stream, ranges)
+        assert all(type(x) is float for draw in draws for x in draw)
+    assert random_probes(0, seed, stream=stream) == []
 
 
 def test_sweep_ranges_respected():
