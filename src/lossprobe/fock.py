@@ -9,25 +9,22 @@ comparisons stay honest.
 Charge sectors.  Single-mode squeezing conserves photon-number parity,
 two-mode squeezing conserves the charge n1 - n2, and loss on the first mode
 preserves the charge difference between row and column.  So every oracle
-state is block diagonal, with blocks of size at most `dim`, and a
-`FockDensityMatrix` stores only those blocks, never a dense matrix.  A
-prepared block U diag(w) U^T keeps (w, U) as its spectrum (U from the
-`eigh` of a real tridiagonal); loss is one Toeplitz product over the mode-1
-diagonals, and its output diagonalises its blocks once.  Equal-size blocks
-share one stacked LAPACK call.  Moments are sums over int32 band maps, the
-fidelity comes from singular values.  The Chernoff s-curve, a
-sum of exponentials in s with non-negative weights, is log-convex: its
-minimum is an edge whose slope points outward, or Newton on the slope inside
-its sign bracket, stopped by the tangents at the bracket ends.  Rank and
-fidelity floors are relative to the largest eigenvalue over all sectors, and
-an eigenvalue below -1e-10 in any sector raises.  A sector without weight
-(a pure input has weight in one) is an exactly zero block: it is built and
-factorised without LAPACK, adds exactly 0 to the s-curve and both end
-candidates, and leaves the live block's trace in the trace distance.
-The fidelity keeps only eigenvectors at or above its floor: a floored root
-zeroes a row, which adds no singular value.  The dense route (`expm`, Kraus
-matmuls, complex quadratures, one full `eigh`) is the reference in the
-tests.  This module imports only numpy.
+state is block diagonal, and a `FockDensityMatrix` stores only its blocks,
+by size: each size class is one contiguous (count, n, n) view of `data`,
+and every stage makes one stacked call per class.  A prepared block U
+diag(w) U^T keeps (w, U) as its spectrum (U from the `eigh` of a real
+tridiagonal); loss is one Toeplitz product over the mode-1 diagonals;
+moments are sums over int32 band maps.  The Chernoff s-curve, a sum of
+exponentials in s with non-negative weights, is log-convex: its minimum is
+an edge whose slope points outward, or Newton on the slope inside its sign
+bracket, stopped by the tangents at the bracket ends.  Rank and fidelity
+floors are relative to the largest eigenvalue over all sectors, and an
+eigenvalue below -1e-10 in any sector raises.  A sector without weight (a
+pure input has weight in one) is an exactly zero block that no LAPACK call
+sees: it adds exactly 0 to the s-curve and both end candidates, and the
+trace distance takes the live block's trace.  The dense route (`expm`,
+Kraus matmuls, complex quadratures, one full `eigh`) is the reference in
+the tests.  This module imports only numpy.
 
 Quadratures follow the package convention q = (a + a^dag)/sqrt(2),
 p = (a - a^dag)/(i sqrt(2)), vacuum variance 1/2.
@@ -80,7 +77,8 @@ def _charge(dims: tuple[int, ...]) -> np.ndarray:
 
 
 class _Layout(NamedTuple):
-    sectors: list[np.ndarray]  # flat basis indices of each class, ascending
+    sectors: list[np.ndarray]  # per size class: the flat basis indices of its sectors, (count, n), each row ascending
+    classes: list[tuple[int, int, int]]  # per size class, ascending: (n, first sector, end sector)
     sector_of: np.ndarray  # per basis index: its sector
     position: np.ndarray  # per basis index: its place in its sector
     size: np.ndarray  # per sector: its length
@@ -94,31 +92,28 @@ class _Layout(NamedTuple):
 
 @lru_cache(maxsize=32)
 def _sector_layout(dims: tuple[int, ...], modulus: int) -> _Layout:
-    """The classes of charge mod `modulus`, ascending, each block raveled after the last."""
-    _, sector_of, size = np.unique(_charge(dims) % modulus, return_inverse=True, return_counts=True)
-    sectors = [np.flatnonzero(sector_of == k) for k in range(sector_of.max() + 1)]
+    """The sectors (classes of charge mod `modulus`) by size, then by charge, each block raveled after
+    the last: the blocks of one size, a size class, make one contiguous (count, n, n) stretch of `data`."""
+    _, charge_of, counts = np.unique(_charge(dims) % modulus, return_inverse=True, return_counts=True)
+    order = np.argsort(counts, kind="stable")
+    size, sector_of = counts[order], np.argsort(order)[charge_of]
+    members = [np.flatnonzero(sector_of == k) for k in range(len(size))]
+    sizes, first = np.unique(size, return_index=True)
+    classes = list(zip(sizes.tolist(), first.tolist(), first[1:].tolist() + [len(size)]))
     position = np.empty_like(sector_of)
-    position[np.concatenate(sectors)] = np.concatenate([np.arange(len(idx)) for idx in sectors])
-    rows = np.concatenate([np.repeat(idx, len(idx)) for idx in sectors])
-    cols = np.concatenate([np.tile(idx, len(idx)) for idx in sectors])
+    position[np.concatenate(members)] = np.concatenate([np.arange(len(idx)) for idx in members])
+    rows = np.concatenate([np.repeat(idx, len(idx)) for idx in members])
+    cols = np.concatenate([np.tile(idx, len(idx)) for idx in members])
     start = np.concatenate(([0], np.cumsum(size**2)))
     row_at = start[sector_of] + position * size[sector_of]
     maps = (row_at[cols] + position[rows], row_at + position)
-    return _Layout(sectors, sector_of, position, size, start, row_at, rows, cols, *(m.astype(np.int32) for m in maps))
+    sectors = [np.array(members[a:b]) for _, a, b in classes]
+    return _Layout(sectors, classes, sector_of, position, size, start, row_at, rows, cols, *(m.astype(np.int32) for m in maps))
 
 
-def _stacked(fn, mats: list[np.ndarray]) -> list:
-    """fn of each matrix, one stacked call per shape: a linalg gufunc
-    factorises each matrix of a stack alone, so the bits are those of one call each."""
-    by_shape: dict[tuple[int, ...], list[int]] = {}
-    for k, m in enumerate(mats):
-        by_shape.setdefault(m.shape, []).append(k)
-    out: list = [None] * len(mats)
-    for ks in by_shape.values():
-        res = fn(np.stack([mats[k] for k in ks]))
-        for k, r in zip(ks, zip(*res) if isinstance(res, tuple) else res):
-            out[k] = r
-    return out
+def _select(keep: np.ndarray, *stacks: np.ndarray) -> list[np.ndarray]:
+    """The members of each stack where `keep`: the stacks themselves, uncopied, where it keeps all."""
+    return list(stacks) if keep.all() else [x[keep] for x in stacks]
 
 
 @lru_cache(maxsize=32)
@@ -205,9 +200,9 @@ class FockDensityMatrix:
             raise ValueError(f"trace {self.diagonal.sum()} exceeds 1")
 
     @cached_property
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        """One square block per sector, each a view into `data`."""
-        return tuple(self.data[a : a + n * n].reshape(n, n) for a, n in zip(self.layout.start, self.layout.size))
+    def stacks(self) -> list[np.ndarray]:
+        """The blocks of each size class, ascending in size: a (count, n, n) view into `data`."""
+        return [self.data[self.layout.start[a] : self.layout.start[b]].reshape(b - a, n, n) for n, a, b in self.layout.classes]
 
     @cached_property
     def live(self) -> np.ndarray:
@@ -227,9 +222,17 @@ class FockDensityMatrix:
 
     @cached_property
     def spectrum(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(eigenvalues, eigenvectors) per block, negatives clamped to 0; a dead block is (zeros, identity)."""
-        found = iter(_stacked(np.linalg.eigh, [b for b, live in zip(self.blocks, self.live) if live]))
-        spectra = [next(found) if live else (np.zeros(len(b)), np.eye(len(b))) for b, live in zip(self.blocks, self.live)]
+        """(eigenvalues (count, n), eigenvectors (count, n, n)) per size class, negatives clamped to 0:
+        one stacked `eigh` per class over its live blocks; a dead block is (zeros, identity)."""
+        spectra = []
+        for (n, a, b), stack in zip(self.layout.classes, self.stacks):
+            if (live := self.live[a:b]).all():
+                vals, vecs = np.linalg.eigh(stack)
+            else:
+                vals, vecs = np.zeros((b - a, n)), np.broadcast_to(np.eye(n), stack.shape).copy()
+                if live.any():
+                    vals[live], vecs[live] = np.linalg.eigh(stack[live])
+            spectra.append((vals, vecs))
         if (low := min(vals.min() for vals, _ in spectra)) < -EIG_CLAMP:
             raise ArithmeticError(f"density matrix eigenvalue {low:.3e} below -1e-10")
         return [(np.maximum(vals, 0.0), vecs) for vals, vecs in spectra]
@@ -259,20 +262,26 @@ def thermal_diagonal(n_t: float, dim: int) -> np.ndarray:
     return np.exp(m * math.log(n_t) - (m + 1) * math.log(n_t + 1.0))
 
 
-def _squeeze_unitaries(subs: list[np.ndarray]) -> list[np.ndarray]:
-    """exp(G) for each G = diag(sub, -1) - diag(sub, 1), each distinct nonzero one once.
+def _squeeze_unitaries(subs: np.ndarray) -> np.ndarray:
+    """exp(G) for each row of `subs`, G = diag(sub, -1) - diag(sub, 1): one stacked `eigh` over the distinct rows.
 
     G = -i D T D^* with D = diag(i^j) and T = diag(sub, -1) + diag(sub, 1), so
     exp(G)[j, k] = i^(j - k) (cos T - i sin T)[j, k]: cos T, sin T, -cos T or
     -sin T for (j - k) mod 4 = 0 to 3 (T is a path: cos T is even, sin T odd).
+    A zero row (no squeezing, a 1 x 1 block, or a block without weight) gives the identity without LAPACK.
     """
-    distinct = {sub.tobytes(): sub for sub in subs if sub.any()}
-    spectra = _stacked(np.linalg.eigh, [np.diag(sub, -1) + np.diag(sub, 1) for sub in distinct.values()])
-    exps = {}
-    for key, (w, v) in zip(distinct, spectra):
-        cos, sin = (v * np.cos(w)) @ v.T, (v * np.sin(w)) @ v.T
-        exps[key] = np.choose(np.subtract.outer(np.arange(len(w)), np.arange(len(w))) % 4, (cos, sin, -cos, -sin))
-    return [exps[sub.tobytes()] if sub.any() else np.eye(len(sub) + 1) for sub in subs]
+    n, nonzero = subs.shape[1] + 1, subs.any(axis=1)
+    out = np.broadcast_to(np.eye(n), (len(subs), n, n)).copy()
+    if nonzero.any():
+        first = (subs[:, None] == subs).all(axis=2).argmax(axis=1)  # per row, the first row equal to it
+        distinct = np.flatnonzero((first == np.arange(len(subs))) & nonzero)
+        t = np.zeros((len(distinct), n * n))
+        t[:, 1 :: n + 1] = t[:, n :: n + 1] = subs[distinct]  # the super- and subdiagonal
+        w, v = np.linalg.eigh(t.reshape(-1, n, n))
+        cos, sin = (v * np.cos(w)[:, None]) @ v.mT, (v * np.sin(w)[:, None]) @ v.mT
+        exps = np.choose(np.subtract.outer(np.arange(n), np.arange(n)) % 4, (cos, sin, -cos, -sin))
+        out[nonzero] = exps[np.searchsorted(distinct, first[nonzero])]
+    return out
 
 
 def truncation_deficit(rho: FockDensityMatrix) -> float:
@@ -302,7 +311,7 @@ def fock_squeezed_thermal(
     exp(r (a^dag b^dag - a b)) couples (n1, n2) to (n1 + 1, n2 + 1) inside
     each sector of fixed n1 - n2.  Each sector's generator is tridiagonal in
     that chain, and its block U diag(weights) U^T keeps (weights, U) as its
-    spectrum.
+    spectrum; the blocks of one size are built as one stack.
 
     Raises TruncationError if the truncation deficit (lost trace plus
     top-level spillover) exceeds cfg.tail_tol.
@@ -327,11 +336,11 @@ def fock_squeezed_thermal(
 
     else:
         raise TypeError(f"unsupported parameter type {type(params).__name__}")
-    sectors = _sector_layout(dims, modulus).sectors
-    live = [weights[idx].any() for idx in sectors]
-    found = iter(_squeeze_unitaries([coupling(idx[:-1]) for idx, k in zip(sectors, live) if k]))
-    spectrum = [(weights[idx], next(found) if k else np.eye(len(idx))) for idx, k in zip(sectors, live)]
-    data = np.concatenate([((u * w) @ u.T).ravel() if k else np.zeros(len(w) ** 2) for (w, u), k in zip(spectrum, live)])
+    lay = _sector_layout(dims, modulus)
+    # each level's link up its chain, 0 in a sector without weight: its block keeps the identity
+    link = coupling(np.arange(math.prod(dims))) * (np.bincount(lay.sector_of, weights) > 0.0)[lay.sector_of]
+    spectrum = [(weights[idx], _squeeze_unitaries(link[idx[:, :-1]])) for idx in lay.sectors]  # per size class
+    data = np.concatenate([((u * w[:, None, :]) @ u.mT).ravel() if w.any() else np.zeros(u.size) for w, u in spectrum])
     out = FockDensityMatrix(dims, modulus=modulus, data=data, spectrum=spectrum)
     deficit = truncation_deficit(out)
     if deficit > cfg.tail_tol:
@@ -397,18 +406,18 @@ def _spectral_overlap(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lam, table, mu): both spectra and |<v_i|w_j>|^2, one row per sector live in both states.
 
-    Rows are zero-padded to the widest; a padded eigenvalue is an exact 0
-    with a zero overlap row, and so is a sector dead in either state: both add nothing.
-    Tr[rho_a^s rho_b^(1-s)] = sum over rows of lam^s @ table @ mu^(1-s), so
-    after this one factorization each s evaluation is one batched product.
+    Rows come class by class (one batched product each), zero-padded to the widest: a padded
+    eigenvalue is an exact 0 with a zero overlap row.  Tr[rho_a^s rho_b^(1-s)] = sum over rows of
+    lam^s @ table @ mu^(1-s), so after this one factorization each s evaluation is one batched product.
     """
     rho_a, rho_b = _common(rho_a, rho_b)
-    both = np.flatnonzero(rho_a.live & rho_b.live)
-    count, width = len(both), int(rho_a.layout.size[both].max(initial=0))
-    lam, mu, table = np.zeros((count, width)), np.zeros((count, width)), np.zeros((count, width, width))
-    for row, k in enumerate(both):
-        (la, va), (lb, vb), n = rho_a.spectrum[k], rho_b.spectrum[k], rho_a.layout.size[k]
-        lam[row, :n], mu[row, :n], table[row, :n, :n] = la, lb, (va.T @ vb) ** 2
+    both = rho_a.live & rho_b.live
+    ends, width = np.concatenate(([0], np.cumsum(both))), int(rho_a.layout.size[both].max(initial=0))
+    lam, mu, table = np.zeros((ends[-1], width)), np.zeros((ends[-1], width)), np.zeros((ends[-1], width, width))
+    for (n, a, b), (la, va), (lb, vb) in zip(rho_a.layout.classes, rho_a.spectrum, rho_b.spectrum):
+        if ends[b] > ends[a]:  # the class's sectors live in both take rows ends[a] to ends[b]
+            (la, va, lb, vb), rows = _select(both[a:b], la, va, lb, vb), slice(ends[a], ends[b])
+            lam[rows, :n], mu[rows, :n], table[rows, :n, :n] = la, lb, (va.mT @ vb) ** 2
     return lam, table, mu
 
 
@@ -500,21 +509,26 @@ def qcb_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[float,
     return q, s_star
 
 
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The Kronecker product of every pair of blocks: (p, n, n) and (q, m, m) give (p q, n m, n m), x's blocks major."""
+    return (x[:, None, :, None, :, None] * y[None, :, None, :, None, :]).reshape(len(x) * len(y), x.shape[1] * y.shape[1], -1)
+
+
 def _trace_distance(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix, copies: int) -> float:
     """(1/2) ||rho_a^xM - rho_b^xM||_1: one block per M-tuple of sectors, the Kronecker product of its blocks.
 
-    Only a tuple live in both states (all its sectors live) calls `eigvalsh`.
-    One live in one state adds the product of its positive blocks' traces: its
-    trace norm, up to the roundoff eigenvalues the positivity check clamps."""
+    A tuple live in one state only adds the product of its positive blocks' traces (its trace norm, up to
+    the roundoff eigenvalues the positivity check clamps); those live in both make one `eigvalsh` per class tuple."""
     rho_a, rho_b = _common(rho_a, rho_b)
-    tuples = np.array(list(itertools.product(range(len(rho_a.blocks)), repeat=copies)))
-    diffs, one_sided = [], []
-    for ks, in_a, in_b in zip(tuples, rho_a.live[tuples].all(axis=1), rho_b.live[tuples].all(axis=1)):
-        if in_a and in_b:
-            diffs.append(reduce(np.kron, [rho_a.blocks[k] for k in ks]) - reduce(np.kron, [rho_b.blocks[k] for k in ks]))
-        elif in_a or in_b:
-            one_sided.append(math.prod(float(np.trace((rho_a if in_a else rho_b).blocks[k])) for k in ks))
-    return 0.5 * sum([float(np.abs(vals).sum()) for vals in _stacked(np.linalg.eigvalsh, diffs)] + one_sided)
+    live = [reduce(np.logical_and.outer, [rho.live] * copies) for rho in (rho_a, rho_b)]  # per M-tuple of sectors
+    both = live[0] & live[1]
+    total = sum(reduce(np.multiply.outer, [np.bincount(rho.layout.sector_of, rho.diagonal)] * copies)[mine & ~both].sum()
+                for rho, mine in zip((rho_a, rho_b), live))
+    for cs in itertools.product(zip(rho_a.layout.classes, rho_a.stacks, rho_b.stacks), repeat=copies):
+        if (keep := both[tuple(slice(a, b) for (_, a, b), _, _ in cs)].ravel()).any():
+            diff = reduce(_kron, [sa for _, sa, _ in cs]) - reduce(_kron, [sb for _, _, sb in cs])
+            total += np.abs(np.linalg.eigvalsh(_select(keep, diff)[0])).sum()
+    return 0.5 * float(total)
 
 
 def trace_distance_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> float:
@@ -546,17 +560,19 @@ def fidelity_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> float:
     """Uhlmann fidelity (Tr |sqrt(rho_a) sqrt(rho_b)|)^2 = (Tr sqrt(sqrt(rho_a) rho_b sqrt(rho_a)))^2.
 
     Per block, the singular values of diag(sqrt(la)) Va^T Vb diag(sqrt(lb)),
-    from both spectra: no root is taken of a roundoff eigenvalue, whose
-    root (3e-9 for 1e-17) would survive into the trace.  So each state's
-    roots also have a floor relative to its largest eigenvalue: weight this
-    far below the top of a trace-1 spectrum is noise.  A floored root would
-    zero a row, which adds no singular value, so the blocks are rectangular.
+    one stacked `svd` per size class: no root is taken of a roundoff
+    eigenvalue (3e-9 for 1e-17 would survive into the trace), so each
+    state's roots have a floor relative to its largest eigenvalue.  Only the
+    columns that some member of the class supports are kept; a floored root
+    among them zeroes its row (column), adding a singular value of roundoff size.
     """
     rho_a, rho_b = _common(rho_a, rho_b)
-    support = []
-    for rho in (rho_a, rho_b):
-        floor = 1e-13 * max(vals.max() for vals, _ in rho.spectrum)
-        support.append([(np.sqrt(vals[vals >= floor]), vecs[:, vals >= floor]) for vals, vecs in rho.spectrum])
-    mats = [ra[:, None] * (va.T @ vb) * rb for (ra, va), (rb, vb) in zip(*support) if len(ra) and len(rb)]
-    svals = _stacked(lambda x: np.linalg.svd(x, compute_uv=False), mats)
-    return sum(float(vals.sum()) for vals in svals) ** 2
+    floors = [1e-13 * max(vals.max() for vals, _ in rho.spectrum) for rho in (rho_a, rho_b)]
+    total = 0.0
+    for (la, va), (lb, vb) in zip(rho_a.spectrum, rho_b.spectrum):
+        ra, rb = (np.sqrt(np.where(vals >= floor, vals, 0.0)) for vals, floor in ((la, floors[0]), (lb, floors[1])))
+        if (both := ra.any(axis=1) & rb.any(axis=1)).any():
+            ca, cb = ra.any(axis=0), rb.any(axis=0)  # the columns some member of the class supports
+            ra, va, rb, vb = _select(both, ra[:, ca], va[:, :, ca], rb[:, cb], vb[:, :, cb])
+            total += float(np.linalg.svd(ra[:, :, None] * (va.mT @ vb) * rb[:, None, :], compute_uv=False).sum())
+    return total**2

@@ -5,11 +5,12 @@ through the Kraus form of the loss channel, and checks moments, overlaps,
 Chernoff quantities, Helstrom error, and fidelity against the Gaussian
 machinery and against closed forms.
 
-The package builds and analyses states sector by sector.  The dense route
-below (scipy `expm` of the full generator, Kraus matmuls, complex quadrature
-matrices, one `eigh` of the whole matrix) is the reference it must match at
-small cutoffs.  The per-sector exponential is also checked against its
-complex route, `eigh(i G)`.
+The package builds and analyses states by charge sector, one stacked call
+per size class of sectors.  The dense route below (scipy `expm` of the full
+generator, Kraus matmuls, complex quadrature matrices, one `eigh` of the
+whole matrix) is the reference it must match at small cutoffs.  The
+per-sector exponential is also checked against its complex route,
+`eigh(i G)`.
 """
 
 import itertools
@@ -32,7 +33,6 @@ from lossprobe.fock import (
     TruncationError,
     _spectral_overlap,
     _squeeze_unitaries,
-    _stacked,
     apply_loss_kraus,
     fidelity_fock,
     fock_squeezed_thermal,
@@ -642,6 +642,21 @@ def test_run_all_makes_one_qcb_stack_per_mode_count(monkeypatch):
         assert [r for r in results if r.case == cases[k].name] == verification.run_case(cases[k]), cases[k].name
 
 
+def test_expected_moments_are_the_bits_of_the_cm_route():
+    # verify's expected CMs come from the parameters; they are the bits that
+    # make_*_st and evolve_* give, for the standard cases and wider probes
+    cases = verification.standard_cases()
+    for spec in (ProbeSpec(1, 5.0, 1.0), ProbeSpec(1, 10.0, 0.3), ProbeSpec(2, 4.0, 0.8, 1.0), ProbeSpec(2, 5.0, 0.1, 0.999)):
+        cases += [verification.OracleCase("wide", params_from_spec(spec), dim=10, eta=eta) for eta in (0.3, 0.77, 1.0)]
+    for case in cases:
+        two_mode = isinstance(case.params_a, T2)
+        make, evolve = (make_two_mode_st, evolve_two) if two_mode else (make_single_mode_st, evolve_single)
+        cm_a = make(case.params_a)
+        cm_b = make(case.params_b) if case.eta is None else evolve(cm_a, LossChannel.from_eta(case.eta))
+        for got, want in zip(verification._expected_cms(case), (cm_a.mat, cm_b.mat)):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), case.name
+
+
 def test_verification_flags_undersized_cutoff():
     deep = next(c for c in verification.standard_cases() if c.params_a == S1(1.0, 0.0))
     results = verification.run_case(deep, dim=12)
@@ -674,13 +689,22 @@ def test_verification_covers_the_sampled_domain():
 # Rows of the figure grids at the paper's energies, each at a cutoff where
 # q_fock has converged: a cutoff 25% higher moves it by at most 1.4e-12, and
 # the truncation deficit alone is no guide (the first row's deficit is 5e-9
-# at dim 336, where q_fock is still 1.1e-6 low).  The last row is of the
-# two-mode, gamma = 1, mixed kind whose infimum is the s -> 0 limit: the
-# Gaussian qcb reports Q at s = S_EPS instead, 1.9e-7 too high.
+# at dim 336, where q_fock is still 1.1e-6 low).  The pure rows (beta = 1)
+# keep weight in one input sector, so their size classes have dead members;
+# each sits at the first cutoff of the ladder 16, 21, 27, ... (times 1.25,
+# plus 1) whose q_fock the next one matches to 1e-12 (at the first cutoff
+# within the deficit bound, 336 and 108, the N = 10 rows are 7.4e-12 low and
+# 1.0e-11 high).  The last row is of the two-mode, gamma = 1, mixed kind whose
+# infimum is the s -> 0 limit: the Gaussian qcb reports Q at s = S_EPS
+# instead, 1.9e-7 too high.
 PAPER_ENERGY_ROWS = [
     pytest.param(ProbeSpec(1, 10.0, 0.3), 1.0, 800, id="single-N10-beta0.3-Gamma1"),
     pytest.param(ProbeSpec(1, 5.0, 0.5), 0.9, 450, id="single-N5-beta0.5-Gamma0.9"),
     pytest.param(ProbeSpec(2, 5.0, 0.1, 0.999), 0.2, 140, id="two-mode-N5-beta0.1-gamma0.999-Gamma0.2"),
+    pytest.param(ProbeSpec(1, 5.0, 1.0), 0.3, 214, id="single-N5-beta1-Gamma0.3"),
+    pytest.param(ProbeSpec(1, 10.0, 1.0), 0.1, 421, id="single-N10-beta1-Gamma0.1"),
+    pytest.param(ProbeSpec(2, 5.0, 1.0), 1.0, 68, id="two-mode-N5-beta1-Gamma1"),
+    pytest.param(ProbeSpec(2, 10.0, 1.0), 0.1, 136, id="two-mode-N10-beta1-Gamma0.1"),
     pytest.param(
         ProbeSpec(2, 4.0, 0.8), 2.0, 80, id="two-mode-N4-beta0.8-Gamma2",
         marks=pytest.mark.xfail(strict=True, reason="qcb stops at s = S_EPS short of the exact s -> 0 end (ROADMAP items 3b and 10)"),
@@ -892,8 +916,8 @@ def test_rebuilt_from_the_dense_view_is_the_same_state(single_st, two_mode_st):
     for rho in (single_st, two_mode_st, thermal, apply_loss_kraus(two_mode_st, 0.6)):
         again = FockDensityMatrix(dims=rho.dims, mat=rho.mat)
         assert again.modulus == rho.modulus
-        assert len(again.blocks) == len(rho.blocks)
-        assert all(np.array_equal(a, b) for a, b in zip(again.blocks, rho.blocks))
+        assert len(again.stacks) == len(rho.stacks)
+        assert all(np.array_equal(a, b) for a, b in zip(again.stacks, rho.stacks))
         # a prepared state carries its construction spectrum, so the round
         # trip is compared with the same blocks passed without one
         lossy = apply_loss_kraus(rho, 0.7)
@@ -904,10 +928,11 @@ def test_rebuilt_from_the_dense_view_is_the_same_state(single_st, two_mode_st):
 def test_prepared_blocks_are_their_construction_spectrum(single_st, two_mode_st):
     thermal = fock_squeezed_thermal(S1(0.0, 0.5), TruncationConfig(dim=20))
     for rho in (single_st, two_mode_st, thermal):
-        assert len(rho.spectrum) == len(rho.blocks)
-        for (w, v), block in zip(rho.spectrum, rho.blocks):
-            assert np.max(np.abs((v * w) @ v.T - block)) < 1e-15
-            assert np.max(np.abs(np.sort(w) - np.linalg.eigvalsh(block))) < 1e-15
+        assert len(rho.spectrum) == len(rho.stacks) == len(rho.layout.classes)
+        for (w, v), stack in zip(rho.spectrum, rho.stacks):
+            assert w.shape == stack.shape[:2] and v.shape == stack.shape
+            assert np.max(np.abs((v * w[:, None, :]) @ v.mT - stack)) < 1e-15
+            assert np.max(np.abs(np.sort(w, axis=1) - np.linalg.eigvalsh(stack))) < 1e-15
 
 
 def complex_squeeze_unitary(sub: np.ndarray) -> np.ndarray:
@@ -919,33 +944,44 @@ def complex_squeeze_unitary(sub: np.ndarray) -> np.ndarray:
 
 def test_real_tridiagonal_exponential_matches_the_complex_route():
     # the chains of both families (single-mode n -> n + 2, two-mode sector k
-    # = 3), at every size up to 55, and a zero generator
-    subs = [np.zeros(4)]
+    # = 3), at every size up to 55, each size as one stack; a zero generator
+    # alone and beside the others; a repeated row is factorised once
     for n in range(1, 56):
         m = np.arange(n - 1.0)
-        subs += [0.5 * 0.8 * np.sqrt((2 * m + 1) * (2 * m + 2)), 0.6 * np.sqrt((m + 1) * (m + 4))]
-    for sub, u in zip(subs, _squeeze_unitaries(subs)):
-        assert np.max(np.abs(u - complex_squeeze_unitary(sub))) < 1e-15, len(sub) + 1
-        assert np.max(np.abs(u @ u.T - np.eye(len(u)))) < 1e-13
+        subs = np.array([0.5 * 0.8 * np.sqrt((2 * m + 1) * (2 * m + 2)), 0.6 * np.sqrt((m + 1) * (m + 4)), np.zeros(n - 1)])
+        for stack in (subs, subs[[0, 1, 0]], subs[2:]):
+            for sub, u in zip(stack, _squeeze_unitaries(stack)):
+                assert np.max(np.abs(u - complex_squeeze_unitary(sub))) < 1e-15, n
+                assert np.max(np.abs(u @ u.T - np.eye(n))) < 1e-13, n
 
 
-def test_stacked_factorizations_are_the_same_bits_as_per_block():
-    rng = np.random.default_rng(7)
-    mats = []
-    for n in (1, 2, 17, 55, 17, 2, 55, 1):
-        x = rng.standard_normal((n, n))
-        mats.append(x @ x.T / n)
-    for fn in (np.linalg.eigh, np.linalg.eigvalsh, lambda x: np.linalg.svd(x, compute_uv=False)):
-        for m, got in zip(mats, _stacked(fn, mats)):
-            alone = fn(m)
-            for a, b in zip(alone if isinstance(alone, tuple) else (alone,), got if isinstance(got, tuple) else (got,)):
-                assert np.array_equal(a, b), len(m)
+def test_class_stacks_are_views_with_the_same_bits_as_each_block_alone(single_st, two_mode_st):
+    # every block of one size sits in one contiguous stretch of `data`, the
+    # classes ascend in size, and a linalg gufunc factorises each matrix of
+    # a stack alone: each member gets the bits of a call on its block alone
+    thermal = fock_squeezed_thermal(S1(0.0, 0.5), TruncationConfig(dim=20))
+    states = (single_st, two_mode_st, thermal, apply_loss_kraus(single_st, 0.6), apply_loss_kraus(two_mode_st, 0.6))
+    svd = lambda x: np.linalg.svd(x, compute_uv=False)  # noqa: E731
+    for rho in states:
+        sizes = [stack.shape[1] for stack in rho.stacks]
+        assert sizes == sorted(set(sizes)) == [n for n, _, _ in rho.layout.classes]
+        assert sum(stack.size for stack in rho.stacks) == rho.data.size
+        for stack in rho.stacks:
+            assert np.shares_memory(stack, rho.data)
+            for fn in (np.linalg.eigh, np.linalg.eigvalsh, svd):
+                got = fn(stack)
+                for k, block in enumerate(stack):
+                    alone = fn(np.array(block))
+                    for x, y in zip(alone if isinstance(alone, tuple) else (alone,), got if isinstance(got, tuple) else (got,)):
+                        assert np.array_equal(x, y[k]), stack.shape
 
 
 def test_verify_factorises_each_block_once(monkeypatch):
-    # 525 LAPACK calls for the 13 cases: one stacked call per block size
-    # per factorisation, and none for a block without weight (one call per
-    # block makes 2,392, one per block size with the empty ones 679)
+    # 486 LAPACK calls for the 13 cases: one stacked call per size class
+    # per factorisation, none for a block without weight, and none for a
+    # covariance matrix (one call per block makes 2,392, one per block size
+    # with the empty ones 679; the fidelity's rectangular supports, one svd
+    # per shape, and the 26 validated CMs of the moment check made 525)
     calls = []
     for name in ("eigh", "eigvalsh", "svd"):
         original = getattr(np.linalg, name)
