@@ -36,7 +36,6 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from itertools import chain
 
 import numpy as np
 
@@ -103,15 +102,15 @@ def _meta_lines(command: str, params: dict) -> list[str]:
     return [f"lossprobe {__version__}", f"command: {command} {pairs}"]
 
 
-def _write_csv(path: str, columns: list[str], rows, meta: list[str]) -> None:
+def _write_csv(path: str, names: list[str], data, meta: list[str]) -> None:
     """CSV with # comment lines, a header row, and 12-significant-digit floats.
 
-    rows is an iterable of rows of floats.  One %-format call renders all of
-    them: "%.12g" % v prints what _fmt(v) does, nan, inf and -0 included.
+    data holds one column of floats per name.  One %-format call renders
+    every row: "%.12g" % v prints what _fmt(v) does, nan, inf and -0 included.
     """
-    values = tuple(chain.from_iterable(rows))
-    text = "".join(f"# {line}\n" for line in meta) + ",".join(columns) + "\n"
-    text += (",".join(["%.12g"] * len(columns)) + "\n") * (len(values) // len(columns)) % values
+    values = tuple(np.column_stack(data).ravel().tolist())
+    text = "".join(f"# {line}\n" for line in meta) + ",".join(names) + "\n"
+    text += (",".join(["%.12g"] * len(names)) + "\n") * (len(values) // len(names)) % values
     _write_text(path, text)
 
 
@@ -128,12 +127,12 @@ def _write_text(path: str, text: str) -> None:
             f.write(text)
 
 
-def _write_table(args: argparse.Namespace, columns: list[str], rows: list, meta: list[str]) -> None:
-    """rows to --output as CSV, or for --format json as one {meta, columns, rows} object."""
+def _write_table(args: argparse.Namespace, names: list[str], data, meta: list[str]) -> None:
+    """Columns to --output as CSV, or for --format json as one {meta, columns, rows} object."""
     if args.format == "json":
-        _write_json(args.output, {"meta": meta, "columns": columns, "rows": rows})
+        _write_json(args.output, {"meta": meta, "columns": names, "rows": np.column_stack(data).tolist()})
     else:
-        _write_csv(args.output, columns, rows, meta)
+        _write_csv(args.output, names, data, meta)
 
 
 def _report_out(args: argparse.Namespace, payload: dict) -> None:
@@ -176,8 +175,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _require(args, "--n-max", *_FINITE_POSITIVE)
     _require(args, "--damping-max", *_DAMPING_MAX)
     ranges = SweepRanges(n_max=args.n_max, gamma_ch_max=args.damping_max)
-    records = random_sweep(args.samples, args.gamma, args.seed, ranges)
-    positive = sum(1 for r in records if r.delta_q > 0) / len(records)
+    n, beta, g_ch, gaps = random_sweep(args.samples, args.gamma, args.seed, ranges)
+    positive = np.count_nonzero(gaps > 0) / len(gaps)
     meta = _meta_lines(
         "sweep",
         {
@@ -189,8 +188,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         },
     ) + [f"positive_fraction = {_fmt(positive)}"]
     columns = ["N", "beta", "Gamma", "gamma", "deltaQ_gamma"]
-    rows = [[r.n, r.beta, r.gamma_ch, r.gamma, r.delta_q] for r in records]
-    _write_table(args, columns, rows, meta)
+    _write_table(args, columns, [n, beta, g_ch, np.full(len(n), args.gamma), gaps], meta)
     return 0
 
 
@@ -214,13 +212,12 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     eta_c, gamma_c = critical_transmissivity()
     c1, c2, _ = threshold_fit_near_critical()
     etas = np.linspace(lo, hi, count)
-    rows = np.column_stack([etas, threshold_energy(etas)]).tolist()
     meta = _meta_lines("threshold", {"eta-grid": args.eta_grid}) + [
         f"eta_c = {_fmt(eta_c)}",
         f"Gamma_c = {_fmt(gamma_c)}",
         f"fit: N_th ~ c1 (eta - eta_c) + c2 (eta - eta_c)^2, c1 = {_fmt(c1)}, c2 = {_fmt(c2)}",
     ]
-    _write_table(args, ["eta", "N_th"], rows, meta)
+    _write_table(args, ["eta", "N_th"], [etas, threshold_energy(etas)], meta)
     return 0
 
 
@@ -264,8 +261,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _figure_csv(args: argparse.Namespace, outdir: str, name: str, params: dict, columns: list[str], *data) -> str:
     """Write one file of the figure from its data columns; returns its path."""
     path = os.path.join(outdir, name)
-    rows = zip(*(np.asarray(c).tolist() for c in data))
-    _write_csv(path, columns, rows, _meta_lines(f"figure {args.id}", params))
+    _write_csv(path, columns, data, _meta_lines(f"figure {args.id}", params))
     return path
 
 
@@ -327,7 +323,7 @@ def _figure_4(args: argparse.Namespace, outdir: str) -> list[str]:
 def _figure_5(args: argparse.Namespace, outdir: str) -> list[str]:
     gammas = [args.gamma] if args.gamma is not None else [0.99, 0.9, 0.8, 0.7]
     # every split reads the same draws: one Q1 call, and one Q2 call for all splits
-    n_col, b_col, d_col = (np.array(col) for col in zip(*random_probes(args.samples, args.seed)))
+    n_col, b_col, d_col = random_probes(args.samples, args.seed)
     ch = LossChannel.from_gamma(d_col)
     q_one = q1(n_col, b_col, ch)
     return [
@@ -350,7 +346,7 @@ def _figure_6(args: argparse.Namespace, outdir: str) -> list[str]:
     ns = np.linspace(5.0 / args.points, 5.0, args.points)
     grid_n, grid_b = _grid(args)
     # stream 1 keeps the scatter independent of a sweep with the same seed
-    sc_n, sc_b, sc_g = (np.array(col) for col in zip(*random_probes(args.samples, args.seed, stream=1)))
+    sc_n, sc_b, sc_g = random_probes(args.samples, args.seed, stream=1)
     # every file's rows in one stack, in file order; E, D and I once per input block
     n, beta, g_col, cuts = _stack(
         *[(ns, b, g) for b in betas for g in curve_gammas],
@@ -402,8 +398,7 @@ def _write_gnuplot(figure: int, outdir: str, files: list[str]) -> str:
         lines.append(f"f = '{os.path.basename(f)}'")
         lines.append(_GNUPLOT_HINTS[figure])
         lines.append("pause -1")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
     return path
 
 

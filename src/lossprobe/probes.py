@@ -28,9 +28,10 @@ arrays, and one `qcb` call serves them, whose mixed rows share one
 lane-wise golden section over s.  A single row is a one-lane stack that
 gives a float, with the same bits as in any batch, so a caller may stack
 rows of unrelated channels and splits into one call (the CLI makes one
-call per mode count per figure command).  random_sweep is one batch, and
-optimize_beta runs one lane-wise golden section over beta for all its
-lanes, each step one batch.
+call per mode count per figure command).  random_probes and random_sweep
+return columns, one float64 array per quantity, and random_sweep is one
+batch; optimize_beta runs one lane-wise golden section over beta for all
+its lanes, each step one batch.
 """
 
 from __future__ import annotations
@@ -285,8 +286,8 @@ def random_probes(
     seed: int,
     stream: int = 0,
     ranges: SweepRanges = SweepRanges(),
-) -> list[tuple[float, float, float]]:
-    """(N, beta, Gamma) draws, uniform on (0, n_max] x [0, 1) x (0, gamma_ch_max].
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, beta, Gamma) draws as float64 columns, uniform on (0, n_max] x [0, 1) x (0, gamma_ch_max].
 
     Draw k comes from its own counter-based stream, Philox keyed by seed at
     counter (0, stream, 0, k), so it is the same bit for bit however many
@@ -295,23 +296,14 @@ def random_probes(
     three words, times 2^-53, are the doubles of `Generator.uniform`.
     """
     bits = np.random.Philox(key=seed)
-    state, raw = bits.state, np.empty((count, 4), dtype=np.uint64)  # state's buffer_pos 4: the buffer is empty
+    state, raw = bits.state, np.empty((4, count), dtype=np.uint64)  # state's buffer_pos 4: the buffer is empty
     state["state"]["counter"][1] = stream
     for k in range(count):
         state["state"]["counter"][3] = k
         bits.state = state
-        raw[k] = bits.random_raw(4)
-    u = ((raw[:, :3] >> np.uint64(11)) * 2.0**-53).T
-    return list(zip((ranges.n_max * (1.0 - u[0])).tolist(), u[1].tolist(), (ranges.gamma_ch_max * (1.0 - u[2])).tolist()))
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    n: float
-    beta: float
-    gamma_ch: float
-    gamma: float
-    delta_q: float
+        raw[:, k] = bits.random_raw(4)
+    u = (raw[:3] >> np.uint64(11)) * 2.0**-53  # one contiguous row per column
+    return ranges.n_max * (1.0 - u[0]), u[1], ranges.gamma_ch_max * (1.0 - u[2])
 
 
 def random_sweep(
@@ -319,20 +311,15 @@ def random_sweep(
     gamma: float,
     seed: int,
     ranges: SweepRanges = SweepRanges(),
-) -> list[SweepRecord]:
-    """Sampled Q1 - Q2 gaps at a fixed thermal split gamma.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sampled Q1 - Q2 gaps at a fixed thermal split gamma: the columns (N, beta, Gamma, deltaQ_gamma).
 
     The points are random_probes(sample_count, seed, ranges=ranges), so the
-    records are reproducible bit for bit and independent of evaluation order.
+    columns are reproducible bit for bit and independent of evaluation order.
     """
     if sample_count < 1:
         raise ValueError(f"sample count must be >= 1, got {sample_count}")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"thermal split must be in [0, 1], got {gamma}")
-    draws = random_probes(sample_count, seed, ranges=ranges)
-    n, beta, g_ch = (np.array(col) for col in zip(*draws))
-    gaps = delta_q_gamma(n, beta, gamma, LossChannel.from_gamma(g_ch))
-    return [
-        SweepRecord(n=n, beta=beta, gamma_ch=g_ch, gamma=gamma, delta_q=gap)
-        for (n, beta, g_ch), gap in zip(draws, gaps.tolist())
-    ]
+    n, beta, g_ch = random_probes(sample_count, seed, ranges=ranges)
+    return n, beta, g_ch, delta_q_gamma(n, beta, gamma, LossChannel.from_gamma(g_ch))

@@ -153,13 +153,12 @@ def test_criterion_05_two_mode_advantage():
     # pure-probe threshold behavior.  The frozen seed's 1000 draws sit far
     # from it; beta within 1e-3 of 1 is where the exceptions live.
     gamma_grid = np.linspace(0.0, 1.0, 11)
-    draws = random_probes(1000, seed=20240519)
-    n_col, b_col, g_col = (np.array(col) for col in zip(*draws))
+    n_col, b_col, g_col = random_probes(1000, seed=20240519)
     ch = LossChannel.from_gamma(g_col)
     # one stack over the draws, and one over draws x splits
     v1s, v2s = q1(n_col, b_col, ch).tolist(), q2(n_col, b_col, 1.0, ch).tolist()
     by_split = q2(n_col[:, None], b_col[:, None], gamma_grid, LossChannel.from_gamma(g_col[:, None]))
-    for (n, beta, gamma_ch), v1, v2, q2s in zip(draws, v1s, v2s, by_split.tolist()):
+    for n, beta, gamma_ch, v1, v2, q2s in zip(n_col, b_col, g_col, v1s, v2s, by_split.tolist()):
         assert v2 < v1, (n, beta, gamma_ch)
         for g, q in zip(gamma_grid, q2s):
             assert v2 <= q + 1e-12, (n, beta, gamma_ch, g)
@@ -233,10 +232,9 @@ def test_criterion_08_correlations_track_gain():
     # thermal pool carries mutual information with little entanglement
     # (Spearman(E, I) is 0.932 over beta in [0, 0.2), 0.999 over [0.8, 1)).
     # The paper claims no such agreement, so that figure is only printed.
-    draws = random_probes(10_000, seed=20240520)
-    n_col, b_col, _ = (np.array(col) for col in zip(*draws))
+    n_col, b_col, _ = random_probes(10_000, seed=20240520)
     e_vals, d_vals, i_vals = report(n_col, b_col)
-    for (n, beta, _), e, d in zip(draws, e_vals, d_vals):
+    for n, beta, e, d in zip(n_col, b_col, e_vals, d_vals):
         if d > 1.0:
             assert e > 0.0, (n, beta)
     rho_ei = float(spearmanr(e_vals, i_vals).statistic)
@@ -255,7 +253,7 @@ def test_criterion_08_correlations_track_gain():
     # 0.05: at beta <= 0.0015 E rises and then falls back to zero as N grows.
     ch = LossChannel.from_gamma(0.5)
     for j, beta in enumerate(np.linspace(0.05, 1.0, 20).tolist()):
-        ns = np.array(sorted(n for n, _, _ in draws[j:4000:20]))
+        ns = np.sort(n_col[j:4000:20])
         e_fixed, d_fixed, i_fixed = report(ns, beta)
         assert _rises_from_zero(e_fixed), beta
         assert _strictly_increasing(d_fixed), beta
@@ -272,8 +270,8 @@ def test_criterion_09_positive_fraction():
     # land near 0.99 with sigma ~ 0.003.
     fractions = {}
     for gamma in (0.99, 0.9, 0.8, 0.7):
-        records = random_sweep(1000, gamma=gamma, seed=12345)
-        fractions[gamma] = sum(r.delta_q > 0 for r in records) / len(records)
+        gaps = random_sweep(1000, gamma=gamma, seed=12345)[3]
+        fractions[gamma] = np.count_nonzero(gaps > 0) / len(gaps)
     print(
         "      positive-gain fraction by split:",
         ", ".join(f"gamma={g:g}: {f:.3f}" for g, f in fractions.items()),

@@ -63,7 +63,7 @@ def test_channel_validation():
 def test_channel_stacks_are_their_scalar_channels_bit_for_bit():
     from lossprobe.probes import random_probes
 
-    damping = np.array([g for _, _, g in random_probes(200, seed=7)] + [0.0, 1e-300, 700.0])
+    damping = np.concatenate([random_probes(200, seed=7)[2], [0.0, 1e-300, 700.0]])
     etas = np.concatenate([np.exp(-damping[:200]), [1.0, 0.5, 1e-300]])
     # the other field of each scalar channel has the bits of numpy's exp or log
     for build, values, derived in ((LossChannel.from_gamma, damping, lambda ch, v: ch.eta == np.exp(-v)),
@@ -273,7 +273,7 @@ def _probe_batch(count: int):
     """Stacked (N, beta) and the channel stack of random_probes draws."""
     from lossprobe.probes import random_probes
 
-    n, beta, gamma_ch = (np.array(col) for col in zip(*random_probes(count, seed=20261019)))
+    n, beta, gamma_ch = random_probes(count, seed=20261019)
     return n, beta, LossChannel.from_gamma(gamma_ch)
 
 

@@ -102,7 +102,7 @@ def ref_qcb_mixed(pa, pb):
 def probe_pairs(count, seed):
     """(input, output) pairs of single- and two-mode (gamma-bar 0.999) probes."""
     pairs = []
-    for n, beta, gamma_ch in random_probes(count, seed):
+    for n, beta, gamma_ch in zip(*random_probes(count, seed)):
         ch = LossChannel.from_gamma(gamma_ch)
         p1 = params_from_spec(ProbeSpec(modes=1, n=n, beta=beta))
         p2 = params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=0.999))
@@ -465,7 +465,7 @@ def assert_lanes_are_their_rows(report, rows):
 def test_stacked_pair_is_the_same_bits_as_its_rows():
     # one (input, output) pair of stacks, pure and mixed rows together, and
     # the same rows one qcb call at a time
-    n, beta, gamma_ch = (np.array(col) for col in zip(*random_probes(300, seed=11)))
+    n, beta, gamma_ch = random_probes(300, seed=11)
     beta[::7] = 1.0
     ch = LossChannel.from_gamma(gamma_ch)
     for modes, recover in ((1, output_params_single), (2, output_params_two)):
@@ -552,7 +552,7 @@ def test_single_mode_pure_lanes_are_the_cm_overlap_bits():
         report = qcb(a, b)
         assert report.q.tolist() == report.fidelity.tolist()
         assert report.q.tolist() == overlap(make_single_mode_st(a), make_single_mode_st(b)).tolist()
-    n, beta, _ = (np.array(col) for col in zip(*random_probes(1000, seed=5)))
+    n, beta, _ = random_probes(1000, seed=5)
     p_in = params_from_spec(ProbeSpec(modes=1, n=n, beta=np.ones_like(n)))
     p_out = output_params_single(p_in, LossChannel.from_eta(0.4))
     assert qcb(p_in, p_out).q.tolist() == overlap(make_single_mode_st(p_in), make_single_mode_st(p_out)).tolist()

@@ -361,19 +361,46 @@ def test_sweep_byte_determinism(tmp_path, capsys):
     assert a.read_bytes() != c.read_bytes()
 
 
+def test_json_tables_hold_the_library_columns_and_the_csv_meta(tmp_path, capsys):
+    # sweep and threshold --eta-grid: --format json carries the CSV's
+    # comment lines and header, and rows that read back as the library's
+    # columns bit for bit
+    from lossprobe.probes import SweepRanges, random_sweep, threshold_energy
+
+    n, beta, gamma_ch, gaps = random_sweep(25, 0.8, 99, SweepRanges(n_max=3.0, gamma_ch_max=0.7))
+    sweep_rows = [[a, b, c, 0.8, d] for a, b, c, d in zip(n.tolist(), beta.tolist(), gamma_ch.tolist(), gaps.tolist())]
+    etas = np.linspace(0.6, 0.95, 9)
+    tables = [
+        (["sweep", "--samples", "25", "--seed", "99", "--gamma", "0.8", "--n-max", "3", "--damping-max", "0.7"],
+         sweep_rows),
+        (["threshold", "--eta-grid", "0.6:0.95:9"], [[a, b] for a, b in zip(etas.tolist(), threshold_energy(etas).tolist())]),
+    ]
+    for argv, rows in tables:
+        csv_path, json_path = tmp_path / f"{argv[0]}.csv", tmp_path / f"{argv[0]}.json"
+        assert run([*argv, "-o", str(csv_path)], capsys)[0] == 0
+        assert run([*argv, "--format", "json", "-o", str(json_path)], capsys)[0] == 0
+        meta, header, _ = read_csv(csv_path)
+        table = json.loads(json_path.read_text())
+        assert sorted(table) == ["columns", "meta", "rows"]
+        assert table["meta"] == [line.removeprefix("# ") for line in meta]
+        assert table["columns"] == header
+        assert table["rows"] == rows and all(type(x) is float for row in table["rows"] for x in row)
+
+
 def test_csv_rows_print_as_format_12g_per_value(tmp_path, capsys):
-    # one %-format call renders every data row; each value reads as
-    # format(v, ".12g"), the per-value rendering it replaced
+    # one %-format call renders every data row from the columns; each value
+    # reads as format(v, ".12g"), the per-value rendering it replaced
     from lossprobe import cli
 
     values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, 3.0, 1.0 / 3.0, -2.5e-300, 1e-5, 123456789012.5]
     rows = [values[k : k + 3] for k in range(0, 12, 3)]
+    columns = [np.array(col) for col in zip(*rows)]
     expected = "# lossprobe test\na,b,c\n" + "".join(",".join(format(v, ".12g") for v in row) + "\n" for row in rows)
-    cli._write_csv(str(tmp_path / "t.csv"), ["a", "b", "c"], rows, ["lossprobe test"])
+    cli._write_csv(str(tmp_path / "t.csv"), ["a", "b", "c"], columns, ["lossprobe test"])
     assert (tmp_path / "t.csv").read_bytes() == expected.encode()
-    cli._write_csv("-", ["a", "b", "c"], iter(map(tuple, rows)), ["lossprobe test"])
+    cli._write_csv("-", ["a", "b", "c"], columns, ["lossprobe test"])
     assert capsys.readouterr().out == expected
-    cli._write_csv(str(tmp_path / "empty.csv"), ["a"], [], [])
+    cli._write_csv(str(tmp_path / "empty.csv"), ["a"], [np.array([])], [])
     assert (tmp_path / "empty.csv").read_text() == "a\n"
 
 
@@ -731,8 +758,7 @@ def test_figure6_stack_equals_one_call_per_file(tmp_path, capsys):
     ref.mkdir()
 
     def write(name, params, columns, *data):
-        rows = list(zip(*(np.asarray(c).tolist() for c in data)))
-        cli._write_csv(str(ref / name), columns, rows, cli._meta_lines("figure 6", params))
+        cli._write_csv(str(ref / name), columns, data, cli._meta_lines("figure 6", params))
 
     ns = np.linspace(5.0 / points, 5.0, points)
     for beta in (0.1, 0.9):
@@ -749,7 +775,7 @@ def test_figure6_stack_equals_one_call_per_file(tmp_path, capsys):
         write(f"figure6_density_Gamma{g:g}.csv", {"Gamma": g, "gamma-bar": bar, "points": points},
               ["N", "beta", "D", "E", "deltaQ"], n_col, b_col, discord(cms), log_negativity(cms),
               delta_q_gamma(n_col, b_col, bar, LossChannel.from_gamma(g)))
-    n_col, b_col, g_col = (np.array(col) for col in zip(*random_probes(samples, seed, stream=1)))
+    n_col, b_col, g_col = random_probes(samples, seed, stream=1)
     rep = correlation_report(cli._input_cms(n_col, b_col))
     write("figure6_scatter.csv", {"samples": samples, "seed": seed, "gamma-bar": bar},
           ["N", "beta", "Gamma", "E", "D", "I", "deltaQ"], n_col, b_col, g_col,

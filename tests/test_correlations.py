@@ -381,7 +381,7 @@ def test_report_computes_each_spectrum_and_entropy_once(monkeypatch):
             return _f(*args)
 
         monkeypatch.setattr(correlations, name, counted)
-    n, beta, _ = (np.array(col) for col in zip(*random_probes(50, seed=7)))
+    n, beta, _ = random_probes(50, seed=7)
     correlation_report(make_two_mode_st(params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=0.999))))
     assert calls == {"symplectic_eigenvalues": 1, "pt_symplectic_eigenvalues": 1, "binary_entropy_h": 5}
 
@@ -476,7 +476,7 @@ def test_report_matches_independent_route_on_probe_family():
     # where entropy arguments approach the vacuum and (x - 1) ln(x - 1)
     # amplifies roundoff.
     low_beta = 0
-    for n, beta, _ in random_probes(1000, seed=20240520):
+    for n, beta, _ in zip(*random_probes(1000, seed=20240520)):
         low_beta += beta < 0.2
         p = params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=0.999))
         rep = correlation_report(make_two_mode_st(p))
@@ -509,7 +509,7 @@ def test_quantifiers_finite_and_nonnegative(r, n1, n2):
 
 def test_quantifiers_are_the_same_bits_on_a_stack():
     # 1,000 random_probes inputs and their lossy outputs, each as one stack
-    n, beta, gamma_ch = (np.array(col) for col in zip(*random_probes(1000, seed=20261018)))
+    n, beta, gamma_ch = random_probes(1000, seed=20261018)
     p_in = params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=0.999))
     p_out = output_params_two(p_in, LossChannel.from_gamma(gamma_ch))
     functions = (pt_symplectic_eigenvalues, log_negativity, discord, mutual_information)

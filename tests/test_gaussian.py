@@ -306,7 +306,7 @@ def test_cm_is_read_only():
 
 def probe_stacks(modes: int):
     """(inputs, lossy outputs) of 1,000 random_probes draws, each a stack of 1,000."""
-    n, beta, gamma_ch = (np.array(col) for col in zip(*random_probes(1000, seed=20261018)))
+    n, beta, gamma_ch = random_probes(1000, seed=20261018)
     p = params_from_spec(ProbeSpec(modes=modes, n=n, beta=beta, gamma=0.999 if modes == 2 else None))
     recover = output_params_two if modes == 2 else output_params_single
     return p, recover(p, LossChannel.from_gamma(gamma_ch))
