@@ -42,18 +42,19 @@ two-mode state against itself at N = 3e5), and the LU determinant of the
 summed matrices misses the overlap by up to 2e-9 on pure probes up to
 N = 1e6.
 
-Array semantics.  q_s_single and q_s_two are elementwise and broadcast,
-and a scalar input gives a float.  States enter as parameters (one state
-or a stack, see `gaussian`) or as the lanes of `stack_pair`.  `qcb` takes
-two states or two stacks of one mode count whose shapes broadcast: its
-pure lanes take the overlap straight from the parameters (`_overlap`, no
-covariance matrix), and its mixed lanes share one lane-wise golden
-section (`minimize_scalar_golden`), one call of Q_s per step, each lane
-freezing once its own bracket is at most S_TOL.  A single probe is a
-one-lane stack, so a lane's q and s* are the same bits alone and in a
-stack, and a one-state call returns floats, converted at the return.  The
-powers and the other transcendentals come from numpy's array loops, which
-give a lane the same bits alone and in a stack.
+Array semantics.  q_s_single and q_s_two are elementwise and broadcast, and
+a scalar input gives a float.  States enter as parameters (one state or a
+stack, see `gaussian`) or as the lanes of `stack_pair`.  `qcb` takes two
+states or two stacks of one mode count whose shapes broadcast, and
+`_qcb_pairs` any number of such pairs, of either mode count: the pure
+lanes take the overlap straight from the parameters (`_overlap`, no
+covariance matrix), and the mixed lanes of all pairs share one lane-wise
+golden section (`minimize_scalar_golden`), one call of Q_s per pair per
+step, each lane freezing once its own bracket is at most S_TOL.  A single
+probe is a one-lane stack, so a lane's q and s* are the same bits alone
+and in a stack, and a one-state call returns floats, converted at the
+return.  The powers and the other transcendentals come from numpy's array
+loops, which give a lane the same bits alone and in a stack.
 
 Q_s is convex in s (Audenaert et al., PRL 98, 160501, 2007), so the grid
 seeded golden section finds its infimum.  When one of the states is pure
@@ -91,12 +92,6 @@ _GRID_CHUNK = 2**16  # lane-points per call of f on the seeding grid: bounds its
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 Params = SqueezedThermalParamsSingle | SqueezedThermalParamsTwo
-
-
-def _exponent(s) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    require((0.0 < s) & (s < 1.0), "exponent must be in (0, 1), got {}", s)
-    return s
 
 
 def _g_lambda(xs, us):
@@ -145,14 +140,6 @@ def _q_two(g, wa1, wa2, wb1, wb2, factors):
     return g / (wa1 * wa2 + wb1 * wb2 + c2 * (wa1 * wb2 + wa2 * wb1) + s2 * (wa1 * wb1 + wa2 * wb2))
 
 
-def _powers(bases: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """bases ** s from numpy's array loop, the base index first, the lanes broadcast against s."""
-    extra = s.ndim - (bases.ndim - 1)
-    if extra > 0:
-        bases = bases.reshape(bases.shape[:1] + (1,) * extra + bases.shape[1:])
-    return bases**s
-
-
 def minimize_scalar_golden(f, lo, hi, tol: float, grid_points: int = _GRID_POINTS):
     """Golden-section minimum of f on [lo, hi] in every lane at once.
 
@@ -169,27 +156,28 @@ def minimize_scalar_golden(f, lo, hi, tol: float, grid_points: int = _GRID_POINT
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     k = np.arange(grid_points).reshape((-1,) + (1,) * lo.ndim)
-    xs = lo + (hi - lo) * k / (grid_points - 1)
-    step = max(1, _GRID_CHUNK // max(lo.size, 1))
-    fs = np.concatenate([f(xs[i : i + step]) for i in range(0, grid_points, step)])
-    best = np.argmin(fs, axis=0)[None]
-    a = np.take_along_axis(xs, np.maximum(best - 1, 0), 0)[0]
-    b = np.take_along_axis(xs, np.minimum(best + 1, grid_points - 1), 0)[0]
+    step, fs = max(1, _GRID_CHUNK // max(lo.size, 1)), np.empty(k.shape[:1] + lo.shape)
+    for i in range(0, grid_points, step):  # each group's abscissae in turn, never the whole grid's
+        fs[i : i + step] = f(lo + (hi - lo) * k[i : i + step] / (grid_points - 1))
+    best = np.argmin(fs, axis=0)
+    a, b = (lo + (hi - lo) * np.clip(best + d, 0, grid_points - 1) / (grid_points - 1) for d in (-1, 1))
 
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    active = b - a > tol
+    width = b - a
+    x1, x2 = b - _INV_GOLDEN * width, a + _INV_GOLDEN * width
+    f1, f2 = f(np.stack((x1, x2)))
+    active = width > tol
     while active.any():
         left = f1 <= f2
         # only the bracket of a frozen lane must stay; its points no longer count
         go_left = active & left
         b = np.where(go_left, x2, b)
         a = np.where(active ^ go_left, x1, a)
-        x = np.where(left, b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a))
+        width = b - a
+        inner = _INV_GOLDEN * width
+        x = np.where(left, b - inner, a + inner)
         fx = f(x)
-        x1, x2, f1, f2 = np.where(left, (x, x1, fx, f1), (x2, x, f2, fx))
-        active = b - a > tol
+        x1, x2, f1, f2 = np.where(left, x, x2), np.where(left, x1, x), np.where(left, fx, f2), np.where(left, f1, fx)
+        active = width > tol
 
     x = (a + b) / 2.0
     fx = f(x)
@@ -199,17 +187,26 @@ def minimize_scalar_golden(f, lo, hi, tol: float, grid_points: int = _GRID_POINT
     return (float(x), float(fx)) if lo.ndim == 0 else (x, fx)
 
 
+def _weights(pa, pb, s) -> tuple:
+    """(G_s, Lambda_s + 1/2, G_(1-s), Lambda_(1-s) + 1/2, factors) of a pair, one row per mode, lanes against s."""
+    lanes = pa if pb is None else stack_pair(pa, pb)
+    s = np.asarray(s, dtype=float)
+    require((0.0 < s) & (s < 1.0), "exponent must be in (0, 1), got {}", s)
+    # numpy's array loop raises the bases, the base index first, then the lanes broadcast against e
+    powers = (bases.reshape(bases.shape[:1] + (1,) * max(e.ndim - bases.ndim + 1, 0) + bases.shape[1:]) ** e
+              for bases, e in ((lanes.bases_a, s), (lanes.bases_b, 1.0 - s)))
+    (ga, la), (gb, lb) = (_g_lambda(p[: len(p) // 2], p[len(p) // 2 :]) for p in powers)
+    return ga, la + 0.5, gb, lb + 0.5, lanes.factors
+
+
 def q_s_single(pa, pb, s):
     """Q_s for pairs of single-mode squeezed thermal states, elementwise.
 
     pa and pb are parameters whose lanes broadcast against s, or pa is the
     `PairLanes` of a pair and pb is None.
     """
-    lanes = pa if pb is None else stack_pair(pa, pb)
-    s = _exponent(s)
-    ga, la = _g_lambda(*_powers(lanes.bases_a, s))
-    gb, lb = _g_lambda(*_powers(lanes.bases_b, 1.0 - s))
-    return float_or_array(_q_single(ga * gb, la + 0.5, lb + 0.5, lanes.factors))
+    ga, wa, gb, wb, factors = _weights(pa, pb, s)
+    return float_or_array(_q_single(ga[0] * gb[0], wa[0], wb[0], factors))
 
 
 def q_s_two(pa, pb, s):
@@ -218,14 +215,8 @@ def q_s_two(pa, pb, s):
     pa and pb are parameters whose lanes broadcast against s, or pa is the
     `PairLanes` of a pair and pb is None.
     """
-    lanes = pa if pb is None else stack_pair(pa, pb)
-    s = _exponent(s)
-    xa1, xa2, ua1, ua2 = _powers(lanes.bases_a, s)
-    xb1, xb2, ub1, ub2 = _powers(lanes.bases_b, 1.0 - s)
-    (ga1, la1), (ga2, la2) = _g_lambda(xa1, ua1), _g_lambda(xa2, ua2)
-    (gb1, lb1), (gb2, lb2) = _g_lambda(xb1, ub1), _g_lambda(xb2, ub2)
-    pi_s = ga1 * ga2 * gb1 * gb2
-    return float_or_array(_q_two(pi_s, la1 + 0.5, la2 + 0.5, lb1 + 0.5, lb2 + 0.5, lanes.factors))
+    ga, wa, gb, wb, factors = _weights(pa, pb, s)
+    return float_or_array(_q_two(ga[0] * ga[1] * gb[0] * gb[1], *wa, *wb, factors))
 
 
 def _overlap(pa: Params, pb: Params) -> np.ndarray:
@@ -294,12 +285,49 @@ def _is_pure(p: Params) -> np.ndarray:
     return np.all([n == 0.0 for n in p.fields()[1:]], axis=0)
 
 
-def _minimize_mixed(q_s, pa: Params, pb: Params) -> tuple:
-    """(q, s*) of every lane of two flat stacks of mixed states, from one golden section."""
-    lanes = stack_pair(pa, pb)
-    s_m, q_m = minimize_scalar_golden(lambda s: q_s(lanes, None, s), np.full(pa.shape, S_EPS), 1.0 - S_EPS, S_TOL)
-    # min(q, 1.0) as Python takes it
-    return np.where(1.0 < q_m, 1.0, q_m), s_m
+def _qcb_pairs(pairs: list, copies: int = 1) -> list[DiscriminationReport]:
+    """The `qcb` report and checks of each pair (pa, pb), of either mode count, from one golden section.
+
+    Its f evaluates each pair's mixed lanes on their slice of the last axis.  A lane takes its own
+    steps, so its q and s* are the same bits here, in its pair's `qcb` call and alone.
+    """
+    if copies < 1:
+        raise ValueError(f"copy count must be >= 1, got {copies}")
+    stacks, mixed, end = [], [], 0
+    for pa, pb in pairs:
+        if type(pa) is not type(pb):
+            raise TypeError(f"mode mismatch: {type(pa).__name__} vs {type(pb).__name__}")
+        if type(pa) not in (SqueezedThermalParamsSingle, SqueezedThermalParamsTwo):
+            raise TypeError(f"unsupported parameter type {type(pa).__name__}")
+        shape = np.broadcast_shapes(pa.shape, pb.shape)
+        pa, pb = (p._of([np.broadcast_to(v, shape).ravel() for v in p.fields()]) for p in (pa, pb))
+        size = math.prod(shape)
+        q, s_star, fid = np.empty(size), np.empty(size), np.full(size, np.nan)
+        pure_a = _is_pure(pa)
+        pure = pure_a | _is_pure(pb)
+        if pure.any():
+            q[pure] = fid[pure] = _overlap(pa.take(pure), pb.take(pure))
+            s_star[pure] = np.where(pure_a[pure], 0.0, 1.0)
+        mix = ~pure
+        start, end = end, end + np.count_nonzero(mix)
+        if end > start:
+            mixed.append((type(pa) is SqueezedThermalParamsSingle, stack_pair(pa.take(mix), pb.take(mix)), start, end))
+        stacks.append((shape, mix, slice(start, end), q, s_star, fid))
+    if mixed:
+        f = lambda s: np.concatenate([(q_s_single if one else q_s_two)(lanes, None, s[..., i:j])  # noqa: E731
+                                      for one, lanes, i, j in mixed], -1)
+        s_m, q_m = minimize_scalar_golden(f, np.full(end, S_EPS), 1.0 - S_EPS, S_TOL)
+        q_m = np.where(1.0 < q_m, 1.0, q_m)  # min(q, 1.0) as Python takes it
+    reports = []
+    for shape, mix, at, q, s_star, fid in stacks:
+        if mix.any():
+            q[mix], s_star[mix] = q_m[at], s_m[at]
+        q, s_star, fid = (x.reshape(shape) for x in (q, s_star, fid))
+        if not shape:
+            q, s_star, fid = float(q), float(s_star), None if np.isnan(fid) else float(fid)
+        _require_bound_inputs(q, fid, copies)
+        reports.append(DiscriminationReport(q, s_star, copies, fid))
+    return reports
 
 
 def qcb(pa: Params, pb: Params, copies: int = 1) -> DiscriminationReport:
@@ -314,30 +342,7 @@ def qcb(pa: Params, pb: Params, copies: int = 1) -> DiscriminationReport:
     matrix (`_overlap`); all other lanes share one golden section over s in
     [1e-6, 1 - 1e-6] to 1e-10.  A Q or fidelity outside [0, 1] (NaN
     included) or a copy count that is not an integer raises here, though the
-    report computes its error bounds only when they are read.
+    report computes its error bounds only when they are read.  This is the
+    one-pair case of `_qcb_pairs`, which takes several pairs.
     """
-    if copies < 1:
-        raise ValueError(f"copy count must be >= 1, got {copies}")
-    if type(pa) is not type(pb):
-        raise TypeError(f"mode mismatch: {type(pa).__name__} vs {type(pb).__name__}")
-    if type(pa) not in (SqueezedThermalParamsSingle, SqueezedThermalParamsTwo):
-        raise TypeError(f"unsupported parameter type {type(pa).__name__}")
-    single = type(pa) is SqueezedThermalParamsSingle
-    shape = np.broadcast_shapes(pa.shape, pb.shape)
-    pa, pb = (p._of([np.broadcast_to(v, shape).ravel() for v in p.fields()]) for p in (pa, pb))
-    size = math.prod(shape)
-    q, s_star, fid = np.empty(size), np.empty(size), np.full(size, np.nan)
-    pure_a = _is_pure(pa)
-    pure = pure_a | _is_pure(pb)
-    if pure.any():
-        q[pure] = fid[pure] = _overlap(pa.take(pure), pb.take(pure))
-        s_star[pure] = np.where(pure_a[pure], 0.0, 1.0)
-    if not pure.all():
-        q_s = q_s_single if single else q_s_two
-        q[~pure], s_star[~pure] = _minimize_mixed(q_s, pa.take(~pure), pb.take(~pure))
-
-    q, s_star, fid = (x.reshape(shape) for x in (q, s_star, fid))
-    if not shape:
-        q, s_star, fid = float(q), float(s_star), None if np.isnan(fid) else float(fid)
-    _require_bound_inputs(q, fid, copies)
-    return DiscriminationReport(q, s_star, copies, fid)
+    return _qcb_pairs([(pa, pb)], copies)[0]

@@ -21,10 +21,11 @@ variable, falling back to the working directory.
 
 A figure command stacks the rows of all its files, with Gamma (and, for
 figure 5, the thermal split) a float column like N and beta, and makes one
-Q1 and one Q2 call for the whole stack against one channel stack.  It takes
-the results apart into its files by the leading axis, or by `_stack`'s cuts
-and np.split.  A row gets the same bits alone and in any stack, so each
-file is byte-identical to computing it on its own.
+call per quantity for the whole stack against one channel stack: figures 4
+to 6 one `delta_q_gamma`, whose Q1 and Q2 rows share one golden section.
+It takes the results apart into its files by the leading axis, or by
+`_stack`'s cuts and np.split.  A row gets the same bits alone and in any
+stack, so each file is byte-identical to computing it on its own.
 """
 
 from __future__ import annotations
@@ -312,7 +313,7 @@ def _figure_4(args: argparse.Namespace, outdir: str) -> list[str]:
     gammas = (0.1, 0.9)
     n_col, b_col = _grid(args)
     ch = LossChannel.from_gamma(np.array(gammas)[:, None])
-    gaps = q1(n_col, b_col, ch) - q2(n_col, b_col, 1.0, ch)
+    gaps = delta_q_gamma(n_col, b_col, 1.0, ch)
     return [
         _figure_csv(args, outdir, f"figure4_Gamma{g:g}.csv", {"Gamma": g, "points": args.points},
                     ["N", "beta", "deltaQ"], n_col, b_col, gap)
@@ -322,16 +323,15 @@ def _figure_4(args: argparse.Namespace, outdir: str) -> list[str]:
 
 def _figure_5(args: argparse.Namespace, outdir: str) -> list[str]:
     gammas = [args.gamma] if args.gamma is not None else [0.99, 0.9, 0.8, 0.7]
-    # every split reads the same draws: one Q1 call, and one Q2 call for all splits
+    # every split reads the same draws: one gap call, with Q1 once for all splits
     n_col, b_col, d_col = random_probes(args.samples, args.seed)
-    ch = LossChannel.from_gamma(d_col)
-    q_one = q1(n_col, b_col, ch)
+    gaps = delta_q_gamma(n_col, b_col, np.array(gammas)[:, None], LossChannel.from_gamma(d_col))
     return [
         _figure_csv(args, outdir, f"figure5_gamma{g:g}.csv",
                     {"gamma": g, "samples": args.samples, "seed": args.seed},
                     ["N", "beta", "Gamma", "gamma", "deltaQ_gamma"],
-                    n_col, b_col, d_col, np.full(len(n_col), g), q_one - q_two)
-        for g, q_two in zip(gammas, q2(n_col, b_col, np.array(gammas)[:, None], ch))
+                    n_col, b_col, d_col, np.full(len(n_col), g), gap)
+        for g, gap in zip(gammas, gaps)
     ]
 
 

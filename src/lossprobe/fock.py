@@ -421,20 +421,24 @@ def _spectral_overlap(
     return lam, table, mu
 
 
-def _s_step(s: float, lam: np.ndarray, table: np.ndarray, mu: np.ndarray) -> tuple[float, float, float]:
+def _logs(lam: np.ndarray, mu: np.ndarray) -> list:
+    """(ln w, ln w with a zero weight's factor 0) of both spectra, computed once per s-curve."""
+    with np.errstate(divide="ignore"):
+        return [(log, np.where(w > 0.0, log, 0.0)) for w in (lam, mu) for log in (np.log(w),)]
+
+
+def _s_step(s: float, table: np.ndarray, logs: list) -> tuple[float, float, float]:
     """(Q, Q', Q'') at s, for Q(s) = sum over rows of lam^s @ table @ mu^(1-s).
 
     A term exp(s ln lam_i + (1 - s) ln mu_j) T_ij has derivatives weighted by
     (ln lam_i - ln mu_j) and its square, so the rows lam^s (1, ln lam,
     ln^2 lam) meet the table, then the columns mu^(1-s) (1, ln mu, ln^2 mu),
     in one batched product.  ln 0 = -inf makes exp(s ln 0) exactly 0, and a
-    zero weight's log factor counts as 0.
+    zero weight's log factor counts as 0 (`_logs`).
     """
-    with np.errstate(divide="ignore"):
-        log_lam, log_mu = np.log(lam), np.log(mu)
     powers = []
-    for e, w, log in ((s, lam, log_lam), (1.0 - s, mu, log_mu)):
-        p, ln = np.exp(e * log), np.where(w > 0.0, log, 0.0)
+    for e, (log, ln) in zip((s, 1.0 - s), logs):
+        p = np.exp(e * log)
         powers.append(np.stack((p, p * ln, p * ln * ln), axis=-1))
     m = (np.swapaxes(powers[0], 1, 2) @ table @ powers[1]).sum(axis=0)
     return float(m[0, 0]), float(m[1, 0] - m[0, 1]), float(m[2, 0] - 2.0 * m[1, 1] + m[0, 2])
@@ -450,15 +454,15 @@ def _minimize_s(lam: np.ndarray, table: np.ndarray, mu: np.ndarray) -> tuple[flo
     the end tangents cross, below the minimum of the convex Q (a flat curve,
     whose Q' is roundoff, never meets a stop on the step in s).
     """
-    ends = []
+    ends, logs = [], _logs(lam, mu)
     for edge in (S_EPS, 1.0 - S_EPS):
-        q, slope, _ = _s_step(edge, lam, table, mu)
+        q, slope, _ = _s_step(edge, table, logs)
         if slope * (edge - 0.5) <= 0.0:  # the slope points out of [S_EPS, 1 - S_EPS]
             return edge, q
         ends.append((edge, q, slope))
     s = 0.5
     while True:
-        q, slope, curv = _s_step(s, lam, table, mu)
+        q, slope, curv = _s_step(s, table, logs)
         if slope == 0.0:
             return s, q
         ends[slope > 0.0] = (s, q, slope)  # s becomes the end whose slope has its sign
@@ -483,7 +487,8 @@ def s_overlap_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix, s: float)
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"exponent must be in (0, 1), got {s}")
-    return _s_step(s, *_spectral_overlap(rho_a, rho_b))[0]
+    lam, table, mu = _spectral_overlap(rho_a, rho_b)
+    return _s_step(s, table, _logs(lam, mu))[0]
 
 
 def qcb_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[float, float]:

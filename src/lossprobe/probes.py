@@ -21,17 +21,17 @@ and grows roughly like 4 (eta - eta_c) just above it.  One monotone Newton
 iteration on an increasing convex cubic gives eta_c, and N_th per eta.
 
 Array semantics.  q1, q2, delta_q and delta_q_gamma are elementwise over N,
-beta, the two-mode split gamma and the channel, a LossChannel or a stack of
-them, which all broadcast.  All rows form one stack: one ProbeSpec
+beta, the two-mode split gamma and the channel, a LossChannel or a stack
+of them, which all broadcast.  All rows form one stack: one ProbeSpec
 validates them, `params_from_spec` and the channel's recovery run on
-arrays, and one `qcb` call serves them, whose mixed rows share one
-lane-wise golden section over s.  A single row is a one-lane stack that
-gives a float, with the same bits as in any batch, so a caller may stack
-rows of unrelated channels and splits into one call (the CLI makes one
-call per mode count per figure command).  random_probes and random_sweep
-return columns, one float64 array per quantity, and random_sweep is one
-batch; optimize_beta runs one lane-wise golden section over beta for all
-its lanes, each step one batch.
+arrays, and one Chernoff call serves them, whose mixed rows share one
+lane-wise golden section over s, for both mode counts in delta_q and
+delta_q_gamma.  A single row is a one-lane stack that gives a float, with
+the same bits as in any batch, so a caller may stack rows of unrelated
+channels and splits into one call, as the CLI's figures do.  random_probes
+and random_sweep return columns, one float64 array per quantity, and
+random_sweep is one batch; optimize_beta runs one lane-wise golden section
+over beta for all its lanes, each step one batch.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LossChannel, output_params_single, output_params_two
-from .chernoff import DiscriminationReport, minimize_scalar_golden, qcb
+from .chernoff import DiscriminationReport, _qcb_pairs, minimize_scalar_golden, qcb
 from .gaussian import (
     SqueezedThermalParamsSingle,
     SqueezedThermalParamsTwo,
@@ -124,28 +124,28 @@ def discriminate(spec: ProbeSpec, ch: LossChannel, copies: int = 1) -> Discrimin
     return qcb(*_pair(spec, ch), copies=copies)
 
 
-def _q_rows(modes: int, n, beta, gamma, ch: LossChannel):
-    """Q of every row of (N, beta, gamma) against its channel, from one qcb call.
+def _rows(modes: int, n, beta, gamma, ch: LossChannel) -> tuple:
+    """(input, output) parameters of every row of (N, beta, gamma) through its channel.
 
     n, beta, gamma (None for one mode) and the channel's fields broadcast.
     The rows are one stack: one ProbeSpec validates them all, and the
     channel, validated when built, is broadcast without a second check.
-    Scalar rows give a float, converted at the return.
+    Scalar rows give one state each.
     """
     n, beta, gamma_rows, *ch_rows = (float_or_array(x) for x in np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (n, beta, 1.0 if gamma is None else gamma, *ch.fields()))))
     spec = ProbeSpec(modes=modes, n=n, beta=beta, gamma=None if gamma is None else gamma_rows)
-    return qcb(*_pair(spec, LossChannel._of(ch_rows))).q
+    return _pair(spec, LossChannel._of(ch_rows))
 
 
 def q1(n, beta, ch):
-    """Q for single-mode probes (N, beta) against the channel, elementwise."""
-    return _q_rows(1, n, beta, None, ch)
+    """Q for single-mode probes (N, beta) against the channel, elementwise, from one qcb call."""
+    return qcb(*_rows(1, n, beta, None, ch)).q
 
 
 def q2(n, beta, gamma, ch):
-    """Q for two-mode probes (N, beta, gamma) against the channel, elementwise."""
-    return _q_rows(2, n, beta, gamma, ch)
+    """Q for two-mode probes (N, beta, gamma) against the channel, elementwise, from one qcb call."""
+    return qcb(*_rows(2, n, beta, gamma, ch)).q
 
 
 def q1_analytic(n: float, eta: float) -> float:
@@ -168,12 +168,16 @@ def q2_analytic(n: float, eta: float) -> float:
 
 def delta_q(n, beta, ch):
     """Q1(N, beta) - Q2(N, beta, 1), elementwise: positive where the two-mode probe wins."""
-    return q1(n, beta, ch) - q2(n, beta, 1.0, ch)
+    return delta_q_gamma(n, beta, 1.0, ch)
 
 
 def delta_q_gamma(n, beta, gamma, ch):
-    """Q1(N, beta) - Q2(N, beta, gamma) for an arbitrary thermal split, elementwise."""
-    return q1(n, beta, ch) - q2(n, beta, gamma, ch)
+    """Q1(N, beta) - Q2(N, beta, gamma) for an arbitrary thermal split, elementwise, from one Chernoff call.
+
+    Q1's rows broadcast over N, beta and the channel only, not over the splits.
+    """
+    one, two = _qcb_pairs([_rows(1, n, beta, None, ch), _rows(2, n, beta, gamma, ch)])
+    return one.q - two.q
 
 
 def optimize_beta(n, ch: LossChannel, modes: int, gamma=None) -> tuple:
@@ -192,7 +196,7 @@ def optimize_beta(n, ch: LossChannel, modes: int, gamma=None) -> tuple:
     require(modes == 2 or gamma is None, "gamma only applies to two-mode probes")
     split = None if modes == 1 else 1.0 if gamma is None else gamma
     lanes = np.broadcast_shapes(np.shape(n), ch.shape, np.shape(split))
-    objective = lambda b: _q_rows(modes, n, b, split, ch)  # noqa: E731
+    objective = lambda b: qcb(*_rows(modes, n, b, split, ch)).q  # noqa: E731
     return minimize_scalar_golden(objective, np.zeros(lanes), 1.0, BETA_TOL, grid_points=101)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LossChannel, evolved_blocks, output_params_single, output_params_two
-from .chernoff import error_bounds, qcb
+from .chernoff import _qcb_pairs, error_bounds
 from .fock import (
     TruncationConfig,
     TruncationError,
@@ -99,19 +99,25 @@ def standard_cases() -> list[OracleCase]:
 
 
 def _gaussian_q(cases: list[OracleCase]) -> list[float]:
-    """The Gaussian Q of each case's pair, from one qcb call per mode count.
+    """The Gaussian Q of each case's pair, from one Chernoff call for both mode counts.
 
-    A lane has the same bits alone and in a stack, so a case's rows are the
-    same from `run_all`'s stacks as from its own one-lane stack.
+    The channel cases of a mode count are recovered in one call over their
+    stacked eta.  A lane has the same bits alone and in a stack, so a
+    case's Q is the same from `run_all`'s stacks as alone.
     """
-    qs = {}
+    pairs = {}
     for kind, recover in ((SqueezedThermalParamsSingle, output_params_single),
                           (SqueezedThermalParamsTwo, output_params_two)):
         group = [case for case in cases if type(case.params_a) is kind]
+        lossy = [case for case in group if case.eta is not None]
+        stack = lambda ps: kind(*np.array([p.fields() for p in ps]).T)  # noqa: E731
+        if lossy:
+            out = recover(stack([c.params_a for c in lossy]), LossChannel.from_eta([c.eta for c in lossy]))
+            outputs = map(out.row, range(len(lossy)))
         if group:
-            pb = [c.params_b if c.eta is None else recover(c.params_a, LossChannel.from_eta(c.eta)) for c in group]
-            stacks = (kind(*np.array([p.fields() for p in ps]).T) for ps in ([c.params_a for c in group], pb))
-            qs[kind] = iter(qcb(*stacks).q.tolist())
+            pairs[kind] = [stack(ps) for ps in ([c.params_a for c in group],
+                                                [c.params_b if c.eta is None else next(outputs) for c in group])]
+    qs = {kind: iter(report.q.tolist()) for kind, report in zip(pairs, _qcb_pairs(list(pairs.values())))}
     return [next(qs[type(case.params_a)]) for case in cases]
 
 

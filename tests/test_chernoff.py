@@ -20,6 +20,7 @@ from lossprobe.chernoff import (
     S_TOL,
     DiscriminationReport,
     _g_lambda,
+    _qcb_pairs,
     error_bounds,
     minimize_scalar_golden,
     q_s_single,
@@ -474,6 +475,40 @@ def test_stacked_pair_is_the_same_bits_as_its_rows():
         report = qcb(p_in, p_out, copies=3)
         assert report.q.shape == (300,) and np.isnan(report.fidelity).sum() == 300 - 43
         assert_lanes_are_their_rows(report, [qcb(p_in.row(k), p_out.row(k), copies=3) for k in range(300)])
+
+
+def test_lane_keeps_its_bits_in_a_joint_call():
+    # one- and two-mode stacks with pure rows (beta = 1), a 0-d mixed pair and
+    # a 0-d pure pair in one call: each is its own qcb call, and each lane alone
+    n, beta, gamma_ch = random_probes(120, seed=29)
+    beta[::5] = 1.0
+    ch = LossChannel.from_gamma(gamma_ch)
+    stacks = []
+    for modes, recover in ((1, output_params_single), (2, output_params_two)):
+        p_in = params_from_spec(ProbeSpec(modes=modes, n=n, beta=beta, gamma=0.999 if modes == 2 else None))
+        stacks.append((p_in, recover(p_in, ch)))
+    lone = SqueezedThermalParamsTwo(0.4, 0.3, 0.2)
+    pairs = [stacks[0], (lone, output_params_two(lone, LossChannel.from_eta(0.6))), stacks[1], (THERMAL1, VACUUM)]
+    joint = _qcb_pairs(pairs, copies=2)
+    assert [np.shape(r.q) for r in joint] == [(120,), (), (120,), ()]
+
+    def bits(report):
+        return [type(v).__name__ for v in (report.q, report.s_star)] + [
+            np.asarray(np.nan if v is None else v).view(np.uint64).tolist()
+            for v in (report.q, report.s_star, report.fidelity)]
+
+    for (pa, pb), report in zip(pairs, joint):
+        assert bits(report) == bits(qcb(pa, pb, copies=2))
+        if pa.shape:
+            assert_lanes_are_their_rows(report, [qcb(pa.row(k), pb.row(k), copies=2) for k in range(120)])
+    assert joint[1].fidelity is None and 0.0 < joint[1].s_star < 1.0 and joint[3].s_star == 1.0
+
+
+def test_joint_call_checks_every_pair():
+    with pytest.raises(TypeError, match="mode mismatch"):
+        _qcb_pairs([(VACUUM, THERMAL1), (THERMAL1, SqueezedThermalParamsTwo(0.2, 0.5, 0.1))])
+    with pytest.raises(ValueError, match="copy count"):
+        _qcb_pairs([(VACUUM, THERMAL1)], copies=0)
 
 
 def test_one_state_broadcasts_against_a_stack():

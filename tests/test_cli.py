@@ -632,8 +632,8 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_figure4_minimizes_once_per_batch(tmp_path, monkeypatch, capsys):
-    # the command makes one batched Q1 and one batched Q2 call, so the Q_s
-    # evaluations are a few per golden-section step, not 68 per grid point
+    # the command's Q1 and Q2 rows share one golden section, so the Q_s
+    # evaluations are two per step (one per mode count), not 68 per grid point
     calls = []
     for name in ("q_s_single", "q_s_two"):
         original = getattr(lossprobe.chernoff, name)
@@ -725,22 +725,25 @@ def test_pure_lanes_build_no_covariance_matrix(argv, validations, tmp_path, monk
         ["figure", "4", "--points", "5"],
         ["figure", "5", "--samples", "5"],
         ["figure", "6", "--points", "4", "--samples", "3"],
+        ["sweep", "--samples", "20"],
+        ["verify"],
     ],
 )
-def test_figure_makes_one_chernoff_call_per_mode_count(argv, tmp_path, monkeypatch, capsys):
-    # every file of the command is one stack: one qcb for Q1 and one for Q2,
-    # not two per file (figure 6 made 18)
+def test_command_makes_one_golden_section(argv, tmp_path, monkeypatch, capsys):
+    # every Q1 and Q2 row of the command is one lane of one minimisation over
+    # s, not one per mode count (two) or per file (figure 6 made 18)
     calls = []
-    original = lossprobe.probes.qcb
+    original = lossprobe.chernoff.minimize_scalar_golden
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(lossprobe.probes, "qcb", counted)
-    code, _, _ = run([*argv, "--outdir", str(tmp_path)], capsys)
+    monkeypatch.setattr(lossprobe.chernoff, "minimize_scalar_golden", counted)
+    outdir = ["--outdir", str(tmp_path)] if argv[0] == "figure" else []
+    code, _, _ = run([*argv, *outdir], capsys)
     assert code == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_figure6_stack_equals_one_call_per_file(tmp_path, capsys):

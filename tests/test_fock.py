@@ -621,7 +621,8 @@ def test_verification_case_passes():
 
 
 def test_run_all_makes_one_qcb_stack_per_mode_count(monkeypatch):
-    counts = {"qcb": 0, "run_case": 0}
+    # both mode counts in one Chernoff call, each recovered in one call over its channel cases
+    counts = {"_qcb_pairs": 0, "output_params_single": 0, "output_params_two": 0, "run_case": 0}
 
     def counted(name):
         fn = getattr(verification, name)
@@ -635,7 +636,7 @@ def test_run_all_makes_one_qcb_stack_per_mode_count(monkeypatch):
     for name in counts:
         monkeypatch.setattr(verification, name, counted(name))
     results = verification.run_all()
-    assert counts == {"qcb": 2, "run_case": 13}
+    assert counts == {"_qcb_pairs": 1, "output_params_single": 1, "output_params_two": 1, "run_case": 13}
     # a case's rows are the same from the stack as from its own one-lane call
     cases = verification.standard_cases()
     for k in (0, 5, 9):

@@ -332,6 +332,25 @@ def test_delta_q_positive_at_gamma_one():
     assert delta_q_gamma(2.0, 0.5, 1.0, ch) == pytest.approx(delta_q(2.0, 0.5, ch))
 
 
+def test_nan_lane_raises_in_the_joint_gap_call_as_alone(monkeypatch):
+    # a NaN Q_s in one one-mode lane makes that lane's Q NaN, which the joint
+    # call rejects as q1 does, the two-mode lanes being fine
+    from lossprobe import chernoff
+
+    original = chernoff.q_s_single
+
+    def nan_lane(lanes, pb, s):
+        q = original(lanes, pb, s)
+        return np.where(np.arange(q.shape[-1]) == 1, np.nan, q)
+
+    monkeypatch.setattr(chernoff, "q_s_single", nan_lane)
+    n, beta, ch = np.array([1.0, 2.0, 3.0]), 0.5, LossChannel.from_gamma(0.5)
+    assert np.isfinite(q2(n, beta, 0.9, ch)).all()
+    for call in (lambda: q1(n, beta, ch), lambda: delta_q_gamma(n, beta, 0.9, ch)):
+        with pytest.raises(ValueError, match=r"Chernoff quantity must be in \[0, 1\], got nan"):
+            call()
+
+
 def test_sweep_deterministic():
     a = random_sweep(50, 1.0, seed=42)
     b = random_sweep(50, 1.0, seed=42)
