@@ -43,6 +43,7 @@ import numpy as np
 from . import __version__
 from .channel import LossChannel
 from .correlations import correlation_report
+from .fock import MAX_LOSS_CUTOFF
 from .gaussian import CovarianceMatrix, make_two_mode_st
 from .probes import (
     ProbeSpec,
@@ -246,7 +247,7 @@ def cmd_correlations(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _require(args, "--dim", lambda d: d >= 2, ">= 2")
+    _require(args, "--dim", lambda d: 2 <= d <= MAX_LOSS_CUTOFF, f"in [2, {MAX_LOSS_CUTOFF}]")
     _require(args, "--tail-tol", lambda x: 0.0 < x < 1.0, "in (0, 1)")
     results = run_all(dim=args.dim, tail_tol=args.tail_tol)
     width = max(len(f"{r.case}: {r.check}") for r in results)

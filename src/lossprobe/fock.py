@@ -22,9 +22,11 @@ floors are relative to the largest eigenvalue over all sectors, and an
 eigenvalue below -1e-10 in any sector raises.  A sector without weight (a
 pure input has weight in one) is an exactly zero block that no LAPACK call
 sees: it adds exactly 0 to the s-curve and both end candidates, and the
-trace distance takes the live block's trace.  The dense route (`expm`,
-Kraus matmuls, complex quadratures, one full `eigh`) is the reference in
-the tests.  This module imports only numpy.
+single-copy trace distance takes the live block's trace.  The oracle checks
+Q, the fidelity and the exact single-copy Helstrom error against the
+Gaussian closed forms; M copies are the Chernoff bound's (P_e <= Q^M / 2).
+The dense route (`expm`, Kraus matmuls, complex quadratures, one full
+`eigh`) is the reference in the tests.  This module imports only numpy.
 
 Quadratures follow the package convention q = (a + a^dag)/sqrt(2),
 p = (a - a^dag)/(i sqrt(2)), vacuum variance 1/2.
@@ -32,10 +34,9 @@ p = (a - a^dag)/(i sqrt(2)), vacuum variance 1/2.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -45,15 +46,11 @@ from .gaussian import SqueezedThermalParamsSingle, SqueezedThermalParamsTwo
 
 EIG_CLAMP = 1e-10
 _HERMITICITY_TOL = 1e-12
-DEFAULT_HELSTROM_CAP = 4096
+MAX_LOSS_CUTOFF = 1800  # the loss kernel's scales overflow past this mode-1 cutoff
 
 
 class TruncationError(ArithmeticError):
     """Raised when too much state weight escapes past the Fock cutoff."""
-
-
-class HelstromCapError(ValueError):
-    """Raised when the multi-copy Helstrom matrix would exceed the size cap."""
 
 
 @dataclass(frozen=True)
@@ -358,15 +355,15 @@ def apply_loss_kraus(rho: FockDensityMatrix, eta: float) -> FockDensityMatrix:
     mode-2 lane meets one Toeplitz kernel T[j, i >= j] = (G^2 (1 - eta))^(i - j)
     / (i - j)!: one product over the gathered diagonals (`_diagonal_map`).
     G^2 = dim/e keeps alpha within exp(+-dim/(2e)) and T below exp(dim/e),
-    finite up to a mode-1 cutoff of 1800.  Trace preserving to roundoff: the
-    binomial sum over m <= j is complete for every j < dim.
+    finite up to a mode-1 cutoff of MAX_LOSS_CUTOFF = 1800.  Trace preserving
+    to roundoff: the binomial sum over m <= j is complete for every j < dim.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"transmissivity must be in (0, 1], got {eta}")
     if eta == 1.0:
         return rho
-    if (d1 := rho.dims[0]) > 1800:
-        raise ValueError(f"the loss kernel's scales overflow past a mode-1 cutoff of 1800, got {d1}")
+    if (d1 := rho.dims[0]) > MAX_LOSS_CUTOFF:
+        raise ValueError(f"the loss kernel's scales overflow past a mode-1 cutoff of {MAX_LOSS_CUTOFF}, got {d1}")
     at, deltas, lanes = _diagonal_map(rho.dims, rho.modulus)
     g2, n = d1 / math.e, np.arange(1.0, d1)
     alpha = np.cumprod(np.concatenate(([1.0], np.sqrt(n / g2))))
@@ -514,51 +511,23 @@ def qcb_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[float,
     return q, s_star
 
 
-def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The Kronecker product of every pair of blocks: (p, n, n) and (q, m, m) give (p q, n m, n m), x's blocks major."""
-    return (x[:, None, :, None, :, None] * y[None, :, None, :, None, :]).reshape(len(x) * len(y), x.shape[1] * y.shape[1], -1)
+def trace_distance_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> float:
+    """(1/2) ||rho_a - rho_b||_1: one `eigvalsh` per size class over the blocks live in both states.
 
-
-def _trace_distance(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix, copies: int) -> float:
-    """(1/2) ||rho_a^xM - rho_b^xM||_1: one block per M-tuple of sectors, the Kronecker product of its blocks.
-
-    A tuple live in one state only adds the product of its positive blocks' traces (its trace norm, up to
-    the roundoff eigenvalues the positivity check clamps); those live in both make one `eigvalsh` per class tuple."""
+    A block live in one state only adds its trace (its trace norm, up to the roundoff eigenvalues the
+    positivity check clamps)."""
     rho_a, rho_b = _common(rho_a, rho_b)
-    live = [reduce(np.logical_and.outer, [rho.live] * copies) for rho in (rho_a, rho_b)]  # per M-tuple of sectors
-    both = live[0] & live[1]
-    total = sum(reduce(np.multiply.outer, [np.bincount(rho.layout.sector_of, rho.diagonal)] * copies)[mine & ~both].sum()
-                for rho, mine in zip((rho_a, rho_b), live))
-    for cs in itertools.product(zip(rho_a.layout.classes, rho_a.stacks, rho_b.stacks), repeat=copies):
-        if (keep := both[tuple(slice(a, b) for (_, a, b), _, _ in cs)].ravel()).any():
-            diff = reduce(_kron, [sa for _, sa, _ in cs]) - reduce(_kron, [sb for _, _, sb in cs])
-            total += np.abs(np.linalg.eigvalsh(_select(keep, diff)[0])).sum()
+    both = rho_a.live & rho_b.live
+    total = sum(np.bincount(rho.layout.sector_of, rho.diagonal)[rho.live & ~both].sum() for rho in (rho_a, rho_b))
+    for (_, a, b), sa, sb in zip(rho_a.layout.classes, rho_a.stacks, rho_b.stacks):
+        if (keep := both[a:b]).any():
+            total += np.abs(np.linalg.eigvalsh(_select(keep, sa - sb)[0])).sum()
     return 0.5 * float(total)
 
 
-def trace_distance_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> float:
-    """(1/2) ||rho_a - rho_b||_1."""
-    return _trace_distance(rho_a, rho_b, 1)
-
-
-def helstrom_pe_fock(
-    rho_a: FockDensityMatrix,
-    rho_b: FockDensityMatrix,
-    copies: int = 1,
-    cap: int = DEFAULT_HELSTROM_CAP,
-) -> float:
-    """Exact M-copy Helstrom error (1 - T(rho_a^xM, rho_b^xM)) / 2.
-
-    The M-fold tensor powers are block diagonal over tuples of sectors
-    (`_trace_distance`).  For M > 1 the total dimension dim^M must stay at
-    or below `cap`; one copy materializes nothing beyond the states.
-    """
-    if copies < 1:
-        raise ValueError(f"copy count must be >= 1, got {copies}")
-    d = math.prod(rho_a.dims)
-    if copies > 1 and d**copies > cap:
-        raise HelstromCapError(f"dimension {d}^{copies} exceeds the Helstrom cap {cap}")
-    return 0.5 * (1.0 - _trace_distance(rho_a, rho_b, copies))
+def helstrom_pe_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> float:
+    """Exact single-copy Helstrom error (1 - T(rho_a, rho_b)) / 2."""
+    return 0.5 * (1.0 - trace_distance_fock(rho_a, rho_b))
 
 
 def fidelity_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> float:

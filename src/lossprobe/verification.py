@@ -174,7 +174,7 @@ def run_case(
     q_fock, _ = qcb_fock(rho_a, rho_b)
     record("chernoff gap", q_fock - q, QCB_TOL)
 
-    pe = helstrom_pe_fock(rho_a, rho_b, copies=1)
+    pe = helstrom_pe_fock(rho_a, rho_b)
     fid = fidelity_fock(rho_a, rho_b)
     lower, _, _ = error_bounds(q, fid, 1)
     record("chain: pe above lower", pe - lower, CHAIN_SLACK_TOL, keep_sign=True)

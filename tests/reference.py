@@ -1,7 +1,7 @@
 """High-precision reference routes for the Gaussian quantities, in stdlib decimal.
 
 Each route takes the float parameters as exact decimals and works in 60
-significant digits (200 for the error bound, whose argument can be 1e-90),
+significant digits (200 for the error bounds, whose powers reach 1e-1500),
 so its rounding is far below any float result it checks.  The formulas are
 the textbook ones, not the package's: powers are exp(s ln x), the two-mode
 determinant is (x y - z^2)^2 of the summed blocks, and the recovery takes
@@ -105,6 +105,20 @@ def pe_lower(f: float, m: int) -> float:
     with localcontext() as ctx:
         ctx.prec = 200
         return float((1 - (1 - Decimal(f) ** m).sqrt()) / 2)
+
+
+def pe_upper(q: float, m: int) -> float:
+    """The Chernoff upper bound Q^M / 2 on the M-copy error."""
+    with localcontext() as ctx:
+        ctx.prec = 200
+        return float(Decimal(q) ** m / 2)
+
+
+def pe_fidelity_upper(f: float, m: int) -> float:
+    """The fidelity upper bound sqrt(F^M) / 2 on the M-copy error."""
+    with localcontext() as ctx:
+        ctx.prec = 200
+        return float((Decimal(f) ** m).sqrt() / 2)
 
 
 def threshold_root(eta: float) -> float:

@@ -690,3 +690,13 @@ def test_pe_lower_does_not_cancel_at_small_fidelity():
             ref = reference.pe_lower(f, m)
             assert abs(got - ref) <= 1e-15 * ref, (f, m, got, ref)
     assert error_bounds(1.0, 1.0, 1)[0] == 0.5
+
+
+def test_upper_bounds_match_the_decimal_routes_to_one_ulp():
+    # Q^M / 2 and sqrt(F^M) / 2, into the subnormals and past them to 0
+    xs = np.concatenate([np.logspace(-30, 0, 301), [1.0 - 1e-12, 0.5, 1.0, 0.0]])
+    for m in (1, 2, 3, 7, 50):
+        _, upper, fidelity_upper = error_bounds(xs, xs, m)
+        for x, got_q, got_f in zip(xs.tolist(), upper.tolist(), fidelity_upper.tolist()):
+            for got, ref in ((got_q, reference.pe_upper(x, m)), (got_f, reference.pe_fidelity_upper(x, m))):
+                assert abs(got - ref) <= np.spacing(ref), (x, m, got, ref)

@@ -25,10 +25,9 @@ from scipy.special import gammaln
 
 from lossprobe import fock, verification
 from lossprobe.channel import LossChannel, evolve_single, evolve_two, output_params_single, output_params_two
-from lossprobe.chernoff import S_EPS, S_TOL, minimize_scalar_golden, q_s_single, q_s_two, qcb
+from lossprobe.chernoff import S_EPS, S_TOL, error_bounds, minimize_scalar_golden, q_s_single, q_s_two, qcb
 from lossprobe.fock import (
     FockDensityMatrix,
-    HelstromCapError,
     TruncationConfig,
     TruncationError,
     _spectral_overlap,
@@ -558,28 +557,16 @@ def test_helstrom_error_below_chernoff_bound():
 
 def test_multi_copy_helstrom_improves():
     # dim 24 keeps the hotter thermal tail (0.375^24 ~ 6e-11) under the
-    # deficit tolerance while 24^2 stays well inside the Helstrom cap.
+    # deficit tolerance; the two-copy error comes from the dense Kronecker
+    # square (576 dimensions)
     cfg = TruncationConfig(dim=24)
     rho_a = fock_squeezed_thermal(S1(0.0, 0.3), cfg)
     rho_b = fock_squeezed_thermal(S1(0.0, 0.6), cfg)
-    pe1 = helstrom_pe_fock(rho_a, rho_b, copies=1)
-    pe2 = helstrom_pe_fock(rho_a, rho_b, copies=2)
+    pe1 = helstrom_pe_fock(rho_a, rho_b)
+    pe2 = dense_helstrom(rho_a.mat, rho_b.mat, 2)
     assert pe2 <= pe1
     report = qcb(S1(0.0, 0.3), S1(0.0, 0.6), copies=2)
     assert pe2 <= report.q**2 / 2.0 + CHAIN_SLACK
-
-
-def test_helstrom_cap_and_copy_validation():
-    cfg = TruncationConfig(dim=16)
-    rho = fock_squeezed_thermal(S1(0.0, 0.3), cfg)
-    with pytest.raises(HelstromCapError):
-        helstrom_pe_fock(rho, rho, copies=4)
-    with pytest.raises(HelstromCapError):
-        helstrom_pe_fock(rho, rho, copies=2, cap=255)
-    # a single copy is never capped: it materializes nothing new
-    assert helstrom_pe_fock(rho, rho, copies=1, cap=15) == 0.5
-    with pytest.raises(ValueError):
-        helstrom_pe_fock(rho, rho, copies=0)
 
 
 def test_fidelity_identical_states(single_st):
@@ -772,10 +759,17 @@ def test_sector_spectral_functions_match_dense(dense_pair):
 
 @pytest.mark.parametrize("params,dim,eta", [(S1(1.0, 3.0), 30, 0.6), (T2(0.7, 1.5, 1.2), 6, 0.5)])
 def test_sector_two_copy_helstrom_matches_dense(params, dim, eta):
+    # the sector route gives one copy; two copies are the dense Kronecker
+    # square, between the fidelity lower bound and the Chernoff bound Q^2 / 2
     rho = fock_squeezed_thermal(params, TruncationConfig(dim=dim, tail_tol=DENSE_TRUNCATION))
     ref = dense_state(params, dim)
-    pe = helstrom_pe_fock(rho, apply_loss_kraus(rho, eta), copies=2)
-    assert abs(pe - dense_helstrom(ref, dense_loss(ref, rho.dims, eta), 2)) < DENSE_TOL
+    ref_out = dense_loss(ref, rho.dims, eta)
+    assert abs(helstrom_pe_fock(rho, apply_loss_kraus(rho, eta)) - dense_helstrom(ref, ref_out, 1)) < DENSE_TOL
+    channel = LossChannel.from_eta(eta)
+    out = output_params_single(params, channel) if isinstance(params, S1) else output_params_two(params, channel)
+    report = qcb(params, out, copies=2)  # mixed: no fidelity, so the lower bound takes the dense one
+    pe_lower, _, _ = error_bounds(report.q, dense_fidelity(ref, ref_out), 2)
+    assert pe_lower <= dense_helstrom(ref, ref_out, 2) <= report.pe_upper
 
 
 def test_sectors_follow_the_conserved_charge(single_st, two_mode_st):
@@ -861,17 +855,15 @@ def test_one_sided_dead_sectors_match_dense():
     assert_q_pe_f_match(vac, thermal, vac.mat, thermal.mat, float(thermal.diagonal[0]))
 
 
-@pytest.mark.parametrize("copies", [1, 2])
-def test_one_sided_tuples_take_their_trace(copies):
+def test_one_sided_sectors_take_their_trace():
     # the squeezed vacuum is live in the even sector only, the thermal state
-    # in both, so with two copies three of the four sector tuples are live in
-    # the thermal state alone: each adds the product of its blocks' traces,
-    # found without either state's spectrum
+    # in both, so the odd sector is live in the thermal state alone: it adds
+    # its block's trace, found without either state's spectrum
     a = dense_state(S1(0.5, 0.0), 8)
     b = np.diag(thermal_diagonal(0.2, 8))
     rho_a, rho_b = FockDensityMatrix(dims=(8,), mat=a), FockDensityMatrix(dims=(8,), mat=b)
     assert (rho_a.modulus, rho_b.modulus) == (2, 8)
-    assert abs(helstrom_pe_fock(rho_a, rho_b, copies=copies) - dense_helstrom(a, b, copies)) < 1e-14
+    assert abs(helstrom_pe_fock(rho_a, rho_b) - dense_helstrom(a, b, 1)) < 1e-14
     assert "spectrum" not in rho_a.__dict__ and "spectrum" not in rho_b.__dict__
 
 
