@@ -16,26 +16,31 @@ with W(x) = (x + 1/2) I2 per mode in the vacuum = 1/2 normalization used
 throughout.  The identity Lambda_s(t) + Lambda_(1-s)(t) + 1 =
 G_s(t) G_(1-s)(t) makes Q_s = 1 for identical states.  The overlap
 Tr[rho_A rho_B] = 1 / sqrt(det(sigma_A + sigma_B)) is the same quotient with
-weights w = n_t + 1/2 and numerator 1, so one determinant per mode count
-(`_q_single`, `_q_two`) serves both, from the weights of each state and
-s-free factors of the pair:
+weights w = n_t + 1/2 and numerator 1, so one sum S (`_q`) serves both
+quantities and both mode counts, from the weights of each state and the
+s-free factors cosh^2 D and sinh^2 D of the pair, D = r_b - r_a:
 
-  * One mode: S(r) = diag(e^r, e^-r), so
+        S = w_a1 w_a2 + w_b1 w_b2 + cosh^2 D (w_a1 w_b2 + w_a2 w_b1)
+            + sinh^2 D (w_a1 w_b1 + w_a2 w_b2),
 
-        det = (w_a e^2r_a + w_b e^2r_b)(w_a e^-2r_a + w_b e^-2r_b).
+so Q_s = Pi_s S^(-m/2) for m modes, and the overlap is S^(-m/2).
 
   * Two modes: two-mode squeezers commute and have unit determinant, so
     S(-r_a) keeps the determinant and maps a's matrix to diag(w_a1, w_a1,
     w_a2, w_a2) and b's to the squeezed block matrix [[x I2, z Z], [z Z,
-    y I2]] (Z = diag(1, -1)) of squeezing D = r_b - r_a, with x = w_b1
-    cosh^2 D + w_b2 sinh^2 D, y = w_b1 sinh^2 D + w_b2 cosh^2 D and
-    x y - z^2 = w_b1 w_b2.  Then det = ((w_a1 + x)(w_a2 + y) - z^2)^2 = S^2
-    with
+    y I2]] (Z = diag(1, -1)) of squeezing D, with x = w_b1 cosh^2 D + w_b2
+    sinh^2 D, y = w_b1 sinh^2 D + w_b2 cosh^2 D and x y - z^2 = w_b1 w_b2.
+    Then det = ((w_a1 + x)(w_a2 + y) - z^2)^2 = S^2.
 
-        S = w_a1 w_a2 + w_b1 w_b2 + cosh^2 D (w_a1 w_b2 + w_a2 w_b1)
-            + sinh^2 D (w_a1 w_b1 + w_a2 w_b2).
+  * One mode: S(r) = diag(e^r, e^-r), so det = (w_a e^2r_a + w_b
+    e^2r_b)(w_a e^-2r_a + w_b e^-2r_b) = w_a^2 + w_b^2 + 2 w_a w_b cosh 2D,
+    and cosh 2D = cosh^2 D + sinh^2 D makes it S at balanced weights,
+    S(w_a, w_a, w_b, w_b) (Pirandola and Lloyd, PRA 78, 012331, 2008).
+    A 50:50 beam splitter maps the two-mode state (r, n, n) to the
+    one-mode states (r, n) and (-r, n), so a balanced two-mode pair has
+    the square of its one-mode pair's Q_s.
 
-Both are sums and products of positive terms, so nothing cancels.  The
+S is a sum of products of positive terms, so nothing cancels.  The
 difference x y - z^2 of the summed blocks of both states cancels between
 terms of order N^2 times the smaller weight (Q = 0.688, not 1, for a
 two-mode state against itself at N = 3e5), and the LU determinant of the
@@ -106,8 +111,8 @@ class PairLanes(NamedTuple):
     `bases_a` and `bases_b` hold each state's occupations, then the
     occupations plus one, on the first axis (the lanes follow), so its powers
     come from one call.  `factors` are the pair's s-free factors of the
-    determinant, (e^2r_a, e^-2r_a, e^2r_b, e^-2r_b) or (cosh^2 D, sinh^2 D),
-    D = r_b - r_a, from numpy's exp, cosh and sinh (`elementwise`).
+    determinant sum S, (cosh^2 D, sinh^2 D) with D = r_b - r_a for either
+    mode count, from numpy's cosh and sinh (`elementwise`).
     """
 
     bases_a: np.ndarray
@@ -116,8 +121,6 @@ class PairLanes(NamedTuple):
 
 
 def _factors(pa: Params, pb: Params) -> tuple:
-    if isinstance(pa, SqueezedThermalParamsSingle):
-        return tuple(elementwise(np.exp, k * p.r) for p in (pa, pb) for k in (2.0, -2.0))
     d = pb.r - pa.r
     return tuple(x * x for x in (elementwise(np.cosh, d), elementwise(np.sinh, d)))
 
@@ -128,16 +131,11 @@ def stack_pair(pa: Params, pb: Params) -> PairLanes:
     return PairLanes(*(np.array(b + [n + 1.0 for n in b], dtype=float) for b in bases), _factors(pa, pb))
 
 
-def _q_single(g, wa, wb, factors):
-    """g / sqrt(det) of a one-mode pair with weights wa and wb; see the module docstring."""
-    up_a, down_a, up_b, down_b = factors
-    return g / np.sqrt((wa * up_a + wb * up_b) * (wa * down_a + wb * down_b))
-
-
-def _q_two(g, wa1, wa2, wb1, wb2, factors):
-    """g / sqrt(det) of a two-mode pair with weights wa1, wa2, wb1 and wb2; see the module docstring."""
-    c2, s2 = factors
-    return g / (wa1 * wa2 + wb1 * wb2 + c2 * (wa1 * wb2 + wa2 * wb1) + s2 * (wa1 * wb1 + wa2 * wb2))
+def _q(g, wa, wb, factors):
+    """g S^(-m/2) of an m-mode pair with weights wa and wb, one entry per mode; see the module docstring."""
+    (a1, a2), (b1, b2), (c2, s2) = (wa[0], wa[-1]), (wb[0], wb[-1]), factors
+    S = a1 * a2 + b1 * b2 + c2 * (a1 * b2 + a2 * b1) + s2 * (a1 * b1 + a2 * b2)
+    return g / S if len(wa) == 2 else g / np.sqrt(S)
 
 
 def minimize_scalar_golden(f, lo, hi, tol: float, grid_points: int = _GRID_POINTS):
@@ -206,7 +204,7 @@ def q_s_single(pa, pb, s):
     `PairLanes` of a pair and pb is None.
     """
     ga, wa, gb, wb, factors = _weights(pa, pb, s)
-    return float_or_array(_q_single(ga[0] * gb[0], wa[0], wb[0], factors))
+    return float_or_array(_q(ga[0] * gb[0], wa, wb, factors))
 
 
 def q_s_two(pa, pb, s):
@@ -216,14 +214,13 @@ def q_s_two(pa, pb, s):
     `PairLanes` of a pair and pb is None.
     """
     ga, wa, gb, wb, factors = _weights(pa, pb, s)
-    return float_or_array(_q_two(ga[0] * ga[1] * gb[0] * gb[1], *wa, *wb, factors))
+    return float_or_array(_q(ga[0] * ga[1] * gb[0] * gb[1], wa, wb, factors))
 
 
 def _overlap(pa: Params, pb: Params) -> np.ndarray:
     """Tr[rho_a rho_b] of two flat stacks: the determinant at weights n_t + 1/2, over 1."""
-    q = _q_single if isinstance(pa, SqueezedThermalParamsSingle) else _q_two
-    weights = [n + VACUUM_NOISE for p in (pa, pb) for n in p.fields()[1:]]
-    return q(1.0, *weights, _factors(pa, pb))
+    wa, wb = ([n + VACUUM_NOISE for n in p.fields()[1:]] for p in (pa, pb))
+    return _q(1.0, wa, wb, _factors(pa, pb))
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,8 @@ from .gaussian import (
 
 N_MAX_THRESHOLD = 1.0e3
 BETA_TOL = 1e-6
+FIT_WINDOW = 0.05  # the threshold fit's eta range above eta_c
+FIT_POINTS = 50
 
 
 class ThresholdSearchError(ArithmeticError):
@@ -90,7 +92,7 @@ class ProbeSpec:
 
 
 def _unit(x):
-    return 0.0 <= x <= 1.0 if isinstance(x, float) else (0.0 <= np.asarray(x)) & (np.asarray(x) <= 1.0)
+    return (0.0 <= np.asarray(x)) & (np.asarray(x) <= 1.0)
 
 
 def params_from_spec(spec: ProbeSpec) -> SqueezedThermalParamsSingle | SqueezedThermalParamsTwo:
@@ -256,16 +258,14 @@ def threshold_energy(eta):
     return float_or_array(n)
 
 
-def threshold_fit_near_critical(
-    window: float = 0.05, points: int = 50
-) -> tuple[float, float, float]:
+def threshold_fit_near_critical() -> tuple[float, float, float]:
     """Least-squares fit N_th(eta) ~ c1 x + c2 x^2, x = eta - eta_c.
 
-    Fitted over `points` evenly spaced eta in [eta_c, eta_c + window] with no
-    constant term.  Returns (c1, c2, rms_residual).
+    Fitted over FIT_POINTS evenly spaced eta in [eta_c, eta_c + FIT_WINDOW]
+    with no constant term.  Returns (c1, c2, rms_residual).
     """
     eta_c, _ = critical_transmissivity()
-    xs = np.linspace(0.0, window, points)
+    xs = np.linspace(0.0, FIT_WINDOW, FIT_POINTS)
     ys = threshold_energy(eta_c + xs)
     design = np.column_stack([xs, xs * xs])
     coef, *_ = np.linalg.lstsq(design, ys, rcond=None)

@@ -74,6 +74,14 @@ def q_s_two(pa, pb, s: float) -> float:
         return float(ga1 * ga2 * gb1 * gb2 / det)
 
 
+def overlap_single(pa, pb) -> float:
+    """Tr[rho_a rho_b] = 1 / sqrt(det(sigma_a + sigma_b)) of two one-mode states."""
+    with localcontext() as ctx:
+        ctx.prec = PREC
+        wa, wb = (Decimal(p.n_t) + HALF for p in (pa, pb))
+        return float(1 / _sqrt_det_single(pa, pb, wa, wb))
+
+
 def overlap_two(pa, pb) -> float:
     """Tr[rho_a rho_b] = 1 / sqrt(det(sigma_a + sigma_b)) of two two-mode states."""
     with localcontext() as ctx:

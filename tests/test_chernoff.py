@@ -575,22 +575,25 @@ def random_pairs(rng, count, modes):
 
 def assert_matches_decimal(report, pa, pb, rel):
     assert not np.isnan(report.fidelity).any()
+    overlap_ref = reference.overlap_single if isinstance(pa, SqueezedThermalParamsSingle) else reference.overlap_two
     for k in range(report.q.size):
-        ref = reference.overlap_two(pa.row(k), pb.row(k))
+        ref = overlap_ref(pa.row(k), pb.row(k))
         assert abs(report.q[k] - ref) <= rel * ref, (k, report.q[k], ref)
 
 
-def test_single_mode_pure_lanes_are_the_cm_overlap_bits():
+def test_single_mode_pure_lanes_match_the_decimal_determinant():
+    # the two-mode S at balanced weights; the CM overlap (det2 of the summed matrices) agrees to the same bound
     rng = np.random.default_rng(20261018)
     pa, pb = random_pairs(rng, 1000, modes=1)
-    for a, b in ((pa, pb), (pb, pa)):
-        report = qcb(a, b)
-        assert report.q.tolist() == report.fidelity.tolist()
-        assert report.q.tolist() == overlap(make_single_mode_st(a), make_single_mode_st(b)).tolist()
     n, beta, _ = random_probes(1000, seed=5)
     p_in = params_from_spec(ProbeSpec(modes=1, n=n, beta=np.ones_like(n)))
     p_out = output_params_single(p_in, LossChannel.from_eta(0.4))
-    assert qcb(p_in, p_out).q.tolist() == overlap(make_single_mode_st(p_in), make_single_mode_st(p_out)).tolist()
+    for a, b in ((pa, pb), (pb, pa), (p_in, p_out)):
+        report = qcb(a, b)
+        assert report.q.tolist() == report.fidelity.tolist()
+        assert_matches_decimal(report, a, b, 2e-15)
+        via_cm = overlap(make_single_mode_st(a), make_single_mode_st(b))
+        np.testing.assert_allclose(report.q, via_cm, rtol=2e-15, atol=0.0)
 
 
 def test_two_mode_pure_lanes_match_the_decimal_determinant():
@@ -623,7 +626,8 @@ def test_two_mode_pure_lanes_agree_with_the_cm_route():
 
 
 # ---------------------------------------------------------------------------
-# Q_s against the decimal reference, and identical states at large N
+# Q_s against the decimal reference, the balanced-mode identity, and
+# identical states at large N
 # ---------------------------------------------------------------------------
 
 EPS = np.finfo(float).eps
@@ -664,6 +668,31 @@ def test_q_s_matches_the_decimal_reference():
                                     gamma=rng.choice([0.0, 0.5, 1.0], count)))
     pb = SqueezedThermalParamsTwo(*(v * (1.0 + rng.uniform(0.0, 1e-6, count)) for v in pa.fields()))
     assert_q_s_matches_decimal(q_s_two, reference.q_s_two, pa, pb, rng.uniform(0.05, 0.95, count))
+
+
+def test_balanced_two_mode_pairs_are_the_one_mode_pairs_squared():
+    # a 50:50 beam splitter maps the two-mode state (r, n, n) to the one-mode
+    # states (r, n) and (-r, n), and (-r, n) is (r, n) turned by pi/2; so a
+    # pair of balanced two-mode states has the squared Q_s of its one-mode pair
+    rng = np.random.default_rng(28)
+    count = 2000
+    r_a, r_b = rng.uniform(0.0, 3.0, (2, count))
+    n_a, n_b = 10.0 ** rng.uniform(-3.0, 3.0, (2, count))
+    n_a[::10] = n_b[5::10] = 0.0  # one lane in five is pure
+    two = SqueezedThermalParamsTwo(r_a, n_a, n_a), SqueezedThermalParamsTwo(r_b, n_b, n_b)
+    one = SqueezedThermalParamsSingle(r_a, n_a), SqueezedThermalParamsSingle(r_b, n_b)
+    s = rng.uniform(0.05, 0.95, count)
+    np.testing.assert_allclose(q_s_two(*two, s), q_s_single(*one, s) ** 2, rtol=4.0 * EPS, atol=0.0)
+    q_two, q_one = qcb(*two), qcb(*one)
+    pure = ~np.isnan(q_two.fidelity)
+    assert pure.tolist() == (~np.isnan(q_one.fidelity)).tolist() and pure.sum() == count // 5
+    np.testing.assert_allclose(q_two.q[pure], q_one.q[pure] ** 2, rtol=4.0 * EPS, atol=0.0)
+    # the two golden sections end at other points of their curves: q_two
+    # carries the roundoff a Q_s carries against the decimal route, and
+    # q_one ** 2 twice that, as squaring doubles it
+    mixed, at = (p.take(~pure) for p in two), q_two.s_star[~pure]
+    got, want = q_two.q[~pure], q_one.q[~pure] ** 2
+    assert (np.abs(got - want) <= 3.0 * (6.0 * EPS + g_s_allowance(*mixed, at)) * got).all()
 
 
 def test_identical_states_give_q_one_up_to_large_energy():
