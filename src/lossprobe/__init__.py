@@ -9,8 +9,8 @@ mutual information).  A truncated Fock-space brute force validates the
 covariance-matrix fast paths.
 """
 
-from .channel import LossChannel, evolve_single, evolve_two, output_params_single, output_params_two
-from .chernoff import DiscriminationReport, error_bounds, q_s_single, q_s_two, qcb
+from .channel import LossChannel, evolve, output_params_single, output_params_two
+from .chernoff import DiscriminationReport, error_bounds, q_s, qcb
 from .correlations import (
     CorrelationReport,
     binary_entropy_h,
@@ -65,8 +65,7 @@ __all__ = [
     "discord",
     "discriminate",
     "error_bounds",
-    "evolve_single",
-    "evolve_two",
+    "evolve",
     "log_negativity",
     "make_single_mode_st",
     "make_two_mode_st",
@@ -81,8 +80,7 @@ __all__ = [
     "q1_analytic",
     "q2",
     "q2_analytic",
-    "q_s_single",
-    "q_s_two",
+    "q_s",
     "qcb",
     "random_sweep",
     "symplectic_eigenvalues",

@@ -3,10 +3,11 @@
 The channel damps a mode toward the vacuum: sigma -> eta sigma + (1 - eta)/2 I
 with transmissivity eta = exp(-gamma).  For a two-mode probe only the first
 mode is sent through the channel; the second is kept as an ideal reference.
-A squeezed thermal input stays squeezed thermal, so the output can be handed
-back as parameters of the same family; the two-mode output is computed from
-the block entries in closed form, and its round trip is checked on those
-entries, so the recovery builds no CM.
+One `evolve` does this for either mode count, on a CM stack and a channel
+stack that broadcast.  A squeezed thermal input stays squeezed thermal, so
+the output can be handed back as parameters of the same family; the
+two-mode output is computed from the block entries in closed form, and its
+round trip is checked on those entries, so the recovery builds no CM.
 
 The recovery works elementwise on a stack of parameters and a channel or a
 channel stack (see `gaussian`), which broadcast; a row gets the same bits
@@ -16,7 +17,6 @@ first failing row's parameters and channel.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,28 +74,25 @@ class LossChannel(_ParameterStack):
         return cls(gamma=-elementwise(np.log, eta) + 0.0, eta=eta)  # + 0.0: eta = 1 gives +0.0, not -0.0
 
 
-def evolve_single(cm: CovarianceMatrix, ch: LossChannel) -> CovarianceMatrix:
-    """sigma -> eta sigma + (1 - eta) sigma_vac for a one-mode CM (or stack), through one channel."""
-    if cm.n != 1:
-        raise ValueError(f"expected a one-mode CM, got {cm.n} modes")
-    return CovarianceMatrix(ch.eta * cm.mat + (1.0 - ch.eta) * VACUUM_NOISE * np.eye(2))
-
-
-def evolve_two(cm: CovarianceMatrix, ch: LossChannel) -> CovarianceMatrix:
-    """Send mode 1 of a two-mode CM (or stack) through one channel, keep mode 2 intact.
+def evolve(cm: CovarianceMatrix, ch: LossChannel) -> CovarianceMatrix:
+    """Send mode 1 of a CM (or stack) through the channel (or stack), keep any second mode intact.
 
     X sigma X^T + (1 - eta) sigma_vac on mode 1, with X = diag(sqrt(eta),
-    sqrt(eta), 1, 1): the mode-1 block is damped, the cross block picks up
-    sqrt(eta), the reference block is untouched.
+    sqrt(eta), 1, 1): the mode-1 block is damped, the cross blocks pick up
+    sqrt(eta), the reference block is untouched.  A one-mode CM has no cross
+    blocks, so it is damped as a whole.  The stack of matrices and the
+    channel stack broadcast, one channel per matrix.
     """
-    if cm.n != 2:
-        raise ValueError(f"expected a two-mode CM, got {cm.n} modes")
-    root = math.sqrt(ch.eta)
-    m = cm.mat.copy()
-    m[..., :2, :2] = ch.eta * m[..., :2, :2] + (1.0 - ch.eta) * VACUUM_NOISE * np.eye(2)
+    eta = np.asarray(ch.eta)[..., None, None]
+    root = np.sqrt(eta)
+    m = np.broadcast_to(cm.mat, np.broadcast_shapes(cm.mat.shape, eta.shape)).copy()
+    m[..., :2, :2] = eta * m[..., :2, :2] + (1.0 - eta) * VACUUM_NOISE * np.eye(2)
     m[..., :2, 2:] *= root
     m[..., 2:, :2] *= root
     return CovarianceMatrix(m)
+
+
+evolve_single = evolve_two = evolve  # not called here: perfbench/tracing.py wraps both names as the channel.evolve layer
 
 
 def _row(p, ch: LossChannel, k: int) -> str:
@@ -118,10 +115,10 @@ def _clamped(x, what: str, p, ch: LossChannel):
 def evolved_blocks(p: SqueezedThermalParamsTwo, ch: LossChannel):
     """Block entries (A', B', C') of the evolved two-mode state, per row.
 
-    evolve_two in closed form on the entries of two_mode_blocks:
+    evolve in closed form on the entries of two_mode_blocks:
     A' = eta A + (1 - eta), B' = B, C' = sqrt(eta) C.  The operations are
-    those of evolve_two on make_two_mode_st(p) up to exact factors of 2, so
-    the entries agree bit for bit.  C' is formed from C / 2, as evolve_two
+    those of evolve on make_two_mode_st(p) up to exact factors of 2, so
+    the entries agree bit for bit.  C' is formed from C / 2, as evolve
     forms it: halving a subnormal C rounds, so sqrt(eta) C / 2 would differ
     in the last bit (r = 1.1e-308).
     """

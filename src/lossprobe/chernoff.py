@@ -47,9 +47,10 @@ two-mode state against itself at N = 3e5), and the LU determinant of the
 summed matrices misses the overlap by up to 2e-9 on pure probes up to
 N = 1e6.
 
-Array semantics.  q_s_single and q_s_two are elementwise and broadcast, and
-a scalar input gives a float.  States enter as parameters (one state or a
-stack, see `gaussian`) or as the lanes of `stack_pair`.  `qcb` takes two
+Array semantics.  q_s is elementwise and broadcasts, and a scalar input
+gives a float; it reads the mode count from the states, so one function
+serves both.  States enter as parameters (one state or a stack, see
+`gaussian`) or as the lanes of `stack_pair`.  `qcb` takes two
 states or two stacks of one mode count whose shapes broadcast, and
 `_qcb_pairs` any number of such pairs, of either mode count: the pure
 lanes take the overlap straight from the parameters (`_overlap`, no
@@ -74,7 +75,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -125,8 +126,16 @@ def _factors(pa: Params, pb: Params) -> tuple:
     return tuple(x * x for x in (elementwise(np.cosh, d), elementwise(np.sinh, d)))
 
 
+def _require_pair(pa: Params, pb: Params) -> None:
+    if type(pa) is not type(pb):
+        raise TypeError(f"mode mismatch: {type(pa).__name__} vs {type(pb).__name__}")
+    if type(pa) not in (SqueezedThermalParamsSingle, SqueezedThermalParamsTwo):
+        raise TypeError(f"unsupported parameter type {type(pa).__name__}")
+
+
 def stack_pair(pa: Params, pb: Params) -> PairLanes:
     """Lanes of one pair (0-d lanes, plain float factors) or of two stacks whose shapes broadcast."""
+    _require_pair(pa, pb)
     bases = (list(p.fields()[1:]) for p in (pa, pb))
     return PairLanes(*(np.array(b + [n + 1.0 for n in b], dtype=float) for b in bases), _factors(pa, pb))
 
@@ -185,36 +194,28 @@ def minimize_scalar_golden(f, lo, hi, tol: float, grid_points: int = _GRID_POINT
     return (float(x), float(fx)) if lo.ndim == 0 else (x, fx)
 
 
-def _weights(pa, pb, s) -> tuple:
-    """(G_s, Lambda_s + 1/2, G_(1-s), Lambda_(1-s) + 1/2, factors) of a pair, one row per mode, lanes against s."""
+def q_s(pa, pb, s):
+    """Q_s for pairs of squeezed thermal states of either mode count, elementwise.
+
+    pa and pb are parameters whose lanes broadcast against s, or pa is the
+    `PairLanes` of a pair and pb is None.  The mode count comes from the
+    states: G_s is multiplied over every mode of both, in order, so a
+    one-mode pair gives G_s(n_a) G_(1-s)(n_b) and a two-mode pair the
+    product of four.
+    """
     lanes = pa if pb is None else stack_pair(pa, pb)
     s = np.asarray(s, dtype=float)
     require((0.0 < s) & (s < 1.0), "exponent must be in (0, 1), got {}", s)
     # numpy's array loop raises the bases, the base index first, then the lanes broadcast against e
     powers = (bases.reshape(bases.shape[:1] + (1,) * max(e.ndim - bases.ndim + 1, 0) + bases.shape[1:]) ** e
               for bases, e in ((lanes.bases_a, s), (lanes.bases_b, 1.0 - s)))
-    (ga, la), (gb, lb) = (_g_lambda(p[: len(p) // 2], p[len(p) // 2 :]) for p in powers)
-    return ga, la + 0.5, gb, lb + 0.5, lanes.factors
+    (ga, wa), (gb, wb) = (_g_lambda(p[: len(p) // 2], p[len(p) // 2 :]) for p in powers)
+    wa += 0.5  # Lambda + 1/2 in place: copies alive beside _q's temporaries raise the peak memory
+    wb += 0.5
+    return float_or_array(_q(reduce(np.multiply, [*ga, *gb]), wa, wb, lanes.factors))
 
 
-def q_s_single(pa, pb, s):
-    """Q_s for pairs of single-mode squeezed thermal states, elementwise.
-
-    pa and pb are parameters whose lanes broadcast against s, or pa is the
-    `PairLanes` of a pair and pb is None.
-    """
-    ga, wa, gb, wb, factors = _weights(pa, pb, s)
-    return float_or_array(_q(ga[0] * gb[0], wa, wb, factors))
-
-
-def q_s_two(pa, pb, s):
-    """Q_s for pairs of two-mode squeezed thermal states, elementwise.
-
-    pa and pb are parameters whose lanes broadcast against s, or pa is the
-    `PairLanes` of a pair and pb is None.
-    """
-    ga, wa, gb, wb, factors = _weights(pa, pb, s)
-    return float_or_array(_q(ga[0] * ga[1] * gb[0] * gb[1], wa, wb, factors))
+q_s_single = q_s_two = q_s  # not called here: perfbench/tracing.py wraps both names as the chernoff.qs layer
 
 
 def _overlap(pa: Params, pb: Params) -> np.ndarray:
@@ -292,10 +293,7 @@ def _qcb_pairs(pairs: list, copies: int = 1) -> list[DiscriminationReport]:
         raise ValueError(f"copy count must be >= 1, got {copies}")
     stacks, mixed, end = [], [], 0
     for pa, pb in pairs:
-        if type(pa) is not type(pb):
-            raise TypeError(f"mode mismatch: {type(pa).__name__} vs {type(pb).__name__}")
-        if type(pa) not in (SqueezedThermalParamsSingle, SqueezedThermalParamsTwo):
-            raise TypeError(f"unsupported parameter type {type(pa).__name__}")
+        _require_pair(pa, pb)
         shape = np.broadcast_shapes(pa.shape, pb.shape)
         pa, pb = (p._of([np.broadcast_to(v, shape).ravel() for v in p.fields()]) for p in (pa, pb))
         size = math.prod(shape)
@@ -308,11 +306,10 @@ def _qcb_pairs(pairs: list, copies: int = 1) -> list[DiscriminationReport]:
         mix = ~pure
         start, end = end, end + np.count_nonzero(mix)
         if end > start:
-            mixed.append((type(pa) is SqueezedThermalParamsSingle, stack_pair(pa.take(mix), pb.take(mix)), start, end))
+            mixed.append((stack_pair(pa.take(mix), pb.take(mix)), start, end))
         stacks.append((shape, mix, slice(start, end), q, s_star, fid))
     if mixed:
-        f = lambda s: np.concatenate([(q_s_single if one else q_s_two)(lanes, None, s[..., i:j])  # noqa: E731
-                                      for one, lanes, i, j in mixed], -1)
+        f = lambda s: np.concatenate([q_s(lanes, None, s[..., i:j]) for lanes, i, j in mixed], -1)  # noqa: E731
         s_m, q_m = minimize_scalar_golden(f, np.full(end, S_EPS), 1.0 - S_EPS, S_TOL)
         q_m = np.where(1.0 < q_m, 1.0, q_m)  # min(q, 1.0) as Python takes it
     reports = []

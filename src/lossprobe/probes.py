@@ -150,22 +150,22 @@ def q2(n, beta, gamma, ch):
     return qcb(*_rows(2, n, beta, gamma, ch)).q
 
 
-def q1_analytic(n: float, eta: float) -> float:
-    """Optimal (beta = 1) single-mode Q: 1 / sqrt(1 + N (1 - eta^2))."""
-    if n < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {n}")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"transmissivity must be in (0, 1], got {eta}")
-    return 1.0 / math.sqrt(1.0 + n * (1.0 - eta * eta))
+def _require_closed_form_domain(n, eta) -> None:
+    require(np.logical_not(n < 0), "mean photon number must be >= 0, got {}", n)  # a NaN N passes, as n < 0 lets it
+    require((0.0 < eta) & (eta <= 1.0), "transmissivity must be in (0, 1], got {}", eta)
 
 
-def q2_analytic(n: float, eta: float) -> float:
-    """Optimal (beta = 1, gamma irrelevant) two-mode Q: 4 / (2 + N (1 - sqrt(eta)))^2."""
-    if n < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {n}")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"transmissivity must be in (0, 1], got {eta}")
-    return 4.0 / (2.0 + n * (1.0 - math.sqrt(eta))) ** 2
+def q1_analytic(n, eta):
+    """Optimal (beta = 1) single-mode Q, elementwise: 1 / sqrt(1 + N (1 - eta^2))."""
+    _require_closed_form_domain(n, eta)
+    return float_or_array(1.0 / np.sqrt(1.0 + n * (1.0 - eta * eta)))
+
+
+def q2_analytic(n, eta):
+    """Optimal (beta = 1, gamma irrelevant) two-mode Q, elementwise: 4 / (2 + N (1 - sqrt(eta)))^2."""
+    _require_closed_form_domain(n, eta)
+    d = 2.0 + n * (1.0 - np.sqrt(eta))
+    return float_or_array(4.0 / (d * d))  # d * d, as numpy squares an array: a float's ** 2 is libm's pow
 
 
 def delta_q(n, beta, ch):

@@ -8,16 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lossprobe import channel
 from lossprobe.channel import (
     LossChannel,
     ParameterRecoveryError,
-    evolve_single,
-    evolve_two,
+    evolve,
     evolved_blocks,
     output_params_single,
     output_params_two,
 )
 from lossprobe.gaussian import (
+    CovarianceMatrix,
     SqueezedThermalParamsSingle,
     SqueezedThermalParamsTwo,
     det2,
@@ -60,6 +61,7 @@ def test_channel_validation():
         LossChannel(gamma=1.0, eta=0.9)  # inconsistent pair
 
 
+@pytest.mark.bits
 def test_channel_stacks_are_their_scalar_channels_bit_for_bit():
     from lossprobe.probes import random_probes
 
@@ -105,19 +107,19 @@ def test_inconsistent_pair_in_a_stack_is_named():
 def test_identity_channel():
     ch = LossChannel.from_eta(1.0)
     cm = make_single_mode_st(SqueezedThermalParamsSingle(r=0.7, n_t=0.4))
-    np.testing.assert_allclose(evolve_single(cm, ch).mat, cm.mat, rtol=1e-15)
+    np.testing.assert_allclose(evolve(cm, ch).mat, cm.mat, rtol=1e-15)
 
 
 def test_strong_damping_reaches_vacuum():
     ch = LossChannel.from_gamma(200.0)
     cm = make_single_mode_st(SqueezedThermalParamsSingle(r=2.0, n_t=5.0))
-    np.testing.assert_allclose(evolve_single(cm, ch).mat, np.eye(2) / 2.0, atol=1e-12)
+    np.testing.assert_allclose(evolve(cm, ch).mat, np.eye(2) / 2.0, atol=1e-12)
 
 
 def test_vacuum_is_fixed_point():
     vac = make_single_mode_st(SqueezedThermalParamsSingle(r=0.0, n_t=0.0))
     for g in (0.1, 1.0, 5.0):
-        out = evolve_single(vac, LossChannel.from_gamma(g))
+        out = evolve(vac, LossChannel.from_gamma(g))
         np.testing.assert_allclose(out.mat, vac.mat, atol=1e-15)
 
 
@@ -125,14 +127,14 @@ def test_tmsv_strong_damping_limit():
     # the lossy mode decays to vacuum, the idle mode keeps its local thermal CM
     r = 0.8
     cm = make_two_mode_st(SqueezedThermalParamsTwo(r=r, n_t1=0.0, n_t2=0.0))
-    out = evolve_two(cm, LossChannel.from_gamma(200.0))
+    out = evolve(cm, LossChannel.from_gamma(200.0))
     expect = np.diag([0.5, 0.5, math.cosh(2 * r) / 2.0, math.cosh(2 * r) / 2.0])
     np.testing.assert_allclose(out.mat, expect, atol=1e-12)
 
 
 def test_product_state_stays_product():
     cm = make_two_mode_st(SqueezedThermalParamsTwo(r=0.0, n_t1=1.0, n_t2=0.5))
-    out = evolve_two(cm, LossChannel.from_eta(0.4))
+    out = evolve(cm, LossChannel.from_eta(0.4))
     assert np.max(np.abs(out.mat[:2, 2:])) == 0.0
 
 
@@ -140,8 +142,8 @@ def test_product_state_stays_product():
 @settings(max_examples=150)
 def test_semigroup_single(p, g1, g2):
     cm = make_single_mode_st(p)
-    step = evolve_single(evolve_single(cm, LossChannel.from_gamma(g1)), LossChannel.from_gamma(g2))
-    joint = evolve_single(cm, LossChannel.from_gamma(g1 + g2))
+    step = evolve(evolve(cm, LossChannel.from_gamma(g1)), LossChannel.from_gamma(g2))
+    joint = evolve(cm, LossChannel.from_gamma(g1 + g2))
     assert np.max(np.abs(step.mat - joint.mat)) < 1e-12 * max(1.0, np.max(np.abs(cm.mat)))
 
 
@@ -149,15 +151,15 @@ def test_semigroup_single(p, g1, g2):
 @settings(max_examples=150)
 def test_semigroup_two(p, g1, g2):
     cm = make_two_mode_st(p)
-    step = evolve_two(evolve_two(cm, LossChannel.from_gamma(g1)), LossChannel.from_gamma(g2))
-    joint = evolve_two(cm, LossChannel.from_gamma(g1 + g2))
+    step = evolve(evolve(cm, LossChannel.from_gamma(g1)), LossChannel.from_gamma(g2))
+    joint = evolve(cm, LossChannel.from_gamma(g1 + g2))
     assert np.max(np.abs(step.mat - joint.mat)) < 1e-12 * max(1.0, np.max(np.abs(cm.mat)))
 
 
 @given(p=two_params, g=gammas)
 @settings(max_examples=150)
 def test_output_physical(p, g):
-    out = evolve_two(make_two_mode_st(p), LossChannel.from_gamma(g))
+    out = evolve(make_two_mode_st(p), LossChannel.from_gamma(g))
     assert min(symplectic_eigenvalues(out)) >= 0.5 - 1e-10
 
 
@@ -168,25 +170,25 @@ def test_pure_probes_lose_purity(r, g):
     # only raise it for them.  Mixed inputs can gain purity instead: the
     # channel drags everything toward the pure vacuum.
     cm = make_single_mode_st(SqueezedThermalParamsSingle(r=r, n_t=0.0))
-    out = evolve_single(cm, LossChannel.from_gamma(g))
+    out = evolve(cm, LossChannel.from_gamma(g))
     assert det2(out.mat) >= det2(cm.mat) - 1e-12
 
 
 def test_thermal_input_gains_purity():
     cm = make_single_mode_st(SqueezedThermalParamsSingle(r=0.0, n_t=1.0))
-    out = evolve_single(cm, LossChannel.from_gamma(1.0))
+    out = evolve(cm, LossChannel.from_gamma(1.0))
     assert det2(out.mat) < det2(cm.mat)
 
 
 def test_single_output_stays_diagonal():
     cm = make_single_mode_st(SqueezedThermalParamsSingle(r=1.2, n_t=0.3))
-    out = evolve_single(cm, LossChannel.from_eta(0.6))
+    out = evolve(cm, LossChannel.from_eta(0.6))
     assert abs(out.mat[0, 1]) == 0.0
 
 
 def test_two_mode_output_keeps_block_form():
     cm = make_two_mode_st(SqueezedThermalParamsTwo(r=0.9, n_t1=0.4, n_t2=0.2))
-    m = evolve_two(cm, LossChannel.from_eta(0.3)).mat
+    m = evolve(cm, LossChannel.from_eta(0.3)).mat
     assert abs(m[0, 0] - m[1, 1]) < 1e-12
     assert abs(m[2, 2] - m[3, 3]) < 1e-12
     assert abs(m[0, 2] + m[1, 3]) < 1e-12
@@ -231,7 +233,26 @@ def test_evolved_blocks_equal_evolve_two_exactly(p, g):
     ch = LossChannel.from_gamma(g)
     a, b, c = evolved_blocks(p, ch)
     block_form = 0.5 * np.array([[a, 0, c, 0], [0, a, 0, -c], [c, 0, b, 0], [0, -c, 0, b]])
-    assert np.array_equal(evolve_two(make_two_mode_st(p), ch).mat, block_form)
+    assert np.array_equal(evolve(make_two_mode_st(p), ch).mat, block_form)
+
+
+@pytest.mark.bits
+def test_evolve_on_stacks_is_the_same_bits_as_row_by_row():
+    # a (3, 2) stack of matrices against a (2,) channel stack, under each name
+    # the tracer wraps: evolve_single damped every matrix with the wrong eta
+    # (the channels ran along the matrix columns), and evolve_two raised
+    # TypeError from math.sqrt
+    rng = np.random.default_rng(30)
+    r, n1, n2 = rng.uniform(0.0, 1.5, (3, 3, 2))
+    chs = LossChannel.from_gamma(rng.uniform(0.01, 3.0, 2))
+    stacks = make_single_mode_st(SqueezedThermalParamsSingle(r, n1)), make_two_mode_st(SqueezedThermalParamsTwo(r, n1, n2))
+    for name in ("evolve", "evolve_single", "evolve_two"):
+        for cms in stacks:
+            out = getattr(channel, name)(cms, chs).mat
+            assert out.shape == cms.mat.shape
+            for i, j in np.ndindex(3, 2):
+                row = evolve(CovarianceMatrix(cms.mat[i, j]), chs.row(j)).mat
+                assert np.array_equal(out[i, j], row) and np.array_equal(np.signbit(out[i, j]), np.signbit(row)), name
 
 
 def test_output_params_two_round_trip_example():
@@ -239,7 +260,7 @@ def test_output_params_two_round_trip_example():
     ch = LossChannel.from_eta(0.6)
     out = output_params_two(p, ch)
     rebuilt = make_two_mode_st(out).mat
-    evolved = evolve_two(make_two_mode_st(p), ch).mat
+    evolved = evolve(make_two_mode_st(p), ch).mat
     assert np.max(np.abs(rebuilt - evolved)) < 1e-9
 
 
@@ -249,7 +270,7 @@ def test_output_params_two_round_trip(p, g):
     ch = LossChannel.from_gamma(g)
     out = output_params_two(p, ch)
     rebuilt = make_two_mode_st(out).mat
-    evolved = evolve_two(make_two_mode_st(p), ch).mat
+    evolved = evolve(make_two_mode_st(p), ch).mat
     assert np.max(np.abs(rebuilt - evolved)) < 1e-9 * max(1.0, np.max(np.abs(evolved)))
 
 
@@ -277,6 +298,7 @@ def _probe_batch(count: int):
     return n, beta, LossChannel.from_gamma(gamma_ch)
 
 
+@pytest.mark.bits
 def test_recovery_on_a_stack_is_the_same_bits_as_row_by_row():
     from lossprobe.probes import ProbeSpec, params_from_spec
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lossprobe import chernoff
 from lossprobe.channel import LossChannel, output_params_single, output_params_two
 from lossprobe.chernoff import (
     S_EPS,
@@ -23,8 +24,7 @@ from lossprobe.chernoff import (
     _qcb_pairs,
     error_bounds,
     minimize_scalar_golden,
-    q_s_single,
-    q_s_two,
+    q_s,
     qcb,
 )
 from lossprobe.gaussian import (
@@ -95,8 +95,8 @@ def ref_golden(f, lo, hi, tol, grid_points=21):
 
 def ref_qcb_mixed(pa, pb):
     """(s*, q) of a mixed pair by the reference route."""
-    q_s = ref_q_s_single if isinstance(pa, SqueezedThermalParamsSingle) else ref_q_s_two
-    s_star, q = ref_golden(lambda s: q_s(pa, pb, s), S_EPS, 1.0 - S_EPS, S_TOL)
+    ref = ref_q_s_single if isinstance(pa, SqueezedThermalParamsSingle) else ref_q_s_two
+    s_star, q = ref_golden(lambda s: ref(pa, pb, s), S_EPS, 1.0 - S_EPS, S_TOL)
     return s_star, min(q, 1.0)
 
 
@@ -159,12 +159,12 @@ def test_g_half_at_one():
 
 def test_qs_identical_mixed_is_one():
     for s in (0.1, 0.5, 0.85):
-        assert math.isclose(q_s_single(THERMAL1, THERMAL1, s), 1.0, rel_tol=1e-12)
+        assert math.isclose(q_s(THERMAL1, THERMAL1, s), 1.0, rel_tol=1e-12)
 
 
 def test_qs_vacuum_thermal_half():
     # Pi = G(0) G(1) = sqrt(2)+1, Sigma weights give sqrt(det) = 2 + sqrt(2)
-    val = q_s_single(VACUUM, THERMAL1, 0.5)
+    val = q_s(VACUUM, THERMAL1, 0.5)
     assert math.isclose(val, 2.0 ** -0.5, rel_tol=1e-12)
 
 
@@ -172,15 +172,15 @@ def test_qs_endpoint_limits():
     # with both states mixed, Tr[rho_b] = 1 recovers as s -> 0 (and 1 by symmetry)
     pa = SqueezedThermalParamsSingle(r=0.3, n_t=0.5)
     pb = SqueezedThermalParamsSingle(r=0.1, n_t=1.2)
-    assert abs(q_s_single(pa, pb, 1e-7) - 1.0) < 1e-5
-    assert abs(q_s_single(pa, pb, 1.0 - 1e-7) - 1.0) < 1e-5
+    assert abs(q_s(pa, pb, 1e-7) - 1.0) < 1e-5
+    assert abs(q_s(pa, pb, 1.0 - 1e-7) - 1.0) < 1e-5
 
 
 @given(pa=single_params, pb=single_params, s=st.floats(0.05, 0.95))
 @settings(max_examples=200)
 def test_qs_swap_symmetry(pa, pb, s):
     assert math.isclose(
-        q_s_single(pa, pb, s), q_s_single(pb, pa, 1.0 - s), rel_tol=1e-10
+        q_s(pa, pb, s), q_s(pb, pa, 1.0 - s), rel_tol=1e-10
     )
 
 
@@ -194,12 +194,12 @@ def test_qs_two_mode_product_factorizes(pa1, pb1, pa2, pb2, s):
     # r=0 two-mode states are products; their Q_s splits into the mode factors
     pa = SqueezedThermalParamsTwo(r=0.0, n_t1=pa1.n_t, n_t2=pa2.n_t)
     pb = SqueezedThermalParamsTwo(r=0.0, n_t1=pb1.n_t, n_t2=pb2.n_t)
-    lhs = q_s_two(pa, pb, s)
-    rhs = q_s_single(
+    lhs = q_s(pa, pb, s)
+    rhs = q_s(
         SqueezedThermalParamsSingle(r=0.0, n_t=pa.n_t1),
         SqueezedThermalParamsSingle(r=0.0, n_t=pb.n_t1),
         s,
-    ) * q_s_single(
+    ) * q_s(
         SqueezedThermalParamsSingle(r=0.0, n_t=pa.n_t2),
         SqueezedThermalParamsSingle(r=0.0, n_t=pb.n_t2),
         s,
@@ -211,7 +211,7 @@ def test_qs_two_mode_product_factorizes(pa1, pb1, pa2, pb2, s):
 @settings(max_examples=60)
 def test_qs_convex_in_s(pa, pb):
     s_grid = np.linspace(0.01, 0.99, 101)
-    vals = np.array([q_s_single(pa, pb, s) for s in s_grid])
+    vals = np.array([q_s(pa, pb, s) for s in s_grid])
     second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
     assert second.min() >= -1e-8
 
@@ -258,7 +258,7 @@ def test_qcb_swap_symmetric(pa, pb):
 @settings(max_examples=60, deadline=None)
 def test_qcb_below_midpoint_value(pa, pb):
     rep = qcb(pa, pb)
-    assert rep.q <= q_s_single(pa, pb, 0.5) + 1e-12
+    assert rep.q <= q_s(pa, pb, 0.5) + 1e-12
     assert rep.q <= 1.0 + 1e-12
 
 
@@ -369,12 +369,13 @@ def test_batched_qcb_matches_scalar_reference():
     assert len(reports) == 2000
     for (pa, pb), (q_k, s_k, f_k) in zip(pairs, reports):
         s_star, q = ref_qcb_mixed(pa, pb)
-        q_s = ref_q_s_single if isinstance(pa, SqueezedThermalParamsSingle) else ref_q_s_two
+        ref = ref_q_s_single if isinstance(pa, SqueezedThermalParamsSingle) else ref_q_s_two
         assert np.isnan(f_k)
         assert math.isclose(q_k, q, rel_tol=1e-13), (pa, pb, q_k, q)
-        assert q_s(pa, pb, s_k) <= q * (1.0 + 1e-13), (pa, pb, s_k, s_star)
+        assert ref(pa, pb, s_k) <= q * (1.0 + 1e-13), (pa, pb, s_k, s_star)
 
 
+@pytest.mark.bits
 def test_lane_is_bitwise_the_same_alone_and_in_a_batch():
     pairs = probe_pairs(500, seed=7)
     for (pa, pb), (q_k, s_k, _) in zip(pairs, stacked_reports(pairs)):
@@ -401,33 +402,42 @@ def test_minimizer_scalar_interval_returns_floats():
     assert (x, fx) == ref_golden(lambda s: (s - 0.3) * (s - 0.3), 0.0, 1.0, 1e-9)
 
 
+# q_s under the names the tracer wraps: q_s_single gave 0.3295 for 0.9048 on
+# a two-mode pair, and q_s_two raised IndexError on a one-mode pair
+Q_S_NAMES = ("q_s", "q_s_single", "q_s_two")
+
+
 @given(pa=single_params, pb=single_params, s=st.floats(0.05, 0.95))
 @settings(max_examples=100)
 def test_q_s_single_matches_reference(pa, pb, s):
-    assert math.isclose(q_s_single(pa, pb, s), ref_q_s_single(pa, pb, s), rel_tol=1e-13)
+    for name in Q_S_NAMES:
+        assert math.isclose(getattr(chernoff, name)(pa, pb, s), ref_q_s_single(pa, pb, s), rel_tol=1e-13), name
 
 
 @given(pa=two_params, pb=two_params, s=st.floats(0.05, 0.95))
 @settings(max_examples=100)
 def test_q_s_two_matches_reference(pa, pb, s):
-    assert math.isclose(q_s_two(pa, pb, s), ref_q_s_two(pa, pb, s), rel_tol=1e-13)
+    for name in Q_S_NAMES:
+        assert math.isclose(getattr(chernoff, name)(pa, pb, s), ref_q_s_two(pa, pb, s), rel_tol=1e-13), name
 
 
 def test_q_s_broadcasts_over_lanes_and_s():
     pas = SqueezedThermalParamsTwo(np.array([0.4, 0.9]), np.array([0.3, 0.0]), np.array([0.1, 1.2]))
     pbs = SqueezedThermalParamsTwo(np.array([0.2, 0.7]), np.array([0.5, 0.6]), np.array([0.1, 1.2]))
     s = np.array([[0.2, 0.7], [0.5, 0.5], [0.9, 0.1]])
-    grid = q_s_two(pas, pbs, s)
+    grid = q_s(pas, pbs, s)
     assert grid.shape == (3, 2)
     for i, j in np.ndindex(3, 2):
-        assert grid[i, j] == q_s_two(pas.row(j), pbs.row(j), s[i, j])
-    value = q_s_single(THERMAL1, VACUUM, 0.5)
+        assert grid[i, j] == q_s(pas.row(j), pbs.row(j), s[i, j])
+    value = q_s(THERMAL1, VACUUM, 0.5)
     assert type(value) is float
-    assert q_s_single(THERMAL1, VACUUM, np.array([0.5]))[0] == value
+    assert q_s(THERMAL1, VACUUM, np.array([0.5]))[0] == value
     with pytest.raises(ValueError):
-        q_s_single(THERMAL1, VACUUM, np.array([0.5, 1.0]))
+        q_s(THERMAL1, VACUUM, np.array([0.5, 1.0]))
     with pytest.raises(ValueError):
-        q_s_two(pas.row(0), pbs.row(0), 0.0)
+        q_s(pas.row(0), pbs.row(0), 0.0)
+    with pytest.raises(TypeError, match="mode mismatch"):  # q_s_single gave 1.105 at the parent
+        q_s(SqueezedThermalParamsSingle(0.3, 0.2), SqueezedThermalParamsTwo(0.1, 0.5, 0.1), 0.4)
 
 
 def test_g_lambda_elementwise():
@@ -463,6 +473,7 @@ def assert_lanes_are_their_rows(report, rows):
             assert [alone.fidelity, alone.pe_lower, alone.pe_fidelity_upper] == lane[3:], k
 
 
+@pytest.mark.bits
 def test_stacked_pair_is_the_same_bits_as_its_rows():
     # one (input, output) pair of stacks, pure and mixed rows together, and
     # the same rows one qcb call at a time
@@ -477,6 +488,7 @@ def test_stacked_pair_is_the_same_bits_as_its_rows():
         assert_lanes_are_their_rows(report, [qcb(p_in.row(k), p_out.row(k), copies=3) for k in range(300)])
 
 
+@pytest.mark.bits
 def test_lane_keeps_its_bits_in_a_joint_call():
     # one- and two-mode stacks with pure rows (beta = 1), a 0-d mixed pair and
     # a 0-d pure pair in one call: each is its own qcb call, and each lane alone
@@ -607,6 +619,7 @@ def test_two_mode_pure_lanes_match_the_decimal_determinant():
     assert_matches_decimal(qcb(pb, pa), pb, pa, 2e-15)
 
 
+@pytest.mark.bits
 def test_pure_lanes_are_swap_symmetric_bit_for_bit():
     rng = np.random.default_rng(3)
     p_in, p_out = pure_two_mode_grid()
@@ -642,7 +655,7 @@ def g_s_allowance(pa, pb, s):
     return EPS * (sum(pa.fields()[1:]) / s + sum(pb.fields()[1:]) / (1.0 - s))
 
 
-def assert_q_s_matches_decimal(q_s, ref, pa, pb, s):
+def assert_q_s_matches_decimal(ref, pa, pb, s):
     got = q_s(pa, pb, s)
     s = np.broadcast_to(s, got.shape)
     for k in range(got.size):
@@ -658,16 +671,16 @@ def test_q_s_matches_the_decimal_reference():
         [10.0 ** (k / 2) for k in range(-4, 11)], (0.0, 0.05, 0.2, 0.4, 0.6, 0.8, 0.95, 0.999), (0.3, 0.9, 0.999))))
     ch = LossChannel.from_eta(eta)
     p_in = params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=0.999))
-    assert_q_s_matches_decimal(q_s_two, reference.q_s_two, p_in, output_params_two(p_in, ch), 0.5)
+    assert_q_s_matches_decimal(reference.q_s_two, p_in, output_params_two(p_in, ch), 0.5)
     p_in = params_from_spec(ProbeSpec(modes=1, n=n, beta=beta))
-    assert_q_s_matches_decimal(q_s_single, reference.q_s_single, p_in, output_params_single(p_in, ch), 0.5)
+    assert_q_s_matches_decimal(reference.q_s_single, p_in, output_params_single(p_in, ch), 0.5)
 
     rng = np.random.default_rng(1)
     count = 400
     pa = params_from_spec(ProbeSpec(modes=2, n=10.0 ** rng.uniform(-3.0, 6.0, count), beta=rng.uniform(0.0, 1.0, count),
                                     gamma=rng.choice([0.0, 0.5, 1.0], count)))
     pb = SqueezedThermalParamsTwo(*(v * (1.0 + rng.uniform(0.0, 1e-6, count)) for v in pa.fields()))
-    assert_q_s_matches_decimal(q_s_two, reference.q_s_two, pa, pb, rng.uniform(0.05, 0.95, count))
+    assert_q_s_matches_decimal(reference.q_s_two, pa, pb, rng.uniform(0.05, 0.95, count))
 
 
 def test_balanced_two_mode_pairs_are_the_one_mode_pairs_squared():
@@ -682,7 +695,7 @@ def test_balanced_two_mode_pairs_are_the_one_mode_pairs_squared():
     two = SqueezedThermalParamsTwo(r_a, n_a, n_a), SqueezedThermalParamsTwo(r_b, n_b, n_b)
     one = SqueezedThermalParamsSingle(r_a, n_a), SqueezedThermalParamsSingle(r_b, n_b)
     s = rng.uniform(0.05, 0.95, count)
-    np.testing.assert_allclose(q_s_two(*two, s), q_s_single(*one, s) ** 2, rtol=4.0 * EPS, atol=0.0)
+    np.testing.assert_allclose(q_s(*two, s), q_s(*one, s) ** 2, rtol=4.0 * EPS, atol=0.0)
     q_two, q_one = qcb(*two), qcb(*one)
     pure = ~np.isnan(q_two.fidelity)
     assert pure.tolist() == (~np.isnan(q_one.fidelity)).tolist() and pure.sum() == count // 5

@@ -428,6 +428,7 @@ def test_correlations_report(capsys):
     assert report["units"] == "nats"
 
 
+@pytest.mark.bits
 def test_correlations_bits_flag(capsys):
     _, out_nats, _ = run(["correlations", "--n", "1", "--beta", "0.5"], capsys)
     code, out_bits, _ = run(
@@ -660,14 +661,13 @@ def test_figure4_minimizes_once_per_batch(tmp_path, monkeypatch, capsys):
     # the command's Q1 and Q2 rows share one golden section, so the Q_s
     # evaluations are two per step (one per mode count), not 68 per grid point
     calls = []
-    for name in ("q_s_single", "q_s_two"):
-        original = getattr(lossprobe.chernoff, name)
+    original = lossprobe.chernoff.q_s
 
-        def counted(*args, _original=original):
-            calls.append(1)
-            return _original(*args)
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
 
-        monkeypatch.setattr(lossprobe.chernoff, name, counted)
+    monkeypatch.setattr(lossprobe.chernoff, "q_s", counted)
     code, _, _ = run(["figure", "4", "--points", "20", "--outdir", str(tmp_path)], capsys)
     assert code == 0
     assert 0 < len(calls) <= 300, len(calls)

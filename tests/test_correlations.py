@@ -129,6 +129,7 @@ def test_log_negativity_tmsv(r):
     assert math.isclose(log_negativity(tmsv(r)), 2 * r, rel_tol=1e-10)
 
 
+@pytest.mark.bits
 def test_log_negativity_bits_rescales(capsys):
     bits, nats = bits_and_nats(capsys, n=2.0, beta=1.0)
     assert bits["units"] == "bits" and nats["units"] == "nats"
@@ -227,6 +228,7 @@ def test_discord_tmsv_equals_entanglement_entropy(r):
     assert math.isclose(discord(tmsv(r)), expected, rel_tol=1e-10)
 
 
+@pytest.mark.bits
 def test_discord_bits_rescales(capsys):
     bits, nats = bits_and_nats(capsys, n=1.5, beta=0.6)
     assert math.isclose(bits["discord"], nats["discord"] / LN2, rel_tol=1e-12)
@@ -273,6 +275,7 @@ def test_mutual_information_tmsv(r):
     assert math.isclose(mutual_information(tmsv(r)), expected, rel_tol=1e-10)
 
 
+@pytest.mark.bits
 def test_mutual_information_bits_rescales(capsys):
     bits, nats = bits_and_nats(capsys, n=0.7, beta=0.3)
     assert math.isclose(
@@ -361,6 +364,7 @@ def test_report_tmsv_unit_squeezing():
     assert math.isclose(rep.mutual_information, ent, rel_tol=1e-10)
 
 
+@pytest.mark.bits
 def test_report_matches_standalone_functions(sample_bank):
     for cm in sample_bank[:50]:
         rep = correlation_report(cm)
@@ -507,6 +511,7 @@ def test_quantifiers_finite_and_nonnegative(r, n1, n2):
     assert rep.d_tilde_minus > 0.0
 
 
+@pytest.mark.bits
 def test_quantifiers_are_the_same_bits_on_a_stack():
     # 1,000 random_probes inputs and their lossy outputs, each as one stack
     n, beta, gamma_ch = random_probes(1000, seed=20261018)

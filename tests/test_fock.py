@@ -24,8 +24,8 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 
 from lossprobe import fock, verification
-from lossprobe.channel import LossChannel, evolve_single, evolve_two, output_params_single, output_params_two
-from lossprobe.chernoff import S_EPS, S_TOL, error_bounds, minimize_scalar_golden, q_s_single, q_s_two, qcb
+from lossprobe.channel import LossChannel, evolve, output_params_single, output_params_two
+from lossprobe.chernoff import S_EPS, S_TOL, error_bounds, minimize_scalar_golden, q_s, qcb
 from lossprobe.fock import (
     FockDensityMatrix,
     TruncationConfig,
@@ -307,7 +307,7 @@ def test_loss_preserves_trace(single_st):
 def test_loss_moments_match_cm_evolution(single_st, eta):
     out = apply_loss_kraus(single_st, eta)
     first, cm = moments_from_fock(out)
-    expected = evolve_single(make_single_mode_st(S1(0.5, 0.3)), LossChannel.from_eta(eta))
+    expected = evolve(make_single_mode_st(S1(0.5, 0.3)), LossChannel.from_eta(eta))
     assert np.max(np.abs(first)) < 1e-9
     assert np.max(np.abs(cm - expected.mat)) < 1e-8
 
@@ -315,7 +315,7 @@ def test_loss_moments_match_cm_evolution(single_st, eta):
 def test_two_mode_loss_moments_match_cm_evolution(two_mode_st):
     out = apply_loss_kraus(two_mode_st, 0.6)
     first, cm = moments_from_fock(out)
-    expected = evolve_two(make_two_mode_st(T2(0.5, 0.2, 0.1)), LossChannel.from_eta(0.6))
+    expected = evolve(make_two_mode_st(T2(0.5, 0.2, 0.1)), LossChannel.from_eta(0.6))
     assert np.max(np.abs(first)) < 1e-9
     assert np.max(np.abs(cm - expected.mat)) < 1e-8
 
@@ -376,7 +376,7 @@ def test_s_overlap_matches_gaussian_closed_form():
     vac = fock_squeezed_thermal(S1(0.0, 0.0), cfg)
     th = fock_squeezed_thermal(S1(0.0, 1.0), cfg)
     value = s_overlap_fock(vac, th, 0.5)
-    assert abs(value - q_s_single(S1(0.0, 0.0), S1(0.0, 1.0), 0.5)) < 1e-8
+    assert abs(value - q_s(S1(0.0, 0.0), S1(0.0, 1.0), 0.5)) < 1e-8
     assert abs(value - 1.0 / math.sqrt(2.0)) < 1e-8
 
 
@@ -448,6 +448,7 @@ def verification_pairs(dim: int | None):
         yield case, rho_a, rho_b
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("dim", [None, 80])
 def test_newton_minimum_matches_golden_section(dim):
     # the same spectra and table, minimised by golden section over the curve
@@ -462,6 +463,7 @@ def test_newton_minimum_matches_golden_section(dim):
             assert s_curve(lam, table, mu)(s_star) <= q_ref * (1.0 + 1e-14), case.name
 
 
+@pytest.mark.bits
 def test_verify_takes_few_s_curve_steps(monkeypatch):
     # a pure input stops at its S_EPS edge, whose slope is >= 0, after one
     # step; a mixed case takes both edge slopes and a few Newton steps (the
@@ -489,6 +491,7 @@ def test_verify_takes_few_s_curve_steps(monkeypatch):
     assert sum(per_case) <= 100, per_case
 
 
+@pytest.mark.bits
 def test_flat_curve_stops_on_its_tangent_certificate(monkeypatch):
     # eta = 0.9999 leaves Q within 2e-9 of 1 and Q' at roundoff (|Q'| <=
     # 9e-16 against Q'' = 1.3e-8), so a stop on the step in s bisected 11 times
@@ -513,7 +516,7 @@ def test_s_overlap_near_zero_matches_gaussian_for_a_prepared_input():
     # roundoff eigenvalue of it is raised to a power near 1
     pa = params_from_spec(ProbeSpec(2, 4.0, 0.8, gamma=1.0))
     ch = LossChannel.from_gamma(2.0)
-    expected = q_s_two(pa, output_params_two(pa, ch), 1e-6)
+    expected = q_s(pa, output_params_two(pa, ch), 1e-6)
     for dim in (52, 64):
         rho = fock_squeezed_thermal(pa, TruncationConfig(dim=dim))
         value = s_overlap_fock(rho, apply_loss_kraus(rho, float(ch.eta)), 1e-6)
@@ -630,6 +633,7 @@ def test_run_all_makes_one_qcb_stack_per_mode_count(monkeypatch):
         assert [r for r in results if r.case == cases[k].name] == verification.run_case(cases[k]), cases[k].name
 
 
+@pytest.mark.bits
 def test_expected_moments_are_the_bits_of_the_cm_route():
     # verify's expected CMs come from the parameters; they are the bits that
     # make_*_st and evolve_* give, for the standard cases and wider probes
@@ -638,7 +642,7 @@ def test_expected_moments_are_the_bits_of_the_cm_route():
         cases += [verification.OracleCase("wide", params_from_spec(spec), dim=10, eta=eta) for eta in (0.3, 0.77, 1.0)]
     for case in cases:
         two_mode = isinstance(case.params_a, T2)
-        make, evolve = (make_two_mode_st, evolve_two) if two_mode else (make_single_mode_st, evolve_single)
+        make = make_two_mode_st if two_mode else make_single_mode_st
         cm_a = make(case.params_a)
         cm_b = make(case.params_b) if case.eta is None else evolve(cm_a, LossChannel.from_eta(case.eta))
         for got, want in zip(verification._expected_cms(case), (cm_a.mat, cm_b.mat)):
@@ -732,12 +736,14 @@ def dense_pair(request):
     return rho, apply_loss_kraus(rho, eta), ref, dense_loss(ref, rho.dims, eta)
 
 
+@pytest.mark.bits
 def test_sector_states_and_loss_match_dense(dense_pair):
     rho, out, ref, ref_out = dense_pair
     assert np.max(np.abs(rho.mat - ref)) < DENSE_TOL
     assert np.max(np.abs(out.mat - ref_out)) < DENSE_TOL
 
 
+@pytest.mark.bits
 def test_sector_moments_match_dense(dense_pair):
     rho, out, ref, ref_out = dense_pair
     for state, dense in ((rho, ref), (out, ref_out)):
@@ -747,6 +753,7 @@ def test_sector_moments_match_dense(dense_pair):
         assert np.max(np.abs(cm - ref_cm)) < DENSE_TOL
 
 
+@pytest.mark.bits
 def test_sector_spectral_functions_match_dense(dense_pair):
     rho, out, ref, ref_out = dense_pair
     assert abs(qcb_fock(rho, out)[0] - dense_qcb(ref, ref_out)) < DENSE_TOL
@@ -757,6 +764,7 @@ def test_sector_spectral_functions_match_dense(dense_pair):
     assert abs(helstrom_pe_fock(rho, out) - dense_helstrom(ref, ref_out, 1)) < DENSE_TOL
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("params,dim,eta", [(S1(1.0, 3.0), 30, 0.6), (T2(0.7, 1.5, 1.2), 6, 0.5)])
 def test_sector_two_copy_helstrom_matches_dense(params, dim, eta):
     # the sector route gives one copy; two copies are the dense Kronecker
@@ -784,6 +792,7 @@ def test_sectors_follow_the_conserved_charge(single_st, two_mode_st):
     assert apply_loss_kraus(thermal, 0.6).modulus == 20
 
 
+@pytest.mark.bits
 def test_symmetry_breaking_state_matches_dense():
     # Mixing in (|0> + |1>)(<0| + <1|)/2 breaks parity: one sector, the whole
     # space, through the same code.
@@ -830,6 +839,7 @@ def assert_q_pe_f_match(rho_a, rho_b, ref_a, ref_b, fid, tol=1e-14):
         assert abs(fidelity_fock(a, b) - fid) < tol
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("params,dim,eta", [(S1(0.8, 0.0), 40, 0.6), (T2(0.7, 0.0, 0.0), 14, 0.6)], ids=["single", "two-mode"])
 def test_pure_inputs_match_dense(params, dim, eta):
     # a squeezed vacuum has weight in one of its sectors, its loss output in
@@ -845,6 +855,7 @@ def test_pure_inputs_match_dense(params, dim, eta):
     assert_q_pe_f_match(rho, out, ref, ref_out, float(psi @ ref_out @ psi))
 
 
+@pytest.mark.bits
 def test_one_sided_dead_sectors_match_dense():
     # the vacuum is live in one of the `dim` sectors of its level modulus,
     # the thermal state in all of them
@@ -904,6 +915,7 @@ def test_pipeline_is_continuous_toward_pure_states(n_t):
     assert abs(q - q_fock) < 1e-12, (q, q_fock)
 
 
+@pytest.mark.bits
 def test_rebuilt_from_the_dense_view_is_the_same_state(single_st, two_mode_st):
     thermal = fock_squeezed_thermal(S1(0.0, 0.5), TruncationConfig(dim=20))
     for rho in (single_st, two_mode_st, thermal, apply_loss_kraus(two_mode_st, 0.6)):
@@ -948,6 +960,7 @@ def test_real_tridiagonal_exponential_matches_the_complex_route():
                 assert np.max(np.abs(u @ u.T - np.eye(n))) < 1e-13, n
 
 
+@pytest.mark.bits
 def test_class_stacks_are_views_with_the_same_bits_as_each_block_alone(single_st, two_mode_st):
     # every block of one size sits in one contiguous stretch of `data`, the
     # classes ascend in size, and a linalg gufunc factorises each matrix of
@@ -1003,6 +1016,7 @@ def _charge_breaking(dim: int, keep_parity: bool) -> np.ndarray:
     return 0.5 * dense_state(T2(0.7, 1.5, 1.2), dim) + 0.5 * other
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("keep_parity,modulus", [(True, 2), (False, 1)], ids=["parity", "whole-space"])
 def test_charge_breaking_two_mode_states_match_dense(keep_parity, modulus):
     # verify builds two-mode states on the exact charge only; these take the

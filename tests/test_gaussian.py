@@ -312,6 +312,7 @@ def probe_stacks(modes: int):
     return p, recover(p, LossChannel.from_gamma(gamma_ch))
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("modes", [1, 2])
 def test_spectra_and_overlap_are_the_same_bits_on_a_stack(modes):
     make = make_two_mode_st if modes == 2 else make_single_mode_st
@@ -362,6 +363,7 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("f, xs, args", _DOMAINS)
 def test_elementwise_gives_the_same_bits_alone_and_in_any_stack(f, xs, args):
     # a float, a 1-element array, a contiguous stack and a strided column
@@ -374,6 +376,7 @@ def test_elementwise_gives_the_same_bits_alone_and_in_any_stack(f, xs, args):
     assert _bits(elementwise(f, xs.reshape(1, -1, 1), *args).ravel()) == _bits(stack)
 
 
+@pytest.mark.bits
 def test_squares_are_the_same_bits_alone_and_in_any_stack():
     xs = elementwise(np.cosh, np.linspace(0.0, 3.0, 20001))
     column = np.stack([xs[::-1], xs], axis=1)[:, 1]

@@ -131,6 +131,15 @@ def test_pipeline_matches_closed_forms_on_figure_3_grid():
             assert math.isclose(q2(n, 1.0, 1.0, ch), q2_analytic(n, ch.eta), rel_tol=2e-13), n
 
 
+def test_closed_forms_on_the_figure_3_grid_are_their_per_point_values():
+    n = np.tile(np.linspace(0.0, 10.0, 501), 3)
+    eta = np.exp(-np.repeat([0.1, 0.3, 1.0], 501))
+    for closed_form in (q1_analytic, q2_analytic):
+        got = closed_form(n, eta)
+        assert got.shape == n.shape
+        assert got.tolist() == [closed_form(n_k, eta_k) for n_k, eta_k in zip(n.tolist(), eta.tolist())]
+
+
 @given(gamma=st.floats(0.0, 1.0))
 @settings(max_examples=50, deadline=None)
 def test_q2_beta_one_ignores_gamma(gamma):
@@ -183,6 +192,7 @@ def test_optimize_beta_zero_energy():
     assert math.isclose(q_star, 1.0, abs_tol=1e-9)
 
 
+@pytest.mark.bits
 def test_optimize_beta_lanes_are_their_scalar_calls_bit_for_bit():
     # a (3, 3) broadcast of channels (with a split each) and N; the optimum
     # is the beta = 1 edge, except at N = 0, where Q = 1 at every beta and
@@ -281,6 +291,7 @@ def test_threshold_matches_decimal_root_to_12_digits():
     assert [f"{reference.threshold_root(e):.12g}" for e in cli_rows.tolist()] == printed
 
 
+@pytest.mark.bits
 def test_threshold_energy_same_bits_alone_and_in_an_array():
     etas = np.concatenate([np.linspace(0.05, 0.998, 97), ETA_C + np.geomspace(1e-15, 1e-3, 13)]).reshape(10, 11)
     together = threshold_energy(etas)
@@ -332,18 +343,20 @@ def test_delta_q_positive_at_gamma_one():
     assert delta_q_gamma(2.0, 0.5, 1.0, ch) == pytest.approx(delta_q(2.0, 0.5, ch))
 
 
+@pytest.mark.bits
 def test_nan_lane_raises_in_the_joint_gap_call_as_alone(monkeypatch):
     # a NaN Q_s in one one-mode lane makes that lane's Q NaN, which the joint
     # call rejects as q1 does, the two-mode lanes being fine
     from lossprobe import chernoff
 
-    original = chernoff.q_s_single
+    original = chernoff.q_s
 
     def nan_lane(lanes, pb, s):
         q = original(lanes, pb, s)
-        return np.where(np.arange(q.shape[-1]) == 1, np.nan, q)
+        one_mode = len(lanes.bases_a) == 2  # a one-mode state's bases are n and n + 1
+        return np.where(one_mode & (np.arange(q.shape[-1]) == 1), np.nan, q)
 
-    monkeypatch.setattr(chernoff, "q_s_single", nan_lane)
+    monkeypatch.setattr(chernoff, "q_s", nan_lane)
     n, beta, ch = np.array([1.0, 2.0, 3.0]), 0.5, LossChannel.from_gamma(0.5)
     assert np.isfinite(q2(n, beta, 0.9, ch)).all()
     for call in (lambda: q1(n, beta, ch), lambda: delta_q_gamma(n, beta, 0.9, ch)):
@@ -376,6 +389,7 @@ def generator_per_draw(count: int, seed: int, stream: int, ranges: SweepRanges) 
     return out
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("seed", [0, 2**128 - 1])
 @pytest.mark.parametrize("stream", [0, 1])
 def test_random_probes_are_the_same_bits_as_a_generator_per_draw(seed, stream):
