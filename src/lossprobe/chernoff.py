@@ -94,7 +94,9 @@ from .gaussian import (
 S_EPS = 1e-6
 S_TOL = 1e-10
 _GRID_POINTS = 21
-_GRID_CHUNK = 2**16  # lane-points per call of f on the seeding grid: bounds its temporaries
+# lane-points per call of f on the seeding grid, or one grid point per call when the lanes are more: it bounds
+# the grid's temporaries; the grid is elementwise, so the size changes no bit
+_GRID_CHUNK = 2**13
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 Params = SqueezedThermalParamsSingle | SqueezedThermalParamsTwo
@@ -153,9 +155,10 @@ def minimize_scalar_golden(f, lo, hi, tol: float, grid_points: int = _GRID_POINT
     lo and hi are floats or arrays, one entry per lane.  f maps an array of
     abscissae, the lanes on its last axes, to an array of values of the same
     shape.  A grid of `grid_points`, evaluated in groups of points with at
-    most 2^16 lane-points per call of f, locates the best bracket; golden
-    section tightens it to width tol with one call of f per step for all
-    lanes; the bracket midpoint is then compared with the two endpoints
+    most 2^13 lane-points per call of f (one grid point per call when the
+    lanes alone are more), locates the best bracket; golden section
+    tightens it to width tol with one call of f per step for all lanes; the
+    bracket midpoint is then compared with the two endpoints
     explicitly, so a boundary minimum is never missed.  A lane freezes once
     its bracket is at most tol, so each lane takes exactly the steps it would
     take alone.  Returns (argmin, min): floats for scalar lo and hi, else

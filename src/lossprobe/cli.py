@@ -15,9 +15,12 @@ Exit codes: 0 on success, 1 when a computation fails (threshold out of
 range, truncation overflow, out of memory), 2 on bad flags.  All tabular
 output is CSV with a header row and `#` comment lines carrying the package
 version and the exact parameter set, so identical invocations produce
-identical bytes.  Files land in --outdir when a command writes more than
-one; the default directory comes from the LOSSPROBE_OUTDIR environment
-variable, falling back to the working directory.
+identical bytes on one machine and one numpy SIMD dispatch: with numpy's
+AVX-512 loops disabled, 1,035 of the 247,985 values that figures 2 to 6 and
+`sweep --samples 10000` print differ in their last digit.  Files land in
+--outdir when a command writes more than one; the default directory comes
+from the LOSSPROBE_OUTDIR environment variable, falling back to the working
+directory.
 
 A figure command stacks the rows of all its files, with Gamma (and, for
 figure 5, the thermal split) a float column like N and beta, and makes one

@@ -37,6 +37,7 @@ over beta for all its lanes, each step one batch.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,6 +286,37 @@ class SweepRanges:
             raise ValueError("sweep ranges must be finite and positive")
 
 
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)  # each round's multipliers
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)  # the key's step per round
+_ROUND_STEPS = np.arange(10, dtype=np.uint64)[:, None, None] * _PHILOX_W  # round r's key: the key plus row r, mod 2^64
+_LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_M0, _M1 = _PHILOX_M & _LOW32, _PHILOX_M >> _32
+
+
+def _mulhilo(b):
+    """(high, low) 64-bit words of the 128-bit products _PHILOX_M * b of uint64 arrays, from 32-bit halves."""
+    b0, b1 = b & _LOW32, b >> _32
+    cross = _M1 * b0 + ((_M0 * b0) >> _32)  # each sum is below 2^64
+    mid = _M0 * b1 + (cross & _LOW32)
+    return _M1 * b1 + (cross >> _32) + (mid >> _32), _PHILOX_M * b  # array products wrap mod 2^64, silently
+
+
+def _philox4x64(seed: int, stream: int, count: int) -> np.ndarray:
+    """Words 0 to 2 of Philox4x64-10 at the counters (1, stream, 0, k), k < count, one column per k.
+
+    The 128-bit key is (seed mod 2^64, seed >> 64).  The counter is held as
+    the multiplied words x = (v0, v2) and the others y = (v1, v3), so both
+    products of a round are one (2, count) array.  Every product and sum
+    is of uint64 arrays, which wrap mod 2^64 silently: no uint64 scalar wraps.
+    """
+    k = np.arange(count, dtype=np.uint64)
+    x, y = np.stack((np.ones_like(k), np.zeros_like(k))), np.stack((np.full_like(k, stream), k))
+    for round_key in np.array([[seed & (2**64 - 1)], [seed >> 64]], dtype=np.uint64) + _ROUND_STEPS:
+        hi, lo = _mulhilo(x)
+        x, y = hi[::-1] ^ y ^ round_key, lo[::-1]
+    return np.stack((x[0], y[0], x[1]))
+
+
 def random_probes(
     count: int,
     seed: int,
@@ -293,20 +325,21 @@ def random_probes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(N, beta, Gamma) draws as float64 columns, uniform on (0, n_max] x [0, 1) x (0, gamma_ch_max].
 
-    Draw k comes from its own counter-based stream, Philox keyed by seed at
-    counter (0, stream, 0, k), so it is the same bit for bit however many
-    draws are taken; distinct streams give independent draws for one seed.
-    One bit generator moves to each counter; the top 53 bits of its first
-    three words, times 2^-53, are the doubles of `Generator.uniform`.
+    Draw k is Philox4x64-10 keyed by seed at its own counter (1, stream, 0,
+    k), the block numpy's `Philox(key=seed, counter=[0, stream, 0, k])`
+    gives first, since numpy steps the counter before it fills its empty
+    buffer.  Philox is a pure function of key and counter, so all draws are
+    computed at once as uint64 array arithmetic, and draw k is the same bit
+    for bit however many draws are taken; distinct streams give independent
+    draws for one seed.  The top 53 bits of each draw's first three words,
+    times 2^-53, are the doubles of `Generator.uniform`.
     """
-    bits = np.random.Philox(key=seed)
-    state, raw = bits.state, np.empty((4, count), dtype=np.uint64)  # state's buffer_pos 4: the buffer is empty
-    state["state"]["counter"][1] = stream
-    for k in range(count):
-        state["state"]["counter"][3] = k
-        bits.state = state
-        raw[:, k] = bits.random_raw(4)
-    u = (raw[:3] >> np.uint64(11)) * 2.0**-53  # one contiguous row per column
+    seed, stream = operator.index(seed), operator.index(stream)
+    require(0 <= seed < 2**128, "seed must be an integer in [0, 2^128), got {}", seed)
+    require(0 <= stream < 2**64, "stream must be an integer in [0, 2^64), got {}", stream)
+    require(count >= 0, "draw count must be >= 0, got {}", count)
+    words = _philox4x64(seed, stream, count)
+    u = (words >> np.uint64(11)) * 2.0**-53  # one contiguous row per column
     return ranges.n_max * (1.0 - u[0]), u[1], ranges.gamma_ch_max * (1.0 - u[2])
 
 

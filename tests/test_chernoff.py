@@ -343,6 +343,27 @@ def test_seeding_grid_memory_does_not_grow_with_the_lanes():
     assert peak < 40 * 2**20, peak
 
 
+@pytest.mark.bits
+def test_seeding_grid_groups_change_no_bit():
+    # figure 6's benchmark size: 636 mixed lanes of both mode counts, whose
+    # 21-point grid takes 21 calls of 1 point, 2 calls (2^13) or 1 call (2^20)
+    n, beta, gamma_ch = random_probes(318, seed=31)
+    ch = LossChannel.from_gamma(gamma_ch)
+    pairs = []
+    for modes, recover in ((1, output_params_single), (2, output_params_two)):
+        p_in = params_from_spec(ProbeSpec(modes=modes, n=n, beta=beta, gamma=0.999 if modes == 2 else None))
+        pairs.append((p_in, recover(p_in, ch)))
+    runs = []
+    for chunk in (1, 2**13, 2**20):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chernoff, "_GRID_CHUNK", chunk)
+            reports = _qcb_pairs(pairs)
+        assert all(np.isnan(r.fidelity).all() for r in reports)  # every lane takes the golden section
+        runs.append([np.concatenate([getattr(r, name) for r in reports]).view(np.uint64).tolist()
+                     for name in ("q", "s_star")])
+    assert runs[0] == runs[1] == runs[2]
+
+
 def test_golden_section_quadratic():
     argmin, val = minimize_scalar_golden(lambda s: (s - 0.3) ** 2 + 1.0, 0.0, 1.0, 1e-9)
     assert abs(argmin - 0.3) < 1e-7

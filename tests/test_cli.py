@@ -657,6 +657,20 @@ def test_cli_import_loads_no_scipy():
     assert loaded == "[]"
 
 
+def test_random_draws_load_no_numpy_random(tmp_path):
+    # the draws are Philox as array arithmetic: numpy.random would add about
+    # 5 MB of RSS and 5 ms to each command that draws
+    probe = ("import sys; from lossprobe.cli import main; out = sys.argv[1]\n"
+             "codes = [main(['figure', '5', '--outdir', out]),\n"
+             "         main(['figure', '6', '--points', '4', '--samples', '20', '--outdir', out]),\n"
+             "         main(['sweep', '--samples', '200', '-o', out + '/sweep.csv'])]\n"
+             "print(codes, 'numpy.random' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], env=_subprocess_env(), capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0] False"
+
+
 def test_figure4_minimizes_once_per_batch(tmp_path, monkeypatch, capsys):
     # the command's Q1 and Q2 rows share one golden section, so the Q_s
     # evaluations are two per step (one per mode count), not 68 per grid point

@@ -390,16 +390,29 @@ def generator_per_draw(count: int, seed: int, stream: int, ranges: SweepRanges) 
 
 
 @pytest.mark.bits
-@pytest.mark.parametrize("seed", [0, 2**128 - 1])
-@pytest.mark.parametrize("stream", [0, 1])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**64, 2**128 - 1])
+@pytest.mark.parametrize("stream", [0, 1, 2**63 - 1])  # Philox(counter=...) warns on a word of 2^63 or more
 def test_random_probes_are_the_same_bits_as_a_generator_per_draw(seed, stream):
-    for count, ranges in ((500, SweepRanges()), (300, SweepRanges(n_max=3.0, gamma_ch_max=0.7))):
+    for count, ranges in ((500, SweepRanges()), (300, SweepRanges(n_max=3.0, gamma_ch_max=0.7)),
+                          (1, SweepRanges()), (60, SweepRanges())):
         draws = random_probes(count, seed, stream=stream, ranges=ranges)
         assert len(draws) == 3 and all(col.dtype == np.float64 and col.shape == (count,) for col in draws)
         for col, ref in zip(draws, np.array(generator_per_draw(count, seed, stream, ranges)).T):
             assert np.array_equal(col.view(np.uint64), ref.view(np.uint64))  # bit for bit, -0 included
     empty = random_probes(0, seed, stream=stream)
     assert len(empty) == 3 and all(col.dtype == np.float64 and col.shape == (0,) for col in empty)
+
+
+@pytest.mark.parametrize("count, seed, stream, message", [
+    (3, -1, 0, r"seed must be an integer in \[0, 2\^128\), got -1"),
+    (3, 2**128, 0, r"seed must be an integer in \[0, 2\^128\), got 340282366920938463463374607431768211456"),
+    (3, 0, -1, r"stream must be an integer in \[0, 2\^64\), got -1"),
+    (3, 0, 2**64, r"stream must be an integer in \[0, 2\^64\), got 18446744073709551616"),
+    (-1, 0, 0, "draw count must be >= 0, got -1"),
+], ids=("negative seed", "seed 2^128", "negative stream", "stream 2^64", "negative count"))
+def test_random_probes_reject_keys_and_counters_outside_philox(count, seed, stream, message):
+    with pytest.raises(ValueError, match=message):
+        random_probes(count, seed, stream=stream)
 
 
 def test_sweep_ranges_respected():
