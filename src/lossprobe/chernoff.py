@@ -18,12 +18,18 @@ G_s(t) G_(1-s)(t) makes Q_s = 1 for identical states.  The overlap
 Tr[rho_A rho_B] = 1 / sqrt(det(sigma_A + sigma_B)) is the same quotient with
 weights w = n_t + 1/2 and numerator 1, so one sum S (`_q`) serves both
 quantities and both mode counts, from the weights of each state and the
-s-free factors cosh^2 D and sinh^2 D of the pair, D = r_b - r_a:
+s-free factor sinh^2 D of the pair, D = r_b - r_a:
 
         S = w_a1 w_a2 + w_b1 w_b2 + cosh^2 D (w_a1 w_b2 + w_a2 w_b1)
-            + sinh^2 D (w_a1 w_b1 + w_a2 w_b2),
+            + sinh^2 D (w_a1 w_b1 + w_a2 w_b2)
+          = (w_a1 + w_b1)(w_a2 + w_b2) + sinh^2 D (w_a1 + w_a2)(w_b1 + w_b2),
 
-so Q_s = Pi_s S^(-m/2) for m modes, and the overlap is S^(-m/2).
+by cosh^2 D = 1 + sinh^2 D, so Q_s = Pi_s S^(-m/2) for m modes, and the
+overlap is S^(-m/2).  The factored form keeps the paper's equalities
+exact: a one-mode S is (w_a + w_b)^2, whose square root is w_a + w_b to the
+bit, and a two-mode state beside an untouched vacuum mode (w_2 = 1/2 and
+G_s = 1 for both states, D = 0) has S = w_a1 + w_b1, so its Q_s is the
+one-mode Q_s bit for bit.
 
   * Two modes: two-mode squeezers commute and have unit determinant, so
     S(-r_a) keeps the determinant and maps a's matrix to diag(w_a1, w_a1,
@@ -113,19 +119,19 @@ class PairLanes(NamedTuple):
 
     `bases_a` and `bases_b` hold each state's occupations, then the
     occupations plus one, on the first axis (the lanes follow), so its powers
-    come from one call.  `factors` are the pair's s-free factors of the
-    determinant sum S, (cosh^2 D, sinh^2 D) with D = r_b - r_a for either
-    mode count, from numpy's cosh and sinh (`elementwise`).
+    come from one call.  `sinh2` is the pair's s-free factor of the
+    determinant sum S, sinh^2 D with D = r_b - r_a for either mode count,
+    from numpy's sinh (`elementwise`).
     """
 
     bases_a: np.ndarray
     bases_b: np.ndarray
-    factors: tuple
+    sinh2: np.ndarray | float
 
 
-def _factors(pa: Params, pb: Params) -> tuple:
-    d = pb.r - pa.r
-    return tuple(x * x for x in (elementwise(np.cosh, d), elementwise(np.sinh, d)))
+def _sinh2(pa: Params, pb: Params):
+    sinh = elementwise(np.sinh, pb.r - pa.r)
+    return sinh * sinh
 
 
 def _require_pair(pa: Params, pb: Params) -> None:
@@ -136,16 +142,16 @@ def _require_pair(pa: Params, pb: Params) -> None:
 
 
 def stack_pair(pa: Params, pb: Params) -> PairLanes:
-    """Lanes of one pair (0-d lanes, plain float factors) or of two stacks whose shapes broadcast."""
+    """Lanes of one pair (0-d lanes, a plain float sinh2) or of two stacks whose shapes broadcast."""
     _require_pair(pa, pb)
     bases = (list(p.fields()[1:]) for p in (pa, pb))
-    return PairLanes(*(np.array(b + [n + 1.0 for n in b], dtype=float) for b in bases), _factors(pa, pb))
+    return PairLanes(*(np.array(b + [n + 1.0 for n in b], dtype=float) for b in bases), _sinh2(pa, pb))
 
 
-def _q(g, wa, wb, factors):
+def _q(g, wa, wb, s2):
     """g S^(-m/2) of an m-mode pair with weights wa and wb, one entry per mode; see the module docstring."""
-    (a1, a2), (b1, b2), (c2, s2) = (wa[0], wa[-1]), (wb[0], wb[-1]), factors
-    S = a1 * a2 + b1 * b2 + c2 * (a1 * b2 + a2 * b1) + s2 * (a1 * b1 + a2 * b2)
+    (a1, a2), (b1, b2) = (wa[0], wa[-1]), (wb[0], wb[-1])
+    S = (a1 + b1) * (a2 + b2) + s2 * (a1 + a2) * (b1 + b2)
     return g / S if len(wa) == 2 else g / np.sqrt(S)
 
 
@@ -215,7 +221,7 @@ def q_s(pa, pb, s):
     (ga, wa), (gb, wb) = (_g_lambda(p[: len(p) // 2], p[len(p) // 2 :]) for p in powers)
     wa += 0.5  # Lambda + 1/2 in place: copies alive beside _q's temporaries raise the peak memory
     wb += 0.5
-    return float_or_array(_q(reduce(np.multiply, [*ga, *gb]), wa, wb, lanes.factors))
+    return float_or_array(_q(reduce(np.multiply, [*ga, *gb]), wa, wb, lanes.sinh2))
 
 
 q_s_single = q_s_two = q_s  # not called here: perfbench/tracing.py wraps both names as the chernoff.qs layer
@@ -224,7 +230,7 @@ q_s_single = q_s_two = q_s  # not called here: perfbench/tracing.py wraps both n
 def _overlap(pa: Params, pb: Params) -> np.ndarray:
     """Tr[rho_a rho_b] of two flat stacks: the determinant at weights n_t + 1/2, over 1."""
     wa, wb = ([n + VACUUM_NOISE for n in p.fields()[1:]] for p in (pa, pb))
-    return _q(1.0, wa, wb, _factors(pa, pb))
+    return _q(1.0, wa, wb, _sinh2(pa, pb))
 
 
 @dataclass(frozen=True)

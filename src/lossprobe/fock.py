@@ -14,7 +14,13 @@ by size: each size class is one contiguous (count, n, n) view of `data`,
 and every stage makes one stacked call per class.  A prepared block U
 diag(w) U^T keeps (w, U) as its spectrum (U from the `eigh` of a real
 tridiagonal); loss is one Toeplitz product over the mode-1 diagonals;
-moments are sums over int32 band maps.  The Chernoff s-curve, a sum of
+moments are sums over band maps.  Every index map is int32, and the
+cached index per block entry is where its mirror sits and where the loss
+gathers it, 8 bytes; an entry's row and column are derived from the
+sectors where a one-time build needs them.  So the blocks, and the loss's
+array of diagonals, hold at most 2^31 entries: past that (two-mode cutoffs
+from 1477, and from 1291 for the loss) they raise ValueError before
+anything is allocated per entry.  The Chernoff s-curve, a sum of
 exponentials in s with non-negative weights, is log-convex: its minimum is
 an edge whose slope points outward, or Newton on the slope inside its sign
 bracket, stopped by the tangents at the bracket ends.  Rank and fidelity
@@ -47,6 +53,7 @@ from .gaussian import SqueezedThermalParamsSingle, SqueezedThermalParamsTwo
 EIG_CLAMP = 1e-10
 _HERMITICITY_TOL = 1e-12
 MAX_LOSS_CUTOFF = 1800  # the loss kernel's scales overflow past this mode-1 cutoff
+_INDEX_LIMIT = 2**31  # entries an int32 index map can address
 
 
 class TruncationError(ArithmeticError):
@@ -79,33 +86,47 @@ class _Layout(NamedTuple):
     sector_of: np.ndarray  # per basis index: its sector
     position: np.ndarray  # per basis index: its place in its sector
     size: np.ndarray  # per sector: its length
-    start: np.ndarray  # per sector, and one past the end: where its block starts in `data`
+    start: np.ndarray  # per sector, and one past the end: where its block starts in `data` (int64)
     row_at: np.ndarray  # per basis index i: where its row starts in `data`, so (i, j) sits at row_at[i] + position[j]
-    rows: np.ndarray  # per entry of `data`: the basis indices of its row
-    cols: np.ndarray  # and of its column
-    transpose: np.ndarray  # per entry of `data`: where its mirror entry sits (int32)
-    diag: np.ndarray  # per basis index: where its diagonal entry sits (int32)
+    transpose: np.ndarray  # per entry of `data`: where its mirror entry sits
+    diag: np.ndarray  # per basis index: where its diagonal entry sits
 
 
 @lru_cache(maxsize=32)
 def _sector_layout(dims: tuple[int, ...], modulus: int) -> _Layout:
     """The sectors (classes of charge mod `modulus`) by size, then by charge, each block raveled after
-    the last: the blocks of one size, a size class, make one contiguous (count, n, n) stretch of `data`."""
+    the last: the blocks of one size, a size class, make one contiguous (count, n, n) stretch of `data`.
+
+    Every index but `start` is int32, so the blocks may hold at most 2^31 entries; the count comes from
+    the sector sizes, before anything is allocated per entry."""
     _, charge_of, counts = np.unique(_charge(dims) % modulus, return_inverse=True, return_counts=True)
     order = np.argsort(counts, kind="stable")
-    size, sector_of = counts[order], np.argsort(order)[charge_of]
-    members = [np.flatnonzero(sector_of == k) for k in range(len(size))]
-    sizes, first = np.unique(size, return_index=True)
-    classes = list(zip(sizes.tolist(), first.tolist(), first[1:].tolist() + [len(size)]))
-    position = np.empty_like(sector_of)
-    position[np.concatenate(members)] = np.concatenate([np.arange(len(idx)) for idx in members])
-    rows = np.concatenate([np.repeat(idx, len(idx)) for idx in members])
-    cols = np.concatenate([np.tile(idx, len(idx)) for idx in members])
+    size = counts[order]
     start = np.concatenate(([0], np.cumsum(size**2)))
-    row_at = start[sector_of] + position * size[sector_of]
-    maps = (row_at[cols] + position[rows], row_at + position)
-    sectors = [np.array(members[a:b]) for _, a, b in classes]
-    return _Layout(sectors, classes, sector_of, position, size, start, row_at, rows, cols, *(m.astype(np.int32) for m in maps))
+    if start[-1] > _INDEX_LIMIT:
+        raise ValueError(f"the sector blocks of dims {dims} hold {start[-1]:,} entries, past the 2^31 an int32 index addresses")
+    sector_of = np.argsort(order).astype(np.int32)[charge_of]
+    members = np.argsort(sector_of, kind="stable").astype(np.int32)  # sector by sector, each ascending
+    first = np.concatenate(([0], np.cumsum(size)))  # per sector: where its members start
+    position = np.empty_like(sector_of)
+    position[members] = np.arange(len(members)) - np.repeat(first[:-1], size)
+    sizes, low = np.unique(size, return_index=True)
+    classes = list(zip(sizes.tolist(), low.tolist(), low[1:].tolist() + [len(size)]))
+    sectors = [members[first[a] : first[b]].reshape(b - a, n) for n, a, b in classes]
+    row_at = (start[sector_of] + position * size[sector_of]).astype(np.int32)
+    transpose = np.empty(start[-1], dtype=np.int32)
+    for n, a, b in classes:  # the entry at p n + q of a block mirrors to q n + p
+        block = transpose[start[a] : start[b]].reshape(b - a, n, n)
+        block[...] = np.arange(n * n, dtype=np.int32).reshape(n, n).T
+        block += start[a:b, None, None].astype(np.int32)
+    return _Layout(sectors, classes, sector_of, position, size, start, row_at, transpose, row_at + position)
+
+
+def _rows_cols(lay: _Layout) -> tuple[np.ndarray, np.ndarray]:
+    """Per entry of `data`: the basis indices of its row and of its column (int32), from the sectors."""
+    rows = np.concatenate([np.repeat(idx, idx.shape[1], axis=1).ravel() for idx in lay.sectors])
+    cols = np.concatenate([np.tile(idx, idx.shape[1]).ravel() for idx in lay.sectors])
+    return rows, cols
 
 
 def _select(keep: np.ndarray, *stacks: np.ndarray) -> list[np.ndarray]:
@@ -115,20 +136,24 @@ def _select(keep: np.ndarray, *stacks: np.ndarray) -> list[np.ndarray]:
 
 @lru_cache(maxsize=32)
 def _diagonal_map(dims: tuple[int, ...], modulus: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(at, deltas, lanes): per entry of `data`, its place in a (d1, len(deltas), lanes) array of mode-1 diagonals.
+    """(at, deltas, lanes): per entry of `data`, its place (int32) in a (d1, len(deltas), lanes) array of mode-1 diagonals.
 
     Each entry takes its upper mirror's place: level n1 of mode-1 diagonal
     k1 - n1 >= 0, in the lane of its mode-2 levels (the row's alone when
     the exact charge fixes the column's); `deltas` lists the diagonals.
+    They are at most d1, so d1 * d1 * lanes bounds the array's size; it is
+    checked against 2^31 before the layout is read.
     """
-    lay = _sector_layout(dims, modulus)
-    d1, d2 = dims[0], math.prod(dims[1:])
-    (n1, n2), (k1, k2) = np.divmod(np.minimum(lay.rows, lay.cols), d2), np.divmod(np.maximum(lay.rows, lay.cols), d2)
-    lanes, lane = (d2, n2) if modulus == math.prod(dims) else (d2 * d2, n2 * d2 + k2)
+    d1, d2, exact = dims[0], math.prod(dims[1:]), modulus == math.prod(dims)
+    lanes = d2 if exact else d2 * d2
+    if d1 * d1 * lanes > _INDEX_LIMIT:
+        raise ValueError(f"the loss grid of dims {dims} takes up to {d1 * d1 * lanes:,} entries, past the 2^31 an int32 index addresses")
+    rows, cols = _rows_cols(_sector_layout(dims, modulus))
+    (n1, n2), (k1, k2) = np.divmod(np.minimum(rows, cols), d2), np.divmod(np.maximum(rows, cols), d2)
+    lane = n2 if exact else n2 * d2 + k2
     present = np.bincount(k1 - n1, minlength=d1) > 0
     deltas = np.flatnonzero(present)
-    at = (n1 * len(deltas) + (np.cumsum(present) - 1)[k1 - n1]) * lanes + lane
-    return at.astype(np.int32), deltas, lanes
+    return (n1 * len(deltas) + (np.cumsum(present, dtype=np.int32) - 1)[k1 - n1]) * lanes + lane, deltas, lanes
 
 
 @lru_cache(maxsize=32)
@@ -139,7 +164,7 @@ def _moment_bands(dims: tuple[int, ...], modulus: int) -> list[tuple[np.ndarray,
 
     def band(rows, cols, w) -> tuple[np.ndarray, np.ndarray]:
         inside = lay.sector_of[rows] == lay.sector_of[cols]
-        return (lay.row_at[rows] + lay.position[cols])[inside].astype(np.int32), np.broadcast_to(w, rows.shape)[inside]
+        return (lay.row_at[rows] + lay.position[cols])[inside], np.broadcast_to(w, rows.shape)[inside]
 
     bands = []
     for mode, d in enumerate(dims):
@@ -184,11 +209,13 @@ class FockDensityMatrix:
             gap = _charge(dims)[:, None] - _charge(dims)
             modulus = next(k for k in (d, 2, 1) if not m[gap % k != 0].any())
         lay = _sector_layout(dims, modulus)
-        data = np.asarray(data if mat is None else m[lay.rows, lay.cols], dtype=float)
+        data = np.asarray(data if mat is None else m[_rows_cols(lay)], dtype=float)
         mirror = data.take(lay.transpose)
-        if np.max(np.abs(data - mirror)) > _HERMITICITY_TOL:
+        sym = np.subtract(data, mirror)  # one scratch array: the asymmetry, then the symmetrised blocks
+        if np.abs(sym, out=sym).max() > _HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
-        data = (data + mirror) / 2.0
+        data = np.add(data, mirror, out=sym)
+        data /= 2.0
         data.setflags(write=False)
         self.__dict__.update(dims=dims, modulus=modulus, data=data, layout=lay)
         if spectrum is not None:
@@ -214,7 +241,7 @@ class FockDensityMatrix:
     @property
     def mat(self) -> np.ndarray:
         m = np.zeros((math.prod(self.dims),) * 2)
-        m[self.layout.rows, self.layout.cols] = self.data
+        m[_rows_cols(self.layout)] = self.data
         return m
 
     @cached_property
@@ -243,7 +270,8 @@ def _common(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[FockDen
     lay = _sector_layout(rho_a.dims, modulus)
 
     def merged(rho: FockDensityMatrix) -> FockDensityMatrix:  # each entry moved to its place in the coarser blocks
-        at = lay.row_at[rho.layout.rows] + lay.position[rho.layout.cols]
+        rows, cols = _rows_cols(rho.layout)
+        at = lay.row_at[rows] + lay.position[cols]
         return FockDensityMatrix(rho.dims, modulus=modulus, data=np.bincount(at, rho.data, lay.start[-1]))
 
     return tuple(merged(rho) if rho.modulus > modulus else rho for rho in (rho_a, rho_b))
@@ -337,7 +365,10 @@ def fock_squeezed_thermal(
     # each level's link up its chain, 0 in a sector without weight: its block keeps the identity
     link = coupling(np.arange(math.prod(dims))) * (np.bincount(lay.sector_of, weights) > 0.0)[lay.sector_of]
     spectrum = [(weights[idx], _squeeze_unitaries(link[idx[:, :-1]])) for idx in lay.sectors]  # per size class
-    data = np.concatenate([((u * w[:, None, :]) @ u.mT).ravel() if w.any() else np.zeros(u.size) for w, u in spectrum])
+    data = np.zeros(lay.start[-1])  # filled class by class; a class without weight stays zero
+    for (n, a, b), (w, u) in zip(lay.classes, spectrum):
+        if w.any():
+            np.matmul(u * w[:, None, :], u.mT, out=data[lay.start[a] : lay.start[b]].reshape(b - a, n, n))
     out = FockDensityMatrix(dims, modulus=modulus, data=data, spectrum=spectrum)
     deficit = truncation_deficit(out)
     if deficit > cfg.tail_tol:
@@ -374,8 +405,12 @@ def apply_loss_kraus(rho: FockDensityMatrix, eta: float) -> FockDensityMatrix:
     grid = np.zeros((d1, len(deltas), lanes))
     grid.reshape(-1)[at] = rho.data
     grid *= (alpha[:, None] * alpha[pair])[:, :, None]
-    out = (kernel @ grid.reshape(d1, -1)).reshape(grid.shape) * (gain[:, None] * gain[pair])[:, :, None]
-    return FockDensityMatrix(rho.dims, modulus=rho.modulus, data=out.take(at))
+    out = (kernel @ grid.reshape(d1, -1)).reshape(grid.shape)
+    del grid  # each full-size array dies before the next is made
+    out *= (gain[:, None] * gain[pair])[:, :, None]
+    data = out.take(at)
+    del out
+    return FockDensityMatrix(rho.dims, modulus=rho.modulus, data=data)
 
 
 def moments_from_fock(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -1057,6 +1057,44 @@ def test_two_mode_oracle_memory_at_dim_80():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100e6, f"peak {peak / 1e6:.1f} MB"
+    assert peak < 30e6, f"peak {peak / 1e6:.1f} MB"
     report = qcb(params, output_params_two(params, LossChannel.from_eta(0.6)))
     assert abs(q - report.q) < 1e-6
+
+
+def _index_bytes(x) -> int:
+    if isinstance(x, np.ndarray):
+        return x.nbytes
+    return sum(map(_index_bytes, x)) if isinstance(x, (list, tuple)) else 0
+
+
+def test_cached_index_takes_at_most_9_bytes_per_block_entry():
+    # int32 maps, and no row and column arrays: where an entry's mirror sits
+    # and where the loss gathers it, plus the per-basis and per-sector arrays
+    dims = (80, 80)
+    lay = fock._sector_layout(dims, 6400)
+    cached = _index_bytes(list(lay)) + _index_bytes(list(fock._diagonal_map(dims, 6400)))
+    assert cached <= 9 * lay.start[-1], cached / lay.start[-1]
+    assert lay.transpose.dtype == lay.diag.dtype == fock._diagonal_map(dims, 6400)[0].dtype == np.int32
+    # the rows and columns derived from the sectors are where the entries sit
+    rows, cols = fock._rows_cols(lay)
+    assert np.array_equal(lay.row_at[rows] + lay.position[cols], np.arange(lay.start[-1]))
+    assert np.array_equal(lay.transpose, lay.row_at[cols] + lay.position[rows])
+
+
+@pytest.mark.parametrize(
+    "build,dims,modulus",
+    [(fock._diagonal_map, (1300, 1300), 1300**2), (fock._sector_layout, (1500, 1500), 1500**2), (fock._sector_layout, (46341,), 1)],
+    ids=["loss-grid", "two-mode-layout", "one-sector"],
+)
+def test_index_past_int32_raises_before_any_per_entry_array(build, dims, modulus):
+    # 1300^3 and about 2 * 1500^3 / 3 and 46341^2 entries pass 2^31: the
+    # arrays would take gigabytes, the checks read the dims and the sector sizes
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="past the 2\\^31"):
+            build(dims, modulus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150e6, f"peak {peak / 1e6:.1f} MB"
