@@ -26,10 +26,10 @@ s-free factor sinh^2 D of the pair, D = r_b - r_a:
 
 by cosh^2 D = 1 + sinh^2 D, so Q_s = Pi_s S^(-m/2) for m modes, and the
 overlap is S^(-m/2).  The factored form keeps the paper's equalities
-exact: a one-mode S is (w_a + w_b)^2, whose square root is w_a + w_b to the
-bit, and a two-mode state beside an untouched vacuum mode (w_2 = 1/2 and
-G_s = 1 for both states, D = 0) has S = w_a1 + w_b1, so its Q_s is the
-one-mode Q_s bit for bit.
+exact: at D = 0 a one-mode S is (w_a + w_b)^2, whose square root is
+w_a + w_b to the bit, and a two-mode state beside an untouched vacuum
+mode (w_2 = 1/2 and G_s = 1 for both states, D = 0) has S = w_a1 + w_b1,
+so its Q_s is the one-mode Q_s bit for bit.
 
   * Two modes: two-mode squeezers commute and have unit determinant, so
     S(-r_a) keeps the determinant and maps a's matrix to diag(w_a1, w_a1,

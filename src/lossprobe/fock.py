@@ -20,7 +20,8 @@ gathers it, 8 bytes; an entry's row and column are derived from the
 sectors where a one-time build needs them.  So the blocks, and the loss's
 array of diagonals, hold at most 2^31 entries: past that (two-mode cutoffs
 from 1477, and from 1291 for the loss) they raise ValueError before
-anything is allocated per entry.  The Chernoff s-curve, a sum of
+anything is allocated per entry, and `check_loss_size` checks the loss's
+bound before the input state is built.  The Chernoff s-curve, a sum of
 exponentials in s with non-negative weights, is log-convex: its minimum is
 an edge whose slope points outward, or Newton on the slope inside its sign
 bracket, stopped by the tangents at the bracket ends.  Rank and fidelity
@@ -134,6 +135,29 @@ def _select(keep: np.ndarray, *stacks: np.ndarray) -> list[np.ndarray]:
     return list(stacks) if keep.all() else [x[keep] for x in stacks]
 
 
+def _loss_lanes(dims: tuple[int, ...], modulus: int) -> int:
+    """The lanes of the loss's array of diagonals; ValueError if the array may pass 2^31 entries, from the dims alone."""
+    d1, d2 = dims[0], math.prod(dims[1:])
+    lanes = d2 if modulus == math.prod(dims) else d2 * d2
+    if d1 * d1 * lanes > _INDEX_LIMIT:
+        raise ValueError(f"the loss grid of dims {dims} takes up to {d1 * d1 * lanes:,} entries, past the 2^31 an int32 index addresses")
+    return lanes
+
+
+def _state_shape(params: SqueezedThermalParamsSingle | SqueezedThermalParamsTwo, dim: int) -> tuple[tuple[int, ...], int]:
+    """(dims, modulus) of `fock_squeezed_thermal`'s state: one mode's parity (or each level alone), two modes' exact charge."""
+    if isinstance(params, SqueezedThermalParamsSingle):
+        return (dim,), 2 if params.r else dim
+    if isinstance(params, SqueezedThermalParamsTwo):
+        return (dim, dim), dim * dim
+    raise TypeError(f"unsupported parameter type {type(params).__name__}")
+
+
+def check_loss_size(params: SqueezedThermalParamsSingle | SqueezedThermalParamsTwo, cfg: TruncationConfig) -> None:
+    """ValueError if `apply_loss_kraus` on this state would pass 2^31 grid entries: from the dims, before any state is built."""
+    _loss_lanes(*_state_shape(params, cfg.dim))
+
+
 @lru_cache(maxsize=32)
 def _diagonal_map(dims: tuple[int, ...], modulus: int) -> tuple[np.ndarray, np.ndarray, int]:
     """(at, deltas, lanes): per entry of `data`, its place (int32) in a (d1, len(deltas), lanes) array of mode-1 diagonals.
@@ -141,13 +165,11 @@ def _diagonal_map(dims: tuple[int, ...], modulus: int) -> tuple[np.ndarray, np.n
     Each entry takes its upper mirror's place: level n1 of mode-1 diagonal
     k1 - n1 >= 0, in the lane of its mode-2 levels (the row's alone when
     the exact charge fixes the column's); `deltas` lists the diagonals.
-    They are at most d1, so d1 * d1 * lanes bounds the array's size; it is
-    checked against 2^31 before the layout is read.
+    They are at most d1, so d1 * d1 * lanes bounds the array's size
+    (`_loss_lanes`).
     """
+    lanes = _loss_lanes(dims, modulus)
     d1, d2, exact = dims[0], math.prod(dims[1:]), modulus == math.prod(dims)
-    lanes = d2 if exact else d2 * d2
-    if d1 * d1 * lanes > _INDEX_LIMIT:
-        raise ValueError(f"the loss grid of dims {dims} takes up to {d1 * d1 * lanes:,} entries, past the 2^31 an int32 index addresses")
     rows, cols = _rows_cols(_sector_layout(dims, modulus))
     (n1, n2), (k1, k2) = np.divmod(np.minimum(rows, cols), d2), np.divmod(np.maximum(rows, cols), d2)
     lane = n2 if exact else n2 * d2 + k2
@@ -342,25 +364,20 @@ def fock_squeezed_thermal(
     top-level spillover) exceeds cfg.tail_tol.
     """
     dim = cfg.dim
+    dims, modulus = _state_shape(params, dim)
     if isinstance(params, SqueezedThermalParamsSingle):
-        dims: tuple[int, ...] = (dim,)
         weights = thermal_diagonal(params.n_t, dim)
-        modulus = 2 if params.r else dim  # parity, or each level alone
 
         def coupling(n: np.ndarray) -> np.ndarray:
             return 0.5 * params.r * np.sqrt((n + 1.0) * (n + 2.0))
 
-    elif isinstance(params, SqueezedThermalParamsTwo):
-        dims = (dim, dim)
+    else:
         weights = np.outer(thermal_diagonal(params.n_t1, dim), thermal_diagonal(params.n_t2, dim)).ravel()
-        modulus = dim * dim
 
         def coupling(flat: np.ndarray) -> np.ndarray:
             n1, n2 = np.divmod(flat, dim)
             return params.r * np.sqrt((n1 + 1.0) * (n2 + 1.0))
 
-    else:
-        raise TypeError(f"unsupported parameter type {type(params).__name__}")
     lay = _sector_layout(dims, modulus)
     # each level's link up its chain, 0 in a sector without weight: its block keeps the identity
     link = coupling(np.arange(math.prod(dims))) * (np.bincount(lay.sector_of, weights) > 0.0)[lay.sector_of]

@@ -32,6 +32,7 @@ from .fock import (
     TruncationConfig,
     TruncationError,
     apply_loss_kraus,
+    check_loss_size,
     fidelity_fock,
     fock_squeezed_thermal,
     helstrom_pe_fock,
@@ -140,6 +141,9 @@ def run_case(
 ) -> list[CheckResult]:
     """All checks for one case; a truncation failure becomes a failed row.
 
+    A cutoff whose loss grid would pass 2^31 entries raises ValueError
+    before any state is built.
+
     q is the case's Gaussian Q if the caller has it from a stack (`run_all`).
     """
     cfg = TruncationConfig(
@@ -153,6 +157,8 @@ def run_case(
         passed = value >= tol if keep_sign else abs(value) <= tol
         results.append(CheckResult(case.name, check, value, tol, passed))
 
+    if case.eta is not None:
+        check_loss_size(case.params_a, cfg)  # a loss grid past int32 raises before the input is built
     try:
         rho_a = fock_squeezed_thermal(case.params_a, cfg)
         rho_b = apply_loss_kraus(rho_a, case.eta) if case.eta is not None else fock_squeezed_thermal(case.params_b, cfg)

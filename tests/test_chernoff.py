@@ -211,7 +211,7 @@ def test_qs_two_mode_product_factorizes(pa1, pb1, pa2, pb2, s):
 @pytest.mark.parametrize("n,m", [(0.3, 1.7), (2.5, 0.01), (1e3, 4.0), (0.0, 0.8)])
 def test_untouched_vacuum_mode_keeps_the_one_mode_bits(n, m):
     # beside a vacuum mode 2 at D = 0, S is w_a1 + w_b1 and the one-mode S
-    # is (w_a + w_b)^2, whose sqrt is w_a + w_b: the same Q_s at every s
+    # at D = 0 is (w_a + w_b)^2, whose sqrt is w_a + w_b: the same Q_s at every s
     s = np.linspace(0.01, 0.99, 99)
     two, one = q_s(SqueezedThermalParamsTwo(0.0, n, 0.0), SqueezedThermalParamsTwo(0.0, m, 0.0), s), q_s(
         SqueezedThermalParamsSingle(0.0, n), SqueezedThermalParamsSingle(0.0, m), s

@@ -1098,3 +1098,18 @@ def test_index_past_int32_raises_before_any_per_entry_array(build, dims, modulus
     finally:
         tracemalloc.stop()
     assert peak < 150e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_run_case_refuses_a_loss_grid_past_int32_before_building_the_state():
+    # at a two-mode cutoff of 1300 the blocks (about 1.46e9 entries) still fit
+    # an int32 index, so the input state would be built, about 12 GB, before
+    # the loss raised; the loss grid's bound is checked from the dims first
+    case = next(c for c in verification.standard_cases() if c.eta is not None and isinstance(c.params_a, T2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="the loss grid of dims \\(1300, 1300\\)"):
+            verification.run_case(case, dim=1300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
