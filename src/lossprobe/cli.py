@@ -16,11 +16,12 @@ range, truncation overflow, out of memory), 2 on bad flags.  All tabular
 output is CSV with a header row and `#` comment lines carrying the package
 version and the exact parameter set, so identical invocations produce
 identical bytes on one machine and one numpy SIMD dispatch: with numpy's
-AVX-512 loops disabled, 1,035 of the 247,985 values that figures 2 to 6 and
-`sweep --samples 10000` print differ in their last digit.  Files land in
---outdir when a command writes more than one; the default directory comes
-from the LOSSPROBE_OUTDIR environment variable, falling back to the working
-directory.
+AVX-512 loops disabled, 939 of the 243,246 values that figures 4 to 6 and
+`sweep --samples 10000` print differ, each within one unit of its 12th
+significant digit or 2.0e-15 absolute (figures 2 and 3 are the same).
+Files land in --outdir when a command writes more than one; the default
+directory comes from the LOSSPROBE_OUTDIR environment variable, falling
+back to the working directory.
 
 A figure command stacks the rows of all its files, with Gamma (and, for
 figure 5, the thermal split) a float column like N and beta, and makes one

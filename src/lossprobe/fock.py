@@ -13,7 +13,8 @@ state is block diagonal, and a `FockDensityMatrix` stores only its blocks,
 by size: each size class is one contiguous (count, n, n) view of `data`,
 and every stage makes one stacked call per class.  A prepared block U
 diag(w) U^T keeps (w, U) as its spectrum (U from the `eigh` of a real
-tridiagonal); loss is one Toeplitz product over the mode-1 diagonals;
+tridiagonal, one stacked call per CHAIN_BUCKET consecutive chain lengths,
+zero-padded); loss is one Toeplitz product over the mode-1 diagonals;
 moments are sums over band maps.  Every index map is int32, and the
 cached index per block entry is where its mirror sits and where the loss
 gathers it, 8 bytes; an entry's row and column are derived from the
@@ -24,14 +25,19 @@ anything is allocated per entry, and `check_loss_size` checks the loss's
 bound before the input state is built.  The Chernoff s-curve, a sum of
 exponentials in s with non-negative weights, is log-convex: its minimum is
 an edge whose slope points outward, or Newton on the slope inside its sign
-bracket, stopped by the tangents at the bracket ends.  Rank and fidelity
-floors are relative to the largest eigenvalue over all sectors, and an
-eigenvalue below -1e-10 in any sector raises.  A sector without weight (a
-pure input has weight in one) is an exactly zero block that no LAPACK call
-sees: it adds exactly 0 to the s-curve and both end candidates, and the
-single-copy trace distance takes the live block's trace.  The oracle checks
-Q, the fidelity and the exact single-copy Helstrom error against the
-Gaussian closed forms; M copies are the Chernoff bound's (P_e <= Q^M / 2).
+bracket, stopped by the tangents at the bracket ends.  A sector without
+weight (a pure input has weight in one) is an exactly zero block that no
+LAPACK call sees: it adds exactly 0 to the s-curve and both end candidates,
+and the single-copy trace distance takes the live block's trace.  So a loss
+output is factorised only in the sectors where the other state of its pair
+has weight, plus any block whose trace reaches the largest eigenvalue found
+there; a block's largest eigenvalue is at most its trace, so its largest
+eigenvalue over all sectors is exact.  The fidelity floors, and the rank
+floor of a factorised state, are relative to it; a prepared state's weights
+are exact, so its support is its nonzero weights.  An eigenvalue below
+-1e-10 in a factorised block raises.  The oracle checks Q, the fidelity
+and the exact single-copy Helstrom error against the Gaussian closed forms;
+M copies are the Chernoff bound's (P_e <= Q^M / 2).
 The dense route (`expm`, Kraus matmuls, complex quadratures, one full
 `eigh`) is the reference in the tests.  This module imports only numpy.
 
@@ -41,6 +47,7 @@ p = (a - a^dag)/(i sqrt(2)), vacuum variance 1/2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -55,6 +62,7 @@ EIG_CLAMP = 1e-10
 _HERMITICITY_TOL = 1e-12
 MAX_LOSS_CUTOFF = 1800  # the loss kernel's scales overflow past this mode-1 cutoff
 _INDEX_LIMIT = 2**31  # entries an int32 index map can address
+CHAIN_BUCKET = 8  # squeeze chains of this many consecutive lengths share one stacked `eigh`
 
 
 class TruncationError(ArithmeticError):
@@ -199,6 +207,16 @@ def _moment_bands(dims: tuple[int, ...], modulus: int) -> list[tuple[np.ndarray,
     return bands
 
 
+@dataclass(eq=False)
+class _Spectra:
+    """A state's spectrum as far as it is factorised (`FockDensityMatrix.factorised`)."""
+
+    classes: list  # per size class: [eigenvalues (count, n), eigenvectors (count, n, n), or None while no block of it is factorised]
+    done: np.ndarray  # per sector: whether its block holds its factorisation (a dead block, (zeros, identity), from the start)
+    top: float  # the largest eigenvalue found
+    exact: bool  # a prepared state's weights, with no roundoff eigenvalue to floor
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class FockDensityMatrix:
     """Density matrix on a truncated Fock space of one or two modes, kept as sector blocks.
@@ -208,10 +226,11 @@ class FockDensityMatrix:
     loss pass both; `FockDensityMatrix(dims, mat)` takes a dense matrix and
     keeps the finest partition whose off-sector entries are exactly zero,
     tried finest first (the exact charge, then parity, then 1, the whole
-    space).  Hermiticity is validated at construction; positivity at the
-    first spectral use (eigenvalues below -1e-10 raise, small negatives
-    clamp), unless the blocks come with their `spectrum`.  `mat` is a dense
-    copy, built on demand.
+    space).  Hermiticity is validated at construction; positivity as each
+    block is factorised (eigenvalues below -1e-10 raise, small negatives
+    clamp), unless the blocks come with their `spectrum`.  A state is
+    factorised as far as a pair's checks read it (`factorised`); `mat` is a
+    dense copy, built on demand.
     """
 
     dims: tuple[int, ...]
@@ -255,6 +274,11 @@ class FockDensityMatrix:
         """Per sector: whether its block has any nonzero entry."""
         return np.logical_or.reduceat(self.data != 0.0, self.layout.start[:-1])
 
+    @cached_property
+    def traces(self) -> np.ndarray:
+        """Per sector: its block's trace."""
+        return np.bincount(self.layout.sector_of, self.diagonal)
+
     @property
     def diagonal(self) -> np.ndarray:
         """The populations, in flat basis order."""
@@ -269,19 +293,46 @@ class FockDensityMatrix:
     @cached_property
     def spectrum(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(eigenvalues (count, n), eigenvectors (count, n, n)) per size class, negatives clamped to 0:
-        one stacked `eigh` per class over its live blocks; a dead block is (zeros, identity)."""
-        spectra = []
-        for (n, a, b), stack in zip(self.layout.classes, self.stacks):
-            if (live := self.live[a:b]).all():
-                vals, vecs = np.linalg.eigh(stack)
-            else:
-                vals, vecs = np.zeros((b - a, n)), np.broadcast_to(np.eye(n), stack.shape).copy()
-                if live.any():
-                    vals[live], vecs[live] = np.linalg.eigh(stack[live])
-            spectra.append((vals, vecs))
-        if (low := min(vals.min() for vals, _ in spectra)) < -EIG_CLAMP:
+        every live block factorised (`factorised`); a dead block is (zeros, identity)."""
+        return [(vals, np.broadcast_to(np.eye(vals.shape[1]), vals.shape + vals.shape[1:]).copy() if vecs is None else vecs)
+                for vals, vecs in self.factorised(self.live).classes]
+
+    @cached_property
+    def _spectra(self) -> _Spectra:
+        if "spectrum" in self.__dict__:  # a prepared state: its construction spectrum, whose weights are exact
+            return _Spectra(self.spectrum, np.ones(len(self.layout.size), bool), max(w.max() for w, _ in self.spectrum), True)
+        return _Spectra([[np.zeros((b - a, n)), None] for n, a, b in self.layout.classes], ~self.live, 0.0, False)
+
+    def factorised(self, need: np.ndarray) -> _Spectra:
+        """The spectrum with at least the blocks of the sectors in `need` factorised, and `top` the largest
+        eigenvalue over all sectors: a block's largest eigenvalue is at most its trace, so another live block is
+        factorised too when its trace reaches the largest eigenvalue found (less 1e-12 of it, for roundoff).
+        What a call factorises is kept for every later call and for `spectrum`."""
+        spectra = self._spectra
+        self._factorise(need & ~spectra.done)
+        self._factorise(~spectra.done & (self.traces >= spectra.top * (1.0 - 1e-12)))
+        return spectra
+
+    def _factorise(self, todo: np.ndarray) -> None:
+        """One stacked `eigh` per size class over its blocks in `todo`, each with the bits of a call over all blocks:
+        an eigenvalue below -1e-10 raises, and small negatives clamp to 0."""
+        if not todo.any():
+            return
+        spectra = self._spectra
+        new = [(k, pick, *np.linalg.eigh(_select(pick, stack)[0]))
+               for k, ((_, a, b), stack) in enumerate(zip(self.layout.classes, self.stacks)) if (pick := todo[a:b]).any()]
+        if (low := min(vals.min() for _, _, vals, _ in new)) < -EIG_CLAMP:
             raise ArithmeticError(f"density matrix eigenvalue {low:.3e} below -1e-10")
-        return [(np.maximum(vals, 0.0), vecs) for vals, vecs in spectra]
+        for k, pick, vals, vecs in new:
+            vals = np.maximum(vals, 0.0)
+            spectra.top = max(spectra.top, vals.max())
+            if pick.all():  # no block of the class was factorised before
+                spectra.classes[k] = [vals, vecs]
+                continue
+            if spectra.classes[k][1] is None:
+                spectra.classes[k][1] = np.broadcast_to(np.eye(vals.shape[1]), pick.shape + vecs.shape[1:]).copy()
+            spectra.classes[k][0][pick], spectra.classes[k][1][pick] = vals, vecs
+        spectra.done |= todo
 
 
 def _common(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[FockDensityMatrix, FockDensityMatrix]:
@@ -313,22 +364,28 @@ def _squeeze_unitaries(subs: np.ndarray) -> np.ndarray:
     """exp(G) for each row of `subs`, G = diag(sub, -1) - diag(sub, 1): one stacked `eigh` over the distinct rows.
 
     G = -i D T D^* with D = diag(i^j) and T = diag(sub, -1) + diag(sub, 1), so
-    exp(G)[j, k] = i^(j - k) (cos T - i sin T)[j, k]: cos T, sin T, -cos T or
-    -sin T for (j - k) mod 4 = 0 to 3 (T is a path: cos T is even, sin T odd).
+    exp(G)[j, k] = i^(j - k) (cos T - i sin T)[j, k].  T is a path, so cos T is
+    even and sin T odd: exp(G) takes cos T where j - k is even and sin T where
+    it is odd, times +1 for (j - k) mod 4 = 0 or 1 and -1 for 2 or 3.
     A zero row (no squeezing, a 1 x 1 block, or a block without weight) gives the identity without LAPACK.
     """
     n, nonzero = subs.shape[1] + 1, subs.any(axis=1)
-    out = np.broadcast_to(np.eye(n), (len(subs), n, n)).copy()
-    if nonzero.any():
-        first = (subs[:, None] == subs).all(axis=2).argmax(axis=1)  # per row, the first row equal to it
-        distinct = np.flatnonzero((first == np.arange(len(subs))) & nonzero)
-        t = np.zeros((len(distinct), n * n))
-        t[:, 1 :: n + 1] = t[:, n :: n + 1] = subs[distinct]  # the super- and subdiagonal
-        w, v = np.linalg.eigh(t.reshape(-1, n, n))
-        cos, sin = (v * np.cos(w)[:, None]) @ v.mT, (v * np.sin(w)[:, None]) @ v.mT
-        exps = np.choose(np.subtract.outer(np.arange(n), np.arange(n)) % 4, (cos, sin, -cos, -sin))
-        out[nonzero] = exps[np.searchsorted(distinct, first[nonzero])]
-    return out
+    if not nonzero.all():  # the identity for each zero row, the others in their places
+        out = np.broadcast_to(np.eye(n), (len(subs), n, n)).copy()
+        if nonzero.any():
+            out[nonzero] = _squeeze_unitaries(subs[nonzero])
+        return out
+    first = (subs[:, None] == subs).all(axis=2).argmax(axis=1)  # per row, the first row equal to it
+    distinct = np.flatnonzero(first == np.arange(len(subs)))
+    t = np.zeros((len(distinct), n * n))
+    t[:, 1 :: n + 1] = t[:, n :: n + 1] = subs[distinct]  # the super- and subdiagonal
+    w, v = np.linalg.eigh(t.reshape(-1, n, n))
+    del t
+    cos, sin = (v * np.cos(w)[:, None]) @ v.mT, (v * np.sin(w)[:, None]) @ v.mT
+    gap = np.subtract.outer(np.arange(n), np.arange(n))
+    np.copyto(cos, sin, where=gap % 2 == 1)
+    cos *= np.where(gap % 4 < 2, 1.0, -1.0)
+    return cos[np.searchsorted(distinct, first)]
 
 
 def truncation_deficit(rho: FockDensityMatrix) -> float:
@@ -358,7 +415,10 @@ def fock_squeezed_thermal(
     exp(r (a^dag b^dag - a b)) couples (n1, n2) to (n1 + 1, n2 + 1) inside
     each sector of fixed n1 - n2.  Each sector's generator is tridiagonal in
     that chain, and its block U diag(weights) U^T keeps (weights, U) as its
-    spectrum; the blocks of one size are built as one stack.
+    spectrum.  The chains of CHAIN_BUCKET consecutive lengths are factorised
+    as one stack, each padded with zero links to the longest: a zero link
+    leaves exp(G) + I (direct sum), so a chain of n levels takes the top-left
+    n x n block.  The blocks of one size are built as one stack.
 
     Raises TruncationError if the truncation deficit (lost trace plus
     top-level spillover) exceeds cfg.tail_tol.
@@ -381,7 +441,15 @@ def fock_squeezed_thermal(
     lay = _sector_layout(dims, modulus)
     # each level's link up its chain, 0 in a sector without weight: its block keeps the identity
     link = coupling(np.arange(math.prod(dims))) * (np.bincount(lay.sector_of, weights) > 0.0)[lay.sector_of]
-    spectrum = [(weights[idx], _squeeze_unitaries(link[idx[:, :-1]])) for idx in lay.sectors]  # per size class
+    spectrum = []  # per size class: (weights, unitaries)
+    for _, group in itertools.groupby(lay.sectors, key=lambda idx: (idx.shape[1] - 1) // CHAIN_BUCKET):
+        group = list(group)  # the classes of one bucket, each chain padded with zero links to the longest
+        subs = np.zeros((sum(len(idx) for idx in group), group[-1].shape[1] - 1))
+        ends = np.cumsum([len(idx) for idx in group])
+        for idx, end in zip(group, ends):
+            subs[end - len(idx) : end, : idx.shape[1] - 1] = link[idx[:, :-1]]
+        for idx, u in zip(group, np.split(_squeeze_unitaries(subs), ends[:-1])):
+            spectrum.append((weights[idx], u[:, : idx.shape[1], : idx.shape[1]].copy()))  # a copy: no view keeps the bucket
     data = np.zeros(lay.start[-1])  # filled class by class; a class without weight stays zero
     for (n, a, b), (w, u) in zip(lay.classes, spectrum):
         if w.any():
@@ -461,9 +529,10 @@ def _spectral_overlap(
     """
     rho_a, rho_b = _common(rho_a, rho_b)
     both = rho_a.live & rho_b.live
+    spectra_a, spectra_b = rho_a.factorised(rho_b.live).classes, rho_b.factorised(rho_a.live).classes
     ends, width = np.concatenate(([0], np.cumsum(both))), int(rho_a.layout.size[both].max(initial=0))
     lam, mu, table = np.zeros((ends[-1], width)), np.zeros((ends[-1], width)), np.zeros((ends[-1], width, width))
-    for (n, a, b), (la, va), (lb, vb) in zip(rho_a.layout.classes, rho_a.spectrum, rho_b.spectrum):
+    for (n, a, b), (la, va), (lb, vb) in zip(rho_a.layout.classes, spectra_a, spectra_b):
         if ends[b] > ends[a]:  # the class's sectors live in both take rows ends[a] to ends[b]
             (la, va, lb, vb), rows = _select(both[a:b], la, va, lb, vb), slice(ends[a], ends[b])
             lam[rows, :n], mu[rows, :n], table[rows, :n, :n] = la, lb, (va.mT @ vb) ** 2
@@ -546,15 +615,16 @@ def qcb_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[float,
     On [S_EPS, 1 - S_EPS], `_minimize_s` stops at an edge whose slope
     points outward, else runs Newton on Q' inside its sign bracket.  The
     boundary values are lim_(s -> 0) = Tr[P_a rho_b] and the mirror image,
-    with P the support projector (eigenvalues above a rank floor relative
-    to the largest eigenvalue over all sectors); they win exactly when a
-    state is pure.
+    with P the support projector: a prepared state's nonzero weights, which
+    are exact, or a factorised state's eigenvalues above a rank floor
+    relative to its largest eigenvalue over all sectors.  They win where a
+    state lacks full support, as a pure one does.
     """
     rho_a, rho_b = _common(rho_a, rho_b)
     la, table, lb = _spectral_overlap(rho_a, rho_b)
     s_star, q = _minimize_s(la, table, lb)
-    rank_a = (la > max(vals.max() for vals, _ in rho_a.spectrum) * 1e-12).astype(float)
-    rank_b = (lb > max(vals.max() for vals, _ in rho_b.spectrum) * 1e-12).astype(float)
+    floors = [0.0 if x.exact else 1e-12 * x.top for x in (rho_a.factorised(rho_b.live), rho_b.factorised(rho_a.live))]
+    rank_a, rank_b = (la > floors[0]).astype(float), (lb > floors[1]).astype(float)
     at_zero = float(np.einsum("ki,kij,kj->", rank_a, table, lb))
     at_one = float(np.einsum("ki,kij,kj->", la, table, rank_b))
     for cand_s, cand_q in ((0.0, at_zero), (1.0, at_one)):
@@ -569,11 +639,12 @@ def trace_distance_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> f
     A block live in one state only adds its trace (its trace norm, up to the roundoff eigenvalues the
     positivity check clamps)."""
     rho_a, rho_b = _common(rho_a, rho_b)
-    both = rho_a.live & rho_b.live
-    total = sum(np.bincount(rho.layout.sector_of, rho.diagonal)[rho.live & ~both].sum() for rho in (rho_a, rho_b))
-    for (_, a, b), sa, sb in zip(rho_a.layout.classes, rho_a.stacks, rho_b.stacks):
+    both, start = rho_a.live & rho_b.live, rho_a.layout.start
+    total = sum(rho.traces[rho.live & ~both].sum() for rho in (rho_a, rho_b))
+    diff = rho_a.data - rho_b.data
+    for n, a, b in rho_a.layout.classes:
         if (keep := both[a:b]).any():
-            total += np.abs(np.linalg.eigvalsh(_select(keep, sa - sb)[0])).sum()
+            total += np.abs(np.linalg.eigvalsh(_select(keep, diff[start[a] : start[b]].reshape(b - a, n, n))[0])).sum()
     return 0.5 * float(total)
 
 
@@ -593,9 +664,12 @@ def fidelity_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> float:
     among them zeroes its row (column), adding a singular value of roundoff size.
     """
     rho_a, rho_b = _common(rho_a, rho_b)
-    floors = [1e-13 * max(vals.max() for vals, _ in rho.spectrum) for rho in (rho_a, rho_b)]
+    spectra_a, spectra_b = rho_a.factorised(rho_b.live), rho_b.factorised(rho_a.live)
+    floors = [1e-13 * spectra_a.top, 1e-13 * spectra_b.top]
     total = 0.0
-    for (la, va), (lb, vb) in zip(rho_a.spectrum, rho_b.spectrum):
+    for (la, va), (lb, vb) in zip(spectra_a.classes, spectra_b.classes):
+        if va is None or vb is None:  # no block of the class is live in both states
+            continue
         ra, rb = (np.sqrt(np.where(vals >= floor, vals, 0.0)) for vals, floor in ((la, floors[0]), (lb, floors[1])))
         if (both := ra.any(axis=1) & rb.any(axis=1)).any():
             ca, cb = ra.any(axis=0), rb.any(axis=0)  # the columns some member of the class supports

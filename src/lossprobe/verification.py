@@ -15,8 +15,10 @@ through the recovered Gaussian output parameters, so the two sides stay
 independent end to end.
 
 The oracle works sector by sector (parity for one mode, n1 - n2 for two;
-see `fock`), with its rank and fidelity floors relative to the largest
-eigenvalue over all sectors, and needs only numpy.
+see `fock`), factorises a loss output only where the input has weight (and
+where a block's trace could hold the largest eigenvalue), with its fidelity
+floors and a loss output's rank floor relative to the largest eigenvalue
+over all sectors, and needs only numpy.
 """
 
 from __future__ import annotations
