@@ -5,9 +5,10 @@ I, all in nats (natural logarithms).  `correlation_report` computes all three
 in one pass over a state in the standard block normal form (diagonal local
 blocks proportional to I2, correlation block proportional to diag(1, -1)),
 which is the form every state in this package lives in: one normal-form
-check, one ordinary and one partial-transpose spectrum, and one entropy per
-distinct argument.  `log_negativity`, `discord` and `mutual_information`
-read their field of that report.
+check, one set of symplectic invariants, one ordinary and one
+partial-transpose spectrum, and one entropy per distinct argument.
+`log_negativity`, `discord` and `mutual_information` read their field of
+that report.
 
 Every quantifier takes one CM or a stack (see `gaussian`), a state getting
 the same bits alone and in any stack.  They stay on the CM spectra rather
@@ -55,7 +56,12 @@ def pt_symplectic_eigenvalues(cm: CovarianceMatrix):
     terms of the discriminant Delta_tilde^2 - 4 I4 are of size Delta_tilde^2,
     so its roundoff floor scales with that.
     """
-    i1, i2, i3, i4, _, delta_t = symplectic_invariants(cm)
+    return _pt_eigenvalues(symplectic_invariants(cm))
+
+
+def _pt_eigenvalues(invariants: tuple):
+    """`pt_symplectic_eigenvalues` from the state's `symplectic_invariants`."""
+    _, _, _, i4, _, delta_t = invariants
     disc = delta_t * delta_t - 4.0 * i4
     if np.any(disc < -PHYSICALITY_TOL * delta_t * delta_t):
         raise ArithmeticError(f"partial-transpose discriminant is negative: {np.min(disc):.3e}")
@@ -119,8 +125,9 @@ def correlation_report(cm: CovarianceMatrix) -> CorrelationReport:
     Each of the five entropies is computed once and shared by D and I.
     """
     _require_normal_form(cm)
-    _, d_tilde_minus = pt_symplectic_eigenvalues(cm)
-    i1, i2, i3, _, _, _ = symplectic_invariants(cm)
+    invariants = symplectic_invariants(cm)
+    _, d_tilde_minus = _pt_eigenvalues(invariants)
+    i1, i2, i3, _, _, _ = invariants
     d_plus, d_minus = symplectic_eigenvalues(cm)
     w = (np.sqrt(i1) + 2.0 * np.sqrt(i1 * i2) + 2.0 * i3) / (1.0 + 2.0 * np.sqrt(i2))
     h1, h2 = binary_entropy_h(np.sqrt(i1)), binary_entropy_h(np.sqrt(i2))

@@ -11,14 +11,15 @@ two-mode squeezing conserves the charge n1 - n2, and loss on the first mode
 preserves the charge difference between row and column.  So every oracle
 state is block diagonal, and a `FockDensityMatrix` stores only its blocks,
 by size: each size class is one contiguous (count, n, n) view of `data`,
-and every stage makes one stacked call per class.  A prepared block U
-diag(w) U^T keeps (w, U) as its spectrum (U from the `eigh` of a real
-tridiagonal, one stacked call per CHAIN_BUCKET consecutive chain lengths,
-zero-padded); loss is one Toeplitz product over the mode-1 diagonals;
-moments are sums over band maps.  Every index map is int32, and the
-cached index per block entry is where its mirror sits and where the loss
-gathers it, 8 bytes; an entry's row and column are derived from the
-sectors where a one-time build needs them.  So the blocks, and the loss's
+and every stage makes one stacked call per class, or per bucket of
+CHAIN_BUCKET consecutive sizes, each block zero-padded to the bucket's
+widest.  A prepared block U diag(w) U^T keeps (w, U) as its spectrum (U
+from the `eigh` of a real tridiagonal, one stacked call per bucket of chain
+lengths); loss is one Toeplitz product over the mode-1 diagonals; moments
+are sums over band maps.  Every index map is int32, and the cached index
+per block entry is where its mirror sits and where the loss gathers it, 8
+bytes; an entry's row and column are derived from the sectors where a
+one-time build needs them.  So the blocks, and the loss's
 array of diagonals, hold at most 2^31 entries: past that (two-mode cutoffs
 from 1477, and from 1291 for the loss) they raise ValueError before
 anything is allocated per entry, and `check_loss_size` checks the loss's
@@ -32,12 +33,17 @@ and the single-copy trace distance takes the live block's trace.  So a loss
 output is factorised only in the sectors where the other state of its pair
 has weight, plus any block whose trace reaches the largest eigenvalue found
 there; a block's largest eigenvalue is at most its trace, so its largest
-eigenvalue over all sectors is exact.  The fidelity floors, and the rank
-floor of a factorised state, are relative to it; a prepared state's weights
-are exact, so its support is its nonzero weights.  An eigenvalue below
--1e-10 in a factorised block raises.  The oracle checks Q, the fidelity
-and the exact single-copy Helstrom error against the Gaussian closed forms;
-M copies are the Chernoff bound's (P_e <= Q^M / 2).
+eigenvalue over all sectors is exact.  A factorised state's rank and
+fidelity floors are relative to it; a prepared state's weights are exact,
+so its support, for Q and the fidelity alike, is its nonzero weights.  An
+eigenvalue below -1e-10 in a factorised block raises.  The oracle checks Q,
+the fidelity and the exact single-copy Helstrom error against the Gaussian
+closed forms; M copies are the Chernoff bound's (P_e <= Q^M / 2).
+`pair_checks` takes all three from one pass per pair: both states on their
+common partition once, and one zero-padded stack of the overlaps Va^T Vb,
+which the fidelity's `svd` reads and the s-curve then squares in place; the
+trace distance and the fidelity make one stacked call per bucket (a zero
+pad adds exact zero eigenvalues and singular values).
 The dense route (`expm`, Kraus matmuls, complex quadratures, one full
 `eigh`) is the reference in the tests.  This module imports only numpy.
 
@@ -518,25 +524,74 @@ def moments_from_fock(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     return first, second - np.outer(first, first)
 
 
+class _Rows(NamedTuple):
+    """The sectors live in both states of a pair (on their common partition), one row each, in sector order."""
+
+    both: np.ndarray  # per sector: whether it is live in both states
+    ends: np.ndarray  # per sector, and one past the end: its row, the count of such sectors before it
+    buckets: list[tuple[list[int], int, int, int]]  # per bucket of CHAIN_BUCKET consecutive sizes: (classes, first row, end row, widest)
+
+
+def _shared_rows(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> _Rows:
+    """The rows of a pair on its common partition; a bucket lists only the classes with rows, and none is empty."""
+    both, classes = rho_a.live & rho_b.live, rho_a.layout.classes
+    ends, buckets = np.concatenate(([0], np.cumsum(both))), []
+    for _, group in itertools.groupby(range(len(classes)), key=lambda k: (classes[k][0] - 1) // CHAIN_BUCKET):
+        if group := [k for k in group if ends[classes[k][2]] > ends[classes[k][1]]]:
+            (_, a, _), (n, _, b) = classes[group[0]], classes[group[-1]]
+            buckets.append((group, int(ends[a]), int(ends[b]), n))
+    return _Rows(both, ends, buckets)
+
+
+class _Overlaps(NamedTuple):
+    """A pair on its common partition, each state factorised where the other has weight, and its overlap
+    stack: one row per sector live in both, zero-padded to the widest (a padded eigenvalue is an exact 0)."""
+
+    states: tuple[FockDensityMatrix, FockDensityMatrix]
+    rows: _Rows
+    spectra: tuple[_Spectra, _Spectra]
+    lam: np.ndarray  # (rows, width): rho_a's eigenvalues
+    overlap: np.ndarray  # (rows, width, width): Va^T Vb, signed, until `squared`
+    mu: np.ndarray  # (rows, width): rho_b's eigenvalues
+
+    def floors(self, rel: float) -> list[float]:
+        """Per state, the weight its support lies above: 0 for a prepared state, whose weights are exact, else
+        rel times its largest eigenvalue over all sectors (a factorised state keeps clamped roundoff eigenvalues)."""
+        return [0.0 if x.exact else rel * x.top for x in self.spectra]
+
+    def squared(self) -> np.ndarray:
+        """The overlap stack squared in place into the s-curve's table |<v_i|w_j>|^2, bucket by bucket:
+        a pad beyond a bucket's widest block stays an untouched zero page."""
+        for _, first, end, n in self.rows.buckets:
+            block = self.overlap[first:end, :n, :n]
+            np.square(block, out=block)
+        return self.overlap
+
+
+def _overlaps(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> _Overlaps:
+    """The pair's overlap stack, one batched Va^T Vb per size class over its sectors live in both states."""
+    states = rho_a, rho_b = _common(rho_a, rho_b)
+    rows = _shared_rows(rho_a, rho_b)
+    spectra = rho_a.factorised(rho_b.live), rho_b.factorised(rho_a.live)
+    count, width = int(rows.ends[-1]), rows.buckets[-1][3] if rows.buckets else 0
+    lam, mu, overlap = np.zeros((count, width)), np.zeros((count, width)), np.zeros((count, width, width))
+    for (n, a, b), (la, va), (lb, vb) in zip(rho_a.layout.classes, spectra[0].classes, spectra[1].classes):
+        if rows.ends[b] > rows.ends[a]:  # the class's sectors live in both take rows ends[a] to ends[b]
+            (la, va, lb, vb), at = _select(rows.both[a:b], la, va, lb, vb), slice(rows.ends[a], rows.ends[b])
+            lam[at, :n], mu[at, :n], overlap[at, :n, :n] = la, lb, va.mT @ vb
+    return _Overlaps(states, rows, spectra, lam, overlap, mu)
+
+
 def _spectral_overlap(
     rho_a: FockDensityMatrix, rho_b: FockDensityMatrix
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lam, table, mu): both spectra and |<v_i|w_j>|^2, one row per sector live in both states.
 
-    Rows come class by class (one batched product each), zero-padded to the widest: a padded
-    eigenvalue is an exact 0 with a zero overlap row.  Tr[rho_a^s rho_b^(1-s)] = sum over rows of
-    lam^s @ table @ mu^(1-s), so after this one factorization each s evaluation is one batched product.
+    Tr[rho_a^s rho_b^(1-s)] = sum over rows of lam^s @ table @ mu^(1-s), so after this one
+    factorization each s evaluation is one batched product.
     """
-    rho_a, rho_b = _common(rho_a, rho_b)
-    both = rho_a.live & rho_b.live
-    spectra_a, spectra_b = rho_a.factorised(rho_b.live).classes, rho_b.factorised(rho_a.live).classes
-    ends, width = np.concatenate(([0], np.cumsum(both))), int(rho_a.layout.size[both].max(initial=0))
-    lam, mu, table = np.zeros((ends[-1], width)), np.zeros((ends[-1], width)), np.zeros((ends[-1], width, width))
-    for (n, a, b), (la, va), (lb, vb) in zip(rho_a.layout.classes, spectra_a, spectra_b):
-        if ends[b] > ends[a]:  # the class's sectors live in both take rows ends[a] to ends[b]
-            (la, va, lb, vb), rows = _select(both[a:b], la, va, lb, vb), slice(ends[a], ends[b])
-            lam[rows, :n], mu[rows, :n], table[rows, :n, :n] = la, lb, (va.mT @ vb) ** 2
-    return lam, table, mu
+    ov = _overlaps(rho_a, rho_b)
+    return ov.lam, ov.squared(), ov.mu
 
 
 def _logs(lam: np.ndarray, mu: np.ndarray) -> list:
@@ -593,6 +648,61 @@ def _minimize_s(lam: np.ndarray, table: np.ndarray, mu: np.ndarray) -> tuple[flo
         s = s + step if lo < s + step < hi else 0.5 * (lo + hi)
 
 
+def _chernoff(ov: _Overlaps) -> tuple[float, float]:
+    """(Q, s_star) from the overlap stack, which it squares in place into the s-curve's table."""
+    la, table, lb = ov.lam, ov.squared(), ov.mu
+    s_star, q = _minimize_s(la, table, lb)
+    floors = ov.floors(1e-12)
+    rank_a, rank_b = (la > floors[0]).astype(float), (lb > floors[1]).astype(float)
+    at_zero = float(np.einsum("ki,kij,kj->", rank_a, table, lb))
+    at_one = float(np.einsum("ki,kij,kj->", la, table, rank_b))
+    for cand_s, cand_q in ((0.0, at_zero), (1.0, at_one)):
+        if cand_q < q:
+            s_star, q = cand_s, cand_q
+    return q, s_star
+
+
+def _fidelity(ov: _Overlaps) -> float:
+    """F from the signed overlap stack: one `svd` per bucket, over the columns that some row of it supports."""
+    ra, rb = (np.sqrt(np.where(w >= floor, w, 0.0)) for w, floor in zip((ov.lam, ov.mu), ov.floors(1e-13)))
+    total = 0.0
+    for _, first, end, n in ov.rows.buckets:
+        ra_k, rb_k = ra[first:end, :n], rb[first:end, :n]
+        if (keep := np.flatnonzero(ra_k.any(axis=1) & rb_k.any(axis=1))).size:
+            at, cols_a, cols_b = first + keep[:, None], np.flatnonzero(ra_k.any(axis=0)), np.flatnonzero(rb_k.any(axis=0))
+            m = ov.overlap[at[:, :, None], cols_a[:, None], cols_b]
+            m *= ra[at, cols_a][:, :, None]
+            m *= rb[at, cols_b][:, None, :]
+            total += float(np.linalg.svd(m, compute_uv=False).sum())
+    return total**2
+
+
+def _trace_distance(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix, rows: _Rows) -> float:
+    """(1/2) ||rho_a - rho_b||_1 on the common partition: one `eigvalsh` per bucket of the rows' differences."""
+    total = sum(rho.traces[rho.live & ~rows.both].sum() for rho in (rho_a, rho_b))
+    for group, first, end, width in rows.buckets:
+        diff = np.zeros((end - first, width, width))  # a zero pad adds exact zero eigenvalues
+        for k in group:
+            n, a, b = rho_a.layout.classes[k]
+            x, y = _select(rows.both[a:b], rho_a.stacks[k], rho_b.stacks[k])
+            np.subtract(x, y, out=diff[rows.ends[a] - first : rows.ends[b] - first, :n, :n])
+        total += np.abs(np.linalg.eigvalsh(diff)).sum()
+    return 0.5 * float(total)
+
+
+def pair_checks(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[float, float, float, float]:
+    """(Q, s_star, trace distance, fidelity) of one pair in one pass, each with the bits of its own function.
+
+    Both states go on their common partition once, each is factorised once
+    where the other has weight, and one overlap stack Va^T Vb serves both
+    the fidelity and, squared in place, the s-curve.
+    """
+    ov = _overlaps(rho_a, rho_b)
+    fidelity = _fidelity(ov)
+    q, s_star = _chernoff(ov)
+    return q, s_star, _trace_distance(*ov.states, ov.rows), fidelity
+
+
 def s_overlap_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix, s: float) -> float:
     """Tr[rho_a^s rho_b^(1-s)] by explicit fractional powers.
 
@@ -620,32 +730,17 @@ def qcb_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[float,
     relative to its largest eigenvalue over all sectors.  They win where a
     state lacks full support, as a pure one does.
     """
-    rho_a, rho_b = _common(rho_a, rho_b)
-    la, table, lb = _spectral_overlap(rho_a, rho_b)
-    s_star, q = _minimize_s(la, table, lb)
-    floors = [0.0 if x.exact else 1e-12 * x.top for x in (rho_a.factorised(rho_b.live), rho_b.factorised(rho_a.live))]
-    rank_a, rank_b = (la > floors[0]).astype(float), (lb > floors[1]).astype(float)
-    at_zero = float(np.einsum("ki,kij,kj->", rank_a, table, lb))
-    at_one = float(np.einsum("ki,kij,kj->", la, table, rank_b))
-    for cand_s, cand_q in ((0.0, at_zero), (1.0, at_one)):
-        if cand_q < q:
-            s_star, q = cand_s, cand_q
-    return q, s_star
+    return _chernoff(_overlaps(rho_a, rho_b))
 
 
 def trace_distance_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> float:
-    """(1/2) ||rho_a - rho_b||_1: one `eigvalsh` per size class over the blocks live in both states.
+    """(1/2) ||rho_a - rho_b||_1: one `eigvalsh` per bucket of CHAIN_BUCKET consecutive sizes over the
+    blocks live in both states, each zero-padded to the bucket's widest.
 
     A block live in one state only adds its trace (its trace norm, up to the roundoff eigenvalues the
     positivity check clamps)."""
     rho_a, rho_b = _common(rho_a, rho_b)
-    both, start = rho_a.live & rho_b.live, rho_a.layout.start
-    total = sum(rho.traces[rho.live & ~both].sum() for rho in (rho_a, rho_b))
-    diff = rho_a.data - rho_b.data
-    for n, a, b in rho_a.layout.classes:
-        if (keep := both[a:b]).any():
-            total += np.abs(np.linalg.eigvalsh(_select(keep, diff[start[a] : start[b]].reshape(b - a, n, n))[0])).sum()
-    return 0.5 * float(total)
+    return _trace_distance(rho_a, rho_b, _shared_rows(rho_a, rho_b))
 
 
 def helstrom_pe_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> float:
@@ -657,22 +752,14 @@ def fidelity_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> float:
     """Uhlmann fidelity (Tr |sqrt(rho_a) sqrt(rho_b)|)^2 = (Tr sqrt(sqrt(rho_a) rho_b sqrt(rho_a)))^2.
 
     Per block, the singular values of diag(sqrt(la)) Va^T Vb diag(sqrt(lb)),
-    one stacked `svd` per size class: no root is taken of a roundoff
-    eigenvalue (3e-9 for 1e-17 would survive into the trace), so each
-    state's roots have a floor relative to its largest eigenvalue.  Only the
-    columns that some member of the class supports are kept; a floored root
-    among them zeroes its row (column), adding a singular value of roundoff size.
+    one stacked `svd` per bucket of CHAIN_BUCKET consecutive sizes, each
+    block zero-padded to the bucket's widest (a zero pad adds exact zero
+    singular values).  Each state's roots are taken on its support: a
+    prepared state's nonzero weights, which are exact, or a factorised
+    state's eigenvalues above a floor relative to its largest eigenvalue (no
+    root is taken of a roundoff eigenvalue: 3e-9 for 1e-17 would survive
+    into the trace).  Only the columns that some member of the bucket
+    supports are kept; a floored root among them zeroes its row (column),
+    adding a singular value of roundoff size.
     """
-    rho_a, rho_b = _common(rho_a, rho_b)
-    spectra_a, spectra_b = rho_a.factorised(rho_b.live), rho_b.factorised(rho_a.live)
-    floors = [1e-13 * spectra_a.top, 1e-13 * spectra_b.top]
-    total = 0.0
-    for (la, va), (lb, vb) in zip(spectra_a.classes, spectra_b.classes):
-        if va is None or vb is None:  # no block of the class is live in both states
-            continue
-        ra, rb = (np.sqrt(np.where(vals >= floor, vals, 0.0)) for vals, floor in ((la, floors[0]), (lb, floors[1])))
-        if (both := ra.any(axis=1) & rb.any(axis=1)).any():
-            ca, cb = ra.any(axis=0), rb.any(axis=0)  # the columns some member of the class supports
-            ra, va, rb, vb = _select(both, ra[:, ca], va[:, :, ca], rb[:, cb], vb[:, :, cb])
-            total += float(np.linalg.svd(ra[:, :, None] * (va.mT @ vb) * rb[:, None, :], compute_uv=False).sum())
-    return total**2
+    return _fidelity(_overlaps(rho_a, rho_b))

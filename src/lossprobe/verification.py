@@ -16,9 +16,10 @@ independent end to end.
 
 The oracle works sector by sector (parity for one mode, n1 - n2 for two;
 see `fock`), factorises a loss output only where the input has weight (and
-where a block's trace could hold the largest eigenvalue), with its fidelity
-floors and a loss output's rank floor relative to the largest eigenvalue
-over all sectors, and needs only numpy.
+where a block's trace could hold the largest eigenvalue), with a loss
+output's rank and fidelity floors relative to the largest eigenvalue over
+all sectors, and needs only numpy.  Each case's Q, P_e and F come from one
+pass over its pair (`fock.pair_checks`).
 """
 
 from __future__ import annotations
@@ -35,11 +36,9 @@ from .fock import (
     TruncationError,
     apply_loss_kraus,
     check_loss_size,
-    fidelity_fock,
     fock_squeezed_thermal,
-    helstrom_pe_fock,
     moments_from_fock,
-    qcb_fock,
+    pair_checks,
     truncation_deficit,
 )
 from .gaussian import (
@@ -179,11 +178,10 @@ def run_case(
 
     if q is None:
         (q,) = _gaussian_q([case])
-    q_fock, _ = qcb_fock(rho_a, rho_b)
+    q_fock, _, trace_distance, fid = pair_checks(rho_a, rho_b)
     record("chernoff gap", q_fock - q, QCB_TOL)
 
-    pe = helstrom_pe_fock(rho_a, rho_b)
-    fid = fidelity_fock(rho_a, rho_b)
+    pe = 0.5 * (1.0 - trace_distance)  # the exact single-copy Helstrom error
     lower, _, _ = error_bounds(q, fid, 1)
     record("chain: pe above lower", pe - lower, CHAIN_SLACK_TOL, keep_sign=True)
     record("chain: chernoff above pe", q / 2.0 - pe, CHAIN_SLACK_TOL, keep_sign=True)

@@ -376,10 +376,11 @@ def test_report_matches_standalone_functions(sample_bank):
 
 
 def test_report_computes_each_spectrum_and_entropy_once(monkeypatch):
-    # one pass: one ordinary and one partial-transpose spectrum, and one
-    # entropy per distinct argument h(sqrt I1), h(sqrt I2), h(d+), h(d-), h(w)
+    # one pass: one set of invariants, one ordinary and one partial-transpose
+    # spectrum (from those invariants), and one entropy per distinct argument
+    # h(sqrt I1), h(sqrt I2), h(d+), h(d-), h(w)
     calls = {}
-    for name in ("symplectic_eigenvalues", "pt_symplectic_eigenvalues", "binary_entropy_h"):
+    for name in ("symplectic_invariants", "symplectic_eigenvalues", "_pt_eigenvalues", "binary_entropy_h"):
         def counted(*args, _f=getattr(correlations, name), _name=name):
             calls[_name] = calls.get(_name, 0) + 1
             return _f(*args)
@@ -387,7 +388,7 @@ def test_report_computes_each_spectrum_and_entropy_once(monkeypatch):
         monkeypatch.setattr(correlations, name, counted)
     n, beta, _ = random_probes(50, seed=7)
     correlation_report(make_two_mode_st(params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=0.999))))
-    assert calls == {"symplectic_eigenvalues": 1, "pt_symplectic_eigenvalues": 1, "binary_entropy_h": 5}
+    assert calls == {"symplectic_invariants": 1, "symplectic_eigenvalues": 1, "_pt_eigenvalues": 1, "binary_entropy_h": 5}
 
 
 @pytest.mark.parametrize("n", ["68.12920690579611", "1e4"])

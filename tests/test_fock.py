@@ -39,6 +39,7 @@ from lossprobe.fock import (
     fock_squeezed_thermal,
     helstrom_pe_fock,
     moments_from_fock,
+    pair_checks,
     qcb_fock,
     s_overlap_fock,
     thermal_diagonal,
@@ -471,26 +472,39 @@ def test_verify_takes_few_s_curve_steps(monkeypatch):
     # step; a mixed case takes both edge slopes and a few Newton steps (the
     # golden section took 616 evaluations per verify)
     steps, per_case = [], []
-    step, minimum = fock._s_step, verification.qcb_fock
+    step, checks = fock._s_step, verification.pair_checks
 
     def counted_step(*args):
         steps.append(1)
         return step(*args)
 
-    def counted_minimum(rho_a, rho_b):
+    def counted_checks(rho_a, rho_b):
         before = len(steps)
-        out = minimum(rho_a, rho_b)
+        out = checks(rho_a, rho_b)
         per_case.append(len(steps) - before)
         return out
 
     monkeypatch.setattr(fock, "_s_step", counted_step)
-    monkeypatch.setattr(verification, "qcb_fock", counted_minimum)
+    monkeypatch.setattr(verification, "pair_checks", counted_checks)
     assert all(r.passed for r in verification.run_all())
     pure = [not any(c.params_a.fields()[1:]) for c in verification.standard_cases()]
     assert len(per_case) == len(pure) == 13
     assert [n for n, p in zip(per_case, pure) if p] == [1, 1, 1, 1], per_case
     assert max(per_case) <= 8, per_case
     assert sum(per_case) <= 100, per_case
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("dim", [None, 80])
+def test_pair_checks_are_the_bits_of_each_check_alone(dim):
+    # verify's one pass per pair shares the common partition, the spectra and
+    # the overlap stack; each of its values has the bits of its own function
+    for case, rho_a, rho_b in verification_pairs(dim):
+        q, s_star, distance, fid = pair_checks(rho_a, rho_b)
+        assert (q, s_star) == qcb_fock(rho_a, rho_b), case.name
+        assert distance == trace_distance_fock(rho_a, rho_b), case.name
+        assert fid == fidelity_fock(rho_a, rho_b), case.name
+        assert helstrom_pe_fock(rho_a, rho_b) == 0.5 * (1.0 - distance), case.name
 
 
 @pytest.mark.bits
@@ -993,6 +1007,29 @@ def test_pipeline_is_continuous_toward_pure_states(n_t):
     assert abs(q - q_fock) < 1e-12, (q, q_fock)
 
 
+def test_fidelity_is_continuous_toward_pure_states():
+    # a prepared state's fidelity roots are taken on its nonzero weights, as
+    # its rank is: a floor 1e-13 below its top weight dropped the thermal tail
+    # of S1(0.5, n_t) from n_t < 1e-13 on, so F fell by 1.4e-7 at once to the
+    # pure value.  F - F(0) goes like 0.43 sqrt(n_t), 6.8e-9 across that step.
+    # The references are Tr sqrt(sqrt(rho_a) rho_b sqrt(rho_a)), squared, at
+    # 40 digits (mpmath) on the oracle's own float blocks and weights.
+    rows = [
+        (1.05e-13, 0.91148392073062704722),
+        (0.95e-13, 0.91148391388331459674),
+        (1e-15, 0.91148379413661247421),
+        (1e-20, 0.91148378048954090259),
+        (1e-30, 0.91148378044624859778),
+        (0.0, 0.91148378044624816484),
+    ]
+    fid = []
+    for n_t, ref in rows:
+        rho = fock_squeezed_thermal(S1(0.5, n_t), TruncationConfig(dim=40))
+        fid.append(fidelity_fock(rho, apply_loss_kraus(rho, 0.5)))
+        assert abs(fid[-1] - ref) < 1e-14, (n_t, fid[-1], ref)
+    assert all(x >= y for x, y in zip(fid, fid[1:])), fid
+
+
 @pytest.mark.bits
 def test_rebuilt_from_the_dense_view_is_the_same_state(single_st, two_mode_st):
     thermal = fock_squeezed_thermal(S1(0.0, 0.5), TruncationConfig(dim=20))
@@ -1077,14 +1114,16 @@ def test_class_stacks_are_views_with_the_same_bits_as_each_block_alone(single_st
 
 
 def test_verify_factorises_each_block_once(monkeypatch):
-    # 365 LAPACK calls for the 13 cases: one stacked call per bucket of 8
+    # 201 LAPACK calls for the 13 cases: one stacked call per bucket of 8
     # chain lengths to build a state, one per size class per factorisation
-    # of a loss output, none for a block without weight or one that no check
-    # reads, and none for a covariance matrix (486 with one build call per
-    # size class and every live output block factorised; one call per block
-    # made 2,392, one per block size with the empty ones 679; the fidelity's
-    # rectangular supports, one svd per shape, and the 26 validated CMs of
-    # the moment check made 525)
+    # of a loss output, one `eigvalsh` (trace distance) and at most one `svd`
+    # (fidelity) per bucket of 8 block sizes live in both states of a pair,
+    # none for a block without weight or one that no check reads, and none
+    # for a covariance matrix (365 with one `eigvalsh` and one `svd` per size
+    # class; 486 with one build call per size class and every live output
+    # block factorised; one call per block made 2,392, one per block size
+    # with the empty ones 679; the fidelity's rectangular supports, one svd
+    # per shape, and the 26 validated CMs of the moment check made 525)
     calls = []
     for name in ("eigh", "eigvalsh", "svd"):
         original = getattr(np.linalg, name)
@@ -1096,7 +1135,7 @@ def test_verify_factorises_each_block_once(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     results = verification.run_all()
     assert all(r.passed for r in results)
-    assert len(calls) <= 420, len(calls)
+    assert len(calls) <= 231, len(calls)
 
 
 def pure_input_pair(name: str):
