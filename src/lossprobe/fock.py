@@ -68,7 +68,7 @@ EIG_CLAMP = 1e-10
 _HERMITICITY_TOL = 1e-12
 MAX_LOSS_CUTOFF = 1800  # the loss kernel's scales overflow past this mode-1 cutoff
 _INDEX_LIMIT = 2**31  # entries an int32 index map can address
-CHAIN_BUCKET = 8  # squeeze chains of this many consecutive lengths share one stacked `eigh`
+CHAIN_BUCKET = 8  # squeeze chains, and a pair's blocks for the trace distance and fidelity, of this many consecutive sizes share one stacked call
 
 
 class TruncationError(ArithmeticError):
