@@ -39,13 +39,16 @@ so its support, for Q and the fidelity alike, is its nonzero weights.  An
 eigenvalue below -1e-10 in a factorised block raises.  The oracle checks Q,
 the fidelity and the exact single-copy Helstrom error against the Gaussian
 closed forms; M copies are the Chernoff bound's (P_e <= Q^M / 2).
-`pair_checks` takes all three from one pass per pair: both states on their
-common partition once, and one zero-padded stack of the overlaps Va^T Vb,
-which the fidelity's `svd` reads and the s-curve then squares in place; the
-trace distance and the fidelity make one stacked call per bucket (a zero
-pad adds exact zero eigenvalues and singular values).
-The dense route (`expm`, Kraus matmuls, complex quadratures, one full
-`eigh`) is the reference in the tests.  This module imports only numpy.
+`pair_checks` is the one pass that puts a pair on its common partition and
+builds its rows and one zero-padded stack of the overlaps Va^T Vb, which the
+fidelity's `svd` reads and the s-curve then squares in place; the trace
+distance and the fidelity make one stacked call per bucket (a zero pad adds
+exact zero eigenvalues and singular values).  `qcb_fock`,
+`trace_distance_fock`, `helstrom_pe_fock` and `fidelity_fock` read its
+result.  A state comes in as its blocks only; the dense route (`expm`,
+Kraus matmuls, complex quadratures, one full `eigh`, a state from a dense
+matrix) is the reference in the tests, and `mat` is a dense view of the
+blocks.  This module imports only numpy.
 
 Quadratures follow the package convention q = (a + a^dag)/sqrt(2),
 p = (a - a^dag)/(i sqrt(2)), vacuum variance 1/2.
@@ -53,7 +56,6 @@ p = (a - a^dag)/(i sqrt(2)), vacuum variance 1/2.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -105,6 +107,7 @@ class _Layout(NamedTuple):
     row_at: np.ndarray  # per basis index i: where its row starts in `data`, so (i, j) sits at row_at[i] + position[j]
     transpose: np.ndarray  # per entry of `data`: where its mirror entry sits
     diag: np.ndarray  # per basis index: where its diagonal entry sits
+    buckets: list[range]  # per bucket of CHAIN_BUCKET consecutive sizes: its size classes
 
 
 @lru_cache(maxsize=32)
@@ -127,6 +130,8 @@ def _sector_layout(dims: tuple[int, ...], modulus: int) -> _Layout:
     position[members] = np.arange(len(members)) - np.repeat(first[:-1], size)
     sizes, low = np.unique(size, return_index=True)
     classes = list(zip(sizes.tolist(), low.tolist(), low[1:].tolist() + [len(size)]))
+    first_class = np.unique((sizes - 1) // CHAIN_BUCKET, return_index=True)[1].tolist()
+    buckets = [range(a, b) for a, b in zip(first_class, first_class[1:] + [len(classes)])]
     sectors = [members[first[a] : first[b]].reshape(b - a, n) for n, a, b in classes]
     row_at = (start[sector_of] + position * size[sector_of]).astype(np.int32)
     transpose = np.empty(start[-1], dtype=np.int32)
@@ -134,7 +139,7 @@ def _sector_layout(dims: tuple[int, ...], modulus: int) -> _Layout:
         block = transpose[start[a] : start[b]].reshape(b - a, n, n)
         block[...] = np.arange(n * n, dtype=np.int32).reshape(n, n).T
         block += start[a:b, None, None].astype(np.int32)
-    return _Layout(sectors, classes, sector_of, position, size, start, row_at, transpose, row_at + position)
+    return _Layout(sectors, classes, sector_of, position, size, start, row_at, transpose, row_at + position, buckets)
 
 
 def _rows_cols(lay: _Layout) -> tuple[np.ndarray, np.ndarray]:
@@ -228,15 +233,14 @@ class FockDensityMatrix:
     """Density matrix on a truncated Fock space of one or two modes, kept as sector blocks.
 
     The basis splits into the classes of charge mod `modulus`, and `data`
-    holds their blocks, raveled one after another.  State preparation and
-    loss pass both; `FockDensityMatrix(dims, mat)` takes a dense matrix and
-    keeps the finest partition whose off-sector entries are exactly zero,
-    tried finest first (the exact charge, then parity, then 1, the whole
-    space).  Hermiticity is validated at construction; positivity as each
-    block is factorised (eigenvalues below -1e-10 raise, small negatives
-    clamp), unless the blocks come with their `spectrum`.  A state is
-    factorised as far as a pair's checks read it (`factorised`); `mat` is a
-    dense copy, built on demand.
+    holds their blocks, raveled one after another: the only input format,
+    which state preparation and loss pass (there is no dense input).  The
+    modulus and the length of `data` are checked, and Hermiticity, at
+    construction; positivity as each block is factorised (eigenvalues below
+    -1e-10 raise, small negatives clamp), unless the blocks come with their
+    `spectrum`, whose weights are exact.  A state is factorised as far as a
+    pair's checks read it (`factorised`); `mat` is a dense view of the
+    blocks, built on demand.
     """
 
     dims: tuple[int, ...]
@@ -244,19 +248,15 @@ class FockDensityMatrix:
     data: np.ndarray = field(repr=False)
     layout: _Layout = field(repr=False)
 
-    def __init__(self, dims, mat=None, *, modulus: int = 1, data=None, spectrum=None) -> None:
+    def __init__(self, dims, *, modulus: int = 1, data, spectrum=None) -> None:
         dims = tuple(int(x) for x in dims)
         if len(dims) not in (1, 2):
             raise ValueError(f"one or two modes supported, got dims {dims}")
-        d = math.prod(dims)
-        if mat is not None:
-            m = np.asarray(mat, dtype=float)
-            if m.shape != (d, d):
-                raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
-            gap = _charge(dims)[:, None] - _charge(dims)
-            modulus = next(k for k in (d, 2, 1) if not m[gap % k != 0].any())
-        lay = _sector_layout(dims, modulus)
-        data = np.asarray(data if mat is None else m[_rows_cols(lay)], dtype=float)
+        if modulus < 1:
+            raise ValueError(f"modulus must be >= 1, got {modulus}")
+        lay, data = _sector_layout(dims, modulus), np.asarray(data, dtype=float)
+        if data.shape != (lay.start[-1],):
+            raise ValueError(f"data of shape {data.shape}, but the blocks of dims {dims} mod {modulus} take {lay.start[-1]} entries")
         mirror = data.take(lay.transpose)
         sym = np.subtract(data, mirror)  # one scratch array: the asymmetry, then the symmetrised blocks
         if np.abs(sym, out=sym).max() > _HERMITICITY_TOL:
@@ -265,8 +265,9 @@ class FockDensityMatrix:
         data /= 2.0
         data.setflags(write=False)
         self.__dict__.update(dims=dims, modulus=modulus, data=data, layout=lay)
-        if spectrum is not None:
-            self.__dict__["spectrum"] = list(spectrum)
+        if spectrum is not None:  # a prepared state: its construction spectrum, whose weights are exact
+            top = max(w.max() for w, _ in spectrum)
+            self.__dict__["_spectra"] = _Spectra([list(x) for x in spectrum], np.ones(len(lay.size), bool), top, True)
         if self.diagonal.sum() > 1.0 + 1e-12:
             raise ValueError(f"trace {self.diagonal.sum()} exceeds 1")
 
@@ -305,8 +306,6 @@ class FockDensityMatrix:
 
     @cached_property
     def _spectra(self) -> _Spectra:
-        if "spectrum" in self.__dict__:  # a prepared state: its construction spectrum, whose weights are exact
-            return _Spectra(self.spectrum, np.ones(len(self.layout.size), bool), max(w.max() for w, _ in self.spectrum), True)
         return _Spectra([[np.zeros((b - a, n)), None] for n, a, b in self.layout.classes], ~self.live, 0.0, False)
 
     def factorised(self, need: np.ndarray) -> _Spectra:
@@ -448,8 +447,8 @@ def fock_squeezed_thermal(
     # each level's link up its chain, 0 in a sector without weight: its block keeps the identity
     link = coupling(np.arange(math.prod(dims))) * (np.bincount(lay.sector_of, weights) > 0.0)[lay.sector_of]
     spectrum = []  # per size class: (weights, unitaries)
-    for _, group in itertools.groupby(lay.sectors, key=lambda idx: (idx.shape[1] - 1) // CHAIN_BUCKET):
-        group = list(group)  # the classes of one bucket, each chain padded with zero links to the longest
+    for bucket in lay.buckets:
+        group = [lay.sectors[k] for k in bucket]  # the classes of one bucket, each chain padded with zero links to the longest
         subs = np.zeros((sum(len(idx) for idx in group), group[-1].shape[1] - 1))
         ends = np.cumsum([len(idx) for idx in group])
         for idx, end in zip(group, ends):
@@ -524,32 +523,16 @@ def moments_from_fock(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     return first, second - np.outer(first, first)
 
 
-class _Rows(NamedTuple):
-    """The sectors live in both states of a pair (on their common partition), one row each, in sector order."""
-
-    both: np.ndarray  # per sector: whether it is live in both states
-    ends: np.ndarray  # per sector, and one past the end: its row, the count of such sectors before it
-    buckets: list[tuple[list[int], int, int, int]]  # per bucket of CHAIN_BUCKET consecutive sizes: (classes, first row, end row, widest)
-
-
-def _shared_rows(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> _Rows:
-    """The rows of a pair on its common partition; a bucket lists only the classes with rows, and none is empty."""
-    both, classes = rho_a.live & rho_b.live, rho_a.layout.classes
-    ends, buckets = np.concatenate(([0], np.cumsum(both))), []
-    for _, group in itertools.groupby(range(len(classes)), key=lambda k: (classes[k][0] - 1) // CHAIN_BUCKET):
-        if group := [k for k in group if ends[classes[k][2]] > ends[classes[k][1]]]:
-            (_, a, _), (n, _, b) = classes[group[0]], classes[group[-1]]
-            buckets.append((group, int(ends[a]), int(ends[b]), n))
-    return _Rows(both, ends, buckets)
-
-
-class _Overlaps(NamedTuple):
+class _Pair(NamedTuple):
     """A pair on its common partition, each state factorised where the other has weight, and its overlap
-    stack: one row per sector live in both, zero-padded to the widest (a padded eigenvalue is an exact 0)."""
+    stack: one row per sector live in both, in sector order, zero-padded to the widest (a padded eigenvalue
+    is an exact 0)."""
 
     states: tuple[FockDensityMatrix, FockDensityMatrix]
-    rows: _Rows
     spectra: tuple[_Spectra, _Spectra]
+    both: np.ndarray  # per sector: whether it is live in both states
+    ends: np.ndarray  # per sector, and one past the end: its row, the count of such sectors before it
+    buckets: list[tuple[list[int], int, int, int]]  # per bucket with rows (none empty): (classes with rows, first row, end row, widest)
     lam: np.ndarray  # (rows, width): rho_a's eigenvalues
     overlap: np.ndarray  # (rows, width, width): Va^T Vb, signed, until `squared`
     mu: np.ndarray  # (rows, width): rho_b's eigenvalues
@@ -562,36 +545,29 @@ class _Overlaps(NamedTuple):
     def squared(self) -> np.ndarray:
         """The overlap stack squared in place into the s-curve's table |<v_i|w_j>|^2, bucket by bucket:
         a pad beyond a bucket's widest block stays an untouched zero page."""
-        for _, first, end, n in self.rows.buckets:
+        for _, first, end, n in self.buckets:
             block = self.overlap[first:end, :n, :n]
             np.square(block, out=block)
         return self.overlap
 
 
-def _overlaps(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> _Overlaps:
-    """The pair's overlap stack, one batched Va^T Vb per size class over its sectors live in both states."""
+def _pair(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> _Pair:
+    """The pair's rows and overlap stack, one batched Va^T Vb per size class over its sectors live in both states."""
     states = rho_a, rho_b = _common(rho_a, rho_b)
-    rows = _shared_rows(rho_a, rho_b)
+    both, classes = rho_a.live & rho_b.live, rho_a.layout.classes
+    ends, buckets = np.concatenate(([0], np.cumsum(both))), []
+    for bucket in rho_a.layout.buckets:
+        if group := [k for k in bucket if ends[classes[k][2]] > ends[classes[k][1]]]:
+            (_, a, _), (n, _, b) = classes[group[0]], classes[group[-1]]
+            buckets.append((group, int(ends[a]), int(ends[b]), n))
     spectra = rho_a.factorised(rho_b.live), rho_b.factorised(rho_a.live)
-    count, width = int(rows.ends[-1]), rows.buckets[-1][3] if rows.buckets else 0
+    count, width = int(ends[-1]), buckets[-1][3] if buckets else 0
     lam, mu, overlap = np.zeros((count, width)), np.zeros((count, width)), np.zeros((count, width, width))
-    for (n, a, b), (la, va), (lb, vb) in zip(rho_a.layout.classes, spectra[0].classes, spectra[1].classes):
-        if rows.ends[b] > rows.ends[a]:  # the class's sectors live in both take rows ends[a] to ends[b]
-            (la, va, lb, vb), at = _select(rows.both[a:b], la, va, lb, vb), slice(rows.ends[a], rows.ends[b])
+    for (n, a, b), (la, va), (lb, vb) in zip(classes, spectra[0].classes, spectra[1].classes):
+        if ends[b] > ends[a]:  # the class's sectors live in both take rows ends[a] to ends[b]
+            (la, va, lb, vb), at = _select(both[a:b], la, va, lb, vb), slice(ends[a], ends[b])
             lam[at, :n], mu[at, :n], overlap[at, :n, :n] = la, lb, va.mT @ vb
-    return _Overlaps(states, rows, spectra, lam, overlap, mu)
-
-
-def _spectral_overlap(
-    rho_a: FockDensityMatrix, rho_b: FockDensityMatrix
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lam, table, mu): both spectra and |<v_i|w_j>|^2, one row per sector live in both states.
-
-    Tr[rho_a^s rho_b^(1-s)] = sum over rows of lam^s @ table @ mu^(1-s), so after this one
-    factorization each s evaluation is one batched product.
-    """
-    ov = _overlaps(rho_a, rho_b)
-    return ov.lam, ov.squared(), ov.mu
+    return _Pair(states, spectra, both, ends, buckets, lam, overlap, mu)
 
 
 def _logs(lam: np.ndarray, mu: np.ndarray) -> list:
@@ -648,79 +624,9 @@ def _minimize_s(lam: np.ndarray, table: np.ndarray, mu: np.ndarray) -> tuple[flo
         s = s + step if lo < s + step < hi else 0.5 * (lo + hi)
 
 
-def _chernoff(ov: _Overlaps) -> tuple[float, float]:
-    """(Q, s_star) from the overlap stack, which it squares in place into the s-curve's table."""
-    la, table, lb = ov.lam, ov.squared(), ov.mu
-    s_star, q = _minimize_s(la, table, lb)
-    floors = ov.floors(1e-12)
-    rank_a, rank_b = (la > floors[0]).astype(float), (lb > floors[1]).astype(float)
-    at_zero = float(np.einsum("ki,kij,kj->", rank_a, table, lb))
-    at_one = float(np.einsum("ki,kij,kj->", la, table, rank_b))
-    for cand_s, cand_q in ((0.0, at_zero), (1.0, at_one)):
-        if cand_q < q:
-            s_star, q = cand_s, cand_q
-    return q, s_star
-
-
-def _fidelity(ov: _Overlaps) -> float:
-    """F from the signed overlap stack: one `svd` per bucket, over the columns that some row of it supports."""
-    ra, rb = (np.sqrt(np.where(w >= floor, w, 0.0)) for w, floor in zip((ov.lam, ov.mu), ov.floors(1e-13)))
-    total = 0.0
-    for _, first, end, n in ov.rows.buckets:
-        ra_k, rb_k = ra[first:end, :n], rb[first:end, :n]
-        if (keep := np.flatnonzero(ra_k.any(axis=1) & rb_k.any(axis=1))).size:
-            at, cols_a, cols_b = first + keep[:, None], np.flatnonzero(ra_k.any(axis=0)), np.flatnonzero(rb_k.any(axis=0))
-            m = ov.overlap[at[:, :, None], cols_a[:, None], cols_b]
-            m *= ra[at, cols_a][:, :, None]
-            m *= rb[at, cols_b][:, None, :]
-            total += float(np.linalg.svd(m, compute_uv=False).sum())
-    return total**2
-
-
-def _trace_distance(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix, rows: _Rows) -> float:
-    """(1/2) ||rho_a - rho_b||_1 on the common partition: one `eigvalsh` per bucket of the rows' differences."""
-    total = sum(rho.traces[rho.live & ~rows.both].sum() for rho in (rho_a, rho_b))
-    for group, first, end, width in rows.buckets:
-        diff = np.zeros((end - first, width, width))  # a zero pad adds exact zero eigenvalues
-        for k in group:
-            n, a, b = rho_a.layout.classes[k]
-            x, y = _select(rows.both[a:b], rho_a.stacks[k], rho_b.stacks[k])
-            np.subtract(x, y, out=diff[rows.ends[a] - first : rows.ends[b] - first, :n, :n])
-        total += np.abs(np.linalg.eigvalsh(diff)).sum()
-    return 0.5 * float(total)
-
-
-def pair_checks(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[float, float, float, float]:
-    """(Q, s_star, trace distance, fidelity) of one pair in one pass, each with the bits of its own function.
-
-    Both states go on their common partition once, each is factorised once
-    where the other has weight, and one overlap stack Va^T Vb serves both
-    the fidelity and, squared in place, the s-curve.
-    """
-    ov = _overlaps(rho_a, rho_b)
-    fidelity = _fidelity(ov)
-    q, s_star = _chernoff(ov)
-    return q, s_star, _trace_distance(*ov.states, ov.rows), fidelity
-
-
-def s_overlap_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix, s: float) -> float:
-    """Tr[rho_a^s rho_b^(1-s)] by explicit fractional powers.
-
-    Near s = 0 (and 1) this is only as good as the smallest eigenvalues.  A
-    prepared state keeps its exact zero weights, but a state diagonalised
-    by `eigh` (a loss output, or one built from a dense matrix) keeps its
-    clamped roundoff eigenvalues: about 1e-17, raised to s = 1e-6, they
-    count as about 1 instead of 0.  qcb_fock is protected by its
-    rank-floored boundary candidates; this curve is not.
-    """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"exponent must be in (0, 1), got {s}")
-    lam, table, mu = _spectral_overlap(rho_a, rho_b)
-    return _s_step(s, table, _logs(lam, mu))[0]
-
-
-def qcb_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[float, float]:
-    """(Q, s_star): minimum of the s-overlap, boundaries included.
+def _chernoff(p: _Pair) -> tuple[float, float]:
+    """(Q, s_star): minimum of the s-overlap, boundaries included, from the overlap stack, which it squares in
+    place into the s-curve's table.
 
     On [S_EPS, 1 - S_EPS], `_minimize_s` stops at an edge whose slope
     points outward, else runs Newton on Q' inside its sign bracket.  The
@@ -730,36 +636,118 @@ def qcb_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[float,
     relative to its largest eigenvalue over all sectors.  They win where a
     state lacks full support, as a pure one does.
     """
-    return _chernoff(_overlaps(rho_a, rho_b))
+    la, table, lb = p.lam, p.squared(), p.mu
+    s_star, q = _minimize_s(la, table, lb)
+    floors = p.floors(1e-12)
+    rank_a, rank_b = (la > floors[0]).astype(float), (lb > floors[1]).astype(float)
+    at_zero = float(np.einsum("ki,kij,kj->", rank_a, table, lb))
+    at_one = float(np.einsum("ki,kij,kj->", la, table, rank_b))
+    for cand_s, cand_q in ((0.0, at_zero), (1.0, at_one)):
+        if cand_q < q:
+            s_star, q = cand_s, cand_q
+    return q, s_star
+
+
+def _fidelity(p: _Pair) -> float:
+    """Uhlmann fidelity (Tr |sqrt(rho_a) sqrt(rho_b)|)^2 = (Tr sqrt(sqrt(rho_a) rho_b sqrt(rho_a)))^2 from the
+    signed overlap stack.
+
+    Per block, the singular values of diag(sqrt(la)) Va^T Vb diag(sqrt(lb)),
+    one stacked `svd` per bucket (a zero pad adds exact zero singular
+    values).  Each state's roots are taken on its support: a prepared
+    state's nonzero weights, which are exact, or a factorised state's
+    eigenvalues above a floor relative to its largest eigenvalue (no root is
+    taken of a roundoff eigenvalue: 3e-9 for 1e-17 would survive into the
+    trace).  Only the columns that some member of the bucket supports are
+    kept; a floored root among them zeroes its row (column), adding a
+    singular value of roundoff size.
+    """
+    ra, rb = (np.sqrt(np.where(w >= floor, w, 0.0)) for w, floor in zip((p.lam, p.mu), p.floors(1e-13)))
+    total = 0.0
+    for _, first, end, n in p.buckets:
+        ra_k, rb_k = ra[first:end, :n], rb[first:end, :n]
+        if (keep := np.flatnonzero(ra_k.any(axis=1) & rb_k.any(axis=1))).size:
+            at, cols_a, cols_b = first + keep[:, None], np.flatnonzero(ra_k.any(axis=0)), np.flatnonzero(rb_k.any(axis=0))
+            m = p.overlap[at[:, :, None], cols_a[:, None], cols_b]
+            m *= ra[at, cols_a][:, :, None]
+            m *= rb[at, cols_b][:, None, :]
+            total += float(np.linalg.svd(m, compute_uv=False).sum())
+    return total**2
+
+
+def _trace_distance(p: _Pair) -> float:
+    """(1/2) ||rho_a - rho_b||_1: one `eigvalsh` per bucket over the differences of the blocks live in both
+    states (a zero pad adds exact zero eigenvalues).  A block live in one state only adds its trace (its trace
+    norm, up to the roundoff eigenvalues the positivity check clamps)."""
+    (rho_a, rho_b), total = p.states, sum(rho.traces[rho.live & ~p.both].sum() for rho in p.states)
+    for group, first, end, width in p.buckets:
+        diff = np.zeros((end - first, width, width))
+        for k in group:
+            n, a, b = rho_a.layout.classes[k]
+            x, y = _select(p.both[a:b], rho_a.stacks[k], rho_b.stacks[k])
+            np.subtract(x, y, out=diff[p.ends[a] - first : p.ends[b] - first, :n, :n])
+        total += np.abs(np.linalg.eigvalsh(diff)).sum()
+    return 0.5 * float(total)
+
+
+class PairChecks(NamedTuple):
+    """The oracle's checks of one pair (`pair_checks`)."""
+
+    q: float
+    s_star: float
+    trace_distance: float
+    fidelity: float
+
+    @property
+    def helstrom_pe(self) -> float:
+        """Exact single-copy Helstrom error (1 - T) / 2."""
+        return 0.5 * (1.0 - self.trace_distance)
+
+
+def pair_checks(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> PairChecks:
+    """Q and s_star (`_chernoff`), the trace distance (`_trace_distance`) and the fidelity (`_fidelity`) of
+    one pair in one pass: the only route to each of them.
+
+    Both states go on their common partition once, each is factorised once
+    where the other has weight, and one overlap stack Va^T Vb serves both
+    the fidelity and, squared in place, the s-curve.
+    """
+    p = _pair(rho_a, rho_b)
+    fidelity = _fidelity(p)
+    return PairChecks(*_chernoff(p), _trace_distance(p), fidelity)
+
+
+def s_overlap_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix, s: float) -> float:
+    """Tr[rho_a^s rho_b^(1-s)] by explicit fractional powers.
+
+    Near s = 0 (and 1) this is only as good as the smallest eigenvalues.  A
+    prepared state keeps its exact zero weights, but a state diagonalised
+    by `eigh` (a loss output, or one passed as bare blocks) keeps its
+    clamped roundoff eigenvalues: about 1e-17, raised to s = 1e-6, they
+    count as about 1 instead of 0.  qcb_fock is protected by its
+    rank-floored boundary candidates; this curve is not.
+    """
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"exponent must be in (0, 1), got {s}")
+    p = _pair(rho_a, rho_b)
+    return _s_step(s, p.squared(), _logs(p.lam, p.mu))[0]
+
+
+def qcb_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[float, float]:
+    """(Q, s_star) of `pair_checks`."""
+    return pair_checks(rho_a, rho_b)[:2]
 
 
 def trace_distance_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> float:
-    """(1/2) ||rho_a - rho_b||_1: one `eigvalsh` per bucket of CHAIN_BUCKET consecutive sizes over the
-    blocks live in both states, each zero-padded to the bucket's widest.
-
-    A block live in one state only adds its trace (its trace norm, up to the roundoff eigenvalues the
-    positivity check clamps)."""
-    rho_a, rho_b = _common(rho_a, rho_b)
-    return _trace_distance(rho_a, rho_b, _shared_rows(rho_a, rho_b))
+    """(1/2) ||rho_a - rho_b||_1 of `pair_checks`."""
+    return pair_checks(rho_a, rho_b).trace_distance
 
 
 def helstrom_pe_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> float:
-    """Exact single-copy Helstrom error (1 - T(rho_a, rho_b)) / 2."""
-    return 0.5 * (1.0 - trace_distance_fock(rho_a, rho_b))
+    """Exact single-copy Helstrom error (1 - T) / 2 of `pair_checks`."""
+    return pair_checks(rho_a, rho_b).helstrom_pe
 
 
 def fidelity_fock(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> float:
-    """Uhlmann fidelity (Tr |sqrt(rho_a) sqrt(rho_b)|)^2 = (Tr sqrt(sqrt(rho_a) rho_b sqrt(rho_a)))^2.
-
-    Per block, the singular values of diag(sqrt(la)) Va^T Vb diag(sqrt(lb)),
-    one stacked `svd` per bucket of CHAIN_BUCKET consecutive sizes, each
-    block zero-padded to the bucket's widest (a zero pad adds exact zero
-    singular values).  Each state's roots are taken on its support: a
-    prepared state's nonzero weights, which are exact, or a factorised
-    state's eigenvalues above a floor relative to its largest eigenvalue (no
-    root is taken of a roundoff eigenvalue: 3e-9 for 1e-17 would survive
-    into the trace).  Only the columns that some member of the bucket
-    supports are kept; a floored root among them zeroes its row (column),
-    adding a singular value of roundoff size.
-    """
-    return _fidelity(_overlaps(rho_a, rho_b))
+    """Uhlmann fidelity of `pair_checks`."""
+    return pair_checks(rho_a, rho_b).fidelity

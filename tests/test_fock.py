@@ -32,7 +32,6 @@ from lossprobe.fock import (
     FockDensityMatrix,
     TruncationConfig,
     TruncationError,
-    _spectral_overlap,
     _squeeze_unitaries,
     apply_loss_kraus,
     fidelity_fock,
@@ -187,6 +186,15 @@ def dense_fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     return float(np.sqrt(np.maximum(vals, 0.0)).sum()) ** 2
 
 
+def from_dense(dims: tuple[int, ...], mat: np.ndarray) -> FockDensityMatrix:
+    """The state of a dense matrix on the finest partition whose off-sector entries are exactly zero, tried
+    finest first: the exact charge, then parity, then the whole space."""
+    dims, mat = tuple(dims), np.asarray(mat, dtype=float)
+    gap = fock._charge(dims)[:, None] - fock._charge(dims)
+    modulus = next(k for k in (math.prod(dims), 2, 1) if not mat[gap % k != 0].any())
+    return FockDensityMatrix(dims, modulus=modulus, data=mat[fock._rows_cols(fock._sector_layout(dims, modulus))])
+
+
 @pytest.fixture(scope="module")
 def single_st():
     """(r=0.5, n_t=0.3) at dim 80, shared across the single-mode tests."""
@@ -269,15 +277,19 @@ def test_density_matrix_validation():
     bad = np.zeros((4, 4))
     bad[0, 1] = 1.0  # not Hermitian
     with pytest.raises(ValueError, match="Hermitian"):
-        FockDensityMatrix(dims=(4,), mat=bad)
+        from_dense((4,), bad)
     with pytest.raises(ValueError, match="trace"):
-        FockDensityMatrix(dims=(4,), mat=2.0 * np.eye(4))
-    with pytest.raises(ValueError, match="shape"):
-        FockDensityMatrix(dims=(3,), mat=np.eye(4) / 4.0)
+        from_dense((4,), 2.0 * np.eye(4))
     with pytest.raises(ValueError, match="modes"):
-        FockDensityMatrix(dims=(2, 2, 2), mat=np.eye(8) / 8.0)
+        FockDensityMatrix((2, 2, 2), data=np.eye(8).ravel() / 8.0)
+    # the blocks of dims (4,) mod 4 are four 1 x 1 blocks: 4 entries
+    for size in (3, 5):
+        with pytest.raises(ValueError, match=f"shape \\({size},\\), but the blocks of dims \\(4,\\) mod 4 take 4 entries"):
+            FockDensityMatrix((4,), modulus=4, data=np.full(size, 0.2))
+    with pytest.raises(ValueError, match="modulus must be >= 1, got 0"):
+        FockDensityMatrix((4,), modulus=0, data=np.full(4, 0.25))
     with pytest.raises(ValueError, match="dims differ"):
-        qcb_fock(FockDensityMatrix(dims=(4,), mat=np.eye(4) / 4.0), FockDensityMatrix(dims=(2, 2), mat=np.eye(4) / 4.0))
+        qcb_fock(from_dense((4,), np.eye(4) / 4.0), from_dense((2, 2), np.eye(4) / 4.0))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +305,7 @@ def test_loss_at_unit_transmissivity_is_identity(single_st):
 def test_single_photon_splits_binomially():
     one = np.zeros((5, 5))
     one[1, 1] = 1.0
-    rho = FockDensityMatrix(dims=(5,), mat=one)
+    rho = from_dense((5,), one)
     out = apply_loss_kraus(rho, 0.7)
     expected = np.zeros((5, 5))
     expected[0, 0] = 0.3
@@ -344,7 +356,7 @@ def test_loss_at_high_cutoff_matches_the_exact_binomials(eta):
     for n, k, weight in ((250, 250, 1.0), (250, 248, 0.5)):
         mat = np.zeros((dim, dim))
         mat[n, k] = mat[k, n] = weight
-        out = apply_loss_kraus(FockDensityMatrix((dim,), mat), eta)
+        out = apply_loss_kraus(from_dense((dim,), mat), eta)
         ref = np.zeros((dim, dim))
         for m in range(k + 1):
             ref[n - m, k - m] = ref[k - m, n - m] = weight * amp(n - m, m) * amp(k - m, m)
@@ -458,7 +470,8 @@ def test_newton_minimum_matches_golden_section(dim):
     # evaluated by plain powers; where Newton stops inside (0, 1), its point
     # is no higher than the golden-section minimum
     for case, rho_a, rho_b in verification_pairs(dim):
-        lam, table, mu = _spectral_overlap(rho_a, rho_b)
+        p = fock._pair(rho_a, rho_b)
+        lam, table, mu = p.lam, p.squared(), p.mu
         q_ref = golden_qcb(lam, table, mu)
         q, s_star = qcb_fock(rho_a, rho_b)
         assert abs(q - q_ref) <= 1e-14 * q_ref, (case.name, q, q_ref)
@@ -523,7 +536,8 @@ def test_flat_curve_stops_on_its_tangent_certificate(monkeypatch):
     out = apply_loss_kraus(rho, 0.9999)
     q, _ = qcb_fock(rho, out)
     assert len(steps) <= 8, len(steps)
-    lam, table, mu = _spectral_overlap(rho, out)
+    p = fock._pair(rho, out)
+    lam, table, mu = p.lam, p.squared(), p.mu
     assert abs(q - golden_qcb(lam, table, mu)) <= 1e-14 * q
 
 
@@ -554,8 +568,8 @@ def test_orthogonal_states_error_free():
     a[0, 0] = 1.0
     b = np.zeros((4, 4))
     b[1, 1] = 1.0
-    rho_a = FockDensityMatrix(dims=(4,), mat=a)
-    rho_b = FockDensityMatrix(dims=(4,), mat=b)
+    rho_a = from_dense((4,), a)
+    rho_b = from_dense((4,), b)
     assert abs(trace_distance_fock(rho_a, rho_b) - 1.0) < 1e-12
     assert abs(helstrom_pe_fock(rho_a, rho_b)) < 1e-12
 
@@ -876,7 +890,7 @@ def test_symmetry_breaking_state_matches_dense():
     plus = np.zeros(dim)
     plus[:2] = 1.0 / math.sqrt(2.0)
     mat = 0.5 * np.diag(thermal_diagonal(0.5, dim)) + 0.5 * np.outer(plus, plus)
-    rho = FockDensityMatrix(dims=(dim,), mat=mat)
+    rho = from_dense((dim,), mat)
     assert rho.modulus == 1
     (vals, _), = rho.spectrum
     assert np.max(np.abs(vals - dense_spectrum(mat)[0])) < DENSE_TOL
@@ -911,7 +925,7 @@ def test_floors_are_relative_to_the_largest_eigenvalue_overall():
     ]
     for a, b in rows:
         a, b = np.diag(a), np.diag(b)
-        rho_a, rho_b = FockDensityMatrix(dims=(len(a),), mat=a), FockDensityMatrix(dims=(len(b),), mat=b)
+        rho_a, rho_b = from_dense((len(a),), a), from_dense((len(b),), b)
         assert rho_a.modulus == rho_b.modulus == len(a)
         q, s_star = qcb_fock(rho_a, rho_b)
         assert s_star == 0.0
@@ -958,10 +972,10 @@ def test_one_sided_dead_sectors_match_dense():
 def test_one_sided_sectors_take_their_trace():
     # the squeezed vacuum is live in the even sector only, the thermal state
     # in both, so the odd sector is live in the thermal state alone: it adds
-    # its block's trace, found without either state's spectrum
+    # its block's trace, and `spectrum` (every live block) is never built
     a = dense_state(S1(0.5, 0.0), 8)
     b = np.diag(thermal_diagonal(0.2, 8))
-    rho_a, rho_b = FockDensityMatrix(dims=(8,), mat=a), FockDensityMatrix(dims=(8,), mat=b)
+    rho_a, rho_b = from_dense((8,), a), from_dense((8,), b)
     assert (rho_a.modulus, rho_b.modulus) == (2, 8)
     assert abs(helstrom_pe_fock(rho_a, rho_b) - dense_helstrom(a, b, 1)) < 1e-14
     assert "spectrum" not in rho_a.__dict__ and "spectrum" not in rho_b.__dict__
@@ -975,7 +989,7 @@ def test_rank_floor_counts_the_sectors_dead_in_the_other_state():
     # the mirror at s = 1); a sector-local floor would give 0.5.
     a = np.diag([1.0 - 5e-13, 5e-13, 0.0])
     b = np.diag([0.0, 0.5, 0.5])
-    rho_a, rho_b = FockDensityMatrix(dims=(3,), mat=a), FockDensityMatrix(dims=(3,), mat=b)
+    rho_a, rho_b = from_dense((3,), a), from_dense((3,), b)
     assert rho_a.modulus == 3 and list(rho_a.live & rho_b.live) == [False, True, False]
     assert qcb_fock(rho_a, rho_b) == (dense_qcb(a, b), 0.0) == (0.0, 0.0)
     assert qcb_fock(rho_b, rho_a) == (dense_qcb(b, a), 1.0) == (0.0, 1.0)
@@ -983,8 +997,8 @@ def test_rank_floor_counts_the_sectors_dead_in_the_other_state():
 
 
 def test_negative_eigenvalue_in_any_sector_raises():
-    bad = FockDensityMatrix(dims=(3,), mat=np.diag([0.5, 0.5 + 1e-9, -1e-9]))
-    good = FockDensityMatrix(dims=(3,), mat=np.diag([0.5, 0.3, 0.2]))
+    bad = from_dense((3,), np.diag([0.5, 0.5 + 1e-9, -1e-9]))
+    good = from_dense((3,), np.diag([0.5, 0.3, 0.2]))
     for fn in (qcb_fock, fidelity_fock):
         with pytest.raises(ArithmeticError, match="below -1e-10"):
             fn(bad, good)
@@ -1034,7 +1048,7 @@ def test_fidelity_is_continuous_toward_pure_states():
 def test_rebuilt_from_the_dense_view_is_the_same_state(single_st, two_mode_st):
     thermal = fock_squeezed_thermal(S1(0.0, 0.5), TruncationConfig(dim=20))
     for rho in (single_st, two_mode_st, thermal, apply_loss_kraus(two_mode_st, 0.6)):
-        again = FockDensityMatrix(dims=rho.dims, mat=rho.mat)
+        again = from_dense(rho.dims, rho.mat)
         assert again.modulus == rho.modulus
         assert len(again.stacks) == len(rho.stacks)
         assert all(np.array_equal(a, b) for a, b in zip(again.stacks, rho.stacks))
@@ -1204,7 +1218,7 @@ def test_charge_breaking_two_mode_states_match_dense(keep_parity, modulus):
     # coarser partitions through the same code
     dim = 6
     mat = _charge_breaking(dim, keep_parity)
-    rho = FockDensityMatrix(dims=(dim, dim), mat=mat)
+    rho = from_dense((dim, dim), mat)
     out, ref_out = apply_loss_kraus(rho, 0.6), dense_loss(mat, (dim, dim), 0.6)
     assert rho.modulus == out.modulus == modulus
     assert np.max(np.abs(out.mat - ref_out)) < DENSE_TOL
@@ -1233,8 +1247,7 @@ def test_two_mode_oracle_memory_at_dim_80():
         rho = fock_squeezed_thermal(params, TruncationConfig(dim=80))
         out = apply_loss_kraus(rho, 0.6)
         moments_from_fock(rho), moments_from_fock(out)
-        q, _ = qcb_fock(rho, out)
-        fidelity_fock(rho, out), helstrom_pe_fock(rho, out)
+        q = pair_checks(rho, out).q
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
