@@ -178,10 +178,10 @@ def run_case(
 
     if q is None:
         (q,) = _gaussian_q([case])
-    q_fock, _, trace_distance, fid = pair_checks(rho_a, rho_b)
-    record("chernoff gap", q_fock - q, QCB_TOL)
+    checks = pair_checks(rho_a, rho_b)
+    record("chernoff gap", checks.q - q, QCB_TOL)
 
-    pe = 0.5 * (1.0 - trace_distance)  # the exact single-copy Helstrom error
+    pe, fid = checks.helstrom_pe, checks.fidelity  # the exact single-copy Helstrom error and the fidelity
     lower, _, _ = error_bounds(q, fid, 1)
     record("chain: pe above lower", pe - lower, CHAIN_SLACK_TOL, keep_sign=True)
     record("chain: chernoff above pe", q / 2.0 - pe, CHAIN_SLACK_TOL, keep_sign=True)
