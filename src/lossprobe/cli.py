@@ -47,8 +47,8 @@ import numpy as np
 from . import __version__
 from .channel import LossChannel
 from .correlations import correlation_report
-from .fock import MAX_LOSS_CUTOFF
-from .gaussian import CovarianceMatrix, make_two_mode_st
+from .fock import MAX_LOSS_CUTOFF, TruncationConfig, check_loss_size
+from .gaussian import CovarianceMatrix, SqueezedThermalParamsTwo, make_two_mode_st
 from .probes import (
     ProbeSpec,
     SweepRanges,
@@ -253,6 +253,11 @@ def cmd_correlations(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     _require(args, "--dim", lambda d: 2 <= d <= MAX_LOSS_CUTOFF, f"in [2, {MAX_LOSS_CUTOFF}]")
     _require(args, "--tail-tol", lambda x: 0.0 < x < 1.0, "in (0, 1)")
+    if args.dim is not None:
+        try:  # the two-mode cases' loss grid, by the oracle's own int32 bound, before any case runs
+            check_loss_size(SqueezedThermalParamsTwo(0.0, 0.0, 0.0), TruncationConfig(args.dim))
+        except ValueError as err:
+            raise UsageError(f"--dim {args.dim} is too large: {err}") from None
     results = run_all(dim=args.dim, tail_tol=args.tail_tol)
     width = max(len(f"{r.case}: {r.check}") for r in results)
     failures = 0

@@ -9,9 +9,10 @@ comparisons stay honest.
 Charge sectors.  Single-mode squeezing conserves photon-number parity,
 two-mode squeezing conserves the charge n1 - n2, and loss on the first mode
 preserves the charge difference between row and column.  So every oracle
-state is block diagonal, and a `FockDensityMatrix` stores only its blocks,
-by size: each size class is one contiguous (count, n, n) view of `data`,
-and every stage makes one stacked call per class, or per bucket of
+state is block diagonal on one partition that the mode count fixes (parity
+for one mode, n1 - n2 for two), and a `FockDensityMatrix` stores only its
+blocks, by size: each size class is one contiguous (count, n, n) view of
+`data`, and every stage makes one stacked call per class, or per bucket of
 CHAIN_BUCKET consecutive sizes, each block zero-padded to the bucket's
 widest.  A prepared block U diag(w) U^T keeps (w, U) as its spectrum (U
 from the `eigh` of a real tridiagonal, one stacked call per bucket of chain
@@ -39,16 +40,18 @@ so its support, for Q and the fidelity alike, is its nonzero weights.  An
 eigenvalue below -1e-10 in a factorised block raises.  The oracle checks Q,
 the fidelity and the exact single-copy Helstrom error against the Gaussian
 closed forms; M copies are the Chernoff bound's (P_e <= Q^M / 2).
-`pair_checks` is the one pass that puts a pair on its common partition and
-builds its rows and one zero-padded stack of the overlaps Va^T Vb, which the
-fidelity's `svd` reads and the s-curve then squares in place; the trace
-distance and the fidelity make one stacked call per bucket (a zero pad adds
-exact zero eigenvalues and singular values).  `qcb_fock`,
-`trace_distance_fock`, `helstrom_pe_fock` and `fidelity_fock` read its
-result.  A state comes in as its blocks only; the dense route (`expm`,
-Kraus matmuls, complex quadratures, one full `eigh`, a state from a dense
-matrix) is the reference in the tests, and `mat` is a dense view of the
-blocks.  This module imports only numpy.
+`pair_checks` is the one pass that factorises each state of a pair where
+the other has weight and builds the pair's rows and one zero-padded stack
+of the overlaps Va^T Vb, which the fidelity's `svd` reads and the s-curve
+then squares in place; the trace distance and the fidelity make one stacked
+call per bucket (a zero pad adds exact zero eigenvalues and singular
+values).  `qcb_fock`, `trace_distance_fock`, `helstrom_pe_fock` and
+`fidelity_fock` read its result.  A state is plain data: it keeps no
+factorisation, so each pass factorises a loss output afresh.  A state comes
+in as its blocks only; the dense route (`expm`, Kraus matmuls, complex
+quadratures, one full `eigh`, a state from a dense matrix) is the reference
+in the tests, and `mat` is a dense view of the blocks.  This module imports
+only numpy.
 
 Quadratures follow the package convention q = (a + a^dag)/sqrt(2),
 p = (a - a^dag)/(i sqrt(2)), vacuum variance 1/2.
@@ -92,9 +95,10 @@ class TruncationConfig:
 
 
 def _charge(dims: tuple[int, ...]) -> np.ndarray:
-    """n for one mode, n1 - n2 for two, per flat basis index."""
+    """The conserved charge per flat basis index: n mod 2 for one mode, n1 - n2 for two (mod d1 d2, so that
+    the negative charges sort after the others)."""
     n = np.indices(dims).reshape(len(dims), -1)
-    return n[0] if len(dims) == 1 else n[0] - n[1]
+    return n[0] % 2 if len(dims) == 1 else (n[0] - n[1]) % math.prod(dims)
 
 
 class _Layout(NamedTuple):
@@ -111,13 +115,13 @@ class _Layout(NamedTuple):
 
 
 @lru_cache(maxsize=32)
-def _sector_layout(dims: tuple[int, ...], modulus: int) -> _Layout:
-    """The sectors (classes of charge mod `modulus`) by size, then by charge, each block raveled after
+def _sector_layout(dims: tuple[int, ...]) -> _Layout:
+    """The sectors (classes of `_charge`) by size, then by charge, each block raveled after
     the last: the blocks of one size, a size class, make one contiguous (count, n, n) stretch of `data`.
 
     Every index but `start` is int32, so the blocks may hold at most 2^31 entries; the count comes from
     the sector sizes, before anything is allocated per entry."""
-    _, charge_of, counts = np.unique(_charge(dims) % modulus, return_inverse=True, return_counts=True)
+    _, charge_of, counts = np.unique(_charge(dims), return_inverse=True, return_counts=True)
     order = np.argsort(counts, kind="stable")
     size = counts[order]
     start = np.concatenate(([0], np.cumsum(size**2)))
@@ -154,54 +158,51 @@ def _select(keep: np.ndarray, *stacks: np.ndarray) -> list[np.ndarray]:
     return list(stacks) if keep.all() else [x[keep] for x in stacks]
 
 
-def _loss_lanes(dims: tuple[int, ...], modulus: int) -> int:
-    """The lanes of the loss's array of diagonals; ValueError if the array may pass 2^31 entries, from the dims alone."""
-    d1, d2 = dims[0], math.prod(dims[1:])
-    lanes = d2 if modulus == math.prod(dims) else d2 * d2
+def _loss_lanes(dims: tuple[int, ...]) -> int:
+    """The lanes of the loss's array of diagonals, one per mode-2 level; ValueError if the array may pass 2^31
+    entries, from the dims alone."""
+    d1, lanes = dims[0], math.prod(dims[1:])
     if d1 * d1 * lanes > _INDEX_LIMIT:
         raise ValueError(f"the loss grid of dims {dims} takes up to {d1 * d1 * lanes:,} entries, past the 2^31 an int32 index addresses")
     return lanes
 
 
-def _state_shape(params: SqueezedThermalParamsSingle | SqueezedThermalParamsTwo, dim: int) -> tuple[tuple[int, ...], int]:
-    """(dims, modulus) of `fock_squeezed_thermal`'s state: one mode's parity (or each level alone), two modes' exact charge."""
+def _state_dims(params: SqueezedThermalParamsSingle | SqueezedThermalParamsTwo, dim: int) -> tuple[int, ...]:
+    """The dims of `fock_squeezed_thermal`'s state."""
     if isinstance(params, SqueezedThermalParamsSingle):
-        return (dim,), 2 if params.r else dim
+        return (dim,)
     if isinstance(params, SqueezedThermalParamsTwo):
-        return (dim, dim), dim * dim
+        return (dim, dim)
     raise TypeError(f"unsupported parameter type {type(params).__name__}")
 
 
 def check_loss_size(params: SqueezedThermalParamsSingle | SqueezedThermalParamsTwo, cfg: TruncationConfig) -> None:
     """ValueError if `apply_loss_kraus` on this state would pass 2^31 grid entries: from the dims, before any state is built."""
-    _loss_lanes(*_state_shape(params, cfg.dim))
+    _loss_lanes(_state_dims(params, cfg.dim))
 
 
 @lru_cache(maxsize=32)
-def _diagonal_map(dims: tuple[int, ...], modulus: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _diagonal_map(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, int]:
     """(at, deltas, lanes): per entry of `data`, its place (int32) in a (d1, len(deltas), lanes) array of mode-1 diagonals.
 
     Each entry takes its upper mirror's place: level n1 of mode-1 diagonal
-    k1 - n1 >= 0, in the lane of its mode-2 levels (the row's alone when
-    the exact charge fixes the column's); `deltas` lists the diagonals.
-    They are at most d1, so d1 * d1 * lanes bounds the array's size
-    (`_loss_lanes`).
+    k1 - n1 >= 0, in the lane of the row's mode-2 level (the charge fixes
+    the column's); `deltas` lists the diagonals.  They are at most d1, so
+    d1 * d1 * lanes bounds the array's size (`_loss_lanes`).
     """
-    lanes = _loss_lanes(dims, modulus)
-    d1, d2, exact = dims[0], math.prod(dims[1:]), modulus == math.prod(dims)
-    rows, cols = _rows_cols(_sector_layout(dims, modulus))
-    (n1, n2), (k1, k2) = np.divmod(np.minimum(rows, cols), d2), np.divmod(np.maximum(rows, cols), d2)
-    lane = n2 if exact else n2 * d2 + k2
-    present = np.bincount(k1 - n1, minlength=d1) > 0
+    lanes = _loss_lanes(dims)
+    rows, cols = _rows_cols(_sector_layout(dims))
+    (n1, n2), k1 = np.divmod(np.minimum(rows, cols), lanes), np.maximum(rows, cols) // lanes
+    present = np.bincount(k1 - n1, minlength=dims[0]) > 0
     deltas = np.flatnonzero(present)
-    return (n1 * len(deltas) + (np.cumsum(present, dtype=np.int32) - 1)[k1 - n1]) * lanes + lane, deltas, lanes
+    return (n1 * len(deltas) + (np.cumsum(present, dtype=np.int32) - 1)[k1 - n1]) * lanes + n2, deltas, lanes
 
 
 @lru_cache(maxsize=32)
-def _moment_bands(dims: tuple[int, ...], modulus: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _moment_bands(dims: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
     """(positions in `data` (int32), weights) of the band entries inside a sector, per ladder moment:
     <a>, <a^2> and the truncated <(a a^dag + a^dag a)/2> (top weight (dim - 1)/2) per mode, then <a b>, <a b^dag>."""
-    lay, grid = _sector_layout(dims, modulus), np.arange(math.prod(dims)).reshape(dims)
+    lay, grid = _sector_layout(dims), np.arange(math.prod(dims)).reshape(dims)
 
     def band(rows, cols, w) -> tuple[np.ndarray, np.ndarray]:
         inside = lay.sector_of[rows] == lay.sector_of[cols]
@@ -218,45 +219,33 @@ def _moment_bands(dims: tuple[int, ...], modulus: int) -> list[tuple[np.ndarray,
     return bands
 
 
-@dataclass(eq=False)
-class _Spectra:
-    """A state's spectrum as far as it is factorised (`FockDensityMatrix.factorised`)."""
-
-    classes: list  # per size class: [eigenvalues (count, n), eigenvectors (count, n, n), or None while no block of it is factorised]
-    done: np.ndarray  # per sector: whether its block holds its factorisation (a dead block, (zeros, identity), from the start)
-    top: float  # the largest eigenvalue found
-    exact: bool  # a prepared state's weights, with no roundoff eigenvalue to floor
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class FockDensityMatrix:
     """Density matrix on a truncated Fock space of one or two modes, kept as sector blocks.
 
-    The basis splits into the classes of charge mod `modulus`, and `data`
-    holds their blocks, raveled one after another: the only input format,
-    which state preparation and loss pass (there is no dense input).  The
-    modulus and the length of `data` are checked, and Hermiticity, at
-    construction; positivity as each block is factorised (eigenvalues below
-    -1e-10 raise, small negatives clamp), unless the blocks come with their
-    `spectrum`, whose weights are exact.  A state is factorised as far as a
-    pair's checks read it (`factorised`); `mat` is a dense view of the
-    blocks, built on demand.
+    The sectors follow from the mode count (`_charge`: parity for one mode,
+    n1 - n2 for two), and `data` holds their blocks, raveled one after
+    another: the only input format, which state preparation and loss pass
+    (there is no dense input).  The length of `data` is checked, and
+    Hermiticity, at construction; positivity as a pair's checks factorise
+    the blocks (`_factorised`: eigenvalues below -1e-10 raise, small
+    negatives clamp), unless the blocks come with their `spectrum`, whose
+    weights are exact.  A state is plain data and keeps no factorisation;
+    `mat` is a dense view of the blocks, built on demand.
     """
 
     dims: tuple[int, ...]
-    modulus: int
     data: np.ndarray = field(repr=False)
     layout: _Layout = field(repr=False)
+    spectrum: list | None = field(repr=False)  # a prepared state's (weights (count, n), eigenvectors (count, n, n)) per size class
 
-    def __init__(self, dims, *, modulus: int = 1, data, spectrum=None) -> None:
+    def __init__(self, dims, *, data, spectrum=None) -> None:
         dims = tuple(int(x) for x in dims)
         if len(dims) not in (1, 2):
             raise ValueError(f"one or two modes supported, got dims {dims}")
-        if modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {modulus}")
-        lay, data = _sector_layout(dims, modulus), np.asarray(data, dtype=float)
+        lay, data = _sector_layout(dims), np.asarray(data, dtype=float)
         if data.shape != (lay.start[-1],):
-            raise ValueError(f"data of shape {data.shape}, but the blocks of dims {dims} mod {modulus} take {lay.start[-1]} entries")
+            raise ValueError(f"data of shape {data.shape}, but the blocks of dims {dims} take {lay.start[-1]} entries")
         mirror = data.take(lay.transpose)
         sym = np.subtract(data, mirror)  # one scratch array: the asymmetry, then the symmetrised blocks
         if np.abs(sym, out=sym).max() > _HERMITICITY_TOL:
@@ -264,10 +253,7 @@ class FockDensityMatrix:
         data = np.add(data, mirror, out=sym)
         data /= 2.0
         data.setflags(write=False)
-        self.__dict__.update(dims=dims, modulus=modulus, data=data, layout=lay)
-        if spectrum is not None:  # a prepared state: its construction spectrum, whose weights are exact
-            top = max(w.max() for w, _ in spectrum)
-            self.__dict__["_spectra"] = _Spectra([list(x) for x in spectrum], np.ones(len(lay.size), bool), top, True)
+        self.__dict__.update(dims=dims, data=data, layout=lay, spectrum=spectrum)
         if self.diagonal.sum() > 1.0 + 1e-12:
             raise ValueError(f"trace {self.diagonal.sum()} exceeds 1")
 
@@ -297,62 +283,39 @@ class FockDensityMatrix:
         m[_rows_cols(self.layout)] = self.data
         return m
 
-    @cached_property
-    def spectrum(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(eigenvalues (count, n), eigenvectors (count, n, n)) per size class, negatives clamped to 0:
-        every live block factorised (`factorised`); a dead block is (zeros, identity)."""
-        return [(vals, np.broadcast_to(np.eye(vals.shape[1]), vals.shape + vals.shape[1:]).copy() if vecs is None else vecs)
-                for vals, vecs in self.factorised(self.live).classes]
 
-    @cached_property
-    def _spectra(self) -> _Spectra:
-        return _Spectra([[np.zeros((b - a, n)), None] for n, a, b in self.layout.classes], ~self.live, 0.0, False)
+def _factorised(rho: FockDensityMatrix, need: np.ndarray) -> tuple[list, float, bool]:
+    """(classes, top, exact): per size class, [eigenvalues (count, n), eigenvectors (count, n, n) or None while
+    no block of it is factorised]; the largest eigenvalue over all sectors; whether the weights are exact.
 
-    def factorised(self, need: np.ndarray) -> _Spectra:
-        """The spectrum with at least the blocks of the sectors in `need` factorised, and `top` the largest
-        eigenvalue over all sectors: a block's largest eigenvalue is at most its trace, so another live block is
-        factorised too when its trace reaches the largest eigenvalue found (less 1e-12 of it, for roundoff).
-        What a call factorises is kept for every later call and for `spectrum`."""
-        spectra = self._spectra
-        self._factorise(need & ~spectra.done)
-        self._factorise(~spectra.done & (self.traces >= spectra.top * (1.0 - 1e-12)))
-        return spectra
-
-    def _factorise(self, todo: np.ndarray) -> None:
-        """One stacked `eigh` per size class over its blocks in `todo`, each with the bits of a call over all blocks:
-        an eigenvalue below -1e-10 raises, and small negatives clamp to 0."""
-        if not todo.any():
-            return
-        spectra = self._spectra
+    A prepared state gives its construction spectrum.  Any other state has its
+    live blocks in the sectors of `need` factorised, then every other live
+    block whose trace reaches the largest eigenvalue found (less 1e-12 of it,
+    for roundoff): a block's largest eigenvalue is at most its trace, so `top`
+    is exact.  Each stage makes one stacked `eigh` per size class over its
+    blocks, each with the bits of a call over all blocks; an eigenvalue below
+    -1e-10 raises, and small negatives clamp to 0.  A block not factorised
+    holds zeros.
+    """
+    if rho.spectrum is not None:
+        return rho.spectrum, max(w.max() for w, _ in rho.spectrum), True
+    classes, top = [[np.zeros((b - a, n)), None] for n, a, b in rho.layout.classes], 0.0
+    for stage in range(2):
+        todo = rho.live & (need if stage == 0 else ~need & (rho.traces >= top * (1.0 - 1e-12)))
         new = [(k, pick, *np.linalg.eigh(_select(pick, stack)[0]))
-               for k, ((_, a, b), stack) in enumerate(zip(self.layout.classes, self.stacks)) if (pick := todo[a:b]).any()]
-        if (low := min(vals.min() for _, _, vals, _ in new)) < -EIG_CLAMP:
+               for k, ((_, a, b), stack) in enumerate(zip(rho.layout.classes, rho.stacks)) if (pick := todo[a:b]).any()]
+        if new and (low := min(vals.min() for _, _, vals, _ in new)) < -EIG_CLAMP:
             raise ArithmeticError(f"density matrix eigenvalue {low:.3e} below -1e-10")
         for k, pick, vals, vecs in new:
             vals = np.maximum(vals, 0.0)
-            spectra.top = max(spectra.top, vals.max())
+            top = max(top, vals.max())
             if pick.all():  # no block of the class was factorised before
-                spectra.classes[k] = [vals, vecs]
+                classes[k] = [vals, vecs]
                 continue
-            if spectra.classes[k][1] is None:
-                spectra.classes[k][1] = np.broadcast_to(np.eye(vals.shape[1]), pick.shape + vecs.shape[1:]).copy()
-            spectra.classes[k][0][pick], spectra.classes[k][1][pick] = vals, vecs
-        spectra.done |= todo
-
-
-def _common(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> tuple[FockDensityMatrix, FockDensityMatrix]:
-    """Both states on the coarser of their partitions, which both respect: blocks merged, not rebuilt."""
-    if rho_a.dims != rho_b.dims:
-        raise ValueError(f"dims differ: {rho_a.dims} vs {rho_b.dims}")
-    modulus = min(rho_a.modulus, rho_b.modulus)
-    lay = _sector_layout(rho_a.dims, modulus)
-
-    def merged(rho: FockDensityMatrix) -> FockDensityMatrix:  # each entry moved to its place in the coarser blocks
-        rows, cols = _rows_cols(rho.layout)
-        at = lay.row_at[rows] + lay.position[cols]
-        return FockDensityMatrix(rho.dims, modulus=modulus, data=np.bincount(at, rho.data, lay.start[-1]))
-
-    return tuple(merged(rho) if rho.modulus > modulus else rho for rho in (rho_a, rho_b))
+            if classes[k][1] is None:
+                classes[k][1] = np.zeros(pick.shape + vecs.shape[1:])
+            classes[k][0][pick], classes[k][1][pick] = vals, vecs
+    return classes, top, False
 
 
 def thermal_diagonal(n_t: float, dim: int) -> np.ndarray:
@@ -429,7 +392,7 @@ def fock_squeezed_thermal(
     top-level spillover) exceeds cfg.tail_tol.
     """
     dim = cfg.dim
-    dims, modulus = _state_shape(params, dim)
+    dims = _state_dims(params, dim)
     if isinstance(params, SqueezedThermalParamsSingle):
         weights = thermal_diagonal(params.n_t, dim)
 
@@ -443,7 +406,7 @@ def fock_squeezed_thermal(
             n1, n2 = np.divmod(flat, dim)
             return params.r * np.sqrt((n1 + 1.0) * (n2 + 1.0))
 
-    lay = _sector_layout(dims, modulus)
+    lay = _sector_layout(dims)
     # each level's link up its chain, 0 in a sector without weight: its block keeps the identity
     link = coupling(np.arange(math.prod(dims))) * (np.bincount(lay.sector_of, weights) > 0.0)[lay.sector_of]
     spectrum = []  # per size class: (weights, unitaries)
@@ -459,7 +422,7 @@ def fock_squeezed_thermal(
     for (n, a, b), (w, u) in zip(lay.classes, spectrum):
         if w.any():
             np.matmul(u * w[:, None, :], u.mT, out=data[lay.start[a] : lay.start[b]].reshape(b - a, n, n))
-    out = FockDensityMatrix(dims, modulus=modulus, data=data, spectrum=spectrum)
+    out = FockDensityMatrix(dims, data=data, spectrum=spectrum)
     deficit = truncation_deficit(out)
     if deficit > cfg.tail_tol:
         raise TruncationError(f"truncation deficit {deficit:.3e} exceeds {cfg.tail_tol:g} at dim {cfg.dim}; raise the cutoff")
@@ -485,7 +448,7 @@ def apply_loss_kraus(rho: FockDensityMatrix, eta: float) -> FockDensityMatrix:
         return rho
     if (d1 := rho.dims[0]) > MAX_LOSS_CUTOFF:
         raise ValueError(f"the loss kernel's scales overflow past a mode-1 cutoff of {MAX_LOSS_CUTOFF}, got {d1}")
-    at, deltas, lanes = _diagonal_map(rho.dims, rho.modulus)
+    at, deltas, lanes = _diagonal_map(rho.dims)
     g2, n = d1 / math.e, np.arange(1.0, d1)
     alpha = np.cumprod(np.concatenate(([1.0], np.sqrt(n / g2))))
     decay = np.cumprod(np.concatenate(([1.0], g2 * (1.0 - eta) / n)))
@@ -500,7 +463,7 @@ def apply_loss_kraus(rho: FockDensityMatrix, eta: float) -> FockDensityMatrix:
     out *= (gain[:, None] * gain[pair])[:, :, None]
     data = out.take(at)
     del out
-    return FockDensityMatrix(rho.dims, modulus=rho.modulus, data=data)
+    return FockDensityMatrix(rho.dims, data=data)
 
 
 def moments_from_fock(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -511,7 +474,7 @@ def moments_from_fock(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     follows from the ladder moments, each one weighted sum over its band of
     `data` (`_moment_bands`).
     """
-    values = np.array([(rho.data.take(at) * w).sum() for at, w in _moment_bands(rho.dims, rho.modulus)])
+    values = np.array([(rho.data.take(at) * w).sum() for at, w in _moment_bands(rho.dims)])
     modes = len(rho.dims)
     a1, a2, sym = values[: 3 * modes].reshape(modes, 3).T
     first, second = np.zeros(2 * modes), np.diag(np.column_stack((sym + a2, sym - a2)).ravel())
@@ -524,12 +487,12 @@ def moments_from_fock(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Pair(NamedTuple):
-    """A pair on its common partition, each state factorised where the other has weight, and its overlap
+    """A pair of states on the same dims, each factorised where the other has weight (`_factorised`), and its overlap
     stack: one row per sector live in both, in sector order, zero-padded to the widest (a padded eigenvalue
     is an exact 0)."""
 
     states: tuple[FockDensityMatrix, FockDensityMatrix]
-    spectra: tuple[_Spectra, _Spectra]
+    spectra: tuple[tuple[list, float, bool], tuple[list, float, bool]]  # per state: `_factorised`'s (classes, top, exact)
     both: np.ndarray  # per sector: whether it is live in both states
     ends: np.ndarray  # per sector, and one past the end: its row, the count of such sectors before it
     buckets: list[tuple[list[int], int, int, int]]  # per bucket with rows (none empty): (classes with rows, first row, end row, widest)
@@ -540,7 +503,7 @@ class _Pair(NamedTuple):
     def floors(self, rel: float) -> list[float]:
         """Per state, the weight its support lies above: 0 for a prepared state, whose weights are exact, else
         rel times its largest eigenvalue over all sectors (a factorised state keeps clamped roundoff eigenvalues)."""
-        return [0.0 if x.exact else rel * x.top for x in self.spectra]
+        return [0.0 if exact else rel * top for _, top, exact in self.spectra]
 
     def squared(self) -> np.ndarray:
         """The overlap stack squared in place into the s-curve's table |<v_i|w_j>|^2, bucket by bucket:
@@ -553,21 +516,22 @@ class _Pair(NamedTuple):
 
 def _pair(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> _Pair:
     """The pair's rows and overlap stack, one batched Va^T Vb per size class over its sectors live in both states."""
-    states = rho_a, rho_b = _common(rho_a, rho_b)
+    if rho_a.dims != rho_b.dims:
+        raise ValueError(f"dims differ: {rho_a.dims} vs {rho_b.dims}")
     both, classes = rho_a.live & rho_b.live, rho_a.layout.classes
     ends, buckets = np.concatenate(([0], np.cumsum(both))), []
     for bucket in rho_a.layout.buckets:
         if group := [k for k in bucket if ends[classes[k][2]] > ends[classes[k][1]]]:
             (_, a, _), (n, _, b) = classes[group[0]], classes[group[-1]]
             buckets.append((group, int(ends[a]), int(ends[b]), n))
-    spectra = rho_a.factorised(rho_b.live), rho_b.factorised(rho_a.live)
+    spectra = _factorised(rho_a, rho_b.live), _factorised(rho_b, rho_a.live)
     count, width = int(ends[-1]), buckets[-1][3] if buckets else 0
     lam, mu, overlap = np.zeros((count, width)), np.zeros((count, width)), np.zeros((count, width, width))
-    for (n, a, b), (la, va), (lb, vb) in zip(classes, spectra[0].classes, spectra[1].classes):
+    for (n, a, b), (la, va), (lb, vb) in zip(classes, spectra[0][0], spectra[1][0]):
         if ends[b] > ends[a]:  # the class's sectors live in both take rows ends[a] to ends[b]
             (la, va, lb, vb), at = _select(both[a:b], la, va, lb, vb), slice(ends[a], ends[b])
             lam[at, :n], mu[at, :n], overlap[at, :n, :n] = la, lb, va.mT @ vb
-    return _Pair(states, spectra, both, ends, buckets, lam, overlap, mu)
+    return _Pair((rho_a, rho_b), spectra, both, ends, buckets, lam, overlap, mu)
 
 
 def _logs(lam: np.ndarray, mu: np.ndarray) -> list:
@@ -708,9 +672,9 @@ def pair_checks(rho_a: FockDensityMatrix, rho_b: FockDensityMatrix) -> PairCheck
     """Q and s_star (`_chernoff`), the trace distance (`_trace_distance`) and the fidelity (`_fidelity`) of
     one pair in one pass: the only route to each of them.
 
-    Both states go on their common partition once, each is factorised once
-    where the other has weight, and one overlap stack Va^T Vb serves both
-    the fidelity and, squared in place, the s-curve.
+    Each state is factorised once where the other has weight, and one
+    overlap stack Va^T Vb serves both the fidelity and, squared in place,
+    the s-curve.
     """
     p = _pair(rho_a, rho_b)
     fidelity = _fidelity(p)

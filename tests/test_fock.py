@@ -187,12 +187,10 @@ def dense_fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
 
 
 def from_dense(dims: tuple[int, ...], mat: np.ndarray) -> FockDensityMatrix:
-    """The state of a dense matrix on the finest partition whose off-sector entries are exactly zero, tried
-    finest first: the exact charge, then parity, then the whole space."""
-    dims, mat = tuple(dims), np.asarray(mat, dtype=float)
-    gap = fock._charge(dims)[:, None] - fock._charge(dims)
-    modulus = next(k for k in (math.prod(dims), 2, 1) if not mat[gap % k != 0].any())
-    return FockDensityMatrix(dims, modulus=modulus, data=mat[fock._rows_cols(fock._sector_layout(dims, modulus))])
+    """The state of a dense matrix, whose entries off the sectors of its mode count must be exactly zero."""
+    lay, mat = fock._sector_layout(tuple(dims)), np.asarray(mat, dtype=float)
+    assert not mat[lay.sector_of[:, None] != lay.sector_of].any(), "an entry off the sectors"
+    return FockDensityMatrix(dims, data=mat[fock._rows_cols(lay)])
 
 
 @pytest.fixture(scope="module")
@@ -275,19 +273,17 @@ def test_truncation_config_validation():
 
 def test_density_matrix_validation():
     bad = np.zeros((4, 4))
-    bad[0, 1] = 1.0  # not Hermitian
+    bad[0, 2] = 1.0  # not Hermitian
     with pytest.raises(ValueError, match="Hermitian"):
         from_dense((4,), bad)
     with pytest.raises(ValueError, match="trace"):
         from_dense((4,), 2.0 * np.eye(4))
     with pytest.raises(ValueError, match="modes"):
         FockDensityMatrix((2, 2, 2), data=np.eye(8).ravel() / 8.0)
-    # the blocks of dims (4,) mod 4 are four 1 x 1 blocks: 4 entries
-    for size in (3, 5):
-        with pytest.raises(ValueError, match=f"shape \\({size},\\), but the blocks of dims \\(4,\\) mod 4 take 4 entries"):
-            FockDensityMatrix((4,), modulus=4, data=np.full(size, 0.2))
-    with pytest.raises(ValueError, match="modulus must be >= 1, got 0"):
-        FockDensityMatrix((4,), modulus=0, data=np.full(4, 0.25))
+    # the blocks of dims (4,) are the two 2 x 2 parity blocks: 8 entries
+    for size in (7, 9):
+        with pytest.raises(ValueError, match=f"shape \\({size},\\), but the blocks of dims \\(4,\\) take 8 entries"):
+            FockDensityMatrix((4,), data=np.full(size, 0.1))
     with pytest.raises(ValueError, match="dims differ"):
         qcb_fock(from_dense((4,), np.eye(4) / 4.0), from_dense((2, 2), np.eye(4) / 4.0))
 
@@ -366,9 +362,10 @@ def test_loss_at_high_cutoff_matches_the_exact_binomials(eta):
 def test_loss_kernel_stays_finite_up_to_its_cutoff_limit():
     # the scales reach exp(dim/e): finite at a mode-1 cutoff of 1800, refused past it
     for dim in (1800, 1801):
-        top = np.zeros(dim)
-        top[-1] = 1.0
-        rho = FockDensityMatrix((dim,), modulus=dim, data=top)
+        lay = fock._sector_layout((dim,))
+        top = np.zeros(lay.start[-1])
+        top[lay.diag[-1]] = 1.0
+        rho = FockDensityMatrix((dim,), data=top)
         if dim == 1801:
             with pytest.raises(ValueError, match="1800"):
                 apply_loss_kraus(rho, 1e-3)
@@ -713,12 +710,14 @@ def test_verification_covers_the_sampled_domain():
 # the truncation deficit alone is no guide (the first row's deficit is 5e-9
 # at dim 336, where q_fock is still 1.1e-6 low).  The pure rows (beta = 1)
 # keep weight in one input sector, so their size classes have dead members;
-# each sits at the first cutoff of the ladder 16, 21, 27, ... (times 1.25,
-# plus 1) whose q_fock the next one matches to 1e-12 (at the first cutoff
-# within the deficit bound, 336 and 108, the N = 10 rows are 7.4e-12 low and
-# 1.0e-11 high).  The last row is of the two-mode, gamma = 1, mixed kind whose
-# infimum is the s -> 0 limit: the Gaussian qcb reports Q at s = S_EPS
-# instead, 1.9e-7 too high.
+# they and the three mixed rows after them each sit at the first cutoff of
+# the ladder 16, 21, 27, ... (times 1.25, plus 1) whose q_fock the next one
+# matches to 1e-12 (at the first cutoff within the deficit bound, 336 and
+# 108, the N = 10 rows are 7.4e-12 low and 1.0e-11 high).  Those mixed rows
+# are one-mode or two-mode with gamma < 1, whose minimum lies inside (0, 1):
+# they read 2.1e-14, 9.3e-13 and 1.3e-15 off the Gaussian qcb.  The last row
+# is of the two-mode, gamma = 1, mixed kind whose infimum is the s -> 0
+# limit: the Gaussian qcb reports Q at s = S_EPS instead, 1.9e-7 too high.
 PAPER_ENERGY_ROWS = [
     pytest.param(ProbeSpec(1, 10.0, 0.3), 1.0, 800, id="single-N10-beta0.3-Gamma1"),
     pytest.param(ProbeSpec(1, 5.0, 0.5), 0.9, 450, id="single-N5-beta0.5-Gamma0.9"),
@@ -727,6 +726,9 @@ PAPER_ENERGY_ROWS = [
     pytest.param(ProbeSpec(1, 10.0, 1.0), 0.1, 421, id="single-N10-beta1-Gamma0.1"),
     pytest.param(ProbeSpec(2, 5.0, 1.0), 1.0, 68, id="two-mode-N5-beta1-Gamma1"),
     pytest.param(ProbeSpec(2, 10.0, 1.0), 0.1, 136, id="two-mode-N10-beta1-Gamma0.1"),
+    pytest.param(ProbeSpec(1, 5.0, 0.8), 0.3, 336, id="single-N5-beta0.8-Gamma0.3"),
+    pytest.param(ProbeSpec(2, 5.0, 0.5, 0.5), 1.0, 68, id="two-mode-N5-beta0.5-gamma0.5-Gamma1"),
+    pytest.param(ProbeSpec(2, 4.0, 0.8, 0.9), 2.0, 54, id="two-mode-N4-beta0.8-gamma0.9-Gamma2"),
     pytest.param(
         ProbeSpec(2, 4.0, 0.8), 2.0, 80, id="two-mode-N4-beta0.8-Gamma2",
         marks=pytest.mark.xfail(strict=True, reason="qcb stops at s = S_EPS short of the exact s -> 0 end (ROADMAP items 3b and 10)"),
@@ -760,9 +762,8 @@ def cross_check(params, eta: float) -> tuple[float, bool]:
     recover = output_params_single if isinstance(params, S1) else output_params_two
     report = qcb(params, recover(params, LossChannel.from_eta(eta)))
     rho = converged_state(params)
-    out = apply_loss_kraus(rho, eta)
-    q_fock, _ = qcb_fock(rho, out)
-    pe, fid = helstrom_pe_fock(rho, out), fidelity_fock(rho, out)
+    checks = pair_checks(rho, apply_loss_kraus(rho, eta))
+    q_fock, pe, fid = checks.q, checks.helstrom_pe, checks.fidelity
     lower, _, _ = error_bounds(report.q, fid, 1)
     assert lower - CHAIN_SLACK <= pe <= report.q / 2.0 + CHAIN_SLACK
     assert report.q / 2.0 <= math.sqrt(fid) / 2.0 + CHAIN_SLACK
@@ -871,40 +872,14 @@ def test_sector_two_copy_helstrom_matches_dense(params, dim, eta):
 
 
 def test_sectors_follow_the_conserved_charge(single_st, two_mode_st):
-    # parity for single-mode squeezing, n1 - n2 for two-mode squeezing, each
-    # level alone for a diagonal state; loss on mode 1 keeps them all
-    assert single_st.modulus == 2
-    assert apply_loss_kraus(single_st, 0.6).modulus == 2
-    assert two_mode_st.modulus == 32 * 32
-    assert apply_loss_kraus(two_mode_st, 0.6).modulus == 32 * 32
+    # the mode count fixes the sectors: parity for one mode (a diagonal state
+    # too), n1 - n2 for two; loss on mode 1 keeps them
     thermal = fock_squeezed_thermal(S1(0.0, 0.5), TruncationConfig(dim=20))
-    assert thermal.modulus == 20
-    assert apply_loss_kraus(thermal, 0.6).modulus == 20
-
-
-@pytest.mark.bits
-def test_symmetry_breaking_state_matches_dense():
-    # Mixing in (|0> + |1>)(<0| + <1|)/2 breaks parity: one sector, the whole
-    # space, through the same code.
-    dim = 8
-    plus = np.zeros(dim)
-    plus[:2] = 1.0 / math.sqrt(2.0)
-    mat = 0.5 * np.diag(thermal_diagonal(0.5, dim)) + 0.5 * np.outer(plus, plus)
-    rho = from_dense((dim,), mat)
-    assert rho.modulus == 1
-    (vals, _), = rho.spectrum
-    assert np.max(np.abs(vals - dense_spectrum(mat)[0])) < DENSE_TOL
-    squeezed = fock_squeezed_thermal(S1(0.6, 0.2), TruncationConfig(dim=dim, tail_tol=0.5))
-    ref = dense_state(S1(0.6, 0.2), dim)
-    assert abs(fidelity_fock(rho, squeezed) - dense_fidelity(mat, ref)) < DENSE_TOL
-    assert abs(qcb_fock(rho, squeezed)[0] - dense_qcb(mat, ref)) < DENSE_TOL
-    out = apply_loss_kraus(rho, 0.6)
-    assert np.max(np.abs(out.mat - dense_loss(mat, (dim,), 0.6))) < DENSE_TOL
-    first, cm = moments_from_fock(out)
-    ref_first, ref_cm = dense_moments(out.mat, (dim,))
-    assert abs(first[0]) > 0.1
-    assert np.max(np.abs(first - ref_first)) < DENSE_TOL
-    assert np.max(np.abs(cm - ref_cm)) < DENSE_TOL
+    for rho, sectors in ((single_st, 2), (two_mode_st, 2 * 32 - 1), (thermal, 2)):
+        n = np.indices(rho.dims).reshape(len(rho.dims), -1)
+        charge = n[0] % 2 if len(rho.dims) == 1 else n[0] - n[1]
+        assert len(set(zip(rho.layout.sector_of.tolist(), charge.tolist()))) == len(rho.layout.size) == sectors
+        assert np.array_equal(apply_loss_kraus(rho, 0.6).layout.sector_of, rho.layout.sector_of)
 
 
 def test_floors_are_relative_to_the_largest_eigenvalue_overall():
@@ -918,15 +893,14 @@ def test_floors_are_relative_to_the_largest_eigenvalue_overall():
         # the 0.3 found where a has weight
         ([1.0, 0.0], [0.3, 0.7]),
         # a floor that decides Q: relative to a's 0.7, found by the trace
-        # rule where b has no weight, its 5e-13 is no support, so
-        # Tr[P_a rho_b] = 0.01 wins at s = 0; relative to the 0.3 beside it,
-        # it would be, and Q would read 0.023
-        ([0.3 - 5e-13, 5e-13, 0.7], [0.01, 0.99, 0.0]),
+        # rule in the odd sector, where b has no weight, its 5e-13 is no
+        # support, so Tr[P_a rho_b] = 0.01 wins at s = 0; relative to the 0.3
+        # beside it in the even sector, it would be, and Q would read 0.023
+        ([0.3 - 5e-13, 0.7, 5e-13], [0.01, 0.0, 0.99]),
     ]
     for a, b in rows:
         a, b = np.diag(a), np.diag(b)
         rho_a, rho_b = from_dense((len(a),), a), from_dense((len(b),), b)
-        assert rho_a.modulus == rho_b.modulus == len(a)
         q, s_star = qcb_fock(rho_a, rho_b)
         assert s_star == 0.0
         assert abs(q - dense_qcb(a, b)) < DENSE_TOL
@@ -937,9 +911,10 @@ def test_floors_are_relative_to_the_largest_eigenvalue_overall():
 def assert_q_pe_f_match(rho_a, rho_b, ref_a, ref_b, fid, tol=1e-14):
     """q and P_e against the dense route, F against `fid`, in both orders."""
     for a, b, ra, rb in ((rho_a, rho_b, ref_a, ref_b), (rho_b, rho_a, ref_b, ref_a)):
-        assert abs(qcb_fock(a, b)[0] - dense_qcb(ra, rb)) < tol
-        assert abs(helstrom_pe_fock(a, b) - dense_helstrom(ra, rb, 1)) < tol
-        assert abs(fidelity_fock(a, b) - fid) < tol
+        checks = pair_checks(a, b)
+        assert abs(checks.q - dense_qcb(ra, rb)) < tol
+        assert abs(checks.helstrom_pe - dense_helstrom(ra, rb, 1)) < tol
+        assert abs(checks.fidelity - fid) < tol
 
 
 @pytest.mark.bits
@@ -960,11 +935,9 @@ def test_pure_inputs_match_dense(params, dim, eta):
 
 @pytest.mark.bits
 def test_one_sided_dead_sectors_match_dense():
-    # the vacuum is live in one of the `dim` sectors of its level modulus,
-    # the thermal state in all of them
+    # the vacuum is live in the even sector alone, the thermal state in both
     cfg = TruncationConfig(dim=40, tail_tol=DENSE_TRUNCATION)
     vac, thermal = fock_squeezed_thermal(S1(0.0, 0.0), cfg), fock_squeezed_thermal(S1(0.0, 1.0), cfg)
-    assert vac.modulus == thermal.modulus == 40
     assert vac.live.sum() == 1 and thermal.live.all()
     assert_q_pe_f_match(vac, thermal, vac.mat, thermal.mat, float(thermal.diagonal[0]))
 
@@ -972,25 +945,25 @@ def test_one_sided_dead_sectors_match_dense():
 def test_one_sided_sectors_take_their_trace():
     # the squeezed vacuum is live in the even sector only, the thermal state
     # in both, so the odd sector is live in the thermal state alone: it adds
-    # its block's trace, and `spectrum` (every live block) is never built
+    # its block's trace
     a = dense_state(S1(0.5, 0.0), 8)
     b = np.diag(thermal_diagonal(0.2, 8))
     rho_a, rho_b = from_dense((8,), a), from_dense((8,), b)
-    assert (rho_a.modulus, rho_b.modulus) == (2, 8)
+    assert list(rho_a.live) == [True, False] and rho_b.live.all()
     assert abs(helstrom_pe_fock(rho_a, rho_b) - dense_helstrom(a, b, 1)) < 1e-14
-    assert "spectrum" not in rho_a.__dict__ and "spectrum" not in rho_b.__dict__
 
 
 def test_rank_floor_counts_the_sectors_dead_in_the_other_state():
-    # rho_a's largest eigenvalue sits at level 0, where rho_b is dead, so the
-    # only sector live in both holds rho_a's 5e-13: below the floor relative
-    # to rho_a's top (1e-12), above one relative to its own sector's top.
-    # Its support is level 0 alone, so Tr[P_a rho_b] = 0 wins at s = 0 (and
-    # the mirror at s = 1); a sector-local floor would give 0.5.
-    a = np.diag([1.0 - 5e-13, 5e-13, 0.0])
-    b = np.diag([0.0, 0.5, 0.5])
+    # rho_a's largest eigenvalue sits at level 1, the odd sector, where rho_b
+    # is dead, so the only sector live in both, the even one, holds rho_a's
+    # 5e-13: below the floor relative to rho_a's top (1e-12), above one
+    # relative to its own sector's top.  Its support is level 1 alone, so
+    # Tr[P_a rho_b] = 0 wins at s = 0 (and the mirror at s = 1); a
+    # sector-local floor would give 0.5.
+    a = np.diag([5e-13, 1.0 - 5e-13, 0.0])
+    b = np.diag([0.5, 0.0, 0.5])
     rho_a, rho_b = from_dense((3,), a), from_dense((3,), b)
-    assert rho_a.modulus == 3 and list(rho_a.live & rho_b.live) == [False, True, False]
+    assert list(rho_a.live & rho_b.live) == [False, True]  # the odd sector, size 1, comes first
     assert qcb_fock(rho_a, rho_b) == (dense_qcb(a, b), 0.0) == (0.0, 0.0)
     assert qcb_fock(rho_b, rho_a) == (dense_qcb(b, a), 1.0) == (0.0, 1.0)
     assert abs(fidelity_fock(rho_a, rho_b) - dense_fidelity(a, b)) < DENSE_TOL
@@ -1049,13 +1022,12 @@ def test_rebuilt_from_the_dense_view_is_the_same_state(single_st, two_mode_st):
     thermal = fock_squeezed_thermal(S1(0.0, 0.5), TruncationConfig(dim=20))
     for rho in (single_st, two_mode_st, thermal, apply_loss_kraus(two_mode_st, 0.6)):
         again = from_dense(rho.dims, rho.mat)
-        assert again.modulus == rho.modulus
         assert len(again.stacks) == len(rho.stacks)
         assert all(np.array_equal(a, b) for a, b in zip(again.stacks, rho.stacks))
         # a prepared state carries its construction spectrum, so the round
         # trip is compared with the same blocks passed without one
         lossy = apply_loss_kraus(rho, 0.7)
-        from_blocks = FockDensityMatrix(rho.dims, modulus=rho.modulus, data=rho.data)
+        from_blocks = FockDensityMatrix(rho.dims, data=rho.data)
         assert qcb_fock(again, lossy) == qcb_fock(from_blocks, lossy)
 
 
@@ -1179,63 +1151,8 @@ def test_loss_output_is_factorised_where_the_input_has_weight(monkeypatch, name,
         return eigh(x, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    qcb_fock(rho, out), fidelity_fock(rho, out)
+    pair_checks(rho, out)
     assert sum(blocks) == shared.sum() + by_trace.sum(), (blocks, by_trace.sum())
-    assert "spectrum" not in out.__dict__
-
-
-@pytest.mark.bits
-@pytest.mark.parametrize("name", ["tmsv-mid", "squeezed-vac-mid"])
-def test_spectrum_after_a_partial_factorisation_is_the_full_one(name):
-    # the blocks qcb_fock factorised are kept, and `spectrum` adds the rest:
-    # the bits of a fresh state's spectrum, whose blocks are factorised at once
-    rho, out, eta = pure_input_pair(name)
-    qcb_fock(rho, out)
-    fresh = apply_loss_kraus(rho, eta).spectrum
-    assert len(out.spectrum) == len(fresh) == len(out.layout.classes)
-    for (vals, vecs), (ref_vals, ref_vecs) in zip(out.spectrum, fresh):
-        assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
-
-
-def _charge_breaking(dim: int, keep_parity: bool) -> np.ndarray:
-    """Half a hot two-mode squeezed thermal state, half a product state that
-    breaks its charge n1 - n2: single-mode squeezing on both modes keeps the
-    parity, a superposition of 0 and 1 photons on mode 1 breaks it too."""
-    if keep_parity:
-        other = np.kron(dense_state(S1(0.6, 1.0), dim), dense_state(S1(0.4, 0.8), dim))
-    else:
-        plus = np.zeros(dim)
-        plus[:2] = 1.0 / math.sqrt(2.0)
-        mode1 = 0.5 * np.outer(plus, plus) + 0.5 * np.diag(thermal_diagonal(1.0, dim))
-        other = np.kron(mode1, np.diag(thermal_diagonal(0.8, dim)))
-    return 0.5 * dense_state(T2(0.7, 1.5, 1.2), dim) + 0.5 * other
-
-
-@pytest.mark.bits
-@pytest.mark.parametrize("keep_parity,modulus", [(True, 2), (False, 1)], ids=["parity", "whole-space"])
-def test_charge_breaking_two_mode_states_match_dense(keep_parity, modulus):
-    # verify builds two-mode states on the exact charge only; these take the
-    # coarser partitions through the same code
-    dim = 6
-    mat = _charge_breaking(dim, keep_parity)
-    rho = from_dense((dim, dim), mat)
-    out, ref_out = apply_loss_kraus(rho, 0.6), dense_loss(mat, (dim, dim), 0.6)
-    assert rho.modulus == out.modulus == modulus
-    assert np.max(np.abs(out.mat - ref_out)) < DENSE_TOL
-    for state, dense in ((rho, mat), (out, ref_out)):
-        first, cm = moments_from_fock(state)
-        ref_first, ref_cm = dense_moments(dense, state.dims)
-        assert np.max(np.abs(first - ref_first)) < DENSE_TOL
-        assert np.max(np.abs(cm - ref_cm)) < DENSE_TOL
-    assert (abs(moments_from_fock(rho)[0][0]) > 0.1) == (not keep_parity)
-    # a prepared exact-charge state is coarsened to the mixture's partition
-    tmst = fock_squeezed_thermal(T2(0.7, 1.5, 1.2), TruncationConfig(dim=dim, tail_tol=DENSE_TRUNCATION))
-    for (a, b), (ref_a, ref_b) in (((rho, out), (mat, ref_out)), ((tmst, rho), (tmst.mat, mat))):
-        assert abs(qcb_fock(a, b)[0] - dense_qcb(ref_a, ref_b)) < DENSE_TOL
-        assert abs(s_overlap_fock(a, b, 0.3) - dense_s_overlap(ref_a, ref_b, 0.3)) < DENSE_TOL
-        assert abs(fidelity_fock(a, b) - dense_fidelity(ref_a, ref_b)) < DENSE_TOL
-        assert abs(trace_distance_fock(a, b) - dense_trace_distance(ref_a, ref_b)) < DENSE_TOL
-        assert abs(helstrom_pe_fock(a, b) - dense_helstrom(ref_a, ref_b, 1)) < DENSE_TOL
 
 
 def test_two_mode_oracle_memory_at_dim_80():
@@ -1266,10 +1183,10 @@ def test_cached_index_takes_at_most_9_bytes_per_block_entry():
     # int32 maps, and no row and column arrays: where an entry's mirror sits
     # and where the loss gathers it, plus the per-basis and per-sector arrays
     dims = (80, 80)
-    lay = fock._sector_layout(dims, 6400)
-    cached = _index_bytes(list(lay)) + _index_bytes(list(fock._diagonal_map(dims, 6400)))
+    lay = fock._sector_layout(dims)
+    cached = _index_bytes(list(lay)) + _index_bytes(list(fock._diagonal_map(dims)))
     assert cached <= 9 * lay.start[-1], cached / lay.start[-1]
-    assert lay.transpose.dtype == lay.diag.dtype == fock._diagonal_map(dims, 6400)[0].dtype == np.int32
+    assert lay.transpose.dtype == lay.diag.dtype == fock._diagonal_map(dims)[0].dtype == np.int32
     # the rows and columns derived from the sectors are where the entries sit
     rows, cols = fock._rows_cols(lay)
     assert np.array_equal(lay.row_at[rows] + lay.position[cols], np.arange(lay.start[-1]))
@@ -1277,17 +1194,18 @@ def test_cached_index_takes_at_most_9_bytes_per_block_entry():
 
 
 @pytest.mark.parametrize(
-    "build,dims,modulus",
-    [(fock._diagonal_map, (1300, 1300), 1300**2), (fock._sector_layout, (1500, 1500), 1500**2), (fock._sector_layout, (46341,), 1)],
-    ids=["loss-grid", "two-mode-layout", "one-sector"],
+    "build,dims",
+    [(fock._diagonal_map, (1300, 1300)), (fock._sector_layout, (1500, 1500)), (fock._sector_layout, (65537,))],
+    ids=["loss-grid", "two-mode-layout", "one-mode-layout"],
 )
-def test_index_past_int32_raises_before_any_per_entry_array(build, dims, modulus):
-    # 1300^3 and about 2 * 1500^3 / 3 and 46341^2 entries pass 2^31: the
-    # arrays would take gigabytes, the checks read the dims and the sector sizes
+def test_index_past_int32_raises_before_any_per_entry_array(build, dims):
+    # 1300^3 and about 2 * 1500^3 / 3 and 32769^2 + 32768^2 (the parity
+    # blocks) entries pass 2^31: the arrays would take gigabytes, the checks
+    # read the dims and the sector sizes
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="past the 2\\^31"):
-            build(dims, modulus)
+            build(dims)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
