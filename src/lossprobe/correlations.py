@@ -1,19 +1,17 @@
 """Correlation quantifiers for two-mode Gaussian states.
 
 Logarithmic negativity E, Gaussian quantum discord D, and mutual information
-I, all in nats (natural logarithms).  `correlation_report` computes all three
-in one pass over a state in the standard block normal form (diagonal local
-blocks proportional to I2, correlation block proportional to diag(1, -1)),
-which is the form every state in this package lives in: one normal-form
-check, one set of symplectic invariants, one ordinary and one
-partial-transpose spectrum, and one entropy per distinct argument.
-`log_negativity`, `discord` and `mutual_information` read their field of
-that report.
-
-Every quantifier takes one CM or a stack (see `gaussian`), a state getting
-the same bits alone and in any stack.  They stay on the CM spectra rather
-than closed forms in the parameters: figure 6 keeps those routes' roundoff
-in D near zero.
+I, all in nats (natural logarithms), of two-mode squeezed thermal states
+given by their parameters (`SqueezedThermalParamsTwo`, one state or a
+stack; a state gets the same bits alone and in any stack).
+`correlation_report` computes all three in one pass: it builds the
+covariance matrix (CM) with `make_two_mode_st`, in block normal form by
+construction, then takes one set of symplectic invariants, one ordinary and
+one partial-transpose spectrum, and one entropy per distinct argument; the
+CM spectra, not closed forms in the parameters, keep figure 6's roundoff in
+D near zero.  `log_negativity`, `discord` and `mutual_information` read
+their field of that report; `pt_symplectic_eigenvalues` takes a CM, as the
+spectra of the CM layer in `gaussian` do.
 
 The mutual information here carries a global factor 1/2 relative to the
 usual S(A) + S(B) - S(AB); with it, a pure two-mode state has I equal to its
@@ -31,15 +29,15 @@ from .gaussian import (
     PHYSICALITY_TOL,
     VACUUM_NOISE,
     CovarianceMatrix,
+    SqueezedThermalParamsTwo,
     at_least_zero,
     elementwise,
     float_or_array,
+    make_two_mode_st,
     require,
     symplectic_eigenvalues,
     symplectic_invariants,
 )
-
-_FORM_TOL = 1e-9
 
 
 def _vacuum_floor(x):
@@ -85,17 +83,6 @@ def binary_entropy_h(x):
     return float_or_array(hi * elementwise(np.log, hi) - np.where(above, lo * log_lo, 0.0))
 
 
-def _require_normal_form(cm: CovarianceMatrix) -> None:
-    m = cm.mat
-    a, b, c = m[..., 0, 0], m[..., 2, 2], m[..., 0, 2]
-    off = [m[..., 1, 1] - a, m[..., 3, 3] - b, m[..., 1, 3] + c]
-    off += [m[..., i, j] for i, j in ((0, 1), (2, 3), (0, 3), (1, 2))]
-    if np.any(np.max(np.abs(off), axis=0) > _FORM_TOL * np.maximum(abs(a) + abs(b) + abs(c), 1.0)):
-        raise ValueError(
-            "state is not in block normal form (local blocks x I2, correlations x diag(1,-1))"
-        )
-
-
 @dataclass(frozen=True)
 class CorrelationReport:
     """E, D, I (nats) and the smaller partial-transpose eigenvalue; arrays for a stack."""
@@ -106,8 +93,8 @@ class CorrelationReport:
     d_tilde_minus: float
 
 
-def correlation_report(cm: CovarianceMatrix) -> CorrelationReport:
-    """E, D and I of a two-mode state (or stack) in block normal form, in one pass.
+def correlation_report(p: SqueezedThermalParamsTwo) -> CorrelationReport:
+    """E, D and I of a two-mode squeezed thermal state (or stack), in one pass over its CM.
 
     With I1..I3 the local symplectic invariants, d+ >= d- the symplectic
     eigenvalues, d~- the smaller one of the partial transpose and h =
@@ -124,7 +111,9 @@ def correlation_report(cm: CovarianceMatrix) -> CorrelationReport:
 
     Each of the five entropies is computed once and shared by D and I.
     """
-    _require_normal_form(cm)
+    if not isinstance(p, SqueezedThermalParamsTwo):
+        raise TypeError(f"correlations take SqueezedThermalParamsTwo, got {type(p).__name__}")
+    cm = make_two_mode_st(p)
     invariants = symplectic_invariants(cm)
     _, d_tilde_minus = _pt_eigenvalues(invariants)
     i1, i2, i3, _, _, _ = invariants
@@ -145,16 +134,16 @@ def correlation_report(cm: CovarianceMatrix) -> CorrelationReport:
     )
 
 
-def log_negativity(cm: CovarianceMatrix):
+def log_negativity(p: SqueezedThermalParamsTwo):
     """E of `correlation_report`."""
-    return correlation_report(cm).log_negativity
+    return correlation_report(p).log_negativity
 
 
-def discord(cm: CovarianceMatrix):
+def discord(p: SqueezedThermalParamsTwo):
     """D of `correlation_report`."""
-    return correlation_report(cm).discord
+    return correlation_report(p).discord
 
 
-def mutual_information(cm: CovarianceMatrix):
+def mutual_information(p: SqueezedThermalParamsTwo):
     """I of `correlation_report`."""
-    return correlation_report(cm).mutual_information
+    return correlation_report(p).mutual_information

@@ -5,10 +5,10 @@ along the q axis, so the q variance is the large one (a >= b).  They are
 carried as their parameters (squeezing r, thermal occupations n_t), which is
 all the loss channel and the Chernoff bound need (`chernoff` takes even
 the overlap of a pure pair from them).  Covariance matrices (CMs) are built
-only where the matrix itself is needed: the spectra and correlation
-quantifiers; the channel's recovery checks its round trip on the block
-entries of `two_mode_blocks`.  `overlap` is the CM route to Tr[rho_a rho_b],
-kept as the cross-check.
+only where the matrix itself is needed: the spectra, and `correlations`,
+which builds its CMs from the parameters it is given; the channel's
+recovery checks its round trip on the block entries of `two_mode_blocks`.
+`overlap` is the CM route to Tr[rho_a rho_b], kept as the cross-check.
 
 Everything here takes one state or a stack: parameter fields are floats or
 arrays of one shape, a `CovarianceMatrix` holds (..., 2n, 2n) and is

@@ -108,6 +108,37 @@ def recovery_two(p, eta: float) -> tuple[float, float, float]:
         )
 
 
+def _entropy(x: Decimal) -> Decimal:
+    """h(x) = (x + 1/2) ln(x + 1/2) - (x - 1/2) ln(x - 1/2), with 0 ln 0 = 0."""
+    lo = x - HALF
+    return (x + HALF) * (x + HALF).ln() - (lo * lo.ln() if lo > 0 else 0)
+
+
+def correlations(p) -> tuple[float, float, float, float]:
+    """(E, D, I, the sum of the five entropies) of a two-mode squeezed thermal state, in nats.
+
+    With nu_i = n_ti + 1/2 the symplectic eigenvalues and a, b, c the halves
+    of the block entries (a = nu1 cosh^2 r + nu2 sinh^2 r, b the same with
+    nu1 and nu2 swapped, c = (nu1 + nu2) cosh r sinh r):
+    E = max(0, -ln 2 d~-) with d~- = nu1 nu2 / d~+ and d~+ = (a + b)/2 +
+    sqrt(((a - b)/2)^2 + c^2); D = h(b) - h(nu2) + h(w) - h(nu1) with w =
+    a - 2 c^2 / (1 + 2 b) (Adesso & Datta, PRL 105, 030501, 2010, measuring
+    mode 2); I = (h(a) + h(b) - h(nu1) - h(nu2)) / 2, the halved convention.
+    The entropy sum h(a) + h(b) + h(nu1) + h(nu2) + h(w) scales a bound.
+    """
+    with localcontext() as ctx:
+        ctx.prec = PREC
+        nu1, nu2 = Decimal(p.n_t1) + HALF, Decimal(p.n_t2) + HALF
+        ch, sh = _squeeze(Decimal(p.r))
+        a, b, c = nu1 * ch * ch + nu2 * sh * sh, nu1 * sh * sh + nu2 * ch * ch, (nu1 + nu2) * ch * sh
+        d_plus = (a + b) / 2 + (((a - b) / 2) ** 2 + c * c).sqrt()
+        e = max(Decimal(0), -(2 * nu1 * nu2 / d_plus).ln())
+        h_a, h_b, h_1, h_2 = (_entropy(x) for x in (a, b, nu1, nu2))
+        h_w = _entropy(a - 2 * c * c / (1 + 2 * b))
+        d = h_b - h_2 + h_w - h_1
+        return float(e), float(d), float((h_a + h_b - h_1 - h_2) / 2), float(h_a + h_b + h_1 + h_2 + h_w)
+
+
 def pe_lower(f: float, m: int) -> float:
     """The fidelity lower bound (1 - sqrt(1 - F^M)) / 2 on the M-copy error."""
     with localcontext() as ctx:

@@ -31,7 +31,6 @@ from scipy.stats import spearmanr
 from lossprobe.channel import LossChannel
 from lossprobe.cli import main
 from lossprobe.correlations import correlation_report
-from lossprobe.gaussian import make_two_mode_st
 from lossprobe.probes import (
     ProbeSpec,
     critical_transmissivity,
@@ -211,8 +210,7 @@ def test_criterion_08_correlations_track_gain():
 
     def report(n, beta):
         """E, D and I of the stack of probes at energies n and squeezing fraction(s) beta, as lists."""
-        cms = make_two_mode_st(params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=GAMMA_BAR)))
-        r = correlation_report(cms)
+        r = correlation_report(params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=GAMMA_BAR)))
         return r.log_negativity.tolist(), r.discord.tolist(), r.mutual_information.tolist()
 
     for beta in (0.1, 0.9):

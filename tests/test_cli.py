@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -594,6 +595,42 @@ def test_figure_gnuplot_companion(tmp_path, capsys):
     assert "figure3.csv" in script
 
 
+def _using_fields(spec: str) -> list[str]:
+    """The fields of a gnuplot `using` spec, split at the colons outside parentheses."""
+    fields, depth = [""], 0
+    for ch in spec:
+        depth += (ch == "(") - (ch == ")")
+        if ch == ":" and depth == 0:
+            fields.append("")
+        else:
+            fields[-1] += ch
+    return fields
+
+
+@pytest.mark.parametrize("figure", [2, 3, 4, 5, 6])
+def test_gnuplot_reads_only_columns_its_file_has(figure, tmp_path, capsys):
+    # every column a plot references (a bare field number, $k or columnhead(k))
+    # is in the header of the file it plots; figure 6 plots deltaQ against the
+    # column its title names
+    argv = ["figure", str(figure), "--points", "3", "--samples", "4", "--outdir", str(tmp_path), "--gnuplot"]
+    assert run(argv, capsys)[0] == 0
+    script = (tmp_path / f"figure{figure}.gp").read_text()
+    plots = re.findall(r"^f = '(.+?)'\n(.*?)\npause -1$", script, flags=re.M | re.S)
+    assert sorted(name for name, _ in plots) == sorted(p.name for p in tmp_path.glob("*.csv"))
+    for name, plot in plots:
+        lines = (tmp_path / name).read_text().splitlines()
+        header = next(line for line in lines if not line.startswith("#")).split(",")
+        used = [int(k) for k in re.findall(r"columnhead\((\d+)\)", plot)]
+        for clause in re.split(r"\busing ", plot)[1:]:
+            fields = _using_fields(clause.split(" with ")[0])
+            used += [int(f) if f.isdigit() else int(k) for f in fields for k in re.findall(r"\$(\d+)", f) or [f]]
+            if figure == 6:
+                x, y = (int(f) for f in fields)
+                title = re.search(r'title "vs (\w+)"', clause)
+                assert header[y - 1] == "deltaQ" and title and title[1] == header[x - 1], (name, clause)
+        assert used and all(1 <= k <= len(header) for k in used), (name, plot)
+
+
 def test_figure_validation(tmp_path, capsys):
     assert run(["figure", "7"], capsys)[0] == 2
     assert run(["figure", "3", "--points", "1"], capsys)[0] == 2
@@ -795,7 +832,7 @@ def test_figure6_stack_equals_one_call_per_file(tmp_path, capsys):
     from lossprobe import cli
     from lossprobe.channel import LossChannel
     from lossprobe.correlations import correlation_report, discord, log_negativity
-    from lossprobe.probes import delta_q_gamma, random_probes
+    from lossprobe.probes import ProbeSpec, delta_q_gamma, params_from_spec, random_probes
 
     points, samples, seed, bar = 5, 7, 3, cli.GAMMA_BAR
     code, _, _ = run(["figure", "6", "--points", str(points), "--samples", str(samples),
@@ -807,9 +844,12 @@ def test_figure6_stack_equals_one_call_per_file(tmp_path, capsys):
     def write(name, params, columns, *data):
         cli._write_csv(str(ref / name), columns, data, cli._meta_lines("figure 6", params))
 
+    def inputs(n, beta):
+        return params_from_spec(ProbeSpec(modes=2, n=n, beta=beta, gamma=bar))
+
     ns = np.linspace(5.0 / points, 5.0, points)
     for beta in (0.1, 0.9):
-        rep = correlation_report(cli._input_cms(ns, beta))
+        rep = correlation_report(inputs(ns, beta))
         for g in (0.9, 0.5, 0.1):
             write(f"figure6_curves_beta{beta:g}_Gamma{g:g}.csv",
                   {"beta": beta, "Gamma": g, "gamma-bar": bar, "points": points}, ["N", "E", "D", "I", "deltaQ"],
@@ -818,12 +858,12 @@ def test_figure6_stack_equals_one_call_per_file(tmp_path, capsys):
     n_col = np.repeat(ns, points)
     b_col = np.tile(np.linspace(0.0, 1.0, points), points)
     for g in (0.2, 0.8):
-        cms = cli._input_cms(n_col, b_col)
+        p = inputs(n_col, b_col)
         write(f"figure6_density_Gamma{g:g}.csv", {"Gamma": g, "gamma-bar": bar, "points": points},
-              ["N", "beta", "D", "E", "deltaQ"], n_col, b_col, discord(cms), log_negativity(cms),
+              ["N", "beta", "D", "E", "deltaQ"], n_col, b_col, discord(p), log_negativity(p),
               delta_q_gamma(n_col, b_col, bar, LossChannel.from_gamma(g)))
     n_col, b_col, g_col = random_probes(samples, seed, stream=1)
-    rep = correlation_report(cli._input_cms(n_col, b_col))
+    rep = correlation_report(inputs(n_col, b_col))
     write("figure6_scatter.csv", {"samples": samples, "seed": seed, "gamma-bar": bar},
           ["N", "beta", "Gamma", "E", "D", "I", "deltaQ"], n_col, b_col, g_col,
           rep.log_negativity, rep.discord, rep.mutual_information,

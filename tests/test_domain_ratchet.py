@@ -16,7 +16,6 @@ import numpy as np
 
 from lossprobe.channel import LossChannel, output_params_two
 from lossprobe.correlations import correlation_report
-from lossprobe.gaussian import make_two_mode_st
 from lossprobe.probes import ProbeSpec, params_from_spec
 
 
@@ -69,10 +68,9 @@ def test_recovery_failures_stay_within_their_mask():
 
 
 def test_correlation_failures_stay_within_their_mask():
-    # E, D and I of the input CM at large N: sqrt and log of cancelled
+    # E, D and I of the input state at large N: sqrt and log of cancelled
     # differences, and discord below its roundoff floor at beta = 0
     inputs = list(itertools.product(np.logspace(4, 12, 50).tolist(), (0.0, 0.2, 0.5, 0.8, 0.99, 1.0),
                                     (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)))
     assert len(inputs) == 1800
-    assert_within(inputs, lambda n, beta, gamma: correlation_report(make_two_mode_st(two_mode_probe(n, beta, gamma))),
-                  CORRELATIONS_MASK)
+    assert_within(inputs, lambda n, beta, gamma: correlation_report(two_mode_probe(n, beta, gamma)), CORRELATIONS_MASK)
