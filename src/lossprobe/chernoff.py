@@ -56,15 +56,18 @@ N = 1e6.
 Array semantics.  q_s is elementwise and broadcasts, and a scalar input
 gives a float; it reads the mode count from the states, so one function
 serves both.  States enter as parameters (one state or a stack, see
-`gaussian`) or as the lanes of `stack_pair`.  `qcb` takes two
-states or two stacks of one mode count whose shapes broadcast, and
-`_qcb_pairs` any number of such pairs, of either mode count: the pure
-lanes take the overlap straight from the parameters (`_overlap`, no
-covariance matrix), and the mixed lanes of all pairs share one lane-wise
-golden section (`minimize_scalar_golden`), one call of Q_s per pair per
-step, each lane freezing once its own bracket is at most S_TOL.  A single
-probe is a one-lane stack, so a lane's q and s* are the same bits alone
-and in a stack, and a one-state call returns floats, converted at the
+`gaussian`) or as the lanes of `stack_pairs`, pairs of both mode counts:
+the powers, G_s and Lambda_s run once over all their bases, only the
+determinant tail per mode count.  `qcb` takes two states or two stacks of
+one mode count whose shapes broadcast, and `_qcb_pairs` any number of such
+pairs, of either mode count: the pure lanes take the overlap straight from
+the parameters (`_overlap`, no covariance matrix), and the mixed lanes of
+all pairs form one stack, which takes a lane-wise golden section
+(`minimize_scalar_golden`) per block of _BLOCK_LANES lanes, so its memory
+is bounded at any size: one call of Q_s per block per step, each lane
+freezing once its own bracket is at most S_TOL.  A single probe is a
+one-lane stack, so a lane's q and s* are the same bits alone and in any
+stack or block, and a one-state call returns floats, converted at the
 return.  The powers and the other transcendentals come from numpy's array
 loops, which give a lane the same bits alone and in a stack.
 
@@ -82,6 +85,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -101,32 +105,36 @@ S_EPS = 1e-6
 S_TOL = 1e-10
 _GRID_POINTS = 21
 # lane-points per call of f on the seeding grid, or one grid point per call when the lanes are more: it bounds
-# the grid's temporaries; the grid is elementwise, so the size changes no bit
-_GRID_CHUNK = 2**13
+# the grid's temporaries (Q_s raises up to 8 bases per lane-point); the grid is elementwise, so the size changes no bit
+_GRID_CHUNK = 2**12
+# lanes per golden section in `_qcb_pairs`: it bounds the memory of a stack of any size; a lane takes its own
+# steps, so the size changes no bit
+_BLOCK_LANES = 2**13
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 Params = SqueezedThermalParamsSingle | SqueezedThermalParamsTwo
 
 
 def _g_lambda(xs, us):
-    """(G_s(x), Lambda_s(x)) from the powers xs = x^s and us = (x + 1)^s."""
-    g = 1.0 / (us - xs)
-    return g, xs * g
+    """(G_s(x), Lambda_s(x)) from the powers xs = x^s and us = (x + 1)^s, written over them if arrays."""
+    out = (us, xs) if isinstance(us, np.ndarray) else (None, None)
+    g = np.divide(1.0, np.subtract(us, xs, out=out[0]), out=out[0])
+    return g, np.multiply(xs, g, out=out[1])
 
 
 class PairLanes(NamedTuple):
-    """Pairs of squeezed thermal states of one mode count, one pair per lane.
+    """Pairs of squeezed thermal states of either mode count, one pair per lane, the one-mode lanes first.
 
-    `bases_a` and `bases_b` hold each state's occupations, then the
-    occupations plus one, on the first axis (the lanes follow), so its powers
-    come from one call.  `sinh2` is the pair's s-free factor of the
-    determinant sum S, sinh^2 D with D = r_b - r_a for either mode count,
-    from numpy's sinh (`elementwise`).
+    `bases[0]` holds the occupations of each pair's state a, then of its state b, on the first axis;
+    on the second, the one-mode lanes' occupations, then the two-mode lanes' first modes, then their
+    second modes.  `bases[1]` holds them plus one, so all the powers of a step come from one call.
+    `ones` counts the one-mode lanes.  `sinh2` is each pair's s-free factor of the determinant sum S,
+    sinh^2 D with D = r_b - r_a for either mode count, from numpy's sinh (`elementwise`).
     """
 
-    bases_a: np.ndarray
-    bases_b: np.ndarray
-    sinh2: np.ndarray | float
+    bases: np.ndarray
+    sinh2: np.ndarray
+    ones: int
 
 
 def _sinh2(pa: Params, pb: Params):
@@ -141,11 +149,18 @@ def _require_pair(pa: Params, pb: Params) -> None:
         raise TypeError(f"unsupported parameter type {type(pa).__name__}")
 
 
-def stack_pair(pa: Params, pb: Params) -> PairLanes:
-    """Lanes of one pair (0-d lanes, a plain float sinh2) or of two stacks whose shapes broadcast."""
-    _require_pair(pa, pb)
-    bases = (list(p.fields()[1:]) for p in (pa, pb))
-    return PairLanes(*(np.array(b + [n + 1.0 for n in b], dtype=float) for b in bases), _sinh2(pa, pb))
+def _flat(p: Params, shape) -> Params:
+    return p._of([np.broadcast_to(v, shape).ravel() for v in p.fields()])
+
+
+def stack_pairs(pairs: list) -> PairLanes:
+    """The lanes of flat pairs (pa, pb) laid end to end, the one-mode pairs first."""
+    occupations = [[pair[i].fields()[1:] for pair in pairs] for i in (0, 1)]
+    # state a's first modes, then its second modes (of the two-mode lanes), then state b's
+    n = np.concatenate([ns[mode] for state in occupations for mode in (0, 1) for ns in state if mode < len(ns)])
+    n = np.stack((n, n + 1.0)).reshape(2, 2, -1)
+    ones = sum(len(pa.r) for pa, _ in pairs if type(pa) is SqueezedThermalParamsSingle)
+    return PairLanes(n, np.concatenate([_sinh2(pa, pb) for pa, pb in pairs]), ones)
 
 
 def _q(g, wa, wb, s2):
@@ -161,7 +176,7 @@ def minimize_scalar_golden(f, lo, hi, tol: float, grid_points: int = _GRID_POINT
     lo and hi are floats or arrays, one entry per lane.  f maps an array of
     abscissae, the lanes on its last axes, to an array of values of the same
     shape.  A grid of `grid_points`, evaluated in groups of points with at
-    most 2^13 lane-points per call of f (one grid point per call when the
+    most 2^12 lane-points per call of f (one grid point per call when the
     lanes alone are more), locates the best bracket; golden section
     tightens it to width tol with one call of f per step for all lanes; the
     bracket midpoint is then compared with the two endpoints
@@ -207,21 +222,32 @@ def q_s(pa, pb, s):
     """Q_s for pairs of squeezed thermal states of either mode count, elementwise.
 
     pa and pb are parameters whose lanes broadcast against s, or pa is the
-    `PairLanes` of a pair and pb is None.  The mode count comes from the
-    states: G_s is multiplied over every mode of both, in order, so a
-    one-mode pair gives G_s(n_a) G_(1-s)(n_b) and a two-mode pair the
-    product of four.
+    `PairLanes` of pairs of both mode counts, the lanes on the last axis of
+    s, and pb is None.  The mode count comes from the states: G_s is
+    multiplied over every mode of both, in order, so a one-mode pair gives
+    G_s(n_a) G_(1-s)(n_b) and a two-mode pair the product of four.  The
+    powers, G_s and Lambda_s run once over the bases of every lane; only the
+    determinant tail runs on each mode count's lanes.
     """
-    lanes = pa if pb is None else stack_pair(pa, pb)
-    s = np.asarray(s, dtype=float)
+    s, shape = np.asarray(s, dtype=float), None
+    if pb is not None:  # one pair's lanes, flat, broadcast against s
+        _require_pair(pa, pb)
+        shape = np.broadcast_shapes(pa.shape, pb.shape, s.shape)
+        pa, s = stack_pairs([(_flat(pa, shape), _flat(pb, shape))]), np.broadcast_to(s, shape).ravel()
     require((0.0 < s) & (s < 1.0), "exponent must be in (0, 1), got {}", s)
-    # numpy's array loop raises the bases, the base index first, then the lanes broadcast against e
-    powers = (bases.reshape(bases.shape[:1] + (1,) * max(e.ndim - bases.ndim + 1, 0) + bases.shape[1:]) ** e
-              for bases, e in ((lanes.bases_a, s), (lanes.bases_b, 1.0 - s)))
-    (ga, wa), (gb, wb) = (_g_lambda(p[: len(p) // 2], p[len(p) // 2 :]) for p in powers)
-    wa += 0.5  # Lambda + 1/2 in place: copies alive beside _q's temporaries raise the peak memory
-    wb += 0.5
-    return float_or_array(_q(reduce(np.multiply, [*ga, *gb]), wa, wb, lanes.sinh2))
+    m, lanes, t = pa.ones, s.shape[-1], 1.0 - s
+    # the exponent of each of the bases' modes: state a's, then state b's, on the last two axes
+    e = np.concatenate((s, s[..., m:], t, t[..., m:]), -1).reshape(s.shape[:-1] + (2, -1))
+    # numpy's array loop raises the bases, x then x + 1, each against e
+    xs, us = pa.bases.reshape((2,) + (1,) * (s.ndim - 1) + (2, -1)) ** e
+    g, w = _g_lambda(xs, us)  # over the powers in place, as is Lambda + 1/2: fresh arrays of a grid call page-fault
+    w += 0.5
+    q = []
+    for cuts in ((slice(0, m),), (slice(m, lanes), slice(lanes, None))):  # the one-mode lanes' mode, the two-mode's two
+        ga, gb, wa, wb = ([x[..., k, c] for c in cuts] for x in (g, w) for k in (0, 1))
+        q.append(_q(reduce(np.multiply, ga + gb), wa, wb, pa.sinh2[cuts[0]]))
+    q = np.concatenate(q, -1)
+    return float_or_array(q if shape is None else q.reshape(shape))
 
 
 q_s_single = q_s_two = q_s  # not called here: perfbench/tracing.py wraps both names as the chernoff.qs layer
@@ -293,18 +319,20 @@ def _is_pure(p: Params) -> np.ndarray:
 
 
 def _qcb_pairs(pairs: list, copies: int = 1) -> list[DiscriminationReport]:
-    """The `qcb` report and checks of each pair (pa, pb), of either mode count, from one golden section.
+    """The `qcb` report and checks of each pair (pa, pb), of either mode count, from one lane stack.
 
-    Its f evaluates each pair's mixed lanes on their slice of the last axis.  A lane takes its own
-    steps, so its q and s* are the same bits here, in its pair's `qcb` call and alone.
+    The mixed lanes of every pair, the one-mode pairs' first, form one stack, which takes its golden
+    sections in blocks of _BLOCK_LANES lanes, one call of Q_s per block per step, so the memory does not
+    grow with the lanes.  A lane takes its own steps, so its q and s* are the same bits here, in its
+    pair's `qcb` call and alone.
     """
     if copies < 1:
         raise ValueError(f"copy count must be >= 1, got {copies}")
-    stacks, mixed, end = [], [], 0
+    stacks, mixed = [], []
     for pa, pb in pairs:
         _require_pair(pa, pb)
         shape = np.broadcast_shapes(pa.shape, pb.shape)
-        pa, pb = (p._of([np.broadcast_to(v, shape).ravel() for v in p.fields()]) for p in (pa, pb))
+        pa, pb = _flat(pa, shape), _flat(pb, shape)
         size = math.prod(shape)
         q, s_star, fid = np.empty(size), np.empty(size), np.full(size, np.nan)
         pure_a = _is_pure(pa)
@@ -313,18 +341,24 @@ def _qcb_pairs(pairs: list, copies: int = 1) -> list[DiscriminationReport]:
             q[pure] = fid[pure] = _overlap(pa.take(pure), pb.take(pure))
             s_star[pure] = np.where(pure_a[pure], 0.0, 1.0)
         mix = ~pure
-        start, end = end, end + np.count_nonzero(mix)
-        if end > start:
-            mixed.append((stack_pair(pa.take(mix), pb.take(mix)), start, end))
-        stacks.append((shape, mix, slice(start, end), q, s_star, fid))
-    if mixed:
-        f = lambda s: np.concatenate([q_s(lanes, None, s[..., i:j]) for lanes, i, j in mixed], -1)  # noqa: E731
-        s_m, q_m = minimize_scalar_golden(f, np.full(end, S_EPS), 1.0 - S_EPS, S_TOL)
-        q_m = np.where(1.0 < q_m, 1.0, q_m)  # min(q, 1.0) as Python takes it
-    reports = []
-    for shape, mix, at, q, s_star, fid in stacks:
         if mix.any():
-            q[mix], s_star[mix] = q_m[at], s_m[at]
+            mixed.append((len(stacks), pa.take(mix), pb.take(mix)))
+        stacks.append((shape, mix, q, s_star, fid))
+    mixed.sort(key=lambda m: type(m[1]) is not SqueezedThermalParamsSingle)  # the one-mode pairs first
+    ends = [0, *accumulate(len(pa.r) for _, pa, _ in mixed)]
+    s_m, q_m = np.empty(ends[-1]), np.empty(ends[-1])
+    for i in range(0, ends[-1], _BLOCK_LANES):
+        j = min(i + _BLOCK_LANES, ends[-1])
+        lanes = stack_pairs([tuple(p.take(slice(*np.clip((i, j), start, end) - start)) for p in pair)
+                             for (_, *pair), start, end in zip(mixed, ends, ends[1:])])
+        s_m[i:j], q_m[i:j] = minimize_scalar_golden(lambda s: q_s(lanes, None, s), np.full(j - i, S_EPS),
+                                                    1.0 - S_EPS, S_TOL)
+    for (k, _, _), start, end in zip(mixed, ends, ends[1:]):
+        _, mix, q, s_star, _ = stacks[k]
+        q[mix] = np.where(1.0 < q_m[start:end], 1.0, q_m[start:end])  # min(q, 1.0) as Python takes it
+        s_star[mix] = s_m[start:end]
+    reports = []
+    for shape, _, q, s_star, fid in stacks:
         q, s_star, fid = (x.reshape(shape) for x in (q, s_star, fid))
         if not shape:
             q, s_star, fid = float(q), float(s_star), None if np.isnan(fid) else float(fid)
@@ -342,10 +376,11 @@ def qcb(pa: Params, pb: Params, copies: int = 1) -> DiscriminationReport:
     the infimum sits at the boundary, where Q equals Tr[rho_a rho_b], which
     is also the fidelity (one state is pure) and gives the fidelity bounds.
     The pure lanes take the overlap from the parameters, with no covariance
-    matrix (`_overlap`); all other lanes share one golden section over s in
-    [1e-6, 1 - 1e-6] to 1e-10.  A Q or fidelity outside [0, 1] (NaN
-    included) or a copy count that is not an integer raises here, though the
-    report computes its error bounds only when they are read.  This is the
-    one-pair case of `_qcb_pairs`, which takes several pairs.
+    matrix (`_overlap`); all other lanes take a golden section over s in
+    [1e-6, 1 - 1e-6] to 1e-10, one per block of lanes.  A Q or fidelity
+    outside [0, 1] (NaN included) or a copy count that is not an integer
+    raises here, though the report computes its error bounds only when they
+    are read.  This is the one-pair case of `_qcb_pairs`, which takes
+    several pairs.
     """
     return _qcb_pairs([(pa, pb)], copies)[0]

@@ -26,12 +26,12 @@ back to the working directory.
 A figure command stacks the rows of all its files, with Gamma (and, for
 figure 5, the thermal split) a float column like N and beta, and makes one
 call per quantity for the whole stack against one channel stack: figures 4
-to 6 one `delta_q_gamma`, whose Q1 and Q2 rows share one golden section,
-and figure 6 one `correlation_report` on its inputs' parameters (no
-covariance matrix is built here).  It takes the results apart into its
-files by the leading axis, or by `_stack`'s cuts and np.split.  A row gets
-the same bits alone and in any stack, so each file is byte-identical to
-computing it on its own.
+to 6 one `delta_q_gamma`, whose Q1 and Q2 rows are one lane stack with one
+golden section per block of lanes, and figure 6 one `correlation_report`
+on its inputs' parameters (no covariance matrix is built here).  It takes
+the results apart into its files by the leading axis, or by `_stack`'s
+cuts and np.split.  A row gets the same bits alone and in any stack, so
+each file is byte-identical to computing it on its own.
 """
 
 from __future__ import annotations

@@ -24,9 +24,9 @@ Array semantics.  q1, q2, delta_q and delta_q_gamma are elementwise over N,
 beta, the two-mode split gamma and the channel, a LossChannel or a stack
 of them, which all broadcast.  All rows form one stack: one ProbeSpec
 validates them, `params_from_spec` and the channel's recovery run on
-arrays, and one Chernoff call serves them, whose mixed rows share one
-lane-wise golden section over s, for both mode counts in delta_q and
-delta_q_gamma.  A single row is a one-lane stack that gives a float, with
+arrays, and one Chernoff call serves them, whose mixed rows form one lane
+stack with a lane-wise golden section over s per block of lanes, for both
+mode counts in delta_q and delta_q_gamma.  A single row is a one-lane stack that gives a float, with
 the same bits as in any batch, so a caller may stack rows of unrelated
 channels and splits into one call, as the CLI's figures do.  random_probes
 and random_sweep return columns, one float64 array per quantity, and

@@ -549,6 +549,37 @@ def test_lane_keeps_its_bits_in_a_joint_call():
     assert joint[1].fidelity is None and 0.0 < joint[1].s_star < 1.0 and joint[3].s_star == 1.0
 
 
+@pytest.mark.bits
+def test_lane_keeps_its_bits_across_lane_blocks(monkeypatch):
+    # a two-mode and a one-mode pair of 50 lanes each: the stack puts the
+    # one-mode lanes first, and in blocks of 16 the block [48, 64) holds both
+    # mode counts; each lane has its bits alone, in its pair's qcb call and
+    # in the joint stack
+    n, beta, gamma_ch = random_probes(50, seed=37)
+    ch = LossChannel.from_gamma(gamma_ch)
+    pairs = []
+    for modes, recover in ((2, output_params_two), (1, output_params_single)):
+        p_in = params_from_spec(ProbeSpec(modes=modes, n=n, beta=beta, gamma=0.999 if modes == 2 else None))
+        pairs.append((p_in, recover(p_in, ch)))
+    blocks, original = [], chernoff.stack_pairs
+
+    def recorded(block):
+        blocks.append(original(block))
+        return blocks[-1]
+
+    monkeypatch.setattr(chernoff, "_BLOCK_LANES", 16)
+    monkeypatch.setattr(chernoff, "stack_pairs", recorded)
+    joint = _qcb_pairs(pairs)
+    assert [(lanes.ones, lanes.sinh2.size) for lanes in blocks] == [(16, 16)] * 3 + [(2, 16)] + [(0, 16)] * 2 + [(0, 4)]
+    for (pa, pb), report in zip(pairs, joint):
+        assert np.isnan(report.fidelity).all()  # every lane takes the golden section
+        own = qcb(pa, pb)
+        for k in range(50):
+            alone = qcb(pa.row(k), pb.row(k))
+            bits = [np.array([r.q[k], r.s_star[k]]).view(np.uint64).tolist() for r in (report, own)]
+            assert bits == [np.array([alone.q, alone.s_star]).view(np.uint64).tolist()] * 2, k
+
+
 def test_joint_call_checks_every_pair():
     with pytest.raises(TypeError, match="mode mismatch"):
         _qcb_pairs([(VACUUM, THERMAL1), (THERMAL1, SqueezedThermalParamsTwo(0.2, 0.5, 0.1))])

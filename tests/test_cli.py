@@ -714,19 +714,53 @@ def test_random_draws_load_no_numpy_random(tmp_path):
 
 
 def test_figure4_minimizes_once_per_batch(tmp_path, monkeypatch, capsys):
-    # the command's Q1 and Q2 rows share one golden section, so the Q_s
-    # evaluations are two per step (one per mode count), not 68 per grid point
-    calls = []
-    original = lossprobe.chernoff.q_s
+    # the command's Q1 and Q2 rows are one lane stack, so each call of the
+    # golden section's f is one Q_s call for both mode counts (two before),
+    # not 68 per grid point: 11 grid calls of at most 2 points, the first
+    # pair, 44 steps and the midpoint
+    from lossprobe import chernoff
+
+    calls, steps = [], []
+    original_q_s, original_golden = chernoff.q_s, chernoff.minimize_scalar_golden
 
     def counted(*args):
         calls.append(1)
-        return original(*args)
+        return original_q_s(*args)
 
-    monkeypatch.setattr(lossprobe.chernoff, "q_s", counted)
+    def golden(f, *args, **kwargs):
+        return original_golden(lambda s: steps.append(1) or f(s), *args, **kwargs)
+
+    monkeypatch.setattr(chernoff, "q_s", counted)
+    monkeypatch.setattr(chernoff, "minimize_scalar_golden", golden)
     code, _, _ = run(["figure", "4", "--points", "20", "--outdir", str(tmp_path)], capsys)
     assert code == 0
-    assert 0 < len(calls) <= 300, len(calls)
+    assert len(calls) == len(steps) == 57, (len(calls), len(steps))
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("argv", [["figure", "4", "--points", "20"],
+                                  ["figure", "6", "--points", "4", "--samples", "20"]])
+def test_figure_bytes_do_not_depend_on_the_lane_block(argv, tmp_path, monkeypatch, capsys):
+    # blocks of 64 lanes, one of which holds one- and two-mode lanes, give the
+    # bytes of the default blocks (one block for these commands)
+    from lossprobe import chernoff
+
+    blocks, original = [], chernoff.stack_pairs
+
+    def recorded(pairs):
+        blocks.append(original(pairs))
+        return blocks[-1]
+
+    monkeypatch.setattr(chernoff, "stack_pairs", recorded)
+    assert run([*argv, "--outdir", str(tmp_path / "default")], capsys)[0] == 0
+    assert len(blocks) == 1
+    monkeypatch.setattr(chernoff, "_BLOCK_LANES", 64)
+    assert run([*argv, "--outdir", str(tmp_path / "small")], capsys)[0] == 0
+    assert any(0 < lanes.ones < lanes.sinh2.size for lanes in blocks[1:]) and len(blocks) > 2
+    names = sorted(p.name for p in (tmp_path / "default").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "small").iterdir()) and names
+    for name in names:
+        assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "small" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize(
@@ -812,7 +846,8 @@ def test_pure_lanes_build_no_covariance_matrix(argv, validations, tmp_path, monk
 )
 def test_command_makes_one_golden_section(argv, tmp_path, monkeypatch, capsys):
     # every Q1 and Q2 row of the command is one lane of one minimisation over
-    # s, not one per mode count (two) or per file (figure 6 made 18)
+    # s per block of lanes, not one per mode count (two) or per file (figure
+    # 6 made 18); these commands' lanes fit in one block
     calls = []
     original = lossprobe.chernoff.minimize_scalar_golden
 

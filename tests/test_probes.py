@@ -369,8 +369,8 @@ def test_nan_lane_raises_in_the_joint_gap_call_as_alone(monkeypatch):
 
     def nan_lane(lanes, pb, s):
         q = original(lanes, pb, s)
-        one_mode = len(lanes.bases_a) == 2  # a one-mode state's bases are n and n + 1
-        return np.where(one_mode & (np.arange(q.shape[-1]) == 1), np.nan, q)
+        # the stack's one-mode lanes come first, lanes.ones of them
+        return np.where((1 < lanes.ones) & (np.arange(q.shape[-1]) == 1), np.nan, q)
 
     monkeypatch.setattr(chernoff, "q_s", nan_lane)
     n, beta, ch = np.array([1.0, 2.0, 3.0]), 0.5, LossChannel.from_gamma(0.5)
