@@ -16,7 +16,7 @@ with W(x) = (x + 1/2) I2 per mode in the vacuum = 1/2 normalization used
 throughout.  The identity Lambda_s(t) + Lambda_(1-s)(t) + 1 =
 G_s(t) G_(1-s)(t) makes Q_s = 1 for identical states.  The overlap
 Tr[rho_A rho_B] = 1 / sqrt(det(sigma_A + sigma_B)) is the same quotient with
-weights w = n_t + 1/2 and numerator 1, so one sum S (`_q`) serves both
+weights w = n_t + 1/2 and numerator 1, so one sum S (`_det_sum`) serves both
 quantities and both mode counts, from the weights of each state and the
 s-free factor sinh^2 D of the pair, D = r_b - r_a:
 
@@ -57,8 +57,10 @@ Array semantics.  q_s is elementwise and broadcasts, and a scalar input
 gives a float; it reads the mode count from the states, so one function
 serves both.  States enter as parameters (one state or a stack, see
 `gaussian`) or as the lanes of `stack_pairs`, pairs of both mode counts:
-the powers, G_s and Lambda_s run once over all their bases, only the
-determinant tail per mode count.  `qcb` takes two states or two stacks of
+the powers, G_s and Lambda_s run once over all their bases, and the
+determinant tail once over all the lanes, into a lane-sized array of its
+own (a one-mode lane's mode stands in for its second in S, as in
+`_overlap`).  `qcb` takes two states or two stacks of
 one mode count whose shapes broadcast, and `_qcb_pairs` any number of such
 pairs, of either mode count: the pure lanes take the overlap straight from
 the parameters (`_overlap`, no covariance matrix), and the mixed lanes of
@@ -84,7 +86,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -163,11 +165,9 @@ def stack_pairs(pairs: list) -> PairLanes:
     return PairLanes(n, np.concatenate([_sinh2(pa, pb) for pa, pb in pairs]), ones)
 
 
-def _q(g, wa, wb, s2):
-    """g S^(-m/2) of an m-mode pair with weights wa and wb, one entry per mode; see the module docstring."""
-    (a1, a2), (b1, b2) = (wa[0], wa[-1]), (wb[0], wb[-1])
-    S = (a1 + b1) * (a2 + b2) + s2 * (a1 + a2) * (b1 + b2)
-    return g / S if len(wa) == 2 else g / np.sqrt(S)
+def _det_sum(a1, a2, b1, b2, s2):
+    """The determinant sum S from each mode's weights (a one-mode state's in both); see the module docstring."""
+    return (a1 + b1) * (a2 + b2) + s2 * (a1 + a2) * (b1 + b2)
 
 
 def minimize_scalar_golden(f, lo, hi, tol: float, grid_points: int = _GRID_POINTS):
@@ -225,9 +225,10 @@ def q_s(pa, pb, s):
     `PairLanes` of pairs of both mode counts, the lanes on the last axis of
     s, and pb is None.  The mode count comes from the states: G_s is
     multiplied over every mode of both, in order, so a one-mode pair gives
-    G_s(n_a) G_(1-s)(n_b) and a two-mode pair the product of four.  The
-    powers, G_s and Lambda_s run once over the bases of every lane; only the
-    determinant tail runs on each mode count's lanes.
+    G_s(n_a) G_(1-s)(n_b) and a two-mode pair ((g_a1 g_a2) g_b1) g_b2.  The
+    powers, G_s and Lambda_s run once over the bases of every lane, and the
+    tail (that product, S and the quotient) once over every lane of both mode
+    counts, into a fresh array, not a view of the powers.
     """
     s, shape = np.asarray(s, dtype=float), None
     if pb is not None:  # one pair's lanes, flat, broadcast against s
@@ -242,11 +243,15 @@ def q_s(pa, pb, s):
     xs, us = pa.bases.reshape((2,) + (1,) * (s.ndim - 1) + (2, -1)) ** e
     g, w = _g_lambda(xs, us)  # over the powers in place, as is Lambda + 1/2: fresh arrays of a grid call page-fault
     w += 0.5
-    q = []
-    for cuts in ((slice(0, m),), (slice(m, lanes), slice(lanes, None))):  # the one-mode lanes' mode, the two-mode's two
-        ga, gb, wa, wb = ([x[..., k, c] for c in cuts] for x in (g, w) for k in (0, 1))
-        q.append(_q(reduce(np.multiply, ga + gb), wa, wb, pa.sinh2[cuts[0]]))
-    q = np.concatenate(q, -1)
+    # the tail over every lane at once, in a fresh array: the product of G over each lane's modes,
+    # ((g_a1 g_a2) g_b1) g_b2 or g_a1 g_b1, then S^(-m/2), a one-mode lane's mode standing in for its second
+    g[..., 0, m:lanes] *= g[..., 0, lanes:]
+    q = g[..., 0, :lanes] * g[..., 1, :lanes]
+    q[..., m:] *= g[..., 1, lanes:]
+    w2 = np.concatenate((w[..., :m], w[..., lanes:]), -1)
+    S = _det_sum(w[..., 0, :lanes], w2[..., 0, :], w[..., 1, :lanes], w2[..., 1, :], pa.sinh2)
+    np.sqrt(S[..., :m], out=S[..., :m])
+    q /= S
     return float_or_array(q if shape is None else q.reshape(shape))
 
 
@@ -256,7 +261,8 @@ q_s_single = q_s_two = q_s  # not called here: perfbench/tracing.py wraps both n
 def _overlap(pa: Params, pb: Params) -> np.ndarray:
     """Tr[rho_a rho_b] of two flat stacks: the determinant at weights n_t + 1/2, over 1."""
     wa, wb = ([n + VACUUM_NOISE for n in p.fields()[1:]] for p in (pa, pb))
-    return _q(1.0, wa, wb, _sinh2(pa, pb))
+    S = _det_sum(wa[0], wa[-1], wb[0], wb[-1], _sinh2(pa, pb))
+    return 1.0 / S if len(wa) == 2 else 1.0 / np.sqrt(S)
 
 
 @dataclass(frozen=True)
@@ -323,8 +329,9 @@ def _qcb_pairs(pairs: list, copies: int = 1) -> list[DiscriminationReport]:
 
     The mixed lanes of every pair, the one-mode pairs' first, form one stack, which takes its golden
     sections in blocks of _BLOCK_LANES lanes, one call of Q_s per block per step, so the memory does not
-    grow with the lanes.  A lane takes its own steps, so its q and s* are the same bits here, in its
-    pair's `qcb` call and alone.
+    grow with the lanes.  A pair keeps only the indices of its mixed lanes, and each block takes its lanes
+    from the pair's flat stacks by them.  A lane takes its own steps, so its q and s* are the same bits
+    here, in its pair's `qcb` call and alone.
     """
     if copies < 1:
         raise ValueError(f"copy count must be >= 1, got {copies}")
@@ -340,20 +347,20 @@ def _qcb_pairs(pairs: list, copies: int = 1) -> list[DiscriminationReport]:
         if pure.any():
             q[pure] = fid[pure] = _overlap(pa.take(pure), pb.take(pure))
             s_star[pure] = np.where(pure_a[pure], 0.0, 1.0)
-        mix = ~pure
-        if mix.any():
-            mixed.append((len(stacks), pa.take(mix), pb.take(mix)))
+        mix = np.flatnonzero(~pure)
+        if mix.size:
+            mixed.append((len(stacks), mix, pa, pb))
         stacks.append((shape, mix, q, s_star, fid))
-    mixed.sort(key=lambda m: type(m[1]) is not SqueezedThermalParamsSingle)  # the one-mode pairs first
-    ends = [0, *accumulate(len(pa.r) for _, pa, _ in mixed)]
+    mixed.sort(key=lambda m: type(m[2]) is not SqueezedThermalParamsSingle)  # the one-mode pairs first
+    ends = [0, *accumulate(len(mix) for _, mix, _, _ in mixed)]
     s_m, q_m = np.empty(ends[-1]), np.empty(ends[-1])
     for i in range(0, ends[-1], _BLOCK_LANES):
         j = min(i + _BLOCK_LANES, ends[-1])
-        lanes = stack_pairs([tuple(p.take(slice(*np.clip((i, j), start, end) - start)) for p in pair)
-                             for (_, *pair), start, end in zip(mixed, ends, ends[1:])])
+        lanes = stack_pairs([tuple(p.take(mix[slice(*np.clip((i, j), start, end) - start)]) for p in pair)
+                             for (_, mix, *pair), start, end in zip(mixed, ends, ends[1:])])
         s_m[i:j], q_m[i:j] = minimize_scalar_golden(lambda s: q_s(lanes, None, s), np.full(j - i, S_EPS),
                                                     1.0 - S_EPS, S_TOL)
-    for (k, _, _), start, end in zip(mixed, ends, ends[1:]):
+    for (k, *_), start, end in zip(mixed, ends, ends[1:]):
         _, mix, q, s_star, _ = stacks[k]
         q[mix] = np.where(1.0 < q_m[start:end], 1.0, q_m[start:end])  # min(q, 1.0) as Python takes it
         s_star[mix] = s_m[start:end]

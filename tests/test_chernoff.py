@@ -473,6 +473,34 @@ def test_q_s_broadcasts_over_lanes_and_s():
         q_s(SqueezedThermalParamsSingle(0.3, 0.2), SqueezedThermalParamsTwo(0.1, 0.5, 0.1), 0.4)
 
 
+def lane_pair(modes, count, seed):
+    """One (input, output) pair of stacks of `count` probes of one mode count, through their channels."""
+    n, beta, gamma_ch = random_probes(count, seed=seed)
+    p_in = params_from_spec(ProbeSpec(modes=modes, n=n, beta=beta, gamma=0.999 if modes == 2 else None))
+    recover = output_params_single if modes == 1 else output_params_two
+    return p_in, recover(p_in, LossChannel.from_gamma(gamma_ch))
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("modes", [(1,), (2,), (1, 2)], ids=["one-mode", "two-mode", "mixed"])
+@pytest.mark.parametrize("grid", [(), (3,)], ids=["flat-s", "grid-s"])
+def test_lane_stack_is_each_pairs_q_s(modes, grid):
+    # the determinant tail runs once over the lanes of both mode counts: a stack
+    # of one-mode lanes only (ones == lanes), of two-mode lanes only (ones == 0)
+    # and of both, at one s per lane and at a (k, lanes) grid; each lane has
+    # the bits of its own pair's q_s, and the result is its own array, not a
+    # view of the powers
+    pairs = [lane_pair(m, 5 + m, seed=40 + m) for m in modes]
+    lanes = chernoff.stack_pairs(pairs)
+    rows = [(pa.row(k), pb.row(k)) for pa, pb in pairs for k in range(len(pa.r))]
+    assert (lanes.ones, lanes.sinh2.size) == ((6 if modes[0] == 1 else 0), len(rows))
+    s = np.random.default_rng(5).uniform(0.02, 0.98, grid + (len(rows),))
+    q = q_s(lanes, None, s)
+    assert q.shape == s.shape and q.flags.owndata
+    alone = np.array([q_s(*rows[i[-1]], s[i]) for i in np.ndindex(s.shape)])
+    assert q.ravel().view(np.uint64).tolist() == alone.view(np.uint64).tolist()
+
+
 def test_g_lambda_elementwise():
     x = np.array([0.0, 0.5, 1.0, 3.0])
     s = np.array([[0.1], [0.5], [0.9]])
