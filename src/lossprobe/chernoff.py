@@ -60,12 +60,13 @@ serves both.  States enter as parameters (one state or a stack, see
 the powers, G_s and Lambda_s run once over all their bases, and the
 determinant tail once over all the lanes, into a lane-sized array of its
 own (a one-mode lane's mode stands in for its second in S, as in
-`_overlap`).  `qcb` takes two states or two stacks of
-one mode count whose shapes broadcast, and `_qcb_pairs` any number of such
-pairs, of either mode count: the pure lanes take the overlap straight from
-the parameters (`_overlap`, no covariance matrix), and the mixed lanes of
-all pairs form one stack, which takes a lane-wise golden section
-(`minimize_scalar_golden`) per block of _BLOCK_LANES lanes, so its memory
+`_overlap`).  `_qcb_pairs` takes any number of pairs, each two states or
+two stacks of one mode count whose shapes broadcast, and returns each
+pair's lanes (q, s*, fidelity); `qcb`, its one-pair case, is the only
+caller that makes a report with error bounds.  The pure lanes take the
+overlap from the parameters (`_overlap`, no covariance matrix), and the
+mixed lanes of all pairs form one stack, which takes a lane-wise golden
+section (`minimize_scalar_golden`) per block of _BLOCK_LANES lanes, so its memory
 is bounded at any size: one call of Q_s per block per step, each lane
 freezing once its own bracket is at most S_TOL.  A single probe is a
 one-lane stack, so a lane's q and s* are the same bits alone and in any
@@ -86,7 +87,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -144,15 +144,14 @@ def _sinh2(pa: Params, pb: Params):
     return sinh * sinh
 
 
-def _require_pair(pa: Params, pb: Params) -> None:
+def _flat_pair(pa: Params, pb: Params, *shapes) -> tuple:
+    """(shape, pa, pb): the pair's states of one mode count broadcast against each other and `shapes`, raveled."""
     if type(pa) is not type(pb):
         raise TypeError(f"mode mismatch: {type(pa).__name__} vs {type(pb).__name__}")
     if type(pa) not in (SqueezedThermalParamsSingle, SqueezedThermalParamsTwo):
         raise TypeError(f"unsupported parameter type {type(pa).__name__}")
-
-
-def _flat(p: Params, shape) -> Params:
-    return p._of([np.broadcast_to(v, shape).ravel() for v in p.fields()])
+    shape = np.broadcast_shapes(pa.shape, pb.shape, *shapes)
+    return shape, *(p._of([np.broadcast_to(v, shape).ravel() for v in p.fields()]) for p in (pa, pb))
 
 
 def stack_pairs(pairs: list) -> PairLanes:
@@ -232,9 +231,8 @@ def q_s(pa, pb, s):
     """
     s, shape = np.asarray(s, dtype=float), None
     if pb is not None:  # one pair's lanes, flat, broadcast against s
-        _require_pair(pa, pb)
-        shape = np.broadcast_shapes(pa.shape, pb.shape, s.shape)
-        pa, s = stack_pairs([(_flat(pa, shape), _flat(pb, shape))]), np.broadcast_to(s, shape).ravel()
+        shape, pa, pb = _flat_pair(pa, pb, s.shape)
+        pa, s = stack_pairs([(pa, pb)]), np.broadcast_to(s, shape).ravel()
     require((0.0 < s) & (s < 1.0), "exponent must be in (0, 1), got {}", s)
     m, lanes, t = pa.ones, s.shape[-1], 1.0 - s
     # the exponent of each of the bases' modes: state a's, then state b's, on the last two axes
@@ -270,31 +268,29 @@ class DiscriminationReport:
     """Chernoff-bound summary for discriminating two states with M copies.
 
     fidelity is only available on the pure-state path (where it coincides
-    with the overlap); the fidelity-based bounds are None without it.  The
-    report of a stack of pairs holds arrays of the stack shape, NaN where a
-    lane has no fidelity.  The error bounds are computed (`error_bounds`)
-    the first time one is read, as the figure commands read only q; `qcb`
-    has checked their inputs.
+    with the overlap); the fidelity-based bounds (`pe_lower`,
+    `pe_fidelity_upper`) are None without it, and `pe_upper` is the Chernoff
+    bound Q^M / 2, all from `error_bounds`.  The report of a stack of pairs
+    holds arrays of the stack shape, NaN where a lane has no fidelity.
     """
 
     q: float
     s_star: float
     copies: int
-    fidelity: float | None = None
-
-    @cached_property
-    def _bounds(self) -> tuple:
-        return error_bounds(self.q, self.fidelity, self.copies)
-
-    pe_lower = property(lambda self: self._bounds[0], doc="Fidelity lower bound on P_e, or None.")
-    pe_upper = property(lambda self: self._bounds[1], doc="Chernoff upper bound Q^M / 2 on P_e.")
-    pe_fidelity_upper = property(lambda self: self._bounds[2], doc="Fidelity upper bound on P_e, or None.")
+    fidelity: float | None
+    pe_lower: float | None
+    pe_upper: float
+    pe_fidelity_upper: float | None
 
 
-def _require_bound_inputs(q, f, m) -> None:
-    require((0.0 <= q) & (q <= 1.0 + 1e-12), "Chernoff quantity must be in [0, 1], got {}", q)
+def _require_copies(m) -> None:
     if m < 1 or m != int(m):
         raise ValueError(f"copy count must be a positive integer, got {m}")
+
+
+def _require_unit(q, f) -> None:
+    """q, and f unless None, in [0, 1] up to 1e-12: NaN fails, but for the lanes of an array f with no fidelity."""
+    require((0.0 <= q) & (q <= 1.0 + 1e-12), "Chernoff quantity must be in [0, 1], got {}", q)
     if f is not None:
         ok = (0.0 <= f) & (f <= 1.0 + 1e-12)
         require(ok | np.isnan(f) if np.ndim(f) else ok, "fidelity must be in [0, 1], got {}", f)
@@ -310,7 +306,8 @@ def error_bounds(q, f, m: int):
     F^M.  The powers are numpy's (`elementwise(np.power, ...)`), so a lane
     has the same bits alone and in a stack.
     """
-    _require_bound_inputs(q, f, m)
+    _require_unit(q, f)
+    _require_copies(m)
     pe_upper = 0.5 * elementwise(np.power, q, m)
     if f is None:
         return None, pe_upper, None
@@ -324,22 +321,20 @@ def _is_pure(p: Params) -> np.ndarray:
     return np.all([n == 0.0 for n in p.fields()[1:]], axis=0)
 
 
-def _qcb_pairs(pairs: list, copies: int = 1) -> list[DiscriminationReport]:
-    """The `qcb` report and checks of each pair (pa, pb), of either mode count, from one lane stack.
+def _qcb_pairs(pairs: list) -> list[tuple]:
+    """The lanes (q, s_star, fidelity) of each pair (pa, pb), of either mode count, from one lane stack.
 
-    The mixed lanes of every pair, the one-mode pairs' first, form one stack, which takes its golden
-    sections in blocks of _BLOCK_LANES lanes, one call of Q_s per block per step, so the memory does not
-    grow with the lanes.  A pair keeps only the indices of its mixed lanes, and each block takes its lanes
-    from the pair's flat stacks by them.  A lane takes its own steps, so its q and s* are the same bits
-    here, in its pair's `qcb` call and alone.
+    Each lane is an array of the pair's broadcast shape, NaN where a fidelity is not known, or for one
+    state a float, and None for no fidelity.  The mixed lanes of every pair, the one-mode pairs' first,
+    form one stack, which takes its golden sections in blocks of _BLOCK_LANES lanes, one call of Q_s per
+    block per step, so the memory does not grow with the lanes.  A pair keeps only the indices of its
+    mixed lanes, and each block takes its lanes from the pair's flat stacks by them.  A lane takes its own
+    steps, so its q and s* are the same bits here, in its pair's `qcb` call and alone.  A q or fidelity
+    outside [0, 1] (NaN included) raises.
     """
-    if copies < 1:
-        raise ValueError(f"copy count must be >= 1, got {copies}")
     stacks, mixed = [], []
     for pa, pb in pairs:
-        _require_pair(pa, pb)
-        shape = np.broadcast_shapes(pa.shape, pb.shape)
-        pa, pb = _flat(pa, shape), _flat(pb, shape)
+        shape, pa, pb = _flat_pair(pa, pb)
         size = math.prod(shape)
         q, s_star, fid = np.empty(size), np.empty(size), np.full(size, np.nan)
         pure_a = _is_pure(pa)
@@ -364,14 +359,14 @@ def _qcb_pairs(pairs: list, copies: int = 1) -> list[DiscriminationReport]:
         _, mix, q, s_star, _ = stacks[k]
         q[mix] = np.where(1.0 < q_m[start:end], 1.0, q_m[start:end])  # min(q, 1.0) as Python takes it
         s_star[mix] = s_m[start:end]
-    reports = []
+    lanes = []
     for shape, _, q, s_star, fid in stacks:
         q, s_star, fid = (x.reshape(shape) for x in (q, s_star, fid))
         if not shape:
             q, s_star, fid = float(q), float(s_star), None if np.isnan(fid) else float(fid)
-        _require_bound_inputs(q, fid, copies)
-        reports.append(DiscriminationReport(q, s_star, copies, fid))
-    return reports
+        _require_unit(q, fid)
+        lanes.append((q, s_star, fid))
+    return lanes
 
 
 def qcb(pa: Params, pb: Params, copies: int = 1) -> DiscriminationReport:
@@ -384,10 +379,12 @@ def qcb(pa: Params, pb: Params, copies: int = 1) -> DiscriminationReport:
     is also the fidelity (one state is pure) and gives the fidelity bounds.
     The pure lanes take the overlap from the parameters, with no covariance
     matrix (`_overlap`); all other lanes take a golden section over s in
-    [1e-6, 1 - 1e-6] to 1e-10, one per block of lanes.  A Q or fidelity
-    outside [0, 1] (NaN included) or a copy count that is not an integer
-    raises here, though the report computes its error bounds only when they
-    are read.  This is the one-pair case of `_qcb_pairs`, which takes
-    several pairs.
+    [1e-6, 1 - 1e-6] to 1e-10, one per block of lanes.  A copy count that is
+    not a positive integer raises before the minimisation, a Q or fidelity
+    outside [0, 1] (NaN included) after it.  The lanes are the one-pair case
+    of `_qcb_pairs`, which takes several pairs, and this is the only place
+    that makes a report and its error bounds (`error_bounds`).
     """
-    return _qcb_pairs([(pa, pb)], copies)[0]
+    _require_copies(copies)
+    q, s_star, fid = _qcb_pairs([(pa, pb)])[0]
+    return DiscriminationReport(q, s_star, copies, fid, *error_bounds(q, fid, copies))

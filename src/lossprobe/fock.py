@@ -106,7 +106,6 @@ class _Layout(NamedTuple):
     classes: list[tuple[int, int, int]]  # per size class, ascending: (n, first sector, end sector)
     sector_of: np.ndarray  # per basis index: its sector
     position: np.ndarray  # per basis index: its place in its sector
-    size: np.ndarray  # per sector: its length
     start: np.ndarray  # per sector, and one past the end: where its block starts in `data` (int64)
     row_at: np.ndarray  # per basis index i: where its row starts in `data`, so (i, j) sits at row_at[i] + position[j]
     transpose: np.ndarray  # per entry of `data`: where its mirror entry sits
@@ -143,7 +142,7 @@ def _sector_layout(dims: tuple[int, ...]) -> _Layout:
         block = transpose[start[a] : start[b]].reshape(b - a, n, n)
         block[...] = np.arange(n * n, dtype=np.int32).reshape(n, n).T
         block += start[a:b, None, None].astype(np.int32)
-    return _Layout(sectors, classes, sector_of, position, size, start, row_at, transpose, row_at + position, buckets)
+    return _Layout(sectors, classes, sector_of, position, start, row_at, transpose, row_at + position, buckets)
 
 
 def _rows_cols(lay: _Layout) -> tuple[np.ndarray, np.ndarray]:

@@ -142,13 +142,13 @@ def _rows(modes: int, n, beta, gamma, ch: LossChannel) -> tuple:
 
 
 def q1(n, beta, ch):
-    """Q for single-mode probes (N, beta) against the channel, elementwise, from one qcb call."""
-    return qcb(*_rows(1, n, beta, None, ch)).q
+    """Q for single-mode probes (N, beta) against the channel, elementwise, from one Chernoff call."""
+    return _qcb_pairs([_rows(1, n, beta, None, ch)])[0][0]
 
 
 def q2(n, beta, gamma, ch):
-    """Q for two-mode probes (N, beta, gamma) against the channel, elementwise, from one qcb call."""
-    return qcb(*_rows(2, n, beta, gamma, ch)).q
+    """Q for two-mode probes (N, beta, gamma) against the channel, elementwise, from one Chernoff call."""
+    return _qcb_pairs([_rows(2, n, beta, gamma, ch)])[0][0]
 
 
 def _require_closed_form_domain(n, eta) -> None:
@@ -179,8 +179,8 @@ def delta_q_gamma(n, beta, gamma, ch):
 
     Q1's rows broadcast over N, beta and the channel only, not over the splits.
     """
-    one, two = _qcb_pairs([_rows(1, n, beta, None, ch), _rows(2, n, beta, gamma, ch)])
-    return one.q - two.q
+    (one, _, _), (two, _, _) = _qcb_pairs([_rows(1, n, beta, None, ch), _rows(2, n, beta, gamma, ch)])
+    return one - two
 
 
 def optimize_beta(n, ch: LossChannel, modes: int, gamma=None) -> tuple:
@@ -199,7 +199,7 @@ def optimize_beta(n, ch: LossChannel, modes: int, gamma=None) -> tuple:
     require(modes == 2 or gamma is None, "gamma only applies to two-mode probes")
     split = None if modes == 1 else 1.0 if gamma is None else gamma
     lanes = np.broadcast_shapes(np.shape(n), ch.shape, np.shape(split))
-    objective = lambda b: qcb(*_rows(modes, n, b, split, ch)).q  # noqa: E731
+    objective = lambda b: _qcb_pairs([_rows(modes, n, b, split, ch)])[0][0]  # noqa: E731
     return minimize_scalar_golden(objective, np.zeros(lanes), 1.0, BETA_TOL, grid_points=101)
 
 

@@ -119,7 +119,7 @@ def _gaussian_q(cases: list[OracleCase]) -> list[float]:
         if group:
             pairs[kind] = [stack(ps) for ps in ([c.params_a for c in group],
                                                 [c.params_b if c.eta is None else next(outputs) for c in group])]
-    qs = {kind: iter(report.q.tolist()) for kind, report in zip(pairs, _qcb_pairs(list(pairs.values())))}
+    qs = {kind: iter(q.tolist()) for kind, (q, _, _) in zip(pairs, _qcb_pairs(list(pairs.values())))}
     return [next(qs[type(case.params_a)]) for case in cases]
 
 
@@ -138,14 +138,12 @@ def run_case(
     dim: int | None = None,
     tail_tol: float | None = None,
     *,
-    q: float | None = None,
+    q: float,
 ) -> list[CheckResult]:
-    """All checks for one case; a truncation failure becomes a failed row.
+    """All checks for one case against its Gaussian Q, q (`_gaussian_q`); a truncation failure becomes a failed row.
 
     A cutoff whose loss grid would pass 2^31 entries raises ValueError
     before any state is built.
-
-    q is the case's Gaussian Q if the caller has it from a stack (`run_all`).
     """
     cfg = TruncationConfig(
         dim=dim if dim is not None else case.dim,
@@ -176,8 +174,6 @@ def run_case(
     record("input moments", float(np.max(np.abs(cm_fock_a - cm_a))), MOMENT_TOL)
     record("output moments", float(np.max(np.abs(cm_fock_b - cm_b))), MOMENT_TOL)
 
-    if q is None:
-        (q,) = _gaussian_q([case])
     checks = pair_checks(rho_a, rho_b)
     record("chernoff gap", checks.q - q, QCB_TOL)
 

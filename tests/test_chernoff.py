@@ -322,22 +322,21 @@ def test_report_copies_scaling():
     assert fifty.pe_upper == pytest.approx(one.q**50 / 2.0, rel=1e-12)
 
 
-def test_qcb_checks_bound_inputs_at_once_and_computes_bounds_on_read(monkeypatch):
-    from lossprobe import chernoff
-
-    calls = []
-    monkeypatch.setattr(chernoff, "error_bounds", lambda *args: calls.append(args) or (None, 0.25, None))
-    # a NaN lane and a fractional copy count raise inside qcb, no bound read
+def test_qcb_checks_bound_inputs_at_once(monkeypatch):
+    # a NaN lane raises in the lanes, which q1 reads without a report
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match=r"Chernoff quantity must be in \[0, 1\], got nan"):
             q1(np.array([1.0, 1e300]), 0.5, LossChannel.from_gamma(0.5))
     pa, pb = SqueezedThermalParamsSingle(0.5, 0.2), SqueezedThermalParamsSingle(0.3, 0.1)
-    with pytest.raises(ValueError, match="copy count must be a positive integer, got 1.5"):
-        qcb(pa, pb, copies=1.5)
+    calls = []
+    monkeypatch.setattr(chernoff, "error_bounds", lambda *args: calls.append(args) or (None, 0.25, None))
     report = qcb(pa, pb, copies=3)
-    assert calls == []
     assert report.pe_upper == 0.25 and report.pe_lower is None and report.pe_fidelity_upper is None
     assert calls == [(report.q, None, 3)]
+    # a fractional copy count raises before qcb minimises
+    monkeypatch.setattr(chernoff, "_qcb_pairs", lambda pairs: pytest.fail("minimised before the copy check"))
+    with pytest.raises(ValueError, match="copy count must be a positive integer, got 1.5"):
+        qcb(pa, pb, copies=1.5)
 
 
 def test_seeding_grid_memory_does_not_grow_with_the_lanes():
@@ -369,10 +368,9 @@ def test_seeding_grid_groups_change_no_bit():
     for chunk in (1, 2**13, 2**20):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(chernoff, "_GRID_CHUNK", chunk)
-            reports = _qcb_pairs(pairs)
-        assert all(np.isnan(r.fidelity).all() for r in reports)  # every lane takes the golden section
-        runs.append([np.concatenate([getattr(r, name) for r in reports]).view(np.uint64).tolist()
-                     for name in ("q", "s_star")])
+            lanes = _qcb_pairs(pairs)
+        assert all(np.isnan(fid).all() for _, _, fid in lanes)  # every lane takes the golden section
+        runs.append([np.concatenate([lane[k] for lane in lanes]).view(np.uint64).tolist() for k in (0, 1)])
     assert runs[0] == runs[1] == runs[2]
 
 
@@ -562,19 +560,19 @@ def test_lane_keeps_its_bits_in_a_joint_call():
         stacks.append((p_in, recover(p_in, ch)))
     lone = SqueezedThermalParamsTwo(0.4, 0.3, 0.2)
     pairs = [stacks[0], (lone, output_params_two(lone, LossChannel.from_eta(0.6))), stacks[1], (THERMAL1, VACUUM)]
-    joint = _qcb_pairs(pairs, copies=2)
-    assert [np.shape(r.q) for r in joint] == [(120,), (), (120,), ()]
+    joint = _qcb_pairs(pairs)
+    assert [np.shape(q) for q, _, _ in joint] == [(120,), (), (120,), ()]
 
-    def bits(report):
-        return [type(v).__name__ for v in (report.q, report.s_star)] + [
-            np.asarray(np.nan if v is None else v).view(np.uint64).tolist()
-            for v in (report.q, report.s_star, report.fidelity)]
+    def bits(lanes):
+        return [type(v).__name__ for v in lanes[:2]] + [
+            np.asarray(np.nan if v is None else v).view(np.uint64).tolist() for v in lanes]
 
-    for (pa, pb), report in zip(pairs, joint):
-        assert bits(report) == bits(qcb(pa, pb, copies=2))
+    for (pa, pb), lanes in zip(pairs, joint):
+        report = qcb(pa, pb, copies=2)
+        assert bits(lanes) == bits((report.q, report.s_star, report.fidelity))
         if pa.shape:
             assert_lanes_are_their_rows(report, [qcb(pa.row(k), pb.row(k), copies=2) for k in range(120)])
-    assert joint[1].fidelity is None and 0.0 < joint[1].s_star < 1.0 and joint[3].s_star == 1.0
+    assert joint[1][2] is None and 0.0 < joint[1][1] < 1.0 and joint[3][1] == 1.0
 
 
 @pytest.mark.bits
@@ -599,12 +597,12 @@ def test_lane_keeps_its_bits_across_lane_blocks(monkeypatch):
     monkeypatch.setattr(chernoff, "stack_pairs", recorded)
     joint = _qcb_pairs(pairs)
     assert [(lanes.ones, lanes.sinh2.size) for lanes in blocks] == [(16, 16)] * 3 + [(2, 16)] + [(0, 16)] * 2 + [(0, 4)]
-    for (pa, pb), report in zip(pairs, joint):
-        assert np.isnan(report.fidelity).all()  # every lane takes the golden section
+    for (pa, pb), (q, s_star, fid) in zip(pairs, joint):
+        assert np.isnan(fid).all()  # every lane takes the golden section
         own = qcb(pa, pb)
         for k in range(50):
             alone = qcb(pa.row(k), pb.row(k))
-            bits = [np.array([r.q[k], r.s_star[k]]).view(np.uint64).tolist() for r in (report, own)]
+            bits = [np.array(lane).view(np.uint64).tolist() for lane in ((q[k], s_star[k]), (own.q[k], own.s_star[k]))]
             assert bits == [np.array([alone.q, alone.s_star]).view(np.uint64).tolist()] * 2, k
 
 
@@ -612,7 +610,7 @@ def test_joint_call_checks_every_pair():
     with pytest.raises(TypeError, match="mode mismatch"):
         _qcb_pairs([(VACUUM, THERMAL1), (THERMAL1, SqueezedThermalParamsTwo(0.2, 0.5, 0.1))])
     with pytest.raises(ValueError, match="copy count"):
-        _qcb_pairs([(VACUUM, THERMAL1)], copies=0)
+        qcb(VACUUM, THERMAL1, copies=0)
 
 
 def test_one_state_broadcasts_against_a_stack():

@@ -16,7 +16,7 @@ import numpy as np
 
 from lossprobe.channel import LossChannel, output_params_two
 from lossprobe.correlations import correlation_report
-from lossprobe.probes import ProbeSpec, params_from_spec
+from lossprobe.probes import ProbeSpec, discriminate, params_from_spec
 
 
 def failure_mask(inputs, run) -> int:
@@ -55,6 +55,13 @@ CORRELATIONS_MASK = (
     "00000000000000000000000000000000000000000000000000"
 )
 
+# 351 of 832: 340 fail with the AVX-512 loops and 337 without
+DISCRIMINATE_MASK = (
+    "ffffffffffffffffffffffffdddffffffffffffdffdbf8f0fffffffff050fffffffff0f0fffeffefe000fffffefde0001110"
+    "d880c000000000000000222001001000000000000000000000000000000f000f000f00080000000000000000000000000000"
+    "00000000"
+)
+
 
 def test_recovery_failures_stay_within_their_mask():
     # two-mode recovery on the 105 (beta, gamma, eta) points of the probe
@@ -74,3 +81,16 @@ def test_correlation_failures_stay_within_their_mask():
                                     (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)))
     assert len(inputs) == 1800
     assert_within(inputs, lambda n, beta, gamma: correlation_report(two_mode_probe(n, beta, gamma)), CORRELATIONS_MASK)
+
+
+def test_discriminate_failures_stay_within_their_mask():
+    # the qcb command's whole path, one probe at a time, at every half decade
+    # of N: the recovery's round-trip bound and clamps, and "divide by zero"
+    # in G_s = 1 / ((x + 1)^s - x^s) at large occupations
+    n = np.logspace(4, 12, 13).tolist()
+    beta, eta = (0.0, 0.5, 0.99, 1.0), (1e-3, 0.3, 0.9, 0.999)
+    inputs = [(1, *x[:2], None, x[2]) for x in itertools.product(n, beta, eta)]
+    inputs += [(2, *x) for x in itertools.product(n, beta, (0.0, 0.5, 1.0), eta)]
+    assert len(inputs) == 832
+    assert_within(inputs, lambda modes, n, beta, gamma, eta: discriminate(
+        ProbeSpec(modes=modes, n=n, beta=beta, gamma=gamma), LossChannel.from_eta(eta)), DISCRIMINATE_MASK)

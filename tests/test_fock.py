@@ -183,7 +183,8 @@ def dense_fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     root = (va * np.sqrt(la)) @ va.T
     inner = root @ rho_b @ root
     vals = np.linalg.eigvalsh((inner + inner.T) / 2.0)
-    return float(np.sqrt(np.maximum(vals, 0.0)).sum()) ** 2
+    # no root of a roundoff eigenvalue: 3e-9 for 1e-17 would survive into the trace
+    return float(np.sqrt(np.where(vals < vals.max() * 1e-13, 0.0, vals)).sum()) ** 2
 
 
 def from_dense(dims: tuple[int, ...], mat: np.ndarray) -> FockDensityMatrix:
@@ -632,7 +633,7 @@ def test_error_probability_chain_on_mixed_pair():
 
 def test_verification_case_passes():
     case = verification.standard_cases()[0]
-    results = verification.run_case(case)
+    results = verification.run_case(case, q=verification._gaussian_q([case])[0])
     assert results
     assert all(r.passed for r in results)
 
@@ -657,7 +658,8 @@ def test_run_all_makes_one_qcb_stack_per_mode_count(monkeypatch):
     # a case's rows are the same from the stack as from its own one-lane call
     cases = verification.standard_cases()
     for k in (0, 5, 9):
-        assert [r for r in results if r.case == cases[k].name] == verification.run_case(cases[k]), cases[k].name
+        alone = verification.run_case(cases[k], q=verification._gaussian_q([cases[k]])[0])
+        assert [r for r in results if r.case == cases[k].name] == alone, cases[k].name
 
 
 @pytest.mark.bits
@@ -678,7 +680,7 @@ def test_expected_moments_are_the_bits_of_the_cm_route():
 
 def test_verification_flags_undersized_cutoff():
     deep = next(c for c in verification.standard_cases() if c.params_a == S1(1.0, 0.0))
-    results = verification.run_case(deep, dim=12)
+    results = verification.run_case(deep, dim=12, q=verification._gaussian_q([deep])[0])
     assert len(results) == 1
     assert not results[0].passed
     assert "truncation" in results[0].check
@@ -700,7 +702,7 @@ def test_verification_covers_the_sampled_domain():
     ]
     for name, spec, dim, gamma_ch in wide:
         case = verification.OracleCase(name, params_from_spec(spec), dim=dim, eta=math.exp(-gamma_ch))
-        results = verification.run_case(case)
+        results = verification.run_case(case, q=verification._gaussian_q([case])[0])
         assert len(results) == 8, name
         assert all(r.passed for r in results), [(r.case, r.check, r.value) for r in results if not r.passed]
 
@@ -878,7 +880,7 @@ def test_sectors_follow_the_conserved_charge(single_st, two_mode_st):
     for rho, sectors in ((single_st, 2), (two_mode_st, 2 * 32 - 1), (thermal, 2)):
         n = np.indices(rho.dims).reshape(len(rho.dims), -1)
         charge = n[0] % 2 if len(rho.dims) == 1 else n[0] - n[1]
-        assert len(set(zip(rho.layout.sector_of.tolist(), charge.tolist()))) == len(rho.layout.size) == sectors
+        assert len(set(zip(rho.layout.sector_of.tolist(), charge.tolist()))) == len(rho.layout.start) - 1 == sectors
         assert np.array_equal(apply_loss_kraus(rho, 0.6).layout.sector_of, rho.layout.sector_of)
 
 
@@ -918,12 +920,15 @@ def assert_q_pe_f_match(rho_a, rho_b, ref_a, ref_b, fid, tol=1e-14):
 
 
 @pytest.mark.bits
-@pytest.mark.parametrize("params,dim,eta", [(S1(0.8, 0.0), 40, 0.6), (T2(0.7, 0.0, 0.0), 14, 0.6)], ids=["single", "two-mode"])
+@pytest.mark.parametrize("params,dim,eta", [(S1(0.8, 0.0), 40, 0.6), (T2(0.7, 0.0, 0.0), 14, 0.6),
+                                            (S1(0.5, 0.0), 60, 0.5), (T2(0.5, 0.0, 0.0), 12, 0.5)],
+                         ids=["single", "two-mode", "single-eta0.5", "two-mode-eta0.5"])
 def test_pure_inputs_match_dense(params, dim, eta):
     # a squeezed vacuum has weight in one of its sectors, its loss output in
-    # many; for a pure input the Uhlmann fidelity is <psi|rho_b|psi> (the
-    # dense roots-and-eigvalsh route carries the roots of its roundoff
-    # eigenvalues, about 1e-8 here)
+    # many; for a pure input the Uhlmann fidelity is <psi|rho_b|psi>, and
+    # sqrt(rho_a) rho_b sqrt(rho_a) has rank 1: with the roots of its
+    # roundoff eigenvalues the dense route read F 3.3e-8, 1.4e-7, 2.2e-8 and
+    # 8.2e-8 above the oracle on these rows
     rho = fock_squeezed_thermal(params, TruncationConfig(dim=dim, tail_tol=DENSE_TRUNCATION))
     out = apply_loss_kraus(rho, eta)
     assert rho.live.sum() == 1 and out.live.sum() == (2 if len(rho.dims) == 1 else dim)
@@ -931,6 +936,7 @@ def test_pure_inputs_match_dense(params, dim, eta):
     ref_out = dense_loss(ref, rho.dims, eta)
     psi = dense_spectrum(ref)[1][:, -1]
     assert_q_pe_f_match(rho, out, ref, ref_out, float(psi @ ref_out @ psi))
+    assert abs(fidelity_fock(rho, out) - dense_fidelity(ref, ref_out)) < DENSE_TOL
 
 
 @pytest.mark.bits
@@ -1217,10 +1223,11 @@ def test_run_case_refuses_a_loss_grid_past_int32_before_building_the_state():
     # an int32 index, so the input state would be built, about 12 GB, before
     # the loss raised; the loss grid's bound is checked from the dims first
     case = next(c for c in verification.standard_cases() if c.eta is not None and isinstance(c.params_a, T2))
+    q = verification._gaussian_q([case])[0]
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="the loss grid of dims \\(1300, 1300\\)"):
-            verification.run_case(case, dim=1300)
+            verification.run_case(case, dim=1300, q=q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
