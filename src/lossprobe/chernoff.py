@@ -308,6 +308,11 @@ def error_bounds(q, f, m: int):
     """
     _require_unit(q, f)
     _require_copies(m)
+    return _error_bounds(q, f, m)
+
+
+def _error_bounds(q, f, m: int):
+    """`error_bounds` of lanes whose range and copy count are already checked."""
     pe_upper = 0.5 * elementwise(np.power, q, m)
     if f is None:
         return None, pe_upper, None
@@ -383,8 +388,9 @@ def qcb(pa: Params, pb: Params, copies: int = 1) -> DiscriminationReport:
     not a positive integer raises before the minimisation, a Q or fidelity
     outside [0, 1] (NaN included) after it.  The lanes are the one-pair case
     of `_qcb_pairs`, which takes several pairs, and this is the only place
-    that makes a report and its error bounds (`error_bounds`).
+    that makes a report and its error bounds (`error_bounds`, with no second
+    range check of the lanes).
     """
     _require_copies(copies)
     q, s_star, fid = _qcb_pairs([(pa, pb)])[0]
-    return DiscriminationReport(q, s_star, copies, fid, *error_bounds(q, fid, copies))
+    return DiscriminationReport(q, s_star, copies, fid, *_error_bounds(q, fid, copies))

@@ -329,7 +329,7 @@ def test_qcb_checks_bound_inputs_at_once(monkeypatch):
             q1(np.array([1.0, 1e300]), 0.5, LossChannel.from_gamma(0.5))
     pa, pb = SqueezedThermalParamsSingle(0.5, 0.2), SqueezedThermalParamsSingle(0.3, 0.1)
     calls = []
-    monkeypatch.setattr(chernoff, "error_bounds", lambda *args: calls.append(args) or (None, 0.25, None))
+    monkeypatch.setattr(chernoff, "_error_bounds", lambda *args: calls.append(args) or (None, 0.25, None))
     report = qcb(pa, pb, copies=3)
     assert report.pe_upper == 0.25 and report.pe_lower is None and report.pe_fidelity_upper is None
     assert calls == [(report.q, None, 3)]

@@ -183,8 +183,9 @@ def dense_fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     root = (va * np.sqrt(la)) @ va.T
     inner = root @ rho_b @ root
     vals = np.linalg.eigvalsh((inner + inner.T) / 2.0)
-    # no root of a roundoff eigenvalue: 3e-9 for 1e-17 would survive into the trace
-    return float(np.sqrt(np.where(vals < vals.max() * 1e-13, 0.0, vals)).sum()) ** 2
+    # no root of a roundoff eigenvalue (eigvalsh's is about n eps times the largest): 3e-9 for 1e-17
+    # would survive into the trace
+    return float(np.sqrt(np.where(vals < vals.size * np.finfo(float).eps * vals.max(), 0.0, vals)).sum()) ** 2
 
 
 def from_dense(dims: tuple[int, ...], mat: np.ndarray) -> FockDensityMatrix:

@@ -213,13 +213,13 @@ def test_optimize_beta_makes_one_qcb_call_per_step_for_every_lane(monkeypatch):
     import lossprobe.probes
 
     calls = []
-    original = lossprobe.probes.qcb
+    original = lossprobe.probes._qcb_pairs
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(lossprobe.probes, "qcb", counted)
+    monkeypatch.setattr(lossprobe.probes, "_qcb_pairs", counted)
     counts = []
     for lanes in (1, 16):
         calls.clear()
@@ -228,7 +228,7 @@ def test_optimize_beta_makes_one_qcb_call_per_step_for_every_lane(monkeypatch):
         beta_star, _ = optimize_beta(n, ch, modes=2)
         assert np.all(beta_star > 1.0 - 1e-6)
         counts.append(len(calls))
-    assert counts[0] == counts[1], counts
+    assert counts[0] == counts[1] > 0, counts
 
 
 def test_critical_transmissivity_frozen():
