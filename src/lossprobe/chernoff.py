@@ -118,10 +118,9 @@ Params = SqueezedThermalParamsSingle | SqueezedThermalParamsTwo
 
 
 def _g_lambda(xs, us):
-    """(G_s(x), Lambda_s(x)) from the powers xs = x^s and us = (x + 1)^s, written over them if arrays."""
-    out = (us, xs) if isinstance(us, np.ndarray) else (None, None)
-    g = np.divide(1.0, np.subtract(us, xs, out=out[0]), out=out[0])
-    return g, np.multiply(xs, g, out=out[1])
+    """(G_s(x), Lambda_s(x)) from the power arrays xs = x^s and us = (x + 1)^s, written over us and xs."""
+    g = np.divide(1.0, np.subtract(us, xs, out=us), out=us)
+    return g, np.multiply(xs, g, out=xs)
 
 
 class PairLanes(NamedTuple):
@@ -330,47 +329,46 @@ def _qcb_pairs(pairs: list) -> list[tuple]:
     """The lanes (q, s_star, fidelity) of each pair (pa, pb), of either mode count, from one lane stack.
 
     Each lane is an array of the pair's broadcast shape, NaN where a fidelity is not known, or for one
-    state a float, and None for no fidelity.  The mixed lanes of every pair, the one-mode pairs' first,
-    form one stack, which takes its golden sections in blocks of _BLOCK_LANES lanes, one call of Q_s per
-    block per step, so the memory does not grow with the lanes.  A pair keeps only the indices of its
-    mixed lanes, and each block takes its lanes from the pair's flat stacks by them.  A lane takes its own
-    steps, so its q and s* are the same bits here, in its pair's `qcb` call and alone.  A q or fidelity
-    outside [0, 1] (NaN included) raises.
+    state a float, and None for no fidelity; the arrays are views of the pair's slice of one q, s* and
+    fidelity array over all pairs.  The mixed lanes of every pair, the one-mode pairs' first, form one
+    stack, which takes its golden sections in blocks of _BLOCK_LANES lanes, gathered from the pairs' flat
+    stacks by their mixed indices, one call of Q_s per block per step, so the memory does not grow with
+    the lanes; one index then scatters all their results.  A lane takes its own steps, so its q and s* are
+    the same bits here, in its pair's `qcb` call and alone.  One range check of every lane raises on a q or
+    fidelity outside [0, 1] (NaN included).
     """
-    stacks, mixed = [], []
-    for pa, pb in pairs:
-        shape, pa, pb = _flat_pair(pa, pb)
-        size = math.prod(shape)
-        q, s_star, fid = np.empty(size), np.empty(size), np.full(size, np.nan)
+    flat = [_flat_pair(pa, pb) for pa, pb in pairs]
+    ends = [0, *accumulate(math.prod(shape) for shape, _, _ in flat)]
+    q, s_star, fid = np.empty(ends[-1]), np.empty(ends[-1]), np.full(ends[-1], np.nan)
+    mixed = []
+    for (_, pa, pb), start, end in zip(flat, ends, ends[1:]):
         pure_a = _is_pure(pa)
         pure = pure_a | _is_pure(pb)
         if pure.any():
-            q[pure] = fid[pure] = _overlap(pa.take(pure), pb.take(pure))
-            s_star[pure] = np.where(pure_a[pure], 0.0, 1.0)
+            q[start:end][pure] = fid[start:end][pure] = _overlap(pa.take(pure), pb.take(pure))
+            s_star[start:end][pure] = np.where(pure_a[pure], 0.0, 1.0)
         mix = np.flatnonzero(~pure)
         if mix.size:
-            mixed.append((len(stacks), mix, pa, pb))
-        stacks.append((shape, mix, q, s_star, fid))
+            mixed.append((start, mix, pa, pb))
     mixed.sort(key=lambda m: type(m[2]) is not SqueezedThermalParamsSingle)  # the one-mode pairs first
-    ends = [0, *accumulate(len(mix) for _, mix, _, _ in mixed)]
-    s_m, q_m = np.empty(ends[-1]), np.empty(ends[-1])
-    for i in range(0, ends[-1], _BLOCK_LANES):
-        j = min(i + _BLOCK_LANES, ends[-1])
+    m_ends = [0, *accumulate(len(mix) for _, mix, _, _ in mixed)]
+    s_m, q_m = np.empty(m_ends[-1]), np.empty(m_ends[-1])
+    for i in range(0, m_ends[-1], _BLOCK_LANES):
+        j = min(i + _BLOCK_LANES, m_ends[-1])
         lanes = stack_pairs([tuple(p.take(mix[slice(*np.clip((i, j), start, end) - start)]) for p in pair)
-                             for (_, mix, *pair), start, end in zip(mixed, ends, ends[1:])])
+                             for (_, mix, *pair), start, end in zip(mixed, m_ends, m_ends[1:])])
         s_m[i:j], q_m[i:j] = minimize_scalar_golden(lambda s: q_s(lanes, None, s), np.full(j - i, S_EPS),
                                                     1.0 - S_EPS, S_TOL)
-    for (k, *_), start, end in zip(mixed, ends, ends[1:]):
-        _, mix, q, s_star, _ = stacks[k]
-        q[mix] = np.where(1.0 < q_m[start:end], 1.0, q_m[start:end])  # min(q, 1.0) as Python takes it
-        s_star[mix] = s_m[start:end]
+    at = np.concatenate([start + mix for start, mix, _, _ in mixed]) if mixed else []
+    q[at] = np.where(1.0 < q_m, 1.0, q_m)  # min(q, 1.0) as Python takes it
+    s_star[at] = s_m
+    _require_unit(q, fid)
     lanes = []
-    for shape, _, q, s_star, fid in stacks:
-        q, s_star, fid = (x.reshape(shape) for x in (q, s_star, fid))
+    for (shape, _, _), start, end in zip(flat, ends, ends[1:]):
+        q_k, s_k, f_k = (x[start:end].reshape(shape) for x in (q, s_star, fid))
         if not shape:
-            q, s_star, fid = float(q), float(s_star), None if np.isnan(fid) else float(fid)
-        _require_unit(q, fid)
-        lanes.append((q, s_star, fid))
+            q_k, s_k, f_k = float(q_k), float(s_k), None if np.isnan(f_k) else float(f_k)
+        lanes.append((q_k, s_k, f_k))
     return lanes
 
 

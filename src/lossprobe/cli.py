@@ -49,7 +49,7 @@ import numpy as np
 from . import __version__
 from .channel import LossChannel
 from .correlations import correlation_report
-from .fock import MAX_LOSS_CUTOFF, TruncationConfig, check_loss_size
+from .fock import TruncationConfig, check_loss_size
 # make_two_mode_st is not called here: perfbench/test_harness.py pins this binding in every module
 from .gaussian import SqueezedThermalParamsTwo, make_two_mode_st
 from .probes import (
@@ -251,7 +251,7 @@ def cmd_correlations(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _require(args, "--dim", lambda d: 2 <= d <= MAX_LOSS_CUTOFF, f"in [2, {MAX_LOSS_CUTOFF}]")
+    _require(args, "--dim", lambda d: d >= 2, ">= 2")
     _require(args, "--tail-tol", lambda x: 0.0 < x < 1.0, "in (0, 1)")
     if args.dim is not None:
         try:  # the two-mode cases' loss grid, by the oracle's own int32 bound, before any case runs

@@ -136,19 +136,19 @@ class CovarianceMatrix:
 
 
 class _ParameterStack:
-    """Fields that are all floats (one member) or read-only arrays of one shape (a stack)."""
+    """Fields that are all floats (one member) or read-only float64 arrays of one shape (a stack).
+
+    Each field, of any type, converts one way: to a float64 array broadcast against the others, copied
+    read-only, a float if 0-d.  So an int or bool becomes a float; a string that is no number raises
+    ValueError, and None (NaN) too.
+    """
 
     def __post_init__(self) -> None:
-        values = self.fields()
-        if any(type(v) is not float for v in values):
-            if any(np.ndim(v) for v in values):
-                values = [np.array(v, dtype=float) for v in np.broadcast_arrays(*values)]
-                for v in values:
-                    v.setflags(write=False)
-            else:
-                values = [float(v) if isinstance(v, (np.ndarray, np.generic)) else v for v in values]
-            for name, v in zip(self.__dataclass_fields__, values):
-                object.__setattr__(self, name, v)
+        values = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in self.fields()))
+        for name, v in zip(self.__dataclass_fields__, values):
+            v = np.array(v)
+            v.setflags(write=False)
+            object.__setattr__(self, name, float_or_array(v))
         self._validate()
 
     def _validate(self) -> None:

@@ -149,12 +149,13 @@ def g_lambda(x, s):
 
 def test_g_lambda_at_zero():
     for s in (0.1, 0.5, 0.9):
-        assert g_lambda(0.0, s) == (1.0, 0.0)
+        g, lam = g_lambda(np.array([0.0]), s)
+        assert (g.tolist(), lam.tolist()) == ([1.0], [0.0])
 
 
 def test_g_half_at_one():
     # 1/((1+1)^0.5 - 1^0.5) = 1/(sqrt(2)-1) = sqrt(2)+1
-    assert math.isclose(g_lambda(1.0, 0.5)[0], math.sqrt(2.0) + 1.0, rel_tol=1e-14)
+    assert math.isclose(g_lambda(np.array([1.0]), 0.5)[0][0], math.sqrt(2.0) + 1.0, rel_tol=1e-14)
 
 
 def test_qs_identical_mixed_is_one():

@@ -652,8 +652,10 @@ def test_verify_undersized_cutoff_fails(capsys):
 def test_verify_flag_validation(capsys):
     assert run(["verify", "--dim", "1"], capsys)[0] == 2
     assert run(["verify", "--tail-tol", "0"], capsys)[0] == 2
-    # past the loss kernel's cutoff limit: before, two cases ran and then the command exited 1
-    assert run(["verify", "--dim", "2000"], capsys) == (2, "", "error: --dim must be in [2, 1800], got 2000\n")
+    # past the loss kernel's cutoff limit, where the two-mode loss grid is past its int32 bound too
+    code, out, err = run(["verify", "--dim", "2000"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: --dim 2000 is too large: the loss grid of dims (2000, 2000) takes up to 8,000,000,000 entries, past the 2^31 an int32 index addresses\n"
     # past the two-mode loss grid's int32 bound (1291^3 > 2^31): before, the 8 one-mode cases ran and then the
     # command exited 1
     code, out, err = run(["verify", "--dim", "1291"], capsys)

@@ -293,6 +293,24 @@ def test_non_finite_occupations_rejected(bad):
         SqueezedThermalParamsTwo(r=0.5, n_t1=0.0, n_t2=bad)
 
 
+@pytest.mark.parametrize("one, zero", [(1, 0), (True, False), (np.int64(1), np.float32(0)), (np.array(1), np.array(0.0))],
+                         ids=["int", "bool", "numpy-scalar", "0-d"])
+def test_fields_are_floats_or_read_only_float64_arrays_whatever_came_in(one, zero):
+    for p, values in ((SqueezedThermalParamsSingle(one, zero), [1.0, 0.0]),
+                      (SqueezedThermalParamsTwo(one, zero, one), [1.0, 0.0, 1.0]),
+                      (LossChannel(gamma=zero, eta=one), [0.0, 1.0])):
+        assert [(type(v), v) for v in p.fields()] == [(float, v) for v in values], p
+    for p in (SqueezedThermalParamsTwo(np.array([1, 2]), 0, True), LossChannel(gamma=np.zeros(2, int), eta=1)):
+        assert [(v.dtype, v.shape, v.flags.writeable) for v in p.fields()] == [(np.float64, (2,), False)] * len(p.fields())
+    for bad in ("one", None):
+        with pytest.raises(ValueError):
+            SqueezedThermalParamsSingle(0.5, bad)
+        with pytest.raises(ValueError):
+            SqueezedThermalParamsTwo(bad, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            LossChannel(gamma=0.0, eta=bad)
+
+
 def test_cm_is_read_only():
     cm = make_single_mode_st(SqueezedThermalParamsSingle(r=0.0, n_t=0.0))
     with pytest.raises(ValueError):
